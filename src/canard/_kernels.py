@@ -1,43 +1,22 @@
 """Adaptive Runge-Kutta core shared by every integration entry point.
 
 The stepper is a Dormand-Prince 5(4) embedded pair with the quartic
-dense-output interpolant and proportional-integral step control.  The
-same source is either compiled with numba or run as plain Python: set
-CANARD_DISABLE_NUMBA=1 to force the Python path.  Right-hand sides are
-functions (t, u, par) -> ndarray(2); a compiled core is built per rhs by
-make_core, and only numba-compiled rhs functions get a compiled core."""
+dense-output interpolant and proportional-integral step control (Hairer,
+Nørsett & Wanner, Solving ODEs I, §II.5-6).  It is plain Python on
+scalar floats: right-hand sides are functions (t, u, par) -> 2-sequence
+called with u a 2-tuple of floats, and the accepted steps are collected
+in lists and turned into arrays once, at the end.  An optional section
+stop ends a run at the first crossing of a vertical line in a wanted
+direction, located exactly as dynamics.section_crossings locates it on a
+finished trajectory."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_env = os.environ.get("CANARD_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _env in ("1", "true", "yes", "on")
-
-try:
-    if _DISABLED:
-        raise ImportError
-    import numba
-
-    NUMBA_ENABLED = True
-except ImportError:
-    numba = None
-    NUMBA_ENABLED = False
-
-
-def maybe_njit(fn):
-    """numba.njit when compilation is enabled, identity otherwise."""
-    if NUMBA_ENABLED:
-        return numba.njit(cache=False)(fn)
-    return fn
-
-
-def _is_compiled(fn) -> bool:
-    return NUMBA_ENABLED and isinstance(fn, numba.core.dispatcher.Dispatcher)
-
+from .errors import NumericsError
 
 # Dormand-Prince 5(4) tableau
 C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
@@ -69,155 +48,189 @@ STATUS_BAD_FIELD = 3
 _MAX_REJECT_STREAK = 30
 
 
-def make_core(rhs):
-    """Build the integration loop around one rhs.  Returns
-    core(par, u0, t_end, rtol, atol, hmax, sign, store_dense) ->
-    (status, n, ts, ys, rcont) where ts[:n+1], ys[:n+1] are the accepted
-    mesh and rcont[:n] holds the per-step interpolant coefficients."""
+def dopri5(rhs, par, u0, t_end, rtol, atol, hmax, sign, store_dense, stop=None):
+    """Integrate u' = sign * rhs(t, u, par) from u0 = (x, y) over [0, t_end].
 
-    def core(par, u0, t_end, rtol, atol, hmax, sign, store_dense):
-        t = 0.0
-        y = u0.copy()
-        k1 = sign * rhs(t, y, par)
+    Returns (status, ts, ys, rcont, counts, hit): the accepted mesh ts
+    (n+1,) and ys (n+1, 2); the per-step interpolant coefficients rcont
+    (n, 5, 2), or None without store_dense; counts = (accepted steps,
+    rejected steps, rhs evaluations); and hit.  With stop = (x_sec,
+    y_base, want) every accepted step is searched for a crossing of
+    x = x_sec as by section_crossing, and the run ends at the first
+    crossing whose x-direction is want, returned as hit = (t, y, xdir);
+    otherwise hit is None."""
+    t = 0.0
+    y0, y1 = float(u0[0]), float(u0[1])
+    f = rhs(t, (y0, y1), par)
+    k10, k11 = sign * f[0], sign * f[1]
 
-        # starter step: scipy-style two-probe estimate
-        sc0 = atol + rtol * abs(y[0])
-        sc1 = atol + rtol * abs(y[1])
-        d0 = math.sqrt(0.5 * ((y[0] / sc0) ** 2 + (y[1] / sc1) ** 2))
-        d1 = math.sqrt(0.5 * ((k1[0] / sc0) ** 2 + (k1[1] / sc1) ** 2))
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, t_end)
-        yp = y + h0 * k1
-        kp = sign * rhs(t + h0, yp, par)
-        d2 = math.sqrt(0.5 * (((kp[0] - k1[0]) / sc0) ** 2
-                              + ((kp[1] - k1[1]) / sc1) ** 2)) / h0
-        if max(d1, d2) <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** 0.2
-        h = min(100.0 * h0, h1, hmax, t_end)
+    # starter step: scipy-style two-probe estimate
+    sc0 = atol + rtol * abs(y0)
+    sc1 = atol + rtol * abs(y1)
+    d0 = math.sqrt(0.5 * ((y0 / sc0) ** 2 + (y1 / sc1) ** 2))
+    d1 = math.sqrt(0.5 * ((k10 / sc0) ** 2 + (k11 / sc1) ** 2))
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, t_end)
+    f = rhs(t + h0, (y0 + h0 * k10, y1 + h0 * k11), par)
+    d2 = math.sqrt(0.5 * (((sign * f[0] - k10) / sc0) ** 2
+                          + ((sign * f[1] - k11) / sc1) ** 2)) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h = min(100.0 * h0, h1, hmax, t_end)
+    nfev = 2
 
-        cap = 1024
-        ts = np.empty(cap + 1)
-        ys = np.empty((cap + 1, 2))
-        rc = np.empty((cap, 5, 2)) if store_dense else np.empty((1, 5, 2))
-        ts[0] = 0.0
-        ys[0, 0] = y[0]
-        ys[0, 1] = y[1]
-        n = 0
-        streak = 0
-        errold = 1e-4
-        status = STATUS_OK
+    ts = [t]
+    ys = [y0, y1]
+    rc = []
+    n = 0
+    rejected = 0
+    streak = 0
+    errold = 1e-4
+    status = STATUS_OK
+    cross = False
+    hit = None
 
-        while t < t_end:
-            if not (math.isfinite(y[0]) and math.isfinite(y[1])
-                    and math.isfinite(k1[0]) and math.isfinite(k1[1])):
-                status = STATUS_BAD_FIELD
-                break
-            if h < 1e-14 * max(1.0, abs(t)):
-                status = STATUS_UNDERFLOW
-                break
-            h = min(h, hmax, t_end - t)
+    while t < t_end:
+        if not (math.isfinite(y0) and math.isfinite(y1)
+                and math.isfinite(k10) and math.isfinite(k11)):
+            status = STATUS_BAD_FIELD
+            break
+        if h < 1e-14 * max(1.0, abs(t)):
+            status = STATUS_UNDERFLOW
+            break
+        h = min(h, hmax, t_end - t)
 
-            k2 = sign * rhs(t + C2 * h, y + h * (A21 * k1), par)
-            k3 = sign * rhs(t + C3 * h, y + h * (A31 * k1 + A32 * k2), par)
-            k4 = sign * rhs(t + C4 * h, y + h * (A41 * k1 + A42 * k2 + A43 * k3), par)
-            k5 = sign * rhs(t + C5 * h,
-                            y + h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4), par)
-            k6 = sign * rhs(t + h,
-                            y + h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4
-                                     + A65 * k5), par)
-            ynew = y + h * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
-            k7 = sign * rhs(t + h, ynew, par)
-            if not (math.isfinite(ynew[0]) and math.isfinite(ynew[1])
-                    and math.isfinite(k7[0]) and math.isfinite(k7[1])):
-                status = STATUS_BAD_FIELD
-                break
+        f = rhs(t + C2 * h, (y0 + h * (A21 * k10), y1 + h * (A21 * k11)), par)
+        k20, k21 = sign * f[0], sign * f[1]
+        f = rhs(t + C3 * h, (y0 + h * (A31 * k10 + A32 * k20),
+                             y1 + h * (A31 * k11 + A32 * k21)), par)
+        k30, k31 = sign * f[0], sign * f[1]
+        f = rhs(t + C4 * h, (y0 + h * (A41 * k10 + A42 * k20 + A43 * k30),
+                             y1 + h * (A41 * k11 + A42 * k21 + A43 * k31)), par)
+        k40, k41 = sign * f[0], sign * f[1]
+        f = rhs(t + C5 * h,
+                (y0 + h * (A51 * k10 + A52 * k20 + A53 * k30 + A54 * k40),
+                 y1 + h * (A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41)), par)
+        k50, k51 = sign * f[0], sign * f[1]
+        f = rhs(t + h,
+                (y0 + h * (A61 * k10 + A62 * k20 + A63 * k30 + A64 * k40
+                           + A65 * k50),
+                 y1 + h * (A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41
+                           + A65 * k51)), par)
+        k60, k61 = sign * f[0], sign * f[1]
+        yn0 = y0 + h * (B1 * k10 + B3 * k30 + B4 * k40 + B5 * k50 + B6 * k60)
+        yn1 = y1 + h * (B1 * k11 + B3 * k31 + B4 * k41 + B5 * k51 + B6 * k61)
+        f = rhs(t + h, (yn0, yn1), par)
+        k70, k71 = sign * f[0], sign * f[1]
+        nfev += 6
+        if not (math.isfinite(yn0) and math.isfinite(yn1)
+                and math.isfinite(k70) and math.isfinite(k71)):
+            status = STATUS_BAD_FIELD
+            break
 
-            e0 = h * (E1 * k1[0] + E3 * k3[0] + E4 * k4[0] + E5 * k5[0]
-                      + E6 * k6[0] + E7 * k7[0])
-            e1c = h * (E1 * k1[1] + E3 * k3[1] + E4 * k4[1] + E5 * k5[1]
-                       + E6 * k6[1] + E7 * k7[1])
-            s0 = atol + rtol * max(abs(y[0]), abs(ynew[0]))
-            s1 = atol + rtol * max(abs(y[1]), abs(ynew[1]))
-            err = math.sqrt(0.5 * ((e0 / s0) ** 2 + (e1c / s1) ** 2))
+        e0 = h * (E1 * k10 + E3 * k30 + E4 * k40 + E5 * k50 + E6 * k60
+                  + E7 * k70)
+        e1 = h * (E1 * k11 + E3 * k31 + E4 * k41 + E5 * k51 + E6 * k61
+                  + E7 * k71)
+        s0 = atol + rtol * max(abs(y0), abs(yn0))
+        s1 = atol + rtol * max(abs(y1), abs(yn1))
+        err = math.sqrt(0.5 * ((e0 / s0) ** 2 + (e1 / s1) ** 2))
 
-            if err <= 1.0:
+        if err <= 1.0:
+            if stop is not None:
+                # the test and step order of dynamics._scan_crossings
+                a = y0 - stop[0]
+                cross = (a == 0.0 and n > 0) or a * (yn0 - stop[0]) < 0.0
+            if store_dense or cross:
+                q0, q1 = yn0 - y0, yn1 - y1
+                b0, b1 = h * k10 - q0, h * k11 - q1
+                row = (y0, y1, q0, q1, b0, b1,
+                       q0 - h * k70 - b0, q1 - h * k71 - b1,
+                       h * (D1 * k10 + D3 * k30 + D4 * k40 + D5 * k50
+                            + D6 * k60 + D7 * k70),
+                       h * (D1 * k11 + D3 * k31 + D4 * k41 + D5 * k51
+                            + D6 * k61 + D7 * k71))
                 if store_dense:
-                    for j in range(2):
-                        ydiff = ynew[j] - y[j]
-                        bspl = h * k1[j] - ydiff
-                        rc[n, 0, j] = y[j]
-                        rc[n, 1, j] = ydiff
-                        rc[n, 2, j] = bspl
-                        rc[n, 3, j] = ydiff - h * k7[j] - bspl
-                        rc[n, 4, j] = h * (D1 * k1[j] + D3 * k3[j] + D4 * k4[j]
-                                           + D5 * k5[j] + D6 * k6[j] + D7 * k7[j])
-                t = t + h
-                y = ynew
-                k1 = k7
-                n += 1
-                if n >= cap:
-                    newcap = cap * 2
-                    ts2 = np.empty(newcap + 1)
-                    ys2 = np.empty((newcap + 1, 2))
-                    ts2[:cap + 1] = ts[:cap + 1]
-                    ys2[:cap + 1] = ys[:cap + 1]
-                    ts = ts2
-                    ys = ys2
-                    if store_dense:
-                        rc2 = np.empty((newcap, 5, 2))
-                        rc2[:cap] = rc[:cap]
-                        rc = rc2
-                    cap = newcap
-                ts[n] = t
-                ys[n, 0] = y[0]
-                ys[n, 1] = y[1]
-                if err == 0.0:
-                    fac = 10.0
-                else:
-                    fac = 0.9 * err ** (-0.17) * errold ** 0.04
-                    fac = min(10.0, max(0.2, fac))
-                h = h * fac
-                errold = max(err, 1e-4)
-                streak = 0
+                    rc.extend(row)
+            t_old, t = t, t + h
+            y0, y1 = yn0, yn1
+            k10, k11 = k70, k71
+            n += 1
+            ts.append(t)
+            ys.append(y0)
+            ys.append(y1)
+            if err == 0.0:
+                fac = 10.0
             else:
-                h = h * min(0.9, max(0.1, 0.9 * err ** (-0.2)))
-                streak += 1
-                if streak >= _MAX_REJECT_STREAK:
-                    status = STATUS_STIFF
+                fac = 0.9 * err ** (-0.17) * errold ** 0.04
+                fac = min(10.0, max(0.2, fac))
+            h = h * fac
+            errold = max(err, 1e-4)
+            streak = 0
+            if cross:
+                hit = section_crossing(rhs, par, sign, t_old, t, row,
+                                       stop[0], stop[1], a)
+                if hit is not None and hit[2] == stop[2]:
                     break
+                hit = None
+        else:
+            h = h * min(0.9, max(0.1, 0.9 * err ** (-0.2)))
+            rejected += 1
+            streak += 1
+            if streak >= _MAX_REJECT_STREAK:
+                status = STATUS_STIFF
+                break
 
-        return status, n, ts, ys, rc
-
-    if _is_compiled(rhs):
-        return numba.njit(cache=False)(core)
-    return core
-
-
-def _allee_rhs_impl(t, u, par):
-    m = par[0]
-    n = par[1]
-    alpha = par[2]
-    beta = par[3]
-    gamma = par[4]
-    eps = par[5]
-    x = u[0]
-    y = u[1]
-    out = np.empty(2)
-    out[0] = x * (x / (m + x) - n - x - y)
-    out[1] = eps * (y * (alpha * x - beta - gamma * y))
-    return out
+    return (status, np.array(ts), np.array(ys).reshape(-1, 2),
+            np.array(rc).reshape(-1, 5, 2) if store_dense else None,
+            (n, rejected, nfev), hit)
 
 
-allee_rhs = maybe_njit(_allee_rhs_impl)
-
-
-def dense_eval(rcont_row, theta):
-    """Interpolant value at fraction theta of the step."""
+def interpolate(row, j, theta):
+    """Component j of the interpolant at fraction theta of a step whose
+    coefficients row holds flat in (order, component) order."""
     t1 = 1.0 - theta
-    return rcont_row[0] + theta * (rcont_row[1] + t1 * (
-        rcont_row[2] + theta * (rcont_row[3] + t1 * rcont_row[4])))
+    return row[j] + theta * (row[2 + j] + t1 * (
+        row[4 + j] + theta * (row[6 + j] + t1 * row[8 + j])))
+
+
+def section_crossing(rhs, par, sign, t0, t1, row, x_sec, y_base, a):
+    """The crossing of the line x = x_sec within the step [t0, t1] with
+    interpolant coefficients row, where a = x(t0) - x_sec: at t0 itself
+    when a == 0, else bisected on the interpolant to a time width of
+    1e-10.  Returns (t, y, xdir) with xdir the sign of the orbit's
+    x-velocity there, or None for a crossing at t <= 1e-12 or at or below
+    y_base.  A tangential crossing raises NumericsError."""
+    h = t1 - t0
+    if a == 0.0:
+        theta = 0.0
+    else:
+        lo, hi = 0.0, 1.0
+        glo = a
+        while (hi - lo) * h > 1e-10:
+            mid = 0.5 * (lo + hi)
+            gm = interpolate(row, 0, mid) - x_sec
+            if gm == 0.0:
+                lo = hi = mid
+                break
+            if math.copysign(1.0, gm) == math.copysign(1.0, glo):
+                lo, glo = mid, gm
+            else:
+                hi = mid
+        theta = 0.5 * (lo + hi)
+    t_hit = t0 + theta * h
+    if t_hit <= 1e-12:
+        return None
+    y_hit = interpolate(row, 1, theta)
+    if y_hit <= y_base:
+        return None
+    f = rhs(t_hit, (interpolate(row, 0, theta), y_hit), par)
+    v0, v1 = sign * f[0], sign * f[1]
+    if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
+        raise NumericsError(f"tangential section crossing at t={t_hit}")
+    return float(t_hit), float(y_hit), math.copysign(1.0, v0)

@@ -200,11 +200,18 @@ class EquilibriaReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _model_field(t, u, par):
+    """The model field in the integrator's form: u = (x, y) and par =
+    (m, n, alpha, beta, gamma, eps) in PARAM_NAMES order."""
+    x, y = u
+    m, n, alpha, beta, gamma, eps = par
+    return (x * (x / (m + x) - n - x - y),
+            eps * (y * (alpha * x - beta - gamma * y)))
+
+
 def model_rhs(x: float, y: float, p: AlleeParams) -> Tuple[float, float]:
     """(dx/dt, dy/dt) of the model in fast time."""
-    f = x * (x / (p.m + x) - p.n - x - y)
-    g = y * (p.alpha * x - p.beta - p.gamma * y)
-    return (f, p.eps * g)
+    return _model_field(0.0, (x, y), (p.m, p.n, p.alpha, p.beta, p.gamma, p.eps))
 
 
 def _jacobian(x: float, y: float, p: AlleeParams):

@@ -1,10 +1,11 @@
 """Trajectory integration, Poincaré return maps, and cycle detection.
 
-Fields are integrated with the embedded 5(4) pair in _kernels (compiled
-when numba is available).  Return maps use a vertical-ray section with
-same-direction crossings located on the dense output; limit cycles are
-found by bisection on the displacement map, with unstable cycles handled
-in reversed time and their multiplier reported in the forward-time
+Fields are integrated with the scalar Dormand-Prince 5(4) core in
+_kernels.  Return maps use a vertical-ray section with same-direction
+crossings located on the dense output; the integration of a return map
+stops at its first same-direction crossing.  Limit cycles are found by
+bisection on the displacement map, with unstable cycles handled in
+reversed time and their multiplier reported in the forward-time
 convention."""
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -22,11 +23,12 @@ from ._kernels import (
     STATUS_OK,
     STATUS_STIFF,
     STATUS_UNDERFLOW,
-    allee_rhs,
-    dense_eval,
-    make_core,
+    dopri5,
+    interpolate,
+    section_crossing,
 )
-from .allee import AlleeParams, critical_slope, equilibria, fold_point
+from .allee import (PARAM_NAMES, AlleeParams, _model_field, critical_slope,
+                    equilibria, fold_point)
 from .errors import DomainError, NumericsError
 
 FORWARD = "Forward"
@@ -56,29 +58,18 @@ class IntegratorOptions:
 
 @dataclass(frozen=True, eq=False)
 class PlanarField:
-    """A planar vector field as (rhs, parameter vector).  rhs has the
-    signature (t, u, par) -> ndarray(2); compiled rhs functions get a
-    compiled integration core automatically."""
+    """A planar vector field as (rhs, parameters).  rhs has the signature
+    (t, u, par) -> 2-sequence (dx/dt, dy/dt); the integrator calls it
+    with u a 2-tuple of floats and passes par through unchanged."""
 
     rhs: Callable
-    par: np.ndarray
+    par: Any
     name: str = "custom"
 
 
 def allee_field(p: AlleeParams) -> PlanarField:
-    par = np.array([p.m, p.n, p.alpha, p.beta, p.gamma, p.eps])
-    return PlanarField(allee_rhs, par, "allee")
-
-
-_CORE_CACHE: dict = {}
-
-
-def _core_for(rhs):
-    core = _CORE_CACHE.get(rhs)
-    if core is None:
-        core = make_core(rhs)
-        _CORE_CACHE[rhs] = core
-    return core
+    par = tuple(float(getattr(p, name)) for name in PARAM_NAMES)
+    return PlanarField(_model_field, par, "allee")
 
 
 @dataclass(eq=False)
@@ -88,6 +79,10 @@ class Trajectory:
     rcont: Optional[np.ndarray]
     direction: str
     stiffness_suspected: bool = False
+    # integrator work, summed over the stiffness retry when there was one
+    n_accepted: int = 0
+    n_rejected: int = 0
+    nfev: int = 0
 
     @property
     def end_state(self) -> np.ndarray:
@@ -110,21 +105,27 @@ class Trajectory:
             h = self.t[i + 1] - self.t[i]
             theta = 0.0 if h == 0.0 else (arr[j] - self.t[i]) / h
             theta = min(max(theta, 0.0), 1.0)
-            out[j] = dense_eval(self.rcont[i], theta)
+            row = self.rcont[i].ravel()
+            out[j] = (interpolate(row, 0, theta), interpolate(row, 1, theta))
         return out[0] if np.isscalar(tq) or np.asarray(tq).ndim == 0 else out
 
 
-def _run(field: PlanarField, x0, opts: IntegratorOptions, store_dense: bool):
+def _run(field: PlanarField, x0, opts: IntegratorOptions, store_dense: bool,
+         stop=None):
+    """Integrate with one stiffness retry at 100x tighter tolerances.
+    Returns (trajectory, hit), hit as from dopri5 with the given stop."""
     u0 = np.asarray(x0, dtype=float)
     if u0.shape != (2,) or not np.all(np.isfinite(u0)):
         raise DomainError(f"initial state must be a finite point, got {x0}")
     sign = -1.0 if opts.direction == REVERSED else 1.0
-    core = _core_for(field.rhs)
     stiff = False
     rtol, atol = opts.rel_tol, opts.abs_tol
+    work = (0, 0, 0)
     for attempt in range(2):
-        status, n, ts, ys, rc = core(field.par, u0, opts.t_max, rtol, atol,
-                                     opts.max_step, sign, store_dense)
+        status, ts, ys, rc, counts, hit = dopri5(
+            field.rhs, field.par, u0, opts.t_max, rtol, atol, opts.max_step,
+            sign, store_dense, stop)
+        work = tuple(a + b for a, b in zip(work, counts))
         if status == STATUS_STIFF and attempt == 0:
             warnings.warn(
                 f"step-rejection streak on field '{field.name}': suspected "
@@ -141,9 +142,7 @@ def _run(field: PlanarField, x0, opts: IntegratorOptions, store_dense: bool):
             f"field '{field.name}' evaluation produced non-finite values")
     if status == STATUS_STIFF:
         raise NumericsError("persistent step rejection even after tightening")
-    return Trajectory(ts[:n + 1].copy(), ys[:n + 1].copy(),
-                      rc[:n].copy() if store_dense else None,
-                      opts.direction, stiff)
+    return Trajectory(ts, ys, rc, opts.direction, stiff, *work), hit
 
 
 def integrate(field: PlanarField, x0, opts: IntegratorOptions = IntegratorOptions()
@@ -151,7 +150,7 @@ def integrate(field: PlanarField, x0, opts: IntegratorOptions = IntegratorOption
     """Integrate field from x0 to opts.t_max with dense output.  The
     Reversed direction negates the field; the trajectory parameter still
     runs forward over [0, t_max]."""
-    return _run(field, x0, opts, store_dense=True)
+    return _run(field, x0, opts, store_dense=True)[0]
 
 
 @dataclass(frozen=True)
@@ -170,36 +169,15 @@ def _scan_crossings(field: PlanarField, traj: Trajectory, section: Section,
     g = traj.y[:, 0] - section.x
     found = 0
     for i in range(len(traj.t) - 1):
-        a, b = g[i], g[i + 1]
-        if a == 0.0 and i > 0:
-            theta = 0.0
-        elif a * b < 0.0:
-            lo, hi = 0.0, 1.0
-            glo = a
-            h = traj.t[i + 1] - traj.t[i]
-            while (hi - lo) * h > 1e-10:
-                mid = 0.5 * (lo + hi)
-                gm = dense_eval(traj.rcont[i], mid)[0] - section.x
-                if gm == 0.0:
-                    lo = hi = mid
-                    break
-                if math.copysign(1.0, gm) == math.copysign(1.0, glo):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            theta = 0.5 * (lo + hi)
-        else:
+        a = g[i]
+        if not ((a == 0.0 and i > 0) or a * g[i + 1] < 0.0):
             continue
-        t_hit = traj.t[i] + theta * (traj.t[i + 1] - traj.t[i])
-        if t_hit <= 1e-12:
+        hit = section_crossing(field.rhs, field.par, sign, traj.t[i],
+                               traj.t[i + 1], traj.rcont[i].ravel().tolist(),
+                               section.x, section.y_base, a)
+        if hit is None:
             continue
-        state = dense_eval(traj.rcont[i], theta)
-        if state[1] <= section.y_base:
-            continue
-        v = sign * np.asarray(field.rhs(t_hit, state, field.par), dtype=float)
-        if abs(v[0]) <= 1e-12 * (abs(v[1]) + 1.0):
-            raise NumericsError(f"tangential section crossing at t={t_hit}")
-        yield float(t_hit), float(state[1]), math.copysign(1.0, v[0])
+        yield hit
         found += 1
         if found >= limit:
             return
@@ -211,7 +189,7 @@ def section_crossings(field: PlanarField, start, section: Section,
     """Crossings of the section line by the orbit of start, as a list of
     (t, y, xdot_sign) tuples.  Used to seed displacement-map brackets from
     published initial values."""
-    traj = _run(field, np.asarray(start, dtype=float), opts, store_dense=True)
+    traj = _run(field, start, opts, store_dense=True)[0]
     sign = -1.0 if opts.direction == REVERSED else 1.0
     return list(_scan_crossings(field, traj, section, sign, limit))
 
@@ -237,19 +215,19 @@ def bracket_from_crossings(field: PlanarField, starts, section: Section,
 
 def _first_return(field: PlanarField, section: Section, y0: float,
                   opts: IntegratorOptions) -> Tuple[float, float]:
+    """(height, time) of the first same-direction crossing; the
+    integration stops there instead of running on to t_max."""
     sign = -1.0 if opts.direction == REVERSED else 1.0
-    start = np.array([section.x, y0])
-    v0 = sign * np.asarray(field.rhs(0.0, start, field.par), dtype=float)
-    if abs(v0[0]) <= 1e-12 * (abs(v0[1]) + 1.0):
+    f = field.rhs(0.0, (section.x, y0), field.par)
+    v0, v1 = sign * f[0], sign * f[1]
+    if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
         raise NumericsError("section crossing is tangential at the start point")
-    want = math.copysign(1.0, v0[0])
-
-    traj = _run(field, start, opts, store_dense=True)
-    for t_hit, y_hit, xdir in _scan_crossings(field, traj, section, sign, 10 ** 9):
-        if xdir == want:
-            return y_hit, t_hit
-    raise NumericsError(
-        f"no same-direction return to x={section.x} within t_max={opts.t_max}")
+    stop = (section.x, section.y_base, math.copysign(1.0, v0))
+    hit = _run(field, (section.x, y0), opts, False, stop)[1]
+    if hit is None:
+        raise NumericsError(
+            f"no same-direction return to x={section.x} within t_max={opts.t_max}")
+    return hit[1], hit[0]
 
 
 def return_map(field: PlanarField, section: Section, y0: float,
@@ -445,16 +423,14 @@ def region_excursion(p: AlleeParams, n_starts: int = 100, seed: int = 0,
     the result should be at the integration-noise level."""
     rng = np.random.default_rng(seed)
     field = allee_field(p)
-    core = _core_for(field.rhs)
     worst = 0.0
     for _ in range(n_starts):
-        u0 = np.array([rng.uniform(*REGION_X), rng.uniform(*REGION_Y)])
-        status, n, ts, ys, _ = core(field.par, u0, t_max, rel_tol, abs_tol,
-                                    math.inf, 1.0, False)
+        u0 = (rng.uniform(*REGION_X), rng.uniform(*REGION_Y))
+        status, _, ys, _, _, _ = dopri5(field.rhs, field.par, u0, t_max,
+                                        rel_tol, abs_tol, math.inf, 1.0, False)
         if status != STATUS_OK:
             raise NumericsError(f"invariance run failed with status {status}")
-        xs = ys[:n + 1, 0]
-        yv = ys[:n + 1, 1]
+        xs, yv = ys[:, 0], ys[:, 1]
         exc = max(0.0,
                   float((-xs).max()), float((xs - REGION_X[1]).max()),
                   float((-yv).max()), float((yv - REGION_Y[1]).max()))

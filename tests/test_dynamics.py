@@ -1,8 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from canard._kernels import STATUS_OK, dopri5
 from canard.allee import AlleeParams, equilibria
 from canard.dynamics import (
     FORWARD,
@@ -11,6 +16,7 @@ from canard.dynamics import (
     IntegratorOptions,
     PlanarField,
     Section,
+    _first_return,
     allee_field,
     bracket_from_crossings,
     e4_trace,
@@ -177,6 +183,12 @@ class TestReturnMap:
         times = [t for t, _, _ in crossings]
         assert np.allclose(np.diff(times), math.pi, atol=1e-6)
 
+    def test_section_crossings_skip_the_line_below_the_base(self):
+        crossings = section_crossings(CENTER, (1.0, 0.0), Section(0.0, 0.0),
+                                      tight(4 * TWO_PI))
+        assert len(crossings) == 4
+        assert all(d == -1.0 and abs(y - 1.0) < 1e-6 for _, y, d in crossings)
+
 
 class TestFindCycle:
     def test_soft_cycle_forward(self):
@@ -324,34 +336,125 @@ class TestRegionExcursion:
         assert a == b
 
 
-class TestKernelFallback:
-    def test_pure_python_path_matches_compiled(self):
-        import json
-        import os
-        import subprocess
-        import sys
+with open(Path(__file__).parent / "data" / "golden_dopri5.json", "r",
+          encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
 
-        script = (
-            "import json, math\n"
-            "import numpy as np\n"
-            "import canard._kernels as K\n"
-            "from canard.allee import AlleeParams\n"
-            "from canard.dynamics import IntegratorOptions, allee_field, integrate\n"
-            "p = AlleeParams(m=0.263075, n=0.1, alpha=0.8, beta=0.138485,"
-            " gamma=0.4424, eps=0.01)\n"
-            "tr = integrate(allee_field(p), (0.25, 0.13),"
-            " IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, t_max=50.0))\n"
-            "print(json.dumps({'numba': K.NUMBA_ENABLED,"
-            " 'end': tr.end_state.tolist(), 'steps': len(tr.t) - 1}))\n"
-        )
-        out = {}
-        for flag in ("0", "1"):
-            env = dict(os.environ, CANARD_DISABLE_NUMBA=flag)
-            run = subprocess.run([sys.executable, "-c", script], env=env,
-                                 capture_output=True, text=True, timeout=300)
-            assert run.returncode == 0, run.stderr
-            out[flag] = json.loads(run.stdout.strip().splitlines()[-1])
-        assert out["1"]["numba"] is False
-        a, b = np.array(out["0"]["end"]), np.array(out["1"]["end"])
-        assert np.abs(a - b).max() < 1e-10
-        assert out["0"]["steps"] == out["1"]["steps"]
+
+class TestGoldenTrajectories:
+    """The scalar core against trajectories recorded with the ndarray core
+    it replaced: same steps, same mesh and interpolant to 1e-12."""
+
+    @pytest.mark.parametrize(
+        "case", GOLDEN["cases"],
+        ids=lambda c: f"{c['example']}-{c['direction']}-"
+                      f"{'dense' if c['dense'] else 'mesh'}")
+    def test_matches_recorded_trajectory(self, case):
+        f = allee_field(AlleeParams(**{"EX1": EX1, "EX2": EX2}[case["example"]]))
+        sign = -1.0 if case["direction"] == REVERSED else 1.0
+        status, ts, ys, rc, counts, hit = dopri5(
+            f.rhs, f.par, case["start"], case["t_max"], GOLDEN["rel_tol"],
+            GOLDEN["abs_tol"], math.inf, sign, case["dense"])
+        assert status == STATUS_OK and hit is None
+        assert len(ts) - 1 == case["steps"] == counts[0]
+        rows = case["rows"]
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+        close(ts[rows], case["t"])
+        close(ys[rows], case["y"])
+        close(np.abs(ts).sum(), case["abs_sum_t"])
+        close(np.abs(ys).sum(axis=0), case["abs_sum_y"])
+        if case["dense"]:
+            close(rc[case["rcont_rows"]], case["rcont"])
+            close(np.abs(rc).sum(axis=0), case["abs_sum_rcont"])
+        else:
+            assert rc is None
+
+
+class TestCounters:
+    def test_fsal_identity_on_ex2_orbit(self):
+        # first-same-as-last: 2 starter evaluations, then 6 per attempted step
+        tr = integrate(allee_field(AlleeParams(**EX2)), (0.25, 0.13), tight(3000.0))
+        assert tr.n_accepted == len(tr.t) - 1
+        assert tr.n_rejected > 0
+        assert tr.nfev == 2 + 6 * (tr.n_accepted + tr.n_rejected)
+
+    def test_nfev_counts_every_rhs_call(self):
+        calls = [0]
+
+        def counted(t, u, par):
+            calls[0] += 1
+            return soft_cycle_rhs(t, u, par)
+
+        tr = integrate(PlanarField(counted, None, "counted"), (0.3, 0.1), tight(30.0))
+        assert tr.nfev == calls[0]
+
+
+def _first_same_direction(field, section, y0, opts):
+    """(height, time) of the first same-direction return, scanned on the
+    orbit integrated all the way to t_max; None when there is none."""
+    sign = -1.0 if opts.direction == REVERSED else 1.0
+    want = math.copysign(1.0, sign * field.rhs(0.0, (section.x, y0), field.par)[0])
+    for t, y, d in section_crossings(field, (section.x, y0), section, opts,
+                                     limit=10 ** 6):
+        if d == want:
+            return y, t
+    return None
+
+
+def _section_case(name):
+    """(field, anchor x, anchor y, t_max): the anchor is the enclosed
+    equilibrium, E4 for EX1 and the origin otherwise."""
+    if name == "EX1":
+        p = AlleeParams(**EX1)
+        x4, y4 = equilibria(p).E4.point
+        return allee_field(p), x4, y4, 1500.0
+    field = {"center": CENTER, "soft": SOFT,
+             "damped": PlanarField(damped_rhs, np.array([-0.1]), "damped")}[name]
+    return field, 0.0, 0.0, 20.0
+
+
+class TestEarlyStop:
+    """return_map stops at the first same-direction crossing; it must give
+    what a scan of the orbit integrated to t_max gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["center", "soft", "damped", "EX1"]),
+           dy=st.floats(1e-5, 1e-3),
+           reversed_time=st.booleans(),
+           lowered=st.booleans())
+    def test_matches_full_orbit_scan(self, name, dy, reversed_time, lowered):
+        # a lowered base puts the opposite-direction crossing on the section
+        field, x_c, y_c, t_max = _section_case(name)
+        if name == "EX1":
+            reversed_time = False
+        section = Section(x_c, y_c - 1.0 if lowered else y_c)
+        opts = tight(t_max, REVERSED if reversed_time else FORWARD)
+        y0 = y_c + dy
+        expect = _first_same_direction(field, section, y0, opts)
+        assert expect is not None
+        assert return_map(field, section, y0, opts) == expect[0]
+        assert _first_return(field, section, y0, opts) == expect
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["center", "soft", "damped"]),
+           t_max=st.floats(0.5, 12.0))
+    def test_no_return_within_t_max(self, name, t_max):
+        field, _, _, _ = _section_case(name)
+        section = Section(0.0, 0.0)
+        opts = tight(t_max)
+        expect = _first_same_direction(field, section, 0.5, opts)
+        if expect is None:
+            with pytest.raises(NumericsError, match="no same-direction return"):
+                return_map(field, section, 0.5, opts)
+        else:
+            assert _first_return(field, section, 0.5, opts) == expect
+
+    @settings(max_examples=20, deadline=None)
+    @given(x_sec=st.floats(-2.0, 2.0))
+    def test_tangential_start(self, x_sec):
+        # the center's orbits are tangent to every vertical line at y = 0
+        with pytest.raises(NumericsError, match="tangential"):
+            return_map(CENTER, Section(x_sec, -3.0), 0.0, tight(10.0))
