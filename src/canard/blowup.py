@@ -29,7 +29,6 @@ from .jet import (
     Jet,
     jet_add,
     jet_compose,
-    jet_diff,
     jet_eval,
     jet_from_terms,
     jet_mul,
@@ -71,8 +70,8 @@ class PlanarPolySystem:
             raise DomainError(f"unknown stage tag {self.stage!r}")
         if self.fx.nvars != 2 or self.fy.nvars != 2:
             raise DomainError("system jets must have nvars = 2")
-        if self.fx.degree != self.fy.degree:
-            raise DomainError("system jets must share the degree bound")
+        if self.fx.degree != self.fy.degree or self.fx.degree < 3:
+            raise DomainError("system jets must share a degree bound of at least 3")
         if self.r <= 0.0:
             raise DomainError(f"r must be positive, got {self.r}")
 
@@ -188,10 +187,29 @@ def blow_up_via_jets(nf: NormalFormCoefficients, r: float, lambda1: float) -> Pl
     return PlanarPolySystem(fx1, fy1, "blown", r, lambda1)
 
 
+def _partials(coeffs: Dict[Tuple[int, int], float], x: float, y: float, degree: int
+              ) -> Tuple[float, float, float, float, float, float]:
+    """(v, v_x, v_y, v_xx, v_xy, v_yy) of sum c x^i y^j at (x, y), in one pass over
+    the flat terms.  The power tables lead with two zeros: px[i + 2 - k] = x^(i-k), 0 if i < k."""
+    px, py = [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]
+    for _ in range(degree):
+        px.append(px[-1] * x)
+        py.append(py[-1] * y)
+    v = vx = vy = vxx = vxy = vyy = 0.0
+    for (i, j), c in coeffs.items():
+        v += c * px[i + 2] * py[j + 2]
+        vx += i * c * px[i + 1] * py[j + 2]
+        vy += j * c * px[i + 2] * py[j + 1]
+        vxx += i * (i - 1) * c * px[i] * py[j + 2]
+        vxy += i * j * c * px[i + 1] * py[j + 1]
+        vyy += j * (j - 1) * c * px[i + 2] * py[j]
+    return v, vx, vy, vxx, vxy, vyy
+
+
 def _hatted_tables(sys: PlanarPolySystem) -> Tuple[Dict, Dict]:
     r = sys.r
-    m = {ij: sys.fx.coeff(ij) / r ** mu for ij, mu in _MU.items()}
-    n = {ij: sys.fy.coeff(ij) / r ** nu for ij, nu in _NU.items()}
+    m = {ij: sys.fx.coeffs.get(ij, 0.0) / r ** mu for ij, mu in _MU.items()}
+    n = {ij: sys.fy.coeffs.get(ij, 0.0) / r ** nu for ij, nu in _NU.items()}
     return m, n
 
 
@@ -246,21 +264,13 @@ def find_equilibrium(sys: PlanarPolySystem,
     """Newton refinement of the equilibrium, seeded by the series head."""
     if guess is None:
         guess = equilibrium_series(sys).predict(sys.r)
-    dfx_dx = jet_diff(sys.fx, 0)
-    dfx_dy = jet_diff(sys.fx, 1)
-    dfy_dx = jet_diff(sys.fy, 0)
-    dfy_dy = jet_diff(sys.fy, 1)
     x, y = float(guess[0]), float(guess[1])
     for _ in range(max_iter):
-        fx = jet_eval(sys.fx, (x, y))
-        fy = jet_eval(sys.fy, (x, y))
+        fx, j11, j12 = _partials(sys.fx.coeffs, x, y, sys.fx.degree)[:3]
+        fy, j21, j22 = _partials(sys.fy.coeffs, x, y, sys.fy.degree)[:3]
         # one extra step after meeting tol polishes the root to the
         # floating-point floor (downstream trace gates need the margin)
         converged = max(abs(fx), abs(fy)) < tol
-        j11 = jet_eval(dfx_dx, (x, y))
-        j12 = jet_eval(dfx_dy, (x, y))
-        j21 = jet_eval(dfy_dx, (x, y))
-        j22 = jet_eval(dfy_dy, (x, y))
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
             raise NumericsError("singular Jacobian in equilibrium refinement")
@@ -301,10 +311,10 @@ def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_AUTO) -> Planar
     The two branches use different pivots and give different (similar)
     nonlinear parts; the Lyapunov coefficients of the branches agree up
     to the positive factor |m01_bar / n10_bar|."""
-    m10 = sys.fx.coeff((1, 0))
-    m01 = sys.fx.coeff((0, 1))
-    n10 = sys.fy.coeff((1, 0))
-    n01 = sys.fy.coeff((0, 1))
+    m10 = sys.fx.coeffs.get((1, 0), 0.0)
+    m01 = sys.fx.coeffs.get((0, 1), 0.0)
+    n10 = sys.fy.coeffs.get((1, 0), 0.0)
+    n01 = sys.fy.coeffs.get((0, 1), 0.0)
     M = -(m10 + n01)
     N = m10 * n01 - m01 * n10
     disc = 4.0 * N - M * M
@@ -331,34 +341,45 @@ def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_AUTO) -> Planar
     fz2 = jet_compose(sys.fy, [sub0, sub1])
     g1 = jet_add(jet_scale(fz1, T[0, 0]), jet_scale(fz2, T[0, 1]))
     g2 = jet_add(jet_scale(fz1, T[1, 0]), jet_scale(fz2, T[1, 1]))
-    stage = "hopf" if abs(g1.coeff((1, 0)) + g2.coeff((0, 1))) < 1e-12 else "rotated"
+    trace = g1.coeffs.get((1, 0), 0.0) + g2.coeffs.get((0, 1), 0.0)
+    stage = "hopf" if abs(trace) < 1e-12 else "rotated"
     return PlanarPolySystem(g1, g2, stage, sys.r, sys.lambda1, branch=use)
 
 
-def _trace_half_at_equilibrium(nf: NormalFormCoefficients, r: float, lambda1: float) -> float:
+def _half_trace(nf: NormalFormCoefficients, r: float, lambda1: float) -> Tuple[float, float]:
+    """T/2, half the linear trace at the blown-up equilibrium, and its exact
+    lambda1-derivative by the implicit-function theorem on F(x, y, lambda1) = 0.
+    The n-table is affine in lambda1, so dF/dlambda1 = (0, p) with p = sum dn_ij
+    x^i y^j; then d(x, y)/dlambda1 = -J^-1 (0, p) and dT/dlambda1 =
+    grad T . d(x, y)/dlambda1 + dp/dy."""
     sys = blow_up(nf, r, lambda1)
-    eq = find_equilibrium(sys)
-    tr = (jet_eval(jet_diff(sys.fx, 0), eq) + jet_eval(jet_diff(sys.fy, 1), eq))
-    return tr / 2.0
+    x, y = find_equilibrium(sys)
+    _, j11, j12, fxx, fxy, fyy = _partials(sys.fx.coeffs, x, y, _JET_DEGREE)
+    _, j21, j22, gxx, gxy, gyy = _partials(sys.fy.coeffs, x, y, _JET_DEGREE)
+    dn = {ij: -r ** (nu + 1) * getattr(nf, f"e{ij[0]}{ij[1]}") for ij, nu in _NU.items() if any(ij)}
+    dn[(0, 0)] = -1.0
+    p, _, p_y = _partials(dn, x, y, _JET_DEGREE)[:3]
+    det = j11 * j22 - j12 * j21
+    if det == 0.0 or not math.isfinite(det):
+        raise NumericsError("singular Jacobian in Hopf location")
+    dtrace = ((fxx + gxy) * j12 - (fxy + gyy) * j11) * p / det + p_y
+    return (j11 + j22) / 2.0, dtrace / 2.0
 
 
 def hopf_lambda1(nf: NormalFormCoefficients, r: float,
                  tol: float = 1e-12, max_iter: int = 50) -> float:
     """The value of lambda1 putting the blown-up equilibrium on the Hopf
-    curve (zero linear trace) at radius r.  Newton iteration with a
-    finite-difference derivative, seeded by the series head rho1*r."""
+    curve (zero linear trace) at radius r.  Newton iteration with the exact
+    derivative of _half_trace, one equilibrium solve per step, seeded by the
+    series head rho1*r."""
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
     for _ in range(max_iter):
-        t = _trace_half_at_equilibrium(nf, r, lam)
+        t, dt = _half_trace(nf, r, lam)
         # one extra step after meeting tol polishes the residual to the
         # floating-point floor (the Lyapunov gate needs the margin)
         converged = abs(t) < tol
-        h = 1e-6 * max(1.0, abs(lam))
-        tp = _trace_half_at_equilibrium(nf, r, lam + h)
-        tm = _trace_half_at_equilibrium(nf, r, lam - h)
-        dt = (tp - tm) / (2.0 * h)
         if dt == 0.0 or not math.isfinite(dt):
             raise NumericsError("flat trace derivative in Hopf location")
         lam -= t / dt
@@ -372,23 +393,23 @@ def lyapunov_DF(sys: PlanarPolySystem) -> float:
     scaled rotation (zero trace).  Uses the classical planar formula on
     the stored jet coefficients; beta0 is the rotation speed, read off
     the x-coefficient of the second component."""
-    g1, g2 = sys.fx, sys.fy
-    trace = g1.coeff((1, 0)) + g2.coeff((0, 1))
+    g1, g2 = sys.fx.coeffs.get, sys.fy.coeffs.get
+    trace = g1((1, 0), 0.0) + g2((0, 1), 0.0)
     if abs(trace) >= 1e-12:
         raise DomainError(f"|linear trace| = {abs(trace):.3e} must be < 1e-12")
-    beta0 = g2.coeff((1, 0))
+    beta0 = g2((1, 0), 0.0)
     if beta0 == 0.0:
         raise DomainError("rotation coefficient beta0 must be nonzero")
-    fxx = 2.0 * g1.coeff((2, 0))
-    fxy = g1.coeff((1, 1))
-    fyy = 2.0 * g1.coeff((0, 2))
-    gxx = 2.0 * g2.coeff((2, 0))
-    gxy = g2.coeff((1, 1))
-    gyy = 2.0 * g2.coeff((0, 2))
-    fxxx = 6.0 * g1.coeff((3, 0))
-    fxyy = 2.0 * g1.coeff((1, 2))
-    gxxy = 2.0 * g2.coeff((2, 1))
-    gyyy = 6.0 * g2.coeff((0, 3))
+    fxx = 2.0 * g1((2, 0), 0.0)
+    fxy = g1((1, 1), 0.0)
+    fyy = 2.0 * g1((0, 2), 0.0)
+    gxx = 2.0 * g2((2, 0), 0.0)
+    gxy = g2((1, 1), 0.0)
+    gyy = 2.0 * g2((0, 2), 0.0)
+    fxxx = 6.0 * g1((3, 0), 0.0)
+    fxyy = 2.0 * g1((1, 2), 0.0)
+    gxxy = 2.0 * g2((2, 1), 0.0)
+    gyyy = 6.0 * g2((0, 3), 0.0)
     cubic = fxxx + fxyy + gxxy + gyyy
     mixed = (fxy * (fxx + fyy) - gxy * (gxx + gyy) - fxx * gxx + fyy * gyy) / beta0
     return (cubic + mixed) / 16.0

@@ -10,7 +10,11 @@ Conventions:
   * composition requires zero constant terms in the substituted jets,
     because the tail of a truncated series is unknown; recentering,
     which treats the stored coefficients as a complete polynomial, is
-    provided separately via jet_recenter.
+    provided separately via jet_recenter;
+  * the public Jet(...) constructor validates multi-indices and values;
+    the ops below build results, whose multi-indices are valid by
+    construction, through _make, which still drops zeros and raises
+    DomainError on a non-finite coefficient (overflow never passes).
 """
 
 from __future__ import annotations
@@ -63,6 +67,17 @@ class Jet:
         return self.coeffs.get(mi, 0.0)
 
 
+def _make(nvars: int, degree: int, coeffs: Mapping[Multi, float]) -> Jet:
+    """Jet from float coefficients at multi-indices valid by construction."""
+    clean = {mi: c for mi, c in coeffs.items() if c != 0.0}
+    for mi, c in clean.items():
+        if not math.isfinite(c):
+            raise DomainError(f"non-finite coefficient at {mi}")
+    out = object.__new__(Jet)
+    out.__dict__.update(nvars=nvars, degree=degree, coeffs=clean)  # frozen: skip __setattr__
+    return out
+
+
 def jet_from_terms(nvars: int, degree: int, terms: Mapping[Multi, float]) -> Jet:
     return Jet(nvars, degree, dict(terms))
 
@@ -95,11 +110,12 @@ def jet_add(a: Jet, b: Jet) -> Jet:
     for mi, c in itertools.chain(a.coeffs.items(), b.coeffs.items()):
         if sum(mi) <= degree:
             out[mi] = out.get(mi, 0.0) + c
-    return Jet(a.nvars, degree, out)
+    return _make(a.nvars, degree, out)
 
 
 def jet_scale(a: Jet, s: float) -> Jet:
-    return Jet(a.nvars, a.degree, {mi: s * c for mi, c in a.coeffs.items()})
+    s = float(s)
+    return _make(a.nvars, a.degree, {mi: s * c for mi, c in a.coeffs.items()})
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
@@ -113,7 +129,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
                 continue
             key = tuple(i + j for i, j in zip(mi, mj))
             out[key] = out.get(key, 0.0) + c * d
-    return Jet(a.nvars, degree, out)
+    return _make(a.nvars, degree, out)
 
 
 def jet_diff(a: Jet, var: int) -> Jet:
@@ -127,32 +143,15 @@ def jet_diff(a: Jet, var: int) -> Jet:
             continue
         key = tuple(x - 1 if k == var else x for k, x in enumerate(mi))
         out[key] = e * c
-    return Jet(a.nvars, a.degree, out)
+    return _make(a.nvars, a.degree, out)
 
 
 def jet_eval(a: Jet, point: Sequence[float]) -> float:
-    """Horner-style evaluation of the truncated polynomial."""
+    """Value of the truncated polynomial, summed term by term."""
     if len(point) != a.nvars:
         raise DomainError(f"point length {len(point)} != nvars {a.nvars}")
     pt = tuple(float(v) for v in point)
-    return _horner(a.coeffs, pt, 0)
-
-
-def _horner(terms: Mapping[Multi, float], point: Tuple[float, ...], axis: int) -> float:
-    if not terms:
-        return 0.0
-    if axis == len(point):
-        return sum(terms.values())
-    groups: Dict[int, Dict[Multi, float]] = {}
-    for mi, c in terms.items():
-        groups.setdefault(mi[axis], {})[mi] = c
-    acc = 0.0
-    for k in range(max(groups), -1, -1):
-        acc = acc * point[axis]
-        sub = groups.get(k)
-        if sub is not None:
-            acc += _horner(sub, point, axis + 1)
-    return acc
+    return sum((c * math.prod(p ** e for p, e in zip(pt, mi)) for mi, c in a.coeffs.items()), 0.0)
 
 
 def jet_compose(target: Jet, subs: Sequence[Jet]) -> Jet:
@@ -171,15 +170,15 @@ def jet_compose(target: Jet, subs: Sequence[Jet]) -> Jet:
         if s.coeff((0,) * nv) != 0.0:
             raise DomainError("constant-term substitution into a truncated series")
     degree = min([target.degree] + [s.degree for s in subs])
-    one = jet_const(nv, degree, 1.0)
+    one = _make(nv, degree, {(0,) * nv: 1.0})
     # power cache per substituted jet
     pows = [[one, jet_truncate(s, degree)] for s in subs]
     for i, s in enumerate(subs):
         for _ in range(2, target.degree + 1):
             pows[i].append(jet_mul(pows[i][-1], pows[i][1]))
-    out = jet_zero(nv, degree)
+    out = _make(nv, degree, {})
     for mi, c in target.coeffs.items():
-        term = jet_const(nv, degree, c)
+        term = _make(nv, degree, {(0,) * nv: c})
         for i, e in enumerate(mi):
             if e:
                 term = jet_mul(term, pows[i][e])
@@ -208,10 +207,12 @@ def jet_recenter(a: Jet, point: Sequence[float]) -> Jet:
             for _, f in combo:
                 w *= f
             out[key] = out.get(key, 0.0) + w
-    return Jet(a.nvars, a.degree, out)
+    return _make(a.nvars, a.degree, out)
 
 
 def jet_truncate(a: Jet, degree: int) -> Jet:
+    if degree < 0:
+        raise DomainError(f"degree bound must be >= 0, got {degree}")
     if degree >= a.degree:
-        return Jet(a.nvars, degree, dict(a.coeffs))
-    return Jet(a.nvars, degree, {mi: c for mi, c in a.coeffs.items() if sum(mi) <= degree})
+        return _make(a.nvars, degree, a.coeffs)
+    return _make(a.nvars, degree, {mi: c for mi, c in a.coeffs.items() if sum(mi) <= degree})

@@ -45,7 +45,7 @@ COEFF_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormalFormCoefficients:
     a10: float = 0.0
     a01: float = 0.0

@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canard.blowup import (
     BRANCH_AUTO,
@@ -19,16 +23,18 @@ from canard.blowup import (
     normalize_linear,
     sample_record,
     translate_to_equilibrium,
+    _half_trace,
     _hatted_tables,
 )
 from canard.errors import DomainError, NumericsError
-from canard.jet import jet_from_terms
+from canard.jet import jet_eval, jet_from_terms
 from canard.normalform import (
     COEFF_NAMES,
     NormalFormCoefficients,
     omega_coefficients,
     rho_coefficients,
 )
+from canard.verify import fit_l1_omega1, fit_l1_omega2, fit_rho
 
 CANONICAL = NormalFormCoefficients()
 
@@ -417,3 +423,112 @@ class TestSampleRecord:
     def test_constrained_sampling(self):
         nf = sample_record(np.random.default_rng(17), constrain_omega1=True)
         assert abs(omega_coefficients(nf).omega1) < 1e-15
+
+
+with open(Path(__file__).parent / "data" / "golden_oracle.json", "r",
+          encoding="utf-8") as _fh:
+    GOLDEN_ORACLE = json.load(_fh)
+
+
+def _golden_record(index):
+    return NormalFormCoefficients.from_dict(GOLDEN_ORACLE["records"][index]["coeffs"])
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+class TestGoldenOracle:
+    """The oracle against outputs recorded with the central-difference Hopf
+    Newton and the Horner-evaluated equilibrium Newton it replaced."""
+
+    def test_records_are_the_verify_draws(self):
+        rng = np.random.default_rng(GOLDEN_ORACLE["seed"])
+        for rec in GOLDEN_ORACLE["records"]:
+            nf = sample_record(rng, constrain_omega1=(rec["kind"] == "omega2"))
+            assert nf.to_dict() == rec["coeffs"]
+
+    @pytest.mark.parametrize("index", range(len(GOLDEN_ORACLE["records"])))
+    def test_fits(self, index):
+        rec = GOLDEN_ORACLE["records"][index]
+        nf, want = _golden_record(index), rec["fit"]
+        if rec["kind"] == "omega1":
+            assert _rel(fit_l1_omega1(nf), want["c1"]) < 1e-9
+        elif rec["kind"] == "omega2":
+            c3, even0, even2 = fit_l1_omega2(nf)
+            assert _rel(c3, want["c3"]) < 1e-9
+            # noise-level terms: absolute
+            assert abs(even0 - want["even0"]) < 1e-12
+            assert abs(even2 - want["even2"]) < 1e-12
+        else:
+            c0, c1, c2 = fit_rho(nf)
+            assert _rel(c0, want["c0"]) < 1e-9
+            assert abs(c1 - want["c1"]) < 1e-12
+            assert _rel(c2, want["c2"]) < 1e-9
+
+    def test_hopf_and_l1_points(self):
+        assert len(GOLDEN_ORACLE["points"]) == 40
+        for pt in GOLDEN_ORACLE["points"]:
+            nf = _golden_record(pt["record"])
+            assert _rel(hopf_lambda1(nf, pt["r"]), pt["hopf_lambda1"]) < 1e-12
+            assert _rel(l1_blowup(nf, pt["r"]), pt["l1_blowup"]) < 1e-12
+
+
+def _drawn_record(seed, constrained):
+    return sample_record(np.random.default_rng(seed), constrain_omega1=constrained)
+
+
+class TestNewtonProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
+           r=st.floats(0.005, 0.2), offset=st.floats(-1.0, 1.0))
+    def test_implicit_derivative_matches_central_difference(self, seed, constrained,
+                                                             r, offset):
+        nf = _drawn_record(seed, constrained)
+        lam = rho_coefficients(nf).rho1 * r + offset * r * r
+        _, dt = _half_trace(nf, r, lam)
+        h = 1e-6 * max(1.0, abs(lam))
+        central = (_half_trace(nf, r, lam + h)[0] - _half_trace(nf, r, lam - h)[0]) / (2.0 * h)
+        assert abs(dt - central) < 1e-6 * abs(central)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
+           r=st.floats(0.005, 0.2))
+    def test_hopf_lambda1_is_a_hopf_point(self, seed, constrained, r):
+        nf = _drawn_record(seed, constrained)
+        lam = hopf_lambda1(nf, r)
+        assert abs(_half_trace(nf, r, lam)[0]) < 1e-12
+        sys = blow_up(nf, r, lam)
+        rotated = normalize_linear(translate_to_equilibrium(sys, find_equilibrium(sys)))
+        assert rotated.stage == "hopf"
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
+           r=st.floats(0.005, 0.2), offset=st.floats(-1.0, 1.0))
+    def test_equilibrium_residual(self, seed, constrained, r, offset):
+        nf = _drawn_record(seed, constrained)
+        sys = blow_up(nf, r, rho_coefficients(nf).rho1 * r + offset * r * r)
+        eq = find_equilibrium(sys)
+        assert max(abs(jet_eval(sys.fx, eq)), abs(jet_eval(sys.fy, eq))) < 1e-12
+
+    def test_equilibrium_polishes_after_meeting_tol(self):
+        # with tol = 1 the guess already passes, so only the polishing step moves it
+        nf = _drawn_record(11, False)
+        sys = blow_up(nf, 0.1, 0.05)
+        guess = equilibrium_series(sys).predict(0.1)
+        eq = find_equilibrium(sys, guess=guess, tol=1.0)
+
+        def res(p):
+            return max(abs(jet_eval(sys.fx, p)), abs(jet_eval(sys.fy, p)))
+        assert eq != guess
+        assert res(eq) < 1e-3 * res(guess)
+
+    def test_hopf_lambda1_polishes_after_meeting_tol(self):
+        # with tol = 1 the series head already passes; the answer is one Newton step on
+        nf = _drawn_record(11, False)
+        r = 0.1
+        lam0 = rho_coefficients(nf).rho1 * r
+        t0, dt0 = _half_trace(nf, r, lam0)
+        lam = hopf_lambda1(nf, r, tol=1.0)
+        assert lam == lam0 - t0 / dt0
+        assert abs(_half_trace(nf, r, lam)[0]) < 1e-3 * abs(t0)

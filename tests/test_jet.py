@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canard.errors import DomainError
 from canard.jet import (
@@ -271,3 +273,77 @@ class TestAlgebraProperties:
             for mi in itertools.product(range(d + 1), repeat=2):
                 if sum(mi) <= d - 1:
                     assert lhs.coeff(mi) == pytest.approx(rhs.coeff(mi), abs=1e-12)
+
+
+class TestPublicConstructor:
+    @pytest.mark.parametrize("mi", [(1,), (1, 0, 0), (-1, 1)])
+    def test_bad_multi_index(self, mi):
+        with pytest.raises(DomainError):
+            Jet(2, 3, {mi: 1.0})
+
+    def test_out_of_degree_term(self):
+        with pytest.raises(DomainError):
+            Jet(2, 2, {(2, 1): 1.0})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_value(self, value):
+        with pytest.raises(DomainError):
+            Jet(2, 3, {(1, 0): value})
+
+    def test_bad_shape(self):
+        with pytest.raises(DomainError):
+            Jet(5, 3, {})
+        with pytest.raises(DomainError):
+            Jet(2, -1, {})
+
+
+class TestOpGuards:
+    def test_mul_overflow_raises(self):
+        big = jet_from_terms(2, 3, {(1, 0): 1e200})
+        with pytest.raises(DomainError):
+            jet_mul(big, big)
+
+    def test_add_and_scale_overflow_raise(self):
+        big = jet_from_terms(1, 2, {(1,): 1.5e308})
+        with pytest.raises(DomainError):
+            jet_add(big, big)
+        with pytest.raises(DomainError):
+            jet_scale(big, 10.0)
+
+    def test_truncate_rejects_negative_degree(self):
+        with pytest.raises(DomainError):
+            jet_truncate(jet_zero(2, 3), -1)
+
+
+@st.composite
+def jets(draw, nvars, degree, const=True):
+    mis = [mi for mi in itertools.product(range(degree + 1), repeat=nvars)
+           if sum(mi) <= degree and (const or sum(mi) > 0)]
+    vals = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    return Jet(nvars, degree, {mi: draw(vals) for mi in mis})
+
+
+def assert_normalized(out):
+    """Op outputs must already be what the public constructor would build."""
+    assert out == Jet(out.nvars, out.degree, out.coeffs)
+    assert all(type(c) is float and c != 0.0 for c in out.coeffs.values())
+    assert all(type(e) is int for mi in out.coeffs for e in mi)
+
+
+class TestOpsBuildNormalizedJets:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), nvars=st.integers(1, 3), da=st.integers(0, 4),
+           db=st.integers(0, 4), s=st.floats(-3.0, 3.0))
+    def test_every_op(self, data, nvars, da, db, s):
+        a = data.draw(jets(nvars, da))
+        b = data.draw(jets(nvars, db))
+        point = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=nvars, max_size=nvars))
+        var = data.draw(st.integers(0, nvars - 1))
+        subs = [data.draw(jets(2, db, const=False)) for _ in range(nvars)]
+        outs = [jet_add(a, b), jet_add(a, jet_scale(a, -1.0)), jet_scale(a, s),
+                jet_scale(a, np.float64(s)), jet_mul(a, b), jet_diff(a, var),
+                jet_compose(a, subs), jet_recenter(a, point),
+                jet_truncate(a, db), jet_truncate(a, da + 1)]
+        for out in outs:
+            assert_normalized(out)
+        assert outs[1].coeffs == {}

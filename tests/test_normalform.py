@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -49,6 +50,33 @@ REF_RHO3 = -0.02500345487927664699
 def random_record(rng):
     return NormalFormCoefficients.from_dict(
         {name: float(rng.uniform(-1.0, 1.0)) for name in COEFF_NAMES})
+
+
+class TestRecordLayout:
+    def test_slotted(self):
+        assert not hasattr(REF_RECORD, "__dict__")
+        assert NormalFormCoefficients.__slots__ == COEFF_NAMES
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            REF_RECORD.a10 = 1.0
+
+    def test_round_trips(self):
+        assert NormalFormCoefficients.from_dict(REF_RECORD.to_dict()) == REF_RECORD
+        assert NormalFormCoefficients.from_json(REF_RECORD.to_json()) == REF_RECORD
+        assert json.loads(REF_RECORD.to_json()) == REF_RECORD.to_dict()
+
+    def test_replace(self):
+        nf = dataclasses.replace(REF_RECORD, b10=0.25)
+        assert nf.b10 == 0.25
+        assert nf.to_dict() == {**REF_RECORD.to_dict(), "b10": 0.25}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_rejected(self, value):
+        with pytest.raises(DomainError):
+            NormalFormCoefficients(c21=value)
+        with pytest.raises(DomainError):
+            dataclasses.replace(REF_RECORD, f02=value)
+        with pytest.raises(DomainError):
+            NormalFormCoefficients.from_dict({"e03": value})
 
 
 class TestComputeA:
