@@ -12,10 +12,11 @@ y_M = 1 - n + m - 2*sqrt(m), which lies in the open first quadrant iff
     0 < n < 1   and   0 < m < (1 - sqrt(n))^2.
 
 This module computes equilibria, the critical branches, the reduction of
-the model to the canonical slow-fast normal form near M (done by generic
-jet transformations, with the closed-form leading coefficients as a
-cross-check), the criticality case analysis in m, and the Hopf/canard
-bifurcation curves.
+the model to the canonical slow-fast normal form near M in closed form,
+the criticality case analysis in m, and the Hopf/canard bifurcation
+curves.  The *_columns functions evaluate the closed forms elementwise
+over parameter arrays (a sweep grid); their scalar counterparts check
+one point and call them.
 """
 
 from __future__ import annotations
@@ -23,11 +24,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .errors import DomainError, NumericsError
-from .jet import jet_from_terms, jet_mul
-from .normalform import NormalFormCoefficients, compute_A
+from .normalform import (
+    COEFF_NAMES,
+    NormalFormCoefficients,
+    lambda_c,
+    lambda_H,
+    omega_coefficients,
+)
 
 PARAM_NAMES = ("m", "n", "alpha", "beta", "gamma", "eps")
 
@@ -287,97 +296,84 @@ def gamma_star(m: float, n: float, alpha: float, beta: float) -> float:
     return (alpha * xM - beta) / yM
 
 
-def _scale_factors(p: AlleeParams) -> Tuple[float, float, float, float, float]:
+def _fold_columns(m, n, alpha):
+    """(x_M, y_M, Q, sqrt(m) - 1) with Q = sqrt(alpha*x_M*y_M): the
+    expressions of fold_point, elementwise over floats or arrays that
+    broadcast together, without its checks."""
+    rm = np.sqrt(m)
+    xM = rm - m
+    yM = 1.0 - n + m - 2.0 * rm
+    return xM, yM, np.sqrt(alpha * xM * yM), rm - 1.0
+
+
+def _require_fold_scale(p: AlleeParams) -> None:
+    """The fold-point sanity checks and Q^2 = alpha*x_M*y_M > 0."""
     xM, yM = fold_point(p.m, p.n)
     q2 = p.alpha * xM * yM
     if q2 <= 0.0:
         raise DomainError(f"requires alpha*x_M*y_M > 0, got {q2}")
-    Q = math.sqrt(q2)
-    rm = math.sqrt(p.m)
-    sx = Q / (rm - 1.0)
-    sy = p.alpha * yM / (rm - 1.0)
-    return xM, yM, Q, sx, sy
+
+
+def require_closed_forms(p: AlleeParams) -> None:
+    """The checks behind model_columns and psi_columns at one parameter
+    set, in the order normal_form_coeffs, a5_of_beta and
+    psi_case_analysis make them: the fold-point sanity checks,
+    alpha*x_M*y_M > 0, then 0 < m < (1 - sqrt(n))^2."""
+    _require_fold_scale(p)
+    _require_admissible(p.m, p.n)
+
+
+def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:
+    """Closed-form coefficient record of the model reduced to the
+    canonical slow-fast template near the fold, elementwise over floats
+    or arrays that broadcast together; unchecked (normal_form_coeffs
+    checks one point).
+
+    The reduction translates the fold to the origin and rescales
+    X = (x - x_M)/s_x, Y = (y - y_M)/s_y, tau = Q*t with
+    Q = sqrt(alpha*x_M*y_M), s_x = Q/(sqrt(m)-1), s_y = alpha*y_M/(sqrt(m)-1).
+    The unfolding parameter absorbs beta - beta*, so the record does not
+    depend on beta.  With F''(x_M)/2 = -1/sqrt(m) and F'''(x_M)/6 = 1/m,
+    six entries are nonzero; the template structure makes every other
+    entry 0 (the fast field has no eps block, so every c entry is 0)."""
+    xM, yM, Q, s = _fold_columns(m, n, alpha)
+    rec = SimpleNamespace(**dict.fromkeys(COEFF_NAMES, 0.0))
+    rec.a10 = alpha * yM / (Q * s)
+    rec.b10 = -Q / (s * s)
+    rec.e01 = alpha / s
+    rec.f00 = -gamma * yM / Q
+    rec.f10 = alpha / s
+    rec.f01 = gamma * alpha * yM / (-s * Q)
+    return rec
 
 
 def normal_form_coeffs(p: AlleeParams) -> NormalFormCoefficients:
-    """Coefficient record of the model reduced to the canonical slow-fast
-    template near the fold.
+    """Coefficient record of the model near the fold (normal_form_columns
+    at one checked point)."""
+    _require_fold_scale(p)
+    return NormalFormCoefficients.from_dict(vars(normal_form_columns(p.m, p.n, p.alpha, p.gamma)))
 
-    The fold is translated to the origin and the axes/time are rescaled
-    by generic jet operations (X = (x - x_M)/s_x, Y = (y - y_M)/s_y,
-    tau = Q*t with Q = sqrt(alpha*x_M*y_M), s_x = Q/(sqrt(m)-1),
-    s_y = alpha*y_M/(sqrt(m)-1)); the record is then read off the
-    transformed jets.  The unfolding parameter of the template absorbs
-    the offset beta - beta*, so the record itself does not depend on
-    beta.  Entries that the template structure forces to vanish are
-    checked to be zero within 1e-10 before the record is assembled."""
-    xM, yM, Q, sx, sy = _scale_factors(p)
-    deg = 4
 
-    # fast part: f(x_M+u, y_M+v) = (x_M+u) * (sum_{k>=2} F^(k)/k! u^k - v),
-    # then u = s_x X, v = s_y Y and division by s_x*Q
-    fseries = {(k, 0): _F_derivative(xM, p.m, k) / math.factorial(k) * sx ** k
-               for k in range(2, deg + 1)}
-    fseries[(0, 1)] = -sy
-    shell = jet_from_terms(2, deg, {(0, 0): xM, (1, 0): sx})
-    fast = jet_mul(shell, jet_from_terms(2, deg, fseries))
-    fast = jet_from_terms(2, deg, {k: v / (sx * Q) for k, v in fast.coeffs.items()})
-
-    # slow part over (X, Y, L) where L is the template unfolding
-    # parameter: beta - beta* = L * alpha * Q / (sqrt(m) - 1)
-    lam_scale = p.alpha * Q / (math.sqrt(p.m) - 1.0)
-    pred_shell = jet_from_terms(3, deg, {(0, 0, 0): yM, (0, 1, 0): sy})
-    pred_lin = jet_from_terms(3, deg, {
-        (1, 0, 0): p.alpha * sx, (0, 1, 0): -p.gamma * sy, (0, 0, 1): -lam_scale})
-    slow = jet_mul(pred_shell, pred_lin)
-    slow = jet_from_terms(3, deg, {k: v / (sy * Q) for k, v in slow.coeffs.items()})
-
-    def expect(got: float, want: float, what: str) -> None:
-        if abs(got - want) > 1e-10:
-            raise NumericsError(f"template normalization failed: {what} = {got}, want {want}")
-
-    expect(fast.coeff((0, 1)), -1.0, "fast Y coefficient")
-    expect(fast.coeff((2, 0)), 1.0, "fast X^2 coefficient")
-    expect(slow.coeff((1, 0, 0)), 1.0, "slow X coefficient")
-    expect(slow.coeff((0, 0, 1)), -1.0, "slow L coefficient")
-    expect(slow.coeff((0, 0, 2)), 0.0, "slow L^2 coefficient")
-
-    vals = {
-        "a10": -fast.coeff((1, 1)),
-        "a01": -fast.coeff((0, 2)),
-        "a20": -fast.coeff((2, 1)),
-        "a11": -fast.coeff((1, 2)),
-        "a02": -fast.coeff((0, 3)),
-        "b10": fast.coeff((3, 0)),
-        # the fast field has no eps-dependent block: every c entry is 0
-        "d10": slow.coeff((2, 0, 0)),
-        "d20": slow.coeff((3, 0, 0)),
-        "e10": -slow.coeff((1, 0, 1)),
-        "e01": -slow.coeff((0, 1, 1)),
-        "e20": -slow.coeff((2, 0, 1)),
-        "e11": -slow.coeff((1, 1, 1)),
-        "e02": -slow.coeff((0, 2, 1)),
-        "e30": -slow.coeff((3, 0, 1)),
-        "e21": 0.0,
-        "e12": 0.0,
-        "e03": 0.0,
-        "f00": slow.coeff((0, 1, 0)),
-        "f10": slow.coeff((1, 1, 0)),
-        "f01": slow.coeff((0, 2, 0)),
-        "f20": slow.coeff((2, 1, 0)),
-        "f11": slow.coeff((1, 2, 0)),
-        "f02": slow.coeff((0, 3, 0)),
-    }
-    # degree-4 guard entries (x^2 y^2 etc.) are beyond the template order
-    return NormalFormCoefficients.from_dict(vals)
+def model_columns(m, n, alpha, beta, gamma, eps) -> Dict[str, object]:
+    """A (= omega1), omega2, the damping a5 and the leading-order Hopf and
+    canard curves lambda_h, lambda_c of the model, elementwise over floats
+    or arrays that broadcast together.  Unchecked: validate each point
+    with AlleeParams and require_closed_forms first."""
+    rec = normal_form_columns(m, n, alpha, gamma)
+    om = omega_coefficients(rec)
+    xM, yM, Q, _ = _fold_columns(m, n, alpha)
+    a5 = (alpha * xM - beta - 2.0 * gamma * yM) / Q
+    return {"A": om.omega1, "omega1": om.omega1, "omega2": om.omega2, "a5": a5,
+            "lambda_h": lambda_H(rec.c10, a5, eps),
+            "lambda_c": lambda_c(rec.c10, a5, om.omega1, eps)}
 
 
 def a5_of_beta(p: AlleeParams) -> float:
     """The slow linear damping coefficient with the actual beta folded in:
     (alpha*x_M - beta - 2*gamma*y_M)/Q.  At beta = beta* this equals the
     f00 entry of normal_form_coeffs."""
-    xM, yM, Q, _, _ = _scale_factors(p)
-    return (p.alpha * xM - p.beta - 2.0 * p.gamma * yM) / Q
+    _require_fold_scale(p)
+    return float(model_columns(p.m, p.n, p.alpha, p.beta, p.gamma, p.eps)["a5"])
 
 
 @dataclass(frozen=True)
@@ -397,25 +393,35 @@ class PsiCaseReport:
     predicted_sign: int
 
 
+PSI_TAGS = ("mstar-outside-range", "m-at-mstar", "m-below-mstar", "m-above-mstar")
+_PSI_SIGNS = (1, 0, 1, -1)
+
+
+def psi_columns(m, n, alpha, gamma):
+    """(psi, m_star, n_threshold, case) elementwise over floats or arrays
+    that broadcast together, where case indexes PSI_TAGS: the one home of
+    the case rule.  Unchecked (psi_case_analysis checks one point)."""
+    rm = np.sqrt(m)
+    psi = 2.0 * gamma * (1.0 - rm) + alpha - 3.0 * alpha * rm
+    ratio = (alpha + 2.0 * gamma) / (3.0 * alpha + 2.0 * gamma)
+    m_star = ratio * ratio
+    root = 2.0 * alpha / (3.0 * alpha + 2.0 * gamma)
+    n_threshold = root * root
+    gap = 1.0 - np.sqrt(n)
+    tol = 1e-12 * (alpha + gamma)
+    case = np.select([(n > n_threshold) | (m_star >= gap * gap), np.abs(psi) <= tol,
+                      m < m_star], [0, 1, 2], 3)
+    return psi, m_star, n_threshold, case
+
+
 def psi_case_analysis(m: float, n: float, alpha: float, gamma: float) -> PsiCaseReport:
     _require_admissible(m, n)
     if alpha <= 0.0 or gamma <= 0.0:
         raise DomainError("requires alpha > 0 and gamma > 0")
-    rm = math.sqrt(m)
-    psi = 2.0 * gamma * (1.0 - rm) + alpha - 3.0 * alpha * rm
-    m_star = ((alpha + 2.0 * gamma) / (3.0 * alpha + 2.0 * gamma)) ** 2
-    n_threshold = (2.0 * alpha / (3.0 * alpha + 2.0 * gamma)) ** 2
-    bound = (1.0 - math.sqrt(n)) ** 2
-    tol = 1e-12 * (alpha + gamma)
-    if n > n_threshold or m_star >= bound:
-        tag, sign = "mstar-outside-range", 1
-    elif abs(psi) <= tol:
-        tag, sign = "m-at-mstar", 0
-    elif m < m_star:
-        tag, sign = "m-below-mstar", 1
-    else:
-        tag, sign = "m-above-mstar", -1
-    return PsiCaseReport(psi, m_star, n_threshold, tag, sign)
+    psi, m_star, n_threshold, case = psi_columns(m, n, alpha, gamma)
+    case = int(case)
+    return PsiCaseReport(float(psi), float(m_star), float(n_threshold),
+                         PSI_TAGS[case], _PSI_SIGNS[case])
 
 
 def omega2_at_degeneracy(alpha: float, gamma: float, yM: float) -> float:
@@ -460,19 +466,18 @@ def model_bifurcation_curves(p: AlleeParams) -> ModelCurves:
         raise DomainError(f"requires delta1 > 0, got {delta1}")
     if 1.0 - p.m - p.n <= 0.0:
         raise DomainError(f"requires 1 - m - n > 0, got {1.0 - p.m - p.n}")
-    xM, yM, Q, _, _ = _scale_factors(p)
-    a5 = a5_of_beta(p)
-    A = compute_A(normal_form_coeffs(p))
-    lambda_h = -(a5 / 2.0) * p.eps
-    lambda_c = -(a5 / 2.0 + A / 8.0) * p.eps
-    conversion = p.alpha * Q / (math.sqrt(p.m) - 1.0)
+    _require_fold_scale(p)
+    xM, yM, Q, s = (float(v) for v in _fold_columns(p.m, p.n, p.alpha))
+    cols = model_columns(p.m, p.n, p.alpha, p.beta, p.gamma, p.eps)
+    lam_h, lam_c, A = (float(cols[k]) for k in ("lambda_h", "lambda_c", "A"))
+    conversion = p.alpha * Q / s
     beta_star = p.alpha * xM - p.gamma * yM
     return ModelCurves(
-        lambda_h=lambda_h,
-        lambda_c=lambda_c,
+        lambda_h=lam_h,
+        lambda_c=lam_c,
         beta_star=beta_star,
-        beta_h=beta_star + lambda_h * conversion,
-        beta_c=beta_star + lambda_c * conversion,
+        beta_h=beta_star + lam_h * conversion,
+        beta_c=beta_star + lam_c * conversion,
         conversion=conversion,
         A=A,
     )

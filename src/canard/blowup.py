@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DomainError, NumericsError
 from .jet import (
     Jet,
+    _make,
     jet_add,
     jet_compose,
     jet_eval,
@@ -131,10 +132,12 @@ def scaled_coefficient_tables(nf: NormalFormCoefficients, r: float, lambda1: flo
 
 
 def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolySystem:
-    """Rescaled system at radius r via the closed-form coefficient tables."""
+    """Rescaled system at radius r via the closed-form coefficient tables.
+    Their keys are fixed and valid, so the jets skip the multi-index
+    validation; _make still raises on a non-finite value."""
     m, n = scaled_coefficient_tables(nf, r, lambda1)
-    fx = jet_from_terms(2, _JET_DEGREE, m)
-    fy = jet_from_terms(2, _JET_DEGREE, n)
+    fx = _make(2, _JET_DEGREE, {k: float(v) for k, v in m.items()})
+    fy = _make(2, _JET_DEGREE, {k: float(v) for k, v in n.items()})
     return PlanarPolySystem(fx, fy, "blown", r, lambda1)
 
 

@@ -34,15 +34,18 @@ import numpy as np
 
 from . import _svg
 from .allee import (
+    PSI_TAGS,
     AlleeParams,
-    a5_of_beta,
     boundary_roots,
     equilibria,
     fold_point,
     gamma_star,
     model_bifurcation_curves,
+    model_columns,
     normal_form_coeffs,
     psi_case_analysis,
+    psi_columns,
+    require_closed_forms,
 )
 from .dynamics import (
     FORWARD,
@@ -55,12 +58,7 @@ from .dynamics import (
     integrate,
 )
 from .errors import DomainError, NumericsError
-from .normalform import (
-    NormalFormCoefficients,
-    analyze_record,
-    compute_A,
-    omega_coefficients,
-)
+from .normalform import NormalFormCoefficients, analyze_record, lambda_star_series
 from .sdi import cyclicity_report
 from .verify import run_all
 
@@ -154,11 +152,15 @@ def _as_int(settings: Dict[str, object], key: str,
     return int(_as_float(settings, key))
 
 
-def _model_params(settings: Dict[str, object]) -> AlleeParams:
+def _model_values(settings: Dict[str, object]) -> Dict[str, float]:
     missing = [k for k in MODEL_KEYS if k not in settings]
     if missing:
         raise DomainError(f"missing parameter keys: {', '.join(missing)}")
-    return AlleeParams.from_dict({k: _as_float(settings, k) for k in MODEL_KEYS})
+    return {k: _as_float(settings, k) for k in MODEL_KEYS}
+
+
+def _model_params(settings: Dict[str, object]) -> AlleeParams:
+    return AlleeParams(**_model_values(settings))
 
 
 def _direction(settings: Dict[str, object]) -> str:
@@ -177,8 +179,10 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
     return str(value)
 
 
@@ -255,11 +259,9 @@ def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
         }
         if "eps" in rc.settings:
             eps = _as_float(rc.settings, "eps")
-            if eps <= 0.0:
-                raise DomainError(f"requires eps > 0, got {eps}")
             ana = report["analysis"]
+            report["lambda_star"] = lambda_star_series(ana["rho1"], ana["rho3"], eps)
             report["eps"] = eps
-            report["lambda_star"] = ana["rho1"] * eps + ana["rho3"] * eps * eps
         path = _write_json(rc.output_dir, "analyze.json", report)
         print(f"record classification: {report['analysis']['classification']} "
               f"(A = {report['analysis']['A']:.6g})")
@@ -271,9 +273,8 @@ def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
     eq = equilibria(p)
     nf = normal_form_coeffs(p)
     ana = _analysis_dict(nf, tol)
-    a5 = a5_of_beta(p)
-    lam_h = -(a5 / 2.0) * p.eps
-    lam_c = -(a5 / 2.0 + ana["A"] / 8.0) * p.eps
+    cols = model_columns(p.m, p.n, p.alpha, p.beta, p.gamma, p.eps)
+    a5, lam_h, lam_c = (float(cols[k]) for k in ("a5", "lambda_h", "lambda_c"))
     psi = psi_case_analysis(p.m, p.n, p.alpha, p.gamma)
     gs = gamma_star(p.m, p.n, p.alpha, p.beta)
     trace4 = None if eq.E4 is None else e4_trace(p)
@@ -354,19 +355,7 @@ def parse_grid(descriptor: str) -> List[Tuple[str, List[float]]]:
     return axes
 
 
-def _sweep_row(settings: Dict[str, object], overrides: Dict[str, float]) -> dict:
-    merged = dict(settings)
-    merged.update(overrides)
-    p = _model_params(merged)
-    nf = normal_form_coeffs(p)
-    a_val = compute_A(nf)
-    om = omega_coefficients(nf)
-    a5 = a5_of_beta(p)
-    lam_h = -(a5 / 2.0) * p.eps
-    lam_c = -(a5 / 2.0 + a_val / 8.0) * p.eps
-    case = psi_case_analysis(p.m, p.n, p.alpha, p.gamma).tag
-    return {"A": a_val, "omega1": om.omega1, "omega2": om.omega2,
-            "lambda_h": lam_h, "lambda_c": lam_c, "case": case}
+SWEEP_COLUMNS = ("A", "omega1", "omega2", "lambda_h", "lambda_c")
 
 
 def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
@@ -376,28 +365,29 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
     axes = parse_grid(str(descriptor))
     x_name, x_values = axes[0]
     y_name, y_values = axes[1] if len(axes) == 2 else ("", [math.nan])
+    names = [x_name, y_name][:len(axes)]
+    points = [(xv, yv) for yv in y_values for xv in x_values]
 
-    header = [x_name] + ([y_name] if y_name else []) + [
-        "A", "omega1", "omega2", "lambda_h", "lambda_c", "case"]
-    rows: List[List[object]] = []
-    cells: List[List[float]] = []
-    for yv in y_values:
-        cell_row: List[float] = []
-        for xv in x_values:
-            overrides = {x_name: xv}
-            if y_name:
-                overrides[y_name] = yv
-            data = _sweep_row(rc.settings, overrides)
-            row: List[object] = [xv] + ([yv] if y_name else [])
-            row += [data["A"], data["omega1"], data["omega2"],
-                    data["lambda_h"], data["lambda_c"], data["case"]]
-            rows.append(row)
-            cell_row.append(data["A"])
-        cells.append(cell_row)
+    # every point is checked as analyze checks one, in grid order, before
+    # the closed forms run once over the whole grid
+    values = _model_values(dict(rc.settings, **dict(zip(names, points[0]))))
+    for point in points:
+        values.update(zip(names, point))
+        require_closed_forms(AlleeParams(**values))
+    x_grid, y_grid = np.meshgrid(x_values, y_values)
+    grid = dict(values, **dict(zip(names, (x_grid, y_grid))))
+    shape = x_grid.shape
+    cols = model_columns(*(grid[k] for k in MODEL_KEYS))
+    case = psi_columns(grid["m"], grid["n"], grid["alpha"], grid["gamma"])[3]
+    columns = [np.broadcast_to(cols[k], shape).ravel().tolist() for k in SWEEP_COLUMNS]
+    columns.append([PSI_TAGS[k] for k in np.broadcast_to(case, shape).ravel().tolist()])
 
+    header = names + list(SWEEP_COLUMNS) + ["case"]
+    rows = [list(point[:len(names)]) + vals for point, *vals in zip(points, *columns)]
     csv_path = write_csv(rc.output_dir, "sweep.csv", header, rows)
     svg = _svg.heatmap(
-        x_values, [0.0] if not y_name else y_values, cells,
+        x_values, [0.0] if not y_name else y_values,
+        np.broadcast_to(cols["A"], shape).tolist(),
         title="sign(A) over the sweep grid",
         x_label=x_name, y_label=y_name or "")
     svg_path = _write_text(rc.output_dir, "sweep.svg", svg)

@@ -31,6 +31,19 @@ Multi = Tuple[int, ...]
 DEFAULT_DEGREE = 4  # cubic jets plus one guard order
 
 
+def _multi_index(mi) -> Multi:
+    """mi as a tuple of ints; a non-integer entry raises DomainError
+    instead of being truncated."""
+    try:
+        out = tuple(int(e) for e in mi)
+        exact = all(o == e for o, e in zip(out, mi))
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise DomainError(f"multi-index {mi!r} has a non-integer entry")
+    return out
+
+
 @dataclass(frozen=True)
 class Jet:
     """Polynomial truncated at total degree `degree` in `nvars` variables."""
@@ -46,7 +59,7 @@ class Jet:
             raise DomainError(f"degree bound must be >= 0, got {self.degree}")
         clean = {}
         for mi, c in self.coeffs.items():
-            mi = tuple(int(e) for e in mi)
+            mi = _multi_index(mi)
             if len(mi) != self.nvars or any(e < 0 for e in mi):
                 raise DomainError(f"bad multi-index {mi} for nvars={self.nvars}")
             if sum(mi) > self.degree:
@@ -59,7 +72,7 @@ class Jet:
         object.__setattr__(self, "coeffs", clean)
 
     def coeff(self, mi: Sequence[int]) -> float:
-        mi = tuple(int(e) for e in mi)
+        mi = _multi_index(mi)
         if len(mi) != self.nvars:
             raise DomainError(f"multi-index length {len(mi)} != nvars {self.nvars}")
         if sum(mi) > self.degree:

@@ -33,6 +33,8 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, NamedTuple, Optional
 
+import numpy as np
+
 from .errors import DomainError
 
 COEFF_NAMES = (
@@ -148,17 +150,22 @@ def compute_A(nf: NormalFormCoefficients) -> float:
     return -nf.a10 + 3.0 * nf.b10 - 2.0 * nf.d10 - 2.0 * nf.f00
 
 
-def lambda_H(a1: float, a5: float, eps: float) -> float:
-    """Leading-order singular Hopf curve -(a1 + a5)/2 * eps."""
-    if eps <= 0.0:
+def _require_positive_eps(eps) -> None:
+    if np.any(np.less_equal(eps, 0.0)):
         raise DomainError(f"eps must be positive, got {eps}")
+
+
+def lambda_H(a1: float, a5: float, eps: float) -> float:
+    """Leading-order singular Hopf curve -(a1 + a5)/2 * eps (elementwise
+    over arrays too)."""
+    _require_positive_eps(eps)
     return -(a1 + a5) / 2.0 * eps
 
 
 def lambda_c(a1: float, a5: float, A: float, eps: float) -> float:
-    """Leading-order canard-explosion curve -((a1 + a5)/2 + A/8) * eps."""
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    """Leading-order canard-explosion curve -((a1 + a5)/2 + A/8) * eps
+    (elementwise over arrays too)."""
+    _require_positive_eps(eps)
     return -((a1 + a5) / 2.0 + A / 8.0) * eps
 
 
@@ -180,7 +187,9 @@ def rho_coefficients(nf: NormalFormCoefficients) -> RhoCoefficients:
 def omega2_term_groups(nf: NormalFormCoefficients) -> tuple:
     """The cubic-order coefficient omega2 split into its eight additive
     groups, one per source line of the transcription.  Kept separate so a
-    transcription slip is localized by the per-group unit tests."""
+    transcription slip is localized by the per-group unit tests.  Powers
+    are written as products, so a record of floats and a record of
+    arrays (elementwise) round alike."""
     a10, a01, a20, a11 = nf.a10, nf.a01, nf.a20, nf.a11
     b10 = nf.b10
     c10, c01, c20, c11, c30 = nf.c10, nf.c01, nf.c20, nf.c11, nf.c30
@@ -189,13 +198,13 @@ def omega2_term_groups(nf: NormalFormCoefficients) -> tuple:
     f00, f10, f20 = nf.f00, nf.f10, nf.f20
     return (
         6*a10*b10*c10 + 6*a10*b10*f00 - 4*a10*c10*d10 + a10*c10*e10 - 4*a10*c10*f00,
-        -4*a10*c01 - 2*a10**2*c10 + 2*a20*c10 - 2*a10*c20 - 6*a10*d10*f00 + a10*e10*f00,
-        -12*a10*f00**2 - 4*a10**2*f00 + 6*a20*f00 + 2*a01*(a10 + 2*f00) - 2*a11 + 2*f20,
+        -4*a10*c01 - 2*a10*a10*c10 + 2*a20*c10 - 2*a10*c20 - 6*a10*d10*f00 + a10*e10*f00,
+        -12*a10*f00*f00 - 4*a10*a10*f00 + 6*a20*f00 + 2*a01*(a10 + 2*f00) - 2*a11 + 2*f20,
         12*b10*c10*d10 - 3*b10*c10*e10 + 12*b10*c10*f00 + 6*b10*c01 + 12*b10*d10*f00,
-        -3*b10*e10*f00 + 18*b10*f00**2 + 4*c10*d10*e10 - 8*c10*d10*f00 - 8*c10*d10**2 - 4*c01*d10,
+        -3*b10*e10*f00 + 18*b10*f00*f00 + 4*c10*d10*e10 - 8*c10*d10*f00 - 8*c10*d10*d10 - 4*c01*d10,
         -4*c20*d10 + 6*c10*d20 + 4*c10*e10*f00 - 2*c10*e01 - 2*c10*e20 - 8*c01*f00,
-        -8*c20*f00 + 2*c10*f10 + 2*c11 + 6*c30 + 4*d10*e10*f00 - 16*d10*f00**2 - 8*d10**2*f00,
-        6*d20*f00 - 2*d10*f10 + 4*e10*f00**2 - 2*e01*f00 - 2*e20*f00 - 8*f00**3 + 4*f10*f00,
+        -8*c20*f00 + 2*c10*f10 + 2*c11 + 6*c30 + 4*d10*e10*f00 - 16*d10*f00*f00 - 8*d10*d10*f00,
+        6*d20*f00 - 2*d10*f10 + 4*e10*f00*f00 - 2*e01*f00 - 2*e20*f00 - 8*f00*f00*f00 + 4*f10*f00,
     )
 
 
@@ -203,10 +212,15 @@ def omega_coefficients(nf: NormalFormCoefficients) -> OmegaCoefficients:
     """Coefficients of L1(r) = (omega1/16) r + (omega2/32) r^3.
 
     omega1 is the same arithmetic expression as compute_A, so the two are
-    bit-identical, not merely close."""
-    omega1 = compute_A(nf)
-    omega2 = math.fsum(omega2_term_groups(nf))
-    return OmegaCoefficients(omega1, omega2)
+    bit-identical, not merely close.  omega2 sums the term groups left to
+    right, one fixed order, so a record of arrays (see
+    allee.normal_form_columns) gives elementwise the values of the
+    scalar records."""
+    groups = omega2_term_groups(nf)
+    omega2 = groups[0]
+    for g in groups[1:]:
+        omega2 = omega2 + g
+    return OmegaCoefficients(compute_A(nf), omega2)
 
 
 def default_classification_tol(omega1: float, omega2: float) -> float:
@@ -232,8 +246,7 @@ def classify_hopf(omega1: float, omega2: float, tol: Optional[float] = None) -> 
 
 def l1_series(omega1: float, omega2: float, eps: float) -> float:
     """Two-term truncation sqrt(eps) * (omega1/16 + omega2*eps/32)."""
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    _require_positive_eps(eps)
     return math.sqrt(eps) * (omega1 / 16.0 + omega2 * eps / 32.0)
 
 
@@ -242,8 +255,7 @@ def lambda_star_series(rho1: float, rho3: float, eps: float) -> float:
 
     Equivalent to r*(rho1 + rho3 r^2) at r = sqrt(eps), i.e. the blown-up
     curve lam1*(r) mapped back through lam = r*lam1."""
-    if eps <= 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    _require_positive_eps(eps)
     return rho1 * eps + rho3 * eps * eps
 
 

@@ -13,17 +13,21 @@ Phi(y), so I vanishes at most once and at most one cycle can bifurcate.
 
 All evaluations thread an offset lambda0 through the predator mortality
 (beta -> beta + lambda0), which is how the canard family is unfolded in
-the model's own parameters."""
+the model's own parameters.
+
+The integrals use fixed-order Gauss-Legendre rules, evaluated in array
+passes over all depths at once; a 2N-node value is accepted only where
+the N-node rule agrees with it."""
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
-from scipy.integrate import IntegrationWarning, quad
+import numpy as np
 
 from .allee import (
     AlleeParams,
@@ -44,36 +48,47 @@ def _shifted(p: AlleeParams, lambda0: float) -> AlleeParams:
                        gamma=p.gamma, eps=p.eps)
 
 
+def _first(values, flags) -> float:
+    """The first of values (a float or an array) where flags holds, for
+    error messages."""
+    flags = np.asarray(flags, dtype=bool)
+    return float(np.broadcast_to(values, flags.shape)[flags].flat[0])
+
+
 def branch_inverse(y: float, p: AlleeParams) -> Tuple[float, float]:
     """Preimages of height y under the critical curve: F(x) = F(sigma) = y
     with sigma <= x_M <= x.  Solves x^2 + (y+n+m-1)x + m(n+y) = 0; the
     discriminant is (1-m-n-y)^2 - 4m(n+y), nonnegative exactly for
-    y <= y_M."""
+    y <= y_M.  Elementwise over an array of heights too."""
     _, yM = fold_point(p.m, p.n)
-    if not (0.0 <= y <= yM):
-        raise DomainError(f"requires 0 <= y <= y_M = {yM:.8g}, got y={y}")
+    bad = np.logical_not((0.0 <= y) & (y <= yM))
+    if np.any(bad):
+        raise DomainError(f"requires 0 <= y <= y_M = {yM:.8g}, got y={_first(y, bad)}")
     t = 1.0 - p.m - p.n - y
     disc = t * t - 4.0 * p.m * (p.n + y)
-    if disc < 0.0:
-        if disc < -1e-12 * max(1.0, t * t):
-            raise DomainError(f"height y={y} lies above the fold (negative discriminant)")
-        disc = 0.0
-    root = math.sqrt(disc)
+    bad = disc < -1e-12 * np.maximum(1.0, t * t)
+    if np.any(bad):
+        raise DomainError(f"height y={_first(y, bad)} lies above the fold "
+                          "(negative discriminant)")
+    root = np.sqrt(np.maximum(disc, 0.0))
     x = 0.5 * (t + root)
     sigma = 0.5 * (t - root)
     for xi in (x, sigma):
-        if abs(critical_height(xi, p.m, p.n) - y) > 1e-12:
-            raise NumericsError(f"branch inverse at y={y} fails the F(x) = y check")
+        bad = np.abs(critical_height(xi, p.m, p.n) - y) > 1e-12
+        if np.any(bad):
+            raise NumericsError(f"branch inverse at y={_first(y, bad)} fails the F(x) = y check")
     return (x, sigma)
 
 
 def h_slow(x: float, p: AlleeParams, lambda0: float = 0.0) -> float:
     """Fast divergence per unit slow height on the critical curve:
-    x F'(x) / [F(x) (alpha x - (beta + lambda0) - gamma F(x))]."""
+    x F'(x) / [F(x) (alpha x - (beta + lambda0) - gamma F(x))].
+    Elementwise over an array of x too."""
     F = critical_height(x, p.m, p.n)
     denom = F * (p.alpha * x - (p.beta + lambda0) - p.gamma * F)
-    if denom == 0.0:
-        raise NumericsError(f"slow flow vanishes at x={x}: h is singular there")
+    if np.any(denom == 0.0):
+        raise NumericsError(f"slow flow vanishes at x={_first(x, denom == 0.0)}: "
+                            "h is singular there")
     return x * critical_slope(x, p.m, p.n) / denom
 
 
@@ -125,16 +140,57 @@ def _depth_ceiling(p: AlleeParams) -> Tuple[float, float]:
     return (yhat, yM - yhat)
 
 
-def _quad_checked(fn, lo, hi, what):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            val, _ = quad(fn, lo, hi, epsabs=1e-14, epsrel=1e-8, limit=200)
-        except IntegrationWarning as exc:
-            raise NumericsError(f"{what} quadrature did not converge: {exc}") from None
-    if not math.isfinite(val):
-        raise NumericsError(f"{what} quadrature returned a non-finite value")
-    return val
+_NODES = 48      # N; the accepted value comes from the 2N-node rule
+_QUAD_TOL = 1e-8  # allowed |Q_N - Q_2N|, relative to the 2N integral of |f|
+
+
+@lru_cache(maxsize=None)
+def _rules():
+    """Nodes on [0, 1] of the N- and the 2N-node Gauss-Legendre rule, side
+    by side, and the weights of each."""
+    tn, wn = np.polynomial.legendre.leggauss(_NODES)
+    t2, w2 = np.polynomial.legendre.leggauss(2 * _NODES)
+    return 0.5 * (np.concatenate([tn, t2]) + 1.0), 0.5 * wn, 0.5 * w2
+
+
+def _gauss_legendre(fn, lo, hi, what):
+    """Integrals of fn over [lo_k, hi_k] for 1-d arrays lo, hi, with one
+    call of fn on the nodes of every interval.  Returns the 2N-node
+    values; raises NumericsError where fn is not finite or where the
+    N-node rule differs from them by more than _QUAD_TOL times the
+    integral of |fn|."""
+    nodes, wn, w2 = _rules()
+    lo = np.asarray(lo, dtype=float)[:, None]
+    width = np.asarray(hi, dtype=float)[:, None] - lo
+    vals = fn(lo + width * nodes) * width
+    if not np.all(np.isfinite(vals)):
+        raise NumericsError(f"{what} quadrature met a non-finite integrand")
+    coarse = vals[:, :_NODES] @ wn
+    fine = vals[:, _NODES:] @ w2
+    if np.any(np.abs(fine - coarse) > _QUAD_TOL * (np.abs(vals[:, _NODES:]) @ w2)):
+        raise NumericsError(f"{what} quadrature did not converge: the {_NODES}- and "
+                            f"{2 * _NODES}-node rules disagree")
+    return fine
+
+
+def _integral_y(peff: AlleeParams, s, smax: float) -> np.ndarray:
+    """I(s) for a 1-d array of depths by the height form, under
+    y = y_M - v^2 and v = sqrt(s_max) - e^w.  In v the branches are
+    smooth through the fold; in w the deep end is spread out, where
+    h has a 1/(y - y_hat) pole (F = 0, or the slow flow dying at E3)
+    that nears the window as s -> s_max."""
+    _, yM = fold_point(peff.m, peff.n)
+    root = math.sqrt(smax)
+
+    def integrand(w):
+        e = np.exp(w)
+        v = root - e
+        x, sigma = branch_inverse(yM - v * v, peff)
+        return (h_slow(x, peff) - h_slow(sigma, peff)) * 2.0 * v * e
+
+    lo = np.log(root - np.sqrt(np.asarray(s, dtype=float)))
+    return _gauss_legendre(integrand, lo, np.full(lo.shape, math.log(root)),
+                           "slow divergence (height form)")
 
 
 def slow_divergence_integral(p: AlleeParams, lambda0: float, s: float) -> float:
@@ -143,35 +199,39 @@ def slow_divergence_integral(p: AlleeParams, lambda0: float, s: float) -> float:
     attracting branch and back down the repelling one.  This form avoids
     the F'(x_M) = 0 turning point of the x parametrization."""
     peff = _shifted(p, lambda0)
-    _, yM = fold_point(peff.m, peff.n)
     _, smax = _depth_ceiling(peff)
     if not (0.0 < s < smax):
         raise DomainError(f"requires 0 < s < {smax:.8g} (fold height minus y_hat), got s={s}")
-
-    def integrand(y):
-        x, sigma = branch_inverse(y, peff)
-        return h_slow(x, peff) - h_slow(sigma, peff)
-
-    return _quad_checked(integrand, yM - s, yM, "slow divergence (height form)")
+    return float(_integral_y(peff, [s], smax)[0])
 
 
 def slow_divergence_integral_x(p: AlleeParams, lambda0: float, s: float) -> float:
     """Cross-check of I(s) in the x parametrization:
     -integral of h(x) F'(x) dx over (sigma_s, x_s), split at the fold
-    where the integrand has a removable zero."""
+    where the integrand has a removable zero.  Each piece runs from the
+    fold to its end under x = c + d e^w, centred on the preimage c of
+    y_hat on its branch (d = +1 on the repelling, -1 on the attracting
+    one), which spreads out the ends as they near the poles of h at
+    deep s."""
     peff = _shifted(p, lambda0)
     xM, yM = fold_point(peff.m, peff.n)
-    _, smax = _depth_ceiling(peff)
+    yhat, smax = _depth_ceiling(peff)
     if not (0.0 < s < smax):
         raise DomainError(f"requires 0 < s < {smax:.8g} (fold height minus y_hat), got s={s}")
     x_s, sigma_s = branch_inverse(yM - s, peff)
+    c_att, c_rep = branch_inverse(yhat, peff)
+    centre = np.array([[c_rep], [c_att]])
+    side = np.array([[1.0], [-1.0]])
 
-    def integrand(x):
-        return h_slow(x, peff) * critical_slope(x, peff.m, peff.n)
+    def integrand(w):
+        e = np.exp(w)
+        x = centre + side * e
+        return h_slow(x, peff) * critical_slope(x, peff.m, peff.n) * e
 
-    lo = _quad_checked(integrand, sigma_s, xM, "slow divergence (x form, repelling)")
-    hi = _quad_checked(integrand, xM, x_s, "slow divergence (x form, attracting)")
-    return -(lo + hi)
+    lo = np.log(np.abs(np.array([sigma_s, x_s]) - centre[:, 0]))
+    hi = np.log(np.abs(xM - centre[:, 0]))
+    pieces = _gauss_legendre(integrand, lo, hi, "slow divergence (x form)")
+    return -float(pieces[0] + pieces[1])
 
 
 @dataclass(frozen=True)
@@ -226,18 +286,17 @@ def cyclicity_report(p: AlleeParams, grid_size: int) -> SdiProfile:
     _, yM = fold_point(p.m, p.n)
     _, smax = _depth_ceiling(p)
     grid = [smax * i / (grid_size + 1) for i in range(1, grid_size + 1)]
-    values = [slow_divergence_integral(p, 0.0, s) for s in grid]
+    values = _integral_y(p, grid, smax).tolist()
 
-    refined_s = list(grid)
+    # refine once between each pair of neighbours whose signs differ
+    changes = [i for i in range(grid_size - 1) if values[i] != 0.0 and values[i + 1] != 0.0
+               and math.copysign(1.0, values[i]) != math.copysign(1.0, values[i + 1])]
     refined_v = list(values)
-    inserted = 0
-    for i in range(len(grid) - 1):
-        if values[i] != 0.0 and values[i + 1] != 0.0 and (
-                math.copysign(1.0, values[i]) != math.copysign(1.0, values[i + 1])):
-            mid = 0.5 * (grid[i] + grid[i + 1])
-            refined_s.insert(i + 1 + inserted, mid)
-            refined_v.insert(i + 1 + inserted, slow_divergence_integral(p, 0.0, mid))
-            inserted += 1
+    if changes:
+        mids = _integral_y(p, [0.5 * (grid[i] + grid[i + 1]) for i in changes],
+                           smax).tolist()
+        for k, i in enumerate(changes):
+            refined_v.insert(i + 1 + k, mids[k])
     zero_count = _count_sign_changes(refined_v)
 
     y0 = phi_root(p)

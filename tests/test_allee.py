@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from model_oracle import jet_reduced_record
 
 from canard.allee import (
+    PSI_TAGS,
     AlleeParams,
     a5_of_beta,
     boundary_roots,
@@ -14,13 +18,16 @@ from canard.allee import (
     fold_point,
     gamma_star,
     model_bifurcation_curves,
+    model_columns,
     model_rhs,
     normal_form_coeffs,
+    normal_form_columns,
     omega2_at_degeneracy,
     psi_case_analysis,
+    psi_columns,
 )
 from canard.errors import DomainError, NumericsError
-from canard.normalform import compute_A, omega_coefficients
+from canard.normalform import COEFF_NAMES, compute_A, lambda_c, lambda_H, omega_coefficients
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
 EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
@@ -294,6 +301,50 @@ class TestNormalFormCoeffs:
         # the six-digit rounding of m* leaves |A| ~ 2.4e-6
         p = AlleeParams(**EX2)
         assert abs(compute_A(normal_form_coeffs(p))) < 5e-6
+
+
+class TestClosedFormRecord:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.floats(0.02, 0.9), frac=st.floats(0.01, 0.99),
+           alpha=st.floats(0.05, 3.0), beta=st.floats(0.01, 1.0), gamma=st.floats(0.05, 3.0))
+    def test_equals_jet_reduction_on_every_field(self, n, frac, alpha, beta, gamma):
+        m = frac * (1.0 - math.sqrt(n)) ** 2
+        p = AlleeParams(m=m, n=n, alpha=alpha, beta=beta, gamma=gamma, eps=0.01)
+        got, want = normal_form_coeffs(p), jet_reduced_record(p)
+        for key in COEFF_NAMES:
+            g, w = getattr(got, key), getattr(want, key)
+            assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (key, g, w)
+            assert (g == 0.0) == (w == 0.0), key
+
+    def test_columns_equal_scalar_points_bitwise(self):
+        # a one-cell sweep must print what analyze prints: arrays and
+        # single points go through the same expressions and round alike
+        rng = np.random.default_rng(53)
+        pts = []
+        for _ in range(40):
+            m, n = random_admissible(rng)
+            pts.append(AlleeParams(m=m, n=n, alpha=float(rng.uniform(0.3, 1.5)),
+                                   beta=float(rng.uniform(0.05, 0.5)),
+                                   gamma=float(rng.uniform(0.05, 1.0)),
+                                   eps=float(rng.uniform(1e-3, 0.1))))
+        cols = {k: np.array([getattr(p, k) for p in pts])
+                for k in ("m", "n", "alpha", "beta", "gamma", "eps")}
+        rec = normal_form_columns(cols["m"], cols["n"], cols["alpha"], cols["gamma"])
+        out = model_columns(cols["m"], cols["n"], cols["alpha"], cols["beta"],
+                            cols["gamma"], cols["eps"])
+        case = psi_columns(cols["m"], cols["n"], cols["alpha"], cols["gamma"])[3]
+        for i, p in enumerate(pts):
+            nf = normal_form_coeffs(p)
+            for key in COEFF_NAMES:
+                assert getattr(nf, key) == np.broadcast_to(getattr(rec, key), (40,))[i]
+            om = omega_coefficients(nf)
+            a5 = a5_of_beta(p)
+            assert out["A"][i] == compute_A(nf) == om.omega1 == out["omega1"][i]
+            assert out["omega2"][i] == om.omega2
+            assert out["a5"][i] == a5
+            assert out["lambda_h"][i] == lambda_H(nf.c10, a5, p.eps)
+            assert out["lambda_c"][i] == lambda_c(nf.c10, a5, om.omega1, p.eps)
+            assert PSI_TAGS[case[i]] == psi_case_analysis(p.m, p.n, p.alpha, p.gamma).tag
 
 
 class TestPsiCase:

@@ -27,7 +27,7 @@ from canard.blowup import (
     _hatted_tables,
 )
 from canard.errors import DomainError, NumericsError
-from canard.jet import jet_eval, jet_from_terms
+from canard.jet import Jet, jet_eval, jet_from_terms
 from canard.normalform import (
     COEFF_NAMES,
     NormalFormCoefficients,
@@ -124,6 +124,22 @@ class TestBlowUp:
         nf = NormalFormCoefficients(f00=2.0, e01=1.0)
         sys = blow_up(nf, 0.1, 0.3)
         assert sys.fy.coeff((0, 1)) == pytest.approx(0.197)
+
+    def test_jets_are_normalized(self):
+        # built without re-validation, they must equal what the public
+        # constructor builds: float values, int indices, no zeros
+        rng = np.random.default_rng(808)
+        for _ in range(20):
+            sys = blow_up(random_record(rng), np.float64(rng.uniform(0.02, 0.2)),
+                          np.float64(rng.uniform(-1.0, 1.0)))
+            for jet in (sys.fx, sys.fy):
+                assert jet == Jet(2, jet.degree, jet.coeffs)
+                assert all(type(c) is float and c != 0.0 for c in jet.coeffs.values())
+                assert all(type(e) is int for mi in jet.coeffs for e in mi)
+
+    def test_nonfinite_table_value_raises(self):
+        with pytest.raises(DomainError):
+            blow_up(NormalFormCoefficients(c03=1e308), 100.0, 0.0)
 
     def test_positive_r_required(self):
         with pytest.raises(DomainError):

@@ -1,10 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from model_oracle import sweep_row_reference
 
-from canard.cli import load_config, main, parse_grid, read_csv
+from canard.allee import AlleeParams
+from canard.cli import MODEL_KEYS, _cell, load_config, main, parse_grid, read_csv
 from canard.errors import DomainError
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
@@ -191,6 +201,83 @@ class TestSweep:
     def test_grid_required(self, tmp_path):
         cfg = write_cfg(tmp_path / "p.cfg", EX2)
         assert run(["sweep", "--config", cfg, "--out", tmp_path / "o"]) == 1
+
+
+# every point of these boxes is admissible: m < 0.18 < (1 - sqrt(0.3))^2
+SWEEP_BOX = {"m": (0.02, 0.18), "n": (0.05, 0.3), "alpha": (0.3, 1.5),
+             "beta": (0.05, 0.5), "gamma": (0.05, 1.0), "eps": (1e-4, 0.1)}
+
+
+@st.composite
+def sweep_cases(draw):
+    base = {k: draw(st.floats(lo, hi)) for k, (lo, hi) in SWEEP_BOX.items()}
+    names = draw(st.lists(st.sampled_from(MODEL_KEYS), min_size=1, max_size=2, unique=True))
+    axes = []
+    for name in names:
+        lo, hi = SWEEP_BOX[name]
+        a, b = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+        axes.append(f"{name}={a!r}:{b!r}:{draw(st.integers(1, 6))}")
+    return base, ",".join(axes)
+
+
+class TestVectorizedSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(case=sweep_cases())
+    def test_rows_match_scalar_reference(self, case):
+        # each row against the jet-reduced record and the scalar
+        # functions; 1e-12 relative to the terms each value sums, since A
+        # and omega2 cancel near the degeneracy the grids straddle
+        base, grid = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_cfg(Path(tmp) / "p.cfg", {k: repr(v) for k, v in base.items()})
+            assert run(["sweep", "--config", cfg, "--out", Path(tmp) / "o", "--grid", grid]) == 0
+            header, rows = read_csv(os.path.join(tmp, "o", "sweep.csv"))
+        axes = parse_grid(grid)
+        assert len(rows) == math.prod(len(values) for _, values in axes)
+        for row in rows:
+            cells = dict(zip(header, row))
+            point = dict(base, **{name: float(cells[name]) for name, _ in axes})
+            ref = sweep_row_reference(AlleeParams(**point))
+            assert cells["case"] == ref["case"]
+            for key, want in ref["values"].items():
+                got = float(cells[key])
+                assert abs(got - want) <= 1e-12 * max(abs(want), ref["scales"][key]) + 1e-15, (
+                    key, got, want)
+
+    @pytest.mark.parametrize("grid, condition", [
+        ("m=0.2:0.5:4", "(1 - sqrt(n))^2"),         # last point above the bound
+        ("eps=0.01:0.2:3", "0 < eps <= 0.1"),
+        ("beta=0.2:-0.1:4", "beta > 0"),
+    ])
+    def test_one_inadmissible_point_names_condition(self, tmp_path, capsys, grid, condition):
+        cfg = write_cfg(tmp_path / "p.cfg", EX2)
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--grid", grid]) == 1
+        assert condition in capsys.readouterr().err
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    def test_fold_on_the_axis_is_rejected(self, tmp_path, capsys):
+        # m = (1 - sqrt(n))^2 = 0.25 exactly puts the fold at y_M = 0
+        cfg = write_cfg(tmp_path / "p.cfg", dict(EX2, n=0.25))
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o",
+                    "--grid", "m=0.15:0.25:3"]) == 1
+        assert "alpha*x_M*y_M > 0" in capsys.readouterr().err
+
+    def test_numpy_scalar_cells(self):
+        assert _cell(np.float64(0.1)) == "0.1"
+        assert _cell(np.float32(0.5)) == "0.5"
+        assert _cell(np.int64(7)) == "7"
+        assert _cell(0.1) == "0.1" and _cell(3) == "3" and _cell("x") == "x"
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = ("import sys, canard.cli; "
+                "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.strip() == "[]"
 
 
 class TestSimulate:

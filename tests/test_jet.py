@@ -276,10 +276,20 @@ class TestAlgebraProperties:
 
 
 class TestPublicConstructor:
-    @pytest.mark.parametrize("mi", [(1,), (1, 0, 0), (-1, 1)])
+    @pytest.mark.parametrize("mi", [(1,), (1, 0, 0), (-1, 1), (1.5, 0), (0, float("nan"))])
     def test_bad_multi_index(self, mi):
         with pytest.raises(DomainError):
             Jet(2, 3, {mi: 1.0})
+
+    def test_integer_valued_entries_accepted(self):
+        j = Jet(2, 3, {(np.int64(1), 1.0): 2.0})
+        assert j.coeffs == {(1, 1): 2.0}
+        assert all(type(e) is int for mi in j.coeffs for e in mi)
+
+    @pytest.mark.parametrize("mi", [(1.5, 0), (0, 0.5), ("1", 0)])
+    def test_coeff_rejects_non_integer_index(self, mi):
+        with pytest.raises(DomainError):
+            Jet(2, 3, {(1, 0): 1.0}).coeff(mi)
 
     def test_out_of_degree_term(self):
         with pytest.raises(DomainError):

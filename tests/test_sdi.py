@@ -10,7 +10,8 @@ from canard.allee import (
     gamma_star,
     psi_case_analysis,
 )
-from canard.errors import DomainError
+from canard import sdi
+from canard.errors import DomainError, NumericsError
 from canard.sdi import (
     SdiProfile,
     branch_inverse,
@@ -74,6 +75,17 @@ class TestBranchInverse:
             x, sigma = branch_inverse(y, P_CHANGE)
             assert abs(critical_height(x, P_CHANGE.m, P_CHANGE.n) - y) < 1e-12
             assert abs(critical_height(sigma, P_CHANGE.m, P_CHANGE.n) - y) < 1e-12
+
+    def test_arrays_match_points_and_keep_checks(self):
+        _, yM = fold_point(P_CHANGE.m, P_CHANGE.n)
+        ys = np.linspace(0.0, yM, 9)
+        xs, sigmas = branch_inverse(ys, P_CHANGE)
+        for y, x, sigma in zip(ys, xs, sigmas):
+            assert (x, sigma) == branch_inverse(float(y), P_CHANGE)
+        with pytest.raises(DomainError):
+            branch_inverse(np.append(ys, yM + 0.01), P_CHANGE)
+        with pytest.raises(DomainError):
+            branch_inverse(np.append(ys, -0.01), P_CHANGE)
 
     def test_above_fold_rejected(self):
         _, yM = fold_point(P_CHANGE.m, P_CHANGE.n)
@@ -178,6 +190,35 @@ class TestIntegral:
 
         with pytest.raises(NumericsError):
             slow_divergence_integral(P_CHANGE, 1e-3, 0.05)
+
+    def test_deep_depths_agree_across_forms(self):
+        # depths close to s_max, where h's pole at y_hat nears the window
+        rng = np.random.default_rng(31)
+        for p in (P_CHANGE, P_NEG, random_coincident(rng), random_coincident(rng)):
+            smax = sdi._depth_ceiling(p)[1]
+            for gap in (1e-2, 1e-3, 1e-5):
+                iy = slow_divergence_integral(p, 0.0, (1.0 - gap) * smax)
+                ix = slow_divergence_integral_x(p, 0.0, (1.0 - gap) * smax)
+                assert abs(iy - ix) <= 1e-6 * abs(iy)
+
+    def test_fine_grid_reaches_deep_depths(self):
+        prof = cyclicity_report(P_CHANGE, 200)
+        assert prof.zero_count == 1 and len(prof.values) == 200
+
+    @pytest.mark.parametrize("form", [slow_divergence_integral, slow_divergence_integral_x])
+    def test_nonfinite_integrand_raises(self, monkeypatch, form):
+        monkeypatch.setattr(sdi, "h_slow", lambda x, p, lambda0=0.0: np.full(np.shape(x), np.nan))
+        with pytest.raises(NumericsError, match="non-finite"):
+            form(P_CHANGE, 0.0, 0.05)
+
+    def test_rule_is_exact_for_polynomials_and_flags_poles(self):
+        got = sdi._gauss_legendre(lambda x: 96.0 * x ** 95, [0.0, 0.0], [1.0, 0.5], "test")
+        assert got[0] == pytest.approx(1.0, rel=1e-13)
+        assert got[1] == pytest.approx(0.5 ** 96, rel=1e-13)
+        with pytest.raises(NumericsError, match="disagree"):
+            sdi._gauss_legendre(lambda x: 1.0 / (x - 0.3), [0.0], [1.0], "test")
+        with pytest.raises(NumericsError, match="non-finite"):
+            sdi._gauss_legendre(lambda x: np.where(x > 0.5, np.inf, 1.0), [0.0], [1.0], "test")
 
     def test_depth_range_enforced(self):
         _, yM = fold_point(P_CHANGE.m, P_CHANGE.n)
