@@ -8,6 +8,16 @@ rotation form, and apply the planar first-Lyapunov-coefficient formula.
 Everything here is independent of the omega/rho polynomials, so a fit of
 l1_blowup over an r-grid is an end-to-end check of those polynomials.
 
+The stages read and write flat (i, j) -> c term tables.  The two
+coordinate changes after the Hopf location run on private kernels:
+_recenter (translate_to_equilibrium) and _linear_powers plus
+_substitute_linear (normalize_linear).  Each repeats the float operations
+of the generic jet op it stands for (jet_recenter, jet_compose with linear
+substitutions, jet_scale, jet_add) in the same order, so their jets equal
+the jet path's bit for bit; the tests check them against those ops.
+blow_up_via_jets keeps to the generic ops as an independent cross-check of
+the closed-form tables.
+
 Stage tags of PlanarPolySystem:
   blown     rescaled system, origin not yet an equilibrium
   centered  equilibrium translated to the origin
@@ -25,18 +35,8 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .jet import (
-    Jet,
-    _make,
-    jet_add,
-    jet_compose,
-    jet_eval,
-    jet_from_terms,
-    jet_mul,
-    jet_recenter,
-    jet_scale,
-)
-from .normalform import NormalFormCoefficients, rho_coefficients
+from .jet import Jet, _make, jet_add, jet_compose, jet_from_terms, jet_mul, jet_scale
+from .normalform import COEFF_NAMES, NormalFormCoefficients, rho_coefficients
 
 STAGES = ("blown", "centered", "rotated", "hopf")
 
@@ -284,16 +284,41 @@ def find_equilibrium(sys: PlanarPolySystem,
     raise NumericsError(f"equilibrium refinement did not reach {tol} in {max_iter} iterations")
 
 
+_BINOM = [[1.0]]  # _BINOM[n][k] = comb(n, k), grown to the largest degree recentered
+
+
+def _recenter(coeffs: Dict[Tuple[int, int], float], x0: float, y0: float, degree: int
+              ) -> Dict[Tuple[int, int], float]:
+    """Terms of sum c (x + x0)^i (y + y0)^j without the constant term: the float
+    operations and the term order of jet_recenter, then (0, 0) dropped."""
+    while len(_BINOM) <= degree:
+        n = len(_BINOM)
+        _BINOM.append([float(math.comb(n, k)) for k in range(n + 1)])
+    hx = [x0 ** n for n in range(degree + 1)]
+    hy = [y0 ** n for n in range(degree + 1)]
+    out: Dict[Tuple[int, int], float] = {}
+    for (i, j), c in coeffs.items():
+        bi, bj = _BINOM[i], _BINOM[j]
+        for k in range(i + 1):
+            cx = c * (bi[k] * hx[i - k])
+            for l in range(j + 1):
+                out[(k, l)] = out.get((k, l), 0.0) + cx * (bj[l] * hy[j - l])
+    out.pop((0, 0), None)
+    return out
+
+
 def translate_to_equilibrium(sys: PlanarPolySystem, eq: Tuple[float, float]) -> PlanarPolySystem:
     """Recenter the system at eq; requires eq to be an equilibrium."""
-    res = max(abs(jet_eval(sys.fx, eq)), abs(jet_eval(sys.fy, eq)))
-    if res > 1e-10:
+    if len(eq) != 2:
+        raise DomainError(f"point length {len(eq)} != nvars 2")
+    x0, y0 = float(eq[0]), float(eq[1])
+    f = abs(_partials(sys.fx.coeffs, x0, y0, sys.fx.degree)[0])
+    g = abs(_partials(sys.fy.coeffs, x0, y0, sys.fy.degree)[0])
+    res = max(f, g) if g == g else g  # max() keeps a NaN only in first place
+    if not res <= 1e-10:  # a NaN residual fails too
         raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
-    fx = jet_recenter(sys.fx, eq)
-    fy = jet_recenter(sys.fy, eq)
-    zero2 = (0, 0)
-    fx = jet_from_terms(2, fx.degree, {k: v for k, v in fx.coeffs.items() if k != zero2})
-    fy = jet_from_terms(2, fy.degree, {k: v for k, v in fy.coeffs.items() if k != zero2})
+    fx = _make(2, sys.fx.degree, _recenter(sys.fx.coeffs, x0, y0, sys.fx.degree))
+    fy = _make(2, sys.fy.degree, _recenter(sys.fy.coeffs, x0, y0, sys.fy.degree))
     return PlanarPolySystem(fx, fy, "centered", sys.r, sys.lambda1)
 
 
@@ -303,6 +328,38 @@ def _resolve_branch(branch: str, n10: float, m01: float) -> str:
     if branch in (BRANCH_USE_N10, BRANCH_USE_M01):
         return branch
     raise DomainError(f"unknown branch {branch!r}")
+
+
+def _linear_powers(a: float, b: float, degree: int) -> list:
+    """X[e][p], the u^p v^(e-p) coefficient of (a u + b v)^e for e <= degree, by
+    jet_mul's recurrence X^e[p] = X^(e-1)[p] b + X^(e-1)[p-1] a."""
+    X = [[1.0]]
+    for e in range(1, degree + 1):
+        prev = X[-1]
+        X.append([prev[0] * b] + [prev[p] * b + prev[p - 1] * a for p in range(1, e)]
+                 + [prev[e - 1] * a])
+    return X
+
+
+def _substitute_linear(coeffs: Dict[Tuple[int, int], float], X: list, Y: list
+                       ) -> Dict[Tuple[int, int], float]:
+    """Terms of sum k x^i y^j at x = a u + b v, y = c u + d v, given the
+    _linear_powers X, Y of the two forms, with the float operations and order of
+    jet_compose: each term sums the products (k X^i[p]) Y^j[q], p and q
+    descending, into its own u-exponents, and the terms are added in the order
+    of coeffs."""
+    out: Dict[Tuple[int, int], float] = {}
+    for (i, j), k in coeffs.items():
+        xi, yj = X[i], Y[j]
+        t = [0.0] * (i + j + 1)
+        for p in range(i, -1, -1):
+            kx = k * xi[p]
+            for q in range(j, -1, -1):
+                t[p + q] += kx * yj[q]
+        n = i + j
+        for s in range(n, -1, -1):
+            out[(s, n - s)] = out.get((s, n - s), 0.0) + t[s]
+    return out
 
 
 def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_AUTO) -> PlanarPolySystem:
@@ -329,38 +386,48 @@ def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_AUTO) -> Planar
     if use == BRANCH_USE_N10:
         if n10 == 0.0:
             raise DomainError("branch UseN10 requires n10 != 0")
-        T = np.array([[-rt2 * n10, rt2 * (m10 - n01) / 2.0],
-                      [0.0, rt2 / 2.0 * s]])
+        T = ((-rt2 * n10, rt2 * (m10 - n01) / 2.0),
+             (0.0, rt2 / 2.0 * s))
     else:
         if m01 == 0.0:
             raise DomainError("branch UseM01 requires m01 != 0")
-        T = np.array([[rt2 * (n01 - m10) / 2.0, -rt2 * m01],
-                      [rt2 / 2.0 * s, 0.0]])
-    Tinv = np.linalg.inv(T)
+        T = ((rt2 * (n01 - m10) / 2.0, -rt2 * m01),
+             (rt2 / 2.0 * s, 0.0))
+    (a, b), (c, d) = np.linalg.inv(T).tolist()
     deg = sys.fx.degree
-    sub0 = jet_from_terms(2, deg, {(1, 0): Tinv[0, 0], (0, 1): Tinv[0, 1]})
-    sub1 = jet_from_terms(2, deg, {(1, 0): Tinv[1, 0], (0, 1): Tinv[1, 1]})
-    fz1 = jet_compose(sys.fx, [sub0, sub1])
-    fz2 = jet_compose(sys.fy, [sub0, sub1])
-    g1 = jet_add(jet_scale(fz1, T[0, 0]), jet_scale(fz2, T[0, 1]))
-    g2 = jet_add(jet_scale(fz1, T[1, 0]), jet_scale(fz2, T[1, 1]))
+    X, Y = _linear_powers(a, b, deg), _linear_powers(c, d, deg)
+    z1 = _substitute_linear(sys.fx.coeffs, X, Y)
+    z2 = _substitute_linear(sys.fy.coeffs, X, Y)
+    keys = {**z1, **z2}  # z1's terms in order, then those only z2 has
+    (t00, t01), (t10, t11) = T
+    g1 = _make(2, deg, {k: t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys})
+    g2 = _make(2, deg, {k: t10 * z1.get(k, 0.0) + t11 * z2.get(k, 0.0) for k in keys})
     trace = g1.coeffs.get((1, 0), 0.0) + g2.coeffs.get((0, 1), 0.0)
     stage = "hopf" if abs(trace) < 1e-12 else "rotated"
     return PlanarPolySystem(g1, g2, stage, sys.r, sys.lambda1, branch=use)
 
 
-def _half_trace(nf: NormalFormCoefficients, r: float, lambda1: float) -> Tuple[float, float]:
+def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Dict[Tuple[int, int], float]:
+    """dn_ij/dlambda1 of the n-table at radius r; it does not depend on lambda1."""
+    dn = {ij: -r ** (nu + 1) * getattr(nf, f"e{ij[0]}{ij[1]}") for ij, nu in _NU.items() if any(ij)}
+    dn[(0, 0)] = -1.0
+    return dn
+
+
+def _half_trace(nf: NormalFormCoefficients, r: float, lambda1: float,
+                dn: Optional[Dict[Tuple[int, int], float]] = None) -> Tuple[float, float]:
     """T/2, half the linear trace at the blown-up equilibrium, and its exact
     lambda1-derivative by the implicit-function theorem on F(x, y, lambda1) = 0.
     The n-table is affine in lambda1, so dF/dlambda1 = (0, p) with p = sum dn_ij
     x^i y^j; then d(x, y)/dlambda1 = -J^-1 (0, p) and dT/dlambda1 =
-    grad T . d(x, y)/dlambda1 + dp/dy."""
+    grad T . d(x, y)/dlambda1 + dp/dy.  dn is _lambda1_slopes(nf, r), built here
+    if not given."""
     sys = blow_up(nf, r, lambda1)
     x, y = find_equilibrium(sys)
     _, j11, j12, fxx, fxy, fyy = _partials(sys.fx.coeffs, x, y, _JET_DEGREE)
     _, j21, j22, gxx, gxy, gyy = _partials(sys.fy.coeffs, x, y, _JET_DEGREE)
-    dn = {ij: -r ** (nu + 1) * getattr(nf, f"e{ij[0]}{ij[1]}") for ij, nu in _NU.items() if any(ij)}
-    dn[(0, 0)] = -1.0
+    if dn is None:
+        dn = _lambda1_slopes(nf, r)
     p, _, p_y = _partials(dn, x, y, _JET_DEGREE)[:3]
     det = j11 * j22 - j12 * j21
     if det == 0.0 or not math.isfinite(det):
@@ -378,8 +445,9 @@ def hopf_lambda1(nf: NormalFormCoefficients, r: float,
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
+    dn = _lambda1_slopes(nf, r)
     for _ in range(max_iter):
-        t, dt = _half_trace(nf, r, lam)
+        t, dt = _half_trace(nf, r, lam, dn)
         # one extra step after meeting tol polishes the residual to the
         # floating-point floor (the Lyapunov gate needs the margin)
         converged = abs(t) < tol
@@ -470,8 +538,6 @@ def sample_record(rng: np.random.Generator,
     unless the rotation stays well-defined (4N - M^2 > disc_floor) at the
     Hopf point for r = r_check.  With constrain_omega1 the a10 entry is
     overwritten to force omega1 = 0 (the degenerate stratum)."""
-    from .normalform import COEFF_NAMES
-
     for _ in range(max_tries):
         vals = {name: float(rng.uniform(-1.0, 1.0)) for name in COEFF_NAMES}
         if constrain_omega1:

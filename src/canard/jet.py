@@ -4,6 +4,9 @@ Every coordinate change in the blow-up pipeline (scaling substitution,
 recentering at an equilibrium, linear normalization) is an exact
 polynomial operation on truncated series.  A Jet stores coefficients of
 a polynomial in up to 4 variables, truncated at a total-degree bound.
+The oracle's recentering and linear normalization run on flat kernels in
+blowup that repeat these ops' float operations; the ops here are their
+reference in the tests, and blow_up_via_jets uses them directly.
 
 Conventions:
   * absent multi-indices mean coefficient 0;

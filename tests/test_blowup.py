@@ -25,9 +25,19 @@ from canard.blowup import (
     translate_to_equilibrium,
     _half_trace,
     _hatted_tables,
+    _linear_powers,
+    _substitute_linear,
 )
 from canard.errors import DomainError, NumericsError
-from canard.jet import Jet, jet_eval, jet_from_terms
+from canard.jet import (
+    Jet,
+    jet_add,
+    jet_compose,
+    jet_eval,
+    jet_from_terms,
+    jet_recenter,
+    jet_scale,
+)
 from canard.normalform import (
     COEFF_NAMES,
     NormalFormCoefficients,
@@ -548,3 +558,136 @@ class TestNewtonProperties:
         lam = hopf_lambda1(nf, r, tol=1.0)
         assert lam == lam0 - t0 / dt0
         assert abs(_half_trace(nf, r, lam)[0]) < 1e-3 * abs(t0)
+
+
+def _reference_centered(sys, eq):
+    """translate_to_equilibrium's terms by the generic jet op."""
+    return [[(k, v) for k, v in jet_recenter(f, eq).coeffs.items() if k != (0, 0)]
+            for f in (sys.fx, sys.fy)]
+
+
+def _reference_rotated(sys, branch):
+    """normalize_linear's jets by jet_compose, jet_scale and jet_add, with the
+    same T and the same rejections as normalize_linear."""
+    m10, m01 = sys.fx.coeff((1, 0)), sys.fx.coeff((0, 1))
+    n10, n01 = sys.fy.coeff((1, 0)), sys.fy.coeff((0, 1))
+    disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
+    if disc <= 0.0 or (n10 if branch == BRANCH_USE_N10 else m01) == 0.0:
+        raise DomainError("no rotation form on this branch")
+    s = math.sqrt(disc)
+    rt2 = math.sqrt(2.0)
+    if branch == BRANCH_USE_N10:
+        T = np.array([[-rt2 * n10, rt2 * (m10 - n01) / 2.0], [0.0, rt2 / 2.0 * s]])
+    else:
+        T = np.array([[rt2 * (n01 - m10) / 2.0, -rt2 * m01], [rt2 / 2.0 * s, 0.0]])
+    Tinv = np.linalg.inv(T)
+    deg = sys.fx.degree
+    subs = [jet_from_terms(2, deg, {(1, 0): Tinv[i, 0], (0, 1): Tinv[i, 1]}) for i in (0, 1)]
+    fz1, fz2 = jet_compose(sys.fx, subs), jet_compose(sys.fy, subs)
+    return [jet_add(jet_scale(fz1, T[i, 0]), jet_scale(fz2, T[i, 1])) for i in (0, 1)]
+
+
+def _assert_kernels_match(sys, eq):
+    centered = translate_to_equilibrium(sys, eq)
+    got = [list(f.coeffs.items()) for f in (centered.fx, centered.fy)]
+    assert got == _reference_centered(sys, eq)
+    for branch in (BRANCH_USE_M01, BRANCH_USE_N10):
+        try:
+            want = _reference_rotated(centered, branch)
+        except DomainError:
+            with pytest.raises(DomainError):
+                normalize_linear(centered, branch)
+            continue
+        rotated = normalize_linear(centered, branch)
+        assert rotated.fx.coeffs == want[0].coeffs
+        assert rotated.fy.coeffs == want[1].coeffs
+        assert rotated.branch == branch
+
+
+def _random_planar_system(seed, degree, stage):
+    """Two planar jets with uniform coefficients in a random insertion order,
+    zeros left out, a linear part with complex eigenvalues, and a random centre
+    that the constant terms put on the zero set of both components."""
+    rng = np.random.default_rng(seed)
+    x0, y0 = (float(v) for v in rng.uniform(-1.5, 1.5, 2))
+    rot, diag = rng.uniform(0.5, 2.0, 2), rng.uniform(-0.4, 0.4, 2)
+    keys = [(i, n - i) for n in range(degree + 1) for i in range(n + 1) if n != 1]
+    jets = []
+    for linear in ({(1, 0): diag[0], (0, 1): -rot[0]}, {(1, 0): rot[1], (0, 1): diag[1]}):
+        order = rng.permutation(len(keys))[:rng.integers(0, len(keys) + 1)]
+        items = [(keys[k], float(rng.uniform(-2.0, 2.0))) for k in order]
+        at = int(rng.integers(0, len(items) + 1))
+        items[at:at] = [(k, float(v)) for k, v in linear.items()]
+        f = dict(items)
+        f[(0, 0)] = 0.0
+        f[(0, 0)] = -jet_eval(Jet(2, degree, f), (x0, y0))
+        jets.append(Jet(2, degree, f))
+    return PlanarPolySystem(jets[0], jets[1], stage, 0.1, 0.0), (x0, y0)
+
+
+class TestFlatKernels:
+    """translate_to_equilibrium and normalize_linear run on private flat kernels;
+    their jets must equal those of the generic jet ops bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
+           r=st.floats(0.005, 0.2), offset=st.floats(-1.0, 1.0))
+    def test_drawn_records(self, seed, constrained, r, offset):
+        nf = _drawn_record(seed, constrained)
+        sys = blow_up(nf, r, rho_coefficients(nf).rho1 * r + offset * r * r)
+        _assert_kernels_match(sys, find_equilibrium(sys))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(3, 6))
+    def test_random_jets_and_centres(self, seed, degree):
+        sys, centre = _random_planar_system(seed, degree, "blown")
+        _assert_kernels_match(sys, centre)
+        # the rotation on a system whose own linear part is the drawn one
+        centered = PlanarPolySystem(sys.fx, sys.fy, "centered", 0.1, 0.0)
+        for branch in (BRANCH_USE_M01, BRANCH_USE_N10):
+            want = _reference_rotated(centered, branch)
+            got = normalize_linear(centered, branch)
+            assert (got.fx.coeffs, got.fy.coeffs) == (want[0].coeffs, want[1].coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(3, 6))
+    def test_substitution_kernel_with_two_full_forms(self, seed, degree):
+        # T^-1 has a zero entry on both branches, so one linear form is always a
+        # monomial there; full forms show the summation order of jet_compose too
+        sys, _ = _random_planar_system(seed, degree, "blown")
+        a, b, c, d = (float(v) for v in np.random.default_rng([seed, 1]).uniform(-2.0, 2.0, 4))
+        subs = [jet_from_terms(2, degree, {(1, 0): a, (0, 1): b}),
+                jet_from_terms(2, degree, {(1, 0): c, (0, 1): d})]
+        got = _substitute_linear(sys.fy.coeffs, _linear_powers(a, b, degree),
+                                 _linear_powers(c, d, degree))
+        assert got == jet_compose(sys.fy, subs).coeffs
+
+    def test_recentering_overflow_raises(self):
+        # the residual is exactly 0, but the (0, 1) term of the recentred fast
+        # component, 2.5 * 2^1023, overflows
+        big = 2.0 ** 1023
+        fx = Jet(2, 4, {(0, 0): -1.5625 * big, (0, 2): big})
+        fy = Jet(2, 4, {(1, 0): 1.0})
+        sys = PlanarPolySystem(fx, fy, "blown", 0.1, 0.0)
+        with pytest.raises(DomainError, match="non-finite"):
+            jet_recenter(fx, (0.0, 1.25))
+        with pytest.raises(DomainError, match="non-finite"):
+            translate_to_equilibrium(sys, (0.0, 1.25))
+
+    def test_rotation_overflow_raises(self):
+        # small pivots make T^-1 large, and the cubic terms overflow under it
+        fx = Jet(2, 4, {(0, 1): -1e-3, (3, 0): 1e307, (1, 2): 1e307})
+        fy = Jet(2, 4, {(1, 0): 1e-3, (0, 3): 1e307})
+        sys = PlanarPolySystem(fx, fy, "centered", 0.1, 0.0)
+        for branch in (BRANCH_USE_M01, BRANCH_USE_N10):
+            with pytest.raises(DomainError, match="non-finite"):
+                _reference_rotated(sys, branch)
+            with pytest.raises(DomainError, match="non-finite"):
+                normalize_linear(sys, branch)
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan),
+                                       (math.inf, 0.0), (0.0, -math.inf)])
+    def test_residual_gate_rejects_non_finite_points(self, point):
+        sys = blow_up(_drawn_record(5, False), 0.1, 0.0)
+        with pytest.raises(DomainError, match="residual at proposed equilibrium"):
+            translate_to_equilibrium(sys, point)
