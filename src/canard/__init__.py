@@ -1,11 +1,13 @@
 """Singular Hopf bifurcation and canard analysis for planar slow-fast systems.
 
 Submodules:
-  jet         truncated multivariate Taylor polynomials and their algebra
+  jet         truncated multivariate Taylor polynomials and their algebra,
+              for blow_up_via_jets and as the tests' reference ops
   normalform  coefficient record of the slow-fast normal form, closed-form
               Hopf/canard quantities, criticality classification
   blowup      rescaling to the family chart, numeric Hopf location and a
-              Lyapunov coefficient oracle independent of the closed forms
+              Lyapunov coefficient oracle independent of the closed forms,
+              all on plain (i, j) -> c term tables
   allee       predator-prey model with strong Allee effect: equilibria,
               critical branches, normal-form reduction, bifurcation curves
   sdi         slow divergence integrals and cyclicity bounds for canard

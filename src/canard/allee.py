@@ -314,6 +314,29 @@ def _require_fold_scale(p: AlleeParams) -> None:
         raise DomainError(f"requires alpha*x_M*y_M > 0, got {q2}")
 
 
+def require_coincidence(p: AlleeParams) -> None:
+    """The coincidence configuration: gamma = gamma_star within 1e-6,
+    delta1 > 0 and 1 - m - n > 0, checked in that order."""
+    gs = gamma_star(p.m, p.n, p.alpha, p.beta)
+    if abs(p.gamma - gs) > 1e-6:
+        raise DomainError(
+            f"requires gamma = gamma_star within 1e-6 (gamma={p.gamma}, gamma_star={gs:.8g})")
+    delta1, _, _ = boundary_roots(p.m, p.n)
+    if delta1 <= 0.0:
+        raise DomainError(f"requires delta1 > 0, got {delta1}")
+    if 1.0 - p.m - p.n <= 0.0:
+        raise DomainError(f"requires 1 - m - n > 0, got {1.0 - p.m - p.n}")
+
+
+def beta_star_conversion(p: AlleeParams) -> Tuple[float, float]:
+    """(beta*, conversion) with beta* = alpha*x_M - gamma*y_M and conversion
+    = alpha*Q/(sqrt(m) - 1): the template unfolding parameter lambda is the
+    model's beta = beta* + lambda * conversion."""
+    _require_fold_scale(p)
+    xM, yM, Q, s = (float(v) for v in _fold_columns(p.m, p.n, p.alpha))
+    return p.alpha * xM - p.gamma * yM, p.alpha * Q / s
+
+
 def require_closed_forms(p: AlleeParams) -> None:
     """The checks behind model_columns and psi_columns at one parameter
     set, in the order normal_form_coeffs, a5_of_beta and
@@ -457,21 +480,10 @@ class ModelCurves:
 
 
 def model_bifurcation_curves(p: AlleeParams) -> ModelCurves:
-    gs = gamma_star(p.m, p.n, p.alpha, p.beta)
-    if abs(p.gamma - gs) > 1e-6:
-        raise DomainError(
-            f"requires gamma = gamma_star within 1e-6 (gamma={p.gamma}, gamma_star={gs:.8g})")
-    delta1, _, _ = boundary_roots(p.m, p.n)
-    if delta1 <= 0.0:
-        raise DomainError(f"requires delta1 > 0, got {delta1}")
-    if 1.0 - p.m - p.n <= 0.0:
-        raise DomainError(f"requires 1 - m - n > 0, got {1.0 - p.m - p.n}")
-    _require_fold_scale(p)
-    xM, yM, Q, s = (float(v) for v in _fold_columns(p.m, p.n, p.alpha))
+    require_coincidence(p)
+    beta_star, conversion = beta_star_conversion(p)
     cols = model_columns(p.m, p.n, p.alpha, p.beta, p.gamma, p.eps)
     lam_h, lam_c, A = (float(cols[k]) for k in ("lambda_h", "lambda_c", "A"))
-    conversion = p.alpha * Q / s
-    beta_star = p.alpha * xM - p.gamma * yM
     return ModelCurves(
         lambda_h=lam_h,
         lambda_c=lam_c,

@@ -8,15 +8,17 @@ rotation form, and apply the planar first-Lyapunov-coefficient formula.
 Everything here is independent of the omega/rho polynomials, so a fit of
 l1_blowup over an r-grid is an end-to-end check of those polynomials.
 
-The stages read and write flat (i, j) -> c term tables.  The two
-coordinate changes after the Hopf location run on private kernels:
-_recenter (translate_to_equilibrium) and _linear_powers plus
-_substitute_linear (normalize_linear).  Each repeats the float operations
-of the generic jet op it stands for (jet_recenter, jet_compose with linear
-substitutions, jet_scale, jet_add) in the same order, so their jets equal
-the jet path's bit for bit; the tests check them against those ops.
-blow_up_via_jets keeps to the generic ops as an independent cross-check of
-the closed-form tables.
+Every stage reads and writes plain (i, j) -> c term tables: the
+coefficient of x^i y^j, absent terms meaning 0.  The two coordinate
+changes after the Hopf location run on private kernels: _recenter
+(translate_to_equilibrium) and _linear_powers plus _substitute_linear
+(normalize_linear).  Each repeats the float operations of the generic jet
+op it stands for (jet_recenter, jet_compose with linear substitutions,
+jet_scale, jet_add) in the same order, so their tables equal the jet
+path's bit for bit; the tests check them against those ops.
+blow_up_via_jets keeps to the generic jet ops as an independent
+cross-check of the closed-form tables and is the only place here that
+builds a Jet.
 
 Stage tags of PlanarPolySystem:
   blown     rescaled system, origin not yet an equilibrium
@@ -28,6 +30,7 @@ Stage tags of PlanarPolySystem:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -35,16 +38,24 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .jet import Jet, _make, jet_add, jet_compose, jet_from_terms, jet_mul, jet_scale
+from .jet import Jet, jet_add, jet_compose, jet_mul, jet_scale
 from .normalform import COEFF_NAMES, NormalFormCoefficients, rho_coefficients
 
 STAGES = ("blown", "centered", "rotated", "hopf")
 
 BRANCH_USE_N10 = "UseN10"
 BRANCH_USE_M01 = "UseM01"
-BRANCH_AUTO = "Auto"
 
-_JET_DEGREE = 4  # cubic stages plus one guard order
+_DEGREE = 4  # cubic stages plus one guard order
+_MAX_ITER = 50  # Newton steps allowed to the equilibrium and to the Hopf point
+
+# sample_record's acceptance test: 4N - M^2 > _DISC_FLOOR at the Hopf point
+# for r = _R_CHECK, within _MAX_TRIES draws
+_R_CHECK = 0.1
+_DISC_FLOOR = 0.05
+_MAX_TRIES = 200
+
+Terms = Dict[Tuple[int, int], float]
 
 # r-grading of the blown-up coefficients: m_ij = r^mu_ij * O(1),
 # n_ij = r^nu_ij * O(1).  Dividing by these powers gives the hatted
@@ -55,31 +66,55 @@ _NU = {(0, 0): 0, (1, 0): 0, (0, 1): 1, (2, 0): 1, (1, 1): 2,
        (0, 2): 3, (3, 0): 2, (2, 1): 3, (1, 2): 4, (0, 3): 5}
 
 
+@functools.lru_cache(maxsize=None)
+def _terms_within(degree: int) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """Every (i, j) with i, j >= 0 and i + j <= degree, mapped to itself: a key
+    equal to one of them, such as (1.0, 0), looks up its int pair."""
+    return {(i, n - i): (i, n - i) for n in range(degree + 1) for i in range(n + 1)}
+
+
+def _clean_terms(terms: Terms, degree: int) -> Terms:
+    """The nonzero terms as floats at int (i, j) keys, in insertion order;
+    DomainError on a term beyond degree or a non-finite value (overflow never
+    passes)."""
+    allowed = _terms_within(degree)
+    try:
+        clean = {allowed[k]: float(c) for k, c in terms.items() if c != 0.0}
+    except KeyError as exc:
+        raise DomainError(f"term {exc.args[0]} is not a monomial of degree <= {degree}") from None
+    for k, c in clean.items():
+        if not math.isfinite(c):
+            raise DomainError(f"non-finite coefficient at {k}")
+    return clean
+
+
 @dataclass(frozen=True)
 class PlanarPolySystem:
-    """Planar polynomial vector field as a pair of 2-variable jets."""
+    """Planar polynomial vector field as two term tables, truncated at total
+    degree `degree`."""
 
-    fx: Jet
-    fy: Jet
+    fx: Terms
+    fy: Terms
     stage: str
     r: float
     lambda1: float
     branch: Optional[str] = None
+    degree: int = _DEGREE
 
     def __post_init__(self):
         if self.stage not in STAGES:
             raise DomainError(f"unknown stage tag {self.stage!r}")
-        if self.fx.nvars != 2 or self.fy.nvars != 2:
-            raise DomainError("system jets must have nvars = 2")
-        if self.fx.degree != self.fy.degree or self.fx.degree < 3:
-            raise DomainError("system jets must share a degree bound of at least 3")
+        if self.degree < 3:
+            raise DomainError(f"system degree bound must be at least 3, got {self.degree}")
         if self.r <= 0.0:
             raise DomainError(f"r must be positive, got {self.r}")
+        object.__setattr__(self, "fx", _clean_terms(self.fx, self.degree))
+        object.__setattr__(self, "fy", _clean_terms(self.fy, self.degree))
 
     def linear_part(self) -> np.ndarray:
         return np.array([
-            [self.fx.coeff((1, 0)), self.fx.coeff((0, 1))],
-            [self.fy.coeff((1, 0)), self.fy.coeff((0, 1))],
+            [self.fx.get((1, 0), 0.0), self.fx.get((0, 1), 0.0)],
+            [self.fy.get((1, 0), 0.0), self.fy.get((0, 1), 0.0)],
         ])
 
 
@@ -100,7 +135,7 @@ class EquilibriumSeries:
 
 
 def scaled_coefficient_tables(nf: NormalFormCoefficients, r: float, lambda1: float
-                              ) -> Tuple[Dict[Tuple[int, int], float], Dict[Tuple[int, int], float]]:
+                              ) -> Tuple[Terms, Terms]:
     """Closed-form coefficients of the rescaled system at radius r."""
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r}")
@@ -132,13 +167,9 @@ def scaled_coefficient_tables(nf: NormalFormCoefficients, r: float, lambda1: flo
 
 
 def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolySystem:
-    """Rescaled system at radius r via the closed-form coefficient tables.
-    Their keys are fixed and valid, so the jets skip the multi-index
-    validation; _make still raises on a non-finite value."""
+    """Rescaled system at radius r via the closed-form coefficient tables."""
     m, n = scaled_coefficient_tables(nf, r, lambda1)
-    fx = _make(2, _JET_DEGREE, {k: float(v) for k, v in m.items()})
-    fy = _make(2, _JET_DEGREE, {k: float(v) for k, v in n.items()})
-    return PlanarPolySystem(fx, fy, "blown", r, lambda1)
+    return PlanarPolySystem(m, n, "blown", r, lambda1)
 
 
 def _template_jets(nf: NormalFormCoefficients, lam: float, eps: float) -> Tuple[Jet, Jet]:
@@ -157,10 +188,10 @@ def _template_jets(nf: NormalFormCoefficients, lam: float, eps: float) -> Tuple[
           (1, 1): nf.f11, (0, 2): nf.f02}
 
     def build(d):
-        return jet_from_terms(2, _JET_DEGREE, d)
+        return Jet(2, _DEGREE, d)
 
-    x = jet_from_terms(2, _JET_DEGREE, {(1, 0): 1.0})
-    y = jet_from_terms(2, _JET_DEGREE, {(0, 1): 1.0})
+    x = Jet(2, _DEGREE, {(1, 0): 1.0})
+    y = Jet(2, _DEGREE, {(0, 1): 1.0})
     fx = jet_add(
         jet_add(jet_scale(jet_mul(y, build(h1)), -1.0),
                 jet_mul(jet_mul(x, x), build(h2))),
@@ -183,14 +214,14 @@ def blow_up_via_jets(nf: NormalFormCoefficients, r: float, lambda1: float) -> Pl
     lam = r * lambda1
     eps = r * r
     fx, fy = _template_jets(nf, lam, eps)
-    sub_x = jet_from_terms(2, _JET_DEGREE, {(1, 0): r})
-    sub_y = jet_from_terms(2, _JET_DEGREE, {(0, 1): eps})
+    sub_x = Jet(2, _DEGREE, {(1, 0): r})
+    sub_y = Jet(2, _DEGREE, {(0, 1): eps})
     fx1 = jet_scale(jet_compose(fx, [sub_x, sub_y]), r ** -2)
     fy1 = jet_scale(jet_compose(fy, [sub_x, sub_y]), r ** -3)
-    return PlanarPolySystem(fx1, fy1, "blown", r, lambda1)
+    return PlanarPolySystem(fx1.coeffs, fy1.coeffs, "blown", r, lambda1)
 
 
-def _partials(coeffs: Dict[Tuple[int, int], float], x: float, y: float, degree: int
+def _partials(coeffs: Terms, x: float, y: float, degree: int
               ) -> Tuple[float, float, float, float, float, float]:
     """(v, v_x, v_y, v_xx, v_xy, v_yy) of sum c x^i y^j at (x, y), in one pass over
     the flat terms.  The power tables lead with two zeros: px[i + 2 - k] = x^(i-k), 0 if i < k."""
@@ -211,8 +242,8 @@ def _partials(coeffs: Dict[Tuple[int, int], float], x: float, y: float, degree: 
 
 def _hatted_tables(sys: PlanarPolySystem) -> Tuple[Dict, Dict]:
     r = sys.r
-    m = {ij: sys.fx.coeffs.get(ij, 0.0) / r ** mu for ij, mu in _MU.items()}
-    n = {ij: sys.fy.coeffs.get(ij, 0.0) / r ** nu for ij, nu in _NU.items()}
+    m = {ij: sys.fx.get(ij, 0.0) / r ** mu for ij, mu in _MU.items()}
+    n = {ij: sys.fy.get(ij, 0.0) / r ** nu for ij, nu in _NU.items()}
     return m, n
 
 
@@ -262,15 +293,14 @@ def equilibrium_series(sys: PlanarPolySystem) -> EquilibriumSeries:
 
 def find_equilibrium(sys: PlanarPolySystem,
                      guess: Optional[Tuple[float, float]] = None,
-                     tol: float = 1e-12,
-                     max_iter: int = 50) -> Tuple[float, float]:
+                     tol: float = 1e-12) -> Tuple[float, float]:
     """Newton refinement of the equilibrium, seeded by the series head."""
     if guess is None:
         guess = equilibrium_series(sys).predict(sys.r)
     x, y = float(guess[0]), float(guess[1])
-    for _ in range(max_iter):
-        fx, j11, j12 = _partials(sys.fx.coeffs, x, y, sys.fx.degree)[:3]
-        fy, j21, j22 = _partials(sys.fy.coeffs, x, y, sys.fy.degree)[:3]
+    for _ in range(_MAX_ITER):
+        fx, j11, j12 = _partials(sys.fx, x, y, sys.degree)[:3]
+        fy, j21, j22 = _partials(sys.fy, x, y, sys.degree)[:3]
         # one extra step after meeting tol polishes the root to the
         # floating-point floor (downstream trace gates need the margin)
         converged = max(abs(fx), abs(fy)) < tol
@@ -281,14 +311,13 @@ def find_equilibrium(sys: PlanarPolySystem,
         y -= (-j21 * fx + j11 * fy) / det
         if converged:
             return (x, y)
-    raise NumericsError(f"equilibrium refinement did not reach {tol} in {max_iter} iterations")
+    raise NumericsError(f"equilibrium refinement did not reach {tol} in {_MAX_ITER} iterations")
 
 
 _BINOM = [[1.0]]  # _BINOM[n][k] = comb(n, k), grown to the largest degree recentered
 
 
-def _recenter(coeffs: Dict[Tuple[int, int], float], x0: float, y0: float, degree: int
-              ) -> Dict[Tuple[int, int], float]:
+def _recenter(coeffs: Terms, x0: float, y0: float, degree: int) -> Terms:
     """Terms of sum c (x + x0)^i (y + y0)^j without the constant term: the float
     operations and the term order of jet_recenter, then (0, 0) dropped."""
     while len(_BINOM) <= degree:
@@ -296,7 +325,7 @@ def _recenter(coeffs: Dict[Tuple[int, int], float], x0: float, y0: float, degree
         _BINOM.append([float(math.comb(n, k)) for k in range(n + 1)])
     hx = [x0 ** n for n in range(degree + 1)]
     hy = [y0 ** n for n in range(degree + 1)]
-    out: Dict[Tuple[int, int], float] = {}
+    out: Terms = {}
     for (i, j), c in coeffs.items():
         bi, bj = _BINOM[i], _BINOM[j]
         for k in range(i + 1):
@@ -312,22 +341,14 @@ def translate_to_equilibrium(sys: PlanarPolySystem, eq: Tuple[float, float]) -> 
     if len(eq) != 2:
         raise DomainError(f"point length {len(eq)} != nvars 2")
     x0, y0 = float(eq[0]), float(eq[1])
-    f = abs(_partials(sys.fx.coeffs, x0, y0, sys.fx.degree)[0])
-    g = abs(_partials(sys.fy.coeffs, x0, y0, sys.fy.degree)[0])
+    f = abs(_partials(sys.fx, x0, y0, sys.degree)[0])
+    g = abs(_partials(sys.fy, x0, y0, sys.degree)[0])
     res = max(f, g) if g == g else g  # max() keeps a NaN only in first place
     if not res <= 1e-10:  # a NaN residual fails too
         raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
-    fx = _make(2, sys.fx.degree, _recenter(sys.fx.coeffs, x0, y0, sys.fx.degree))
-    fy = _make(2, sys.fy.degree, _recenter(sys.fy.coeffs, x0, y0, sys.fy.degree))
-    return PlanarPolySystem(fx, fy, "centered", sys.r, sys.lambda1)
-
-
-def _resolve_branch(branch: str, n10: float, m01: float) -> str:
-    if branch == BRANCH_AUTO:
-        return BRANCH_USE_N10 if abs(n10) >= abs(m01) else BRANCH_USE_M01
-    if branch in (BRANCH_USE_N10, BRANCH_USE_M01):
-        return branch
-    raise DomainError(f"unknown branch {branch!r}")
+    return PlanarPolySystem(_recenter(sys.fx, x0, y0, sys.degree),
+                            _recenter(sys.fy, x0, y0, sys.degree),
+                            "centered", sys.r, sys.lambda1, degree=sys.degree)
 
 
 def _linear_powers(a: float, b: float, degree: int) -> list:
@@ -341,14 +362,13 @@ def _linear_powers(a: float, b: float, degree: int) -> list:
     return X
 
 
-def _substitute_linear(coeffs: Dict[Tuple[int, int], float], X: list, Y: list
-                       ) -> Dict[Tuple[int, int], float]:
+def _substitute_linear(coeffs: Terms, X: list, Y: list) -> Terms:
     """Terms of sum k x^i y^j at x = a u + b v, y = c u + d v, given the
     _linear_powers X, Y of the two forms, with the float operations and order of
     jet_compose: each term sums the products (k X^i[p]) Y^j[q], p and q
     descending, into its own u-exponents, and the terms are added in the order
     of coeffs."""
-    out: Dict[Tuple[int, int], float] = {}
+    out: Terms = {}
     for (i, j), k in coeffs.items():
         xi, yj = X[i], Y[j]
         t = [0.0] * (i + j + 1)
@@ -362,7 +382,7 @@ def _substitute_linear(coeffs: Dict[Tuple[int, int], float], X: list, Y: list
     return out
 
 
-def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_AUTO) -> PlanarPolySystem:
+def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_USE_M01) -> PlanarPolySystem:
     """Linear change of variables making the linear part a scaled rotation.
 
     After the transform the linear part is a*I + b*R with
@@ -370,44 +390,45 @@ def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_AUTO) -> Planar
     x-coefficient of the second component; eigenvalues are a +/- i*b.
     The two branches use different pivots and give different (similar)
     nonlinear parts; the Lyapunov coefficients of the branches agree up
-    to the positive factor |m01_bar / n10_bar|."""
-    m10 = sys.fx.coeffs.get((1, 0), 0.0)
-    m01 = sys.fx.coeffs.get((0, 1), 0.0)
-    n10 = sys.fy.coeffs.get((1, 0), 0.0)
-    n01 = sys.fy.coeffs.get((0, 1), 0.0)
+    to the positive factor |m01_bar / n10_bar|.  UseM01 is the frame of
+    the closed-form series; any other branch name raises DomainError."""
+    m10 = sys.fx.get((1, 0), 0.0)
+    m01 = sys.fx.get((0, 1), 0.0)
+    n10 = sys.fy.get((1, 0), 0.0)
+    n01 = sys.fy.get((0, 1), 0.0)
     M = -(m10 + n01)
     N = m10 * n01 - m01 * n10
     disc = 4.0 * N - M * M
     if disc <= 0.0:
         raise DomainError(f"4*N - M^2 = {disc:.3e} must be positive (complex eigenvalues)")
-    use = _resolve_branch(branch, n10, m01)
     s = math.sqrt(disc)
     rt2 = math.sqrt(2.0)
-    if use == BRANCH_USE_N10:
+    if branch == BRANCH_USE_N10:
         if n10 == 0.0:
             raise DomainError("branch UseN10 requires n10 != 0")
         T = ((-rt2 * n10, rt2 * (m10 - n01) / 2.0),
              (0.0, rt2 / 2.0 * s))
-    else:
+    elif branch == BRANCH_USE_M01:
         if m01 == 0.0:
             raise DomainError("branch UseM01 requires m01 != 0")
         T = ((rt2 * (n01 - m10) / 2.0, -rt2 * m01),
              (rt2 / 2.0 * s, 0.0))
+    else:
+        raise DomainError(f"unknown branch {branch!r}")
     (a, b), (c, d) = np.linalg.inv(T).tolist()
-    deg = sys.fx.degree
-    X, Y = _linear_powers(a, b, deg), _linear_powers(c, d, deg)
-    z1 = _substitute_linear(sys.fx.coeffs, X, Y)
-    z2 = _substitute_linear(sys.fy.coeffs, X, Y)
+    X, Y = _linear_powers(a, b, sys.degree), _linear_powers(c, d, sys.degree)
+    z1 = _substitute_linear(sys.fx, X, Y)
+    z2 = _substitute_linear(sys.fy, X, Y)
     keys = {**z1, **z2}  # z1's terms in order, then those only z2 has
     (t00, t01), (t10, t11) = T
-    g1 = _make(2, deg, {k: t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys})
-    g2 = _make(2, deg, {k: t10 * z1.get(k, 0.0) + t11 * z2.get(k, 0.0) for k in keys})
-    trace = g1.coeffs.get((1, 0), 0.0) + g2.coeffs.get((0, 1), 0.0)
+    g1 = {k: t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys}
+    g2 = {k: t10 * z1.get(k, 0.0) + t11 * z2.get(k, 0.0) for k in keys}
+    trace = g1.get((1, 0), 0.0) + g2.get((0, 1), 0.0)
     stage = "hopf" if abs(trace) < 1e-12 else "rotated"
-    return PlanarPolySystem(g1, g2, stage, sys.r, sys.lambda1, branch=use)
+    return PlanarPolySystem(g1, g2, stage, sys.r, sys.lambda1, branch=branch, degree=sys.degree)
 
 
-def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Dict[Tuple[int, int], float]:
+def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:
     """dn_ij/dlambda1 of the n-table at radius r; it does not depend on lambda1."""
     dn = {ij: -r ** (nu + 1) * getattr(nf, f"e{ij[0]}{ij[1]}") for ij, nu in _NU.items() if any(ij)}
     dn[(0, 0)] = -1.0
@@ -415,7 +436,7 @@ def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Dict[Tuple[int, int
 
 
 def _half_trace(nf: NormalFormCoefficients, r: float, lambda1: float,
-                dn: Optional[Dict[Tuple[int, int], float]] = None) -> Tuple[float, float]:
+                dn: Optional[Terms] = None) -> Tuple[float, float]:
     """T/2, half the linear trace at the blown-up equilibrium, and its exact
     lambda1-derivative by the implicit-function theorem on F(x, y, lambda1) = 0.
     The n-table is affine in lambda1, so dF/dlambda1 = (0, p) with p = sum dn_ij
@@ -424,11 +445,11 @@ def _half_trace(nf: NormalFormCoefficients, r: float, lambda1: float,
     if not given."""
     sys = blow_up(nf, r, lambda1)
     x, y = find_equilibrium(sys)
-    _, j11, j12, fxx, fxy, fyy = _partials(sys.fx.coeffs, x, y, _JET_DEGREE)
-    _, j21, j22, gxx, gxy, gyy = _partials(sys.fy.coeffs, x, y, _JET_DEGREE)
+    _, j11, j12, fxx, fxy, fyy = _partials(sys.fx, x, y, sys.degree)
+    _, j21, j22, gxx, gxy, gyy = _partials(sys.fy, x, y, sys.degree)
     if dn is None:
         dn = _lambda1_slopes(nf, r)
-    p, _, p_y = _partials(dn, x, y, _JET_DEGREE)[:3]
+    p, _, p_y = _partials(dn, x, y, sys.degree)[:3]
     det = j11 * j22 - j12 * j21
     if det == 0.0 or not math.isfinite(det):
         raise NumericsError("singular Jacobian in Hopf location")
@@ -436,8 +457,7 @@ def _half_trace(nf: NormalFormCoefficients, r: float, lambda1: float,
     return (j11 + j22) / 2.0, dtrace / 2.0
 
 
-def hopf_lambda1(nf: NormalFormCoefficients, r: float,
-                 tol: float = 1e-12, max_iter: int = 50) -> float:
+def hopf_lambda1(nf: NormalFormCoefficients, r: float, tol: float = 1e-12) -> float:
     """The value of lambda1 putting the blown-up equilibrium on the Hopf
     curve (zero linear trace) at radius r.  Newton iteration with the exact
     derivative of _half_trace, one equilibrium solve per step, seeded by the
@@ -446,7 +466,7 @@ def hopf_lambda1(nf: NormalFormCoefficients, r: float,
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
     dn = _lambda1_slopes(nf, r)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         t, dt = _half_trace(nf, r, lam, dn)
         # one extra step after meeting tol polishes the residual to the
         # floating-point floor (the Lyapunov gate needs the margin)
@@ -456,15 +476,15 @@ def hopf_lambda1(nf: NormalFormCoefficients, r: float,
         lam -= t / dt
         if converged:
             return lam
-    raise NumericsError(f"Hopf location did not reach |trace|/2 < {tol} in {max_iter} iterations")
+    raise NumericsError(f"Hopf location did not reach |trace|/2 < {tol} in {_MAX_ITER} iterations")
 
 
 def lyapunov_DF(sys: PlanarPolySystem) -> float:
     """First Lyapunov coefficient of a system whose linear part is a
     scaled rotation (zero trace).  Uses the classical planar formula on
-    the stored jet coefficients; beta0 is the rotation speed, read off
+    the stored coefficients; beta0 is the rotation speed, read off
     the x-coefficient of the second component."""
-    g1, g2 = sys.fx.coeffs.get, sys.fy.coeffs.get
+    g1, g2 = sys.fx.get, sys.fy.get
     trace = g1((1, 0), 0.0) + g2((0, 1), 0.0)
     if abs(trace) >= 1e-12:
         raise DomainError(f"|linear trace| = {abs(trace):.3e} must be < 1e-12")
@@ -486,11 +506,10 @@ def lyapunov_DF(sys: PlanarPolySystem) -> float:
     return (cubic + mixed) / 16.0
 
 
-def l1_blowup(nf: NormalFormCoefficients, r: float,
-              branch: str = BRANCH_USE_M01) -> float:
+def l1_blowup(nf: NormalFormCoefficients, r: float) -> float:
     """Blown-up first Lyapunov coefficient at radius r, on the Hopf curve.
 
-    Default branch is UseM01: the closed-form series L1(r) =
+    Normalized on the UseM01 branch: the closed-form series L1(r) =
     (omega1/16) r + (omega2/32) r^3 is stated in that frame, and the
     branches differ by the positive factor |m01_bar / n10_bar| = 1 + O(r),
     which would contaminate coefficient fits done across branches."""
@@ -498,8 +517,7 @@ def l1_blowup(nf: NormalFormCoefficients, r: float,
     sys = blow_up(nf, r, lam)
     eq = find_equilibrium(sys)
     centered = translate_to_equilibrium(sys, eq)
-    rotated = normalize_linear(centered, branch)
-    return lyapunov_DF(rotated)
+    return lyapunov_DF(normalize_linear(centered))
 
 
 def fit_odd_series(samples: Sequence[Tuple[float, float]],
@@ -530,31 +548,26 @@ def fit_odd_series(samples: Sequence[Tuple[float, float]],
 
 
 def sample_record(rng: np.random.Generator,
-                  constrain_omega1: bool = False,
-                  r_check: float = 0.1,
-                  disc_floor: float = 0.05,
-                  max_tries: int = 200) -> NormalFormCoefficients:
+                  constrain_omega1: bool = False) -> NormalFormCoefficients:
     """Random coefficient record, uniform on [-1, 1] per entry, rejected
-    unless the rotation stays well-defined (4N - M^2 > disc_floor) at the
-    Hopf point for r = r_check.  With constrain_omega1 the a10 entry is
-    overwritten to force omega1 = 0 (the degenerate stratum)."""
-    for _ in range(max_tries):
+    unless the rotation stays well-defined (4N - M^2 > _DISC_FLOOR) at the
+    Hopf point for r = _R_CHECK.  With constrain_omega1 the a10 entry is
+    overwritten to force omega1 = 0 (the degenerate stratum).  The linear
+    part at the equilibrium is the gradient of each component there."""
+    for _ in range(_MAX_TRIES):
         vals = {name: float(rng.uniform(-1.0, 1.0)) for name in COEFF_NAMES}
         if constrain_omega1:
             vals["a10"] = 3.0 * vals["b10"] - 2.0 * vals["d10"] - 2.0 * vals["f00"]
         nf = NormalFormCoefficients.from_dict(vals)
         try:
-            lam = hopf_lambda1(nf, r_check)
-            sys = blow_up(nf, r_check, lam)
-            eq = find_equilibrium(sys)
-            centered = translate_to_equilibrium(sys, eq)
-            m10 = centered.fx.coeff((1, 0))
-            m01 = centered.fx.coeff((0, 1))
-            n10 = centered.fy.coeff((1, 0))
-            n01 = centered.fy.coeff((0, 1))
-            disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
+            lam = hopf_lambda1(nf, _R_CHECK)
+            sys = blow_up(nf, _R_CHECK, lam)
+            x, y = find_equilibrium(sys)
         except (DomainError, NumericsError):
             continue
-        if disc > disc_floor:
+        m10, m01 = _partials(sys.fx, x, y, sys.degree)[1:3]
+        n10, n01 = _partials(sys.fy, x, y, sys.degree)[1:3]
+        disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
+        if _DISC_FLOOR < disc < math.inf:
             return nf
-    raise NumericsError(f"no acceptable record in {max_tries} draws")
+    raise NumericsError(f"no acceptable record in {_MAX_TRIES} draws")

@@ -178,22 +178,15 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
     return path
 
 
-def _cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
 def write_csv(out_dir: str, name: str, header: Sequence[str],
               rows: Sequence[Sequence[object]]) -> str:
+    """Rows of floats, ints and strs in one pass: csv writes a float as its
+    repr, the shortest string that reads back to the same value."""
     path = os.path.join(out_dir, name)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 

@@ -27,9 +27,10 @@ from ._kernels import (
     interpolate,
     section_crossing,
 )
-from .allee import (PARAM_NAMES, AlleeParams, _model_field, critical_slope,
-                    equilibria, fold_point)
+from .allee import (PARAM_NAMES, AlleeParams, _jacobian, _model_field,
+                    beta_star_conversion, equilibria, normal_form_columns)
 from .errors import DomainError, NumericsError
+from .normalform import lambda_H
 
 FORWARD = "Forward"
 REVERSED = "Reversed"
@@ -327,13 +328,12 @@ def find_cycle(field: PlanarField, bracket: Tuple[float, float],
 
 
 def e4_trace(p: AlleeParams) -> float:
-    """Jacobian trace at the interior equilibrium E4: on the critical
-    curve it reduces to x4 F'(x4) - eps*gamma*y4."""
+    """Jacobian trace fx + gy at the interior equilibrium E4."""
     rep = equilibria(p)
     if rep.E4 is None:
         raise DomainError(f"E4 does not exist at beta={p.beta}")
-    x4, y4 = rep.E4.point
-    return x4 * critical_slope(x4, p.m, p.n) - p.eps * p.gamma * y4
+    fx, _, _, gy = _jacobian(*rep.E4.point, p)
+    return fx + gy
 
 
 @dataclass(frozen=True)
@@ -356,8 +356,8 @@ def hopf_onset_scan(p: AlleeParams, beta_range: Tuple[float, float],
                     steps: int) -> OnsetScan:
     """Locate the beta where the E4 trace crosses zero by scanning and
     bisection, and convert it to the template unfolding parameter.  The
-    predicted values come from the leading-order onset curve
-    lambda = gamma*y_M*eps/(2 Q)."""
+    predicted values come from the leading-order Hopf curve lambda_H of the
+    model's normal-form record, gamma*y_M*eps/(2 Q)."""
     if steps < 2:
         raise DomainError(f"requires steps >= 2, got {steps}")
     b0, b1 = float(beta_range[0]), float(beta_range[1])
@@ -397,11 +397,9 @@ def hopf_onset_scan(p: AlleeParams, beta_range: Tuple[float, float],
                 hi = mid
     beta_onset = 0.5 * (lo + hi)
 
-    xM, yM = fold_point(p.m, p.n)
-    Q = math.sqrt(p.alpha * xM * yM)
-    conversion = p.alpha * Q / (math.sqrt(p.m) - 1.0)
-    beta_star = p.alpha * xM - p.gamma * yM
-    lambda_pred = p.gamma * yM * p.eps / (2.0 * Q)
+    beta_star, conversion = beta_star_conversion(p)
+    rec = normal_form_columns(p.m, p.n, p.alpha, p.gamma)
+    lambda_pred = float(lambda_H(rec.c10, rec.f00, p.eps))
     return OnsetScan(
         beta_onset=beta_onset,
         lambda_onset=(beta_onset - beta_star) / conversion,

@@ -1,12 +1,12 @@
 """Truncated multivariate power-series (jet) arithmetic.
 
-Every coordinate change in the blow-up pipeline (scaling substitution,
-recentering at an equilibrium, linear normalization) is an exact
-polynomial operation on truncated series.  A Jet stores coefficients of
-a polynomial in up to 4 variables, truncated at a total-degree bound.
-The oracle's recentering and linear normalization run on flat kernels in
-blowup that repeat these ops' float operations; the ops here are their
-reference in the tests, and blow_up_via_jets uses them directly.
+A Jet stores coefficients of a polynomial in up to 4 variables, truncated
+at a total-degree bound.  The blow-up oracle itself works on plain
+(i, j) -> c term tables; jets serve two purposes only: blow_up_via_jets
+builds the rescaled system by generic jet composition as an independent
+cross-check of the oracle's closed-form tables, and jet_recenter,
+jet_compose and jet_eval are the references the tests hold the oracle's
+flat kernels to.
 
 Conventions:
   * absent multi-indices mean coefficient 0;
@@ -30,8 +30,6 @@ from typing import Dict, Mapping, Sequence, Tuple
 from .errors import DomainError
 
 Multi = Tuple[int, ...]
-
-DEFAULT_DEGREE = 4  # cubic jets plus one guard order
 
 
 def _multi_index(mi) -> Multi:
@@ -94,26 +92,6 @@ def _make(nvars: int, degree: int, coeffs: Mapping[Multi, float]) -> Jet:
     return out
 
 
-def jet_from_terms(nvars: int, degree: int, terms: Mapping[Multi, float]) -> Jet:
-    return Jet(nvars, degree, dict(terms))
-
-
-def jet_zero(nvars: int, degree: int = DEFAULT_DEGREE) -> Jet:
-    return Jet(nvars, degree, {})
-
-
-def jet_const(nvars: int, degree: int, value: float) -> Jet:
-    return Jet(nvars, degree, {(0,) * nvars: float(value)})
-
-
-def jet_var(nvars: int, degree: int, index: int) -> Jet:
-    """The coordinate function x_index as a jet."""
-    if not 0 <= index < nvars:
-        raise DomainError(f"variable index {index} out of range for nvars={nvars}")
-    mi = tuple(1 if k == index else 0 for k in range(nvars))
-    return Jet(nvars, degree, {mi: 1.0})
-
-
 def _check_same_nvars(a: Jet, b: Jet) -> None:
     if a.nvars != b.nvars:
         raise DomainError(f"nvars mismatch: {a.nvars} vs {b.nvars}")
@@ -146,20 +124,6 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
             key = tuple(i + j for i, j in zip(mi, mj))
             out[key] = out.get(key, 0.0) + c * d
     return _make(a.nvars, degree, out)
-
-
-def jet_diff(a: Jet, var: int) -> Jet:
-    """Formal partial derivative; the degree bound is kept as stored."""
-    if not 0 <= var < a.nvars:
-        raise DomainError(f"variable index {var} out of range for nvars={a.nvars}")
-    out: Dict[Multi, float] = {}
-    for mi, c in a.coeffs.items():
-        e = mi[var]
-        if e == 0:
-            continue
-        key = tuple(x - 1 if k == var else x for k, x in enumerate(mi))
-        out[key] = e * c
-    return _make(a.nvars, a.degree, out)
 
 
 def jet_eval(a: Jet, point: Sequence[float]) -> float:

@@ -31,12 +31,11 @@ import numpy as np
 
 from .allee import (
     AlleeParams,
-    boundary_roots,
     critical_height,
     critical_slope,
     equilibria,
     fold_point,
-    gamma_star,
+    require_coincidence,
 )
 from .errors import DomainError, NumericsError
 
@@ -269,19 +268,11 @@ def cyclicity_report(p: AlleeParams, grid_size: int) -> SdiProfile:
     """Profile of I(s) over a uniform depth grid, with a sign-change
     count (refined once around each detected change) and the case tag
     from the phi analysis.  Requires the coincidence configuration
-    gamma = gamma_star (within 1e-6) plus delta1 > 0 and 1 - m - n > 0;
-    under these the zero count is at most one."""
+    gamma = gamma_star (within 1e-6) plus delta1 > 0 and 1 - m - n > 0
+    (allee.require_coincidence); under these the zero count is at most one."""
     if grid_size < 2:
         raise DomainError(f"requires grid_size >= 2, got {grid_size}")
-    gs = gamma_star(p.m, p.n, p.alpha, p.beta)
-    if abs(p.gamma - gs) > 1e-6:
-        raise DomainError(
-            f"requires gamma = gamma_star within 1e-6 (gamma={p.gamma}, gamma_star={gs:.8g})")
-    delta1, _, _ = boundary_roots(p.m, p.n)
-    if delta1 <= 0.0:
-        raise DomainError(f"requires delta1 > 0, got {delta1}")
-    if 1.0 - p.m - p.n <= 0.0:
-        raise DomainError(f"requires 1 - m - n > 0, got {1.0 - p.m - p.n}")
+    require_coincidence(p)
 
     _, yM = fold_point(p.m, p.n)
     _, smax = _depth_ceiling(p)

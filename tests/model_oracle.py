@@ -12,7 +12,7 @@ import math
 
 from canard.allee import AlleeParams, _F_derivative, a5_of_beta, fold_point, psi_case_analysis
 from canard.errors import NumericsError
-from canard.jet import jet_from_terms, jet_mul
+from canard.jet import Jet, jet_mul
 from canard.normalform import (
     NormalFormCoefficients,
     compute_A,
@@ -33,18 +33,18 @@ def jet_reduced_record(p: AlleeParams) -> NormalFormCoefficients:
     fseries = {(k, 0): _F_derivative(xM, p.m, k) / math.factorial(k) * sx ** k
                for k in range(2, deg + 1)}
     fseries[(0, 1)] = -sy
-    shell = jet_from_terms(2, deg, {(0, 0): xM, (1, 0): sx})
-    fast = jet_mul(shell, jet_from_terms(2, deg, fseries))
-    fast = jet_from_terms(2, deg, {k: v / (sx * Q) for k, v in fast.coeffs.items()})
+    shell = Jet(2, deg, {(0, 0): xM, (1, 0): sx})
+    fast = jet_mul(shell, Jet(2, deg, fseries))
+    fast = Jet(2, deg, {k: v / (sx * Q) for k, v in fast.coeffs.items()})
 
     # slow part over (X, Y, L) where L is the template unfolding
     # parameter: beta - beta* = L * alpha * Q / (sqrt(m) - 1)
     lam_scale = p.alpha * Q / (math.sqrt(p.m) - 1.0)
-    pred_shell = jet_from_terms(3, deg, {(0, 0, 0): yM, (0, 1, 0): sy})
-    pred_lin = jet_from_terms(3, deg, {
+    pred_shell = Jet(3, deg, {(0, 0, 0): yM, (0, 1, 0): sy})
+    pred_lin = Jet(3, deg, {
         (1, 0, 0): p.alpha * sx, (0, 1, 0): -p.gamma * sy, (0, 0, 1): -lam_scale})
     slow = jet_mul(pred_shell, pred_lin)
-    slow = jet_from_terms(3, deg, {k: v / (sy * Q) for k, v in slow.coeffs.items()})
+    slow = Jet(3, deg, {k: v / (sy * Q) for k, v in slow.coeffs.items()})
 
     for got, want, what in ((fast.coeff((0, 1)), -1.0, "fast Y"),
                             (fast.coeff((2, 0)), 1.0, "fast X^2"),

@@ -22,7 +22,6 @@ from canard.dynamics import (
     find_cycle,
     region_excursion,
 )
-from canard.jet import jet_from_terms
 from canard.sdi import (
     cyclicity_report,
     slow_divergence_integral,
@@ -160,12 +159,8 @@ def test_c09_sdi_cyclicity():
 
 def test_c10_lyapunov_unit_checks():
     sigma = 0.7
-    cubic = PlanarPolySystem(
-        jet_from_terms(2, 4, {(0, 1): -1.0, (3, 0): sigma}),
-        jet_from_terms(2, 4, {(1, 0): 1.0}), "hopf", 1.0, 0.0)
-    center = PlanarPolySystem(
-        jet_from_terms(2, 4, {(0, 1): -1.0}),
-        jet_from_terms(2, 4, {(1, 0): 1.0}), "hopf", 1.0, 0.0)
+    cubic = PlanarPolySystem({(0, 1): -1.0, (3, 0): sigma}, {(1, 0): 1.0}, "hopf", 1.0, 0.0)
+    center = PlanarPolySystem({(0, 1): -1.0}, {(1, 0): 1.0}, "hopf", 1.0, 0.0)
     got = lyapunov_DF(cubic)
     want = 3.0 * sigma / 8.0
     err_cubic = abs(got - want) / abs(want)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canard.blowup import (
-    BRANCH_AUTO,
     BRANCH_USE_M01,
     BRANCH_USE_N10,
     PlanarPolySystem,
@@ -34,7 +33,6 @@ from canard.jet import (
     jet_add,
     jet_compose,
     jet_eval,
-    jet_from_terms,
     jet_recenter,
     jet_scale,
 )
@@ -110,42 +108,42 @@ def centered_table_error(nf, r):
     mbar, nbar = centered_series_tables(m, n, es, r)
     err = 0.0
     for ij, want in mbar.items():
-        err = max(err, abs(centered.fx.coeff(ij) - want))
+        err = max(err, abs(centered.fx.get(ij, 0.0) - want))
     for ij, want in nbar.items():
-        err = max(err, abs(centered.fy.coeff(ij) - want))
+        err = max(err, abs(centered.fy.get(ij, 0.0) - want))
     return err
 
 
 class TestBlowUp:
     def test_canonical_coefficients(self):
         sys = blow_up(CANONICAL, 0.1, 0.2)
-        assert sys.fx.coeff((2, 0)) == 1.0
-        assert sys.fx.coeff((0, 1)) == -1.0
-        assert sys.fy.coeff((1, 0)) == 1.0
-        assert sys.fy.coeff((0, 0)) == -0.2
-        assert sys.fx.coeff((1, 0)) == 0.0
+        assert sys.fx.get((2, 0), 0.0) == 1.0
+        assert sys.fx.get((0, 1), 0.0) == -1.0
+        assert sys.fy.get((1, 0), 0.0) == 1.0
+        assert sys.fy.get((0, 0), 0.0) == -0.2
+        assert sys.fx.get((1, 0), 0.0) == 0.0
 
     def test_fast_forcing_linear_term(self):
         nf = NormalFormCoefficients(c10=0.5)
         sys = blow_up(nf, 0.1, 0.0)
-        assert sys.fx.coeff((1, 0)) == pytest.approx(0.05)
+        assert sys.fx.get((1, 0), 0.0) == pytest.approx(0.05)
 
     def test_slow_y_coefficient(self):
         nf = NormalFormCoefficients(f00=2.0, e01=1.0)
         sys = blow_up(nf, 0.1, 0.3)
-        assert sys.fy.coeff((0, 1)) == pytest.approx(0.197)
+        assert sys.fy.get((0, 1), 0.0) == pytest.approx(0.197)
 
     def test_jets_are_normalized(self):
-        # built without re-validation, they must equal what the public
-        # constructor builds: float values, int indices, no zeros
+        # the tables must equal what the public jet constructor builds:
+        # float values, int indices, no zeros
         rng = np.random.default_rng(808)
         for _ in range(20):
             sys = blow_up(random_record(rng), np.float64(rng.uniform(0.02, 0.2)),
                           np.float64(rng.uniform(-1.0, 1.0)))
-            for jet in (sys.fx, sys.fy):
-                assert jet == Jet(2, jet.degree, jet.coeffs)
-                assert all(type(c) is float and c != 0.0 for c in jet.coeffs.values())
-                assert all(type(e) is int for mi in jet.coeffs for e in mi)
+            for terms in (sys.fx, sys.fy):
+                assert terms == Jet(2, sys.degree, terms).coeffs
+                assert all(type(c) is float and c != 0.0 for c in terms.values())
+                assert all(type(e) is int for mi in terms for e in mi)
 
     def test_nonfinite_table_value_raises(self):
         with pytest.raises(DomainError):
@@ -165,14 +163,47 @@ class TestBlowUp:
             lam = float(rng.uniform(-1.0, 1.0))
             a = blow_up(nf, r, lam)
             b = blow_up_via_jets(nf, r, lam)
-            keys = set(a.fx.coeffs) | set(b.fx.coeffs) | set(a.fy.coeffs) | set(b.fy.coeffs)
+            keys = set(a.fx) | set(b.fx) | set(a.fy) | set(b.fy)
             for k in keys:
                 for ja, jb in ((a.fx, b.fx), (a.fy, b.fy)):
-                    va, vb = ja.coeff(k), jb.coeff(k)
+                    va, vb = ja.get(k, 0.0), jb.get(k, 0.0)
                     denom = max(abs(va), abs(vb))
                     if denom == 0.0:
                         continue
                     assert abs(va - vb) <= 1e-13 * denom, (k, va, vb)
+
+
+class TestPlanarPolySystem:
+    def test_drops_zeros_keeps_order_and_coerces(self):
+        fx = {(0, 3): np.float64(0.5), (1, 0): 0.0, (0, 1): -1.0, (2, 0): np.float64(-0.0)}
+        sys = PlanarPolySystem(fx, {(1, 0): 1.0, (0, 0): 0.0}, "blown", 0.1, 0.0)
+        assert list(sys.fx.items()) == [((0, 3), 0.5), ((0, 1), -1.0)]
+        assert all(type(c) is float for c in sys.fx.values())
+        assert sys.fy == {(1, 0): 1.0}
+        assert fx[(1, 0)] == 0.0  # the input table is left as it was
+
+    def test_keys_become_int_pairs(self):
+        fx = {(0, 1): -1.0, (2.0, np.int64(0)): 1.0}
+        sys = PlanarPolySystem(fx, {(1, 0): 1.0, (0, 0): -0.1}, "blown", 0.1, 0.0)
+        assert list(sys.fx) == [(0, 1), (2, 0)]
+        assert all(type(e) is int for k in sys.fx for e in k)
+        assert find_equilibrium(sys) == pytest.approx((0.1, 0.01))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(DomainError, match="non-finite coefficient at"):
+            PlanarPolySystem({(0, 1): -1.0}, {(2, 1): value}, "blown", 0.1, 0.0)
+
+    @pytest.mark.parametrize("term", [(5, 0), (2, 3), (0, 5), (-1, 2), (2, -1)])
+    def test_term_outside_degree_rejected(self, term):
+        with pytest.raises(DomainError, match="not a monomial"):
+            PlanarPolySystem({term: 1.0}, {(1, 0): 1.0}, "blown", 0.1, 0.0)
+
+    def test_degree_bound_is_the_system_field(self):
+        sys = PlanarPolySystem({(6, 0): 1.0}, {(1, 0): 1.0}, "blown", 0.1, 0.0, degree=6)
+        assert sys.degree == 6 and sys.fx == {(6, 0): 1.0}
+        with pytest.raises(DomainError, match="at least 3"):
+            PlanarPolySystem({(0, 1): 1.0}, {(1, 0): 1.0}, "blown", 0.1, 0.0, degree=2)
 
 
 class TestEquilibriumSeries:
@@ -203,8 +234,8 @@ class TestEquilibriumSeries:
         assert 10.0 < ratio < 24.0  # 2^4 = 16 up to higher-order drift
 
     def test_vanishing_denominator(self):
-        fx = jet_from_terms(2, 4, {(0, 1): -1.0, (2, 0): 1.0})
-        fy = jet_from_terms(2, 4, {(0, 1): 1.0})  # no x term: n10 = 0
+        fx = {(0, 1): -1.0, (2, 0): 1.0}
+        fy = {(0, 1): 1.0}  # no x term: n10 = 0
         sys = PlanarPolySystem(fx, fy, "blown", 0.1, 0.0)
         with pytest.raises(DomainError):
             equilibrium_series(sys)
@@ -214,15 +245,15 @@ class TestTranslate:
     def test_canonical_at_origin_unchanged(self):
         sys = blow_up(CANONICAL, 0.1, 0.0)
         centered = translate_to_equilibrium(sys, (0.0, 0.0))
-        assert centered.fx.coeffs == sys.fx.coeffs
-        assert centered.fy.coeffs == sys.fy.coeffs
+        assert centered.fx == sys.fx
+        assert centered.fy == sys.fy
         assert centered.stage == "centered"
 
     def test_linear_head_after_shift(self):
         sys = blow_up(CANONICAL, 0.1, 0.2)
         centered = translate_to_equilibrium(sys, (0.2, 0.04))
         # d/dx (-y + x^2) at x = 0.2
-        assert centered.fx.coeff((1, 0)) == pytest.approx(0.4, rel=1e-13)
+        assert centered.fx.get((1, 0), 0.0) == pytest.approx(0.4, rel=1e-13)
 
     def test_residual_gate(self):
         sys = blow_up(CANONICAL, 0.1, 0.2)
@@ -244,9 +275,9 @@ class TestNormalizeLinear:
         centered = translate_to_equilibrium(sys, (0.0, 0.0))
         rot = normalize_linear(centered, BRANCH_USE_M01)
         assert rot.stage == "hopf"
-        assert rot.fx.coeff((1, 0)) == pytest.approx(0.0, abs=1e-14)
+        assert rot.fx.get((1, 0), 0.0) == pytest.approx(0.0, abs=1e-14)
         # rotation speed (x-coefficient of the slow component)
-        assert rot.fy.coeff((1, 0)) == pytest.approx(-1.0, rel=1e-12)
+        assert rot.fy.get((1, 0), 0.0) == pytest.approx(-1.0, rel=1e-12)
 
     def test_trace_and_det_preserved(self):
         rng = np.random.default_rng(999)
@@ -256,10 +287,10 @@ class TestNormalizeLinear:
             sys = blow_up(nf, r, float(rng.uniform(-0.5, 0.5)))
             centered = translate_to_equilibrium(sys, find_equilibrium(sys))
             J0 = centered.linear_part()
-            rot = normalize_linear(centered, BRANCH_AUTO)
-            J1 = rot.linear_part()
-            assert np.trace(J1) == pytest.approx(np.trace(J0), abs=1e-12)
-            assert np.linalg.det(J1) == pytest.approx(np.linalg.det(J0), rel=1e-12)
+            for branch in (BRANCH_USE_N10, BRANCH_USE_M01):
+                J1 = normalize_linear(centered, branch).linear_part()
+                assert np.trace(J1) == pytest.approx(np.trace(J0), abs=1e-12)
+                assert np.linalg.det(J1) == pytest.approx(np.linalg.det(J0), rel=1e-12)
 
     def test_rotation_structure_and_eigenvalues(self):
         rng = np.random.default_rng(1001)
@@ -280,25 +311,23 @@ class TestNormalizeLinear:
                 assert abs(got - w) < 1e-10 * max(1.0, abs(w))
 
     def test_real_eigenvalues_rejected(self):
-        fx = jet_from_terms(2, 4, {(1, 0): 1.0})
-        fy = jet_from_terms(2, 4, {(0, 1): 1.0})
-        sys = PlanarPolySystem(fx, fy, "centered", 0.1, 0.0)
-        with pytest.raises(DomainError):
-            normalize_linear(sys, BRANCH_AUTO)
+        sys = PlanarPolySystem({(1, 0): 1.0}, {(0, 1): 1.0}, "centered", 0.1, 0.0)
+        for branch in (BRANCH_USE_N10, BRANCH_USE_M01):
+            with pytest.raises(DomainError):
+                normalize_linear(sys, branch)
 
     def test_zero_pivot_rejected(self):
         # n10 = 0: UseN10 is impossible, UseM01 works
-        fx = jet_from_terms(2, 4, {(0, 1): -1.0, (2, 0): 1.0})
-        fy = jet_from_terms(2, 4, {(0, 1): 0.0})
-        sys = PlanarPolySystem(fx, fy, "centered", 0.1, 0.0)
+        sys = PlanarPolySystem({(0, 1): -1.0, (2, 0): 1.0}, {(0, 1): 0.0}, "centered", 0.1, 0.0)
         with pytest.raises(DomainError):
             normalize_linear(sys, BRANCH_USE_N10)
 
     def test_unknown_branch(self):
         sys = blow_up(CANONICAL, 0.1, 0.0)
         centered = translate_to_equilibrium(sys, (0.0, 0.0))
-        with pytest.raises(DomainError):
-            normalize_linear(centered, "use-both")
+        for branch in ("use-both", "Auto"):
+            with pytest.raises(DomainError, match="unknown branch"):
+                normalize_linear(centered, branch)
 
 
 class TestHopfLambda1:
@@ -332,9 +361,7 @@ class TestHopfLambda1:
 
 class TestLyapunovDF:
     def lemma_system(self, fx_terms, fy_terms):
-        return PlanarPolySystem(
-            jet_from_terms(2, 4, fx_terms), jet_from_terms(2, 4, fy_terms),
-            "hopf", 1.0, 0.0)
+        return PlanarPolySystem(fx_terms, fy_terms, "hopf", 1.0, 0.0)
 
     def test_cubic_fast_term(self):
         sigma = 0.7
@@ -382,7 +409,7 @@ class TestL1Blowup:
         centered = translate_to_equilibrium(sys, find_equilibrium(sys))
         l1_m01 = lyapunov_DF(normalize_linear(centered, BRANCH_USE_M01))
         l1_n10 = lyapunov_DF(normalize_linear(centered, BRANCH_USE_N10))
-        ratio = abs(centered.fx.coeff((0, 1)) / centered.fy.coeff((1, 0)))
+        ratio = abs(centered.fx[(0, 1)] / centered.fy[(1, 0)])
         assert l1_n10 / l1_m01 == pytest.approx(ratio, rel=1e-9)
         assert l1_n10 / l1_m01 > 0.0
 
@@ -535,7 +562,8 @@ class TestNewtonProperties:
         nf = _drawn_record(seed, constrained)
         sys = blow_up(nf, r, rho_coefficients(nf).rho1 * r + offset * r * r)
         eq = find_equilibrium(sys)
-        assert max(abs(jet_eval(sys.fx, eq)), abs(jet_eval(sys.fy, eq))) < 1e-12
+        fx, fy = Jet(2, sys.degree, sys.fx), Jet(2, sys.degree, sys.fy)
+        assert max(abs(jet_eval(fx, eq)), abs(jet_eval(fy, eq))) < 1e-12
 
     def test_equilibrium_polishes_after_meeting_tol(self):
         # with tol = 1 the guess already passes, so only the polishing step moves it
@@ -543,9 +571,10 @@ class TestNewtonProperties:
         sys = blow_up(nf, 0.1, 0.05)
         guess = equilibrium_series(sys).predict(0.1)
         eq = find_equilibrium(sys, guess=guess, tol=1.0)
+        fx, fy = Jet(2, sys.degree, sys.fx), Jet(2, sys.degree, sys.fy)
 
         def res(p):
-            return max(abs(jet_eval(sys.fx, p)), abs(jet_eval(sys.fy, p)))
+            return max(abs(jet_eval(fx, p)), abs(jet_eval(fy, p)))
         assert eq != guess
         assert res(eq) < 1e-3 * res(guess)
 
@@ -562,15 +591,15 @@ class TestNewtonProperties:
 
 def _reference_centered(sys, eq):
     """translate_to_equilibrium's terms by the generic jet op."""
-    return [[(k, v) for k, v in jet_recenter(f, eq).coeffs.items() if k != (0, 0)]
-            for f in (sys.fx, sys.fy)]
+    return [[(k, v) for k, v in jet_recenter(Jet(2, sys.degree, f), eq).coeffs.items()
+             if k != (0, 0)] for f in (sys.fx, sys.fy)]
 
 
 def _reference_rotated(sys, branch):
     """normalize_linear's jets by jet_compose, jet_scale and jet_add, with the
     same T and the same rejections as normalize_linear."""
-    m10, m01 = sys.fx.coeff((1, 0)), sys.fx.coeff((0, 1))
-    n10, n01 = sys.fy.coeff((1, 0)), sys.fy.coeff((0, 1))
+    m10, m01 = sys.fx.get((1, 0), 0.0), sys.fx.get((0, 1), 0.0)
+    n10, n01 = sys.fy.get((1, 0), 0.0), sys.fy.get((0, 1), 0.0)
     disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
     if disc <= 0.0 or (n10 if branch == BRANCH_USE_N10 else m01) == 0.0:
         raise DomainError("no rotation form on this branch")
@@ -581,15 +610,15 @@ def _reference_rotated(sys, branch):
     else:
         T = np.array([[rt2 * (n01 - m10) / 2.0, -rt2 * m01], [rt2 / 2.0 * s, 0.0]])
     Tinv = np.linalg.inv(T)
-    deg = sys.fx.degree
-    subs = [jet_from_terms(2, deg, {(1, 0): Tinv[i, 0], (0, 1): Tinv[i, 1]}) for i in (0, 1)]
-    fz1, fz2 = jet_compose(sys.fx, subs), jet_compose(sys.fy, subs)
+    deg = sys.degree
+    subs = [Jet(2, deg, {(1, 0): Tinv[i, 0], (0, 1): Tinv[i, 1]}) for i in (0, 1)]
+    fz1, fz2 = (jet_compose(Jet(2, deg, f), subs) for f in (sys.fx, sys.fy))
     return [jet_add(jet_scale(fz1, T[i, 0]), jet_scale(fz2, T[i, 1])) for i in (0, 1)]
 
 
 def _assert_kernels_match(sys, eq):
     centered = translate_to_equilibrium(sys, eq)
-    got = [list(f.coeffs.items()) for f in (centered.fx, centered.fy)]
+    got = [list(f.items()) for f in (centered.fx, centered.fy)]
     assert got == _reference_centered(sys, eq)
     for branch in (BRANCH_USE_M01, BRANCH_USE_N10):
         try:
@@ -599,8 +628,8 @@ def _assert_kernels_match(sys, eq):
                 normalize_linear(centered, branch)
             continue
         rotated = normalize_linear(centered, branch)
-        assert rotated.fx.coeffs == want[0].coeffs
-        assert rotated.fy.coeffs == want[1].coeffs
+        assert rotated.fx == want[0].coeffs
+        assert rotated.fy == want[1].coeffs
         assert rotated.branch == branch
 
 
@@ -612,7 +641,7 @@ def _random_planar_system(seed, degree, stage):
     x0, y0 = (float(v) for v in rng.uniform(-1.5, 1.5, 2))
     rot, diag = rng.uniform(0.5, 2.0, 2), rng.uniform(-0.4, 0.4, 2)
     keys = [(i, n - i) for n in range(degree + 1) for i in range(n + 1) if n != 1]
-    jets = []
+    tables = []
     for linear in ({(1, 0): diag[0], (0, 1): -rot[0]}, {(1, 0): rot[1], (0, 1): diag[1]}):
         order = rng.permutation(len(keys))[:rng.integers(0, len(keys) + 1)]
         items = [(keys[k], float(rng.uniform(-2.0, 2.0))) for k in order]
@@ -621,8 +650,8 @@ def _random_planar_system(seed, degree, stage):
         f = dict(items)
         f[(0, 0)] = 0.0
         f[(0, 0)] = -jet_eval(Jet(2, degree, f), (x0, y0))
-        jets.append(Jet(2, degree, f))
-    return PlanarPolySystem(jets[0], jets[1], stage, 0.1, 0.0), (x0, y0)
+        tables.append(f)
+    return PlanarPolySystem(tables[0], tables[1], stage, 0.1, 0.0, degree=degree), (x0, y0)
 
 
 class TestFlatKernels:
@@ -643,11 +672,11 @@ class TestFlatKernels:
         sys, centre = _random_planar_system(seed, degree, "blown")
         _assert_kernels_match(sys, centre)
         # the rotation on a system whose own linear part is the drawn one
-        centered = PlanarPolySystem(sys.fx, sys.fy, "centered", 0.1, 0.0)
+        centered = PlanarPolySystem(sys.fx, sys.fy, "centered", 0.1, 0.0, degree=degree)
         for branch in (BRANCH_USE_M01, BRANCH_USE_N10):
             want = _reference_rotated(centered, branch)
             got = normalize_linear(centered, branch)
-            assert (got.fx.coeffs, got.fy.coeffs) == (want[0].coeffs, want[1].coeffs)
+            assert (got.fx, got.fy) == (want[0].coeffs, want[1].coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(3, 6))
@@ -656,28 +685,28 @@ class TestFlatKernels:
         # monomial there; full forms show the summation order of jet_compose too
         sys, _ = _random_planar_system(seed, degree, "blown")
         a, b, c, d = (float(v) for v in np.random.default_rng([seed, 1]).uniform(-2.0, 2.0, 4))
-        subs = [jet_from_terms(2, degree, {(1, 0): a, (0, 1): b}),
-                jet_from_terms(2, degree, {(1, 0): c, (0, 1): d})]
-        got = _substitute_linear(sys.fy.coeffs, _linear_powers(a, b, degree),
+        subs = [Jet(2, degree, {(1, 0): a, (0, 1): b}),
+                Jet(2, degree, {(1, 0): c, (0, 1): d})]
+        got = _substitute_linear(sys.fy, _linear_powers(a, b, degree),
                                  _linear_powers(c, d, degree))
-        assert got == jet_compose(sys.fy, subs).coeffs
+        assert got == jet_compose(Jet(2, degree, sys.fy), subs).coeffs
 
     def test_recentering_overflow_raises(self):
         # the residual is exactly 0, but the (0, 1) term of the recentred fast
         # component, 2.5 * 2^1023, overflows
         big = 2.0 ** 1023
-        fx = Jet(2, 4, {(0, 0): -1.5625 * big, (0, 2): big})
-        fy = Jet(2, 4, {(1, 0): 1.0})
+        fx = {(0, 0): -1.5625 * big, (0, 2): big}
+        fy = {(1, 0): 1.0}
         sys = PlanarPolySystem(fx, fy, "blown", 0.1, 0.0)
         with pytest.raises(DomainError, match="non-finite"):
-            jet_recenter(fx, (0.0, 1.25))
+            jet_recenter(Jet(2, 4, fx), (0.0, 1.25))
         with pytest.raises(DomainError, match="non-finite"):
             translate_to_equilibrium(sys, (0.0, 1.25))
 
     def test_rotation_overflow_raises(self):
         # small pivots make T^-1 large, and the cubic terms overflow under it
-        fx = Jet(2, 4, {(0, 1): -1e-3, (3, 0): 1e307, (1, 2): 1e307})
-        fy = Jet(2, 4, {(1, 0): 1e-3, (0, 3): 1e307})
+        fx = {(0, 1): -1e-3, (3, 0): 1e307, (1, 2): 1e307}
+        fy = {(1, 0): 1e-3, (0, 3): 1e307}
         sys = PlanarPolySystem(fx, fy, "centered", 0.1, 0.0)
         for branch in (BRANCH_USE_M01, BRANCH_USE_N10):
             with pytest.raises(DomainError, match="non-finite"):

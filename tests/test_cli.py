@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from model_oracle import sweep_row_reference
 
 from canard.allee import AlleeParams
-from canard.cli import MODEL_KEYS, _cell, load_config, main, parse_grid, read_csv
+from canard.cli import MODEL_KEYS, load_config, main, parse_grid, read_csv, write_csv
 from canard.errors import DomainError
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
@@ -262,11 +262,10 @@ class TestVectorizedSweep:
                     "--grid", "m=0.15:0.25:3"]) == 1
         assert "alpha*x_M*y_M > 0" in capsys.readouterr().err
 
-    def test_numpy_scalar_cells(self):
-        assert _cell(np.float64(0.1)) == "0.1"
-        assert _cell(np.float32(0.5)) == "0.5"
-        assert _cell(np.int64(7)) == "7"
-        assert _cell(0.1) == "0.1" and _cell(3) == "3" and _cell("x") == "x"
+    def test_numpy_scalar_cells(self, tmp_path):
+        path = write_csv(str(tmp_path), "cells.csv", ["a", "b", "c", "d", "e", "f"],
+                         [[np.float64(0.1), np.float32(0.5), np.int64(7), 0.1, 3, "x"]])
+        assert Path(path).read_text(encoding="utf-8") == "a,b,c,d,e,f\n0.1,0.5,7,0.1,3,x\n"
 
 
 class TestImport:

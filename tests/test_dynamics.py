@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canard._kernels import STATUS_OK, dopri5
-from canard.allee import AlleeParams, equilibria
+from canard.allee import AlleeParams, critical_slope, equilibria, fold_point
 from canard.dynamics import (
     FORWARD,
     REVERSED,
@@ -314,6 +314,22 @@ class TestHopfOnset:
         hi = AlleeParams(m=0.3, n=0.1, alpha=0.849561,
                          beta=scan.beta_onset + 1e-4, gamma=0.1, eps=0.0099)
         assert e4_trace(lo) > 0.0 > e4_trace(hi)
+
+    @pytest.mark.parametrize("params", [EX1, EX2], ids=["EX1", "EX2"])
+    def test_e4_trace_matches_reduced_form(self, params):
+        # on the critical curve fx + gy reduces to x4 F'(x4) - eps*gamma*y4
+        p = AlleeParams(**params)
+        x4, y4 = equilibria(p).E4.point
+        reduced = x4 * critical_slope(x4, p.m, p.n) - p.eps * p.gamma * y4
+        assert abs(e4_trace(p) - reduced) < 1e-14
+
+    def test_predicted_lambda_is_the_leading_hopf_curve(self):
+        p = AlleeParams(**EX1)
+        xM, yM = fold_point(p.m, p.n)
+        Q = math.sqrt(p.alpha * xM * yM)
+        scan = hopf_onset_scan(p, (0.195, 0.205), 21)
+        assert scan.lambda_predicted == pytest.approx(p.gamma * yM * p.eps / (2.0 * Q),
+                                                      rel=1e-14)
 
     def test_no_crossing_rejected(self):
         p = AlleeParams(**EX1)
