@@ -3,9 +3,9 @@
 The stepper is a Dormand-Prince 5(4) embedded pair with the quartic
 dense-output interpolant and proportional-integral step control (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.5-6).  It is plain Python on
-scalar floats: right-hand sides are functions (t, u, par) -> 2-sequence
-called with u a 2-tuple of floats, and the accepted steps are collected
-in lists and turned into arrays once, at the end.  An optional section
+scalar floats: a field is an autonomous function (x, y) -> (dx/dt,
+dy/dt) called with two floats, and the accepted steps are collected in
+lists and turned into arrays once, at the end.  An optional section
 stop ends a run at the first crossing of a vertical line in a wanted
 direction, located exactly as dynamics.section_crossings locates it on a
 finished trajectory."""
@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import NumericsError
 
-# Dormand-Prince 5(4) tableau
-C2, C3, C4, C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+# Dormand-Prince 5(4) tableau; the nodes c_i are not needed, fields being
+# autonomous
 A21 = 1.0 / 5.0
 A31, A32 = 3.0 / 40.0, 9.0 / 40.0
 A41, A42, A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
@@ -48,8 +48,8 @@ STATUS_BAD_FIELD = 3
 _MAX_REJECT_STREAK = 30
 
 
-def dopri5(rhs, par, u0, t_end, rtol, atol, hmax, sign, store_dense, stop=None):
-    """Integrate u' = sign * rhs(t, u, par) from u0 = (x, y) over [0, t_end].
+def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
+    """Integrate (x, y)' = sign * rhs(x, y) from u0 = (x, y) over [0, t_end].
 
     Returns (status, ts, ys, rcont, counts, hit): the accepted mesh ts
     (n+1,) and ys (n+1, 2); the per-step interpolant coefficients rcont
@@ -61,7 +61,7 @@ def dopri5(rhs, par, u0, t_end, rtol, atol, hmax, sign, store_dense, stop=None):
     otherwise hit is None."""
     t = 0.0
     y0, y1 = float(u0[0]), float(u0[1])
-    f = rhs(t, (y0, y1), par)
+    f = rhs(y0, y1)
     k10, k11 = sign * f[0], sign * f[1]
 
     # starter step: scipy-style two-probe estimate
@@ -74,14 +74,14 @@ def dopri5(rhs, par, u0, t_end, rtol, atol, hmax, sign, store_dense, stop=None):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f = rhs(t + h0, (y0 + h0 * k10, y1 + h0 * k11), par)
+    f = rhs(y0 + h0 * k10, y1 + h0 * k11)
     d2 = math.sqrt(0.5 * (((sign * f[0] - k10) / sc0) ** 2
                           + ((sign * f[1] - k11) / sc1) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    h = min(100.0 * h0, h1, hmax, t_end)
+    h = min(100.0 * h0, h1, t_end)
     nfev = 2
 
     ts = [t]
@@ -103,29 +103,27 @@ def dopri5(rhs, par, u0, t_end, rtol, atol, hmax, sign, store_dense, stop=None):
         if h < 1e-14 * max(1.0, abs(t)):
             status = STATUS_UNDERFLOW
             break
-        h = min(h, hmax, t_end - t)
+        h = min(h, t_end - t)
 
-        f = rhs(t + C2 * h, (y0 + h * (A21 * k10), y1 + h * (A21 * k11)), par)
+        f = rhs(y0 + h * (A21 * k10), y1 + h * (A21 * k11))
         k20, k21 = sign * f[0], sign * f[1]
-        f = rhs(t + C3 * h, (y0 + h * (A31 * k10 + A32 * k20),
-                             y1 + h * (A31 * k11 + A32 * k21)), par)
+        f = rhs(y0 + h * (A31 * k10 + A32 * k20),
+                y1 + h * (A31 * k11 + A32 * k21))
         k30, k31 = sign * f[0], sign * f[1]
-        f = rhs(t + C4 * h, (y0 + h * (A41 * k10 + A42 * k20 + A43 * k30),
-                             y1 + h * (A41 * k11 + A42 * k21 + A43 * k31)), par)
+        f = rhs(y0 + h * (A41 * k10 + A42 * k20 + A43 * k30),
+                y1 + h * (A41 * k11 + A42 * k21 + A43 * k31))
         k40, k41 = sign * f[0], sign * f[1]
-        f = rhs(t + C5 * h,
-                (y0 + h * (A51 * k10 + A52 * k20 + A53 * k30 + A54 * k40),
-                 y1 + h * (A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41)), par)
+        f = rhs(y0 + h * (A51 * k10 + A52 * k20 + A53 * k30 + A54 * k40),
+                y1 + h * (A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41))
         k50, k51 = sign * f[0], sign * f[1]
-        f = rhs(t + h,
-                (y0 + h * (A61 * k10 + A62 * k20 + A63 * k30 + A64 * k40
-                           + A65 * k50),
-                 y1 + h * (A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41
-                           + A65 * k51)), par)
+        f = rhs(y0 + h * (A61 * k10 + A62 * k20 + A63 * k30 + A64 * k40
+                          + A65 * k50),
+                y1 + h * (A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41
+                          + A65 * k51))
         k60, k61 = sign * f[0], sign * f[1]
         yn0 = y0 + h * (B1 * k10 + B3 * k30 + B4 * k40 + B5 * k50 + B6 * k60)
         yn1 = y1 + h * (B1 * k11 + B3 * k31 + B4 * k41 + B5 * k51 + B6 * k61)
-        f = rhs(t + h, (yn0, yn1), par)
+        f = rhs(yn0, yn1)
         k70, k71 = sign * f[0], sign * f[1]
         nfev += 6
         if not (math.isfinite(yn0) and math.isfinite(yn1)
@@ -173,7 +171,7 @@ def dopri5(rhs, par, u0, t_end, rtol, atol, hmax, sign, store_dense, stop=None):
             errold = max(err, 1e-4)
             streak = 0
             if cross:
-                hit = section_crossing(rhs, par, sign, t_old, t, row,
+                hit = section_crossing(rhs, sign, t_old, t, row,
                                        stop[0], stop[1], a)
                 if hit is not None and hit[2] == stop[2]:
                     break
@@ -199,7 +197,7 @@ def interpolate(row, j, theta):
         row[4 + j] + theta * (row[6 + j] + t1 * row[8 + j])))
 
 
-def section_crossing(rhs, par, sign, t0, t1, row, x_sec, y_base, a):
+def section_crossing(rhs, sign, t0, t1, row, x_sec, y_base, a):
     """The crossing of the line x = x_sec within the step [t0, t1] with
     interpolant coefficients row, where a = x(t0) - x_sec: at t0 itself
     when a == 0, else bisected on the interpolant to a time width of
@@ -229,7 +227,7 @@ def section_crossing(rhs, par, sign, t0, t1, row, x_sec, y_base, a):
     y_hit = interpolate(row, 1, theta)
     if y_hit <= y_base:
         return None
-    f = rhs(t_hit, (interpolate(row, 0, theta), y_hit), par)
+    f = rhs(interpolate(row, 0, theta), y_hit)
     v0, v1 = sign * f[0], sign * f[1]
     if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
         raise NumericsError(f"tangential section crossing at t={t_hit}")

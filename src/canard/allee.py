@@ -11,7 +11,9 @@ y_M = 1 - n + m - 2*sqrt(m), which lies in the open first quadrant iff
 
     0 < n < 1   and   0 < m < (1 - sqrt(n))^2.
 
-This module computes equilibria, the critical branches, the reduction of
+model_field(p) is the model as a planar field (x, y) -> (f, eps*g), the
+one place f and g are written; _jacobian holds its derivatives.  This
+module computes equilibria, the critical branches, the reduction of
 the model to the canonical slow-fast normal form near M in closed form,
 the criticality case analysis in m, and the Hopf/canard bifurcation
 curves.  The *_columns functions evaluate the closed forms elementwise
@@ -209,18 +211,17 @@ class EquilibriaReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _model_field(t, u, par):
-    """The model field in the integrator's form: u = (x, y) and par =
-    (m, n, alpha, beta, gamma, eps) in PARAM_NAMES order."""
-    x, y = u
-    m, n, alpha, beta, gamma, eps = par
-    return (x * (x / (m + x) - n - x - y),
-            eps * (y * (alpha * x - beta - gamma * y)))
+def model_field(p: AlleeParams):
+    """The model in fast time as a planar field: a function (x, y) ->
+    (f, eps*g) closed over the parameters, the one place f and g are
+    written."""
+    m, n, alpha, beta, gamma, eps = (float(getattr(p, k)) for k in PARAM_NAMES)
 
+    def allee(x, y):
+        return (x * (x / (m + x) - n - x - y),
+                eps * (y * (alpha * x - beta - gamma * y)))
 
-def model_rhs(x: float, y: float, p: AlleeParams) -> Tuple[float, float]:
-    """(dx/dt, dy/dt) of the model in fast time."""
-    return _model_field(0.0, (x, y), (p.m, p.n, p.alpha, p.beta, p.gamma, p.eps))
+    return allee
 
 
 def _jacobian(x: float, y: float, p: AlleeParams):
@@ -247,7 +248,7 @@ def _classify_point(x: float, y: float, p: AlleeParams) -> str:
 
 
 def _checked(x: float, y: float, p: AlleeParams, kind: Optional[str] = None) -> Equilibrium:
-    f, g = model_rhs(x, y, p)
+    f, g = model_field(p)(x, y)
     if max(abs(f), abs(g)) > 1e-10:
         raise NumericsError(f"equilibrium candidate ({x}, {y}) has residual > 1e-10")
     return Equilibrium((x, y), kind if kind is not None else _classify_point(x, y, p))

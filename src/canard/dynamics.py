@@ -1,12 +1,13 @@
 """Trajectory integration, Poincaré return maps, and cycle detection.
 
-Fields are integrated with the scalar Dormand-Prince 5(4) core in
-_kernels.  Return maps use a vertical-ray section with same-direction
-crossings located on the dense output; the integration of a return map
-stops at its first same-direction crossing.  Limit cycles are found by
-bisection on the displacement map, with unstable cycles handled in
-reversed time and their multiplier reported in the forward-time
-convention."""
+A field is an autonomous function (x, y) -> (dx/dt, dy/dt) on floats;
+allee_field(p) is the model's.  Every run goes through _run into the
+scalar Dormand-Prince 5(4) core in _kernels.  Return maps use a
+vertical-ray section with same-direction crossings located on the dense
+output; the integration of a return map stops at its first
+same-direction crossing.  Limit cycles are found by bisection on the
+displacement map, with unstable cycles handled in reversed time and
+their multiplier reported in the forward-time convention."""
 
 from __future__ import annotations
 
@@ -14,21 +15,21 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from ._kernels import (
     STATUS_BAD_FIELD,
-    STATUS_OK,
     STATUS_STIFF,
     STATUS_UNDERFLOW,
     dopri5,
     interpolate,
     section_crossing,
 )
-from .allee import (PARAM_NAMES, AlleeParams, _jacobian, _model_field,
-                    beta_star_conversion, equilibria, normal_form_columns)
+from .allee import (AlleeParams, _jacobian, beta_star_conversion, equilibria,
+                    normal_form_columns)
+from .allee import model_field as allee_field
 from .errors import DomainError, NumericsError
 from .normalform import lambda_H
 
@@ -40,7 +41,6 @@ REVERSED = "Reversed"
 class IntegratorOptions:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = math.inf
     t_max: float = 100.0
     direction: str = FORWARD
 
@@ -49,28 +49,10 @@ class IntegratorOptions:
             v = getattr(self, name)
             if not (0.0 < v <= 1e-2):
                 raise DomainError(f"requires 0 < {name} <= 1e-2, got {v}")
-        if not self.max_step > 0.0:
-            raise DomainError(f"requires max_step > 0, got {self.max_step}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise DomainError(f"requires finite t_max > 0, got {self.t_max}")
         if self.direction not in (FORWARD, REVERSED):
             raise DomainError(f"direction must be {FORWARD} or {REVERSED}")
-
-
-@dataclass(frozen=True, eq=False)
-class PlanarField:
-    """A planar vector field as (rhs, parameters).  rhs has the signature
-    (t, u, par) -> 2-sequence (dx/dt, dy/dt); the integrator calls it
-    with u a 2-tuple of floats and passes par through unchanged."""
-
-    rhs: Callable
-    par: Any
-    name: str = "custom"
-
-
-def allee_field(p: AlleeParams) -> PlanarField:
-    par = tuple(float(getattr(p, name)) for name in PARAM_NAMES)
-    return PlanarField(_model_field, par, "allee")
 
 
 @dataclass(eq=False)
@@ -111,7 +93,7 @@ class Trajectory:
         return out[0] if np.isscalar(tq) or np.asarray(tq).ndim == 0 else out
 
 
-def _run(field: PlanarField, x0, opts: IntegratorOptions, store_dense: bool,
+def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
          stop=None):
     """Integrate with one stiffness retry at 100x tighter tolerances.
     Returns (trajectory, hit), hit as from dopri5 with the given stop."""
@@ -124,12 +106,11 @@ def _run(field: PlanarField, x0, opts: IntegratorOptions, store_dense: bool,
     work = (0, 0, 0)
     for attempt in range(2):
         status, ts, ys, rc, counts, hit = dopri5(
-            field.rhs, field.par, u0, opts.t_max, rtol, atol, opts.max_step,
-            sign, store_dense, stop)
+            field, u0, opts.t_max, rtol, atol, sign, store_dense, stop)
         work = tuple(a + b for a, b in zip(work, counts))
         if status == STATUS_STIFF and attempt == 0:
             warnings.warn(
-                f"step-rejection streak on field '{field.name}': suspected "
+                f"step-rejection streak on field '{field.__name__}': suspected "
                 "stiffness, retrying with 100x tighter tolerances",
                 RuntimeWarning, stacklevel=3)
             stiff = True
@@ -140,13 +121,13 @@ def _run(field: PlanarField, x0, opts: IntegratorOptions, store_dense: bool,
         raise NumericsError("step size underflow (stiff or singular field)")
     if status == STATUS_BAD_FIELD:
         raise NumericsError(
-            f"field '{field.name}' evaluation produced non-finite values")
+            f"field '{field.__name__}' evaluation produced non-finite values")
     if status == STATUS_STIFF:
         raise NumericsError("persistent step rejection even after tightening")
     return Trajectory(ts, ys, rc, opts.direction, stiff, *work), hit
 
 
-def integrate(field: PlanarField, x0, opts: IntegratorOptions = IntegratorOptions()
+def integrate(field: Callable, x0, opts: IntegratorOptions = IntegratorOptions()
               ) -> Trajectory:
     """Integrate field from x0 to opts.t_max with dense output.  The
     Reversed direction negates the field; the trajectory parameter still
@@ -163,7 +144,7 @@ class Section:
     y_base: float
 
 
-def _scan_crossings(field: PlanarField, traj: Trajectory, section: Section,
+def _scan_crossings(field: Callable, traj: Trajectory, section: Section,
                     sign: float, limit: int):
     """Yield (t, y, xdot_sign) for crossings of the section line along the
     trajectory, refined on the dense output to a time width of 1e-10."""
@@ -173,8 +154,8 @@ def _scan_crossings(field: PlanarField, traj: Trajectory, section: Section,
         a = g[i]
         if not ((a == 0.0 and i > 0) or a * g[i + 1] < 0.0):
             continue
-        hit = section_crossing(field.rhs, field.par, sign, traj.t[i],
-                               traj.t[i + 1], traj.rcont[i].ravel().tolist(),
+        hit = section_crossing(field, sign, traj.t[i], traj.t[i + 1],
+                               traj.rcont[i].ravel().tolist(),
                                section.x, section.y_base, a)
         if hit is None:
             continue
@@ -184,7 +165,7 @@ def _scan_crossings(field: PlanarField, traj: Trajectory, section: Section,
             return
 
 
-def section_crossings(field: PlanarField, start, section: Section,
+def section_crossings(field: Callable, start, section: Section,
                       opts: IntegratorOptions = IntegratorOptions(),
                       limit: int = 64):
     """Crossings of the section line by the orbit of start, as a list of
@@ -195,7 +176,7 @@ def section_crossings(field: PlanarField, start, section: Section,
     return list(_scan_crossings(field, traj, section, sign, limit))
 
 
-def bracket_from_crossings(field: PlanarField, starts, section: Section,
+def bracket_from_crossings(field: Callable, starts, section: Section,
                            opts: IntegratorOptions = IntegratorOptions()
                            ) -> Tuple[float, float]:
     """Displacement bracket seeded from orbits: the first crossing height
@@ -214,12 +195,12 @@ def bracket_from_crossings(field: PlanarField, starts, section: Section,
     return lo, hi
 
 
-def _first_return(field: PlanarField, section: Section, y0: float,
+def _first_return(field: Callable, section: Section, y0: float,
                   opts: IntegratorOptions) -> Tuple[float, float]:
     """(height, time) of the first same-direction crossing; the
     integration stops there instead of running on to t_max."""
     sign = -1.0 if opts.direction == REVERSED else 1.0
-    f = field.rhs(0.0, (section.x, y0), field.par)
+    f = field(section.x, y0)
     v0, v1 = sign * f[0], sign * f[1]
     if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
         raise NumericsError("section crossing is tangential at the start point")
@@ -231,7 +212,7 @@ def _first_return(field: PlanarField, section: Section, y0: float,
     return hit[1], hit[0]
 
 
-def return_map(field: PlanarField, section: Section, y0: float,
+def return_map(field: Callable, section: Section, y0: float,
                opts: IntegratorOptions = IntegratorOptions()) -> float:
     """Height of the first same-direction crossing of the section ray by
     the orbit started at (section.x, y0)."""
@@ -266,7 +247,7 @@ class CycleResult:
 _NEUTRAL_BAND = 1e-4
 
 
-def find_cycle(field: PlanarField, bracket: Tuple[float, float],
+def find_cycle(field: Callable, bracket: Tuple[float, float],
                section: Section,
                opts: IntegratorOptions = IntegratorOptions()) -> CycleResult:
     """Bisection on the displacement d(y) = P(y) - y over the bracket.
@@ -413,21 +394,19 @@ REGION_Y = (0.0, 2.0)
 
 
 def region_excursion(p: AlleeParams, n_starts: int = 100, seed: int = 0,
-                     t_max: float = 1e4, rel_tol: float = 1e-9,
-                     abs_tol: float = 1e-12) -> float:
+                     t_max: float = 1e4) -> float:
     """Worst excursion outside the box [0,1] x [0,2] over n_starts
-    seeded uniform starts integrated to t_max.  The box is forward
-    invariant for admissible parameters with (alpha-beta)/gamma <= 2, so
-    the result should be at the integration-noise level."""
+    seeded uniform starts integrated to t_max at rel_tol 1e-9 and abs_tol
+    1e-12, without dense output.  The box is forward invariant for
+    admissible parameters with (alpha-beta)/gamma <= 2, so the result
+    should be at the integration-noise level."""
     rng = np.random.default_rng(seed)
     field = allee_field(p)
+    opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, t_max=t_max)
     worst = 0.0
     for _ in range(n_starts):
         u0 = (rng.uniform(*REGION_X), rng.uniform(*REGION_Y))
-        status, _, ys, _, _, _ = dopri5(field.rhs, field.par, u0, t_max,
-                                        rel_tol, abs_tol, math.inf, 1.0, False)
-        if status != STATUS_OK:
-            raise NumericsError(f"invariance run failed with status {status}")
+        ys = _run(field, u0, opts, store_dense=False)[0].y
         xs, yv = ys[:, 0], ys[:, 1]
         exc = max(0.0,
                   float((-xs).max()), float((xs - REGION_X[1]).max()),

@@ -11,9 +11,9 @@ controls the stability and the number of limit cycles such a canard can
 spawn: I is smooth in s and its sign is pinned by an affine function
 Phi(y), so I vanishes at most once and at most one cycle can bifurcate.
 
-All evaluations thread an offset lambda0 through the predator mortality
-(beta -> beta + lambda0), which is how the canard family is unfolded in
-the model's own parameters.
+Both integrals thread an offset lambda0 through the predator mortality
+(beta -> beta + lambda0, in _shifted), which is how the canard family is
+unfolded in the model's own parameters.
 
 The integrals use fixed-order Gauss-Legendre rules, evaluated in array
 passes over all depths at once; a 2N-node value is accepted only where
@@ -31,6 +31,7 @@ import numpy as np
 
 from .allee import (
     AlleeParams,
+    _jacobian,
     critical_height,
     critical_slope,
     equilibria,
@@ -79,23 +80,23 @@ def branch_inverse(y: float, p: AlleeParams) -> Tuple[float, float]:
     return (x, sigma)
 
 
-def h_slow(x: float, p: AlleeParams, lambda0: float = 0.0) -> float:
+def h_slow(x: float, p: AlleeParams) -> float:
     """Fast divergence per unit slow height on the critical curve:
-    x F'(x) / [F(x) (alpha x - (beta + lambda0) - gamma F(x))].
-    Elementwise over an array of x too."""
+    f_x(x, F(x)) / [F(x) (alpha x - beta - gamma F(x))], where the model's
+    f_x equals x F'(x).  Elementwise over an array of x too."""
     F = critical_height(x, p.m, p.n)
-    denom = F * (p.alpha * x - (p.beta + lambda0) - p.gamma * F)
+    denom = F * (p.alpha * x - p.beta - p.gamma * F)
     if np.any(denom == 0.0):
         raise NumericsError(f"slow flow vanishes at x={_first(x, denom == 0.0)}: "
                             "h is singular there")
-    return x * critical_slope(x, p.m, p.n) / denom
+    return _jacobian(x, F, p)[0] / denom
 
 
-def psi_aux(x: float, p: AlleeParams, lambda0: float = 0.0) -> float:
-    """(x - x_M) / [(m+x)^2 (alpha x - (beta+lambda0) - gamma F(x)) F(x)],
-    the factor through which h(sigma) - h(x) factorizes."""
+def psi_aux(x: float, p: AlleeParams) -> float:
+    """(x - x_M) / [(m+x)^2 (alpha x - beta - gamma F(x)) F(x)], the factor
+    through which h(sigma) - h(x) factorizes."""
     F = critical_height(x, p.m, p.n)
-    denom = (p.m + x) ** 2 * (p.alpha * x - (p.beta + lambda0) - p.gamma * F) * F
+    denom = (p.m + x) ** 2 * (p.alpha * x - p.beta - p.gamma * F) * F
     if denom == 0.0:
         raise NumericsError(f"auxiliary factor singular at x={x}")
     return (p.m - math.sqrt(p.m) + x) / denom
@@ -114,16 +115,16 @@ def phi_root(p: AlleeParams) -> float:
     return (math.sqrt(p.m) * p.alpha + (p.m - p.n) * ag - p.gamma) / ag
 
 
-def factorization_gap(y: float, p: AlleeParams, lambda0: float = 0.0,
+def factorization_gap(y: float, p: AlleeParams,
                       exponent: float = 1.5) -> Tuple[float, float]:
     """Both sides of the identity
     h(sigma) - h(x) = psi(sigma) psi(x) (sigma - x) m^exponent F(x) phi(y)
     at height y, for measuring the exponent.  The identity is exact (up
     to rounding) with exponent 3/2 when the predator nullcline passes
-    through the fold (beta + lambda0 = alpha x_M - gamma y_M)."""
+    through the fold (beta = alpha x_M - gamma y_M)."""
     x, sigma = branch_inverse(y, p)
-    lhs = h_slow(sigma, p, lambda0) - h_slow(x, p, lambda0)
-    rhs = (psi_aux(sigma, p, lambda0) * psi_aux(x, p, lambda0) * (sigma - x)
+    lhs = h_slow(sigma, p) - h_slow(x, p)
+    rhs = (psi_aux(sigma, p) * psi_aux(x, p) * (sigma - x)
            * p.m ** exponent * critical_height(x, p.m, p.n) * phi(y, p))
     return (lhs, rhs)
 

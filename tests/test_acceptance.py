@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from canard.allee import AlleeParams, equilibria, fold_point
 from canard.blowup import PlanarPolySystem, lyapunov_DF

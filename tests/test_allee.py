@@ -19,14 +19,14 @@ from canard.allee import (
     gamma_star,
     model_bifurcation_curves,
     model_columns,
-    model_rhs,
+    model_field,
     normal_form_coeffs,
     normal_form_columns,
     omega2_at_degeneracy,
     psi_case_analysis,
     psi_columns,
 )
-from canard.errors import DomainError, NumericsError
+from canard.errors import DomainError
 from canard.normalform import COEFF_NAMES, compute_A, lambda_c, lambda_H, omega_coefficients
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
@@ -159,7 +159,7 @@ class TestCriticalBranches:
         h = 1e-6
         for x in (0.1, 0.2, 0.4):
             y = cb.height(x)
-            fd = (model_rhs(x + h, y, p)[0] - model_rhs(x - h, y, p)[0]) / (2 * h)
+            fd = (model_field(p)(x + h, y)[0] - model_field(p)(x - h, y)[0]) / (2 * h)
             assert abs(fd - cb.fast_eigenvalue_on_graph(x)) < 1e-6
 
     def test_boundary_rejected(self):
@@ -198,7 +198,7 @@ class TestEquilibria:
             for eq in (rep.E0, rep.E1, rep.E2, rep.E3, rep.E4):
                 if eq is None:
                     continue
-                f, g = model_rhs(eq.point[0], eq.point[1], p)
+                f, g = model_field(p)(*eq.point)
                 assert max(abs(f), abs(g)) < 1e-10
 
     def test_collision_reported_once(self):

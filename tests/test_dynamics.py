@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from canard import dynamics
 from canard._kernels import STATUS_OK, dopri5
 from canard.allee import AlleeParams, critical_slope, equilibria, fold_point
 from canard.dynamics import (
@@ -14,7 +15,6 @@ from canard.dynamics import (
     REVERSED,
     CycleResult,
     IntegratorOptions,
-    PlanarField,
     Section,
     _first_return,
     allee_field,
@@ -35,19 +35,21 @@ EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
 TWO_PI = 2.0 * math.pi
 
 
-def center_rhs(t, u, par):
-    return np.array([-u[1], u[0]])
+def center(x, y):
+    return (-y, x)
 
 
-def damped_rhs(t, u, par):
-    # focus with radial rate par[0]
-    return np.array([par[0] * u[0] - u[1], par[0] * u[1] + u[0]])
+def damped(a):
+    """Focus with radial rate a."""
+    def damped(x, y):
+        return (a * x - y, a * y + x)
+    return damped
 
 
-def soft_cycle_rhs(t, u, par):
+def soft_cycle(x, y):
     # radial rate 0.05*(1-r^2): unit cycle, forward multiplier e^{-0.2 pi}
-    g = 0.05 * (1.0 - u[0] * u[0] - u[1] * u[1])
-    return np.array([g * u[0] - u[1], g * u[1] + u[0]])
+    g = 0.05 * (1.0 - x * x - y * y)
+    return (g * x - y, g * y + x)
 
 
 def tight(t_max, direction=FORWARD):
@@ -55,14 +57,10 @@ def tight(t_max, direction=FORWARD):
                              direction=direction)
 
 
-CENTER = PlanarField(center_rhs, np.zeros(1), "center")
-SOFT = PlanarField(soft_cycle_rhs, np.zeros(1), "soft-cycle")
-
-
 class TestOptions:
     def test_defaults(self):
         o = IntegratorOptions()
-        assert o.direction == FORWARD and o.max_step == math.inf
+        assert o.direction == FORWARD
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(DomainError):
@@ -77,23 +75,21 @@ class TestOptions:
             IntegratorOptions(t_max=math.inf)
         with pytest.raises(DomainError):
             IntegratorOptions(direction="Backward")
-        with pytest.raises(DomainError):
-            IntegratorOptions(max_step=0.0)
 
 
 class TestIntegrate:
     def test_center_full_turn(self):
-        tr = integrate(CENTER, (1.0, 0.0), tight(TWO_PI))
+        tr = integrate(center, (1.0, 0.0), tight(TWO_PI))
         assert np.abs(tr.end_state - np.array([1.0, 0.0])).max() < 1e-6
 
     def test_energy_drift_100_periods(self):
         opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, t_max=100 * TWO_PI)
-        tr = integrate(CENTER, (1.0, 0.0), opts)
+        tr = integrate(center, (1.0, 0.0), opts)
         r2 = tr.y[:, 0] ** 2 + tr.y[:, 1] ** 2
         assert np.abs(r2 - 1.0).max() < 1e-4
 
     def test_dense_eval(self):
-        tr = integrate(CENTER, (1.0, 0.0), tight(TWO_PI))
+        tr = integrate(center, (1.0, 0.0), tight(TWO_PI))
         mid = tr.eval(math.pi)
         assert np.abs(mid - np.array([-1.0, 0.0])).max() < 1e-6
         grid = tr.eval(np.array([0.0, math.pi / 2, math.pi]))
@@ -106,46 +102,37 @@ class TestIntegrate:
         rng = np.random.default_rng(42)
         for _ in range(5):
             a = rng.uniform(-0.3, 0.3)
-            f = PlanarField(damped_rhs, np.array([a]), "damped")
-            tr = integrate(f, (1.0, 0.0), tight(3.0))
+            tr = integrate(damped(a), (1.0, 0.0), tight(3.0))
             expect = math.exp(3.0 * a) * np.array([math.cos(3.0), math.sin(3.0)])
             assert np.abs(tr.end_state - expect).max() < 1e-6
 
     def test_reverse_twice_recovers_start(self):
-        fwd = integrate(CENTER, (0.3, -0.7), tight(5.0))
-        back = integrate(CENTER, fwd.end_state, tight(5.0, REVERSED))
+        fwd = integrate(center, (0.3, -0.7), tight(5.0))
+        back = integrate(center, fwd.end_state, tight(5.0, REVERSED))
         assert np.abs(back.end_state - np.array([0.3, -0.7])).max() < 1e-7
 
-    def test_max_step_is_honored(self):
-        opts = IntegratorOptions(rel_tol=1e-6, abs_tol=1e-9, t_max=1.0,
-                                 max_step=0.01)
-        tr = integrate(CENTER, (1.0, 0.0), opts)
-        assert np.diff(tr.t).max() <= 0.01 + 1e-12
-
     def test_non_finite_field_flagged(self):
-        def bad(t, u, par):
-            return np.array([np.nan, 0.0])
+        def bad(x, y):
+            return (np.nan, 0.0)
 
-        f = PlanarField(bad, np.zeros(1), "bad")
-        with pytest.raises(NumericsError):
-            integrate(f, (0.0, 0.0), tight(1.0))
+        with pytest.raises(NumericsError, match="field 'bad'"):
+            integrate(bad, (0.0, 0.0), tight(1.0))
 
     def test_finite_time_blowup_flagged(self):
-        def blowup(t, u, par):
+        def blowup(x, y):
             # r' ~ r^3 escapes in finite time
-            r2 = u[0] * u[0] + u[1] * u[1]
-            return np.array([u[0] * r2 - u[1], u[1] * r2 + u[0]])
+            r2 = x * x + y * y
+            return (x * r2 - y, y * r2 + x)
 
-        f = PlanarField(blowup, np.zeros(1), "blowup")
         with pytest.raises(NumericsError):
-            integrate(f, (2.0, 0.0), tight(10.0))
+            integrate(blowup, (2.0, 0.0), tight(10.0))
 
     def test_rejects_bad_start(self):
         with pytest.raises(DomainError):
-            integrate(CENTER, (math.nan, 0.0), tight(1.0))
+            integrate(center, (math.nan, 0.0), tight(1.0))
 
     def test_trajectory_monotone_time(self):
-        tr = integrate(CENTER, (1.0, 0.0), tight(3.0))
+        tr = integrate(center, (1.0, 0.0), tight(3.0))
         assert tr.t[0] == 0.0 and tr.t[-1] == pytest.approx(3.0)
         assert np.all(np.diff(tr.t) > 0)
         assert tr.stiffness_suspected is False
@@ -153,29 +140,27 @@ class TestIntegrate:
 
 class TestReturnMap:
     def test_center_is_identity(self):
-        y1 = return_map(CENTER, Section(0.0, 0.0), 1.0, tight(10.0))
+        y1 = return_map(center, Section(0.0, 0.0), 1.0, tight(10.0))
         assert abs(y1 - 1.0) < 1e-6
 
     def test_damped_focus_contracts(self):
-        f = PlanarField(damped_rhs, np.array([-0.1]), "damped")
-        y1 = return_map(f, Section(0.0, 0.0), 1.0, tight(10.0))
+        y1 = return_map(damped(-0.1), Section(0.0, 0.0), 1.0, tight(10.0))
         assert abs(y1 - math.exp(-0.2 * math.pi)) < 1e-6
 
     def test_tangential_start_flagged(self):
         # the unit circle is tangent to x=1 at (1, 0)
         with pytest.raises(NumericsError):
-            return_map(CENTER, Section(1.0, -2.0), 0.0, tight(10.0))
+            return_map(center, Section(1.0, -2.0), 0.0, tight(10.0))
 
     def test_no_return_flagged(self):
-        def drift(t, u, par):
-            return np.array([1.0, 0.0])
+        def drift(x, y):
+            return (1.0, 0.0)
 
-        f = PlanarField(drift, np.zeros(1), "drift")
         with pytest.raises(NumericsError):
-            return_map(f, Section(0.0, -1.0), 0.0, tight(5.0))
+            return_map(drift, Section(0.0, -1.0), 0.0, tight(5.0))
 
     def test_section_crossings_alternate_direction(self):
-        crossings = section_crossings(CENTER, (1.0, 0.0), Section(0.0, -2.0),
+        crossings = section_crossings(center, (1.0, 0.0), Section(0.0, -2.0),
                                       tight(4 * TWO_PI))
         assert len(crossings) == 8
         dirs = [d for _, _, d in crossings]
@@ -184,7 +169,7 @@ class TestReturnMap:
         assert np.allclose(np.diff(times), math.pi, atol=1e-6)
 
     def test_section_crossings_skip_the_line_below_the_base(self):
-        crossings = section_crossings(CENTER, (1.0, 0.0), Section(0.0, 0.0),
+        crossings = section_crossings(center, (1.0, 0.0), Section(0.0, 0.0),
                                       tight(4 * TWO_PI))
         assert len(crossings) == 4
         assert all(d == -1.0 and abs(y - 1.0) < 1e-6 for _, y, d in crossings)
@@ -192,7 +177,7 @@ class TestReturnMap:
 
 class TestFindCycle:
     def test_soft_cycle_forward(self):
-        res = find_cycle(SOFT, (0.5, 1.5), Section(0.0, 0.0), tight(50.0))
+        res = find_cycle(soft_cycle, (0.5, 1.5), Section(0.0, 0.0), tight(50.0))
         assert res.converged
         assert abs(res.section_point[1] - 1.0) < 1e-6
         assert abs(res.period - TWO_PI) < 1e-6
@@ -201,8 +186,8 @@ class TestFindCycle:
 
     def test_soft_cycle_reversed_reciprocal_convention(self):
         # t_max stays below the reversed-time escape of the outer endpoint
-        fwd = find_cycle(SOFT, (0.5, 1.2), Section(0.0, 0.0), tight(8.0))
-        rev = find_cycle(SOFT, (0.5, 1.2), Section(0.0, 0.0),
+        fwd = find_cycle(soft_cycle, (0.5, 1.2), Section(0.0, 0.0), tight(8.0))
+        rev = find_cycle(soft_cycle, (0.5, 1.2), Section(0.0, 0.0),
                          tight(8.0, REVERSED))
         assert rev.stability == "Stable"
         assert abs(rev.section_point[1] - 1.0) < 1e-6
@@ -210,13 +195,12 @@ class TestFindCycle:
 
     def test_no_sign_change_is_precondition_failure(self):
         # damped focus with no cycle: displacement is negative on the whole ray
-        f = PlanarField(damped_rhs, np.array([-0.1]), "damped")
         with pytest.raises(DomainError):
-            find_cycle(f, (0.5, 1.5), Section(0.0, 0.0), tight(20.0))
+            find_cycle(damped(-0.1), (0.5, 1.5), Section(0.0, 0.0), tight(20.0))
 
     def test_invalid_bracket(self):
         with pytest.raises(DomainError):
-            find_cycle(SOFT, (1.0, 1.0), Section(0.0, 0.0), tight(20.0))
+            find_cycle(soft_cycle, (1.0, 1.0), Section(0.0, 0.0), tight(20.0))
 
     def test_result_requires_positive_period(self):
         with pytest.raises(DomainError):
@@ -351,6 +335,29 @@ class TestRegionExcursion:
         b = region_excursion(p, n_starts=3, seed=11, t_max=200.0)
         assert a == b
 
+    def test_non_finite_field_raises_typed_error(self, monkeypatch):
+        def allee(x, y):
+            return (math.nan, 0.0)
+
+        monkeypatch.setattr(dynamics, "allee_field", lambda p: allee)
+        with pytest.raises(NumericsError,
+                           match="field 'allee' evaluation produced non-finite"):
+            region_excursion(AlleeParams(**EX2), n_starts=2, seed=0, t_max=10.0)
+
+
+class TestAlleeField:
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0),
+           beta=st.floats(0.01, 1.0), eps=st.floats(1e-4, 0.1))
+    def test_is_the_written_out_model(self, x, y, beta, eps):
+        m, n, alpha, gamma = 0.3, 0.1, 0.849561, 0.1
+        p = AlleeParams(m=m, n=n, alpha=alpha, beta=beta, gamma=gamma, eps=eps)
+        assume(m + x != 0.0)
+        f, g = allee_field(p)(x, y)
+        assert f == x * (x / (m + x) - n - x - y)
+        assert g == eps * (y * (alpha * x - beta - gamma * y))
+        assert allee_field(p).__name__ == "allee"
+
 
 with open(Path(__file__).parent / "data" / "golden_dopri5.json", "r",
           encoding="utf-8") as _fh:
@@ -359,7 +366,8 @@ with open(Path(__file__).parent / "data" / "golden_dopri5.json", "r",
 
 class TestGoldenTrajectories:
     """The scalar core against trajectories recorded with the ndarray core
-    it replaced: same steps, same mesh and interpolant to 1e-12."""
+    it replaced: same steps, and the same mesh and interpolant bit for
+    bit."""
 
     @pytest.mark.parametrize(
         "case", GOLDEN["cases"],
@@ -369,22 +377,20 @@ class TestGoldenTrajectories:
         f = allee_field(AlleeParams(**{"EX1": EX1, "EX2": EX2}[case["example"]]))
         sign = -1.0 if case["direction"] == REVERSED else 1.0
         status, ts, ys, rc, counts, hit = dopri5(
-            f.rhs, f.par, case["start"], case["t_max"], GOLDEN["rel_tol"],
-            GOLDEN["abs_tol"], math.inf, sign, case["dense"])
+            f, case["start"], case["t_max"], GOLDEN["rel_tol"],
+            GOLDEN["abs_tol"], sign, case["dense"])
         assert status == STATUS_OK and hit is None
         assert len(ts) - 1 == case["steps"] == counts[0]
         rows = case["rows"]
 
-        def close(got, want):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-
-        close(ts[rows], case["t"])
-        close(ys[rows], case["y"])
-        close(np.abs(ts).sum(), case["abs_sum_t"])
-        close(np.abs(ys).sum(axis=0), case["abs_sum_y"])
+        same = np.testing.assert_array_equal
+        same(ts[rows], case["t"])
+        same(ys[rows], case["y"])
+        same(np.abs(ts).sum(), case["abs_sum_t"])
+        same(np.abs(ys).sum(axis=0), case["abs_sum_y"])
         if case["dense"]:
-            close(rc[case["rcont_rows"]], case["rcont"])
-            close(np.abs(rc).sum(axis=0), case["abs_sum_rcont"])
+            same(rc[case["rcont_rows"]], case["rcont"])
+            same(np.abs(rc).sum(axis=0), case["abs_sum_rcont"])
         else:
             assert rc is None
 
@@ -400,11 +406,11 @@ class TestCounters:
     def test_nfev_counts_every_rhs_call(self):
         calls = [0]
 
-        def counted(t, u, par):
+        def counted(x, y):
             calls[0] += 1
-            return soft_cycle_rhs(t, u, par)
+            return soft_cycle(x, y)
 
-        tr = integrate(PlanarField(counted, None, "counted"), (0.3, 0.1), tight(30.0))
+        tr = integrate(counted, (0.3, 0.1), tight(30.0))
         assert tr.nfev == calls[0]
 
 
@@ -412,7 +418,7 @@ def _first_same_direction(field, section, y0, opts):
     """(height, time) of the first same-direction return, scanned on the
     orbit integrated all the way to t_max; None when there is none."""
     sign = -1.0 if opts.direction == REVERSED else 1.0
-    want = math.copysign(1.0, sign * field.rhs(0.0, (section.x, y0), field.par)[0])
+    want = math.copysign(1.0, sign * field(section.x, y0)[0])
     for t, y, d in section_crossings(field, (section.x, y0), section, opts,
                                      limit=10 ** 6):
         if d == want:
@@ -427,8 +433,7 @@ def _section_case(name):
         p = AlleeParams(**EX1)
         x4, y4 = equilibria(p).E4.point
         return allee_field(p), x4, y4, 1500.0
-    field = {"center": CENTER, "soft": SOFT,
-             "damped": PlanarField(damped_rhs, np.array([-0.1]), "damped")}[name]
+    field = {"center": center, "soft": soft_cycle, "damped": damped(-0.1)}[name]
     return field, 0.0, 0.0, 20.0
 
 
@@ -473,4 +478,4 @@ class TestEarlyStop:
     def test_tangential_start(self, x_sec):
         # the center's orbits are tangent to every vertical line at y = 0
         with pytest.raises(NumericsError, match="tangential"):
-            return_map(CENTER, Section(x_sec, -3.0), 0.0, tight(10.0))
+            return_map(center, Section(x_sec, -3.0), 0.0, tight(10.0))

@@ -1,0 +1,44 @@
+"""Source hygiene: no module under src/canard/ or tests/ imports a name it
+never reads.  Uses the stdlib ast module, so no linter is needed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "canard").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str):
+    """Names bound by an import statement and never read in the module.
+    `from __future__` imports are exempt, and names listed in a
+    module-level __all__ count as read."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_detector():
+    src = ("from __future__ import annotations\nimport os, sys\n"
+           "from a import b as c, d\nimport x.y\n__all__ = ['d']\nprint(sys, x)\n")
+    assert unused_imports(src) == [(2, "os"), (3, "c")]

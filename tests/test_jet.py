@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest

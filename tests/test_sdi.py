@@ -7,7 +7,6 @@ from canard.allee import (
     AlleeParams,
     critical_height,
     fold_point,
-    gamma_star,
     psi_case_analysis,
 )
 from canard import sdi
@@ -176,12 +175,25 @@ class TestIntegral:
             ix = slow_divergence_integral_x(p, 0.0, s)
             assert abs(iy - ix) <= 1e-6 * max(abs(iy), 1e-12)
 
-    def test_lambda0_threads_beta(self):
+    def test_lambda0_threads_beta(self, monkeypatch):
+        # both integrals shift beta once, through _shifted, and evaluate h
+        # at the shifted parameters
         p = P_CHANGE
         shifted = AlleeParams(m=p.m, n=p.n, alpha=p.alpha, beta=p.beta + 1e-3,
                               gamma=p.gamma, eps=p.eps)
-        for x in (0.15, 0.3, 0.4):
-            assert h_slow(x, p, 1e-3) == h_slow(x, shifted, 0.0)
+        assert sdi._shifted(p, 1e-3) == shifted
+        assert sdi._shifted(p, 0.0) is p
+        seen = []
+
+        def spy(x, q):
+            seen.append(q)
+            return np.zeros(np.shape(x))
+
+        monkeypatch.setattr(sdi, "h_slow", spy)
+        for form in (slow_divergence_integral, slow_divergence_integral_x):
+            seen.clear()
+            assert form(p, 1e-3, 0.05) == 0.0
+            assert seen and all(q == shifted for q in seen)
 
     def test_interior_equilibrium_on_segment_is_flagged(self):
         # off the coincidence value the slow flow dies at E4 inside the
@@ -207,7 +219,7 @@ class TestIntegral:
 
     @pytest.mark.parametrize("form", [slow_divergence_integral, slow_divergence_integral_x])
     def test_nonfinite_integrand_raises(self, monkeypatch, form):
-        monkeypatch.setattr(sdi, "h_slow", lambda x, p, lambda0=0.0: np.full(np.shape(x), np.nan))
+        monkeypatch.setattr(sdi, "h_slow", lambda x, p: np.full(np.shape(x), np.nan))
         with pytest.raises(NumericsError, match="non-finite"):
             form(P_CHANGE, 0.0, 0.05)
 
