@@ -1,4 +1,5 @@
-"""Adaptive Runge-Kutta core shared by every integration entry point.
+"""Adaptive Runge-Kutta core shared by every integration entry point,
+and the one bisection loop of the package.
 
 The stepper is a Dormand-Prince 5(4) embedded pair with the quartic
 dense-output interpolant and proportional-integral step control (Hairer,
@@ -8,7 +9,9 @@ dy/dt) called with two floats, and the accepted steps are collected in
 lists and turned into arrays once, at the end.  An optional section
 stop ends a run at the first crossing of a vertical line in a wanted
 direction, located exactly as dynamics.section_crossings locates it on a
-finished trajectory."""
+finished trajectory.  bisect serves that location, the displacement
+root of dynamics.find_cycle and the trace root of
+dynamics.hopf_onset_scan, each with its own stop rule."""
 
 from __future__ import annotations
 
@@ -141,7 +144,7 @@ def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
 
         if err <= 1.0:
             if stop is not None:
-                # the test and step order of dynamics._scan_crossings
+                # the test and step order of dynamics.section_crossings
                 a = y0 - stop[0]
                 cross = (a == 0.0 and n > 0) or a * (yn0 - stop[0]) < 0.0
             if store_dense or cross:
@@ -189,6 +192,26 @@ def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
             (n, rejected, nfev), hit)
 
 
+def bisect(g, lo, hi, g_lo, narrow, max_iter=None):
+    """Bisection on a sign change of g over [lo, hi], where g_lo = g(lo)
+    and g(hi) has the other sign.  Halves the bracket until narrow(lo, hi)
+    holds or max_iter midpoints were evaluated, and returns the midpoint
+    of the final bracket; a midpoint where g is exactly 0 is returned at
+    once."""
+    n = 0
+    while not narrow(lo, hi) and (max_iter is None or n < max_iter):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if math.copysign(1.0, g_mid) == math.copysign(1.0, g_lo):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+        n += 1
+    return 0.5 * (lo + hi)
+
+
 def interpolate(row, j, theta):
     """Component j of the interpolant at fraction theta of a step whose
     coefficients row holds flat in (order, component) order."""
@@ -205,22 +228,9 @@ def section_crossing(rhs, sign, t0, t1, row, x_sec, y_base, a):
     x-velocity there, or None for a crossing at t <= 1e-12 or at or below
     y_base.  A tangential crossing raises NumericsError."""
     h = t1 - t0
-    if a == 0.0:
-        theta = 0.0
-    else:
-        lo, hi = 0.0, 1.0
-        glo = a
-        while (hi - lo) * h > 1e-10:
-            mid = 0.5 * (lo + hi)
-            gm = interpolate(row, 0, mid) - x_sec
-            if gm == 0.0:
-                lo = hi = mid
-                break
-            if math.copysign(1.0, gm) == math.copysign(1.0, glo):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-        theta = 0.5 * (lo + hi)
+    theta = 0.0 if a == 0.0 else bisect(
+        lambda th: interpolate(row, 0, th) - x_sec, 0.0, 1.0, a,
+        lambda lo, hi: (hi - lo) * h <= 1e-10)
     t_hit = t0 + theta * h
     if t_hit <= 1e-12:
         return None

@@ -7,7 +7,7 @@ randomness) so that emitted figures are byte-stable for a given input.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError
 
@@ -33,9 +33,9 @@ def _label(v: float) -> str:
     return f"{v:.4g}"
 
 
-def sign_color(value: float, tol: float = 0.0) -> str:
+def sign_color(value: float) -> str:
     """Three-way sign color; non-finite values map to the zero color."""
-    if not math.isfinite(value) or abs(value) <= tol:
+    if not math.isfinite(value) or value == 0.0:
         return COLOR_ZERO
     return COLOR_POS if value > 0.0 else COLOR_NEG
 
@@ -77,17 +77,16 @@ def _document(parts: list) -> str:
             f"{body}\n</svg>\n")
 
 
-def _tick_subset(values: Sequence[float], positions: Sequence[float],
-                 max_ticks: int = 8) -> list:
-    step = max(1, math.ceil(len(values) / max_ticks))
+def _tick_subset(values: Sequence[float], positions: Sequence[float]) -> list:
+    """At most 8 ticks, every step-th value."""
+    step = max(1, math.ceil(len(values) / 8))
     return [(positions[i], _label(values[i])) for i in range(0, len(values), step)]
 
 
 def heatmap(x_values: Sequence[float], y_values: Sequence[float],
             cell_values: Sequence[Sequence[float]], *, title: str,
-            x_label: str, y_label: str,
-            color: Callable[[float], str] = sign_color) -> str:
-    """Cell grid colored by color(value); cell_values[j][i] belongs to
+            x_label: str, y_label: str) -> str:
+    """Cell grid colored by sign_color(value); cell_values[j][i] belongs to
     (x_values[i], y_values[j]).  Axis ticks sit at cell centers."""
     nx, ny = len(x_values), len(y_values)
     if nx == 0 or ny == 0:
@@ -106,7 +105,7 @@ def heatmap(x_values: Sequence[float], y_values: Sequence[float],
             py = y0 - (j + 1) * ch
             parts.append(
                 f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cw)}" '
-                f'height="{_fmt(ch)}" fill="{color(cell_values[j][i])}" '
+                f'height="{_fmt(ch)}" fill="{sign_color(cell_values[j][i])}" '
                 'stroke="#ffffff" stroke-width="0.5"/>')
     x_ticks = _tick_subset(list(x_values), [x0 + (i + 0.5) * cw for i in range(nx)])
     y_ticks = _tick_subset(list(y_values), [y0 - (j + 0.5) * ch for j in range(ny)])

@@ -23,7 +23,6 @@ one point and call them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -139,48 +138,6 @@ def boundary_roots(m: float, n: float) -> Tuple[float, Optional[float], Optional
 
 
 @dataclass(frozen=True)
-class CriticalBranches:
-    """The three normally hyperbolic pieces of the critical set.
-
-    The y-axis {x = 0, y >= 0} is attracting (fast eigenvalue -n - y).
-    The graph y = F(x) is attracting on (x_M, x2) and repelling on
-    (x1, x_M), where x1 < x_M < x2 are the positive F-roots around the
-    fold."""
-
-    m: float
-    n: float
-    x1: float
-    x2: float
-    fold: Tuple[float, float]
-
-    @property
-    def attracting_interval(self) -> Tuple[float, float]:
-        return (self.fold[0], self.x2)
-
-    @property
-    def repelling_interval(self) -> Tuple[float, float]:
-        return (self.x1, self.fold[0])
-
-    def height(self, x: float) -> float:
-        return critical_height(x, self.m, self.n)
-
-    def fast_eigenvalue_on_graph(self, x: float) -> float:
-        """d f / d x restricted to y = F(x): equals x * F'(x)."""
-        return x * critical_slope(x, self.m, self.n)
-
-    def fast_eigenvalue_on_axis(self, y: float) -> float:
-        return -self.n - y
-
-
-def critical_branches(m: float, n: float) -> CriticalBranches:
-    _require_admissible(m, n)
-    delta1, x1, x2 = boundary_roots(m, n)
-    if x1 is None:
-        raise NumericsError("critical curve has no positive roots despite valid (m, n)")
-    return CriticalBranches(m, n, x1, x2, fold_point(m, n))
-
-
-@dataclass(frozen=True)
 class Equilibrium:
     point: Tuple[float, float]
     kind: str
@@ -206,9 +163,6 @@ class EquilibriaReport:
             "delta1": self.delta1, "delta2": self.delta2,
             "fold": list(self.fold),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def model_field(p: AlleeParams):
@@ -340,9 +294,9 @@ def beta_star_conversion(p: AlleeParams) -> Tuple[float, float]:
 
 def require_closed_forms(p: AlleeParams) -> None:
     """The checks behind model_columns and psi_columns at one parameter
-    set, in the order normal_form_coeffs, a5_of_beta and
-    psi_case_analysis make them: the fold-point sanity checks,
-    alpha*x_M*y_M > 0, then 0 < m < (1 - sqrt(n))^2."""
+    set, in the order normal_form_coeffs and psi_case_analysis make them:
+    the fold-point sanity checks, alpha*x_M*y_M > 0, then
+    0 < m < (1 - sqrt(n))^2."""
     _require_fold_scale(p)
     _require_admissible(p.m, p.n)
 
@@ -390,14 +344,6 @@ def model_columns(m, n, alpha, beta, gamma, eps) -> Dict[str, object]:
     return {"A": om.omega1, "omega1": om.omega1, "omega2": om.omega2, "a5": a5,
             "lambda_h": lambda_H(rec.c10, a5, eps),
             "lambda_c": lambda_c(rec.c10, a5, om.omega1, eps)}
-
-
-def a5_of_beta(p: AlleeParams) -> float:
-    """The slow linear damping coefficient with the actual beta folded in:
-    (alpha*x_M - beta - 2*gamma*y_M)/Q.  At beta = beta* this equals the
-    f00 entry of normal_form_coeffs."""
-    _require_fold_scale(p)
-    return float(model_columns(p.m, p.n, p.alpha, p.beta, p.gamma, p.eps)["a5"])
 
 
 @dataclass(frozen=True)

@@ -134,11 +134,8 @@ class EquilibriumSeries:
         return (x, y)
 
 
-def scaled_coefficient_tables(nf: NormalFormCoefficients, r: float, lambda1: float
-                              ) -> Tuple[Terms, Terms]:
-    """Closed-form coefficients of the rescaled system at radius r."""
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r}")
+def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolySystem:
+    """Rescaled system at radius r, from closed-form coefficient tables."""
     r2 = r * r
     m = {
         (1, 0): r * nf.c10,
@@ -163,12 +160,6 @@ def scaled_coefficient_tables(nf: NormalFormCoefficients, r: float, lambda1: flo
         (1, 2): r2 * r2 * (nf.f11 - lambda1 * r * nf.e12),
         (0, 3): r2 * r2 * r * (nf.f02 - lambda1 * r * nf.e03),
     }
-    return m, n
-
-
-def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolySystem:
-    """Rescaled system at radius r via the closed-form coefficient tables."""
-    m, n = scaled_coefficient_tables(nf, r, lambda1)
     return PlanarPolySystem(m, n, "blown", r, lambda1)
 
 

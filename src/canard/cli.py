@@ -34,6 +34,7 @@ import numpy as np
 
 from . import _svg
 from .allee import (
+    PARAM_NAMES,
     PSI_TAGS,
     AlleeParams,
     boundary_roots,
@@ -61,8 +62,6 @@ from .errors import DomainError, NumericsError
 from .normalform import NormalFormCoefficients, analyze_record, lambda_star_series
 from .sdi import cyclicity_report
 from .verify import run_all
-
-MODEL_KEYS = ("m", "n", "alpha", "beta", "gamma", "eps")
 
 # |omega1| below this is treated as zero by the analyze verdict: published
 # parameter sets carry about six decimals, which propagates to errors of
@@ -153,10 +152,10 @@ def _as_int(settings: Dict[str, object], key: str,
 
 
 def _model_values(settings: Dict[str, object]) -> Dict[str, float]:
-    missing = [k for k in MODEL_KEYS if k not in settings]
+    missing = [k for k in PARAM_NAMES if k not in settings]
     if missing:
         raise DomainError(f"missing parameter keys: {', '.join(missing)}")
-    return {k: _as_float(settings, k) for k in MODEL_KEYS}
+    return {k: _as_float(settings, k) for k in PARAM_NAMES}
 
 
 def _model_params(settings: Dict[str, object]) -> AlleeParams:
@@ -322,8 +321,8 @@ def parse_grid(descriptor: str) -> List[Tuple[str, List[float]]]:
         name, body = name.strip(), body.strip()
         if not sep or not name or not body:
             raise DomainError(f"grid axis {part!r} must look like name=lo:hi:count or name=value")
-        if name not in MODEL_KEYS:
-            raise DomainError(f"unknown grid axis {name!r} (choose from {', '.join(MODEL_KEYS)})")
+        if name not in PARAM_NAMES:
+            raise DomainError(f"unknown grid axis {name!r} (choose from {', '.join(PARAM_NAMES)})")
         if any(name == seen for seen, _ in axes):
             raise DomainError(f"grid axis {name!r} appears twice")
         if ":" in body:
@@ -370,7 +369,7 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
     x_grid, y_grid = np.meshgrid(x_values, y_values)
     grid = dict(values, **dict(zip(names, (x_grid, y_grid))))
     shape = x_grid.shape
-    cols = model_columns(*(grid[k] for k in MODEL_KEYS))
+    cols = model_columns(*(grid[k] for k in PARAM_NAMES))
     case = psi_columns(grid["m"], grid["n"], grid["alpha"], grid["gamma"])[3]
     columns = [np.broadcast_to(cols[k], shape).ravel().tolist() for k in SWEEP_COLUMNS]
     columns.append([PSI_TAGS[k] for k in np.broadcast_to(case, shape).ravel().tolist()])

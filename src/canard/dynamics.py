@@ -7,11 +7,12 @@ vertical-ray section with same-direction crossings located on the dense
 output; the integration of a return map stops at its first
 same-direction crossing.  Limit cycles are found by bisection on the
 displacement map, with unstable cycles handled in reversed time and
-their multiplier reported in the forward-time convention."""
+their multiplier reported in the forward-time convention; that
+bisection, the crossing location and the Hopf onset scan all run
+_kernels.bisect."""
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from ._kernels import (
     STATUS_BAD_FIELD,
     STATUS_STIFF,
     STATUS_UNDERFLOW,
+    bisect,
     dopri5,
     interpolate,
     section_crossing,
@@ -104,13 +106,14 @@ def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
     stiff = False
     rtol, atol = opts.rel_tol, opts.abs_tol
     work = (0, 0, 0)
+    name = getattr(field, "__name__", field)
     for attempt in range(2):
         status, ts, ys, rc, counts, hit = dopri5(
             field, u0, opts.t_max, rtol, atol, sign, store_dense, stop)
         work = tuple(a + b for a, b in zip(work, counts))
         if status == STATUS_STIFF and attempt == 0:
             warnings.warn(
-                f"step-rejection streak on field '{field.__name__}': suspected "
+                f"step-rejection streak on field '{name}': suspected "
                 "stiffness, retrying with 100x tighter tolerances",
                 RuntimeWarning, stacklevel=3)
             stiff = True
@@ -121,7 +124,7 @@ def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
         raise NumericsError("step size underflow (stiff or singular field)")
     if status == STATUS_BAD_FIELD:
         raise NumericsError(
-            f"field '{field.__name__}' evaluation produced non-finite values")
+            f"field '{name}' evaluation produced non-finite values")
     if status == STATUS_STIFF:
         raise NumericsError("persistent step rejection even after tightening")
     return Trajectory(ts, ys, rc, opts.direction, stiff, *work), hit
@@ -144,36 +147,28 @@ class Section:
     y_base: float
 
 
-def _scan_crossings(field: Callable, traj: Trajectory, section: Section,
-                    sign: float, limit: int):
-    """Yield (t, y, xdot_sign) for crossings of the section line along the
-    trajectory, refined on the dense output to a time width of 1e-10."""
-    g = traj.y[:, 0] - section.x
-    found = 0
-    for i in range(len(traj.t) - 1):
-        a = g[i]
-        if not ((a == 0.0 and i > 0) or a * g[i + 1] < 0.0):
-            continue
-        hit = section_crossing(field, sign, traj.t[i], traj.t[i + 1],
-                               traj.rcont[i].ravel().tolist(),
-                               section.x, section.y_base, a)
-        if hit is None:
-            continue
-        yield hit
-        found += 1
-        if found >= limit:
-            return
-
-
 def section_crossings(field: Callable, start, section: Section,
                       opts: IntegratorOptions = IntegratorOptions(),
                       limit: int = 64):
-    """Crossings of the section line by the orbit of start, as a list of
-    (t, y, xdot_sign) tuples.  Used to seed displacement-map brackets from
+    """The first limit crossings of the section ray by the orbit of start,
+    as (t, y, xdot_sign) tuples, located on the dense output to a time
+    width of 1e-10.  Used to seed displacement-map brackets from
     published initial values."""
     traj = _run(field, start, opts, store_dense=True)[0]
     sign = -1.0 if opts.direction == REVERSED else 1.0
-    return list(_scan_crossings(field, traj, section, sign, limit))
+    g = traj.y[:, 0] - section.x
+    hits = []
+    for i in range(len(traj.t) - 1):
+        a = g[i]
+        if (a == 0.0 and i > 0) or a * g[i + 1] < 0.0:
+            hit = section_crossing(field, sign, traj.t[i], traj.t[i + 1],
+                                   traj.rcont[i].ravel().tolist(),
+                                   section.x, section.y_base, a)
+            if hit is not None:
+                hits.append(hit)
+                if len(hits) >= limit:
+                    break
+    return hits
 
 
 def bracket_from_crossings(field: Callable, starts, section: Section,
@@ -240,9 +235,6 @@ class CycleResult:
             "converged": self.converged,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 _NEUTRAL_BAND = 1e-4
 
@@ -273,20 +265,8 @@ def find_cycle(field: Callable, bracket: Tuple[float, float],
             f"displacement does not change sign over bracket ({d_lo:+.3e} at "
             f"{y_lo}, {d_hi:+.3e} at {y_hi}): no cycle is straddled")
     else:
-        lo, hi, dl = y_lo, y_hi, d_lo
-        for _ in range(80):
-            if hi - lo <= 2e-9:
-                break
-            mid = 0.5 * (lo + hi)
-            dm = disp(mid)
-            if dm == 0.0:
-                lo = hi = mid
-                break
-            if math.copysign(1.0, dm) == math.copysign(1.0, dl):
-                lo, dl = mid, dm
-            else:
-                hi = mid
-        y_star = 0.5 * (lo + hi)
+        y_star = bisect(disp, y_lo, y_hi, d_lo,
+                        lambda lo, hi: hi - lo <= 2e-9, max_iter=80)
 
     y_ret, period = _first_return(field, section, y_star, opts)
     converged = abs(y_ret - y_star) < 1e-8
@@ -324,14 +304,6 @@ class OnsetScan:
     beta_predicted: float
     lambda_predicted: float
 
-    def to_dict(self) -> dict:
-        return {
-            "beta_onset": self.beta_onset,
-            "lambda_onset": self.lambda_onset,
-            "beta_predicted": self.beta_predicted,
-            "lambda_predicted": self.lambda_predicted,
-        }
-
 
 def hopf_onset_scan(p: AlleeParams, beta_range: Tuple[float, float],
                     steps: int) -> OnsetScan:
@@ -351,32 +323,18 @@ def hopf_onset_scan(p: AlleeParams, beta_range: Tuple[float, float],
 
     betas = np.linspace(b0, b1, steps)
     traces = [trace_at(b) for b in betas]
-    lo = hi = None
     for i in range(steps - 1):
         if traces[i] == 0.0:
-            lo = hi = betas[i]
+            beta_onset = betas[i]
             break
         if math.copysign(1.0, traces[i]) != math.copysign(1.0, traces[i + 1]):
-            lo, hi = betas[i], betas[i + 1]
+            beta_onset = bisect(trace_at, betas[i], betas[i + 1], traces[i],
+                                lambda lo, hi: hi - lo <= 1e-15 * max(1.0, abs(hi)),
+                                max_iter=200)
             break
-    if lo is None:
+    else:
         raise DomainError(
             f"E4 trace does not change sign over [{b0}, {b1}] with {steps} steps")
-    if lo != hi:
-        tl = trace_at(lo)
-        for _ in range(200):
-            if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            tm = trace_at(mid)
-            if tm == 0.0:
-                lo = hi = mid
-                break
-            if math.copysign(1.0, tm) == math.copysign(1.0, tl):
-                lo, tl = mid, tm
-            else:
-                hi = mid
-    beta_onset = 0.5 * (lo + hi)
 
     beta_star, conversion = beta_star_conversion(p)
     rec = normal_form_columns(p.m, p.n, p.alpha, p.gamma)

@@ -223,14 +223,10 @@ def omega_coefficients(nf: NormalFormCoefficients) -> OmegaCoefficients:
     return OmegaCoefficients(compute_A(nf), omega2)
 
 
-def default_classification_tol(omega1: float, omega2: float) -> float:
-    """Noise floor for sign decisions in a double-precision pipeline."""
-    return 1e-9 * max(1.0, abs(omega1) + abs(omega2))
-
-
 def classify_hopf(omega1: float, omega2: float, tol: Optional[float] = None) -> Criticality:
     if tol is None:
-        tol = default_classification_tol(omega1, omega2)
+        # noise floor for sign decisions in a double-precision pipeline
+        tol = 1e-9 * max(1.0, abs(omega1) + abs(omega2))
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     if omega1 < -tol:

@@ -11,17 +11,12 @@ controls the stability and the number of limit cycles such a canard can
 spawn: I is smooth in s and its sign is pinned by an affine function
 Phi(y), so I vanishes at most once and at most one cycle can bifurcate.
 
-Both integrals thread an offset lambda0 through the predator mortality
-(beta -> beta + lambda0, in _shifted), which is how the canard family is
-unfolded in the model's own parameters.
-
 The integrals use fixed-order Gauss-Legendre rules, evaluated in array
 passes over all depths at once; a 2N-node value is accepted only where
 the N-node rule agrees with it."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,13 +34,6 @@ from .allee import (
     require_coincidence,
 )
 from .errors import DomainError, NumericsError
-
-
-def _shifted(p: AlleeParams, lambda0: float) -> AlleeParams:
-    if lambda0 == 0.0:
-        return p
-    return AlleeParams(m=p.m, n=p.n, alpha=p.alpha, beta=p.beta + lambda0,
-                       gamma=p.gamma, eps=p.eps)
 
 
 def _first(values, flags) -> float:
@@ -173,39 +161,38 @@ def _gauss_legendre(fn, lo, hi, what):
     return fine
 
 
-def _integral_y(peff: AlleeParams, s, smax: float) -> np.ndarray:
+def _integral_y(p: AlleeParams, s, smax: float) -> np.ndarray:
     """I(s) for a 1-d array of depths by the height form, under
     y = y_M - v^2 and v = sqrt(s_max) - e^w.  In v the branches are
     smooth through the fold; in w the deep end is spread out, where
     h has a 1/(y - y_hat) pole (F = 0, or the slow flow dying at E3)
     that nears the window as s -> s_max."""
-    _, yM = fold_point(peff.m, peff.n)
+    _, yM = fold_point(p.m, p.n)
     root = math.sqrt(smax)
 
     def integrand(w):
         e = np.exp(w)
         v = root - e
-        x, sigma = branch_inverse(yM - v * v, peff)
-        return (h_slow(x, peff) - h_slow(sigma, peff)) * 2.0 * v * e
+        x, sigma = branch_inverse(yM - v * v, p)
+        return (h_slow(x, p) - h_slow(sigma, p)) * 2.0 * v * e
 
     lo = np.log(root - np.sqrt(np.asarray(s, dtype=float)))
     return _gauss_legendre(integrand, lo, np.full(lo.shape, math.log(root)),
                            "slow divergence (height form)")
 
 
-def slow_divergence_integral(p: AlleeParams, lambda0: float, s: float) -> float:
+def slow_divergence_integral(p: AlleeParams, s: float) -> float:
     """I(s) via the height parametrization: the integral over
     y in (y_M - s, y_M) of h(x(y)) - h(sigma(y)), which runs up the
     attracting branch and back down the repelling one.  This form avoids
     the F'(x_M) = 0 turning point of the x parametrization."""
-    peff = _shifted(p, lambda0)
-    _, smax = _depth_ceiling(peff)
+    _, smax = _depth_ceiling(p)
     if not (0.0 < s < smax):
         raise DomainError(f"requires 0 < s < {smax:.8g} (fold height minus y_hat), got s={s}")
-    return float(_integral_y(peff, [s], smax)[0])
+    return float(_integral_y(p, [s], smax)[0])
 
 
-def slow_divergence_integral_x(p: AlleeParams, lambda0: float, s: float) -> float:
+def slow_divergence_integral_x(p: AlleeParams, s: float) -> float:
     """Cross-check of I(s) in the x parametrization:
     -integral of h(x) F'(x) dx over (sigma_s, x_s), split at the fold
     where the integrand has a removable zero.  Each piece runs from the
@@ -213,20 +200,19 @@ def slow_divergence_integral_x(p: AlleeParams, lambda0: float, s: float) -> floa
     y_hat on its branch (d = +1 on the repelling, -1 on the attracting
     one), which spreads out the ends as they near the poles of h at
     deep s."""
-    peff = _shifted(p, lambda0)
-    xM, yM = fold_point(peff.m, peff.n)
-    yhat, smax = _depth_ceiling(peff)
+    xM, yM = fold_point(p.m, p.n)
+    yhat, smax = _depth_ceiling(p)
     if not (0.0 < s < smax):
         raise DomainError(f"requires 0 < s < {smax:.8g} (fold height minus y_hat), got s={s}")
-    x_s, sigma_s = branch_inverse(yM - s, peff)
-    c_att, c_rep = branch_inverse(yhat, peff)
+    x_s, sigma_s = branch_inverse(yM - s, p)
+    c_att, c_rep = branch_inverse(yhat, p)
     centre = np.array([[c_rep], [c_att]])
     side = np.array([[1.0], [-1.0]])
 
     def integrand(w):
         e = np.exp(w)
         x = centre + side * e
-        return h_slow(x, peff) * critical_slope(x, peff.m, peff.n) * e
+        return h_slow(x, p) * critical_slope(x, p.m, p.n) * e
 
     lo = np.log(np.abs(np.array([sigma_s, x_s]) - centre[:, 0]))
     hi = np.log(np.abs(xM - centre[:, 0]))
@@ -255,9 +241,6 @@ class SdiProfile:
             "case": self.case,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def _count_sign_changes(values) -> int:
     signs = [v for v in (math.copysign(1.0, v) if v != 0.0 else 0.0 for v in values)
@@ -266,8 +249,8 @@ def _count_sign_changes(values) -> int:
 
 
 def cyclicity_report(p: AlleeParams, grid_size: int) -> SdiProfile:
-    """Profile of I(s) over a uniform depth grid, with a sign-change
-    count (refined once around each detected change) and the case tag
+    """Profile of I(s) over a uniform depth grid, with the count of sign
+    changes between its nonzero values and the case tag
     from the phi analysis.  Requires the coincidence configuration
     gamma = gamma_star (within 1e-6) plus delta1 > 0 and 1 - m - n > 0
     (allee.require_coincidence); under these the zero count is at most one."""
@@ -279,17 +262,7 @@ def cyclicity_report(p: AlleeParams, grid_size: int) -> SdiProfile:
     _, smax = _depth_ceiling(p)
     grid = [smax * i / (grid_size + 1) for i in range(1, grid_size + 1)]
     values = _integral_y(p, grid, smax).tolist()
-
-    # refine once between each pair of neighbours whose signs differ
-    changes = [i for i in range(grid_size - 1) if values[i] != 0.0 and values[i + 1] != 0.0
-               and math.copysign(1.0, values[i]) != math.copysign(1.0, values[i + 1])]
-    refined_v = list(values)
-    if changes:
-        mids = _integral_y(p, [0.5 * (grid[i] + grid[i + 1]) for i in changes],
-                           smax).tolist()
-        for k, i in enumerate(changes):
-            refined_v.insert(i + 1 + k, mids[k])
-    zero_count = _count_sign_changes(refined_v)
+    zero_count = _count_sign_changes(values)
 
     y0 = phi_root(p)
     if y0 >= yM:

@@ -9,7 +9,6 @@ fail; it exists as a negative control for the suite itself."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List
@@ -86,9 +85,6 @@ class VerifyReport:
             "all_passed": self.all_passed,
             "stages": [s.to_dict() for s in self.stages],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def lines(self) -> List[str]:
         out = []

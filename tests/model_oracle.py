@@ -10,7 +10,7 @@ evaluates one sweep row from that record with the scalar functions.
 
 import math
 
-from canard.allee import AlleeParams, _F_derivative, a5_of_beta, fold_point, psi_case_analysis
+from canard.allee import AlleeParams, _F_derivative, _jacobian, fold_point, psi_case_analysis
 from canard.errors import NumericsError
 from canard.jet import Jet, jet_mul
 from canard.normalform import (
@@ -85,7 +85,9 @@ def sweep_row_reference(p: AlleeParams) -> dict:
     terms each value sums (for a tolerance relative to them)."""
     nf = jet_reduced_record(p)
     om = omega_coefficients(nf)
-    a5 = a5_of_beta(p)
+    # the slow damping from the model Jacobian at the fold: g_y / (eps Q)
+    xM, yM = fold_point(p.m, p.n)
+    a5 = _jacobian(xM, yM, p)[3] / (p.eps * math.sqrt(p.alpha * xM * yM))
     A = compute_A(nf)
     scale_A = abs(nf.a10) + 3.0 * abs(nf.b10) + 2.0 * abs(nf.d10) + 2.0 * abs(nf.f00)
     half = abs(a5 / 2.0) + scale_A / 8.0

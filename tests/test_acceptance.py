@@ -147,8 +147,8 @@ def test_c09_sdi_cyclicity():
         _, yM = fold_point(p.m, p.n)
         for frac in (0.2, 0.5, 0.8):
             s = frac * profile.s_grid[-1]
-            iy = slow_divergence_integral(p, 0.0, s)
-            ix = slow_divergence_integral_x(p, 0.0, s)
+            iy = slow_divergence_integral(p, s)
+            ix = slow_divergence_integral_x(p, s)
             worst_rel = max(worst_rel, abs(iy - ix) / max(abs(iy), 1e-12))
     ok = worst_zero <= 1 and worst_rel <= 1e-6
     _report("C9 SDI cyclicity", ok,

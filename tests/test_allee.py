@@ -9,9 +9,8 @@ from model_oracle import jet_reduced_record
 from canard.allee import (
     PSI_TAGS,
     AlleeParams,
-    a5_of_beta,
+    _jacobian,
     boundary_roots,
-    critical_branches,
     critical_height,
     critical_slope,
     equilibria,
@@ -135,36 +134,41 @@ class TestBoundaryRoots:
 
 class TestCriticalBranches:
     def test_graph_interpolates_roots_and_fold(self):
-        cb = critical_branches(0.3, 0.1)
-        assert abs(cb.height(cb.x1)) < 1e-12
-        assert abs(cb.height(cb.x2)) < 1e-12
-        xM, yM = cb.fold
-        assert abs(cb.height(xM) - yM) < 1e-12
-        assert cb.x1 < xM < cb.x2
+        _, x1, x2 = boundary_roots(0.3, 0.1)
+        assert abs(critical_height(x1, 0.3, 0.1)) < 1e-12
+        assert abs(critical_height(x2, 0.3, 0.1)) < 1e-12
+        xM, yM = fold_point(0.3, 0.1)
+        assert abs(critical_height(xM, 0.3, 0.1) - yM) < 1e-12
+        assert x1 < xM < x2
 
     def test_fast_eigenvalue_signs(self):
-        cb = critical_branches(0.3, 0.1)
-        xM = cb.fold[0]
+        # the fast eigenvalue f_x: positive on the repelling part (x1, x_M)
+        # of the graph, negative on the attracting part (x_M, x2) and on
+        # the y-axis
+        p = AlleeParams(**EX1)
+        _, x1, x2 = boundary_roots(p.m, p.n)
+        xM, _ = fold_point(p.m, p.n)
         for t in (0.1, 0.5, 0.9):
-            xr = cb.x1 + t * (xM - cb.x1)
-            assert cb.fast_eigenvalue_on_graph(xr) > 0.0
-            xa = xM + t * (cb.x2 - xM)
-            assert cb.fast_eigenvalue_on_graph(xa) < 0.0
+            xr = x1 + t * (xM - x1)
+            assert _jacobian(xr, critical_height(xr, p.m, p.n), p)[0] > 0.0
+            xa = xM + t * (x2 - xM)
+            assert _jacobian(xa, critical_height(xa, p.m, p.n), p)[0] < 0.0
         for y in (0.0, 0.3, 1.5):
-            assert cb.fast_eigenvalue_on_axis(y) < 0.0
+            assert _jacobian(0.0, y, p)[0] < 0.0
 
     def test_eigenvalue_matches_finite_difference(self):
-        p = AlleeParams(**EX1)
-        cb = critical_branches(p.m, p.n)
+        # all four Jacobian entries, the fast eigenvalue f_x among them,
+        # against central differences of the model field
+        p = AlleeParams(**EX2)
+        f = model_field(p)
         h = 1e-6
-        for x in (0.1, 0.2, 0.4):
-            y = cb.height(x)
-            fd = (model_field(p)(x + h, y)[0] - model_field(p)(x - h, y)[0]) / (2 * h)
-            assert abs(fd - cb.fast_eigenvalue_on_graph(x)) < 1e-6
-
-    def test_boundary_rejected(self):
-        with pytest.raises(DomainError):
-            critical_branches(0.25, 0.25)
+        for x, y in ((0.1, 0.05), (0.2, critical_height(0.2, p.m, p.n)),
+                     (0.4, 0.3), (0.0, 0.7)):
+            fd = [(f(x + h, y)[k] - f(x - h, y)[k]) / (2 * h) for k in (0, 1)]
+            fd += [(f(x, y + h)[k] - f(x, y - h)[k]) / (2 * h) for k in (0, 1)]
+            fx, fy, gx, gy = _jacobian(x, y, p)
+            for got, want in zip((fx, gx, fy, gy), fd):
+                assert abs(got - want) < 1e-9
 
 
 class TestEquilibria:
@@ -212,7 +216,7 @@ class TestEquilibria:
         import json
 
         rep = equilibria(AlleeParams(**EX1))
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(rep.to_dict()))
         assert data["E3"] is None
         assert abs(data["E4"]["point"][0] - rep.E4.point[0]) == 0.0
 
@@ -284,11 +288,11 @@ class TestNormalFormCoeffs:
         xM, yM = fold_point(m, n)
         beta_star = alpha * xM - gamma * yM
         p = AlleeParams(m=m, n=n, alpha=alpha, beta=beta_star, gamma=gamma, eps=0.01)
-        assert abs(a5_of_beta(p) - normal_form_coeffs(p).f00) < 1e-14
+        assert abs(model_columns(**p.to_dict())["a5"] - normal_form_coeffs(p).f00) < 1e-14
 
     def test_example_one_damping_nonzero(self):
         p = AlleeParams(**EX1)
-        a5 = a5_of_beta(p)
+        a5 = model_columns(**p.to_dict())["a5"]
         assert math.isfinite(a5) and abs(a5) > 1e-6
 
     def test_A_vanishes_at_computed_mstar(self):
@@ -338,7 +342,7 @@ class TestClosedFormRecord:
             for key in COEFF_NAMES:
                 assert getattr(nf, key) == np.broadcast_to(getattr(rec, key), (40,))[i]
             om = omega_coefficients(nf)
-            a5 = a5_of_beta(p)
+            a5 = model_columns(**p.to_dict())["a5"]
             assert out["A"][i] == compute_A(nf) == om.omega1 == out["omega1"][i]
             assert out["omega2"][i] == om.omega2
             assert out["a5"][i] == a5

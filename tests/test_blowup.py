@@ -600,7 +600,8 @@ def _reference_rotated(sys, branch):
     same T and the same rejections as normalize_linear."""
     m10, m01 = sys.fx.get((1, 0), 0.0), sys.fx.get((0, 1), 0.0)
     n10, n01 = sys.fy.get((1, 0), 0.0), sys.fy.get((0, 1), 0.0)
-    disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
+    # x * x, not x ** 2: pow() is not always correctly rounded
+    disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) * (m10 + n01)
     if disc <= 0.0 or (n10 if branch == BRANCH_USE_N10 else m01) == 0.0:
         raise DomainError("no rotation form on this branch")
     s = math.sqrt(disc)

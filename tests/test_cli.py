@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from model_oracle import sweep_row_reference
 
-from canard.allee import AlleeParams
-from canard.cli import MODEL_KEYS, load_config, main, parse_grid, read_csv, write_csv
+from canard.allee import PARAM_NAMES, AlleeParams
+from canard.cli import load_config, main, parse_grid, read_csv, write_csv
 from canard.errors import DomainError
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
@@ -211,7 +211,7 @@ SWEEP_BOX = {"m": (0.02, 0.18), "n": (0.05, 0.3), "alpha": (0.3, 1.5),
 @st.composite
 def sweep_cases(draw):
     base = {k: draw(st.floats(lo, hi)) for k, (lo, hi) in SWEEP_BOX.items()}
-    names = draw(st.lists(st.sampled_from(MODEL_KEYS), min_size=1, max_size=2, unique=True))
+    names = draw(st.lists(st.sampled_from(PARAM_NAMES), min_size=1, max_size=2, unique=True))
     axes = []
     for name in names:
         lo, hi = SWEEP_BOX[name]

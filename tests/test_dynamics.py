@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from canard import dynamics
-from canard._kernels import STATUS_OK, dopri5
+from canard._kernels import STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF, bisect, dopri5
 from canard.allee import AlleeParams, critical_slope, equilibria, fold_point
 from canard.dynamics import (
     FORWARD,
@@ -118,6 +119,25 @@ class TestIntegrate:
         with pytest.raises(NumericsError, match="field 'bad'"):
             integrate(bad, (0.0, 0.0), tight(1.0))
 
+    def test_unnamed_field_flagged(self):
+        # a callable without __name__ still gets the typed error
+        def shifted(x, y, a):
+            return (np.nan, a)
+
+        with pytest.raises(NumericsError, match="non-finite"):
+            integrate(functools.partial(shifted, a=1.0), (0.1, 0.1),
+                      IntegratorOptions(t_max=1.0))
+
+    def test_field_turning_non_finite_after_steps(self):
+        def edge(x, y):
+            return (1.0, 0.0) if x < 0.5 else (np.nan, 0.0)
+
+        status, ts, _, _, counts, _ = dopri5(edge, (0.0, 0.0), 2.0, 1e-8, 1e-10,
+                                             1.0, False)
+        assert status == STATUS_BAD_FIELD and counts[0] > 0 and ts[-1] < 0.5
+        with pytest.raises(NumericsError, match="field 'edge' evaluation"):
+            integrate(edge, (0.0, 0.0), tight(2.0))
+
     def test_finite_time_blowup_flagged(self):
         def blowup(x, y):
             # r' ~ r^3 escapes in finite time
@@ -210,7 +230,7 @@ class TestFindCycle:
         res = CycleResult((0.0, 1.0), 6.28, 0.5, "Stable", True)
         import json
 
-        d = json.loads(res.to_json())
+        d = json.loads(json.dumps(res.to_dict()))
         assert d["stability"] == "Stable" and d["period"] == 6.28
 
 
@@ -412,6 +432,82 @@ class TestCounters:
 
         tr = integrate(counted, (0.3, 0.1), tight(30.0))
         assert tr.nfev == calls[0]
+
+
+class TestStiffnessRetry:
+    """_run's reaction to a step-rejection streak, through a substituted
+    core that reports one."""
+
+    @staticmethod
+    def _core(monkeypatch, stiff_calls):
+        calls = []
+
+        def core(field, u0, t_end, rtol, atol, sign, store_dense, stop=None):
+            calls.append((rtol, atol))
+            if len(calls) <= stiff_calls:
+                return (STATUS_STIFF, np.array([0.0]), np.array([list(u0)]), None,
+                        (3, 30, 200), None)
+            return dopri5(field, u0, t_end, rtol, atol, sign, store_dense, stop)
+
+        monkeypatch.setattr(dynamics, "dopri5", core)
+        return calls
+
+    def test_retry_tightens_and_sums_work(self, monkeypatch):
+        calls = self._core(monkeypatch, 1)
+        with pytest.warns(RuntimeWarning, match="field 'soft_cycle': suspected stiffness"):
+            tr = integrate(soft_cycle, (0.3, 0.1), tight(5.0))
+        assert calls == [(1e-10, 1e-12), (1e-10 * 1e-2, 1e-12 * 1e-2)]
+        ref = dopri5(soft_cycle, (0.3, 0.1), 5.0, 1e-12, 1e-14, 1.0, True)
+        assert tr.stiffness_suspected
+        assert (tr.n_accepted, tr.n_rejected, tr.nfev) == tuple(
+            a + b for a, b in zip((3, 30, 200), ref[4]))
+        np.testing.assert_array_equal(tr.y, ref[2])
+
+    def test_persistent_stiffness_raises(self, monkeypatch):
+        calls = self._core(monkeypatch, 2)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NumericsError, match="persistent step rejection"):
+                integrate(soft_cycle, (0.3, 0.1), tight(5.0))
+        assert len(calls) == 2
+
+
+class TestBisect:
+    @settings(max_examples=200, deadline=None)
+    @given(root=st.floats(-10.0, 10.0), slope=st.floats(0.01, 100.0),
+           flip=st.booleans(), below=st.floats(1e-3, 5.0), above=st.floats(1e-3, 5.0),
+           width=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-2]))
+    def test_affine_root_within_stop_width(self, root, slope, flip, below, above, width):
+        k = -slope if flip else slope
+
+        def g(t):
+            return k * (t - root)
+
+        lo, hi = root - below, root + above
+        assume(lo < root < hi)
+        x = bisect(g, lo, hi, g(lo), lambda a, b: b - a <= width)
+        assert abs(x - root) <= width
+
+    def test_exact_zero_midpoint_returned(self):
+        seen = []
+
+        def g(t):
+            seen.append(t)
+            return t - 0.375
+
+        assert bisect(g, 0.0, 1.0, -0.375, lambda a, b: False, max_iter=60) == 0.375
+        assert seen == [0.5, 0.25, 0.375]
+
+    @pytest.mark.parametrize("cap", [0, 1, 7, 40])
+    def test_cap_honoured(self, cap):
+        seen = []
+
+        def g(t):
+            seen.append(t)
+            return t - 1.0 / 3.0
+
+        x = bisect(g, 0.0, 1.0, -1.0 / 3.0, lambda a, b: False, max_iter=cap)
+        assert len(seen) == cap
+        assert abs(x - 1.0 / 3.0) <= 0.5 ** (cap + 1)
 
 
 def _first_same_direction(field, section, y0, opts):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -149,7 +150,7 @@ class TestFactorization:
 
 class TestIntegral:
     def test_vanishes_with_depth(self):
-        assert abs(slow_divergence_integral(P_CHANGE, 0.0, 1e-6)) < 1e-6
+        assert abs(slow_divergence_integral(P_CHANGE, 1e-6)) < 1e-6
 
     def test_sign_follows_phi_positive_case(self):
         # y0 <= 0: phi > 0 on the whole height range
@@ -157,13 +158,13 @@ class TestIntegral:
         assert phi_root(p) <= 0.0
         _, yM = fold_point(p.m, p.n)
         for s in (0.1 * yM, 0.4 * yM, 0.8 * yM):
-            assert slow_divergence_integral(p, 0.0, s) > 0.0
+            assert slow_divergence_integral(p, s) > 0.0
 
     def test_sign_follows_phi_negative_case(self):
         _, yM = fold_point(P_NEG.m, P_NEG.n)
         assert phi_root(P_NEG) >= yM
         for s in (0.1 * yM, 0.4 * yM, 0.8 * yM):
-            assert slow_divergence_integral(P_NEG, 0.0, s) < 0.0
+            assert slow_divergence_integral(P_NEG, s) < 0.0
 
     def test_forms_agree(self):
         rng = np.random.default_rng(29)
@@ -171,29 +172,9 @@ class TestIntegral:
             p = random_coincident(rng)
             _, yM = fold_point(p.m, p.n)
             s = float(rng.uniform(0.1, 0.9)) * yM
-            iy = slow_divergence_integral(p, 0.0, s)
-            ix = slow_divergence_integral_x(p, 0.0, s)
+            iy = slow_divergence_integral(p, s)
+            ix = slow_divergence_integral_x(p, s)
             assert abs(iy - ix) <= 1e-6 * max(abs(iy), 1e-12)
-
-    def test_lambda0_threads_beta(self, monkeypatch):
-        # both integrals shift beta once, through _shifted, and evaluate h
-        # at the shifted parameters
-        p = P_CHANGE
-        shifted = AlleeParams(m=p.m, n=p.n, alpha=p.alpha, beta=p.beta + 1e-3,
-                              gamma=p.gamma, eps=p.eps)
-        assert sdi._shifted(p, 1e-3) == shifted
-        assert sdi._shifted(p, 0.0) is p
-        seen = []
-
-        def spy(x, q):
-            seen.append(q)
-            return np.zeros(np.shape(x))
-
-        monkeypatch.setattr(sdi, "h_slow", spy)
-        for form in (slow_divergence_integral, slow_divergence_integral_x):
-            seen.clear()
-            assert form(p, 1e-3, 0.05) == 0.0
-            assert seen and all(q == shifted for q in seen)
 
     def test_interior_equilibrium_on_segment_is_flagged(self):
         # off the coincidence value the slow flow dies at E4 inside the
@@ -201,7 +182,8 @@ class TestIntegral:
         from canard.errors import NumericsError
 
         with pytest.raises(NumericsError):
-            slow_divergence_integral(P_CHANGE, 1e-3, 0.05)
+            slow_divergence_integral(dataclasses.replace(P_CHANGE, beta=P_CHANGE.beta + 1e-3),
+                                     0.05)
 
     def test_deep_depths_agree_across_forms(self):
         # depths close to s_max, where h's pole at y_hat nears the window
@@ -209,8 +191,8 @@ class TestIntegral:
         for p in (P_CHANGE, P_NEG, random_coincident(rng), random_coincident(rng)):
             smax = sdi._depth_ceiling(p)[1]
             for gap in (1e-2, 1e-3, 1e-5):
-                iy = slow_divergence_integral(p, 0.0, (1.0 - gap) * smax)
-                ix = slow_divergence_integral_x(p, 0.0, (1.0 - gap) * smax)
+                iy = slow_divergence_integral(p, (1.0 - gap) * smax)
+                ix = slow_divergence_integral_x(p, (1.0 - gap) * smax)
                 assert abs(iy - ix) <= 1e-6 * abs(iy)
 
     def test_fine_grid_reaches_deep_depths(self):
@@ -221,7 +203,7 @@ class TestIntegral:
     def test_nonfinite_integrand_raises(self, monkeypatch, form):
         monkeypatch.setattr(sdi, "h_slow", lambda x, p: np.full(np.shape(x), np.nan))
         with pytest.raises(NumericsError, match="non-finite"):
-            form(P_CHANGE, 0.0, 0.05)
+            form(P_CHANGE, 0.05)
 
     def test_rule_is_exact_for_polynomials_and_flags_poles(self):
         got = sdi._gauss_legendre(lambda x: 96.0 * x ** 95, [0.0, 0.0], [1.0, 0.5], "test")
@@ -235,9 +217,9 @@ class TestIntegral:
     def test_depth_range_enforced(self):
         _, yM = fold_point(P_CHANGE.m, P_CHANGE.n)
         with pytest.raises(DomainError):
-            slow_divergence_integral(P_CHANGE, 0.0, 0.0)
+            slow_divergence_integral(P_CHANGE, 0.0)
         with pytest.raises(DomainError):
-            slow_divergence_integral(P_CHANGE, 0.0, yM * 1.01)
+            slow_divergence_integral(P_CHANGE, yM * 1.01)
 
 
 class TestCyclicityReport:
@@ -291,11 +273,19 @@ class TestCyclicityReport:
         with pytest.raises(DomainError):
             SdiProfile((0.1, 0.2), (1.0,), 0, "phi-positive")
 
+    def test_zero_count_is_sign_changes_of_values(self):
+        rng = np.random.default_rng(47)
+        for p in [P_CHANGE, P_NEG] + [random_coincident(rng) for _ in range(40)]:
+            for grid in (2, 5, 24):
+                prof = cyclicity_report(p, grid)
+                signs = [math.copysign(1.0, v) for v in prof.values if v != 0.0]
+                assert prof.zero_count == sum(a != b for a, b in zip(signs, signs[1:]))
+
     def test_json_summary(self):
         import json
 
         prof = cyclicity_report(P_NEG, 6)
-        data = json.loads(prof.to_json())
+        data = json.loads(json.dumps(prof.to_dict()))
         assert data["zero_count"] == 0
         assert data["case"] == "phi-negative"
         assert len(data["s_grid"]) == 6

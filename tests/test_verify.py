@@ -75,7 +75,7 @@ class TestRunAll:
     def test_json_roundtrip(self):
         report = run_all(seed=5, omega1_records=2, omega2_records=1,
                          rho_records=1)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["seed"] == 5
         assert len(data["stages"]) == len(STAGE_NAMES)
         assert data["all_passed"] == report.all_passed
