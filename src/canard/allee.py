@@ -78,23 +78,6 @@ class AlleeParams:
         # of the fold with the prey-only pair (y_M = 0, delta1 = 0)
         _require_admissible(self.m, self.n, allow_boundary=True)
 
-    def to_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "AlleeParams":
-        unknown = sorted(set(data) - set(PARAM_NAMES))
-        if unknown:
-            raise DomainError(f"unknown parameter keys: {', '.join(unknown)}")
-        missing = sorted(set(PARAM_NAMES) - set(data))
-        if missing:
-            raise DomainError(f"missing parameter keys: {', '.join(missing)}")
-        try:
-            vals = {k: float(data[k]) for k in PARAM_NAMES}
-        except (TypeError, ValueError):
-            raise DomainError("parameters must be numbers") from None
-        return cls(**vals)
-
 
 def critical_height(x: float, m: float, n: float) -> float:
     """F(x) = x/(m+x) - n - x, the curved critical branch."""
@@ -146,23 +129,13 @@ class Equilibrium:
 @dataclass(frozen=True)
 class EquilibriaReport:
     E0: Equilibrium
-    delta1: float
-    delta2: float
     E1: Optional[Equilibrium]
     E2: Optional[Equilibrium]
     E3: Optional[Equilibrium]
     E4: Optional[Equilibrium]
+    delta1: float
+    delta2: float
     fold: Tuple[float, float]
-
-    def to_dict(self) -> Dict:
-        def enc(e):
-            return None if e is None else {"point": list(e.point), "kind": e.kind}
-        return {
-            "E0": enc(self.E0), "E1": enc(self.E1), "E2": enc(self.E2),
-            "E3": enc(self.E3), "E4": enc(self.E4),
-            "delta1": self.delta1, "delta2": self.delta2,
-            "fold": list(self.fold),
-        }
 
 
 def model_field(p: AlleeParams):
@@ -239,7 +212,7 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
                     E3 = eq
                 else:
                     E4 = eq
-    return EquilibriaReport(E0, delta1, delta2, E1, E2, E3, E4, fold_point(p.m, p.n))
+    return EquilibriaReport(E0, E1, E2, E3, E4, delta1, delta2, fold_point(p.m, p.n))
 
 
 def gamma_star(m: float, n: float, alpha: float, beta: float) -> float:

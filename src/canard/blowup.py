@@ -20,12 +20,9 @@ blow_up_via_jets keeps to the generic jet ops as an independent
 cross-check of the closed-form tables and is the only place here that
 builds a Jet.
 
-Stage tags of PlanarPolySystem:
-  blown     rescaled system, origin not yet an equilibrium
-  centered  equilibrium translated to the origin
-  rotated   linear part equals a*I + b*R with R = [[0,-1],[1,0]], so b is
-            the x-coefficient of the second component (rotation speed)
-  hopf      rotated and trace below 1e-12 (on the Hopf curve)
+A PlanarPolySystem carries the two tables, the blow-up radius r and the
+degree bound, and no stage tag: lyapunov_DF's |trace| < 1e-12 gate is the
+one check that a system sits on the Hopf curve.
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ import numpy as np
 from .errors import DomainError, NumericsError
 from .jet import Jet, jet_add, jet_compose, jet_mul, jet_scale
 from .normalform import COEFF_NAMES, NormalFormCoefficients, rho_coefficients
-
-STAGES = ("blown", "centered", "rotated", "hopf")
 
 BRANCH_USE_N10 = "UseN10"
 BRANCH_USE_M01 = "UseM01"
@@ -95,27 +90,16 @@ class PlanarPolySystem:
 
     fx: Terms
     fy: Terms
-    stage: str
     r: float
-    lambda1: float
-    branch: Optional[str] = None
     degree: int = _DEGREE
 
     def __post_init__(self):
-        if self.stage not in STAGES:
-            raise DomainError(f"unknown stage tag {self.stage!r}")
         if self.degree < 3:
             raise DomainError(f"system degree bound must be at least 3, got {self.degree}")
         if self.r <= 0.0:
             raise DomainError(f"r must be positive, got {self.r}")
         object.__setattr__(self, "fx", _clean_terms(self.fx, self.degree))
         object.__setattr__(self, "fy", _clean_terms(self.fy, self.degree))
-
-    def linear_part(self) -> np.ndarray:
-        return np.array([
-            [self.fx.get((1, 0), 0.0), self.fx.get((0, 1), 0.0)],
-            [self.fy.get((1, 0), 0.0), self.fy.get((0, 1), 0.0)],
-        ])
 
 
 @dataclass(frozen=True)
@@ -160,7 +144,7 @@ def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolyS
         (1, 2): r2 * r2 * (nf.f11 - lambda1 * r * nf.e12),
         (0, 3): r2 * r2 * r * (nf.f02 - lambda1 * r * nf.e03),
     }
-    return PlanarPolySystem(m, n, "blown", r, lambda1)
+    return PlanarPolySystem(m, n, r)
 
 
 def _template_jets(nf: NormalFormCoefficients, lam: float, eps: float) -> Tuple[Jet, Jet]:
@@ -209,7 +193,7 @@ def blow_up_via_jets(nf: NormalFormCoefficients, r: float, lambda1: float) -> Pl
     sub_y = Jet(2, _DEGREE, {(0, 1): eps})
     fx1 = jet_scale(jet_compose(fx, [sub_x, sub_y]), r ** -2)
     fy1 = jet_scale(jet_compose(fy, [sub_x, sub_y]), r ** -3)
-    return PlanarPolySystem(fx1.coeffs, fy1.coeffs, "blown", r, lambda1)
+    return PlanarPolySystem(fx1.coeffs, fy1.coeffs, r)
 
 
 def _partials(coeffs: Terms, x: float, y: float, degree: int
@@ -338,8 +322,7 @@ def translate_to_equilibrium(sys: PlanarPolySystem, eq: Tuple[float, float]) -> 
     if not res <= 1e-10:  # a NaN residual fails too
         raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
     return PlanarPolySystem(_recenter(sys.fx, x0, y0, sys.degree),
-                            _recenter(sys.fy, x0, y0, sys.degree),
-                            "centered", sys.r, sys.lambda1, degree=sys.degree)
+                            _recenter(sys.fy, x0, y0, sys.degree), sys.r, sys.degree)
 
 
 def _linear_powers(a: float, b: float, degree: int) -> list:
@@ -414,9 +397,7 @@ def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_USE_M01) -> Pla
     (t00, t01), (t10, t11) = T
     g1 = {k: t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys}
     g2 = {k: t10 * z1.get(k, 0.0) + t11 * z2.get(k, 0.0) for k in keys}
-    trace = g1.get((1, 0), 0.0) + g2.get((0, 1), 0.0)
-    stage = "hopf" if abs(trace) < 1e-12 else "rotated"
-    return PlanarPolySystem(g1, g2, stage, sys.r, sys.lambda1, branch=branch, degree=sys.degree)
+    return PlanarPolySystem(g1, g2, sys.r, sys.degree)
 
 
 def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:

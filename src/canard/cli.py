@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -132,10 +132,13 @@ def _as_float(settings: Dict[str, object], key: str,
         if default is None:
             raise DomainError(f"missing required setting {key!r}")
         return default
+    value = settings[key]
     try:
-        return float(settings[key])  # type: ignore[arg-type]
+        if isinstance(value, bool):  # float(True) would read as 1.0
+            raise TypeError
+        return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        raise DomainError(f"setting {key!r} is not a number: {settings[key]!r}") from None
+        raise DomainError(f"setting {key!r} is not a number: {value!r}") from None
 
 
 def _as_int(settings: Dict[str, object], key: str,
@@ -146,7 +149,7 @@ def _as_int(settings: Dict[str, object], key: str,
         return default
     value = settings[key]
     if isinstance(value, bool) or (not isinstance(value, int)
-                                   and int(_as_float(settings, key)) != _as_float(settings, key)):
+                                   and not _as_float(settings, key).is_integer()):
         raise DomainError(f"setting {key!r} must be an integer, got {value!r}")
     return int(_as_float(settings, key))
 
@@ -205,36 +208,36 @@ def read_csv(path: str) -> Tuple[List[str], List[List[str]]]:
     return header, rows
 
 
+def _fields(record) -> dict:
+    """A record's JSON object: its dataclass fields in declaration order,
+    values as they are (json encodes nested records through this hook)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _write_json(out_dir: str, name: str, payload: dict) -> str:
-    return _write_text(out_dir, name, json.dumps(payload, indent=2) + "\n")
+    return _write_text(out_dir, name, json.dumps(payload, indent=2, default=_fields) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def _analysis_dict(nf: NormalFormCoefficients, tol: float) -> dict:
-    analysis = analyze_record(nf, tol=tol)
-    return {
-        "A": analysis.A,
-        "omega1": analysis.omega1,
-        "omega2": analysis.omega2,
-        "rho1": analysis.rho1,
-        "rho3": analysis.rho3,
-        "classification": analysis.classification.value,
-    }
-
-
 def _load_record(path: str) -> NormalFormCoefficients:
+    """A coefficient file: one flat JSON object of numbers keyed by
+    normalform.COEFF_NAMES, absent keys read as 0."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read coefficient file {path}: {exc}") from None
     try:
-        return NormalFormCoefficients.from_json(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"coefficient file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise DomainError(f"coefficient file {path} must hold a flat object, "
+                          f"got {type(data).__name__}")
+    return NormalFormCoefficients.from_dict(data)
 
 
 def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
@@ -243,20 +246,15 @@ def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
         raise DomainError(f"requires classify_tol > 0, got {tol}")
     if "coefficients" in rc.settings:
         nf = _load_record(str(rc.settings["coefficients"]))
-        report = {
-            "input": "coefficients",
-            "classify_tol": tol,
-            "record": nf.to_dict(),
-            "analysis": _analysis_dict(nf, tol),
-        }
+        ana = analyze_record(nf, tol)
+        report = {"input": "coefficients", "classify_tol": tol,
+                  "record": nf, "analysis": ana}
         if "eps" in rc.settings:
             eps = _as_float(rc.settings, "eps")
-            ana = report["analysis"]
-            report["lambda_star"] = lambda_star_series(ana["rho1"], ana["rho3"], eps)
+            report["lambda_star"] = lambda_star_series(ana.rho1, ana.rho3, eps)
             report["eps"] = eps
         path = _write_json(rc.output_dir, "analyze.json", report)
-        print(f"record classification: {report['analysis']['classification']} "
-              f"(A = {report['analysis']['A']:.6g})")
+        print(f"record classification: {ana.classification.value} (A = {ana.A:.6g})")
         return [path], 0
 
     p = _model_params(rc.settings)
@@ -264,7 +262,7 @@ def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
     delta1, x1, x2 = boundary_roots(p.m, p.n)
     eq = equilibria(p)
     nf = normal_form_coeffs(p)
-    ana = _analysis_dict(nf, tol)
+    ana = analyze_record(nf, tol)
     cols = model_columns(p.m, p.n, p.alpha, p.beta, p.gamma, p.eps)
     a5, lam_h, lam_c = (float(cols[k]) for k in ("a5", "lambda_h", "lambda_c"))
     psi = psi_case_analysis(p.m, p.n, p.alpha, p.gamma)
@@ -279,28 +277,25 @@ def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
         }
     report = {
         "input": "model",
-        "params": p.to_dict(),
+        "params": p,
         "classify_tol": tol,
         "fold": [xm, ym],
         "boundary": {"delta1": delta1, "x1": x1, "x2": x2},
-        "equilibria": eq.to_dict(),
+        "equilibria": eq,
         "e4_trace": trace4,
-        "record": nf.to_dict(),
+        "record": nf,
         "analysis": ana,
         "a5": a5,
         "curves": {"lambda_h": lam_h, "lambda_c": lam_c, "gap": lam_c - lam_h},
-        "psi_case": {
-            "psi": psi.psi, "m_star": psi.m_star, "n_threshold": psi.n_threshold,
-            "tag": psi.tag, "predicted_sign": psi.predicted_sign,
-        },
+        "psi_case": psi,
         "gamma_star": gs,
         "model_curves": curves,
     }
     path = _write_json(rc.output_dir, "analyze.json", report)
     print(f"fold at ({xm:.6g}, {ym:.6g}); "
           f"E4 {'absent' if eq.E4 is None else 'at (%.6g, %.6g)' % eq.E4.point}")
-    print(f"A = {ana['A']:.6g}, omega1 = {ana['omega1']:.6g}, "
-          f"omega2 = {ana['omega2']:.6g} -> {ana['classification']}")
+    print(f"A = {ana.A:.6g}, omega1 = {ana.omega1:.6g}, "
+          f"omega2 = {ana.omega2:.6g} -> {ana.classification.value}")
     print(f"lambda_h = {lam_h:.6g}, lambda_c = {lam_c:.6g} (gap {lam_c - lam_h:.6g})")
     print(f"psi case: {psi.tag} (m* = {psi.m_star:.6g})")
     return [path], 0
@@ -408,7 +403,7 @@ def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
     csv_path = write_csv(rc.output_dir, "trajectory.csv", ["t", "x", "y"], rows)
     end = traj.end_state
     summary = {
-        "params": p.to_dict(),
+        "params": p,
         "start": [start[0], start[1]],
         "direction": opts.direction,
         "t_final": float(traj.t[-1]),
@@ -436,7 +431,7 @@ def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
             section_x = report.E4.point[0]
         section = Section(section_x, 0.0)
         cyc = find_cycle(field, (lo, hi), section, opts)
-        summary["cycle"] = cyc.to_dict()
+        summary["cycle"] = cyc
         print(f"cycle: section point ({cyc.section_point[0]:.9g}, "
               f"{cyc.section_point[1]:.9g}), period = {cyc.period:.6g}, "
               f"multiplier = {cyc.multiplier:.6g} ({cyc.stability})")
@@ -460,7 +455,7 @@ def cmd_sdi(rc: RunConfig) -> Tuple[List[str], int]:
         raise DomainError(f"sdi grid must be an integer count, got {grid_raw!r}") from None
     profile = cyclicity_report(p, grid_size)
     json_path = _write_json(rc.output_dir, "sdi.json",
-                            dict(profile.to_dict(), params=p.to_dict()))
+                            dict(_fields(profile), params=p))
     csv_path = write_csv(rc.output_dir, "sdi.csv", ["s", "integral"],
                          [[s, v] for s, v in zip(profile.s_grid, profile.values)])
     svg = _svg.polyline(profile.s_grid, profile.values,
@@ -479,7 +474,7 @@ def cmd_sdi(rc: RunConfig) -> Tuple[List[str], int]:
 def cmd_verify(rc: RunConfig) -> Tuple[List[str], int]:
     offset = _as_float(rc.settings, "omega2_offset", 0.0)
     report = run_all(seed=rc.seed, omega2_offset=offset)
-    path = _write_json(rc.output_dir, "verify.json", report.to_dict())
+    path = _write_json(rc.output_dir, "verify.json", report)
     for line in report.lines():
         print(line)
     return [path], 0 if report.all_passed else 2

@@ -62,7 +62,6 @@ class Trajectory:
     t: np.ndarray
     y: np.ndarray
     rcont: Optional[np.ndarray]
-    direction: str
     stiffness_suspected: bool = False
     # integrator work, summed over the stiffness retry when there was one
     n_accepted: int = 0
@@ -127,7 +126,7 @@ def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
             f"field '{name}' evaluation produced non-finite values")
     if status == STATUS_STIFF:
         raise NumericsError("persistent step rejection even after tightening")
-    return Trajectory(ts, ys, rc, opts.direction, stiff, *work), hit
+    return Trajectory(ts, ys, rc, stiff, *work), hit
 
 
 def integrate(field: Callable, x0, opts: IntegratorOptions = IntegratorOptions()
@@ -225,15 +224,6 @@ class CycleResult:
     def __post_init__(self):
         if not self.period > 0.0:
             raise DomainError(f"cycle period must be positive, got {self.period}")
-
-    def to_dict(self) -> dict:
-        return {
-            "section_point": list(self.section_point),
-            "period": self.period,
-            "multiplier": self.multiplier,
-            "stability": self.stability,
-            "converged": self.converged,
-        }
 
 
 _NEUTRAL_BAND = 1e-4

@@ -27,7 +27,6 @@ omega1 = 0 the sign of omega2 decides, with the Degenerate* labels.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -88,31 +87,21 @@ class NormalFormCoefficients:
             if not math.isfinite(v):
                 raise DomainError(f"coefficient {f.name} is not finite")
 
-    def to_dict(self) -> Dict[str, float]:
-        return {name: getattr(self, name) for name in COEFF_NAMES}
-
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "NormalFormCoefficients":
+        """Record from a name -> number mapping; absent names read as 0."""
         unknown = sorted(set(data) - set(COEFF_NAMES))
         if unknown:
             raise DomainError(f"unknown coefficient keys: {', '.join(unknown)}")
         vals = {}
         for k, v in data.items():
             try:
+                if isinstance(v, bool):  # float(True) would read as 1.0
+                    raise TypeError
                 vals[k] = float(v)
             except (TypeError, ValueError):
                 raise DomainError(f"coefficient {k} is not a number: {v!r}") from None
         return cls(**vals)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NormalFormCoefficients":
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise DomainError("coefficient JSON must be a flat object")
-        return cls.from_dict(data)
 
 
 class Criticality(str, Enum):
@@ -138,10 +127,10 @@ class OmegaCoefficients(NamedTuple):
 @dataclass(frozen=True)
 class HopfAnalysis:
     A: float
-    rho1: float
-    rho3: float
     omega1: float
     omega2: float
+    rho1: float
+    rho3: float
     classification: Criticality
 
 

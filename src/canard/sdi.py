@@ -233,14 +233,6 @@ class SdiProfile:
         if any(b <= a for a, b in zip(self.s_grid, self.s_grid[1:])):
             raise DomainError("s_grid must be strictly increasing")
 
-    def to_dict(self) -> dict:
-        return {
-            "s_grid": list(self.s_grid),
-            "values": list(self.values),
-            "zero_count": self.zero_count,
-            "case": self.case,
-        }
-
 
 def _count_sign_changes(values) -> int:
     signs = [v for v in (math.copysign(1.0, v) if v != 0.0 else 0.0 for v in values)

@@ -59,32 +59,16 @@ class StageResult:
     message: str
     details: Dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "message": self.message,
-            "details": dict(self.details),
-        }
-
 
 @dataclass(frozen=True)
 class VerifyReport:
     seed: int
     omega2_offset: float
+    all_passed: bool = field(init=False)
     stages: List[StageResult]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(s.passed for s in self.stages)
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "omega2_offset": self.omega2_offset,
-            "all_passed": self.all_passed,
-            "stages": [s.to_dict() for s in self.stages],
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "all_passed", all(s.passed for s in self.stages))
 
     def lines(self) -> List[str]:
         out = []

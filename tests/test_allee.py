@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,8 +43,7 @@ def random_admissible(rng, strict_margin=0.05):
 class TestParams:
     def test_roundtrip(self):
         p = AlleeParams(**EX1)
-        q = AlleeParams.from_dict(p.to_dict())
-        assert p == q
+        assert AlleeParams(**asdict(p)) == p
 
     def test_rejects_bad_values(self):
         with pytest.raises(DomainError):
@@ -62,17 +62,6 @@ class TestParams:
     def test_boundary_m_is_allowed(self):
         # m = (1-sqrt(n))^2 exactly: fold on the x-axis
         AlleeParams(m=0.25, n=0.25, alpha=1.0, beta=0.2, gamma=0.5, eps=0.01)
-
-    def test_from_dict_key_errors(self):
-        p = AlleeParams(**EX1)
-        d = p.to_dict()
-        d["zeta"] = 1.0
-        with pytest.raises(DomainError):
-            AlleeParams.from_dict(d)
-        d = p.to_dict()
-        del d["gamma"]
-        with pytest.raises(DomainError):
-            AlleeParams.from_dict(d)
 
 
 class TestFold:
@@ -216,7 +205,7 @@ class TestEquilibria:
         import json
 
         rep = equilibria(AlleeParams(**EX1))
-        data = json.loads(json.dumps(rep.to_dict()))
+        data = json.loads(json.dumps(asdict(rep)))
         assert data["E3"] is None
         assert abs(data["E4"]["point"][0] - rep.E4.point[0]) == 0.0
 
@@ -288,11 +277,11 @@ class TestNormalFormCoeffs:
         xM, yM = fold_point(m, n)
         beta_star = alpha * xM - gamma * yM
         p = AlleeParams(m=m, n=n, alpha=alpha, beta=beta_star, gamma=gamma, eps=0.01)
-        assert abs(model_columns(**p.to_dict())["a5"] - normal_form_coeffs(p).f00) < 1e-14
+        assert abs(model_columns(**asdict(p))["a5"] - normal_form_coeffs(p).f00) < 1e-14
 
     def test_example_one_damping_nonzero(self):
         p = AlleeParams(**EX1)
-        a5 = model_columns(**p.to_dict())["a5"]
+        a5 = model_columns(**asdict(p))["a5"]
         assert math.isfinite(a5) and abs(a5) > 1e-6
 
     def test_A_vanishes_at_computed_mstar(self):
@@ -342,7 +331,7 @@ class TestClosedFormRecord:
             for key in COEFF_NAMES:
                 assert getattr(nf, key) == np.broadcast_to(getattr(rec, key), (40,))[i]
             om = omega_coefficients(nf)
-            a5 = model_columns(**p.to_dict())["a5"]
+            a5 = model_columns(**asdict(p))["a5"]
             assert out["A"][i] == compute_A(nf) == om.omega1 == out["omega1"][i]
             assert out["omega2"][i] == om.omega2
             assert out["a5"][i] == a5

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,26 @@ class TestConfig:
         js.write_text("{ broken")
         with pytest.raises(DomainError):
             load_config(str(js))
+
+    def test_flat_boolean_is_not_a_number(self, tmp_path, capsys):
+        # float(True) is 1.0: 'alpha = true' must not run as alpha = 1
+        cfg = write_cfg(tmp_path / "p.cfg", dict(EX1, alpha="true"))
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "setting 'alpha' is not a number: True" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "analyze.json").exists()
+
+    @pytest.mark.parametrize("seed", ["nan", "1e400", "2.5", "true"])
+    def test_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "setting 'seed' must be an integer" in capsys.readouterr().err
+
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys):
+        js = tmp_path / "p.json"
+        js.write_text(json.dumps(dict(EX1, start_x=0.2644, start_y=True)))
+        assert run(["simulate", "--config", js, "--out", tmp_path / "o"]) == 1
+        assert "setting 'start_y' is not a number: True" in capsys.readouterr().err
 
 
 class TestGridParse:
@@ -118,7 +139,7 @@ class TestAnalyze:
 
         nf = NormalFormCoefficients(a10=0.25, b10=-0.5, c10=0.3, f00=-0.1)
         rec = tmp_path / "record.json"
-        rec.write_text(nf.to_json())
+        rec.write_text(json.dumps(asdict(nf)))
         cfg = tmp_path / "p.cfg"
         cfg.write_text(f"coefficients = {rec}\neps = 0.01\n")
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 0
@@ -128,6 +149,22 @@ class TestAnalyze:
         assert data["analysis"]["classification"] == want.classification.value
         assert data["lambda_star"] == pytest.approx(
             want.rho1 * 0.01 + want.rho3 * 1e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[0.25, -0.5]", "must hold a flat object, got list"),
+        ("a10 = 0.25", "is not valid JSON"),
+        ('{"a10": 0.25, "z99": 1.0}', "unknown coefficient keys: z99"),
+        ('{"a10": true}', "coefficient a10 is not a number: True"),
+    ])
+    def test_coefficient_file_rejected(self, tmp_path, capsys, text, problem):
+        rec = tmp_path / "record.json"
+        rec.write_text(text)
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"coefficients = {rec}\n")
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert problem in err
+        assert not (tmp_path / "o" / "analyze.json").exists()
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path / "p.cfg", EX1)
@@ -370,6 +407,70 @@ class TestVerify:
         data = json.loads((tmp_path / "o" / "verify.json").read_text())
         assert data["all_passed"] is False
         assert data["omega2_offset"] == 0.5
+
+
+class TestJsonLayout:
+    """The JSON files list their keys in this order; records contribute
+    their dataclass fields in declaration order."""
+
+    ANALYSIS = ["A", "omega1", "omega2", "rho1", "rho3", "classification"]
+    PARAMS = list(PARAM_NAMES)
+
+    def read(self, out, name):
+        return json.loads((out / name).read_text())
+
+    def test_analyze_model(self, tmp_path):
+        cfg = write_cfg(tmp_path / "p.cfg", EX1)
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == 0
+        data = self.read(tmp_path, "analyze.json")
+        assert list(data) == ["input", "params", "classify_tol", "fold", "boundary",
+                              "equilibria", "e4_trace", "record", "analysis", "a5",
+                              "curves", "psi_case", "gamma_star", "model_curves"]
+        assert list(data["params"]) == self.PARAMS
+        assert list(data["equilibria"]) == ["E0", "E1", "E2", "E3", "E4",
+                                            "delta1", "delta2", "fold"]
+        assert list(data["equilibria"]["E4"]) == ["point", "kind"]
+        assert list(data["analysis"]) == self.ANALYSIS
+        assert list(data["psi_case"]) == ["psi", "m_star", "n_threshold", "tag",
+                                          "predicted_sign"]
+        record = list(data["record"])
+        assert (record[0], record[-1], len(record)) == ("a10", "f02", 32)
+
+    def test_analyze_coefficients(self, tmp_path):
+        rec = tmp_path / "record.json"
+        rec.write_text('{"a10": 0.25, "f00": -0.1}')
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"coefficients = {rec}\neps = 0.01\n")
+        assert run(["analyze", "--config", cfg, "--out", tmp_path]) == 0
+        data = self.read(tmp_path, "analyze.json")
+        assert list(data) == ["input", "classify_tol", "record", "analysis",
+                              "lambda_star", "eps"]
+        assert list(data["analysis"]) == self.ANALYSIS
+
+    def test_simulate_with_cycle(self, tmp_path):
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        dict(EX1, start_x=0.2644, start_y=0.0961, t_max=1500,
+                             bracket_lo=0.10120444, bracket_hi=0.10549957))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
+        data = self.read(tmp_path, "simulate.json")
+        assert list(data) == ["params", "start", "direction", "t_final", "steps",
+                              "end_state", "stiffness_suspected", "cycle"]
+        assert list(data["params"]) == self.PARAMS
+        assert list(data["cycle"]) == ["section_point", "period", "multiplier",
+                                       "stability", "converged"]
+
+    def test_sdi(self, tmp_path):
+        cfg = TestSdi().cfg(tmp_path)
+        assert run(["sdi", "--config", cfg, "--out", tmp_path, "--grid", "4"]) == 0
+        data = self.read(tmp_path, "sdi.json")
+        assert list(data) == ["s_grid", "values", "zero_count", "case", "params"]
+        assert list(data["params"]) == self.PARAMS
+
+    def test_verify(self, tmp_path):
+        assert run(["verify", "--out", tmp_path, "--seed", "11"]) == 0
+        data = self.read(tmp_path, "verify.json")
+        assert list(data) == ["seed", "omega2_offset", "all_passed", "stages"]
+        assert list(data["stages"][0]) == ["name", "passed", "message", "details"]
 
 
 class TestArgumentErrors:

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -228,9 +229,7 @@ class TestFindCycle:
 
     def test_json_roundtrip(self):
         res = CycleResult((0.0, 1.0), 6.28, 0.5, "Stable", True)
-        import json
-
-        d = json.loads(json.dumps(res.to_dict()))
+        d = json.loads(json.dumps(asdict(res)))
         assert d["stability"] == "Stable" and d["period"] == 6.28
 
 

@@ -1,5 +1,7 @@
 """Source hygiene: no module under src/canard/ or tests/ imports a name it
-never reads.  Uses the stdlib ast module, so no linter is needed."""
+never reads, and cli is the one src/canard module that imports json, so
+file formats are decided in one place.  Uses the stdlib ast module, so no
+linter is needed."""
 
 import ast
 from pathlib import Path
@@ -42,3 +44,25 @@ def test_detector():
     src = ("from __future__ import annotations\nimport os, sys\n"
            "from a import b as c, d\nimport x.y\n__all__ = ['d']\nprint(sys, x)\n")
     assert unused_imports(src) == [(2, "os"), (3, "c")]
+
+
+def imported_modules(source: str):
+    """Top-level names of the modules an import statement loads."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_only_cli_imports_json():
+    users = [p.name for p in sorted((ROOT / "src" / "canard").glob("*.py"))
+             if "json" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert users == ["cli.py"]
+
+
+def test_import_detector():
+    src = "import json.decoder\nfrom json import dumps\nfrom . import json_like\n"
+    assert imported_modules(src) == {"json"}

@@ -285,7 +285,7 @@ class TestCyclicityReport:
         import json
 
         prof = cyclicity_report(P_NEG, 6)
-        data = json.loads(json.dumps(prof.to_dict()))
+        data = json.loads(json.dumps(dataclasses.asdict(prof)))
         assert data["zero_count"] == 0
         assert data["case"] == "phi-negative"
         assert len(data["s_grid"]) == 6

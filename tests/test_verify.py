@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -70,12 +71,12 @@ class TestRunAll:
     def test_deterministic_in_seed(self):
         a = run_all(seed=5, omega1_records=3, omega2_records=2, rho_records=2)
         b = run_all(seed=5, omega1_records=3, omega2_records=2, rho_records=2)
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
 
     def test_json_roundtrip(self):
         report = run_all(seed=5, omega1_records=2, omega2_records=1,
                          rho_records=1)
-        data = json.loads(json.dumps(report.to_dict()))
+        data = json.loads(json.dumps(asdict(report)))
         assert data["seed"] == 5
         assert len(data["stages"]) == len(STAGE_NAMES)
         assert data["all_passed"] == report.all_passed
