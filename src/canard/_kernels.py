@@ -8,10 +8,10 @@ scalar floats: a field is an autonomous function (x, y) -> (dx/dt,
 dy/dt) called with two floats, and the accepted steps are collected in
 lists and turned into arrays once, at the end.  An optional section
 stop ends a run at the first crossing of a vertical line in a wanted
-direction, located exactly as dynamics.section_crossings locates it on a
-finished trajectory.  bisect serves that location, the displacement
-root of dynamics.find_cycle and the trace root of
-dynamics.hopf_onset_scan, each with its own stop rule."""
+direction, located exactly as dynamics.section_crossings locates it on
+the interpolant it asks for (store_dense).  bisect serves that
+location, the displacement root of dynamics.find_cycle and the trace
+root of dynamics.hopf_onset_scan, each with its own stop rule."""
 
 from __future__ import annotations
 
@@ -56,12 +56,12 @@ def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
 
     Returns (status, ts, ys, rcont, counts, hit): the accepted mesh ts
     (n+1,) and ys (n+1, 2); the per-step interpolant coefficients rcont
-    (n, 5, 2), or None without store_dense; counts = (accepted steps,
-    rejected steps, rhs evaluations); and hit.  With stop = (x_sec,
-    y_base, want) every accepted step is searched for a crossing of
-    x = x_sec as by section_crossing, and the run ends at the first
-    crossing whose x-direction is want, returned as hit = (t, y, xdir);
-    otherwise hit is None."""
+    (n, 5, 2), or None without store_dense (the mesh is the same either
+    way); counts = (accepted steps, rejected steps, rhs evaluations); and
+    hit.  With stop = (x_sec, y_base, want) every accepted step is
+    searched for a crossing of x = x_sec as by section_crossing, and the
+    run ends at the first crossing whose x-direction is want, returned as
+    hit = (t, y, xdir); otherwise hit is None."""
     t = 0.0
     y0, y1 = float(u0[0]), float(u0[1])
     f = rhs(y0, y1)

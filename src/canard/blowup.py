@@ -4,7 +4,8 @@ The pipeline mechanically reproduces the construction that the closed
 forms in `normalform` summarize: rescale to the family chart (x = r*x1,
 y = r^2*y1, lam = r*lam1, eps = r^2, time divided by r), locate the
 equilibrium, translate it to the origin, bring the linear part to
-rotation form, and apply the planar first-Lyapunov-coefficient formula.
+rotation form in the one frame the closed forms are stated in (pivot
+m01), and apply the planar first-Lyapunov-coefficient formula.
 Everything here is independent of the omega/rho polynomials, so a fit of
 l1_blowup over an r-grid is an end-to-end check of those polynomials.
 
@@ -37,9 +38,6 @@ import numpy as np
 from .errors import DomainError, NumericsError
 from .jet import Jet, jet_add, jet_compose, jet_mul, jet_scale
 from .normalform import COEFF_NAMES, NormalFormCoefficients, rho_coefficients
-
-BRANCH_USE_N10 = "UseN10"
-BRANCH_USE_M01 = "UseM01"
 
 _DEGREE = 4  # cubic stages plus one guard order
 _MAX_ITER = 50  # Newton steps allowed to the equilibrium and to the Hopf point
@@ -356,16 +354,14 @@ def _substitute_linear(coeffs: Terms, X: list, Y: list) -> Terms:
     return out
 
 
-def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_USE_M01) -> PlanarPolySystem:
+def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:
     """Linear change of variables making the linear part a scaled rotation.
 
     After the transform the linear part is a*I + b*R with
     R = [[0, -1], [1, 0]], where a = trace/2 and b is read off the
     x-coefficient of the second component; eigenvalues are a +/- i*b.
-    The two branches use different pivots and give different (similar)
-    nonlinear parts; the Lyapunov coefficients of the branches agree up
-    to the positive factor |m01_bar / n10_bar|.  UseM01 is the frame of
-    the closed-form series; any other branch name raises DomainError."""
+    The transform pivots on m01, the frame the closed-form series are
+    stated in; requires complex eigenvalues and m01 != 0."""
     m10 = sys.fx.get((1, 0), 0.0)
     m01 = sys.fx.get((0, 1), 0.0)
     n10 = sys.fy.get((1, 0), 0.0)
@@ -375,20 +371,12 @@ def normalize_linear(sys: PlanarPolySystem, branch: str = BRANCH_USE_M01) -> Pla
     disc = 4.0 * N - M * M
     if disc <= 0.0:
         raise DomainError(f"4*N - M^2 = {disc:.3e} must be positive (complex eigenvalues)")
+    if m01 == 0.0:
+        raise DomainError("the rotation frame requires m01 != 0")
     s = math.sqrt(disc)
     rt2 = math.sqrt(2.0)
-    if branch == BRANCH_USE_N10:
-        if n10 == 0.0:
-            raise DomainError("branch UseN10 requires n10 != 0")
-        T = ((-rt2 * n10, rt2 * (m10 - n01) / 2.0),
-             (0.0, rt2 / 2.0 * s))
-    elif branch == BRANCH_USE_M01:
-        if m01 == 0.0:
-            raise DomainError("branch UseM01 requires m01 != 0")
-        T = ((rt2 * (n01 - m10) / 2.0, -rt2 * m01),
-             (rt2 / 2.0 * s, 0.0))
-    else:
-        raise DomainError(f"unknown branch {branch!r}")
+    T = ((rt2 * (n01 - m10) / 2.0, -rt2 * m01),
+         (rt2 / 2.0 * s, 0.0))
     (a, b), (c, d) = np.linalg.inv(T).tolist()
     X, Y = _linear_powers(a, b, sys.degree), _linear_powers(c, d, sys.degree)
     z1 = _substitute_linear(sys.fx, X, Y)
@@ -481,10 +469,10 @@ def lyapunov_DF(sys: PlanarPolySystem) -> float:
 def l1_blowup(nf: NormalFormCoefficients, r: float) -> float:
     """Blown-up first Lyapunov coefficient at radius r, on the Hopf curve.
 
-    Normalized on the UseM01 branch: the closed-form series L1(r) =
-    (omega1/16) r + (omega2/32) r^3 is stated in that frame, and the
-    branches differ by the positive factor |m01_bar / n10_bar| = 1 + O(r),
-    which would contaminate coefficient fits done across branches."""
+    Normalized in normalize_linear's m01-pivot frame, the frame of the
+    closed-form series L1(r) = (omega1/16) r + (omega2/32) r^3.  A frame
+    pivoting on n10 instead rescales L1 by the positive factor
+    |m01_bar / n10_bar| = 1 + O(r), which would contaminate the fits."""
     lam = hopf_lambda1(nf, r)
     sys = blow_up(nf, r, lam)
     eq = find_equilibrium(sys)

@@ -136,9 +136,14 @@ def _as_float(settings: Dict[str, object], key: str,
     try:
         if isinstance(value, bool):  # float(True) would read as 1.0
             raise TypeError
-        return float(value)  # type: ignore[arg-type]
+        number = float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise DomainError(f"setting {key!r} is not a number: {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise DomainError(f"setting {key!r} is not finite: {value!r}")
+    return number
 
 
 def _as_int(settings: Dict[str, object], key: str,
@@ -148,10 +153,13 @@ def _as_int(settings: Dict[str, object], key: str,
             raise DomainError(f"missing required setting {key!r}")
         return default
     value = settings[key]
-    if isinstance(value, bool) or (not isinstance(value, int)
-                                   and not _as_float(settings, key).is_integer()):
+    try:
+        number = _as_float(settings, key)
+    except DomainError:
+        number = math.nan
+    if not number.is_integer():
         raise DomainError(f"setting {key!r} must be an integer, got {value!r}")
-    return int(_as_float(settings, key))
+    return int(number)
 
 
 def _model_values(settings: Dict[str, object]) -> Dict[str, float]:
@@ -190,22 +198,6 @@ def write_csv(out_dir: str, name: str, header: Sequence[str],
         writer.writerow(header)
         writer.writerows(rows)
     return path
-
-
-def read_csv(path: str) -> Tuple[List[str], List[List[str]]]:
-    """Round-trip reader for this module's CSV files."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"CSV file {path} is empty (header row is mandatory)") from None
-        rows = [row for row in reader]
-    for row in rows:
-        if len(row) != len(header):
-            raise DomainError(f"CSV file {path} has a row of width {len(row)}, "
-                              f"header has {len(header)}")
-    return header, rows
 
 
 def _fields(record) -> dict:
@@ -448,12 +440,7 @@ def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
 
 def cmd_sdi(rc: RunConfig) -> Tuple[List[str], int]:
     p = _model_params(rc.settings)
-    grid_raw = rc.settings.get("grid", 24)
-    try:
-        grid_size = int(str(grid_raw))
-    except ValueError:
-        raise DomainError(f"sdi grid must be an integer count, got {grid_raw!r}") from None
-    profile = cyclicity_report(p, grid_size)
+    profile = cyclicity_report(p, _as_int(rc.settings, "grid", 24))
     json_path = _write_json(rc.output_dir, "sdi.json",
                             dict(_fields(profile), params=p))
     csv_path = write_csv(rc.output_dir, "sdi.csv", ["s", "integral"],

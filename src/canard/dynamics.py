@@ -2,21 +2,21 @@
 
 A field is an autonomous function (x, y) -> (dx/dt, dy/dt) on floats;
 allee_field(p) is the model's.  Every run goes through _run into the
-scalar Dormand-Prince 5(4) core in _kernels.  Return maps use a
-vertical-ray section with same-direction crossings located on the dense
-output; the integration of a return map stops at its first
-same-direction crossing.  Limit cycles are found by bisection on the
-displacement map, with unstable cycles handled in reversed time and
-their multiplier reported in the forward-time convention; that
-bisection, the crossing location and the Hopf onset scan all run
-_kernels.bisect."""
+scalar Dormand-Prince 5(4) core in _kernels.  integrate keeps the
+accepted mesh only; section crossings are located on the dense output,
+which only section_crossings keeps and a return map's run builds step by
+step, stopping at its first same-direction crossing.  Limit cycles are
+found by bisection on the displacement map, with unstable cycles handled
+in reversed time and their multiplier reported in the forward-time
+convention; that bisection, the crossing location and the Hopf onset
+scan all run _kernels.bisect."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from ._kernels import (
     STATUS_UNDERFLOW,
     bisect,
     dopri5,
-    interpolate,
     section_crossing,
 )
 from .allee import (AlleeParams, _jacobian, beta_star_conversion, equilibria,
@@ -61,7 +60,6 @@ class IntegratorOptions:
 class Trajectory:
     t: np.ndarray
     y: np.ndarray
-    rcont: Optional[np.ndarray]
     stiffness_suspected: bool = False
     # integrator work, summed over the stiffness retry when there was one
     n_accepted: int = 0
@@ -72,32 +70,12 @@ class Trajectory:
     def end_state(self) -> np.ndarray:
         return self.y[-1].copy()
 
-    def eval(self, tq):
-        """Dense-output state at time(s) tq within [0, t[-1]]."""
-        if self.rcont is None:
-            raise NumericsError("trajectory was integrated without dense output")
-        arr = np.atleast_1d(np.asarray(tq, dtype=float))
-        if arr.size and (arr.min() < self.t[0] - 1e-12
-                         or arr.max() > self.t[-1] + 1e-12):
-            raise DomainError(
-                f"query time outside [{self.t[0]}, {self.t[-1]}]")
-        idx = np.clip(np.searchsorted(self.t, arr, side="right") - 1,
-                      0, len(self.t) - 2)
-        out = np.empty((arr.size, 2))
-        for j in range(arr.size):
-            i = idx[j]
-            h = self.t[i + 1] - self.t[i]
-            theta = 0.0 if h == 0.0 else (arr[j] - self.t[i]) / h
-            theta = min(max(theta, 0.0), 1.0)
-            row = self.rcont[i].ravel()
-            out[j] = (interpolate(row, 0, theta), interpolate(row, 1, theta))
-        return out[0] if np.isscalar(tq) or np.asarray(tq).ndim == 0 else out
-
 
 def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
          stop=None):
     """Integrate with one stiffness retry at 100x tighter tolerances.
-    Returns (trajectory, hit), hit as from dopri5 with the given stop."""
+    Returns (trajectory, rcont, hit), rcont and hit as from dopri5 with
+    the given store_dense and stop."""
     u0 = np.asarray(x0, dtype=float)
     if u0.shape != (2,) or not np.all(np.isfinite(u0)):
         raise DomainError(f"initial state must be a finite point, got {x0}")
@@ -126,15 +104,15 @@ def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
             f"field '{name}' evaluation produced non-finite values")
     if status == STATUS_STIFF:
         raise NumericsError("persistent step rejection even after tightening")
-    return Trajectory(ts, ys, rc, stiff, *work), hit
+    return Trajectory(ts, ys, stiff, *work), rc, hit
 
 
 def integrate(field: Callable, x0, opts: IntegratorOptions = IntegratorOptions()
               ) -> Trajectory:
-    """Integrate field from x0 to opts.t_max with dense output.  The
-    Reversed direction negates the field; the trajectory parameter still
-    runs forward over [0, t_max]."""
-    return _run(field, x0, opts, store_dense=True)[0]
+    """Integrate field from x0 to opts.t_max, keeping the accepted mesh.
+    The Reversed direction negates the field; the trajectory parameter
+    still runs forward over [0, t_max]."""
+    return _run(field, x0, opts, store_dense=False)[0]
 
 
 @dataclass(frozen=True)
@@ -153,7 +131,7 @@ def section_crossings(field: Callable, start, section: Section,
     as (t, y, xdot_sign) tuples, located on the dense output to a time
     width of 1e-10.  Used to seed displacement-map brackets from
     published initial values."""
-    traj = _run(field, start, opts, store_dense=True)[0]
+    traj, rcont, _ = _run(field, start, opts, store_dense=True)
     sign = -1.0 if opts.direction == REVERSED else 1.0
     g = traj.y[:, 0] - section.x
     hits = []
@@ -161,7 +139,7 @@ def section_crossings(field: Callable, start, section: Section,
         a = g[i]
         if (a == 0.0 and i > 0) or a * g[i + 1] < 0.0:
             hit = section_crossing(field, sign, traj.t[i], traj.t[i + 1],
-                                   traj.rcont[i].ravel().tolist(),
+                                   rcont[i].ravel().tolist(),
                                    section.x, section.y_base, a)
             if hit is not None:
                 hits.append(hit)
@@ -199,7 +177,7 @@ def _first_return(field: Callable, section: Section, y0: float,
     if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
         raise NumericsError("section crossing is tangential at the start point")
     stop = (section.x, section.y_base, math.copysign(1.0, v0))
-    hit = _run(field, (section.x, y0), opts, False, stop)[1]
+    hit = _run(field, (section.x, y0), opts, False, stop)[2]
     if hit is None:
         raise NumericsError(
             f"no same-direction return to x={section.x} within t_max={opts.t_max}")
@@ -308,8 +286,7 @@ def hopf_onset_scan(p: AlleeParams, beta_range: Tuple[float, float],
         raise DomainError(f"invalid beta_range {beta_range}")
 
     def trace_at(beta):
-        return e4_trace(AlleeParams(m=p.m, n=p.n, alpha=p.alpha, beta=beta,
-                                    gamma=p.gamma, eps=p.eps))
+        return e4_trace(replace(p, beta=beta))
 
     betas = np.linspace(b0, b1, steps)
     traces = [trace_at(b) for b in betas]
@@ -345,16 +322,16 @@ def region_excursion(p: AlleeParams, n_starts: int = 100, seed: int = 0,
                      t_max: float = 1e4) -> float:
     """Worst excursion outside the box [0,1] x [0,2] over n_starts
     seeded uniform starts integrated to t_max at rel_tol 1e-9 and abs_tol
-    1e-12, without dense output.  The box is forward invariant for
-    admissible parameters with (alpha-beta)/gamma <= 2, so the result
-    should be at the integration-noise level."""
+    1e-12.  The box is forward invariant for admissible parameters with
+    (alpha-beta)/gamma <= 2, so the result should be at the
+    integration-noise level."""
     rng = np.random.default_rng(seed)
     field = allee_field(p)
     opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, t_max=t_max)
     worst = 0.0
     for _ in range(n_starts):
         u0 = (rng.uniform(*REGION_X), rng.uniform(*REGION_Y))
-        ys = _run(field, u0, opts, store_dense=False)[0].y
+        ys = integrate(field, u0, opts).y
         xs, yv = ys[:, 0], ys[:, 1]
         exc = max(0.0,
                   float((-xs).max()), float((xs - REGION_X[1]).max()),

@@ -36,15 +36,6 @@ import numpy as np
 
 from .errors import DomainError
 
-COEFF_NAMES = (
-    "a10", "a01", "a20", "a11", "a02",
-    "b10",
-    "c10", "c01", "c20", "c11", "c02", "c30", "c21", "c12", "c03",
-    "d10", "d20",
-    "e10", "e01", "e20", "e11", "e02", "e30", "e21", "e12", "e03",
-    "f00", "f10", "f01", "f20", "f11", "f02",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class NormalFormCoefficients:
@@ -104,6 +95,9 @@ class NormalFormCoefficients:
         return cls(**vals)
 
 
+COEFF_NAMES = tuple(f.name for f in fields(NormalFormCoefficients))
+
+
 class Criticality(str, Enum):
     SUPERCRITICAL = "Supercritical"
     SUBCRITICAL = "Subcritical"
@@ -140,8 +134,8 @@ def compute_A(nf: NormalFormCoefficients) -> float:
 
 
 def _require_positive_eps(eps) -> None:
-    if np.any(np.less_equal(eps, 0.0)):
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not np.all(np.isfinite(eps) & np.greater(eps, 0.0)):
+        raise DomainError(f"eps must be finite and positive, got {eps}")
 
 
 def lambda_H(a1: float, a5: float, eps: float) -> float:
@@ -216,8 +210,8 @@ def classify_hopf(omega1: float, omega2: float, tol: Optional[float] = None) -> 
     if tol is None:
         # noise floor for sign decisions in a double-precision pipeline
         tol = 1e-9 * max(1.0, abs(omega1) + abs(omega2))
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     if omega1 < -tol:
         return Criticality.SUPERCRITICAL
     if omega1 > tol:

@@ -51,6 +51,11 @@ DEGENERACY_GAMMA = 0.4424
 DEGENERACY_N = 0.1
 DEGENERACY_M_STAR = 0.263075
 
+# records fitted by the omega1, omega2 and rho stages
+OMEGA1_RECORDS = 20
+OMEGA2_RECORDS = 10
+RHO_RECORDS = 10
+
 
 @dataclass(frozen=True)
 class StageResult:
@@ -128,7 +133,7 @@ def series_order_slope(nf: NormalFormCoefficients, lambda1: float = 0.1,
     return float(slope)
 
 
-def _stage_canonical() -> StageResult:
+def _stage_canonical():
     nf = NormalFormCoefficients()
     worst_l1 = max(abs(l1_blowup(nf, r)) for r in OMEGA1_GRID)
     worst_lam = max(abs(hopf_lambda1(nf, r)) for r in RHO_GRID)
@@ -136,34 +141,33 @@ def _stage_canonical() -> StageResult:
     rho = rho_coefficients(nf)
     closed = max(abs(om.omega1), abs(om.omega2), abs(rho.rho1), abs(rho.rho3))
     passed = worst_l1 < 1e-10 and worst_lam < 1e-10 and closed == 0.0
-    return StageResult(
-        "canonical-smoke", passed,
+    return (
+        passed,
         f"max |L1| = {worst_l1:.2e}, max |lambda1| = {worst_lam:.2e} on the "
         "plain template (all closed forms are zero)",
         {"max_l1": worst_l1, "max_lambda1": worst_lam})
 
 
-def _stage_omega1(rng: np.random.Generator, n_records: int) -> StageResult:
+def _stage_omega1(rng: np.random.Generator):
     worst = 0.0
-    for _ in range(n_records):
+    for _ in range(OMEGA1_RECORDS):
         nf = sample_record(rng)
         fitted = fit_l1_omega1(nf)
         expected = omega_coefficients(nf).omega1 / 16.0
         rel = abs(fitted - expected) / max(abs(expected), 1e-30)
         worst = max(worst, rel)
     passed = worst < 1e-3
-    return StageResult(
-        "omega1-linear-fit", passed,
-        f"worst relative error {worst:.2e} over {n_records} records "
+    return (
+        passed,
+        f"worst relative error {worst:.2e} over {OMEGA1_RECORDS} records "
         "(tolerance 1e-3)",
-        {"worst_rel": worst, "records": float(n_records)})
+        {"worst_rel": worst, "records": float(OMEGA1_RECORDS)})
 
 
-def _stage_omega2(rng: np.random.Generator, n_records: int,
-                  offset: float) -> StageResult:
+def _stage_omega2(rng: np.random.Generator, offset: float):
     worst_rel = 0.0
     worst_even = 0.0
-    for _ in range(n_records):
+    for _ in range(OMEGA2_RECORDS):
         nf = sample_record(rng, constrain_omega1=True)
         c3, even0, even2 = fit_l1_omega2(nf)
         expected = (omega_coefficients(nf).omega2 + offset) / 32.0
@@ -171,18 +175,18 @@ def _stage_omega2(rng: np.random.Generator, n_records: int,
         worst_rel = max(worst_rel, rel)
         worst_even = max(worst_even, abs(even0), abs(even2))
     passed = worst_rel < 1e-2 and worst_even < 1e-6
-    return StageResult(
-        "omega2-cubic-fit", passed,
+    return (
+        passed,
         f"worst relative error {worst_rel:.2e} (tolerance 1e-2), worst even "
-        f"coefficient {worst_even:.2e} (tolerance 1e-6) over {n_records} "
+        f"coefficient {worst_even:.2e} (tolerance 1e-6) over {OMEGA2_RECORDS} "
         "records on the omega1 = 0 stratum",
         {"worst_rel": worst_rel, "worst_even": worst_even,
-         "records": float(n_records)})
+         "records": float(OMEGA2_RECORDS)})
 
 
-def _stage_rho(rng: np.random.Generator, n_records: int) -> StageResult:
+def _stage_rho(rng: np.random.Generator):
     worst1 = worst3 = worst_mid = 0.0
-    for _ in range(n_records):
+    for _ in range(RHO_RECORDS):
         nf = sample_record(rng)
         c0, c1, c2 = fit_rho(nf)
         rho = rho_coefficients(nf)
@@ -190,26 +194,26 @@ def _stage_rho(rng: np.random.Generator, n_records: int) -> StageResult:
         worst3 = max(worst3, abs(c2 - rho.rho3) / max(abs(rho.rho3), 1e-30))
         worst_mid = max(worst_mid, abs(c1))
     passed = worst1 < 1e-6 and worst3 < 1e-3 and worst_mid < 1e-6
-    return StageResult(
-        "rho-series-fit", passed,
+    return (
+        passed,
         f"worst rho1 rel {worst1:.2e} (tol 1e-6), rho3 rel {worst3:.2e} "
         f"(tol 1e-3), |r^1 content| {worst_mid:.2e} (tol 1e-6) over "
-        f"{n_records} records",
+        f"{RHO_RECORDS} records",
         {"worst_rho1_rel": worst1, "worst_rho3_rel": worst3,
-         "worst_mid": worst_mid, "records": float(n_records)})
+         "worst_mid": worst_mid, "records": float(RHO_RECORDS)})
 
 
-def _stage_series_order(rng: np.random.Generator) -> StageResult:
+def _stage_series_order(rng: np.random.Generator):
     nf = sample_record(rng)
     slope = series_order_slope(nf)
     passed = abs(slope - 4.0) < 0.3
-    return StageResult(
-        "equilibrium-series-order", passed,
+    return (
+        passed,
         f"log-log residual slope {slope:.3f} (expected 4 +- 0.3)",
         {"slope": slope})
 
 
-def _stage_degeneracy() -> StageResult:
+def _stage_degeneracy():
     case = psi_case_analysis(m=0.2, n=DEGENERACY_N, alpha=DEGENERACY_ALPHA,
                              gamma=DEGENERACY_GAMMA)
     m_star = case.m_star
@@ -221,32 +225,29 @@ def _stage_degeneracy() -> StageResult:
     verdict = classify_hopf(0.0, om2)
     passed = (abs(m_star - DEGENERACY_M_STAR) < 1e-6 and abs(a_val) < 1e-6
               and om2 > 0.0 and verdict is Criticality.DEGENERATE_SUBCRITICAL)
-    return StageResult(
-        "allee-degeneracy", passed,
+    return (
+        passed,
         f"m* = {m_star:.9f} (printed 0.263075), |A(m*)| = {abs(a_val):.2e}, "
         f"omega2 at degeneracy = {om2:.6f} > 0, verdict {verdict.value}",
         {"m_star": m_star, "abs_A": abs(a_val), "omega2": om2})
 
 
-def run_all(seed: int = 2025, omega2_offset: float = 0.0,
-            omega1_records: int = 20, omega2_records: int = 10,
-            rho_records: int = 10) -> VerifyReport:
+def run_all(seed: int = 2025, omega2_offset: float = 0.0) -> VerifyReport:
     """Run every stage with one seeded generator; deterministic in
-    (seed, offset, record counts)."""
+    (seed, offset).  A stage returns (passed, message, details)."""
     stages: List[StageResult] = []
     rng = np.random.default_rng(seed)
     plan = [
-        ("canonical-smoke", lambda: _stage_canonical()),
-        ("omega1-linear-fit", lambda: _stage_omega1(rng, omega1_records)),
-        ("omega2-cubic-fit", lambda: _stage_omega2(rng, omega2_records,
-                                                   omega2_offset)),
-        ("rho-series-fit", lambda: _stage_rho(rng, rho_records)),
+        ("canonical-smoke", _stage_canonical),
+        ("omega1-linear-fit", lambda: _stage_omega1(rng)),
+        ("omega2-cubic-fit", lambda: _stage_omega2(rng, omega2_offset)),
+        ("rho-series-fit", lambda: _stage_rho(rng)),
         ("equilibrium-series-order", lambda: _stage_series_order(rng)),
-        ("allee-degeneracy", lambda: _stage_degeneracy()),
+        ("allee-degeneracy", _stage_degeneracy),
     ]
     for name, fn in plan:
         try:
-            stages.append(fn())
+            stages.append(StageResult(name, *fn()))
         except (DomainError, NumericsError) as exc:
             stages.append(StageResult(name, False, f"stage error: {exc}"))
     return VerifyReport(seed, omega2_offset, stages)

@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canard.blowup import (
-    BRANCH_USE_M01,
-    BRANCH_USE_N10,
     PlanarPolySystem,
     blow_up,
     blow_up_via_jets,
@@ -278,7 +276,7 @@ class TestNormalizeLinear:
     def test_canonical_rotation(self):
         sys = blow_up(CANONICAL, 0.01, 0.0)
         centered = translate_to_equilibrium(sys, (0.0, 0.0))
-        rot = normalize_linear(centered, BRANCH_USE_M01)
+        rot = normalize_linear(centered)
         assert abs(np.trace(_linear_part(rot))) < 1e-12
         assert rot.fx.get((1, 0), 0.0) == pytest.approx(0.0, abs=1e-14)
         # rotation speed (x-coefficient of the slow component)
@@ -292,10 +290,9 @@ class TestNormalizeLinear:
             sys = blow_up(nf, r, float(rng.uniform(-0.5, 0.5)))
             centered = translate_to_equilibrium(sys, find_equilibrium(sys))
             J0 = _linear_part(centered)
-            for branch in (BRANCH_USE_N10, BRANCH_USE_M01):
-                J1 = _linear_part(normalize_linear(centered, branch))
-                assert np.trace(J1) == pytest.approx(np.trace(J0), abs=1e-12)
-                assert np.linalg.det(J1) == pytest.approx(np.linalg.det(J0), rel=1e-12)
+            J1 = _linear_part(normalize_linear(centered))
+            assert np.trace(J1) == pytest.approx(np.trace(J0), abs=1e-12)
+            assert np.linalg.det(J1) == pytest.approx(np.linalg.det(J0), rel=1e-12)
 
     def test_rotation_structure_and_eigenvalues(self):
         rng = np.random.default_rng(1001)
@@ -303,36 +300,28 @@ class TestNormalizeLinear:
         r = 0.06
         sys = blow_up(nf, r, 0.05)
         centered = translate_to_equilibrium(sys, find_equilibrium(sys))
-        for branch in (BRANCH_USE_N10, BRANCH_USE_M01):
-            rot = normalize_linear(centered, branch)
-            J = _linear_part(rot)
-            scale = abs(J[0, 1]) + abs(J[1, 0])
-            assert abs(J[0, 0] - J[1, 1]) < 1e-12 * scale
-            assert abs(J[0, 1] + J[1, 0]) < 1e-12 * scale
-            a, b = J[0, 0], J[1, 0]
-            eig = sorted(np.linalg.eigvals(J), key=lambda z: z.imag)
-            want = sorted([complex(a, b), complex(a, -b)], key=lambda z: z.imag)
-            for got, w in zip(eig, want):
-                assert abs(got - w) < 1e-10 * max(1.0, abs(w))
+        J = _linear_part(normalize_linear(centered))
+        scale = abs(J[0, 1]) + abs(J[1, 0])
+        assert abs(J[0, 0] - J[1, 1]) < 1e-12 * scale
+        assert abs(J[0, 1] + J[1, 0]) < 1e-12 * scale
+        a, b = J[0, 0], J[1, 0]
+        eig = sorted(np.linalg.eigvals(J), key=lambda z: z.imag)
+        want = sorted([complex(a, b), complex(a, -b)], key=lambda z: z.imag)
+        for got, w in zip(eig, want):
+            assert abs(got - w) < 1e-10 * max(1.0, abs(w))
 
     def test_real_eigenvalues_rejected(self):
         sys = PlanarPolySystem({(1, 0): 1.0}, {(0, 1): 1.0}, 0.1)
-        for branch in (BRANCH_USE_N10, BRANCH_USE_M01):
-            with pytest.raises(DomainError):
-                normalize_linear(sys, branch)
-
-    def test_zero_pivot_rejected(self):
-        # n10 = 0: UseN10 is impossible, UseM01 works
-        sys = PlanarPolySystem({(0, 1): -1.0, (2, 0): 1.0}, {(0, 1): 0.0}, 0.1)
         with pytest.raises(DomainError):
-            normalize_linear(sys, BRANCH_USE_N10)
+            normalize_linear(sys)
 
-    def test_unknown_branch(self):
-        sys = blow_up(CANONICAL, 0.1, 0.0)
-        centered = translate_to_equilibrium(sys, (0.0, 0.0))
-        for branch in ("use-both", "Auto"):
-            with pytest.raises(DomainError, match="unknown branch"):
-                normalize_linear(centered, branch)
+    def test_zero_m01_pivot_rejected(self):
+        # with m01 = 0 the discriminant is -(m10 - n01)^2 <= 0, but with m10
+        # and n01 adjacent floats it rounds to a positive value
+        sys = PlanarPolySystem({(1, 0): 1.6510223091108869},
+                               {(1, 0): 1.0, (0, 1): 1.651022309110887}, 0.1)
+        with pytest.raises(DomainError, match="m01 != 0"):
+            normalize_linear(sys)
 
 
 class TestHopfLambda1:
@@ -405,15 +394,17 @@ class TestL1Blowup:
         assert coeffs[0] == pytest.approx(3.0 / 16.0, rel=1e-3)
 
     def test_branch_ratio_identity(self):
-        # the branches rescale L1 by |m01_bar / n10_bar|; they are not equal
+        # a frame pivoting on n10 (built by the jet ops) rescales L1 by
+        # |m01_bar / n10_bar|; the two frames' values are not equal
         rng = np.random.default_rng(60601)
         nf = sample_record(rng)
         r = 0.08
         lam = hopf_lambda1(nf, r)
         sys = blow_up(nf, r, lam)
         centered = translate_to_equilibrium(sys, find_equilibrium(sys))
-        l1_m01 = lyapunov_DF(normalize_linear(centered, BRANCH_USE_M01))
-        l1_n10 = lyapunov_DF(normalize_linear(centered, BRANCH_USE_N10))
+        l1_m01 = lyapunov_DF(normalize_linear(centered))
+        fx, fy = _reference_rotated(centered, pivot="n10")
+        l1_n10 = lyapunov_DF(PlanarPolySystem(fx.coeffs, fy.coeffs, r, centered.degree))
         ratio = abs(centered.fx[(0, 1)] / centered.fy[(1, 0)])
         assert l1_n10 / l1_m01 == pytest.approx(ratio, rel=1e-9)
         assert l1_n10 / l1_m01 > 0.0
@@ -600,18 +591,19 @@ def _reference_centered(sys, eq):
              if k != (0, 0)] for f in (sys.fx, sys.fy)]
 
 
-def _reference_rotated(sys, branch):
+def _reference_rotated(sys, pivot="m01"):
     """normalize_linear's jets by jet_compose, jet_scale and jet_add, with the
-    same T and the same rejections as normalize_linear."""
+    same T and the same rejections as normalize_linear.  pivot="n10" gives the
+    rotation form in the other frame, the one normalize_linear does not use."""
     m10, m01 = sys.fx.get((1, 0), 0.0), sys.fx.get((0, 1), 0.0)
     n10, n01 = sys.fy.get((1, 0), 0.0), sys.fy.get((0, 1), 0.0)
     # x * x, not x ** 2: pow() is not always correctly rounded
     disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) * (m10 + n01)
-    if disc <= 0.0 or (n10 if branch == BRANCH_USE_N10 else m01) == 0.0:
-        raise DomainError("no rotation form on this branch")
+    if disc <= 0.0 or (n10 if pivot == "n10" else m01) == 0.0:
+        raise DomainError("no rotation form in this frame")
     s = math.sqrt(disc)
     rt2 = math.sqrt(2.0)
-    if branch == BRANCH_USE_N10:
+    if pivot == "n10":
         T = np.array([[-rt2 * n10, rt2 * (m10 - n01) / 2.0], [0.0, rt2 / 2.0 * s]])
     else:
         T = np.array([[rt2 * (n01 - m10) / 2.0, -rt2 * m01], [rt2 / 2.0 * s, 0.0]])
@@ -626,16 +618,15 @@ def _assert_kernels_match(sys, eq):
     centered = translate_to_equilibrium(sys, eq)
     got = [list(f.items()) for f in (centered.fx, centered.fy)]
     assert got == _reference_centered(sys, eq)
-    for branch in (BRANCH_USE_M01, BRANCH_USE_N10):
-        try:
-            want = _reference_rotated(centered, branch)
-        except DomainError:
-            with pytest.raises(DomainError):
-                normalize_linear(centered, branch)
-            continue
-        rotated = normalize_linear(centered, branch)
-        assert rotated.fx == want[0].coeffs
-        assert rotated.fy == want[1].coeffs
+    try:
+        want = _reference_rotated(centered)
+    except DomainError:
+        with pytest.raises(DomainError):
+            normalize_linear(centered)
+        return
+    rotated = normalize_linear(centered)
+    assert rotated.fx == want[0].coeffs
+    assert rotated.fy == want[1].coeffs
 
 
 def _random_planar_system(seed, degree):
@@ -678,16 +669,15 @@ class TestFlatKernels:
         _assert_kernels_match(sys, centre)
         # the rotation on a system whose own linear part is the drawn one
         centered = PlanarPolySystem(sys.fx, sys.fy, 0.1, degree=degree)
-        for branch in (BRANCH_USE_M01, BRANCH_USE_N10):
-            want = _reference_rotated(centered, branch)
-            got = normalize_linear(centered, branch)
-            assert (got.fx, got.fy) == (want[0].coeffs, want[1].coeffs)
+        want = _reference_rotated(centered)
+        got = normalize_linear(centered)
+        assert (got.fx, got.fy) == (want[0].coeffs, want[1].coeffs)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(3, 6))
     def test_substitution_kernel_with_two_full_forms(self, seed, degree):
-        # T^-1 has a zero entry on both branches, so one linear form is always a
-        # monomial there; full forms show the summation order of jet_compose too
+        # normalize_linear's T^-1 has a zero entry, so one of its linear forms
+        # is a monomial; full forms show the summation order of jet_compose too
         sys, _ = _random_planar_system(seed, degree)
         a, b, c, d = (float(v) for v in np.random.default_rng([seed, 1]).uniform(-2.0, 2.0, 4))
         subs = [Jet(2, degree, {(1, 0): a, (0, 1): b}),
@@ -713,11 +703,10 @@ class TestFlatKernels:
         fx = {(0, 1): -1e-3, (3, 0): 1e307, (1, 2): 1e307}
         fy = {(1, 0): 1e-3, (0, 3): 1e307}
         sys = PlanarPolySystem(fx, fy, 0.1)
-        for branch in (BRANCH_USE_M01, BRANCH_USE_N10):
-            with pytest.raises(DomainError, match="non-finite"):
-                _reference_rotated(sys, branch)
-            with pytest.raises(DomainError, match="non-finite"):
-                normalize_linear(sys, branch)
+        with pytest.raises(DomainError, match="non-finite"):
+            _reference_rotated(sys)
+        with pytest.raises(DomainError, match="non-finite"):
+            normalize_linear(sys)
 
     @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan),
                                        (math.inf, 0.0), (0.0, -math.inf)])

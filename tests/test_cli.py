@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from model_oracle import sweep_row_reference
 
 from canard.allee import PARAM_NAMES, AlleeParams
-from canard.cli import load_config, main, parse_grid, read_csv, write_csv
+from canard.cli import load_config, main, parse_grid, write_csv
 from canard.errors import DomainError
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
@@ -29,6 +30,13 @@ def write_cfg(path, mapping):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_csv(path):
+    """(header, rows) of a CSV file the CLI wrote."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, rows
 
 
 class TestConfig:
@@ -68,6 +76,12 @@ class TestConfig:
         cfg.write_text(f"seed = {seed}\n")
         assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "setting 'seed' must be an integer" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range_is_not_finite(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        dict(EX1, start_x=0.2644, start_y=0.0961, t_max="1" + "0" * 400))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "setting 't_max' is not finite" in capsys.readouterr().err
 
     def test_json_boolean_is_not_a_number(self, tmp_path, capsys):
         js = tmp_path / "p.json"
@@ -164,6 +178,23 @@ class TestAnalyze:
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
         assert problem in err
+        assert not (tmp_path / "o" / "analyze.json").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_classify_tol_rejected(self, tmp_path, capsys, tol):
+        cfg = write_cfg(tmp_path / "p.cfg", dict(EX1, classify_tol=tol))
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "setting 'classify_tol' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "analyze.json").exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_with_coefficients_rejected(self, tmp_path, capsys, eps):
+        rec = tmp_path / "record.json"
+        rec.write_text('{"a10": 0.25, "f00": -0.1}')
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"coefficients = {rec}\neps = {eps}\n")
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "setting 'eps' is not finite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "analyze.json").exists()
 
     def test_deterministic_bytes(self, tmp_path):
@@ -388,6 +419,21 @@ class TestSdi:
                     "--grid", "m=1:2:3"]) == 1
         assert "integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["2.5", "nan", "true"])
+    def test_grid_count_must_be_an_integer(self, tmp_path, capsys, grid):
+        cfg = self.cfg(tmp_path)
+        assert run(["sdi", "--config", cfg, "--out", tmp_path / "o",
+                    "--grid", grid]) == 1
+        assert "setting 'grid' must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "sdi.json").exists()
+
+    def test_integral_float_grid_count_accepted(self, tmp_path):
+        cfg = self.cfg(tmp_path)
+        assert run(["sdi", "--config", cfg, "--out", tmp_path / "o",
+                    "--grid", "4.0"]) == 0
+        data = json.loads((tmp_path / "o" / "sdi.json").read_text())
+        assert len(data["s_grid"]) == 4
+
 
 class TestVerify:
     def test_pass_and_report(self, tmp_path, capsys):
@@ -407,6 +453,11 @@ class TestVerify:
         data = json.loads((tmp_path / "o" / "verify.json").read_text())
         assert data["all_passed"] is False
         assert data["omega2_offset"] == 0.5
+
+    def test_non_finite_offset_rejected(self, tmp_path, capsys):
+        assert run(["verify", "--out", tmp_path / "o", "--omega2-offset", "nan"]) == 1
+        assert "setting 'omega2_offset' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "verify.json").exists()
 
 
 class TestJsonLayout:

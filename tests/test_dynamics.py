@@ -90,16 +90,6 @@ class TestIntegrate:
         r2 = tr.y[:, 0] ** 2 + tr.y[:, 1] ** 2
         assert np.abs(r2 - 1.0).max() < 1e-4
 
-    def test_dense_eval(self):
-        tr = integrate(center, (1.0, 0.0), tight(TWO_PI))
-        mid = tr.eval(math.pi)
-        assert np.abs(mid - np.array([-1.0, 0.0])).max() < 1e-6
-        grid = tr.eval(np.array([0.0, math.pi / 2, math.pi]))
-        assert grid.shape == (3, 2)
-        assert np.abs(grid[1] - np.array([0.0, 1.0])).max() < 1e-6
-        with pytest.raises(DomainError):
-            tr.eval(TWO_PI + 1.0)
-
     def test_damped_focus_matches_closed_form(self):
         rng = np.random.default_rng(42)
         for _ in range(5):
@@ -412,6 +402,27 @@ class TestGoldenTrajectories:
             same(np.abs(rc).sum(axis=0), case["abs_sum_rcont"])
         else:
             assert rc is None
+
+
+class TestDenseOutputMode:
+    @settings(max_examples=30, deadline=None)
+    @given(example=st.sampled_from(["EX1", "EX2"]), reversed_time=st.booleans(),
+           dx=st.floats(-0.02, 0.02), dy=st.floats(-0.02, 0.02),
+           t_max=st.floats(1.0, 300.0))
+    def test_dense_output_leaves_the_mesh(self, example, reversed_time, dx, dy, t_max):
+        # integrate runs without dense output and section_crossings with it:
+        # both must step through the same mesh
+        p = AlleeParams(**{"EX1": EX1, "EX2": EX2}[example])
+        x4, y4 = equilibria(p).E4.point
+        f = allee_field(p)
+        sign = -1.0 if reversed_time else 1.0
+        start = (x4 + dx, y4 + dy)
+        mesh = dopri5(f, start, t_max, 1e-10, 1e-12, sign, False)
+        dense = dopri5(f, start, t_max, 1e-10, 1e-12, sign, True)
+        assert mesh[0] == dense[0] and mesh[4] == dense[4]
+        np.testing.assert_array_equal(mesh[1], dense[1])
+        np.testing.assert_array_equal(mesh[2], dense[2])
+        assert mesh[3] is None and len(dense[3]) == len(dense[1]) - 1
 
 
 class TestCounters:

@@ -1,9 +1,12 @@
 """Source hygiene: no module under src/canard/ or tests/ imports a name it
-never reads, and cli is the one src/canard module that imports json, so
-file formats are decided in one place.  Uses the stdlib ast module, so no
+never reads, cli is the one src/canard module that imports json, so
+file formats are decided in one place, and README names exactly the
+options every subcommand takes.  Uses the stdlib ast module, so no
 linter is needed."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -66,3 +69,20 @@ def test_only_cli_imports_json():
 def test_import_detector():
     src = "import json.decoder\nfrom json import dumps\nfrom . import json_like\n"
     assert imported_modules(src) == {"json"}
+
+
+def readme_common_options():
+    """The backticked flags of README's "Options common to all" sentence."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Options common to all:(.*?`)\.\s", text, re.S).group(1)
+    return set(re.findall(r"`(--[\w-]+)", sentence))
+
+
+def test_readme_lists_the_common_options():
+    from canard.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    per_command = [{s for a in sp._actions for s in a.option_strings
+                    if s not in ("-h", "--help")} for sp in sub.choices.values()]
+    assert readme_common_options() == set.intersection(*per_command)

@@ -109,6 +109,16 @@ class TestLambdaCurves:
         with pytest.raises(DomainError):
             lambda_c(1.0, 1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, np.array([0.01, math.nan])])
+    def test_non_finite_eps_rejected(self, eps):
+        # NaN fails every comparison, so a gate written as eps <= 0 lets it through
+        with pytest.raises(DomainError, match="finite and positive"):
+            lambda_H(1.0, 1.0, eps)
+        with pytest.raises(DomainError, match="finite and positive"):
+            lambda_c(1.0, 1.0, 1.0, eps)
+        with pytest.raises(DomainError, match="finite and positive"):
+            lambda_star_series(0.4, -0.2, eps)
+
 
 class TestRho:
     def test_rho1_direct(self):
@@ -194,6 +204,11 @@ class TestClassify:
     def test_tol_must_be_positive(self):
         with pytest.raises(DomainError):
             classify_hopf(1.0, 1.0, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_tol_must_be_finite(self, tol):
+        with pytest.raises(DomainError, match="finite and positive"):
+            classify_hopf(0.0, 0.0, tol=tol)
 
 
 class TestL1Series:

@@ -69,13 +69,12 @@ class TestRunAll:
                 assert by_name[name] is True
 
     def test_deterministic_in_seed(self):
-        a = run_all(seed=5, omega1_records=3, omega2_records=2, rho_records=2)
-        b = run_all(seed=5, omega1_records=3, omega2_records=2, rho_records=2)
+        a = run_all(seed=5)
+        b = run_all(seed=5)
         assert asdict(a) == asdict(b)
 
     def test_json_roundtrip(self):
-        report = run_all(seed=5, omega1_records=2, omega2_records=1,
-                         rho_records=1)
+        report = run_all(seed=5)
         data = json.loads(json.dumps(asdict(report)))
         assert data["seed"] == 5
         assert len(data["stages"]) == len(STAGE_NAMES)
