@@ -2,10 +2,12 @@
 
 The pipeline mechanically reproduces the construction that the closed
 forms in `normalform` summarize: rescale to the family chart (x = r*x1,
-y = r^2*y1, lam = r*lam1, eps = r^2, time divided by r), locate the
-equilibrium, translate it to the origin, bring the linear part to
-rotation form in the one frame the closed forms are stated in (pivot
-m01), and apply the planar first-Lyapunov-coefficient formula.
+y = r^2*y1, lam = r*lam1, eps = r^2, time divided by r), locate the Hopf
+point (the equilibrium and lam1 together, by one Newton iteration on the
+defining system f = 0, trace = 0), translate the equilibrium to the
+origin, bring the linear part to rotation form in the one frame the
+closed forms are stated in (pivot m01), and apply the planar
+first-Lyapunov-coefficient formula.
 Everything here is independent of the omega/rho polynomials, so a fit of
 l1_blowup over an r-grid is an end-to-end check of those polynomials.
 
@@ -395,48 +397,57 @@ def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:
     return dn
 
 
-def _half_trace(nf: NormalFormCoefficients, r: float, lambda1: float,
-                dn: Optional[Terms] = None) -> Tuple[float, float]:
-    """T/2, half the linear trace at the blown-up equilibrium, and its exact
-    lambda1-derivative by the implicit-function theorem on F(x, y, lambda1) = 0.
-    The n-table is affine in lambda1, so dF/dlambda1 = (0, p) with p = sum dn_ij
-    x^i y^j; then d(x, y)/dlambda1 = -J^-1 (0, p) and dT/dlambda1 =
-    grad T . d(x, y)/dlambda1 + dp/dy.  dn is _lambda1_slopes(nf, r), built here
-    if not given."""
-    sys = blow_up(nf, r, lambda1)
-    x, y = find_equilibrium(sys)
-    _, j11, j12, fxx, fxy, fyy = _partials(sys.fx, x, y, sys.degree)
-    _, j21, j22, gxx, gxy, gyy = _partials(sys.fy, x, y, sys.degree)
-    if dn is None:
-        dn = _lambda1_slopes(nf, r)
+def _hopf_system(sys: PlanarPolySystem, dn: Terms, x: float, y: float
+                 ) -> Tuple[Tuple[float, float, float], Tuple[Tuple[float, float, float], ...]]:
+    """The Hopf defining system F = (fx, fy, trace) at (x, y) of sys, and its
+    Jacobian rows in (x, y, lambda1).  The n-table is affine in lambda1 with
+    slopes dn (_lambda1_slopes), so dF/dlambda1 = (0, p, p_y) with
+    p = sum dn_ij x^i y^j."""
+    fx, j11, j12, fxx, fxy, fyy = _partials(sys.fx, x, y, sys.degree)
+    fy, j21, j22, gxx, gxy, gyy = _partials(sys.fy, x, y, sys.degree)
     p, _, p_y = _partials(dn, x, y, sys.degree)[:3]
-    det = j11 * j22 - j12 * j21
-    if det == 0.0 or not math.isfinite(det):
-        raise NumericsError("singular Jacobian in Hopf location")
-    dtrace = ((fxx + gxy) * j12 - (fxy + gyy) * j11) * p / det + p_y
-    return (j11 + j22) / 2.0, dtrace / 2.0
+    return ((fx, fy, j11 + j22),
+            ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
 
 
-def hopf_lambda1(nf: NormalFormCoefficients, r: float, tol: float = 1e-12) -> float:
-    """The value of lambda1 putting the blown-up equilibrium on the Hopf
-    curve (zero linear trace) at radius r.  Newton iteration with the exact
-    derivative of _half_trace, one equilibrium solve per step, seeded by the
-    series head rho1*r."""
+def _hopf_point(nf: NormalFormCoefficients, r: float, tol: float = 1e-12
+                ) -> Tuple[float, Tuple[float, float], PlanarPolySystem]:
+    """(lambda1, equilibrium, blown-up system) at the Hopf point for radius r.
+
+    Newton iteration on the defining system (fx, fy, trace) = 0 in
+    (x, y, lambda1), the bordered 3x3 Jacobian solved by Cramer's rule, seeded
+    by lambda1 = rho1*r and the equilibrium series head.  The system is built
+    by blow_up once per iterate and returned at the final lambda1."""
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
     dn = _lambda1_slopes(nf, r)
+    sys = blow_up(nf, r, lam)
+    x, y = equilibrium_series(sys).predict(r)
     for _ in range(_MAX_ITER):
-        t, dt = _half_trace(nf, r, lam, dn)
+        (f, g, t), ((a, b, _), (c, d, p), (e, h, k)) = _hopf_system(sys, dn, x, y)
         # one extra step after meeting tol polishes the residual to the
         # floating-point floor (the Lyapunov gate needs the margin)
-        converged = abs(t) < tol
-        if dt == 0.0 or not math.isfinite(dt):
-            raise NumericsError("flat trace derivative in Hopf location")
-        lam -= t / dt
+        converged = max(abs(f), abs(g), abs(t)) < tol
+        minor = d * k - p * h
+        det = a * minor - b * (c * k - p * e)
+        if det == 0.0 or not math.isfinite(det):
+            raise NumericsError("singular Jacobian in Hopf location")
+        x -= (f * minor - b * (g * k - p * t)) / det
+        y -= (a * (g * k - p * t) - f * (c * k - p * e)) / det
+        lam -= (a * (d * t - g * h) - b * (c * t - g * e) + f * (c * h - d * e)) / det
+        sys = blow_up(nf, r, lam)
         if converged:
-            return lam
-    raise NumericsError(f"Hopf location did not reach |trace|/2 < {tol} in {_MAX_ITER} iterations")
+            return lam, (x, y), sys
+    raise NumericsError(f"Hopf location did not reach residual {tol} in {_MAX_ITER} iterations")
+
+
+def hopf_lambda1(nf: NormalFormCoefficients, r: float, tol: float = 1e-12) -> float:
+    """The value of lambda1 putting the blown-up equilibrium on the Hopf
+    curve (zero linear trace) at radius r: one joint Newton iteration on
+    (equilibrium, zero trace) in (x, y, lambda1), seeded by the series head
+    rho1*r, stopped once the residual is below tol and one more step taken."""
+    return _hopf_point(nf, r, tol)[0]
 
 
 def lyapunov_DF(sys: PlanarPolySystem) -> float:
@@ -473,11 +484,8 @@ def l1_blowup(nf: NormalFormCoefficients, r: float) -> float:
     closed-form series L1(r) = (omega1/16) r + (omega2/32) r^3.  A frame
     pivoting on n10 instead rescales L1 by the positive factor
     |m01_bar / n10_bar| = 1 + O(r), which would contaminate the fits."""
-    lam = hopf_lambda1(nf, r)
-    sys = blow_up(nf, r, lam)
-    eq = find_equilibrium(sys)
-    centered = translate_to_equilibrium(sys, eq)
-    return lyapunov_DF(normalize_linear(centered))
+    _, eq, sys = _hopf_point(nf, r)
+    return lyapunov_DF(normalize_linear(translate_to_equilibrium(sys, eq)))
 
 
 def fit_odd_series(samples: Sequence[Tuple[float, float]],

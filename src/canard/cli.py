@@ -153,11 +153,19 @@ def _as_int(settings: Dict[str, object], key: str,
             raise DomainError(f"missing required setting {key!r}")
         return default
     value = settings[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
     try:
         number = _as_float(settings, key)
     except DomainError:
         number = math.nan
-    if not number.is_integer():
+    # beyond 2^53 a float no longer holds every integer, so it names none exactly
+    if not (number.is_integer() and abs(number) <= 2.0 ** 53):
         raise DomainError(f"setting {key!r} must be an integer, got {value!r}")
     return int(number)
 

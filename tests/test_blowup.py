@@ -21,8 +21,10 @@ from canard.blowup import (
     normalize_linear,
     sample_record,
     translate_to_equilibrium,
-    _half_trace,
     _hatted_tables,
+    _hopf_point,
+    _hopf_system,
+    _lambda1_slopes,
     _linear_powers,
     _substitute_linear,
 )
@@ -488,8 +490,9 @@ def _rel(got, want):
 
 
 class TestGoldenOracle:
-    """The oracle against outputs recorded with the central-difference Hopf
-    Newton and the Horner-evaluated equilibrium Newton it replaced."""
+    """The oracle against outputs recorded with the nested solvers it has since
+    replaced, a central-difference Newton in lambda1 around a Horner-evaluated
+    equilibrium Newton; the one joint Newton in (x, y, lambda1) must match them."""
 
     def test_records_are_the_verify_draws(self):
         rng = np.random.default_rng(GOLDEN_ORACLE["seed"])
@@ -531,14 +534,27 @@ class TestNewtonProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
            r=st.floats(0.005, 0.2), offset=st.floats(-1.0, 1.0))
-    def test_implicit_derivative_matches_central_difference(self, seed, constrained,
-                                                             r, offset):
+    def test_joint_jacobian_matches_central_difference(self, seed, constrained,
+                                                       r, offset):
         nf = _drawn_record(seed, constrained)
         lam = rho_coefficients(nf).rho1 * r + offset * r * r
-        _, dt = _half_trace(nf, r, lam)
-        h = 1e-6 * max(1.0, abs(lam))
-        central = (_half_trace(nf, r, lam + h)[0] - _half_trace(nf, r, lam - h)[0]) / (2.0 * h)
-        assert abs(dt - central) < 1e-6 * abs(central)
+        dn = _lambda1_slopes(nf, r)
+        point = [*equilibrium_series(blow_up(nf, r, lam)).predict(r), lam]
+
+        def residual(x, y, lam):
+            return _hopf_system(blow_up(nf, r, lam), dn, x, y)[0]
+        jac = _hopf_system(blow_up(nf, r, lam), dn, *point[:2])[1]
+        # F is affine in lambda1, the trace quadratic in (x, y) and the y^3 terms
+        # of fx, fy O(r^4): the wider y and lambda1 steps add no truncation error
+        # to speak of and keep rounding off the small entries, p_y = O(r^2)
+        for col, step in enumerate((1e-6, 1e-4, 1e-2)):
+            h = step * max(1.0, abs(point[col]))
+            up, down = list(point), list(point)
+            up[col] += h
+            down[col] -= h
+            for row, (fu, fd) in enumerate(zip(residual(*up), residual(*down))):
+                central = (fu - fd) / (2.0 * h)
+                assert abs(jac[row][col] - central) <= 1e-6 * abs(central)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
@@ -546,10 +562,34 @@ class TestNewtonProperties:
     def test_hopf_lambda1_is_a_hopf_point(self, seed, constrained, r):
         nf = _drawn_record(seed, constrained)
         lam = hopf_lambda1(nf, r)
-        assert abs(_half_trace(nf, r, lam)[0]) < 1e-12
         sys = blow_up(nf, r, lam)
-        rotated = normalize_linear(translate_to_equilibrium(sys, find_equilibrium(sys)))
+        centered = translate_to_equilibrium(sys, find_equilibrium(sys))
+        assert abs(np.trace(_linear_part(centered))) / 2.0 < 1e-12
+        rotated = normalize_linear(centered)
         assert abs(np.trace(_linear_part(rotated))) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
+           r=st.floats(0.005, 0.2))
+    def test_hopf_point_is_the_equilibrium_of_its_table(self, seed, constrained, r):
+        # l1_blowup reuses the solver's (x, y) and table: they must be the root
+        # find_equilibrium gives at the returned lambda1, not some other root
+        nf = _drawn_record(seed, constrained)
+        lam, (x, y), sys = _hopf_point(nf, r)
+        assert sys == blow_up(nf, r, lam)
+        ex, ey = find_equilibrium(sys)
+        assert abs(x - ex) < 1e-12 and abs(y - ey) < 1e-12
+        fx, fy = Jet(2, sys.degree, sys.fx), Jet(2, sys.degree, sys.fy)
+        assert max(abs(jet_eval(fx, (x, y))), abs(jet_eval(fy, (x, y)))) < 1e-12
+        centered = translate_to_equilibrium(sys, (x, y))
+        assert abs(np.trace(_linear_part(centered))) < 1e-12
+
+    def test_singular_bordered_jacobian_raises(self):
+        # m20 = 1 + r^2 c20 = 0 exactly at r = 1/8: the fast nullcline has no
+        # fold, so j11 = fxx + gxy = fxy + gyy = 0 and the determinant vanishes
+        nf = NormalFormCoefficients(c20=-64.0)
+        with pytest.raises(NumericsError, match="singular Jacobian"):
+            hopf_lambda1(nf, 0.125)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
@@ -575,14 +615,21 @@ class TestNewtonProperties:
         assert res(eq) < 1e-3 * res(guess)
 
     def test_hopf_lambda1_polishes_after_meeting_tol(self):
-        # with tol = 1 the series head already passes; the answer is one Newton step on
+        # with tol = 1 the seed (rho1*r, series head) already passes; the answer
+        # is one joint Newton step on
         nf = _drawn_record(11, False)
         r = 0.1
+        dn = _lambda1_slopes(nf, r)
         lam0 = rho_coefficients(nf).rho1 * r
-        t0, dt0 = _half_trace(nf, r, lam0)
-        lam = hopf_lambda1(nf, r, tol=1.0)
-        assert lam == lam0 - t0 / dt0
-        assert abs(_half_trace(nf, r, lam)[0]) < 1e-3 * abs(t0)
+        seed = equilibrium_series(blow_up(nf, r, lam0)).predict(r)
+        f0, jac = _hopf_system(blow_up(nf, r, lam0), dn, *seed)
+        step = np.linalg.solve(np.array(jac), np.array(f0))
+        lam, (x, y), sys = _hopf_point(nf, r, tol=1.0)
+        assert hopf_lambda1(nf, r, tol=1.0) == lam
+        assert [x, y, lam] == pytest.approx([seed[0] - step[0], seed[1] - step[1],
+                                             lam0 - step[2]], rel=1e-12, abs=0.0)
+        f1 = _hopf_system(sys, dn, x, y)[0]
+        assert max(map(abs, f1)) < 1e-3 * max(map(abs, f0))
 
 
 def _reference_centered(sys, eq):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from model_oracle import sweep_row_reference
 
+import canard.cli as cli
 from canard.allee import PARAM_NAMES, AlleeParams
 from canard.cli import load_config, main, parse_grid, write_csv
 from canard.errors import DomainError
@@ -74,6 +75,13 @@ class TestConfig:
     def test_seed_must_be_an_integer(self, tmp_path, capsys, seed):
         cfg = tmp_path / "s.cfg"
         cfg.write_text(f"seed = {seed}\n")
+        assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert "setting 'seed' must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_beyond_2_53_is_not_an_integer(self, tmp_path, capsys):
+        # 2^53 + 2 as a float: every integer near it no longer has a float of its own
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("seed = 9007199254740994.0\n")
         assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "setting 'seed' must be an integer" in capsys.readouterr().err
 
@@ -434,8 +442,27 @@ class TestSdi:
         data = json.loads((tmp_path / "o" / "sdi.json").read_text())
         assert len(data["s_grid"]) == 4
 
+    def test_digit_string_grid_count_parses(self, tmp_path):
+        cfg = self.cfg(tmp_path)
+        assert run(["sdi", "--config", cfg, "--out", tmp_path / "o",
+                    "--grid", "24"]) == 0
+        data = json.loads((tmp_path / "o" / "sdi.json").read_text())
+        assert len(data["s_grid"]) == 24
+
 
 class TestVerify:
+    def test_seeds_above_2_53_stay_distinct(self, tmp_path, monkeypatch):
+        seen = []
+        real_run_all = cli.run_all
+
+        def recording_run_all(seed, omega2_offset):
+            seen.append(seed)
+            return real_run_all(seed=seed, omega2_offset=omega2_offset)
+        monkeypatch.setattr(cli, "run_all", recording_run_all)
+        for seed in ("9007199254740993", "9007199254740992"):
+            assert run(["verify", "--out", tmp_path / seed, "--seed", seed]) in (0, 2)
+        assert seen == [9007199254740993, 9007199254740992]
+
     def test_pass_and_report(self, tmp_path, capsys):
         assert run(["verify", "--out", tmp_path / "o", "--seed", "11"]) == 0
         out = capsys.readouterr().out
