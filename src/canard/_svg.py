@@ -97,16 +97,16 @@ def heatmap(x_values: Sequence[float], y_values: Sequence[float],
     y0, y1 = _HEIGHT - _MB, _MT
     cw = (x1 - x0) / nx
     ch = (y0 - y1) / ny
+    # each column's x and each row's y are formatted once
+    columns = [f'<rect x="{_fmt(x0 + i * cw)}" y="' for i in range(nx)]
+    size = f'" width="{_fmt(cw)}" height="{_fmt(ch)}" fill="'
     parts = []
-    for j in range(ny):
-        for i in range(nx):
-            px = x0 + i * cw
-            # larger y sits higher on the canvas
-            py = y0 - (j + 1) * ch
-            parts.append(
-                f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(cw)}" '
-                f'height="{_fmt(ch)}" fill="{sign_color(cell_values[j][i])}" '
-                'stroke="#ffffff" stroke-width="0.5"/>')
+    for j, row in enumerate(cell_values):
+        # larger y sits higher on the canvas
+        tail = _fmt(y0 - (j + 1) * ch) + size
+        parts.extend(f'{column}{tail}{sign_color(value)}" '
+                     'stroke="#ffffff" stroke-width="0.5"/>'
+                     for column, value in zip(columns, row))
     x_ticks = _tick_subset(list(x_values), [x0 + (i + 0.5) * cw for i in range(nx)])
     y_ticks = _tick_subset(list(y_values), [y0 - (j + 0.5) * ch for j in range(ny)])
     parts.extend(_frame(title, x_label, y_label, x_ticks, y_ticks))

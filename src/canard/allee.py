@@ -18,7 +18,10 @@ the model to the canonical slow-fast normal form near M in closed form,
 the criticality case analysis in m, and the Hopf/canard bifurcation
 curves.  The *_columns functions evaluate the closed forms elementwise
 over parameter arrays (a sweep grid); their scalar counterparts check
-one point and call them.
+one point and call them.  admissible_columns is the array pre-check of
+AlleeParams and require_closed_forms: it clears, with a margin, the
+points both would pass, so a sweep runs the scalar checks only on the
+points it leaves.
 """
 
 from __future__ import annotations
@@ -272,6 +275,41 @@ def require_closed_forms(p: AlleeParams) -> None:
     0 < m < (1 - sqrt(n))^2."""
     _require_fold_scale(p)
     _require_admissible(p.m, p.n)
+
+
+def admissible_columns(m, n, alpha, beta, gamma, eps):
+    """True where AlleeParams(m, n, alpha, beta, gamma, eps) and
+    require_closed_forms would both pass, elementwise over floats or
+    arrays that broadcast together.  False is no verdict: check such a
+    point with those scalar checks.
+
+    The range checks on the inputs, x_M, y_M and the sign of
+    alpha*x_M*y_M are the scalar checks' own IEEE operations and compare
+    exactly.  The bound (1 - sqrt(n))^2 and the fold checks, which the
+    scalar code evaluates with powers, must hold by a relative margin, so
+    a one-ulp rounding difference can never clear a point the scalar
+    checks reject.  NaN fails every comparison."""
+    m, n, alpha, beta, gamma, eps = (np.asarray(v, dtype=float)
+                                      for v in (m, n, alpha, beta, gamma, eps))
+    tol = 1e-12   # far above the ulp by which numpy and math may round a power apart
+    with np.errstate(all="ignore"):
+        rm = np.sqrt(m)
+        gap = 1.0 - np.sqrt(n)
+        xM = rm - m
+        yM = 1.0 - n + m - 2.0 * rm
+        s = m + xM
+        cube = s * s * s
+        q = m / (s * s)   # F'(x_M) = q - 1
+        return ((np.isfinite(m) & np.isfinite(n) & np.isfinite(alpha)
+                 & np.isfinite(beta) & np.isfinite(gamma) & np.isfinite(eps))
+                & (alpha > 0.0) & (beta > 0.0) & (gamma > 0.0)
+                & (eps > 0.0) & (eps <= 0.1) & (n > 0.0) & (n < 1.0) & (m > 0.0)
+                & (m < gap * gap * (1.0 - tol))
+                & (np.abs(q - 1.0) < 1e-10 - tol * (q + 1.0))
+                # F''(x_M) = -2m/s^3 < 0, with s^3 normal: the scalar
+                # checks divide by s^2 and s^3 and would underflow to 0
+                & (cube >= np.finfo(float).tiny) & (-2.0 * m / cube < 0.0)
+                & (alpha * xM * yM > 0.0))
 
 
 def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:

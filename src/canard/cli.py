@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -37,6 +38,7 @@ from .allee import (
     PARAM_NAMES,
     PSI_TAGS,
     AlleeParams,
+    admissible_columns,
     boundary_roots,
     equilibria,
     fold_point,
@@ -355,15 +357,17 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
     names = [x_name, y_name][:len(axes)]
     points = [(xv, yv) for yv in y_values for xv in x_values]
 
-    # every point is checked as analyze checks one, in grid order, before
-    # the closed forms run once over the whole grid
+    # the arrays clear what they can; every other point is checked as
+    # analyze checks one, in grid order, so the first inadmissible point
+    # raises its own error before the closed forms run over the grid
     values = _model_values(dict(rc.settings, **dict(zip(names, points[0]))))
-    for point in points:
-        values.update(zip(names, point))
-        require_closed_forms(AlleeParams(**values))
     x_grid, y_grid = np.meshgrid(x_values, y_values)
     grid = dict(values, **dict(zip(names, (x_grid, y_grid))))
     shape = x_grid.shape
+    cleared = admissible_columns(*(grid[k] for k in PARAM_NAMES))
+    for index in np.flatnonzero(~cleared).tolist():
+        values.update(zip(names, points[index]))
+        require_closed_forms(AlleeParams(**values))
     cols = model_columns(*(grid[k] for k in PARAM_NAMES))
     case = psi_columns(grid["m"], grid["n"], grid["alpha"], grid["gamma"])[3]
     columns = [np.broadcast_to(cols[k], shape).ravel().tolist() for k in SWEEP_COLUMNS]
@@ -398,8 +402,7 @@ def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
     )
     field = allee_field(p)
     traj = integrate(field, start, opts)
-    rows = [[float(t), float(x), float(y)]
-            for t, (x, y) in zip(traj.t, traj.y)]
+    rows = np.column_stack((traj.t, traj.y)).tolist()
     csv_path = write_csv(rc.output_dir, "trajectory.csv", ["t", "x", "y"], rows)
     end = traj.end_state
     summary = {
@@ -484,7 +487,10 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parse_args
+    keeps no state between calls."""
     parser = _Parser(prog="canard",
                      description="Singular Hopf and canard analysis for planar "
                                  "slow-fast systems")
@@ -523,6 +529,8 @@ def assemble(args: argparse.Namespace) -> RunConfig:
     if args.seed is not None:
         settings["seed"] = args.seed
     seed = _as_int(settings, "seed", 2025)
+    if seed < 0:  # numpy's generators take only non-negative seeds
+        raise DomainError(f"requires seed >= 0, got {seed}")
     out_dir = args.out
     try:
         os.makedirs(out_dir, exist_ok=True)

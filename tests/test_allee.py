@@ -11,6 +11,7 @@ from canard.allee import (
     PSI_TAGS,
     AlleeParams,
     _jacobian,
+    admissible_columns,
     boundary_roots,
     critical_height,
     critical_slope,
@@ -25,6 +26,7 @@ from canard.allee import (
     omega2_at_degeneracy,
     psi_case_analysis,
     psi_columns,
+    require_closed_forms,
 )
 from canard.errors import DomainError
 from canard.normalform import COEFF_NAMES, compute_A, lambda_c, lambda_H, omega_coefficients
@@ -338,6 +340,91 @@ class TestClosedFormRecord:
             assert out["lambda_h"][i] == lambda_H(nf.c10, a5, p.eps)
             assert out["lambda_c"][i] == lambda_c(nf.c10, a5, om.omega1, p.eps)
             assert PSI_TAGS[case[i]] == psi_case_analysis(p.m, p.n, p.alpha, p.gamma).tag
+
+
+def ulps(x, k):
+    """x moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+NON_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
+TINY = [ulps(0.0, 1), 1e-300]
+# here math's (1 - sqrt(n))**2 is one ulp below numpy's (1 - sqrt(n))*(1 - sqrt(n)),
+# and at m on math's bound y_M still reads positive
+N_POW_BELOW = 0.8885341369159843
+# (name, value) moves of one coordinate onto or near a bound
+PROBES = ([(name, v) for name in ("alpha", "beta", "gamma") for v in NON_VALUES + TINY]
+          + [("n", v) for v in NON_VALUES + TINY + [1.0, ulps(1.0, -1), 0.25, N_POW_BELOW]]
+          + [("eps", v) for v in NON_VALUES + TINY + [0.1, ulps(0.1, 1), ulps(0.1, -1)]])
+
+
+def m_bound(n):
+    """(1 - sqrt(n))^2, or 0.25 where n has no square root."""
+    return (1.0 - math.sqrt(n)) ** 2 if 0.0 <= n <= 1.0 else 0.25
+
+
+def m_probes(n):
+    """m inside, at and one to three ulps around m_bound(n), just inside
+    it by a few margins, and tiny or rejected values."""
+    bound = m_bound(n)
+    return ([0.5 * bound] + [ulps(bound, k) for k in range(-3, 4)]
+            + [f * bound for f in (1.0 - 5e-13, 1.0 - 1e-12, 1.0 - 2e-12, 1.0 - 4e-12)]
+            + NON_VALUES + TINY + [1e-200])
+
+
+@st.composite
+def boundary_points(draw):
+    """An interior point with up to two coordinates moved onto or near a
+    bound, and m drawn from m_probes or inside its range."""
+    pt = dict(n=draw(st.floats(1e-6, 0.9)), alpha=draw(st.floats(1e-6, 10.0)),
+              beta=draw(st.floats(1e-6, 10.0)), gamma=draw(st.floats(1e-6, 10.0)),
+              eps=draw(st.floats(1e-6, 0.1)))
+    pt.update(draw(st.lists(st.sampled_from(PROBES), max_size=2)))
+    bound = m_bound(pt["n"])
+    pt["m"] = draw(st.one_of(st.sampled_from(m_probes(pt["n"])),
+                             st.floats(1e-6, 1.0 - 1e-6).map(lambda f: f * bound)))
+    return pt
+
+
+class TestAdmissibleColumns:
+    @settings(max_examples=600, deadline=None)
+    @given(pt=boundary_points())
+    def test_cleared_points_pass_the_scalar_checks(self, pt):
+        if admissible_columns(**pt):
+            require_closed_forms(AlleeParams(**pt))
+
+    def test_every_single_probe(self):
+        # each probe on its own, against every m probe, at one interior point
+        base = dict(n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
+        for name, value in [(None, None)] + PROBES:
+            pt = dict(base) if name is None else dict(base, **{name: value})
+            for m in m_probes(pt["n"]):
+                if admissible_columns(m=m, **pt):
+                    require_closed_forms(AlleeParams(m=m, **pt))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.floats(1e-6, 0.9), frac=st.floats(1e-9, 1.0 - 1e-9),
+           alpha=st.floats(1e-3, 10.0), beta=st.floats(1e-3, 10.0),
+           gamma=st.floats(1e-3, 10.0), eps=st.floats(1e-6, 0.1))
+    def test_clears_interior_points(self, n, frac, alpha, beta, gamma, eps):
+        assert admissible_columns(frac * m_bound(n), n, alpha, beta, gamma, eps)
+
+    def test_margin_covers_a_bound_numpy_rounds_higher(self):
+        gap = 1.0 - math.sqrt(N_POW_BELOW)
+        m = gap ** 2
+        assert m < gap * gap
+        pt = dict(m=m, n=N_POW_BELOW, alpha=0.8, beta=0.1, gamma=0.4, eps=0.01)
+        with pytest.raises(DomainError, match="0 < m < "):
+            require_closed_forms(AlleeParams(**pt))
+        assert not admissible_columns(**pt)
+
+    def test_elementwise_over_a_grid(self):
+        m, beta = np.meshgrid([0.2, 0.25, 0.3], [-0.1, 0.1])
+        got = admissible_columns(m, 0.25, 0.8, beta, 0.4424, 0.01)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[False, False, False], [True, False, False]]
 
 
 class TestPsiCase:

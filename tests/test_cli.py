@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from model_oracle import sweep_row_reference
 
 import canard.cli as cli
-from canard.allee import PARAM_NAMES, AlleeParams
+from canard import _svg
+from canard.allee import PARAM_NAMES, AlleeParams, require_closed_forms
 from canard.cli import load_config, main, parse_grid, write_csv
 from canard.errors import DomainError
 
@@ -77,6 +78,18 @@ class TestConfig:
         cfg.write_text(f"seed = {seed}\n")
         assert run(["verify", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "setting 'seed' must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys, source):
+        # numpy's generators reject negative seeds with a ValueError of their own
+        if source == "flag":
+            args = ["--seed", "-1"]
+        else:
+            (tmp_path / "s.cfg").write_text("seed = -1\n")
+            args = ["--config", tmp_path / "s.cfg"]
+        assert run(["verify", "--out", tmp_path / "o"] + args) == 1
+        assert capsys.readouterr().err == "error: requires seed >= 0, got -1\n"
+        assert not (tmp_path / "o" / "verify.json").exists()
 
     def test_integral_float_beyond_2_53_is_not_an_integer(self, tmp_path, capsys):
         # 2^53 + 2 as a float: every integer near it no longer has a float of its own
@@ -338,10 +351,113 @@ class TestVectorizedSweep:
                     "--grid", "m=0.15:0.25:3"]) == 1
         assert "alpha*x_M*y_M > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, message", [
+        # n = 0.25 puts (1 - sqrt(n))^2 at 0.25 exactly: m = 0.25 fails a
+        # closed-form check, m = 0.35 fails AlleeParams, which runs first
+        ("m=0.15:0.35:3", "requires alpha*x_M*y_M > 0, got 0.0"),
+        ("m=0.35:0.15:3", "requires 0 < m <= (1 - sqrt(n))^2 = 0.25, got m=0.35"),
+        # y is the outer loop: (0.5, 0.1) comes before (0.2, -0.1)
+        ("m=0.2:0.5:2,beta=0.1:-0.1:2", "requires 0 < m <= (1 - sqrt(n))^2 = 0.25, got m=0.5"),
+        ("m=0.2:0.5:2,beta=-0.1:0.1:2", "requires beta > 0, got -0.1"),
+    ])
+    def test_first_inadmissible_point_in_grid_order_is_named(self, tmp_path, capsys,
+                                                             grid, message):
+        cfg = write_cfg(tmp_path / "p.cfg", dict(EX2, n=0.25))
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--grid", grid]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("grid, checked", [
+        ("m=0.24:0.28:30,beta=0.12:0.16:30", []),
+        ("eps=0.05:0.1:6", []),   # eps = 0.1 is compared exactly
+        ("m=0.15:0.35:3", [0.25]),
+    ])
+    def test_scalar_checks_run_only_where_the_arrays_do_not_clear(
+            self, tmp_path, monkeypatch, grid, checked):
+        seen = []
+
+        def recording_check(p):
+            seen.append(p.m)
+            return require_closed_forms(p)
+        monkeypatch.setattr(cli, "require_closed_forms", recording_check)
+        cfg = write_cfg(tmp_path / "p.cfg", dict(EX2, n=0.25) if checked else EX2)
+        run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--grid", grid])
+        assert seen == checked
+
     def test_numpy_scalar_cells(self, tmp_path):
         path = write_csv(str(tmp_path), "cells.csv", ["a", "b", "c", "d", "e", "f"],
                          [[np.float64(0.1), np.float32(0.5), np.int64(7), 0.1, 3, "x"]])
         assert Path(path).read_text(encoding="utf-8") == "a,b,c,d,e,f\n0.1,0.5,7,0.1,3,x\n"
+
+
+def heatmap_reference(x_values, y_values, cell_values, *, title, x_label, y_label):
+    """_svg.heatmap as a per-cell loop that formats each cell's x and y."""
+    nx, ny = len(x_values), len(y_values)
+    x0, x1 = _svg._ML, _svg._WIDTH - _svg._MR
+    y0, y1 = _svg._HEIGHT - _svg._MB, _svg._MT
+    cw = (x1 - x0) / nx
+    ch = (y0 - y1) / ny
+    parts = []
+    for j in range(ny):
+        for i in range(nx):
+            px = x0 + i * cw
+            py = y0 - (j + 1) * ch
+            parts.append(
+                f'<rect x="{_svg._fmt(px)}" y="{_svg._fmt(py)}" width="{_svg._fmt(cw)}" '
+                f'height="{_svg._fmt(ch)}" fill="{_svg.sign_color(cell_values[j][i])}" '
+                'stroke="#ffffff" stroke-width="0.5"/>')
+    x_ticks = _svg._tick_subset(list(x_values), [x0 + (i + 0.5) * cw for i in range(nx)])
+    y_ticks = _svg._tick_subset(list(y_values), [y0 - (j + 0.5) * ch for j in range(ny)])
+    parts.extend(_svg._frame(title, x_label, y_label, x_ticks, y_ticks))
+    return _svg._document(parts)
+
+
+CELL_VALUES = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def heatmap_grids(draw):
+    nx, ny = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    axis = st.floats(-1e3, 1e3)
+    return (draw(st.lists(axis, min_size=nx, max_size=nx)),
+            draw(st.lists(axis, min_size=ny, max_size=ny)),
+            draw(st.lists(st.lists(CELL_VALUES, min_size=nx, max_size=nx),
+                          min_size=ny, max_size=ny)))
+
+
+class TestOutputBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(grid=heatmap_grids())
+    def test_heatmap_equals_per_cell_loop(self, grid):
+        xs, ys, cells = grid
+        labels = dict(title="sign(A) over the sweep grid", x_label="m", y_label="beta")
+        want = heatmap_reference(xs, ys, cells, **labels)
+        assert _svg.heatmap(xs, ys, cells, **labels) == want
+        assert _svg.heatmap(xs, ys, np.array(cells), **labels) == want
+
+    def test_trajectory_rows_are_the_mesh_as_floats(self, tmp_path, monkeypatch):
+        seen = {}
+        real_integrate, real_write_csv = cli.integrate, cli.write_csv
+
+        def recording_integrate(*args):
+            seen["traj"] = real_integrate(*args)
+            return seen["traj"]
+
+        def recording_write_csv(out_dir, name, header, rows):
+            seen[name] = rows
+            return real_write_csv(out_dir, name, header, rows)
+        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        monkeypatch.setattr(cli, "write_csv", recording_write_csv)
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        dict(EX1, start_x=0.2644, start_y=0.0961, t_max=50))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        traj = seen["traj"]
+        want = [[float(t), float(x), float(y)] for t, (x, y) in zip(traj.t, traj.y)]
+        rows = seen["trajectory.csv"]
+        assert rows == want and all(type(v) is float for row in rows for v in row)
+        ref = real_write_csv(str(tmp_path), "ref.csv", ["t", "x", "y"], want)
+        assert (tmp_path / "o" / "trajectory.csv").read_bytes() == Path(ref).read_bytes()
 
 
 class TestImport:
@@ -558,3 +674,63 @@ class TestArgumentErrors:
 
     def test_no_command(self, capsys):
         assert run([]) == 1
+
+
+class TestParserReuse:
+    """main() parses with one parser per process; each call must behave as
+    the first call of a fresh process does."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("first, second", [
+        (["simulate", "--reversed"], ["simulate"]),
+        (["verify", "--seed", "7"], ["verify"]),
+        (["verify", "--omega2-offset", "1"], ["verify"]),
+        (["analyze", "--bogus"], ["analyze"]),
+        (["verify", "--seed", "x"], ["verify", "--eps", "0.01"]),
+    ])
+    def test_second_parse_equals_a_fresh_parsers(self, first, second):
+        try:
+            cli.build_parser().parse_args(first)
+        except DomainError:
+            pass
+        fresh = cli.build_parser.__wrapped__()
+        assert vars(cli.build_parser().parse_args(second)) == vars(fresh.parse_args(second))
+
+    def test_reversed_does_not_stick(self, tmp_path):
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        dict(EX2, start_x=0.25, start_y=0.1375, t_max=20))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "r", "--reversed"]) == 0
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "f"]) == 0
+        summary = json.loads((tmp_path / "f" / "simulate.json").read_text())
+        assert summary["direction"] == "Forward"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        subprocess.run([sys.executable, "-m", "canard.cli", "simulate", "--config", cfg,
+                        "--out", str(tmp_path / "fresh")], env=env, capture_output=True,
+                       check=True, timeout=120)
+        for name in ("trajectory.csv", "trajectory.svg", "simulate.json"):
+            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_seed_and_offset_do_not_stick(self, tmp_path, monkeypatch):
+        seen = []
+        real_run_all = cli.run_all
+
+        def recording_run_all(seed, omega2_offset):
+            seen.append((seed, omega2_offset))
+            return real_run_all(seed=seed, omega2_offset=omega2_offset)
+        monkeypatch.setattr(cli, "run_all", recording_run_all)
+        codes = [run(["verify", "--out", tmp_path / "a", "--seed", "7"]),
+                 run(["verify", "--out", tmp_path / "b"]),
+                 run(["verify", "--out", tmp_path / "c", "--omega2-offset", "1"]),
+                 run(["verify", "--out", tmp_path / "d"])]
+        assert seen == [(7, 0.0), (2025, 0.0), (2025, 1.0), (2025, 0.0)]
+        assert codes == [0, 0, 2, 0]
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "p.cfg", EX1)
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o", "--bogus"]) == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        assert (tmp_path / "o" / "analyze.json").exists()
