@@ -6,12 +6,14 @@ dense-output interpolant and proportional-integral step control (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.5-6).  It is plain Python on
 scalar floats: a field is an autonomous function (x, y) -> (dx/dt,
 dy/dt) called with two floats, and the accepted steps are collected in
-lists and turned into arrays once, at the end.  An optional section
-stop ends a run at the first crossing of a vertical line in a wanted
-direction, located exactly as dynamics.section_crossings locates it on
-the interpolant it asks for (store_dense).  bisect serves that
-location, the displacement root of dynamics.find_cycle and the trace
-root of dynamics.hopf_onset_scan, each with its own stop rule."""
+lists and turned into arrays once, at the end.  Time only runs forward
+here; reversed time is one negated field, built in dynamics.  An
+optional section stop ends a run at the first crossing of a vertical
+line in a wanted direction, located exactly as
+dynamics.section_crossings locates it on the interpolant it asks for
+(store_dense).  bisect serves that location, the displacement root of
+dynamics.find_cycle and the trace root of dynamics.hopf_onset_scan, each
+with its own stop rule."""
 
 from __future__ import annotations
 
@@ -51,8 +53,8 @@ STATUS_BAD_FIELD = 3
 _MAX_REJECT_STREAK = 30
 
 
-def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
-    """Integrate (x, y)' = sign * rhs(x, y) from u0 = (x, y) over [0, t_end].
+def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
+    """Integrate (x, y)' = rhs(x, y) from u0 = (x, y) over [0, t_end].
 
     Returns (status, ts, ys, rcont, counts, hit): the accepted mesh ts
     (n+1,) and ys (n+1, 2); the per-step interpolant coefficients rcont
@@ -61,11 +63,15 @@ def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
     hit.  With stop = (x_sec, y_base, want) every accepted step is
     searched for a crossing of x = x_sec as by section_crossing, and the
     run ends at the first crossing whose x-direction is want, returned as
-    hit = (t, y, xdir); otherwise hit is None."""
+    hit = (t, y, xdir); otherwise hit is None.  Finiteness is checked on
+    the start values, then on each step's new state and last stage."""
     t = 0.0
     y0, y1 = float(u0[0]), float(u0[1])
-    f = rhs(y0, y1)
-    k10, k11 = sign * f[0], sign * f[1]
+    k10, k11 = rhs(y0, y1)
+    if not (math.isfinite(y0) and math.isfinite(y1)
+            and math.isfinite(k10) and math.isfinite(k11)):
+        return (STATUS_BAD_FIELD, np.array([t]), np.array([[y0, y1]]),
+                np.empty((0, 5, 2)) if store_dense else None, (0, 0, 1), None)
 
     # starter step: scipy-style two-probe estimate
     sc0 = atol + rtol * abs(y0)
@@ -77,9 +83,9 @@ def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f = rhs(y0 + h0 * k10, y1 + h0 * k11)
-    d2 = math.sqrt(0.5 * (((sign * f[0] - k10) / sc0) ** 2
-                          + ((sign * f[1] - k11) / sc1) ** 2)) / h0
+    f0, f1 = rhs(y0 + h0 * k10, y1 + h0 * k11)
+    d2 = math.sqrt(0.5 * (((f0 - k10) / sc0) ** 2
+                          + ((f1 - k11) / sc1) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -97,37 +103,31 @@ def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
     status = STATUS_OK
     cross = False
     hit = None
+    a0, a1 = abs(y0), abs(y1)   # |y| at the last accepted state
 
+    # comparisons stand in for min, max and abs calls, same floats (t >= 0)
     while t < t_end:
-        if not (math.isfinite(y0) and math.isfinite(y1)
-                and math.isfinite(k10) and math.isfinite(k11)):
-            status = STATUS_BAD_FIELD
-            break
-        if h < 1e-14 * max(1.0, abs(t)):
+        if h < 1e-14 * (t if t > 1.0 else 1.0):
             status = STATUS_UNDERFLOW
             break
-        h = min(h, t_end - t)
+        h = t_end - t if t_end - t < h else h
 
-        f = rhs(y0 + h * (A21 * k10), y1 + h * (A21 * k11))
-        k20, k21 = sign * f[0], sign * f[1]
-        f = rhs(y0 + h * (A31 * k10 + A32 * k20),
-                y1 + h * (A31 * k11 + A32 * k21))
-        k30, k31 = sign * f[0], sign * f[1]
-        f = rhs(y0 + h * (A41 * k10 + A42 * k20 + A43 * k30),
-                y1 + h * (A41 * k11 + A42 * k21 + A43 * k31))
-        k40, k41 = sign * f[0], sign * f[1]
-        f = rhs(y0 + h * (A51 * k10 + A52 * k20 + A53 * k30 + A54 * k40),
-                y1 + h * (A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41))
-        k50, k51 = sign * f[0], sign * f[1]
-        f = rhs(y0 + h * (A61 * k10 + A62 * k20 + A63 * k30 + A64 * k40
-                          + A65 * k50),
-                y1 + h * (A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41
-                          + A65 * k51))
-        k60, k61 = sign * f[0], sign * f[1]
+        k20, k21 = rhs(y0 + h * (A21 * k10), y1 + h * (A21 * k11))
+        k30, k31 = rhs(y0 + h * (A31 * k10 + A32 * k20),
+                       y1 + h * (A31 * k11 + A32 * k21))
+        k40, k41 = rhs(y0 + h * (A41 * k10 + A42 * k20 + A43 * k30),
+                       y1 + h * (A41 * k11 + A42 * k21 + A43 * k31))
+        k50, k51 = rhs(
+            y0 + h * (A51 * k10 + A52 * k20 + A53 * k30 + A54 * k40),
+            y1 + h * (A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41))
+        k60, k61 = rhs(
+            y0 + h * (A61 * k10 + A62 * k20 + A63 * k30 + A64 * k40
+                      + A65 * k50),
+            y1 + h * (A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41
+                      + A65 * k51))
         yn0 = y0 + h * (B1 * k10 + B3 * k30 + B4 * k40 + B5 * k50 + B6 * k60)
         yn1 = y1 + h * (B1 * k11 + B3 * k31 + B4 * k41 + B5 * k51 + B6 * k61)
-        f = rhs(yn0, yn1)
-        k70, k71 = sign * f[0], sign * f[1]
+        k70, k71 = rhs(yn0, yn1)
         nfev += 6
         if not (math.isfinite(yn0) and math.isfinite(yn1)
                 and math.isfinite(k70) and math.isfinite(k71)):
@@ -138,8 +138,10 @@ def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
                   + E7 * k70)
         e1 = h * (E1 * k11 + E3 * k31 + E4 * k41 + E5 * k51 + E6 * k61
                   + E7 * k71)
-        s0 = atol + rtol * max(abs(y0), abs(yn0))
-        s1 = atol + rtol * max(abs(y1), abs(yn1))
+        an0 = -yn0 if yn0 < 0.0 else yn0
+        an1 = -yn1 if yn1 < 0.0 else yn1
+        s0 = atol + rtol * (an0 if an0 > a0 else a0)
+        s1 = atol + rtol * (an1 if an1 > a1 else a1)
         err = math.sqrt(0.5 * ((e0 / s0) ** 2 + (e1 / s1) ** 2))
 
         if err <= 1.0:
@@ -160,6 +162,7 @@ def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
                     rc.extend(row)
             t_old, t = t, t + h
             y0, y1 = yn0, yn1
+            a0, a1 = an0, an1
             k10, k11 = k70, k71
             n += 1
             ts.append(t)
@@ -169,12 +172,12 @@ def dopri5(rhs, u0, t_end, rtol, atol, sign, store_dense, stop=None):
                 fac = 10.0
             else:
                 fac = 0.9 * err ** (-0.17) * errold ** 0.04
-                fac = min(10.0, max(0.2, fac))
+                fac = 10.0 if fac > 10.0 else 0.2 if fac < 0.2 else fac
             h = h * fac
-            errold = max(err, 1e-4)
+            errold = 1e-4 if err < 1e-4 else err
             streak = 0
             if cross:
-                hit = section_crossing(rhs, sign, t_old, t, row,
+                hit = section_crossing(rhs, t_old, t, row,
                                        stop[0], stop[1], a)
                 if hit is not None and hit[2] == stop[2]:
                     break
@@ -220,7 +223,7 @@ def interpolate(row, j, theta):
         row[4 + j] + theta * (row[6 + j] + t1 * row[8 + j])))
 
 
-def section_crossing(rhs, sign, t0, t1, row, x_sec, y_base, a):
+def section_crossing(rhs, t0, t1, row, x_sec, y_base, a):
     """The crossing of the line x = x_sec within the step [t0, t1] with
     interpolant coefficients row, where a = x(t0) - x_sec: at t0 itself
     when a == 0, else bisected on the interpolant to a time width of
@@ -237,8 +240,7 @@ def section_crossing(rhs, sign, t0, t1, row, x_sec, y_base, a):
     y_hit = interpolate(row, 1, theta)
     if y_hit <= y_base:
         return None
-    f = rhs(interpolate(row, 0, theta), y_hit)
-    v0, v1 = sign * f[0], sign * f[1]
+    v0, v1 = rhs(interpolate(row, 0, theta), y_hit)
     if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
         raise NumericsError(f"tangential section crossing at t={t_hit}")
     return float(t_hit), float(y_hit), math.copysign(1.0, v0)

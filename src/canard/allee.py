@@ -102,6 +102,8 @@ def fold_point(m: float, n: float) -> Tuple[float, float]:
     _require_admissible(m, n, allow_boundary=True)
     xM = math.sqrt(m) - m
     yM = 1.0 - n + m - 2.0 * math.sqrt(m)
+    if (m + xM) ** 3 == 0.0:
+        raise DomainError(f"m={m} is too small: (m + x_M)^3 underflows to 0")
     if abs(critical_slope(xM, m, n)) > 1e-10:
         raise NumericsError("fold point fails the F'(x_M) = 0 check")
     if _F_derivative(xM, m, 2) >= 0.0:
@@ -306,8 +308,8 @@ def admissible_columns(m, n, alpha, beta, gamma, eps):
                 & (eps > 0.0) & (eps <= 0.1) & (n > 0.0) & (n < 1.0) & (m > 0.0)
                 & (m < gap * gap * (1.0 - tol))
                 & (np.abs(q - 1.0) < 1e-10 - tol * (q + 1.0))
-                # F''(x_M) = -2m/s^3 < 0, with s^3 normal: the scalar
-                # checks divide by s^2 and s^3 and would underflow to 0
+                # F''(x_M) = -2m/s^3 < 0, with s^3 normal: fold_point
+                # rejects an s^3 that underflows to 0 with a DomainError
                 & (cube >= np.finfo(float).tiny) & (-2.0 * m / cube < 0.0)
                 & (alpha * xM * yM > 0.0))
 

@@ -2,14 +2,15 @@
 
 A field is an autonomous function (x, y) -> (dx/dt, dy/dt) on floats;
 allee_field(p) is the model's.  Every run goes through _run into the
-scalar Dormand-Prince 5(4) core in _kernels.  integrate keeps the
-accepted mesh only; section crossings are located on the dense output,
-which only section_crossings keeps and a return map's run builds step by
-step, stopping at its first same-direction crossing.  Limit cycles are
-found by bisection on the displacement map, with unstable cycles handled
-in reversed time and their multiplier reported in the forward-time
-convention; that bisection, the crossing location and the Hopf onset
-scan all run _kernels.bisect."""
+scalar Dormand-Prince 5(4) core in _kernels, which runs time forward;
+for Reversed runs _oriented negates the field, once per run.  integrate
+keeps the accepted mesh only; section crossings are located on the dense
+output, which only section_crossings keeps and a return map's run builds
+step by step, stopping at its first same-direction crossing.  Limit
+cycles are found by bisection on the displacement map, with unstable
+cycles handled in reversed time and their multiplier reported in the
+forward-time convention; that bisection, the crossing location and the
+Hopf onset scan all run _kernels.bisect."""
 
 from __future__ import annotations
 
@@ -71,6 +72,17 @@ class Trajectory:
         return self.y[-1].copy()
 
 
+def _oriented(field: Callable, direction: str) -> Callable:
+    """field, or for REVERSED its negation: the floats -1.0 * field gives."""
+    if direction != REVERSED:
+        return field
+
+    def negated(x, y):
+        u, v = field(x, y)
+        return -u, -v
+    return negated
+
+
 def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
          stop=None):
     """Integrate with one stiffness retry at 100x tighter tolerances.
@@ -79,14 +91,14 @@ def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
     u0 = np.asarray(x0, dtype=float)
     if u0.shape != (2,) or not np.all(np.isfinite(u0)):
         raise DomainError(f"initial state must be a finite point, got {x0}")
-    sign = -1.0 if opts.direction == REVERSED else 1.0
+    rhs = _oriented(field, opts.direction)
     stiff = False
     rtol, atol = opts.rel_tol, opts.abs_tol
     work = (0, 0, 0)
     name = getattr(field, "__name__", field)
     for attempt in range(2):
         status, ts, ys, rc, counts, hit = dopri5(
-            field, u0, opts.t_max, rtol, atol, sign, store_dense, stop)
+            rhs, u0, opts.t_max, rtol, atol, store_dense, stop)
         work = tuple(a + b for a, b in zip(work, counts))
         if status == STATUS_STIFF and attempt == 0:
             warnings.warn(
@@ -132,13 +144,13 @@ def section_crossings(field: Callable, start, section: Section,
     width of 1e-10.  Used to seed displacement-map brackets from
     published initial values."""
     traj, rcont, _ = _run(field, start, opts, store_dense=True)
-    sign = -1.0 if opts.direction == REVERSED else 1.0
+    rhs = _oriented(field, opts.direction)
     g = traj.y[:, 0] - section.x
     hits = []
     for i in range(len(traj.t) - 1):
         a = g[i]
         if (a == 0.0 and i > 0) or a * g[i + 1] < 0.0:
-            hit = section_crossing(field, sign, traj.t[i], traj.t[i + 1],
+            hit = section_crossing(rhs, traj.t[i], traj.t[i + 1],
                                    rcont[i].ravel().tolist(),
                                    section.x, section.y_base, a)
             if hit is not None:
@@ -171,9 +183,7 @@ def _first_return(field: Callable, section: Section, y0: float,
                   opts: IntegratorOptions) -> Tuple[float, float]:
     """(height, time) of the first same-direction crossing; the
     integration stops there instead of running on to t_max."""
-    sign = -1.0 if opts.direction == REVERSED else 1.0
-    f = field(section.x, y0)
-    v0, v1 = sign * f[0], sign * f[1]
+    v0, v1 = _oriented(field, opts.direction)(section.x, y0)
     if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
         raise NumericsError("section crossing is tangential at the start point")
     stop = (section.x, section.y_base, math.copysign(1.0, v0))

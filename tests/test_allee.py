@@ -91,6 +91,16 @@ class TestFold:
             assert abs(critical_slope(xM, m, n)) < 1e-12
             assert abs(critical_height(xM, m, n) - yM) < 1e-12
 
+    @pytest.mark.parametrize("m", [1e-216, 1e-300, 5e-324])
+    def test_underflowing_cube_is_domain_error(self, m):
+        # F''(x_M) divides by (m + x_M)^3 = m^1.5, which is 0 below m ~ 2e-216
+        with pytest.raises(DomainError, match=f"^m={m} is too small"):
+            fold_point(m, 0.1)
+
+    def test_smallest_m_above_the_underflow(self):
+        xM, yM = fold_point(1e-215, 0.1)
+        assert xM > 0.0 and yM == pytest.approx(0.9)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             fold_point(0.5, 0.1)

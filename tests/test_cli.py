@@ -23,6 +23,7 @@ from canard.errors import DomainError
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
 EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
+TINY_M = "is too small: (m + x_M)^3 underflows to 0"
 
 
 def write_cfg(path, mapping):
@@ -152,6 +153,11 @@ class TestAnalyze:
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
         err = capsys.readouterr().err
         assert "0 < n < 1" in err and "1.5" in err
+
+    def test_underflowing_fold_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "p.cfg", dict(EX2, m=5e-324))
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == f"error: m=5e-324 {TINY_M}\n"
 
     def test_missing_keys_named(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "p.cfg", {"m": 0.3, "n": 0.1})
@@ -359,6 +365,9 @@ class TestVectorizedSweep:
         # y is the outer loop: (0.5, 0.1) comes before (0.2, -0.1)
         ("m=0.2:0.5:2,beta=0.1:-0.1:2", "requires 0 < m <= (1 - sqrt(n))^2 = 0.25, got m=0.5"),
         ("m=0.2:0.5:2,beta=-0.1:0.1:2", "requires beta > 0, got -0.1"),
+        # (m + x_M)^3 underflows to 0 at m = 5e-324, the least positive float
+        ("m=0.2:5e-324:2,beta=0.1:-0.1:2", f"m=5e-324 {TINY_M}"),
+        ("m=0.2:5e-324:2,beta=-0.1:0.1:2", "requires beta > 0, got -0.1"),
     ])
     def test_first_inadmissible_point_in_grid_order_is_named(self, tmp_path, capsys,
                                                              grid, message):

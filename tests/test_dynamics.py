@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from canard import dynamics
-from canard._kernels import STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF, bisect, dopri5
+from canard._kernels import (STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF,
+                             STATUS_UNDERFLOW, bisect, dopri5)
 from canard.allee import AlleeParams, critical_slope, equilibria, fold_point
 from canard.dynamics import (
     FORWARD,
@@ -19,6 +20,7 @@ from canard.dynamics import (
     IntegratorOptions,
     Section,
     _first_return,
+    _oriented,
     allee_field,
     bracket_from_crossings,
     e4_trace,
@@ -124,7 +126,7 @@ class TestIntegrate:
             return (1.0, 0.0) if x < 0.5 else (np.nan, 0.0)
 
         status, ts, _, _, counts, _ = dopri5(edge, (0.0, 0.0), 2.0, 1e-8, 1e-10,
-                                             1.0, False)
+                                             False)
         assert status == STATUS_BAD_FIELD and counts[0] > 0 and ts[-1] < 0.5
         with pytest.raises(NumericsError, match="field 'edge' evaluation"):
             integrate(edge, (0.0, 0.0), tight(2.0))
@@ -147,6 +149,61 @@ class TestIntegrate:
         assert tr.t[0] == 0.0 and tr.t[-1] == pytest.approx(3.0)
         assert np.all(np.diff(tr.t) > 0)
         assert tr.stiffness_suspected is False
+
+
+def _non_finite_field(where, direction, value):
+    """A field that moves orbits from (0, 0.5) toward +x in the given
+    direction and is value, NaN or infinite, at that start point
+    ("start"), everywhere but there, so first at the starter probe
+    ("probe"), or from x = 0.5 on, after some steps ("steps")."""
+    s = -1.0 if direction == REVERSED else 1.0
+
+    def bad(x, y):
+        if where == "start" or (where == "probe" and (x, y) != (0.0, 0.5)) \
+                or (where == "steps" and x >= 0.5):
+            return (value, 0.0)
+        return (s, 0.0)
+
+    return bad
+
+
+class TestNonFiniteField:
+    """A non-finite field value is a typed failure wherever it shows up,
+    in both directions, and the message names the caller's field."""
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    @pytest.mark.parametrize("where, value, status, stepped", [
+        ("start", np.nan, STATUS_BAD_FIELD, False),
+        ("start", np.inf, STATUS_BAD_FIELD, False),
+        ("probe", np.nan, STATUS_BAD_FIELD, False),
+        # an infinite probe makes the starter step 0
+        ("probe", np.inf, STATUS_UNDERFLOW, False),
+        ("steps", np.nan, STATUS_BAD_FIELD, True),
+        ("steps", np.inf, STATUS_BAD_FIELD, True)])
+    def test_core_status(self, where, value, status, stepped, direction):
+        f = _oriented(_non_finite_field(where, direction, value), direction)
+        got, ts, _, _, counts, _ = dopri5(f, (0.0, 0.5), 2.0, 1e-8, 1e-10, False)
+        assert got == status and ts[-1] < 0.5
+        assert (counts[0] > 0) == stepped
+
+    @pytest.mark.parametrize("named", [True, False])
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    @pytest.mark.parametrize("where, value", [
+        ("start", np.nan), ("start", np.inf), ("probe", np.nan),
+        ("steps", np.nan), ("steps", np.inf)])
+    @pytest.mark.parametrize("entry", ["integrate", "return_map"])
+    def test_raises_naming_the_field(self, entry, where, value, direction, named):
+        bad = _non_finite_field(where, direction, value)
+        field = bad if named else functools.partial(lambda x, y, f: f(x, y), f=bad)
+        opts = tight(2.0, direction)
+        with pytest.raises(NumericsError) as info:
+            if entry == "integrate":
+                integrate(field, (0.0, 0.5), opts)
+            else:
+                return_map(field, Section(0.0, 0.0), 0.5, opts)
+        name = "bad" if named else repr(field)
+        assert str(info.value) == (
+            f"field '{name}' evaluation produced non-finite values")
 
 
 class TestReturnMap:
@@ -383,11 +440,11 @@ class TestGoldenTrajectories:
         ids=lambda c: f"{c['example']}-{c['direction']}-"
                       f"{'dense' if c['dense'] else 'mesh'}")
     def test_matches_recorded_trajectory(self, case):
-        f = allee_field(AlleeParams(**{"EX1": EX1, "EX2": EX2}[case["example"]]))
-        sign = -1.0 if case["direction"] == REVERSED else 1.0
+        p = AlleeParams(**{"EX1": EX1, "EX2": EX2}[case["example"]])
+        f = _oriented(allee_field(p), case["direction"])
         status, ts, ys, rc, counts, hit = dopri5(
             f, case["start"], case["t_max"], GOLDEN["rel_tol"],
-            GOLDEN["abs_tol"], sign, case["dense"])
+            GOLDEN["abs_tol"], case["dense"])
         assert status == STATUS_OK and hit is None
         assert len(ts) - 1 == case["steps"] == counts[0]
         rows = case["rows"]
@@ -404,6 +461,38 @@ class TestGoldenTrajectories:
             assert rc is None
 
 
+with open(Path(__file__).parent / "data" / "golden_orbits.json", "r",
+          encoding="utf-8") as _fh:
+    GOLDEN_ORBITS = json.load(_fh)
+
+
+class TestGoldenOrbits:
+    """Return heights and region excursions against values recorded with
+    the core that multiplied every stage by a direction sign, bit for
+    bit: negating the field once gives the same floats."""
+
+    @pytest.mark.parametrize("label", sorted(GOLDEN_ORBITS["examples"]))
+    def test_matches_recorded_outputs(self, label):
+        case = GOLDEN_ORBITS["examples"][label]
+        p = AlleeParams(**case["params"])
+        f = allee_field(p)
+        x4, y4 = equilibria(p).E4.point
+        opts = IntegratorOptions(rel_tol=GOLDEN_ORBITS["rel_tol"],
+                                 abs_tol=GOLDEN_ORBITS["abs_tol"],
+                                 t_max=GOLDEN_ORBITS["t_max"])
+        dys = [float.fromhex(v) for v in GOLDEN_ORBITS["dy"]]
+        runs = [("return_height", opts)]
+        if "return_height_reversed" in case:
+            runs.append(("return_height_reversed",
+                         IntegratorOptions(**dict(asdict(opts), direction=REVERSED))))
+        for key, o in runs:
+            got = [return_map(f, Section(x4, y4), y4 + dy, o).hex() for dy in dys]
+            assert got == case[key], key
+        got = [region_excursion(p, 1, seed, 1e4).hex()
+               for seed in GOLDEN_ORBITS["seeds"]]
+        assert got == case["region_excursion"]
+
+
 class TestDenseOutputMode:
     @settings(max_examples=30, deadline=None)
     @given(example=st.sampled_from(["EX1", "EX2"]), reversed_time=st.booleans(),
@@ -414,11 +503,10 @@ class TestDenseOutputMode:
         # both must step through the same mesh
         p = AlleeParams(**{"EX1": EX1, "EX2": EX2}[example])
         x4, y4 = equilibria(p).E4.point
-        f = allee_field(p)
-        sign = -1.0 if reversed_time else 1.0
+        f = _oriented(allee_field(p), REVERSED if reversed_time else FORWARD)
         start = (x4 + dx, y4 + dy)
-        mesh = dopri5(f, start, t_max, 1e-10, 1e-12, sign, False)
-        dense = dopri5(f, start, t_max, 1e-10, 1e-12, sign, True)
+        mesh = dopri5(f, start, t_max, 1e-10, 1e-12, False)
+        dense = dopri5(f, start, t_max, 1e-10, 1e-12, True)
         assert mesh[0] == dense[0] and mesh[4] == dense[4]
         np.testing.assert_array_equal(mesh[1], dense[1])
         np.testing.assert_array_equal(mesh[2], dense[2])
@@ -452,12 +540,12 @@ class TestStiffnessRetry:
     def _core(monkeypatch, stiff_calls):
         calls = []
 
-        def core(field, u0, t_end, rtol, atol, sign, store_dense, stop=None):
+        def core(field, u0, t_end, rtol, atol, store_dense, stop=None):
             calls.append((rtol, atol))
             if len(calls) <= stiff_calls:
                 return (STATUS_STIFF, np.array([0.0]), np.array([list(u0)]), None,
                         (3, 30, 200), None)
-            return dopri5(field, u0, t_end, rtol, atol, sign, store_dense, stop)
+            return dopri5(field, u0, t_end, rtol, atol, store_dense, stop)
 
         monkeypatch.setattr(dynamics, "dopri5", core)
         return calls
@@ -467,7 +555,7 @@ class TestStiffnessRetry:
         with pytest.warns(RuntimeWarning, match="field 'soft_cycle': suspected stiffness"):
             tr = integrate(soft_cycle, (0.3, 0.1), tight(5.0))
         assert calls == [(1e-10, 1e-12), (1e-10 * 1e-2, 1e-12 * 1e-2)]
-        ref = dopri5(soft_cycle, (0.3, 0.1), 5.0, 1e-12, 1e-14, 1.0, True)
+        ref = dopri5(soft_cycle, (0.3, 0.1), 5.0, 1e-12, 1e-14, True)
         assert tr.stiffness_suspected
         assert (tr.n_accepted, tr.n_rejected, tr.nfev) == tuple(
             a + b for a, b in zip((3, 30, 200), ref[4]))
