@@ -64,7 +64,8 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
     searched for a crossing of x = x_sec as by section_crossing, and the
     run ends at the first crossing whose x-direction is want, returned as
     hit = (t, y, xdir); otherwise hit is None.  Finiteness is checked on
-    the start values, then on each step's new state and last stage."""
+    the start values and the starter probe, then on each step's new state
+    and last stage."""
     t = 0.0
     y0, y1 = float(u0[0]), float(u0[1])
     k10, k11 = rhs(y0, y1)
@@ -84,6 +85,9 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, t_end)
     f0, f1 = rhs(y0 + h0 * k10, y1 + h0 * k11)
+    if not (math.isfinite(f0) and math.isfinite(f1)):
+        return (STATUS_BAD_FIELD, np.array([t]), np.array([[y0, y1]]),
+                np.empty((0, 5, 2)) if store_dense else None, (0, 0, 2), None)
     d2 = math.sqrt(0.5 * (((f0 - k10) / sc0) ** 2
                           + ((f1 - k11) / sc1) ** 2)) / h0
     if max(d1, d2) <= 1e-15:

@@ -18,10 +18,13 @@ the model to the canonical slow-fast normal form near M in closed form,
 the criticality case analysis in m, and the Hopf/canard bifurcation
 curves.  The *_columns functions evaluate the closed forms elementwise
 over parameter arrays (a sweep grid); their scalar counterparts check
-one point and call them.  admissible_columns is the array pre-check of
-AlleeParams and require_closed_forms: it clears, with a margin, the
-points both would pass, so a sweep runs the scalar checks only on the
-points it leaves.
+one point and call them.
+
+Each parameter check is written once, as a rule (holds, error class,
+message naming the values it shows).  Each scalar entry point runs its
+ordered list of rules on one point, with math; check_grid runs those of
+AlleeParams and require_closed_forms over a sweep grid, with numpy.  Both
+evaluate the same expressions, so a point and a grid agree bit for bit.
 """
 
 from __future__ import annotations
@@ -45,17 +48,83 @@ from .normalform import (
 PARAM_NAMES = ("m", "n", "alpha", "beta", "gamma", "eps")
 
 
-def _require_admissible(m: float, n: float, allow_boundary: bool = False) -> None:
-    if not (0.0 < n < 1.0):
-        raise DomainError(f"requires 0 < n < 1, got n={n}")
-    bound = (1.0 - math.sqrt(n)) ** 2
-    if allow_boundary:
-        if not (0.0 < m <= bound):
-            raise DomainError(
-                f"requires 0 < m <= (1 - sqrt(n))^2 = {bound:.6g}, got m={m}")
-    elif not (0.0 < m < bound):
-        raise DomainError(
-            f"requires 0 < m < (1 - sqrt(n))^2 = {bound:.6g}, got m={m}")
+def _point(xp, m=math.nan, n=math.nan, alpha=math.nan, **values) -> SimpleNamespace:
+    """The values the rules read: the given ones (floats with xp = math,
+    arrays that broadcast together with xp = numpy) and those derived
+    from them, each written once for a point and a grid.  A derived value
+    is NaN where it is undefined; a rule before every rule that reads it
+    fails there."""
+    sqrt = np.sqrt if xp is np else (lambda x: math.sqrt(x) if x >= 0.0 else math.nan)
+    gap, rm = 1.0 - sqrt(n), sqrt(m)
+    xM, yM = rm - m, 1.0 - n + m - 2.0 * rm
+    s = m + xM
+    q2 = alpha * xM * yM
+    return SimpleNamespace(xp=xp, m=m, n=n, alpha=alpha, **values, bound=gap * gap, rm=rm,
+                           xM=xM, yM=yM, s=s, cube=s * s * s, q2=q2, Q=sqrt(q2))
+
+
+def _finite(name):
+    return (lambda p: p.xp.isfinite(getattr(p, name)), DomainError,
+            f"parameter {name} is not finite")
+
+
+_N = (lambda p: (0.0 < p.n) & (p.n < 1.0), DomainError, "requires 0 < n < 1, got n={n}")
+# AlleeParams and fold_point allow m = (1 - sqrt(n))^2: it is the collision
+# of the fold with the prey-only pair (y_M = 0, delta1 = 0)
+_M_CLOSED = (lambda p: (0.0 < p.m) & (p.m <= p.bound), DomainError,
+             "requires 0 < m <= (1 - sqrt(n))^2 = {bound:.6g}, got m={m}")
+_M_OPEN = (lambda p: (0.0 < p.m) & (p.m < p.bound), DomainError,
+           "requires 0 < m < (1 - sqrt(n))^2 = {bound:.6g}, got m={m}")
+_PARAM_RULES = ([_finite(k) for k in PARAM_NAMES]
+                + [(lambda p, k=k: getattr(p, k) > 0.0, DomainError,
+                    f"requires {k} > 0, got {{{k}}}") for k in ("alpha", "beta", "gamma")]
+                + [(lambda p: (0.0 < p.eps) & (p.eps <= 0.1), DomainError,
+                    "requires 0 < eps <= 0.1, got eps={eps}"), _N, _M_CLOSED])
+_FOLD_RULES = [
+    _N, _M_CLOSED,
+    (lambda p: p.cube != 0.0, DomainError, "m={m} is too small: (m + x_M)^3 underflows to 0"),
+    (lambda p: abs(p.m / (p.s * p.s) - 1.0) <= 1e-10, NumericsError,
+     "fold point fails the F'(x_M) = 0 check"),
+    (lambda p: -2.0 * p.m / p.cube < 0.0, NumericsError,
+     "fold point fails the F''(x_M) < 0 check")]
+# the fold checks and Q^2 > 0, behind the closed forms' scale Q
+_SCALE_RULES = _FOLD_RULES + [(lambda p: p.q2 > 0.0, DomainError,
+                               "requires alpha*x_M*y_M > 0, got {q2}")]
+_CLOSED_FORM_RULES = _SCALE_RULES + [_M_OPEN]
+_PSI_RULES = [_N, _M_OPEN, _finite("alpha"), _finite("gamma"),
+              (lambda p: min(p.alpha, p.gamma) > 0.0, DomainError,
+               "requires alpha > 0 and gamma > 0")]
+_OMEGA2_RULES = [_finite("alpha"), _finite("gamma"), _finite("yM"),
+                 (lambda p: min(p.alpha, p.gamma, p.yM) > 0.0, DomainError,
+                  "requires alpha, gamma, yM > 0")]
+
+
+def _check(rules, p: SimpleNamespace) -> SimpleNamespace:
+    """Run rules in order on the point p and raise the error of the first
+    that fails; returns p."""
+    for holds, error, message in rules:
+        if not holds(p):
+            raise error(message.format_map(vars(p)))
+    return p
+
+
+def check_grid(m, n, alpha, beta, gamma, eps) -> None:
+    """The rules of AlleeParams, then of require_closed_forms, over a grid
+    of floats or arrays that broadcast together.  Raises the error of the
+    first failing rule at the first failing point in C order, with that
+    point's values in its message: the error the scalar checks raise
+    there."""
+    values = dict(zip(PARAM_NAMES, np.broadcast_arrays(m, n, alpha, beta, gamma, eps)))
+    rules = _PARAM_RULES + _CLOSED_FORM_RULES
+    with np.errstate(all="ignore"):
+        grid = _point(np, **values)
+        held = np.array([holds(grid) for holds, _, _ in rules]).reshape(len(rules), -1)
+    failing = ~held.all(axis=0)
+    if failing.any():
+        i = int(np.argmax(failing))
+        _, error, message = rules[int(np.argmin(held[:, i]))]
+        point = _point(math, **{k: float(v.flat[i]) for k, v in values.items()})
+        raise error(message.format_map(vars(point)))
 
 
 @dataclass(frozen=True)
@@ -68,18 +137,7 @@ class AlleeParams:
     eps: float
 
     def __post_init__(self):
-        for name in PARAM_NAMES:
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise DomainError(f"parameter {name} is not finite")
-        for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"requires {name} > 0, got {getattr(self, name)}")
-        if not (0.0 < self.eps <= 0.1):
-            raise DomainError(f"requires 0 < eps <= 0.1, got eps={self.eps}")
-        # boundary m = (1 - sqrt(n))^2 is allowed: it is the collision
-        # of the fold with the prey-only pair (y_M = 0, delta1 = 0)
-        _require_admissible(self.m, self.n, allow_boundary=True)
+        _check(_PARAM_RULES, _point(math, **vars(self)))
 
 
 def critical_height(x: float, m: float, n: float) -> float:
@@ -99,16 +157,8 @@ def _F_derivative(x: float, m: float, k: int) -> float:
 
 def fold_point(m: float, n: float) -> Tuple[float, float]:
     """Fold (x_M, y_M) of the curved critical branch."""
-    _require_admissible(m, n, allow_boundary=True)
-    xM = math.sqrt(m) - m
-    yM = 1.0 - n + m - 2.0 * math.sqrt(m)
-    if (m + xM) ** 3 == 0.0:
-        raise DomainError(f"m={m} is too small: (m + x_M)^3 underflows to 0")
-    if abs(critical_slope(xM, m, n)) > 1e-10:
-        raise NumericsError("fold point fails the F'(x_M) = 0 check")
-    if _F_derivative(xM, m, 2) >= 0.0:
-        raise NumericsError("fold point fails the F''(x_M) < 0 check")
-    return (xM, yM)
+    p = _check(_FOLD_RULES, _point(math, m=m, n=n))
+    return (p.xM, p.yM)
 
 
 def boundary_roots(m: float, n: float) -> Tuple[float, Optional[float], Optional[float]]:
@@ -229,24 +279,6 @@ def gamma_star(m: float, n: float, alpha: float, beta: float) -> float:
     return (alpha * xM - beta) / yM
 
 
-def _fold_columns(m, n, alpha):
-    """(x_M, y_M, Q, sqrt(m) - 1) with Q = sqrt(alpha*x_M*y_M): the
-    expressions of fold_point, elementwise over floats or arrays that
-    broadcast together, without its checks."""
-    rm = np.sqrt(m)
-    xM = rm - m
-    yM = 1.0 - n + m - 2.0 * rm
-    return xM, yM, np.sqrt(alpha * xM * yM), rm - 1.0
-
-
-def _require_fold_scale(p: AlleeParams) -> None:
-    """The fold-point sanity checks and Q^2 = alpha*x_M*y_M > 0."""
-    xM, yM = fold_point(p.m, p.n)
-    q2 = p.alpha * xM * yM
-    if q2 <= 0.0:
-        raise DomainError(f"requires alpha*x_M*y_M > 0, got {q2}")
-
-
 def require_coincidence(p: AlleeParams) -> None:
     """The coincidence configuration: gamma = gamma_star within 1e-6,
     delta1 > 0 and 1 - m - n > 0, checked in that order."""
@@ -265,9 +297,8 @@ def beta_star_conversion(p: AlleeParams) -> Tuple[float, float]:
     """(beta*, conversion) with beta* = alpha*x_M - gamma*y_M and conversion
     = alpha*Q/(sqrt(m) - 1): the template unfolding parameter lambda is the
     model's beta = beta* + lambda * conversion."""
-    _require_fold_scale(p)
-    xM, yM, Q, s = (float(v) for v in _fold_columns(p.m, p.n, p.alpha))
-    return p.alpha * xM - p.gamma * yM, p.alpha * Q / s
+    q = _check(_SCALE_RULES, _point(math, **vars(p)))
+    return p.alpha * q.xM - p.gamma * q.yM, p.alpha * q.Q / (q.rm - 1.0)
 
 
 def require_closed_forms(p: AlleeParams) -> None:
@@ -275,43 +306,7 @@ def require_closed_forms(p: AlleeParams) -> None:
     set, in the order normal_form_coeffs and psi_case_analysis make them:
     the fold-point sanity checks, alpha*x_M*y_M > 0, then
     0 < m < (1 - sqrt(n))^2."""
-    _require_fold_scale(p)
-    _require_admissible(p.m, p.n)
-
-
-def admissible_columns(m, n, alpha, beta, gamma, eps):
-    """True where AlleeParams(m, n, alpha, beta, gamma, eps) and
-    require_closed_forms would both pass, elementwise over floats or
-    arrays that broadcast together.  False is no verdict: check such a
-    point with those scalar checks.
-
-    The range checks on the inputs, x_M, y_M and the sign of
-    alpha*x_M*y_M are the scalar checks' own IEEE operations and compare
-    exactly.  The bound (1 - sqrt(n))^2 and the fold checks, which the
-    scalar code evaluates with powers, must hold by a relative margin, so
-    a one-ulp rounding difference can never clear a point the scalar
-    checks reject.  NaN fails every comparison."""
-    m, n, alpha, beta, gamma, eps = (np.asarray(v, dtype=float)
-                                      for v in (m, n, alpha, beta, gamma, eps))
-    tol = 1e-12   # far above the ulp by which numpy and math may round a power apart
-    with np.errstate(all="ignore"):
-        rm = np.sqrt(m)
-        gap = 1.0 - np.sqrt(n)
-        xM = rm - m
-        yM = 1.0 - n + m - 2.0 * rm
-        s = m + xM
-        cube = s * s * s
-        q = m / (s * s)   # F'(x_M) = q - 1
-        return ((np.isfinite(m) & np.isfinite(n) & np.isfinite(alpha)
-                 & np.isfinite(beta) & np.isfinite(gamma) & np.isfinite(eps))
-                & (alpha > 0.0) & (beta > 0.0) & (gamma > 0.0)
-                & (eps > 0.0) & (eps <= 0.1) & (n > 0.0) & (n < 1.0) & (m > 0.0)
-                & (m < gap * gap * (1.0 - tol))
-                & (np.abs(q - 1.0) < 1e-10 - tol * (q + 1.0))
-                # F''(x_M) = -2m/s^3 < 0, with s^3 normal: fold_point
-                # rejects an s^3 that underflows to 0 with a DomainError
-                & (cube >= np.finfo(float).tiny) & (-2.0 * m / cube < 0.0)
-                & (alpha * xM * yM > 0.0))
+    _check(_CLOSED_FORM_RULES, _point(math, **vars(p)))
 
 
 def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:
@@ -327,7 +322,8 @@ def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:
     depend on beta.  With F''(x_M)/2 = -1/sqrt(m) and F'''(x_M)/6 = 1/m,
     six entries are nonzero; the template structure makes every other
     entry 0 (the fast field has no eps block, so every c entry is 0)."""
-    xM, yM, Q, s = _fold_columns(m, n, alpha)
+    fold = _point(np, m=m, n=n, alpha=alpha)
+    yM, Q, s = fold.yM, fold.Q, fold.rm - 1.0
     rec = SimpleNamespace(**dict.fromkeys(COEFF_NAMES, 0.0))
     rec.a10 = alpha * yM / (Q * s)
     rec.b10 = -Q / (s * s)
@@ -341,19 +337,19 @@ def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:
 def normal_form_coeffs(p: AlleeParams) -> NormalFormCoefficients:
     """Coefficient record of the model near the fold (normal_form_columns
     at one checked point)."""
-    _require_fold_scale(p)
+    _check(_SCALE_RULES, _point(math, **vars(p)))
     return NormalFormCoefficients.from_dict(vars(normal_form_columns(p.m, p.n, p.alpha, p.gamma)))
 
 
 def model_columns(m, n, alpha, beta, gamma, eps) -> Dict[str, object]:
     """A (= omega1), omega2, the damping a5 and the leading-order Hopf and
     canard curves lambda_h, lambda_c of the model, elementwise over floats
-    or arrays that broadcast together.  Unchecked: validate each point
-    with AlleeParams and require_closed_forms first."""
+    or arrays that broadcast together.  Unchecked: validate a point with
+    AlleeParams and require_closed_forms first, or a grid with check_grid."""
     rec = normal_form_columns(m, n, alpha, gamma)
     om = omega_coefficients(rec)
-    xM, yM, Q, _ = _fold_columns(m, n, alpha)
-    a5 = (alpha * xM - beta - 2.0 * gamma * yM) / Q
+    fold = _point(np, m=m, n=n, alpha=alpha)
+    a5 = (alpha * fold.xM - beta - 2.0 * gamma * fold.yM) / fold.Q
     return {"A": om.omega1, "omega1": om.omega1, "omega2": om.omega2, "a5": a5,
             "lambda_h": lambda_H(rec.c10, a5, eps),
             "lambda_c": lambda_c(rec.c10, a5, om.omega1, eps)}
@@ -384,23 +380,20 @@ def psi_columns(m, n, alpha, gamma):
     """(psi, m_star, n_threshold, case) elementwise over floats or arrays
     that broadcast together, where case indexes PSI_TAGS: the one home of
     the case rule.  Unchecked (psi_case_analysis checks one point)."""
-    rm = np.sqrt(m)
-    psi = 2.0 * gamma * (1.0 - rm) + alpha - 3.0 * alpha * rm
+    p = _point(np, m=m, n=n)
+    psi = 2.0 * gamma * (1.0 - p.rm) + alpha - 3.0 * alpha * p.rm
     ratio = (alpha + 2.0 * gamma) / (3.0 * alpha + 2.0 * gamma)
     m_star = ratio * ratio
     root = 2.0 * alpha / (3.0 * alpha + 2.0 * gamma)
     n_threshold = root * root
-    gap = 1.0 - np.sqrt(n)
     tol = 1e-12 * (alpha + gamma)
-    case = np.select([(n > n_threshold) | (m_star >= gap * gap), np.abs(psi) <= tol,
+    case = np.select([(n > n_threshold) | (m_star >= p.bound), np.abs(psi) <= tol,
                       m < m_star], [0, 1, 2], 3)
     return psi, m_star, n_threshold, case
 
 
 def psi_case_analysis(m: float, n: float, alpha: float, gamma: float) -> PsiCaseReport:
-    _require_admissible(m, n)
-    if alpha <= 0.0 or gamma <= 0.0:
-        raise DomainError("requires alpha > 0 and gamma > 0")
+    _check(_PSI_RULES, _point(math, m=m, n=n, alpha=alpha, gamma=gamma))
     psi, m_star, n_threshold, case = psi_columns(m, n, alpha, gamma)
     case = int(case)
     return PsiCaseReport(float(psi), float(m_star), float(n_threshold),
@@ -413,8 +406,7 @@ def omega2_at_degeneracy(alpha: float, gamma: float, yM: float) -> float:
     Evaluates gamma*(3a+2g)^2*sqrt(2*(a+2g)*yM)*(9*(3a+2g)*yM+4a)
     / (8*a^2*(a+2g)), which is positive for positive inputs; it agrees
     with omega_coefficients applied to the model record at m = m*."""
-    if alpha <= 0.0 or gamma <= 0.0 or yM <= 0.0:
-        raise DomainError("requires alpha, gamma, yM > 0")
+    _check(_OMEGA2_RULES, SimpleNamespace(xp=math, alpha=alpha, gamma=gamma, yM=yM))
     s = 3.0 * alpha + 2.0 * gamma
     t = alpha + 2.0 * gamma
     return (gamma * s * s * math.sqrt(2.0 * t * yM) * (9.0 * s * yM + 4.0 * alpha)

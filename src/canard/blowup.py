@@ -377,14 +377,14 @@ def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:
         raise DomainError("the rotation frame requires m01 != 0")
     s = math.sqrt(disc)
     rt2 = math.sqrt(2.0)
-    T = ((rt2 * (n01 - m10) / 2.0, -rt2 * m01),
-         (rt2 / 2.0 * s, 0.0))
-    (a, b), (c, d) = np.linalg.inv(T).tolist()
-    X, Y = _linear_powers(a, b, sys.degree), _linear_powers(c, d, sys.degree)
+    (t00, t01), (t10, t11) = ((rt2 * (n01 - m10) / 2.0, -rt2 * m01),
+                              (rt2 / 2.0 * s, 0.0))
+    # T^-1 = [[0, 1/t10], [1/t01, -t00/(t01*t10)]]: det T = -t01*t10 = m01*s != 0
+    X = _linear_powers(0.0, 1.0 / t10, sys.degree)
+    Y = _linear_powers(1.0 / t01, -t00 / (t01 * t10), sys.degree)
     z1 = _substitute_linear(sys.fx, X, Y)
     z2 = _substitute_linear(sys.fy, X, Y)
     keys = {**z1, **z2}  # z1's terms in order, then those only z2 has
-    (t00, t01), (t10, t11) = T
     g1 = {k: t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys}
     g2 = {k: t10 * z1.get(k, 0.0) + t11 * z2.get(k, 0.0) for k in keys}
     return PlanarPolySystem(g1, g2, sys.r, sys.degree)

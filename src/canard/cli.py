@@ -38,8 +38,8 @@ from .allee import (
     PARAM_NAMES,
     PSI_TAGS,
     AlleeParams,
-    admissible_columns,
     boundary_roots,
+    check_grid,
     equilibria,
     fold_point,
     gamma_star,
@@ -48,7 +48,6 @@ from .allee import (
     normal_form_coeffs,
     psi_case_analysis,
     psi_columns,
-    require_closed_forms,
 )
 from .dynamics import (
     FORWARD,
@@ -184,7 +183,10 @@ def _model_params(settings: Dict[str, object]) -> AlleeParams:
 
 
 def _direction(settings: Dict[str, object]) -> str:
-    return REVERSED if bool(settings.get("reversed", False)) else FORWARD
+    value = settings.get("reversed", False)
+    if not isinstance(value, bool):
+        raise DomainError(f"setting 'reversed' must be true or false, got {value!r}")
+    return REVERSED if value else FORWARD
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +359,14 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
     names = [x_name, y_name][:len(axes)]
     points = [(xv, yv) for yv in y_values for xv in x_values]
 
-    # the arrays clear what they can; every other point is checked as
-    # analyze checks one, in grid order, so the first inadmissible point
-    # raises its own error before the closed forms run over the grid
+    # the first inadmissible point in grid order stops the run with its own
+    # error before the closed forms run over the grid
     values = _model_values(dict(rc.settings, **dict(zip(names, points[0]))))
     x_grid, y_grid = np.meshgrid(x_values, y_values)
     grid = dict(values, **dict(zip(names, (x_grid, y_grid))))
     shape = x_grid.shape
-    cleared = admissible_columns(*(grid[k] for k in PARAM_NAMES))
-    for index in np.flatnonzero(~cleared).tolist():
-        values.update(zip(names, points[index]))
-        require_closed_forms(AlleeParams(**values))
-    cols = model_columns(*(grid[k] for k in PARAM_NAMES))
+    check_grid(**grid)
+    cols = model_columns(**grid)
     case = psi_columns(grid["m"], grid["n"], grid["alpha"], grid["gamma"])[3]
     columns = [np.broadcast_to(cols[k], shape).ravel().tolist() for k in SWEEP_COLUMNS]
     columns.append([PSI_TAGS[k] for k in np.broadcast_to(case, shape).ravel().tolist()])

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -11,8 +12,8 @@ from canard.allee import (
     PSI_TAGS,
     AlleeParams,
     _jacobian,
-    admissible_columns,
     boundary_roots,
+    check_grid,
     critical_height,
     critical_slope,
     equilibria,
@@ -28,7 +29,7 @@ from canard.allee import (
     psi_columns,
     require_closed_forms,
 )
-from canard.errors import DomainError
+from canard.errors import DomainError, NumericsError
 from canard.normalform import COEFF_NAMES, compute_A, lambda_c, lambda_H, omega_coefficients
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
@@ -361,8 +362,8 @@ def ulps(x, k):
 
 NON_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]
 TINY = [ulps(0.0, 1), 1e-300]
-# here math's (1 - sqrt(n))**2 is one ulp below numpy's (1 - sqrt(n))*(1 - sqrt(n)),
-# and at m on math's bound y_M still reads positive
+# here C pow's (1 - sqrt(n))**2 is one ulp below the product (1 - sqrt(n))*(1 - sqrt(n)),
+# and at m on either bound y_M still reads positive
 N_POW_BELOW = 0.8885341369159843
 # (name, value) moves of one coordinate onto or near a bound
 PROBES = ([(name, v) for name in ("alpha", "beta", "gamma") for v in NON_VALUES + TINY]
@@ -398,43 +399,93 @@ def boundary_points(draw):
     return pt
 
 
+def verdict(check, *args, **kwargs):
+    """(type, message) of the error check raises, or None if it passes."""
+    try:
+        check(*args, **kwargs)
+    except (DomainError, NumericsError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def scalar_verdict(pt):
+    """The verdict of AlleeParams, then require_closed_forms, at one point."""
+    return verdict(lambda: require_closed_forms(AlleeParams(**pt)))
+
+
+def first_verdict(points):
+    """The scalar verdict of the first failing point, or None."""
+    return next(filter(None, map(scalar_verdict, points)), None)
+
+
+def grid_of(points, shape):
+    """Each parameter of points as an array of the given shape, in C order."""
+    return {k: np.array([pt[k] for pt in points]).reshape(shape) for k in points[0]}
+
+
+@st.composite
+def interior_points(draw):
+    n = draw(st.floats(1e-6, 0.9))
+    return dict(n=n, m=draw(st.floats(1e-6, 1.0 - 1e-6)) * m_bound(n),
+                alpha=draw(st.floats(1e-6, 10.0)), beta=draw(st.floats(1e-6, 10.0)),
+                gamma=draw(st.floats(1e-6, 10.0)), eps=draw(st.floats(1e-6, 0.1)))
+
+
 class TestAdmissibleColumns:
+    """check_grid: the rules of AlleeParams and require_closed_forms over
+    parameter columns, raising what the scalar checks raise at the first
+    failing point in C order."""
+
     @settings(max_examples=600, deadline=None)
-    @given(pt=boundary_points())
-    def test_cleared_points_pass_the_scalar_checks(self, pt):
-        if admissible_columns(**pt):
-            require_closed_forms(AlleeParams(**pt))
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 5)))
+    def test_cleared_points_pass_the_scalar_checks(self, data, shape):
+        # grids of 1x1 to 6x5 points, each its own boundary or interior point
+        points = data.draw(st.lists(st.one_of(boundary_points(), interior_points()),
+                                    min_size=shape[0] * shape[1],
+                                    max_size=shape[0] * shape[1]))
+        assert verdict(check_grid, **grid_of(points, shape)) == first_verdict(points)
 
     def test_every_single_probe(self):
-        # each probe on its own, against every m probe, at one interior point
+        # each probe on its own, against every m probe at one interior point,
+        # point by point and as one column
         base = dict(n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
         for name, value in [(None, None)] + PROBES:
             pt = dict(base) if name is None else dict(base, **{name: value})
-            for m in m_probes(pt["n"]):
-                if admissible_columns(m=m, **pt):
-                    require_closed_forms(AlleeParams(m=m, **pt))
+            points = [dict(pt, m=m) for m in m_probes(pt["n"])]
+            for point in points:
+                assert verdict(check_grid, **point) == scalar_verdict(point), point
+            assert verdict(check_grid, **grid_of(points, (len(points),))) == first_verdict(points)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.floats(1e-6, 0.9), frac=st.floats(1e-9, 1.0 - 1e-9),
+    @given(n=st.floats(1e-6, 0.9), frac=st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=5),
            alpha=st.floats(1e-3, 10.0), beta=st.floats(1e-3, 10.0),
            gamma=st.floats(1e-3, 10.0), eps=st.floats(1e-6, 0.1))
     def test_clears_interior_points(self, n, frac, alpha, beta, gamma, eps):
-        assert admissible_columns(frac * m_bound(n), n, alpha, beta, gamma, eps)
+        assert check_grid(np.array(frac) * m_bound(n), n, alpha, beta, gamma, eps) is None
 
-    def test_margin_covers_a_bound_numpy_rounds_higher(self):
+    def test_bound_is_one_product_on_both_paths(self):
+        # the one verdict that moved when the bound became gap * gap on
+        # both paths: m = gap**2 lies one ulp below it and is admissible
         gap = 1.0 - math.sqrt(N_POW_BELOW)
-        m = gap ** 2
-        assert m < gap * gap
-        pt = dict(m=m, n=N_POW_BELOW, alpha=0.8, beta=0.1, gamma=0.4, eps=0.01)
-        with pytest.raises(DomainError, match="0 < m < "):
-            require_closed_forms(AlleeParams(**pt))
-        assert not admissible_columns(**pt)
+        assert gap ** 2 < gap * gap
+        pt = dict(n=N_POW_BELOW, alpha=0.8, beta=0.1, gamma=0.4, eps=0.01)
+        require_closed_forms(AlleeParams(m=gap ** 2, **pt))
+        assert check_grid(m=gap ** 2, **pt) is None
+        # m = gap * gap is the bound: AlleeParams allows it, the closed forms do not
+        want = f"requires 0 < m < (1 - sqrt(n))^2 = {gap * gap:.6g}, got m={gap * gap}"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            require_closed_forms(AlleeParams(m=gap * gap, **pt))
+        assert verdict(check_grid, m=gap * gap, **pt) == (DomainError, want)
 
     def test_elementwise_over_a_grid(self):
         m, beta = np.meshgrid([0.2, 0.25, 0.3], [-0.1, 0.1])
-        got = admissible_columns(m, 0.25, 0.8, beta, 0.4424, 0.01)
-        assert got.shape == (2, 3)
-        assert got.tolist() == [[False, False, False], [True, False, False]]
+        pt = dict(n=0.25, alpha=0.8, gamma=0.4424, eps=0.01)
+        assert verdict(check_grid, m=m, beta=beta, **pt) == (
+            DomainError, "requires beta > 0, got -0.1")
+        # rows swapped: (0.25, 0.1) fails first, its fold on the axis
+        assert verdict(check_grid, m=m, beta=beta[::-1], **pt) == (
+            DomainError, "requires alpha*x_M*y_M > 0, got 0.0")
+        assert check_grid(m=m[1:, :1], beta=beta[1:, :1], **pt) is None
 
 
 class TestPsiCase:
@@ -459,6 +510,18 @@ class TestPsiCase:
         rep = psi_case_analysis(0.5 * bound, n, 0.8, 0.4424)
         assert rep.tag == "mstar-outside-range"
         assert rep.predicted_sign == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "gamma"])
+    def test_non_finite_rate_is_domain_error(self, name, value):
+        args = {**dict(m=0.2, n=0.1, alpha=0.8, gamma=0.4424), name: value}
+        with pytest.raises(DomainError, match=f"^parameter {name} is not finite$"):
+            psi_case_analysis(**args)
+
+    def test_non_positive_rate_message(self):
+        for alpha, gamma in ((0.0, 0.4), (0.8, -0.4)):
+            with pytest.raises(DomainError, match="^requires alpha > 0 and gamma > 0$"):
+                psi_case_analysis(0.2, 0.1, alpha, gamma)
 
     def test_sign_matches_record_A(self):
         rng = np.random.default_rng(37)
@@ -500,6 +563,13 @@ class TestOmega2Degeneracy:
             omega2_at_degeneracy(0.0, 0.4, 0.1)
         with pytest.raises(DomainError):
             omega2_at_degeneracy(0.8, 0.4, -0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "yM"])
+    def test_non_finite_input_is_domain_error(self, name, value):
+        args = {**dict(alpha=0.8, gamma=0.4, yM=0.1), name: value}
+        with pytest.raises(DomainError, match=f"^parameter {name} is not finite$"):
+            omega2_at_degeneracy(**args)
 
 
 class TestModelCurves:

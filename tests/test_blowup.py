@@ -638,10 +638,11 @@ def _reference_centered(sys, eq):
              if k != (0, 0)] for f in (sys.fx, sys.fy)]
 
 
-def _reference_rotated(sys, pivot="m01"):
+def _reference_rotated(sys, pivot="m01", invert=None):
     """normalize_linear's jets by jet_compose, jet_scale and jet_add, with the
-    same T and the same rejections as normalize_linear.  pivot="n10" gives the
-    rotation form in the other frame, the one normalize_linear does not use."""
+    same T, T^-1 and rejections as normalize_linear, or T^-1 = invert(T).
+    pivot="n10" gives the rotation form in the other frame, the one
+    normalize_linear does not use, with T^-1 from np.linalg.inv."""
     m10, m01 = sys.fx.get((1, 0), 0.0), sys.fx.get((0, 1), 0.0)
     n10, n01 = sys.fy.get((1, 0), 0.0), sys.fy.get((0, 1), 0.0)
     # x * x, not x ** 2: pow() is not always correctly rounded
@@ -652,9 +653,11 @@ def _reference_rotated(sys, pivot="m01"):
     rt2 = math.sqrt(2.0)
     if pivot == "n10":
         T = np.array([[-rt2 * n10, rt2 * (m10 - n01) / 2.0], [0.0, rt2 / 2.0 * s]])
+        invert = invert or np.linalg.inv
     else:
         T = np.array([[rt2 * (n01 - m10) / 2.0, -rt2 * m01], [rt2 / 2.0 * s, 0.0]])
-    Tinv = np.linalg.inv(T)
+    Tinv = invert(T) if invert else np.array(
+        [[0.0, 1.0 / T[1, 0]], [1.0 / T[0, 1], -T[0, 0] / (T[0, 1] * T[1, 0])]])
     deg = sys.degree
     subs = [Jet(2, deg, {(1, 0): Tinv[i, 0], (0, 1): Tinv[i, 1]}) for i in (0, 1)]
     fz1, fz2 = (jet_compose(Jet(2, deg, f), subs) for f in (sys.fx, sys.fy))
@@ -719,6 +722,20 @@ class TestFlatKernels:
         want = _reference_rotated(centered)
         got = normalize_linear(centered)
         assert (got.fx, got.fy) == (want[0].coeffs, want[1].coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(3, 6))
+    def test_explicit_inverse_is_lapacks_to_rounding(self, seed, degree):
+        # normalize_linear writes T^-1 out; np.linalg.inv(T) differs from it
+        # by rounding only
+        sys, _ = _random_planar_system(seed, degree)
+        centered = PlanarPolySystem(sys.fx, sys.fy, 0.1, degree=degree)
+        got = normalize_linear(centered)
+        want = _reference_rotated(centered, invert=np.linalg.inv)
+        for g, w in ((got.fx, want[0].coeffs), (got.fy, want[1].coeffs)):
+            scale = max(abs(v) for v in w.values())
+            assert g.keys() == w.keys()
+            assert all(abs(g[k] - w[k]) <= 1e-13 * scale for k in w)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(3, 6))

@@ -17,7 +17,7 @@ from model_oracle import sweep_row_reference
 
 import canard.cli as cli
 from canard import _svg
-from canard.allee import PARAM_NAMES, AlleeParams, require_closed_forms
+from canard.allee import PARAM_NAMES, AlleeParams, check_grid
 from canard.cli import load_config, main, parse_grid, write_csv
 from canard.errors import DomainError
 
@@ -377,21 +377,25 @@ class TestVectorizedSweep:
         assert not (tmp_path / "o" / "sweep.csv").exists()
 
     @pytest.mark.parametrize("grid, checked", [
-        ("m=0.24:0.28:30,beta=0.12:0.16:30", []),
-        ("eps=0.05:0.1:6", []),   # eps = 0.1 is compared exactly
-        ("m=0.15:0.35:3", [0.25]),
+        ("m=0.24:0.28:30,beta=0.12:0.16:30", (30, 30)),
+        ("eps=0.05:0.1:6", (1, 6)),   # eps = 0.1 is compared exactly
+        ("m=0.15:0.35:3", (1, 3)),    # m = 0.25 fails at n = 0.25
     ])
-    def test_scalar_checks_run_only_where_the_arrays_do_not_clear(
-            self, tmp_path, monkeypatch, grid, checked):
+    def test_one_check_over_the_whole_grid(self, tmp_path, monkeypatch, grid, checked):
+        # the mesh is checked once, as arrays, and only a grid that passes
+        # reaches the closed forms
         seen = []
 
-        def recording_check(p):
-            seen.append(p.m)
-            return require_closed_forms(p)
-        monkeypatch.setattr(cli, "require_closed_forms", recording_check)
-        cfg = write_cfg(tmp_path / "p.cfg", dict(EX2, n=0.25) if checked else EX2)
-        run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--grid", grid])
-        assert seen == checked
+        def recording_check(**columns):
+            seen.append({k: np.shape(v) for k, v in columns.items()})
+            return check_grid(**columns)
+        monkeypatch.setattr(cli, "check_grid", recording_check)
+        fails = checked == (1, 3)
+        cfg = write_cfg(tmp_path / "p.cfg", dict(EX2, n=0.25) if fails else EX2)
+        code = run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--grid", grid])
+        assert code == (1 if fails else 0)
+        names = [part.split("=")[0] for part in grid.split(",")]
+        assert seen == [{k: checked if k in names else () for k in PARAM_NAMES}]
 
     def test_numpy_scalar_cells(self, tmp_path):
         path = write_csv(str(tmp_path), "cells.csv", ["a", "b", "c", "d", "e", "f"],
@@ -480,6 +484,17 @@ class TestImport:
         assert out.strip() == "[]"
 
 
+def reversed_cfg(tmp_path, source, value):
+    """A simulate config for EX2 whose reversed setting is value as written
+    in a JSON or a flat file."""
+    settings = dict(EX2, start_x=0.25, start_y=0.1375, t_max=20)
+    if source == "flat":
+        return write_cfg(tmp_path / "p.cfg", dict(settings, reversed=value))
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(settings)[:-1] + f', "reversed": {value}}}')
+    return str(path)
+
+
 class TestSimulate:
     def test_trajectory_roundtrip_and_summary(self, tmp_path):
         cfg = write_cfg(tmp_path / "p.cfg",
@@ -502,6 +517,24 @@ class TestSimulate:
                     "--reversed"]) == 0
         summary = json.loads((tmp_path / "o" / "simulate.json").read_text())
         assert summary["direction"] == "Reversed"
+
+    @pytest.mark.parametrize("source, value", [
+        ("json", '"false"'), ("json", "1"), ("flat", "no"), ("flat", "0.5"), ("flat", "1")])
+    def test_reversed_must_be_a_boolean(self, tmp_path, capsys, source, value):
+        cfg = reversed_cfg(tmp_path, source, value)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: setting 'reversed' must be true or false, got {load_config(cfg)['reversed']!r}\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("source, value, direction", [
+        ("json", "true", "Reversed"), ("json", "false", "Forward"),
+        ("flat", "true", "Reversed"), ("flat", "false", "Forward")])
+    def test_reversed_booleans(self, tmp_path, source, value, direction):
+        cfg = reversed_cfg(tmp_path, source, value)
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        summary = json.loads((tmp_path / "o" / "simulate.json").read_text())
+        assert summary["direction"] == direction
 
     def test_missing_start_is_validation_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "p.cfg", EX1)

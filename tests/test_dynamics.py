@@ -176,8 +176,7 @@ class TestNonFiniteField:
         ("start", np.nan, STATUS_BAD_FIELD, False),
         ("start", np.inf, STATUS_BAD_FIELD, False),
         ("probe", np.nan, STATUS_BAD_FIELD, False),
-        # an infinite probe makes the starter step 0
-        ("probe", np.inf, STATUS_UNDERFLOW, False),
+        ("probe", np.inf, STATUS_BAD_FIELD, False),
         ("steps", np.nan, STATUS_BAD_FIELD, True),
         ("steps", np.inf, STATUS_BAD_FIELD, True)])
     def test_core_status(self, where, value, status, stepped, direction):
@@ -186,10 +185,17 @@ class TestNonFiniteField:
         assert got == status and ts[-1] < 0.5
         assert (counts[0] > 0) == stepped
 
+    def test_finite_singular_field_underflows(self):
+        # x' = 1/(1 - x) is finite short of x = 1, reached at t = 1/2 with
+        # an unbounded slope: the step size, not the field, gives out
+        got, ts, _, _, _, _ = dopri5(lambda x, y: (1.0 / (1.0 - x), 0.0), (0.0, 0.0),
+                                     2.0, 1e-8, 1e-10, False)
+        assert got == STATUS_UNDERFLOW and abs(ts[-1] - 0.5) < 1e-6
+
     @pytest.mark.parametrize("named", [True, False])
     @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
     @pytest.mark.parametrize("where, value", [
-        ("start", np.nan), ("start", np.inf), ("probe", np.nan),
+        ("start", np.nan), ("start", np.inf), ("probe", np.nan), ("probe", np.inf),
         ("steps", np.nan), ("steps", np.inf)])
     @pytest.mark.parametrize("entry", ["integrate", "return_map"])
     def test_raises_naming_the_field(self, entry, where, value, direction, named):

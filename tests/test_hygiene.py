@@ -1,8 +1,8 @@
 """Source hygiene: no module under src/canard/ or tests/ imports a name it
 never reads, cli is the one src/canard module that imports json, so
-file formats are decided in one place, and README names exactly the
-options every subcommand takes.  Uses the stdlib ast module, so no
-linter is needed."""
+file formats are decided in one place, README names exactly the
+options every subcommand takes, and its library imports run.  Uses the
+stdlib ast module, so no linter is needed."""
 
 import argparse
 import ast
@@ -86,3 +86,14 @@ def test_readme_lists_the_common_options():
     per_command = [{s for a in sp._actions for s in a.option_strings
                     if s not in ("-h", "--help")} for sp in sub.choices.values()]
     assert readme_common_options() == set.intersection(*per_command)
+
+
+def test_readme_entry_points_import():
+    # every import line of README's "Library entry points" block runs, so
+    # a removed or renamed name cannot leave the docs stale
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library entry points\s+```python\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith(("from ", "import "))]
+    assert len(lines) >= 5
+    for line in lines:
+        exec(line, {})
