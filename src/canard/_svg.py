@@ -1,13 +1,15 @@
 """Minimal SVG emission: axis-framed heatmaps and polylines.
 
-Deliberately dependency-free and deterministic (no timestamps, no
-randomness) so that emitted figures are byte-stable for a given input.
+No plotting library, and deterministic (no timestamps, no randomness)
+so that emitted figures are byte-stable for a given input.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -120,10 +122,11 @@ def polyline(xs: Sequence[float], ys: Sequence[float], *, title: str,
     (x, y) pair drawn as a filled dot."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise DomainError("requires two equal-length arrays of at least 2 points")
-    if not all(math.isfinite(v) for v in xs) or not all(math.isfinite(v) for v in ys):
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise DomainError("requires finite coordinates")
-    lo_x, hi_x = min(xs), max(xs)
-    lo_y, hi_y = min(ys), max(ys)
+    lo_x, hi_x = float(xs.min()), float(xs.max())
+    lo_y, hi_y = float(ys.min()), float(ys.max())
     pad_x = 0.05 * (hi_x - lo_x) or max(abs(lo_x), 1.0) * 1e-3
     pad_y = 0.05 * (hi_y - lo_y) or max(abs(lo_y), 1.0) * 1e-3
     lo_x, hi_x = lo_x - pad_x, hi_x + pad_x
@@ -131,13 +134,14 @@ def polyline(xs: Sequence[float], ys: Sequence[float], *, title: str,
     x0, x1 = _ML, _WIDTH - _MR
     y0, y1 = _HEIGHT - _MB, _MT
 
+    # pixels of a float or, elementwise with the same rounding, of an array
     def sx(v):
         return x0 + (v - lo_x) / (hi_x - lo_x) * (x1 - x0)
 
     def sy(v):
         return y0 - (v - lo_y) / (hi_y - lo_y) * (y0 - y1)
 
-    pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(sx(xs).tolist(), sy(ys).tolist()))
     parts = [f'<polyline points="{pts}" fill="none" stroke="{COLOR_NEG}" '
              'stroke-width="1.2"/>']
     if marker is not None:

@@ -150,11 +150,6 @@ def critical_slope(x: float, m: float, n: float) -> float:
     return m / (m + x) ** 2 - 1.0
 
 
-def _F_derivative(x: float, m: float, k: int) -> float:
-    """k-th derivative of F for k >= 2: (-1)^(k+1) k! m / (m+x)^(k+1)."""
-    return (-1.0) ** (k + 1) * math.factorial(k) * m / (m + x) ** (k + 1)
-
-
 def fold_point(m: float, n: float) -> Tuple[float, float]:
     """Fold (x_M, y_M) of the curved critical branch."""
     p = _check(_FOLD_RULES, _point(math, m=m, n=n))
@@ -309,11 +304,11 @@ def require_closed_forms(p: AlleeParams) -> None:
     _check(_CLOSED_FORM_RULES, _point(math, **vars(p)))
 
 
-def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:
+def normal_form_columns(m, n, alpha, gamma, xp=np) -> SimpleNamespace:
     """Closed-form coefficient record of the model reduced to the
     canonical slow-fast template near the fold, elementwise over floats
-    or arrays that broadcast together; unchecked (normal_form_coeffs
-    checks one point).
+    or arrays that broadcast together (xp = math runs on floats alone);
+    unchecked (normal_form_coeffs checks one point).
 
     The reduction translates the fold to the origin and rescales
     X = (x - x_M)/s_x, Y = (y - y_M)/s_y, tau = Q*t with
@@ -322,7 +317,7 @@ def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:
     depend on beta.  With F''(x_M)/2 = -1/sqrt(m) and F'''(x_M)/6 = 1/m,
     six entries are nonzero; the template structure makes every other
     entry 0 (the fast field has no eps block, so every c entry is 0)."""
-    fold = _point(np, m=m, n=n, alpha=alpha)
+    fold = _point(xp, m=m, n=n, alpha=alpha)
     yM, Q, s = fold.yM, fold.Q, fold.rm - 1.0
     rec = SimpleNamespace(**dict.fromkeys(COEFF_NAMES, 0.0))
     rec.a10 = alpha * yM / (Q * s)
@@ -338,7 +333,8 @@ def normal_form_coeffs(p: AlleeParams) -> NormalFormCoefficients:
     """Coefficient record of the model near the fold (normal_form_columns
     at one checked point)."""
     _check(_SCALE_RULES, _point(math, **vars(p)))
-    return NormalFormCoefficients.from_dict(vars(normal_form_columns(p.m, p.n, p.alpha, p.gamma)))
+    rec = normal_form_columns(p.m, p.n, p.alpha, p.gamma, math)
+    return NormalFormCoefficients.from_dict(vars(rec))
 
 
 def model_columns(m, n, alpha, beta, gamma, eps) -> Dict[str, object]:
@@ -376,26 +372,27 @@ PSI_TAGS = ("mstar-outside-range", "m-at-mstar", "m-below-mstar", "m-above-mstar
 _PSI_SIGNS = (1, 0, 1, -1)
 
 
-def psi_columns(m, n, alpha, gamma):
+def psi_columns(m, n, alpha, gamma, xp=np):
     """(psi, m_star, n_threshold, case) elementwise over floats or arrays
-    that broadcast together, where case indexes PSI_TAGS: the one home of
-    the case rule.  Unchecked (psi_case_analysis checks one point)."""
-    p = _point(np, m=m, n=n)
+    that broadcast together (xp = math runs on floats alone), where case
+    indexes PSI_TAGS: the one home of the case rule.  Unchecked
+    (psi_case_analysis checks one point)."""
+    p = _point(xp, m=m, n=n)
     psi = 2.0 * gamma * (1.0 - p.rm) + alpha - 3.0 * alpha * p.rm
     ratio = (alpha + 2.0 * gamma) / (3.0 * alpha + 2.0 * gamma)
     m_star = ratio * ratio
     root = 2.0 * alpha / (3.0 * alpha + 2.0 * gamma)
     n_threshold = root * root
     tol = 1e-12 * (alpha + gamma)
-    case = np.select([(n > n_threshold) | (m_star >= p.bound), np.abs(psi) <= tol,
-                      m < m_star], [0, 1, 2], 3)
+    # the index of the first condition that holds, 3 if none does
+    holds = [(n > n_threshold) | (m_star >= p.bound), abs(psi) <= tol, m < m_star]
+    case = np.select(holds, [0, 1, 2], 3) if xp is np else [*holds, True].index(True)
     return psi, m_star, n_threshold, case
 
 
 def psi_case_analysis(m: float, n: float, alpha: float, gamma: float) -> PsiCaseReport:
     _check(_PSI_RULES, _point(math, m=m, n=n, alpha=alpha, gamma=gamma))
-    psi, m_star, n_threshold, case = psi_columns(m, n, alpha, gamma)
-    case = int(case)
+    psi, m_star, n_threshold, case = psi_columns(m, n, alpha, gamma, math)
     return PsiCaseReport(float(psi), float(m_star), float(n_threshold),
                          PSI_TAGS[case], _PSI_SIGNS[case])
 

@@ -15,21 +15,21 @@ Subcommands:
 Configuration comes from --config (flat key=value lines or a JSON
 object); flags override file values.  Exit codes: 0 success, 1 invalid
 input (DomainError), 2 numerical failure (NumericsError or failing
-verify stages).  CSV output uses '.' as the decimal separator and always
-carries a header row.
+verify stages).  CSV output uses '.' as the decimal separator, always
+carries a header row and quotes no field: every field is a number or a
+fixed identifier (see write_csv).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,15 +201,14 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
 
 
 def write_csv(out_dir: str, name: str, header: Sequence[str],
-              rows: Sequence[Sequence[object]]) -> str:
-    """Rows of floats, ints and strs in one pass: csv writes a float as its
-    repr, the shortest string that reads back to the same value."""
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+              rows: Iterable[Sequence[object]]) -> str:
+    """The header and rows of floats, ints and strs as one string, each
+    field as its str: for a Python or numpy float, the shortest string
+    that reads back to the same value.  No field is quoted, so no field
+    may hold ',', '"', '\\r' or '\\n'; the CLI writes only numbers and
+    fixed identifiers, which makes these the bytes of csv.writer."""
+    lines = (",".join(map(str, row)) + "\n" for row in (header, *rows))
+    return _write_text(out_dir, name, "".join(lines))
 
 
 def _fields(record) -> dict:
@@ -349,6 +348,14 @@ def parse_grid(descriptor: str) -> List[Tuple[str, List[float]]]:
 SWEEP_COLUMNS = ("A", "omega1", "omega2", "lambda_h", "lambda_c")
 
 
+def _cell_text(column, shape) -> List[str]:
+    """A column that broadcasts to shape as the strs of its cells in C
+    order: each value at the column's own shape is formatted once."""
+    text = [str(v) for v in np.ravel(column).tolist()]
+    return np.broadcast_to(np.array(text, dtype=object).reshape(np.shape(column)),
+                           shape).ravel().tolist()
+
+
 def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
     descriptor = rc.settings.get("grid")
     if descriptor is None:
@@ -357,22 +364,23 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
     x_name, x_values = axes[0]
     y_name, y_values = axes[1] if len(axes) == 2 else ("", [math.nan])
     names = [x_name, y_name][:len(axes)]
-    points = [(xv, yv) for yv in y_values for xv in x_values]
+    shape = (len(y_values), len(x_values))
 
     # the first inadmissible point in grid order stops the run with its own
     # error before the closed forms run over the grid
-    values = _model_values(dict(rc.settings, **dict(zip(names, points[0]))))
-    x_grid, y_grid = np.meshgrid(x_values, y_values)
-    grid = dict(values, **dict(zip(names, (x_grid, y_grid))))
-    shape = x_grid.shape
+    values = _model_values(dict(rc.settings, **dict(zip(names, (x_values[0], y_values[0])))))
+    # the open grid: each column comes back at its own broadcast shape, so a
+    # value that does not depend on an axis is computed and formatted once
+    axis = (np.array(x_values)[None, :], np.array(y_values)[:, None])
+    grid = dict(values, **dict(zip(names, axis)))
     check_grid(**grid)
     cols = model_columns(**grid)
     case = psi_columns(grid["m"], grid["n"], grid["alpha"], grid["gamma"])[3]
-    columns = [np.broadcast_to(cols[k], shape).ravel().tolist() for k in SWEEP_COLUMNS]
-    columns.append([PSI_TAGS[k] for k in np.broadcast_to(case, shape).ravel().tolist()])
+    columns = [*axis[:len(names)], *(cols[k] for k in SWEEP_COLUMNS),
+               np.array(PSI_TAGS, dtype=object)[case]]
 
     header = names + list(SWEEP_COLUMNS) + ["case"]
-    rows = [list(point[:len(names)]) + vals for point, *vals in zip(points, *columns)]
+    rows = zip(*(_cell_text(column, shape) for column in columns))
     csv_path = write_csv(rc.output_dir, "sweep.csv", header, rows)
     svg = _svg.heatmap(
         x_values, [0.0] if not y_name else y_values,
@@ -380,7 +388,7 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
         title="sign(A) over the sweep grid",
         x_label=x_name, y_label=y_name or "")
     svg_path = _write_text(rc.output_dir, "sweep.svg", svg)
-    print(f"swept {len(rows)} grid points over "
+    print(f"swept {shape[0] * shape[1]} grid points over "
           f"{x_name}{' x ' + y_name if y_name else ''}")
     return [csv_path, svg_path], 0
 

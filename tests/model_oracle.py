@@ -10,7 +10,7 @@ evaluates one sweep row from that record with the scalar functions.
 
 import math
 
-from canard.allee import AlleeParams, _F_derivative, _jacobian, fold_point, psi_case_analysis
+from canard.allee import AlleeParams, _jacobian, fold_point, psi_case_analysis
 from canard.errors import NumericsError
 from canard.jet import Jet, jet_mul
 from canard.normalform import (
@@ -19,6 +19,12 @@ from canard.normalform import (
     omega2_term_groups,
     omega_coefficients,
 )
+
+
+def F_derivative(x: float, m: float, k: int) -> float:
+    """k-th derivative of the critical branch F(x) = x/(m+x) - n - x for
+    k >= 2: (-1)^(k+1) k! m / (m+x)^(k+1)."""
+    return (-1.0) ** (k + 1) * math.factorial(k) * m / (m + x) ** (k + 1)
 
 
 def jet_reduced_record(p: AlleeParams) -> NormalFormCoefficients:
@@ -30,7 +36,7 @@ def jet_reduced_record(p: AlleeParams) -> NormalFormCoefficients:
 
     # fast part: f(x_M+u, y_M+v) = (x_M+u) * (sum_{k>=2} F^(k)/k! u^k - v),
     # then u = s_x X, v = s_y Y and division by s_x*Q
-    fseries = {(k, 0): _F_derivative(xM, p.m, k) / math.factorial(k) * sx ** k
+    fseries = {(k, 0): F_derivative(xM, p.m, k) / math.factorial(k) * sx ** k
                for k in range(2, deg + 1)}
     fseries[(0, 1)] = -sy
     shell = Jet(2, deg, {(0, 0): xM, (1, 0): sx})

@@ -338,7 +338,8 @@ class TestClosedFormRecord:
         rec = normal_form_columns(cols["m"], cols["n"], cols["alpha"], cols["gamma"])
         out = model_columns(cols["m"], cols["n"], cols["alpha"], cols["beta"],
                             cols["gamma"], cols["eps"])
-        case = psi_columns(cols["m"], cols["n"], cols["alpha"], cols["gamma"])[3]
+        psi, m_star, n_threshold, case = psi_columns(cols["m"], cols["n"], cols["alpha"],
+                                                     cols["gamma"])
         for i, p in enumerate(pts):
             nf = normal_form_coeffs(p)
             for key in COEFF_NAMES:
@@ -350,7 +351,9 @@ class TestClosedFormRecord:
             assert out["a5"][i] == a5
             assert out["lambda_h"][i] == lambda_H(nf.c10, a5, p.eps)
             assert out["lambda_c"][i] == lambda_c(nf.c10, a5, om.omega1, p.eps)
-            assert PSI_TAGS[case[i]] == psi_case_analysis(p.m, p.n, p.alpha, p.gamma).tag
+            rep = psi_case_analysis(p.m, p.n, p.alpha, p.gamma)
+            assert (rep.psi, rep.m_star, rep.n_threshold) == (psi[i], m_star[i], n_threshold[i])
+            assert PSI_TAGS[case[i]] == rep.tag
 
 
 def ulps(x, k):

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import json
 import math
 import os
@@ -17,7 +19,7 @@ from model_oracle import sweep_row_reference
 
 import canard.cli as cli
 from canard import _svg
-from canard.allee import PARAM_NAMES, AlleeParams, check_grid
+from canard.allee import PARAM_NAMES, PSI_TAGS, AlleeParams, check_grid
 from canard.cli import load_config, main, parse_grid, write_csv
 from canard.errors import DomainError
 
@@ -382,7 +384,8 @@ class TestVectorizedSweep:
         ("m=0.15:0.35:3", (1, 3)),    # m = 0.25 fails at n = 0.25
     ])
     def test_one_check_over_the_whole_grid(self, tmp_path, monkeypatch, grid, checked):
-        # the mesh is checked once, as arrays, and only a grid that passes
+        # the grid is checked once, as arrays (the axes as an open grid that
+        # broadcasts to the whole grid), and only a grid that passes
         # reaches the closed forms
         seen = []
 
@@ -395,7 +398,9 @@ class TestVectorizedSweep:
         code = run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--grid", grid])
         assert code == (1 if fails else 0)
         names = [part.split("=")[0] for part in grid.split(",")]
-        assert seen == [{k: checked if k in names else () for k in PARAM_NAMES}]
+        assert [list(shapes) for shapes in seen] == [list(PARAM_NAMES)]
+        assert np.broadcast_shapes(*seen[0].values()) == checked
+        assert all(seen[0][k] == () for k in PARAM_NAMES if k not in names)
 
     def test_numpy_scalar_cells(self, tmp_path):
         path = write_csv(str(tmp_path), "cells.csv", ["a", "b", "c", "d", "e", "f"],
@@ -439,7 +444,98 @@ def heatmap_grids(draw):
                           min_size=ny, max_size=ny)))
 
 
+def polyline_reference(xs, ys, *, title, x_label, y_label, marker=None):
+    """_svg.polyline as a per-point loop on Python floats."""
+    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
+    pad_x = 0.05 * (hi_x - lo_x) or max(abs(lo_x), 1.0) * 1e-3
+    pad_y = 0.05 * (hi_y - lo_y) or max(abs(lo_y), 1.0) * 1e-3
+    lo_x, hi_x, lo_y, hi_y = lo_x - pad_x, hi_x + pad_x, lo_y - pad_y, hi_y + pad_y
+    x0, x1 = _svg._ML, _svg._WIDTH - _svg._MR
+    y0, y1 = _svg._HEIGHT - _svg._MB, _svg._MT
+
+    def sx(v):
+        return x0 + (v - lo_x) / (hi_x - lo_x) * (x1 - x0)
+
+    def sy(v):
+        return y0 - (v - lo_y) / (hi_y - lo_y) * (y0 - y1)
+
+    pts = " ".join(f"{_svg._fmt(sx(x))},{_svg._fmt(sy(y))}" for x, y in zip(xs, ys))
+    parts = [f'<polyline points="{pts}" fill="none" stroke="{_svg.COLOR_NEG}" '
+             'stroke-width="1.2"/>']
+    if marker is not None:
+        parts.append(f'<circle cx="{_svg._fmt(sx(marker[0]))}" cy="{_svg._fmt(sy(marker[1]))}" '
+                     f'r="3" fill="{_svg.COLOR_POS}"/>')
+    x_ticks = [(sx(lo_x + k * (hi_x - lo_x) / 4), _svg._label(lo_x + k * (hi_x - lo_x) / 4))
+               for k in range(5)]
+    y_ticks = [(sy(lo_y + k * (hi_y - lo_y) / 4), _svg._label(lo_y + k * (hi_y - lo_y) / 4))
+               for k in range(5)]
+    parts.extend(_svg._frame(title, x_label, y_label, x_ticks, y_ticks))
+    return _svg._document(parts)
+
+
+COORDS = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.25]))
+
+
+@st.composite
+def polylines(draw):
+    n = draw(st.integers(2, 40))
+    xs = draw(st.lists(COORDS, min_size=n, max_size=n))
+    ys = draw(st.lists(COORDS, min_size=n, max_size=n))
+    return xs, ys, draw(st.none() | st.tuples(COORDS, COORDS))
+
+
+# every kind of value the CLI hands write_csv, and the edges of float repr
+CSV_FIELDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                     1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(),
+    st.sampled_from(PARAM_NAMES + cli.SWEEP_COLUMNS + PSI_TAGS + ("case", "t", "x", "y",
+                                                                  "s", "integral")))
+
+with open(Path(__file__).parent / "data" / "golden_sweep.json", "r", encoding="utf-8") as fh:
+    GOLDEN_SWEEP = json.load(fh)
+
+
 class TestOutputBytes:
+    @pytest.mark.parametrize("case", GOLDEN_SWEEP["grids"], ids=lambda c: c["grid"])
+    def test_sweep_bytes_match_the_recorded_digests(self, tmp_path, case):
+        # sha256 of the files the csv-module writer and the meshgrid sweep wrote
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        {k: repr(v) for k, v in GOLDEN_SWEEP["params"].items()})
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o",
+                    "--grid", case["grid"]]) == 0
+        for name in ("sweep.csv", "sweep.svg"):
+            digest = hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+            assert digest == case[name], name
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.lists(CSV_FIELDS, min_size=1, max_size=8), max_size=6),
+           header=st.lists(CSV_FIELDS, min_size=1, max_size=8))
+    def test_write_csv_equals_csv_writer(self, tmp_path_factory, header, rows):
+        out = tmp_path_factory.mktemp("csv")
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        path = write_csv(str(out), "rows.csv", header, rows)
+        assert Path(path).read_bytes() == buffer.getvalue().encode("utf-8")
+
+    @settings(max_examples=80, deadline=None)
+    @given(line=polylines())
+    def test_polyline_equals_per_point_loop(self, line):
+        xs, ys, marker = line
+        labels = dict(title="trajectory", x_label="x", y_label="y", marker=marker)
+        want = polyline_reference(xs, ys, **labels)
+        assert _svg.polyline(xs, ys, **labels) == want
+        assert _svg.polyline(np.array(xs), np.array(ys), **labels) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_polyline_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="requires finite coordinates"):
+            _svg.polyline([0.0, 1.0], [0.0, bad], title="t", x_label="x", y_label="y")
+
     @settings(max_examples=60, deadline=None)
     @given(grid=heatmap_grids())
     def test_heatmap_equals_per_cell_loop(self, grid):

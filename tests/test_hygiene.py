@@ -1,8 +1,9 @@
 """Source hygiene: no module under src/canard/ or tests/ imports a name it
 never reads, cli is the one src/canard module that imports json, so
-file formats are decided in one place, README names exactly the
-options every subcommand takes, and its library imports run.  Uses the
-stdlib ast module, so no linter is needed."""
+file formats are decided in one place, no CSV field the CLI writes needs
+quoting, README names exactly the options every subcommand takes, and
+its library imports run.  Uses the stdlib ast module, so no linter is
+needed."""
 
 import argparse
 import ast
@@ -64,6 +65,29 @@ def test_only_cli_imports_json():
     users = [p.name for p in sorted((ROOT / "src" / "canard").glob("*.py"))
              if "json" in imported_modules(p.read_text(encoding="utf-8"))]
     assert users == ["cli.py"]
+
+
+def csv_header_literals(source: str):
+    """The string constants in the header argument of each write_csv call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "write_csv"):
+            found.extend(c.value for c in ast.walk(node.args[2])
+                         if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return found
+
+
+def test_csv_fields_need_no_quoting():
+    # write_csv quotes nothing, so no identifier the CLI writes as a CSV
+    # field may hold a delimiter, a quote or a line break
+    from canard.allee import PARAM_NAMES, PSI_TAGS
+    from canard.cli import SWEEP_COLUMNS
+
+    headers = csv_header_literals((ROOT / "src" / "canard" / "cli.py").read_text(encoding="utf-8"))
+    assert {"t", "x", "y", "s", "integral"} <= set(headers)
+    for text in headers + list(PARAM_NAMES + SWEEP_COLUMNS + PSI_TAGS) + ["case"]:
+        assert not set(text) & set(',"\r\n'), text
 
 
 def test_import_detector():
