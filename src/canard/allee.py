@@ -304,11 +304,11 @@ def require_closed_forms(p: AlleeParams) -> None:
     _check(_CLOSED_FORM_RULES, _point(math, **vars(p)))
 
 
-def normal_form_columns(m, n, alpha, gamma, xp=np) -> SimpleNamespace:
+def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:
     """Closed-form coefficient record of the model reduced to the
     canonical slow-fast template near the fold, elementwise over floats
-    or arrays that broadcast together (xp = math runs on floats alone);
-    unchecked (normal_form_coeffs checks one point).
+    or arrays that broadcast together; unchecked (normal_form_coeffs
+    checks one point).
 
     The reduction translates the fold to the origin and rescales
     X = (x - x_M)/s_x, Y = (y - y_M)/s_y, tau = Q*t with
@@ -317,7 +317,7 @@ def normal_form_columns(m, n, alpha, gamma, xp=np) -> SimpleNamespace:
     depend on beta.  With F''(x_M)/2 = -1/sqrt(m) and F'''(x_M)/6 = 1/m,
     six entries are nonzero; the template structure makes every other
     entry 0 (the fast field has no eps block, so every c entry is 0)."""
-    fold = _point(xp, m=m, n=n, alpha=alpha)
+    fold = _point(np, m=m, n=n, alpha=alpha)
     yM, Q, s = fold.yM, fold.Q, fold.rm - 1.0
     rec = SimpleNamespace(**dict.fromkeys(COEFF_NAMES, 0.0))
     rec.a10 = alpha * yM / (Q * s)
@@ -333,8 +333,7 @@ def normal_form_coeffs(p: AlleeParams) -> NormalFormCoefficients:
     """Coefficient record of the model near the fold (normal_form_columns
     at one checked point)."""
     _check(_SCALE_RULES, _point(math, **vars(p)))
-    rec = normal_form_columns(p.m, p.n, p.alpha, p.gamma, math)
-    return NormalFormCoefficients.from_dict(vars(rec))
+    return NormalFormCoefficients.from_dict(vars(normal_form_columns(p.m, p.n, p.alpha, p.gamma)))
 
 
 def model_columns(m, n, alpha, beta, gamma, eps) -> Dict[str, object]:
