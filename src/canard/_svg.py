@@ -86,15 +86,21 @@ def _tick_subset(values: Sequence[float], positions: Sequence[float]) -> list:
 
 
 def heatmap(x_values: Sequence[float], y_values: Sequence[float],
-            cell_values: Sequence[Sequence[float]], *, title: str,
-            x_label: str, y_label: str) -> str:
-    """Cell grid colored by sign_color(value); cell_values[j][i] belongs to
-    (x_values[i], y_values[j]).  Axis ticks sit at cell centers."""
+            cell_values, *, title: str, x_label: str, y_label: str) -> str:
+    """Cell grid colored by sign_color(value); cell_values broadcasts to
+    (len(y_values), len(x_values)), and its [j][i] cell belongs to
+    (x_values[i], y_values[j]).  Each value at cell_values' own shape is
+    colored once.  Axis ticks sit at cell centers."""
     nx, ny = len(x_values), len(y_values)
     if nx == 0 or ny == 0:
         raise DomainError("requires a nonempty grid on both axes")
-    if len(cell_values) != ny or any(len(row) != nx for row in cell_values):
-        raise DomainError("cell_values shape must be (len(y_values), len(x_values))")
+    try:
+        shape = np.shape(cell_values)
+        colors = [sign_color(v) for v in np.ravel(cell_values).tolist()]
+        rows = np.broadcast_to(np.array(colors, dtype=object).reshape(shape),
+                               (ny, nx)).tolist()
+    except ValueError:
+        raise DomainError("cell_values must broadcast to (len(y_values), len(x_values))") from None
     x0, x1 = _ML, _WIDTH - _MR
     y0, y1 = _HEIGHT - _MB, _MT
     cw = (x1 - x0) / nx
@@ -103,12 +109,11 @@ def heatmap(x_values: Sequence[float], y_values: Sequence[float],
     columns = [f'<rect x="{_fmt(x0 + i * cw)}" y="' for i in range(nx)]
     size = f'" width="{_fmt(cw)}" height="{_fmt(ch)}" fill="'
     parts = []
-    for j, row in enumerate(cell_values):
+    for j, row in enumerate(rows):
         # larger y sits higher on the canvas
         tail = _fmt(y0 - (j + 1) * ch) + size
-        parts.extend(f'{column}{tail}{sign_color(value)}" '
-                     'stroke="#ffffff" stroke-width="0.5"/>'
-                     for column, value in zip(columns, row))
+        parts.extend(f'{column}{tail}{color}" stroke="#ffffff" stroke-width="0.5"/>'
+                     for column, color in zip(columns, row))
     x_ticks = _tick_subset(list(x_values), [x0 + (i + 0.5) * cw for i in range(nx)])
     y_ticks = _tick_subset(list(y_values), [y0 - (j + 0.5) * ch for j in range(ny)])
     parts.extend(_frame(title, x_label, y_label, x_ticks, y_ticks))

@@ -118,10 +118,11 @@ class EquilibriumSeries:
         return (x, y)
 
 
-def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolySystem:
-    """Rescaled system at radius r, from closed-form coefficient tables."""
+def _m_table(nf: NormalFormCoefficients, r: float) -> Terms:
+    """Fast component of the rescaled system at radius r; it does not depend
+    on lambda1."""
     r2 = r * r
-    m = {
+    return {
         (1, 0): r * nf.c10,
         (0, 1): -1.0 + r2 * nf.c01,
         (2, 0): 1.0 + r2 * nf.c20,
@@ -132,7 +133,12 @@ def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolyS
         (1, 2): r2 * r * (r2 * nf.c12 - nf.a11),
         (0, 3): r2 * r2 * (r2 * nf.c03 - nf.a02),
     }
-    n = {
+
+
+def _n_table(nf: NormalFormCoefficients, r: float, lambda1: float) -> Terms:
+    """Slow component of the rescaled system at radius r and lambda1."""
+    r2 = r * r
+    return {
         (0, 0): -lambda1,
         (1, 0): 1.0 - lambda1 * r * nf.e10,
         (0, 1): r * (nf.f00 - lambda1 * r * nf.e01),
@@ -144,7 +150,11 @@ def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolyS
         (1, 2): r2 * r2 * (nf.f11 - lambda1 * r * nf.e12),
         (0, 3): r2 * r2 * r * (nf.f02 - lambda1 * r * nf.e03),
     }
-    return PlanarPolySystem(m, n, r)
+
+
+def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolySystem:
+    """Rescaled system at radius r, from closed-form coefficient tables."""
+    return PlanarPolySystem(_m_table(nf, r), _n_table(nf, r, lambda1), r)
 
 
 def _template_jets(nf: NormalFormCoefficients, lam: float, eps: float) -> Tuple[Jet, Jet]:
@@ -215,16 +225,20 @@ def _partials(coeffs: Terms, x: float, y: float, degree: int
     return v, vx, vy, vxx, vxy, vyy
 
 
-def _hatted_tables(sys: PlanarPolySystem) -> Tuple[Dict, Dict]:
-    r = sys.r
-    m = {ij: sys.fx.get(ij, 0.0) / r ** mu for ij, mu in _MU.items()}
-    n = {ij: sys.fy.get(ij, 0.0) / r ** nu for ij, nu in _NU.items()}
+def _hatted_tables(fx: Terms, fy: Terms, r: float) -> Tuple[Dict, Dict]:
+    m = {ij: fx.get(ij, 0.0) / r ** mu for ij, mu in _MU.items()}
+    n = {ij: fy.get(ij, 0.0) / r ** nu for ij, nu in _NU.items()}
     return m, n
 
 
 def equilibrium_series(sys: PlanarPolySystem) -> EquilibriumSeries:
     """Series coefficients of the blown-up equilibrium near the origin."""
-    m, n = _hatted_tables(sys)
+    return _equilibrium_series(sys.fx, sys.fy, sys.r)
+
+
+def _equilibrium_series(fx: Terms, fy: Terms, r: float) -> EquilibriumSeries:
+    """equilibrium_series of the system with tables fx, fy at radius r."""
+    m, n = _hatted_tables(fx, fy, r)
     m10, m01, m20, m11, m02 = m[(1, 0)], m[(0, 1)], m[(2, 0)], m[(1, 1)], m[(0, 2)]
     m30, m21, m12 = m[(3, 0)], m[(2, 1)], m[(1, 2)]
     n00, n10, n01, n20, n11, n02 = (n[(0, 0)], n[(1, 0)], n[(0, 1)],
@@ -397,15 +411,15 @@ def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:
     return dn
 
 
-def _hopf_system(sys: PlanarPolySystem, dn: Terms, x: float, y: float
+def _hopf_system(m: Terms, n: Terms, dn: Terms, x: float, y: float
                  ) -> Tuple[Tuple[float, float, float], Tuple[Tuple[float, float, float], ...]]:
-    """The Hopf defining system F = (fx, fy, trace) at (x, y) of sys, and its
-    Jacobian rows in (x, y, lambda1).  The n-table is affine in lambda1 with
-    slopes dn (_lambda1_slopes), so dF/dlambda1 = (0, p, p_y) with
-    p = sum dn_ij x^i y^j."""
-    fx, j11, j12, fxx, fxy, fyy = _partials(sys.fx, x, y, sys.degree)
-    fy, j21, j22, gxx, gxy, gyy = _partials(sys.fy, x, y, sys.degree)
-    p, _, p_y = _partials(dn, x, y, sys.degree)[:3]
+    """The Hopf defining system F = (fx, fy, trace) at (x, y) of the tables
+    m, n (fast and slow component), and its Jacobian rows in (x, y, lambda1).
+    The n-table is affine in lambda1 with slopes dn (_lambda1_slopes), so
+    dF/dlambda1 = (0, p, p_y) with p = sum dn_ij x^i y^j."""
+    fx, j11, j12, fxx, fxy, fyy = _partials(m, x, y, _DEGREE)
+    fy, j21, j22, gxx, gxy, gyy = _partials(n, x, y, _DEGREE)
+    p, _, p_y = _partials(dn, x, y, _DEGREE)[:3]
     return ((fx, fy, j11 + j22),
             ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
 
@@ -416,16 +430,19 @@ def _hopf_point(nf: NormalFormCoefficients, r: float, tol: float = 1e-12
 
     Newton iteration on the defining system (fx, fy, trace) = 0 in
     (x, y, lambda1), the bordered 3x3 Jacobian solved by Cramer's rule, seeded
-    by lambda1 = rho1*r and the equilibrium series head.  The system is built
-    by blow_up once per iterate and returned at the final lambda1."""
+    by lambda1 = rho1*r and the equilibrium series head.  The fast table does
+    not depend on lambda1 and is built once; only the slow table is rebuilt
+    per iterate, through the same checks as a system's.  One system is built,
+    by blow_up at the final lambda1, when the solve returns."""
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
     dn = _lambda1_slopes(nf, r)
-    sys = blow_up(nf, r, lam)
-    x, y = equilibrium_series(sys).predict(r)
+    m = _clean_terms(_m_table(nf, r), _DEGREE)
+    n = _clean_terms(_n_table(nf, r, lam), _DEGREE)
+    x, y = _equilibrium_series(m, n, r).predict(r)
     for _ in range(_MAX_ITER):
-        (f, g, t), ((a, b, _), (c, d, p), (e, h, k)) = _hopf_system(sys, dn, x, y)
+        (f, g, t), ((a, b, _), (c, d, p), (e, h, k)) = _hopf_system(m, n, dn, x, y)
         # one extra step after meeting tol polishes the residual to the
         # floating-point floor (the Lyapunov gate needs the margin)
         converged = max(abs(f), abs(g), abs(t)) < tol
@@ -436,9 +453,9 @@ def _hopf_point(nf: NormalFormCoefficients, r: float, tol: float = 1e-12
         x -= (f * minor - b * (g * k - p * t)) / det
         y -= (a * (g * k - p * t) - f * (c * k - p * e)) / det
         lam -= (a * (d * t - g * h) - b * (c * t - g * e) + f * (c * h - d * e)) / det
-        sys = blow_up(nf, r, lam)
         if converged:
-            return lam, (x, y), sys
+            return lam, (x, y), blow_up(nf, r, lam)
+        n = _clean_terms(_n_table(nf, r, lam), _DEGREE)
     raise NumericsError(f"Hopf location did not reach residual {tol} in {_MAX_ITER} iterations")
 
 
@@ -523,10 +540,10 @@ def sample_record(rng: np.random.Generator,
     overwritten to force omega1 = 0 (the degenerate stratum).  The linear
     part at the equilibrium is the gradient of each component there."""
     for _ in range(_MAX_TRIES):
-        vals = {name: float(rng.uniform(-1.0, 1.0)) for name in COEFF_NAMES}
+        vals = dict(zip(COEFF_NAMES, rng.uniform(-1.0, 1.0, len(COEFF_NAMES)).tolist()))
         if constrain_omega1:
             vals["a10"] = 3.0 * vals["b10"] - 2.0 * vals["d10"] - 2.0 * vals["f00"]
-        nf = NormalFormCoefficients.from_dict(vals)
+        nf = NormalFormCoefficients(**vals)
         try:
             lam = hopf_lambda1(nf, _R_CHECK)
             sys = blow_up(nf, _R_CHECK, lam)

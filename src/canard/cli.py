@@ -384,7 +384,7 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
     csv_path = write_csv(rc.output_dir, "sweep.csv", header, rows)
     svg = _svg.heatmap(
         x_values, [0.0] if not y_name else y_values,
-        np.broadcast_to(cols["A"], shape).tolist(),
+        cols["A"],
         title="sign(A) over the sweep grid",
         x_label=x_name, y_label=y_name or "")
     svg_path = _write_text(rc.output_dir, "sweep.svg", svg)

@@ -73,10 +73,9 @@ class NormalFormCoefficients:
     f02: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise DomainError(f"coefficient {f.name} is not finite")
+        for name in COEFF_NAMES:
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"coefficient {name} is not finite")
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "NormalFormCoefficients":

@@ -388,17 +388,38 @@ def m_probes(n):
             + NON_VALUES + TINY + [1e-200])
 
 
-@st.composite
-def boundary_points(draw):
-    """An interior point with up to two coordinates moved onto or near a
-    bound, and m drawn from m_probes or inside its range."""
-    pt = dict(n=draw(st.floats(1e-6, 0.9)), alpha=draw(st.floats(1e-6, 10.0)),
-              beta=draw(st.floats(1e-6, 10.0)), gamma=draw(st.floats(1e-6, 10.0)),
-              eps=draw(st.floats(1e-6, 0.1)))
-    pt.update(draw(st.lists(st.sampled_from(PROBES), max_size=2)))
-    bound = m_bound(pt["n"])
-    pt["m"] = draw(st.one_of(st.sampled_from(m_probes(pt["n"])),
-                             st.floats(1e-6, 1.0 - 1e-6).map(lambda f: f * bound)))
+# A grid point is one of BASES interior base points, kept as it is or moved
+# as a boundary point: up to two PROBES applied, and m from m_probes or at
+# the base's own fraction of m_bound.  Each point is one integer drawn as an
+# index into the fixed table of these choices, of shape MOVES: no strategy is
+# built and no float drawn per point, and every probe and m probe is reachable.
+BASES = 3
+M_PROBE_COUNT = len(m_probes(0.1))  # one length for every n
+MOVES = (BASES,
+         6,  # kind: 0-2 keeps the base, 3-5 applies 0, 1 or 2 probes
+         len(PROBES), len(PROBES),
+         2 * M_PROBE_COUNT)  # an m probe, or in the upper half the base's fraction
+MOVE_COUNT = math.prod(MOVES)
+# hypothesis draws small integers far more often than large ones: a multiplier
+# prime to MOVE_COUNT permutes the table so that they spread over all of it
+SPREAD = 1_000_003
+BASE_POINTS = st.lists(st.fixed_dictionaries(dict(
+    n=st.floats(1e-6, 0.9), frac=st.floats(1e-6, 1.0 - 1e-6), alpha=st.floats(1e-6, 10.0),
+    beta=st.floats(1e-6, 10.0), gamma=st.floats(1e-6, 10.0), eps=st.floats(1e-6, 0.1))),
+    min_size=BASES, max_size=BASES)
+
+
+def indexed_point(bases, move):
+    """The point at index move of the MOVES table over the given base points."""
+    base, kind, first, second, m_index = map(
+        int, np.unravel_index(move * SPREAD % MOVE_COUNT, MOVES))
+    pt = {k: v for k, v in bases[base].items() if k != "frac"}
+    if kind >= 3:
+        pt.update([PROBES[first], PROBES[second]][:kind - 3])
+    if kind < 3 or m_index >= M_PROBE_COUNT:
+        pt["m"] = bases[base]["frac"] * m_bound(pt["n"])
+    else:
+        pt["m"] = m_probes(pt["n"])[m_index]
     return pt
 
 
@@ -426,15 +447,7 @@ def grid_of(points, shape):
     return {k: np.array([pt[k] for pt in points]).reshape(shape) for k in points[0]}
 
 
-@st.composite
-def interior_points(draw):
-    n = draw(st.floats(1e-6, 0.9))
-    return dict(n=n, m=draw(st.floats(1e-6, 1.0 - 1e-6)) * m_bound(n),
-                alpha=draw(st.floats(1e-6, 10.0)), beta=draw(st.floats(1e-6, 10.0)),
-                gamma=draw(st.floats(1e-6, 10.0)), eps=draw(st.floats(1e-6, 0.1)))
-
-
-class TestAdmissibleColumns:
+class TestCheckGrid:
     """check_grid: the rules of AlleeParams and require_closed_forms over
     parameter columns, raising what the scalar checks raise at the first
     failing point in C order."""
@@ -442,11 +455,17 @@ class TestAdmissibleColumns:
     @settings(max_examples=600, deadline=None)
     @given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 5)))
     def test_cleared_points_pass_the_scalar_checks(self, data, shape):
-        # grids of 1x1 to 6x5 points, each its own boundary or interior point
-        points = data.draw(st.lists(st.one_of(boundary_points(), interior_points()),
-                                    min_size=shape[0] * shape[1],
-                                    max_size=shape[0] * shape[1]))
+        # grids of 1x1 to 6x5 points, each a base point kept or moved onto a bound
+        bases = data.draw(BASE_POINTS)
+        moves = data.draw(st.lists(st.integers(0, MOVE_COUNT - 1),
+                                   min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        points = [indexed_point(bases, move) for move in moves]
         assert verdict(check_grid, **grid_of(points, shape)) == first_verdict(points)
+
+    def test_every_move_is_drawable(self):
+        # the spread is a permutation of the MOVES table: each base, kind,
+        # probe pair and m probe is the point of some drawn integer
+        assert math.gcd(SPREAD, MOVE_COUNT) == 1
 
     def test_every_single_probe(self):
         # each probe on its own, against every m probe at one interior point,

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from canard.blowup import (
     _hopf_system,
     _lambda1_slopes,
     _linear_powers,
+    _partials,
     _substitute_linear,
 )
 from canard.errors import DomainError, NumericsError
@@ -109,7 +110,7 @@ def centered_table_error(nf, r):
     sys = blow_up(nf, r, 0.1)
     eq = find_equilibrium(sys)
     centered = translate_to_equilibrium(sys, eq)
-    m, n = _hatted_tables(sys)
+    m, n = _hatted_tables(sys.fx, sys.fy, sys.r)
     es = equilibrium_series(sys)
     mbar, nbar = centered_series_tables(m, n, es, r)
     err = 0.0
@@ -475,10 +476,43 @@ class TestSampleRecord:
         nf = sample_record(np.random.default_rng(17), constrain_omega1=True)
         assert abs(omega_coefficients(nf).omega1) < 1e-15
 
+    @staticmethod
+    def _per_coefficient_draws(rng, constrain_omega1):
+        """sample_record as it was written with one generator call per
+        coefficient: the reference for its single vector draw."""
+        for _ in range(200):
+            vals = {name: float(rng.uniform(-1.0, 1.0)) for name in COEFF_NAMES}
+            if constrain_omega1:
+                vals["a10"] = 3.0 * vals["b10"] - 2.0 * vals["d10"] - 2.0 * vals["f00"]
+            nf = NormalFormCoefficients.from_dict(vals)
+            try:
+                lam = hopf_lambda1(nf, 0.1)
+                sys = blow_up(nf, 0.1, lam)
+                x, y = find_equilibrium(sys)
+            except (DomainError, NumericsError):
+                continue
+            m10, m01 = _partials(sys.fx, x, y, sys.degree)[1:3]
+            n10, n01 = _partials(sys.fy, x, y, sys.degree)[1:3]
+            disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
+            if 0.05 < disc < math.inf:
+                return nf
+        raise NumericsError("no acceptable record in 200 draws")
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans())
+    def test_vector_draw_equals_per_coefficient_draws(self, seed, constrained):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        nf = sample_record(rng, constrain_omega1=constrained)
+        assert asdict(nf) == asdict(self._per_coefficient_draws(ref_rng, constrained))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 with open(Path(__file__).parent / "data" / "golden_oracle.json", "r",
           encoding="utf-8") as _fh:
     GOLDEN_ORACLE = json.load(_fh)
+with open(Path(__file__).parent / "data" / "golden_oracle_bits.json", "r",
+          encoding="utf-8") as _fh:
+    GOLDEN_BITS = json.load(_fh)
 
 
 def _golden_record(index):
@@ -518,6 +552,24 @@ class TestGoldenOracle:
             assert abs(c1 - want["c1"]) < 1e-12
             assert _rel(c2, want["c2"]) < 1e-9
 
+    def test_bits_of_the_per_iterate_solve(self):
+        # float.hex pins recorded when the Hopf solve built one system per Newton
+        # iterate: the oracle's float operations and their order must not move
+        assert len(GOLDEN_BITS["points"]) == len(GOLDEN_ORACLE["points"])
+        for pt, want in zip(GOLDEN_ORACLE["points"], GOLDEN_BITS["points"]):
+            assert (want["record"], want["r"]) == (pt["record"], pt["r"])
+            nf = _golden_record(pt["record"])
+            assert float.hex(hopf_lambda1(nf, pt["r"])) == want["hopf_lambda1"]
+            assert float.hex(l1_blowup(nf, pt["r"])) == want["l1_blowup"]
+        fits = {"omega1": lambda nf: [fit_l1_omega1(nf)], "omega2": fit_l1_omega2,
+                "rho": fit_rho}
+        assert len(GOLDEN_BITS["fits"]) == len(GOLDEN_ORACLE["records"])
+        for index, (rec, want) in enumerate(zip(GOLDEN_ORACLE["records"],
+                                                GOLDEN_BITS["fits"])):
+            assert want["kind"] == rec["kind"]
+            got = fits[rec["kind"]](_golden_record(index))
+            assert [float.hex(v) for v in got] == want["values"]
+
     def test_hopf_and_l1_points(self):
         assert len(GOLDEN_ORACLE["points"]) == 40
         for pt in GOLDEN_ORACLE["points"]:
@@ -542,8 +594,10 @@ class TestNewtonProperties:
         point = [*equilibrium_series(blow_up(nf, r, lam)).predict(r), lam]
 
         def residual(x, y, lam):
-            return _hopf_system(blow_up(nf, r, lam), dn, x, y)[0]
-        jac = _hopf_system(blow_up(nf, r, lam), dn, *point[:2])[1]
+            sys = blow_up(nf, r, lam)
+            return _hopf_system(sys.fx, sys.fy, dn, x, y)[0]
+        sys = blow_up(nf, r, lam)
+        jac = _hopf_system(sys.fx, sys.fy, dn, *point[:2])[1]
         # F is affine in lambda1, the trace quadratic in (x, y) and the y^3 terms
         # of fx, fy O(r^4): the wider y and lambda1 steps add no truncation error
         # to speak of and keep rounding off the small entries, p_y = O(r^2)
@@ -591,6 +645,15 @@ class TestNewtonProperties:
         with pytest.raises(NumericsError, match="singular Jacobian"):
             hopf_lambda1(nf, 0.125)
 
+    @pytest.mark.parametrize("r", [0.005, 0.05, 0.1])
+    def test_non_finite_iterate_raises(self, r):
+        # the seed's tables are finite, but the first Newton step sends lambda1
+        # past the float range: the rebuilt slow table is checked like a system's
+        nf = replace(_drawn_record(3, False), f02=1e300)
+        blow_up(nf, r, rho_coefficients(nf).rho1 * r)
+        with pytest.raises(DomainError, match=r"non-finite coefficient at \(0, 0\)"):
+            hopf_lambda1(nf, r)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
            r=st.floats(0.005, 0.2), offset=st.floats(-1.0, 1.0))
@@ -621,14 +684,15 @@ class TestNewtonProperties:
         r = 0.1
         dn = _lambda1_slopes(nf, r)
         lam0 = rho_coefficients(nf).rho1 * r
-        seed = equilibrium_series(blow_up(nf, r, lam0)).predict(r)
-        f0, jac = _hopf_system(blow_up(nf, r, lam0), dn, *seed)
+        sys0 = blow_up(nf, r, lam0)
+        seed = equilibrium_series(sys0).predict(r)
+        f0, jac = _hopf_system(sys0.fx, sys0.fy, dn, *seed)
         step = np.linalg.solve(np.array(jac), np.array(f0))
         lam, (x, y), sys = _hopf_point(nf, r, tol=1.0)
         assert hopf_lambda1(nf, r, tol=1.0) == lam
         assert [x, y, lam] == pytest.approx([seed[0] - step[0], seed[1] - step[1],
                                              lam0 - step[2]], rel=1e-12, abs=0.0)
-        f1 = _hopf_system(sys, dn, x, y)[0]
+        f1 = _hopf_system(sys.fx, sys.fy, dn, x, y)[0]
         assert max(map(abs, f1)) < 1e-3 * max(map(abs, f0))
 
 

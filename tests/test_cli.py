@@ -545,6 +545,27 @@ class TestOutputBytes:
         assert _svg.heatmap(xs, ys, cells, **labels) == want
         assert _svg.heatmap(xs, ys, np.array(cells), **labels) == want
 
+    @settings(max_examples=60, deadline=None)
+    @given(grid=heatmap_grids(), row=st.booleans())
+    def test_heatmap_broadcasts_a_row_or_column(self, grid, row):
+        # one value per x (per y) is colored once and repeated down (across) the grid
+        xs, ys, cells = grid
+        line = np.array(cells[0] if row else [r[0] for r in cells])
+        cells = line[None, :] if row else line[:, None]
+        full = np.broadcast_to(cells, (len(ys), len(xs))).tolist()
+        labels = dict(title="t", x_label="m", y_label="beta")
+        want = heatmap_reference(xs, ys, full, **labels)
+        assert _svg.heatmap(xs, ys, cells, **labels) == want
+        if row:
+            assert _svg.heatmap(xs, ys, line, **labels) == want
+
+    @pytest.mark.parametrize("cells", [[[1.0, 2.0]], [[1.0], [2.0], [3.0]],
+                                       [[1.0, 2.0, 3.0], [1.0]], np.zeros((1, 2, 3))])
+    def test_heatmap_rejects_cells_that_do_not_broadcast(self, cells):
+        with pytest.raises(DomainError, match="must broadcast"):
+            _svg.heatmap([0.0, 1.0, 2.0], [0.0, 1.0], cells, title="t",
+                         x_label="x", y_label="y")
+
     def test_trajectory_rows_are_the_mesh_as_floats(self, tmp_path, monkeypatch):
         seen = {}
         real_integrate, real_write_csv = cli.integrate, cli.write_csv
