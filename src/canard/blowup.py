@@ -25,7 +25,10 @@ builds a Jet.
 
 A PlanarPolySystem carries the two tables, the blow-up radius r and the
 degree bound, and no stage tag: lyapunov_DF's |trace| < 1e-12 gate is the
-one check that a system sits on the Hopf curve.
+one check that a system sits on the Hopf curve.  A Hopf solve builds one
+system, at its final lam1: its Newton iterates evaluate the fast table,
+built once since it does not depend on lam1, and a slow table rebuilt per
+iterate.
 """
 
 from __future__ import annotations
