@@ -95,10 +95,9 @@ def heatmap(x_values: Sequence[float], y_values: Sequence[float],
     if nx == 0 or ny == 0:
         raise DomainError("requires a nonempty grid on both axes")
     try:
-        shape = np.shape(cell_values)
-        colors = [sign_color(v) for v in np.ravel(cell_values).tolist()]
-        rows = np.broadcast_to(np.array(colors, dtype=object).reshape(shape),
-                               (ny, nx)).tolist()
+        cells = np.asarray(cell_values)
+        colors = np.array([sign_color(v) for v in cells.ravel().tolist()], dtype=object)
+        rows = np.broadcast_to(colors.reshape(cells.shape), (ny, nx)).tolist()
     except ValueError:
         raise DomainError("cell_values must broadcast to (len(y_values), len(x_values))") from None
     x0, x1 = _ML, _WIDTH - _MR

@@ -591,12 +591,12 @@ class TestNewtonProperties:
         nf = _drawn_record(seed, constrained)
         lam = rho_coefficients(nf).rho1 * r + offset * r * r
         dn = _lambda1_slopes(nf, r)
-        point = [*equilibrium_series(blow_up(nf, r, lam)).predict(r), lam]
+        sys = blow_up(nf, r, lam)
+        point = [*equilibrium_series(sys).predict(r), lam]
 
         def residual(x, y, lam):
-            sys = blow_up(nf, r, lam)
-            return _hopf_system(sys.fx, sys.fy, dn, x, y)[0]
-        sys = blow_up(nf, r, lam)
+            at = blow_up(nf, r, lam)
+            return _hopf_system(at.fx, at.fy, dn, x, y)[0]
         jac = _hopf_system(sys.fx, sys.fy, dn, *point[:2])[1]
         # F is affine in lambda1, the trace quadratic in (x, y) and the y^3 terms
         # of fx, fy O(r^4): the wider y and lambda1 steps add no truncation error
