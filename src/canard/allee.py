@@ -36,6 +36,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .blowup import PlanarPolySystem, lyapunov_DF, normalize_linear, translate_to_equilibrium
 from .errors import DomainError, NumericsError
 from .normalform import (
     COEFF_NAMES,
@@ -263,6 +264,30 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
                 else:
                     E4 = eq
     return EquilibriaReport(E0, E1, E2, E3, E4, delta1, delta2, fold_point(p.m, p.n))
+
+
+def model_l1(p: AlleeParams) -> float:
+    """First Lyapunov coefficient of the model at E4, for p on the Hopf
+    curve (beta from dynamics.hopf_onset_scan).
+
+    The field times (m + x), a positive time rescaling on x > -m that keeps
+    orbits, equilibria, the Hopf beta, and the sign and zero of L1, is the
+    exact cubic
+        f~ = -nm x + (1-n-m) x^2 - x^3 - m xy - x^2 y,
+        g~ = eps (-m beta y + (m alpha - beta) xy - m gamma y^2 + alpha x^2 y - gamma xy^2),
+    run through blowup's translate_to_equilibrium -> normalize_linear ->
+    lyapunov_DF.  Only the sign and the zero are frame-free: the magnitude
+    depends on the time rescaling and on normalize_linear's m01-pivot frame.
+    DomainError without E4, or off the Hopf curve (lyapunov_DF's trace gate)."""
+    E4 = equilibria(p).E4
+    if E4 is None:
+        raise DomainError(f"E4 does not exist at beta={p.beta}")
+    m, n, alpha, beta, gamma, eps = (getattr(p, k) for k in PARAM_NAMES)
+    fx = {(1, 0): -n * m, (2, 0): 1.0 - n - m, (3, 0): -1.0, (1, 1): -m, (2, 1): -1.0}
+    fy = {(0, 1): -eps * m * beta, (1, 1): eps * (m * alpha - beta), (0, 2): -eps * m * gamma,
+          (2, 1): eps * alpha, (1, 2): -eps * gamma}
+    sys = PlanarPolySystem(fx, fy)
+    return lyapunov_DF(normalize_linear(translate_to_equilibrium(sys, E4.point)))
 
 
 def gamma_star(m: float, n: float, alpha: float, beta: float) -> float:

@@ -23,20 +23,20 @@ blow_up_via_jets keeps to the generic jet ops as an independent
 cross-check of the closed-form tables and is the only place here that
 builds a Jet.
 
-A PlanarPolySystem carries the two tables, the blow-up radius r and the
-degree bound, and no stage tag: lyapunov_DF's |trace| < 1e-12 gate is the
-one check that a system sits on the Hopf curve.  A Hopf solve builds one
-system, at its final lam1: its Newton iterates evaluate the fast table,
-built once since it does not depend on lam1, and a slow table rebuilt per
-iterate.
+A PlanarPolySystem is its two tables, cleaned at the one degree bound
+_DEGREE; it carries no blow-up radius (equilibrium_series takes r) and no
+stage tag: lyapunov_DF's |trace| < 1e-12 gate is the one check that a
+system sits on the Hopf curve, so allee.model_l1 runs the same stages on the
+model.  A Hopf solve builds its starting system once, rebuilds only the slow
+table per Newton iterate (the fast one does not depend on lam1), and builds
+one more system, at its final lam1.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .normalform import COEFF_NAMES, NormalFormCoefficients, rho_coefficients
 
 _DEGREE = 4  # cubic stages plus one guard order
 _MAX_ITER = 50  # Newton steps allowed to the equilibrium and to the Hopf point
+_TOL = 1e-12  # residual both Newton loops must get below (then take one more step)
 
 # sample_record's acceptance test: 4N - M^2 > _DISC_FLOOR at the Hopf point
 # for r = _R_CHECK, within _MAX_TRIES draws
@@ -64,22 +65,20 @@ _NU = {(0, 0): 0, (1, 0): 0, (0, 1): 1, (2, 0): 1, (1, 1): 2,
        (0, 2): 3, (3, 0): 2, (2, 1): 3, (1, 2): 4, (0, 3): 5}
 
 
-@functools.lru_cache(maxsize=None)
-def _terms_within(degree: int) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """Every (i, j) with i, j >= 0 and i + j <= degree, mapped to itself: a key
-    equal to one of them, such as (1.0, 0), looks up its int pair."""
-    return {(i, n - i): (i, n - i) for n in range(degree + 1) for i in range(n + 1)}
+# every (i, j) with i, j >= 0 and i + j <= _DEGREE, mapped to itself: a key
+# equal to one of them, such as (1.0, 0), looks up its int pair
+_TERMS = {(i, n - i): (i, n - i) for n in range(_DEGREE + 1) for i in range(n + 1)}
+_BINOM = [[float(math.comb(n, k)) for k in range(n + 1)] for n in range(_DEGREE + 1)]
 
 
-def _clean_terms(terms: Terms, degree: int) -> Terms:
+def _clean_terms(terms: Terms) -> Terms:
     """The nonzero terms as floats at int (i, j) keys, in insertion order;
-    DomainError on a term beyond degree or a non-finite value (overflow never
+    DomainError on a term beyond _DEGREE or a non-finite value (overflow never
     passes)."""
-    allowed = _terms_within(degree)
     try:
-        clean = {allowed[k]: float(c) for k, c in terms.items() if c != 0.0}
+        clean = {_TERMS[k]: float(c) for k, c in terms.items() if c != 0.0}
     except KeyError as exc:
-        raise DomainError(f"term {exc.args[0]} is not a monomial of degree <= {degree}") from None
+        raise DomainError(f"term {exc.args[0]} is not a monomial of degree <= {_DEGREE}") from None
     for k, c in clean.items():
         if not math.isfinite(c):
             raise DomainError(f"non-finite coefficient at {k}")
@@ -89,20 +88,14 @@ def _clean_terms(terms: Terms, degree: int) -> Terms:
 @dataclass(frozen=True)
 class PlanarPolySystem:
     """Planar polynomial vector field as two term tables, truncated at total
-    degree `degree`."""
+    degree _DEGREE."""
 
     fx: Terms
     fy: Terms
-    r: float
-    degree: int = _DEGREE
 
     def __post_init__(self):
-        if self.degree < 3:
-            raise DomainError(f"system degree bound must be at least 3, got {self.degree}")
-        if self.r <= 0.0:
-            raise DomainError(f"r must be positive, got {self.r}")
-        object.__setattr__(self, "fx", _clean_terms(self.fx, self.degree))
-        object.__setattr__(self, "fy", _clean_terms(self.fy, self.degree))
+        object.__setattr__(self, "fx", _clean_terms(self.fx))
+        object.__setattr__(self, "fy", _clean_terms(self.fy))
 
 
 @dataclass(frozen=True)
@@ -157,7 +150,9 @@ def _n_table(nf: NormalFormCoefficients, r: float, lambda1: float) -> Terms:
 
 def blow_up(nf: NormalFormCoefficients, r: float, lambda1: float) -> PlanarPolySystem:
     """Rescaled system at radius r, from closed-form coefficient tables."""
-    return PlanarPolySystem(_m_table(nf, r), _n_table(nf, r, lambda1), r)
+    if r <= 0.0:
+        raise DomainError(f"r must be positive, got {r}")
+    return PlanarPolySystem(_m_table(nf, r), _n_table(nf, r, lambda1))
 
 
 def _template_jets(nf: NormalFormCoefficients, lam: float, eps: float) -> Tuple[Jet, Jet]:
@@ -206,15 +201,15 @@ def blow_up_via_jets(nf: NormalFormCoefficients, r: float, lambda1: float) -> Pl
     sub_y = Jet(2, _DEGREE, {(0, 1): eps})
     fx1 = jet_scale(jet_compose(fx, [sub_x, sub_y]), r ** -2)
     fy1 = jet_scale(jet_compose(fy, [sub_x, sub_y]), r ** -3)
-    return PlanarPolySystem(fx1.coeffs, fy1.coeffs, r)
+    return PlanarPolySystem(fx1.coeffs, fy1.coeffs)
 
 
-def _partials(coeffs: Terms, x: float, y: float, degree: int
+def _partials(coeffs: Terms, x: float, y: float
               ) -> Tuple[float, float, float, float, float, float]:
     """(v, v_x, v_y, v_xx, v_xy, v_yy) of sum c x^i y^j at (x, y), in one pass over
     the flat terms.  The power tables lead with two zeros: px[i + 2 - k] = x^(i-k), 0 if i < k."""
     px, py = [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]
-    for _ in range(degree):
+    for _ in range(_DEGREE):
         px.append(px[-1] * x)
         py.append(py[-1] * y)
     v = vx = vy = vxx = vxy = vyy = 0.0
@@ -234,48 +229,49 @@ def _hatted_tables(fx: Terms, fy: Terms, r: float) -> Tuple[Dict, Dict]:
     return m, n
 
 
-def equilibrium_series(sys: PlanarPolySystem) -> EquilibriumSeries:
-    """Series coefficients of the blown-up equilibrium near the origin."""
-    return _equilibrium_series(sys.fx, sys.fy, sys.r)
+def equilibrium_series(sys: PlanarPolySystem, r: float) -> EquilibriumSeries:
+    """Series coefficients of the equilibrium near the origin of a system
+    blown up at radius r; NumericsError if a coefficient overflows."""
+    try:
+        m, n = _hatted_tables(sys.fx, sys.fy, r)
+        m10, m01, m20, m11, m02 = m[(1, 0)], m[(0, 1)], m[(2, 0)], m[(1, 1)], m[(0, 2)]
+        m30, m21, m12 = m[(3, 0)], m[(2, 1)], m[(1, 2)]
+        n00, n10, n01, n20, n11, n02 = (n[(0, 0)], n[(1, 0)], n[(0, 1)],
+                                        n[(2, 0)], n[(1, 1)], n[(0, 2)])
+        n30, n21 = n[(3, 0)], n[(2, 1)]
+        if n10 == 0.0:
+            raise DomainError("slow linear coefficient n10 must be nonzero")
+        if m01 == 0.0:
+            raise DomainError("fast linear coefficient m01 must be nonzero")
 
-
-def _equilibrium_series(fx: Terms, fy: Terms, r: float) -> EquilibriumSeries:
-    """equilibrium_series of the system with tables fx, fy at radius r."""
-    m, n = _hatted_tables(fx, fy, r)
-    m10, m01, m20, m11, m02 = m[(1, 0)], m[(0, 1)], m[(2, 0)], m[(1, 1)], m[(0, 2)]
-    m30, m21, m12 = m[(3, 0)], m[(2, 1)], m[(1, 2)]
-    n00, n10, n01, n20, n11, n02 = (n[(0, 0)], n[(1, 0)], n[(0, 1)],
-                                    n[(2, 0)], n[(1, 1)], n[(0, 2)])
-    n30, n21 = n[(3, 0)], n[(2, 1)]
-    if n10 == 0.0:
-        raise DomainError("slow linear coefficient n10 must be nonzero")
-    if m01 == 0.0:
-        raise DomainError("fast linear coefficient m01 must be nonzero")
-
-    p0 = -n00 / n10
-    q0 = -m20 * n00 ** 2 / (m01 * n10 ** 2)
-    p1 = -(p0 ** 2 * n20 + q0 * n01) / n10
-    q1 = -p0 * (p0 ** 2 * (m30 * n10 - 2 * m20 * n20)
-                + q0 * (m11 * n10 - 2 * m20 * n01)
-                + m10 * n10) / (m01 * n10)
-    p2 = -(p0 * (p0 ** 2 * n30 + 2 * p1 * n20 + q0 * n11) + q1 * n01) / n10
-    q2 = (p0 ** 2 * (p1 * (4 * m20 * n20 - 3 * m30 * n10)
-                     + q0 * (2 * m20 * n11 - m21 * n10))
-          + p0 * q1 * (2 * m20 * n01 - m11 * n10)
-          - n10 * (p1 * q0 * m11 + p1 * (p1 * m20 + m10) + q0 ** 2 * m02)
-          + 2 * p0 ** 4 * m20 * n30) / (m01 * n10)
-    p3 = -(p0 * q1 * n11 + q0 * (p0 ** 2 * n21 + p1 * n11)
-           + 3 * p1 * p0 ** 2 * n30 + 2 * p2 * p0 * n20 + p1 ** 2 * n20
-           + q2 * n01 + q0 ** 2 * n02) / n10
-    q3 = (2 * p0 ** 3 * m20 * (3 * p1 * n30 + q0 * n21)
-          + p0 ** 2 * (p2 * (4 * m20 * n20 - 3 * m30 * n10)
-                       + q1 * (2 * m20 * n11 - m21 * n10))
-          + p0 * (2 * p1 * q0 * (m20 * n11 - m21 * n10)
-                  + p1 ** 2 * (2 * m20 * n20 - 3 * m30 * n10)
-                  + q2 * (2 * m20 * n01 - m11 * n10)
-                  + q0 ** 2 * (2 * m20 * n02 - m12 * n10))
-          - n10 * (p1 * q1 * m11 + q0 * (p2 * m11 + 2 * q1 * m02)
-                   + p2 * (2 * p1 * m20 + m10))) / (m01 * n10)
+        p0 = -n00 / n10
+        q0 = -m20 * n00 ** 2 / (m01 * n10 ** 2)
+        p1 = -(p0 ** 2 * n20 + q0 * n01) / n10
+        q1 = -p0 * (p0 ** 2 * (m30 * n10 - 2 * m20 * n20)
+                    + q0 * (m11 * n10 - 2 * m20 * n01)
+                    + m10 * n10) / (m01 * n10)
+        p2 = -(p0 * (p0 ** 2 * n30 + 2 * p1 * n20 + q0 * n11) + q1 * n01) / n10
+        q2 = (p0 ** 2 * (p1 * (4 * m20 * n20 - 3 * m30 * n10)
+                         + q0 * (2 * m20 * n11 - m21 * n10))
+              + p0 * q1 * (2 * m20 * n01 - m11 * n10)
+              - n10 * (p1 * q0 * m11 + p1 * (p1 * m20 + m10) + q0 ** 2 * m02)
+              + 2 * p0 ** 4 * m20 * n30) / (m01 * n10)
+        p3 = -(p0 * q1 * n11 + q0 * (p0 ** 2 * n21 + p1 * n11)
+               + 3 * p1 * p0 ** 2 * n30 + 2 * p2 * p0 * n20 + p1 ** 2 * n20
+               + q2 * n01 + q0 ** 2 * n02) / n10
+        q3 = (2 * p0 ** 3 * m20 * (3 * p1 * n30 + q0 * n21)
+              + p0 ** 2 * (p2 * (4 * m20 * n20 - 3 * m30 * n10)
+                           + q1 * (2 * m20 * n11 - m21 * n10))
+              + p0 * (2 * p1 * q0 * (m20 * n11 - m21 * n10)
+                      + p1 ** 2 * (2 * m20 * n20 - 3 * m30 * n10)
+                      + q2 * (2 * m20 * n01 - m11 * n10)
+                      + q0 ** 2 * (2 * m20 * n02 - m12 * n10))
+              - n10 * (p1 * q1 * m11 + q0 * (p2 * m11 + 2 * q1 * m02)
+                       + p2 * (2 * p1 * m20 + m10))) / (m01 * n10)
+    except (OverflowError, ZeroDivisionError):
+        # a float power past the range, or a division by an r-power or a
+        # product of coefficients that underflowed to 0
+        raise NumericsError("equilibrium series coefficient overflowed") from None
 
     for v in (p0, p1, p2, p3, q0, q1, q2, q3):
         if not math.isfinite(v):
@@ -283,19 +279,16 @@ def _equilibrium_series(fx: Terms, fy: Terms, r: float) -> EquilibriumSeries:
     return EquilibriumSeries((p0, p1, p2, p3), (q0, q1, q2, q3))
 
 
-def find_equilibrium(sys: PlanarPolySystem,
-                     guess: Optional[Tuple[float, float]] = None,
-                     tol: float = 1e-12) -> Tuple[float, float]:
-    """Newton refinement of the equilibrium, seeded by the series head."""
-    if guess is None:
-        guess = equilibrium_series(sys).predict(sys.r)
+def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple[float, float]:
+    """Newton refinement of the equilibrium from guess (the oracle seeds it
+    with the equilibrium series head)."""
     x, y = float(guess[0]), float(guess[1])
     for _ in range(_MAX_ITER):
-        fx, j11, j12 = _partials(sys.fx, x, y, sys.degree)[:3]
-        fy, j21, j22 = _partials(sys.fy, x, y, sys.degree)[:3]
-        # one extra step after meeting tol polishes the root to the
+        fx, j11, j12 = _partials(sys.fx, x, y)[:3]
+        fy, j21, j22 = _partials(sys.fy, x, y)[:3]
+        # one extra step after meeting _TOL polishes the root to the
         # floating-point floor (downstream trace gates need the margin)
-        converged = max(abs(fx), abs(fy)) < tol
+        converged = max(abs(fx), abs(fy)) < _TOL
         det = j11 * j22 - j12 * j21
         if det == 0.0 or not math.isfinite(det):
             raise NumericsError("singular Jacobian in equilibrium refinement")
@@ -303,20 +296,18 @@ def find_equilibrium(sys: PlanarPolySystem,
         y -= (-j21 * fx + j11 * fy) / det
         if converged:
             return (x, y)
-    raise NumericsError(f"equilibrium refinement did not reach {tol} in {_MAX_ITER} iterations")
+    raise NumericsError(f"equilibrium refinement did not reach {_TOL} in {_MAX_ITER} iterations")
 
 
-_BINOM = [[1.0]]  # _BINOM[n][k] = comb(n, k), grown to the largest degree recentered
-
-
-def _recenter(coeffs: Terms, x0: float, y0: float, degree: int) -> Terms:
+def _recenter(coeffs: Terms, x0: float, y0: float) -> Terms:
     """Terms of sum c (x + x0)^i (y + y0)^j without the constant term: the float
-    operations and the term order of jet_recenter, then (0, 0) dropped."""
-    while len(_BINOM) <= degree:
-        n = len(_BINOM)
-        _BINOM.append([float(math.comb(n, k)) for k in range(n + 1)])
-    hx = [x0 ** n for n in range(degree + 1)]
-    hy = [y0 ** n for n in range(degree + 1)]
+    operations and the term order of jet_recenter, then (0, 0) dropped;
+    DomainError if a power of the centre passes the float range."""
+    try:
+        hx = [x0 ** n for n in range(_DEGREE + 1)]
+        hy = [y0 ** n for n in range(_DEGREE + 1)]
+    except OverflowError:
+        raise DomainError(f"non-finite power of the centre ({x0}, {y0})") from None
     out: Terms = {}
     for (i, j), c in coeffs.items():
         bi, bj = _BINOM[i], _BINOM[j]
@@ -333,20 +324,19 @@ def translate_to_equilibrium(sys: PlanarPolySystem, eq: Tuple[float, float]) -> 
     if len(eq) != 2:
         raise DomainError(f"point length {len(eq)} != nvars 2")
     x0, y0 = float(eq[0]), float(eq[1])
-    f = abs(_partials(sys.fx, x0, y0, sys.degree)[0])
-    g = abs(_partials(sys.fy, x0, y0, sys.degree)[0])
+    f = abs(_partials(sys.fx, x0, y0)[0])
+    g = abs(_partials(sys.fy, x0, y0)[0])
     res = max(f, g) if g == g else g  # max() keeps a NaN only in first place
     if not res <= 1e-10:  # a NaN residual fails too
         raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
-    return PlanarPolySystem(_recenter(sys.fx, x0, y0, sys.degree),
-                            _recenter(sys.fy, x0, y0, sys.degree), sys.r, sys.degree)
+    return PlanarPolySystem(_recenter(sys.fx, x0, y0), _recenter(sys.fy, x0, y0))
 
 
-def _linear_powers(a: float, b: float, degree: int) -> list:
-    """X[e][p], the u^p v^(e-p) coefficient of (a u + b v)^e for e <= degree, by
+def _linear_powers(a: float, b: float) -> list:
+    """X[e][p], the u^p v^(e-p) coefficient of (a u + b v)^e for e <= _DEGREE, by
     jet_mul's recurrence X^e[p] = X^(e-1)[p] b + X^(e-1)[p-1] a."""
     X = [[1.0]]
-    for e in range(1, degree + 1):
+    for e in range(1, _DEGREE + 1):
         prev = X[-1]
         X.append([prev[0] * b] + [prev[p] * b + prev[p - 1] * a for p in range(1, e)]
                  + [prev[e - 1] * a])
@@ -397,14 +387,14 @@ def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:
     (t00, t01), (t10, t11) = ((rt2 * (n01 - m10) / 2.0, -rt2 * m01),
                               (rt2 / 2.0 * s, 0.0))
     # T^-1 = [[0, 1/t10], [1/t01, -t00/(t01*t10)]]: det T = -t01*t10 = m01*s != 0
-    X = _linear_powers(0.0, 1.0 / t10, sys.degree)
-    Y = _linear_powers(1.0 / t01, -t00 / (t01 * t10), sys.degree)
+    X = _linear_powers(0.0, 1.0 / t10)
+    Y = _linear_powers(1.0 / t01, -t00 / (t01 * t10))
     z1 = _substitute_linear(sys.fx, X, Y)
     z2 = _substitute_linear(sys.fy, X, Y)
     keys = {**z1, **z2}  # z1's terms in order, then those only z2 has
     g1 = {k: t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys}
     g2 = {k: t10 * z1.get(k, 0.0) + t11 * z2.get(k, 0.0) for k in keys}
-    return PlanarPolySystem(g1, g2, sys.r, sys.degree)
+    return PlanarPolySystem(g1, g2)
 
 
 def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:
@@ -420,35 +410,35 @@ def _hopf_system(m: Terms, n: Terms, dn: Terms, x: float, y: float
     m, n (fast and slow component), and its Jacobian rows in (x, y, lambda1).
     The n-table is affine in lambda1 with slopes dn (_lambda1_slopes), so
     dF/dlambda1 = (0, p, p_y) with p = sum dn_ij x^i y^j."""
-    fx, j11, j12, fxx, fxy, fyy = _partials(m, x, y, _DEGREE)
-    fy, j21, j22, gxx, gxy, gyy = _partials(n, x, y, _DEGREE)
-    p, _, p_y = _partials(dn, x, y, _DEGREE)[:3]
+    fx, j11, j12, fxx, fxy, fyy = _partials(m, x, y)
+    fy, j21, j22, gxx, gxy, gyy = _partials(n, x, y)
+    p, _, p_y = _partials(dn, x, y)[:3]
     return ((fx, fy, j11 + j22),
             ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
 
 
-def _hopf_point(nf: NormalFormCoefficients, r: float, tol: float = 1e-12
+def _hopf_point(nf: NormalFormCoefficients, r: float
                 ) -> Tuple[float, Tuple[float, float], PlanarPolySystem]:
     """(lambda1, equilibrium, blown-up system) at the Hopf point for radius r.
 
     Newton iteration on the defining system (fx, fy, trace) = 0 in
     (x, y, lambda1), the bordered 3x3 Jacobian solved by Cramer's rule, seeded
-    by lambda1 = rho1*r and the equilibrium series head.  The fast table does
-    not depend on lambda1 and is built once; only the slow table is rebuilt
-    per iterate, through the same checks as a system's.  One system is built,
-    by blow_up at the final lambda1, when the solve returns."""
+    by lambda1 = rho1*r and the equilibrium series head of the starting
+    system, built once.  Its fast table does not depend on lambda1; only the
+    slow table is rebuilt per iterate, through the same checks as a system's.
+    One more system is built, by blow_up at the final lambda1, on return."""
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
     dn = _lambda1_slopes(nf, r)
-    m = _clean_terms(_m_table(nf, r), _DEGREE)
-    n = _clean_terms(_n_table(nf, r, lam), _DEGREE)
-    x, y = _equilibrium_series(m, n, r).predict(r)
+    start = PlanarPolySystem(_m_table(nf, r), _n_table(nf, r, lam))
+    m, n = start.fx, start.fy
+    x, y = equilibrium_series(start, r).predict(r)
     for _ in range(_MAX_ITER):
         (f, g, t), ((a, b, _), (c, d, p), (e, h, k)) = _hopf_system(m, n, dn, x, y)
-        # one extra step after meeting tol polishes the residual to the
+        # one extra step after meeting _TOL polishes the residual to the
         # floating-point floor (the Lyapunov gate needs the margin)
-        converged = max(abs(f), abs(g), abs(t)) < tol
+        converged = max(abs(f), abs(g), abs(t)) < _TOL
         minor = d * k - p * h
         det = a * minor - b * (c * k - p * e)
         if det == 0.0 or not math.isfinite(det):
@@ -458,16 +448,16 @@ def _hopf_point(nf: NormalFormCoefficients, r: float, tol: float = 1e-12
         lam -= (a * (d * t - g * h) - b * (c * t - g * e) + f * (c * h - d * e)) / det
         if converged:
             return lam, (x, y), blow_up(nf, r, lam)
-        n = _clean_terms(_n_table(nf, r, lam), _DEGREE)
-    raise NumericsError(f"Hopf location did not reach residual {tol} in {_MAX_ITER} iterations")
+        n = _clean_terms(_n_table(nf, r, lam))
+    raise NumericsError(f"Hopf location did not reach residual {_TOL} in {_MAX_ITER} iterations")
 
 
-def hopf_lambda1(nf: NormalFormCoefficients, r: float, tol: float = 1e-12) -> float:
+def hopf_lambda1(nf: NormalFormCoefficients, r: float) -> float:
     """The value of lambda1 putting the blown-up equilibrium on the Hopf
     curve (zero linear trace) at radius r: one joint Newton iteration on
     (equilibrium, zero trace) in (x, y, lambda1), seeded by the series head
-    rho1*r, stopped once the residual is below tol and one more step taken."""
-    return _hopf_point(nf, r, tol)[0]
+    rho1*r, stopped once the residual is below _TOL and one more step taken."""
+    return _hopf_point(nf, r)[0]
 
 
 def lyapunov_DF(sys: PlanarPolySystem) -> float:
@@ -494,7 +484,10 @@ def lyapunov_DF(sys: PlanarPolySystem) -> float:
     gyyy = 6.0 * g2((0, 3), 0.0)
     cubic = fxxx + fxyy + gxxy + gyyy
     mixed = (fxy * (fxx + fyy) - gxy * (gxx + gyy) - fxx * gxx + fyy * gyy) / beta0
-    return (cubic + mixed) / 16.0
+    l1 = (cubic + mixed) / 16.0
+    if not math.isfinite(l1):
+        raise NumericsError(f"first Lyapunov coefficient overflowed to {l1}")
+    return l1
 
 
 def l1_blowup(nf: NormalFormCoefficients, r: float) -> float:
@@ -550,11 +543,11 @@ def sample_record(rng: np.random.Generator,
         try:
             lam = hopf_lambda1(nf, _R_CHECK)
             sys = blow_up(nf, _R_CHECK, lam)
-            x, y = find_equilibrium(sys)
+            x, y = find_equilibrium(sys, equilibrium_series(sys, _R_CHECK).predict(_R_CHECK))
         except (DomainError, NumericsError):
             continue
-        m10, m01 = _partials(sys.fx, x, y, sys.degree)[1:3]
-        n10, n01 = _partials(sys.fy, x, y, sys.degree)[1:3]
+        m10, m01 = _partials(sys.fx, x, y)[1:3]
+        n10, n01 = _partials(sys.fy, x, y)[1:3]
         disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
         if _DISC_FLOOR < disc < math.inf:
             return nf

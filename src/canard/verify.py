@@ -121,8 +121,8 @@ def series_order_slope(nf: NormalFormCoefficients, lambda1: float = 0.1,
     gaps = []
     for r in grid:
         sys = blow_up(nf, r, lambda1)
-        ex, ey = find_equilibrium(sys)
-        px, py = equilibrium_series(sys).predict(r)
+        px, py = equilibrium_series(sys, r).predict(r)
+        ex, ey = find_equilibrium(sys, (px, py))
         gap = math.hypot(ex - px, ey - py)
         if gap == 0.0:
             raise NumericsError("zero series gap cannot be fitted on a log scale")

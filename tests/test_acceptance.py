@@ -158,8 +158,8 @@ def test_c09_sdi_cyclicity():
 
 def test_c10_lyapunov_unit_checks():
     sigma = 0.7
-    cubic = PlanarPolySystem({(0, 1): -1.0, (3, 0): sigma}, {(1, 0): 1.0}, 1.0)
-    center = PlanarPolySystem({(0, 1): -1.0}, {(1, 0): 1.0}, 1.0)
+    cubic = PlanarPolySystem({(0, 1): -1.0, (3, 0): sigma}, {(1, 0): 1.0})
+    center = PlanarPolySystem({(0, 1): -1.0}, {(1, 0): 1.0})
     got = lyapunov_DF(cubic)
     want = 3.0 * sigma / 8.0
     err_cubic = abs(got - want) / abs(want)

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from model_oracle import jet_reduced_record
 
+from canard._kernels import bisect
 from canard.allee import (
     PSI_TAGS,
     AlleeParams,
@@ -22,6 +23,7 @@ from canard.allee import (
     model_bifurcation_curves,
     model_columns,
     model_field,
+    model_l1,
     normal_form_coeffs,
     normal_form_columns,
     omega2_at_degeneracy,
@@ -29,6 +31,7 @@ from canard.allee import (
     psi_columns,
     require_closed_forms,
 )
+from canard.dynamics import hopf_onset_scan
 from canard.errors import DomainError, NumericsError
 from canard.normalform import COEFF_NAMES, compute_A, lambda_c, lambda_H, omega_coefficients
 
@@ -635,3 +638,38 @@ class TestModelCurves:
         c1 = model_bifurcation_curves(p1)
         c2 = model_bifurcation_curves(p2)
         assert abs(c1.lambda_h - 2.0 * c2.lambda_h) < 1e-15
+
+
+def on_hopf_curve(params, beta_range):
+    """params with beta moved to the numeric Hopf onset of E4."""
+    p = AlleeParams(**params)
+    return replace(p, beta=hopf_onset_scan(p, beta_range, 8).beta_onset)
+
+
+class TestModelL1:
+    """The model's first Lyapunov coefficient through blowup's planar stages,
+    on the Hopf curve; its zero in m is the model's criticality switch."""
+
+    def test_signs_at_the_examples(self):
+        assert model_l1(on_hopf_curve(EX1, (0.195, 0.205))) < 0.0
+        assert model_l1(on_hopf_curve(EX2, (0.135, 0.142))) > 0.0
+        # omega1 < 0 here, but the model is still subcritical
+        assert model_l1(on_hopf_curve(dict(EX2, m=0.263375), (0.135, 0.142))) > 0.0
+
+    def test_off_the_hopf_curve_rejected(self):
+        # at the published beta of example 1 the E4 trace is -1.04e-4
+        with pytest.raises(DomainError, match="linear trace"):
+            model_l1(AlleeParams(**EX1))
+
+    @pytest.mark.parametrize("eps, c", [(0.01, 0.0639), (0.0025, 0.0638)])
+    def test_switch_lies_off_m_star(self, eps, c):
+        # (m_B - m*)/eps from bisecting the sign of L1 in m along the Hopf
+        # curve of the EX2 family; m* is the closed-form switch (omega1 = 0)
+        m_star = psi_case_analysis(EX2["m"], EX2["n"], EX2["alpha"], EX2["gamma"]).m_star
+
+        def l1_at(m):
+            return model_l1(on_hopf_curve(dict(EX2, m=m, eps=eps), (0.135, 0.142)))
+        lo, hi = m_star, m_star + 0.2 * eps
+        assert l1_at(lo) > 0.0 > l1_at(hi)
+        m_b = bisect(l1_at, lo, hi, l1_at(lo), lambda a, b: b - a <= 1e-7 * eps)
+        assert abs((m_b - m_star) / eps - c) <= 5e-5

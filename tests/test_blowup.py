@@ -21,6 +21,7 @@ from canard.blowup import (
     normalize_linear,
     sample_record,
     translate_to_equilibrium,
+    _DEGREE,
     _hatted_tables,
     _hopf_point,
     _hopf_system,
@@ -106,12 +107,17 @@ def centered_series_tables(m, n, es, r):
     return mbar, nbar
 
 
+def series_equilibrium(sys, r):
+    """find_equilibrium seeded, as the oracle seeds it, by the series head at r."""
+    return find_equilibrium(sys, equilibrium_series(sys, r).predict(r))
+
+
 def centered_table_error(nf, r):
     sys = blow_up(nf, r, 0.1)
-    eq = find_equilibrium(sys)
+    eq = series_equilibrium(sys, r)
     centered = translate_to_equilibrium(sys, eq)
-    m, n = _hatted_tables(sys.fx, sys.fy, sys.r)
-    es = equilibrium_series(sys)
+    m, n = _hatted_tables(sys.fx, sys.fy, r)
+    es = equilibrium_series(sys, r)
     mbar, nbar = centered_series_tables(m, n, es, r)
     err = 0.0
     for ij, want in mbar.items():
@@ -148,7 +154,7 @@ class TestBlowUp:
             sys = blow_up(random_record(rng), np.float64(rng.uniform(0.02, 0.2)),
                           np.float64(rng.uniform(-1.0, 1.0)))
             for terms in (sys.fx, sys.fy):
-                assert terms == Jet(2, sys.degree, terms).coeffs
+                assert terms == Jet(2, _DEGREE, terms).coeffs
                 assert all(type(c) is float and c != 0.0 for c in terms.values())
                 assert all(type(e) is int for mi in terms for e in mi)
 
@@ -183,7 +189,7 @@ class TestBlowUp:
 class TestPlanarPolySystem:
     def test_drops_zeros_keeps_order_and_coerces(self):
         fx = {(0, 3): np.float64(0.5), (1, 0): 0.0, (0, 1): -1.0, (2, 0): np.float64(-0.0)}
-        sys = PlanarPolySystem(fx, {(1, 0): 1.0, (0, 0): 0.0}, 0.1)
+        sys = PlanarPolySystem(fx, {(1, 0): 1.0, (0, 0): 0.0})
         assert list(sys.fx.items()) == [((0, 3), 0.5), ((0, 1), -1.0)]
         assert all(type(c) is float for c in sys.fx.values())
         assert sys.fy == {(1, 0): 1.0}
@@ -191,32 +197,26 @@ class TestPlanarPolySystem:
 
     def test_keys_become_int_pairs(self):
         fx = {(0, 1): -1.0, (2.0, np.int64(0)): 1.0}
-        sys = PlanarPolySystem(fx, {(1, 0): 1.0, (0, 0): -0.1}, 0.1)
+        sys = PlanarPolySystem(fx, {(1, 0): 1.0, (0, 0): -0.1})
         assert list(sys.fx) == [(0, 1), (2, 0)]
         assert all(type(e) is int for k in sys.fx for e in k)
-        assert find_equilibrium(sys) == pytest.approx((0.1, 0.01))
+        assert find_equilibrium(sys, (0.0, 0.0)) == pytest.approx((0.1, 0.01))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, value):
         with pytest.raises(DomainError, match="non-finite coefficient at"):
-            PlanarPolySystem({(0, 1): -1.0}, {(2, 1): value}, 0.1)
+            PlanarPolySystem({(0, 1): -1.0}, {(2, 1): value})
 
     @pytest.mark.parametrize("term", [(5, 0), (2, 3), (0, 5), (-1, 2), (2, -1)])
     def test_term_outside_degree_rejected(self, term):
         with pytest.raises(DomainError, match="not a monomial"):
-            PlanarPolySystem({term: 1.0}, {(1, 0): 1.0}, 0.1)
-
-    def test_degree_bound_is_the_system_field(self):
-        sys = PlanarPolySystem({(6, 0): 1.0}, {(1, 0): 1.0}, 0.1, degree=6)
-        assert sys.degree == 6 and sys.fx == {(6, 0): 1.0}
-        with pytest.raises(DomainError, match="at least 3"):
-            PlanarPolySystem({(0, 1): 1.0}, {(1, 0): 1.0}, 0.1, degree=2)
+            PlanarPolySystem({term: 1.0}, {(1, 0): 1.0})
 
 
 class TestEquilibriumSeries:
     def test_canonical_head(self):
         sys = blow_up(CANONICAL, 0.07, 0.2)
-        es = equilibrium_series(sys)
+        es = equilibrium_series(sys, 0.07)
         assert es.p[0] == pytest.approx(0.2, rel=1e-14)
         assert es.q[0] == pytest.approx(0.04, rel=1e-14)
         for k in (1, 2, 3):
@@ -225,7 +225,7 @@ class TestEquilibriumSeries:
 
     def test_canonical_prediction(self):
         sys = blow_up(CANONICAL, 0.05, 0.2)
-        assert equilibrium_series(sys).predict(0.05) == pytest.approx((0.2, 0.04))
+        assert equilibrium_series(sys, 0.05).predict(0.05) == pytest.approx((0.2, 0.04))
 
     def test_order_four_accuracy(self):
         rng = np.random.default_rng(777)
@@ -233,8 +233,8 @@ class TestEquilibriumSeries:
 
         def gap(r):
             sys = blow_up(nf, r, 0.1)
-            ex, ey = find_equilibrium(sys)
-            px, py = equilibrium_series(sys).predict(r)
+            px, py = equilibrium_series(sys, r).predict(r)
+            ex, ey = find_equilibrium(sys, (px, py))
             return math.hypot(ex - px, ey - py)
 
         ratio = gap(0.05) / gap(0.025)
@@ -243,9 +243,9 @@ class TestEquilibriumSeries:
     def test_vanishing_denominator(self):
         fx = {(0, 1): -1.0, (2, 0): 1.0}
         fy = {(0, 1): 1.0}  # no x term: n10 = 0
-        sys = PlanarPolySystem(fx, fy, 0.1)
+        sys = PlanarPolySystem(fx, fy)
         with pytest.raises(DomainError):
-            equilibrium_series(sys)
+            equilibrium_series(sys, 0.1)
 
 
 class TestTranslate:
@@ -291,7 +291,7 @@ class TestNormalizeLinear:
             nf = random_record(rng)
             r = float(rng.uniform(0.02, 0.1))
             sys = blow_up(nf, r, float(rng.uniform(-0.5, 0.5)))
-            centered = translate_to_equilibrium(sys, find_equilibrium(sys))
+            centered = translate_to_equilibrium(sys, series_equilibrium(sys, r))
             J0 = _linear_part(centered)
             J1 = _linear_part(normalize_linear(centered))
             assert np.trace(J1) == pytest.approx(np.trace(J0), abs=1e-12)
@@ -302,7 +302,7 @@ class TestNormalizeLinear:
         nf = random_record(rng)
         r = 0.06
         sys = blow_up(nf, r, 0.05)
-        centered = translate_to_equilibrium(sys, find_equilibrium(sys))
+        centered = translate_to_equilibrium(sys, series_equilibrium(sys, r))
         J = _linear_part(normalize_linear(centered))
         scale = abs(J[0, 1]) + abs(J[1, 0])
         assert abs(J[0, 0] - J[1, 1]) < 1e-12 * scale
@@ -314,7 +314,7 @@ class TestNormalizeLinear:
             assert abs(got - w) < 1e-10 * max(1.0, abs(w))
 
     def test_real_eigenvalues_rejected(self):
-        sys = PlanarPolySystem({(1, 0): 1.0}, {(0, 1): 1.0}, 0.1)
+        sys = PlanarPolySystem({(1, 0): 1.0}, {(0, 1): 1.0})
         with pytest.raises(DomainError):
             normalize_linear(sys)
 
@@ -322,7 +322,7 @@ class TestNormalizeLinear:
         # with m01 = 0 the discriminant is -(m10 - n01)^2 <= 0, but with m10
         # and n01 adjacent floats it rounds to a positive value
         sys = PlanarPolySystem({(1, 0): 1.6510223091108869},
-                               {(1, 0): 1.0, (0, 1): 1.651022309110887}, 0.1)
+                               {(1, 0): 1.0, (0, 1): 1.651022309110887})
         with pytest.raises(DomainError, match="m01 != 0"):
             normalize_linear(sys)
 
@@ -357,30 +357,33 @@ class TestHopfLambda1:
 
 
 class TestLyapunovDF:
-    def lemma_system(self, fx_terms, fy_terms):
-        return PlanarPolySystem(fx_terms, fy_terms, 1.0)
-
     def test_cubic_fast_term(self):
         sigma = 0.7
-        sys = self.lemma_system({(0, 1): -1.0, (3, 0): sigma}, {(1, 0): 1.0})
+        sys = PlanarPolySystem({(0, 1): -1.0, (3, 0): sigma}, {(1, 0): 1.0})
         assert lyapunov_DF(sys) == pytest.approx(6.0 * sigma / 16.0, rel=1e-14)
 
     def test_linear_center(self):
-        sys = self.lemma_system({(0, 1): -1.0}, {(1, 0): 1.0})
+        sys = PlanarPolySystem({(0, 1): -1.0}, {(1, 0): 1.0})
         assert lyapunov_DF(sys) == 0.0
 
     def test_quadratic_cross_terms(self):
-        sys = self.lemma_system({(0, 1): -1.0, (2, 0): 1.0, (1, 1): 1.0}, {(1, 0): 1.0})
+        sys = PlanarPolySystem({(0, 1): -1.0, (2, 0): 1.0, (1, 1): 1.0}, {(1, 0): 1.0})
         assert lyapunov_DF(sys) == pytest.approx(0.125, rel=1e-14)
 
     def test_trace_gate(self):
-        sys = self.lemma_system({(1, 0): 1e-6, (0, 1): -1.0}, {(1, 0): 1.0})
+        sys = PlanarPolySystem({(1, 0): 1e-6, (0, 1): -1.0}, {(1, 0): 1.0})
         with pytest.raises(DomainError):
             lyapunov_DF(sys)
 
     def test_zero_rotation_rejected(self):
-        sys = self.lemma_system({(0, 1): -1.0}, {(0, 2): 1.0})
+        sys = PlanarPolySystem({(0, 1): -1.0}, {(0, 2): 1.0})
         with pytest.raises(DomainError):
+            lyapunov_DF(sys)
+
+    def test_overflow_raises(self):
+        # finite coefficients whose quadratic products pass the float range
+        sys = PlanarPolySystem({(0, 1): -1.0, (2, 0): 1e300, (1, 1): 1e300}, {(1, 0): 1.0})
+        with pytest.raises(NumericsError, match="overflowed"):
             lyapunov_DF(sys)
 
 
@@ -404,10 +407,10 @@ class TestL1Blowup:
         r = 0.08
         lam = hopf_lambda1(nf, r)
         sys = blow_up(nf, r, lam)
-        centered = translate_to_equilibrium(sys, find_equilibrium(sys))
+        centered = translate_to_equilibrium(sys, series_equilibrium(sys, r))
         l1_m01 = lyapunov_DF(normalize_linear(centered))
         fx, fy = _reference_rotated(centered, pivot="n10")
-        l1_n10 = lyapunov_DF(PlanarPolySystem(fx.coeffs, fy.coeffs, r, centered.degree))
+        l1_n10 = lyapunov_DF(PlanarPolySystem(fx.coeffs, fy.coeffs))
         ratio = abs(centered.fx[(0, 1)] / centered.fy[(1, 0)])
         assert l1_n10 / l1_m01 == pytest.approx(ratio, rel=1e-9)
         assert l1_n10 / l1_m01 > 0.0
@@ -467,7 +470,7 @@ class TestSampleRecord:
         assert nf1 == nf2
         lam = hopf_lambda1(nf1, 0.1)
         sys = blow_up(nf1, 0.1, lam)
-        centered = translate_to_equilibrium(sys, find_equilibrium(sys))
+        centered = translate_to_equilibrium(sys, series_equilibrium(sys, 0.1))
         J = _linear_part(centered)
         disc = 4.0 * np.linalg.det(J) - np.trace(J) ** 2
         assert disc > 0.05
@@ -488,11 +491,11 @@ class TestSampleRecord:
             try:
                 lam = hopf_lambda1(nf, 0.1)
                 sys = blow_up(nf, 0.1, lam)
-                x, y = find_equilibrium(sys)
+                x, y = series_equilibrium(sys, 0.1)
             except (DomainError, NumericsError):
                 continue
-            m10, m01 = _partials(sys.fx, x, y, sys.degree)[1:3]
-            n10, n01 = _partials(sys.fy, x, y, sys.degree)[1:3]
+            m10, m01 = _partials(sys.fx, x, y)[1:3]
+            n10, n01 = _partials(sys.fy, x, y)[1:3]
             disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
             if 0.05 < disc < math.inf:
                 return nf
@@ -592,7 +595,7 @@ class TestNewtonProperties:
         lam = rho_coefficients(nf).rho1 * r + offset * r * r
         dn = _lambda1_slopes(nf, r)
         sys = blow_up(nf, r, lam)
-        point = [*equilibrium_series(sys).predict(r), lam]
+        point = [*equilibrium_series(sys, r).predict(r), lam]
 
         def residual(x, y, lam):
             at = blow_up(nf, r, lam)
@@ -617,7 +620,7 @@ class TestNewtonProperties:
         nf = _drawn_record(seed, constrained)
         lam = hopf_lambda1(nf, r)
         sys = blow_up(nf, r, lam)
-        centered = translate_to_equilibrium(sys, find_equilibrium(sys))
+        centered = translate_to_equilibrium(sys, series_equilibrium(sys, r))
         assert abs(np.trace(_linear_part(centered))) / 2.0 < 1e-12
         rotated = normalize_linear(centered)
         assert abs(np.trace(_linear_part(rotated))) < 1e-12
@@ -631,9 +634,9 @@ class TestNewtonProperties:
         nf = _drawn_record(seed, constrained)
         lam, (x, y), sys = _hopf_point(nf, r)
         assert sys == blow_up(nf, r, lam)
-        ex, ey = find_equilibrium(sys)
+        ex, ey = series_equilibrium(sys, r)
         assert abs(x - ex) < 1e-12 and abs(y - ey) < 1e-12
-        fx, fy = Jet(2, sys.degree, sys.fx), Jet(2, sys.degree, sys.fy)
+        fx, fy = Jet(2, _DEGREE, sys.fx), Jet(2, _DEGREE, sys.fy)
         assert max(abs(jet_eval(fx, (x, y))), abs(jet_eval(fy, (x, y)))) < 1e-12
         centered = translate_to_equilibrium(sys, (x, y))
         assert abs(np.trace(_linear_part(centered))) < 1e-12
@@ -654,42 +657,66 @@ class TestNewtonProperties:
         with pytest.raises(DomainError, match=r"non-finite coefficient at \(0, 0\)"):
             hopf_lambda1(nf, r)
 
+    @pytest.mark.parametrize("coeffs", [{"c10": 1e300}, {"f00": 1e200}])
+    def test_huge_record_raises_numerics_error(self, coeffs):
+        # a float power in the equilibrium series passes the float range
+        with pytest.raises(NumericsError, match="equilibrium series"):
+            hopf_lambda1(NormalFormCoefficients(**coeffs), 0.005)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coeffs=st.dictionaries(
+               st.sampled_from(COEFF_NAMES),
+               st.builds(lambda sign, e: sign * 10.0 ** e,
+                         st.sampled_from((-1.0, 1.0)), st.floats(10.0, 300.0)),
+               min_size=1, max_size=3),
+           r=st.floats(0.0, 0.2, exclude_min=True))
+    def test_extreme_records_fail_typed(self, coeffs, r):
+        nf = NormalFormCoefficients(**coeffs)
+        for oracle in (hopf_lambda1, l1_blowup):
+            try:
+                value = oracle(nf, r)
+            except (DomainError, NumericsError):
+                continue
+            assert math.isfinite(value)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
            r=st.floats(0.005, 0.2), offset=st.floats(-1.0, 1.0))
     def test_equilibrium_residual(self, seed, constrained, r, offset):
         nf = _drawn_record(seed, constrained)
         sys = blow_up(nf, r, rho_coefficients(nf).rho1 * r + offset * r * r)
-        eq = find_equilibrium(sys)
-        fx, fy = Jet(2, sys.degree, sys.fx), Jet(2, sys.degree, sys.fy)
+        eq = series_equilibrium(sys, r)
+        fx, fy = Jet(2, _DEGREE, sys.fx), Jet(2, _DEGREE, sys.fy)
         assert max(abs(jet_eval(fx, eq)), abs(jet_eval(fy, eq))) < 1e-12
 
-    def test_equilibrium_polishes_after_meeting_tol(self):
-        # with tol = 1 the guess already passes, so only the polishing step moves it
+    def test_equilibrium_polishes_after_meeting_tol(self, monkeypatch):
+        # with _TOL = 1 the guess already passes, so only the polishing step moves it
+        monkeypatch.setattr("canard.blowup._TOL", 1.0)
         nf = _drawn_record(11, False)
         sys = blow_up(nf, 0.1, 0.05)
-        guess = equilibrium_series(sys).predict(0.1)
-        eq = find_equilibrium(sys, guess=guess, tol=1.0)
-        fx, fy = Jet(2, sys.degree, sys.fx), Jet(2, sys.degree, sys.fy)
+        guess = equilibrium_series(sys, 0.1).predict(0.1)
+        eq = find_equilibrium(sys, guess)
+        fx, fy = Jet(2, _DEGREE, sys.fx), Jet(2, _DEGREE, sys.fy)
 
         def res(p):
             return max(abs(jet_eval(fx, p)), abs(jet_eval(fy, p)))
         assert eq != guess
         assert res(eq) < 1e-3 * res(guess)
 
-    def test_hopf_lambda1_polishes_after_meeting_tol(self):
-        # with tol = 1 the seed (rho1*r, series head) already passes; the answer
+    def test_hopf_lambda1_polishes_after_meeting_tol(self, monkeypatch):
+        # with _TOL = 1 the seed (rho1*r, series head) already passes; the answer
         # is one joint Newton step on
+        monkeypatch.setattr("canard.blowup._TOL", 1.0)
         nf = _drawn_record(11, False)
         r = 0.1
         dn = _lambda1_slopes(nf, r)
         lam0 = rho_coefficients(nf).rho1 * r
         sys0 = blow_up(nf, r, lam0)
-        seed = equilibrium_series(sys0).predict(r)
+        seed = equilibrium_series(sys0, r).predict(r)
         f0, jac = _hopf_system(sys0.fx, sys0.fy, dn, *seed)
         step = np.linalg.solve(np.array(jac), np.array(f0))
-        lam, (x, y), sys = _hopf_point(nf, r, tol=1.0)
-        assert hopf_lambda1(nf, r, tol=1.0) == lam
+        lam, (x, y), sys = _hopf_point(nf, r)
+        assert hopf_lambda1(nf, r) == lam
         assert [x, y, lam] == pytest.approx([seed[0] - step[0], seed[1] - step[1],
                                              lam0 - step[2]], rel=1e-12, abs=0.0)
         f1 = _hopf_system(sys.fx, sys.fy, dn, x, y)[0]
@@ -698,7 +725,7 @@ class TestNewtonProperties:
 
 def _reference_centered(sys, eq):
     """translate_to_equilibrium's terms by the generic jet op."""
-    return [[(k, v) for k, v in jet_recenter(Jet(2, sys.degree, f), eq).coeffs.items()
+    return [[(k, v) for k, v in jet_recenter(Jet(2, _DEGREE, f), eq).coeffs.items()
              if k != (0, 0)] for f in (sys.fx, sys.fy)]
 
 
@@ -722,9 +749,8 @@ def _reference_rotated(sys, pivot="m01", invert=None):
         T = np.array([[rt2 * (n01 - m10) / 2.0, -rt2 * m01], [rt2 / 2.0 * s, 0.0]])
     Tinv = invert(T) if invert else np.array(
         [[0.0, 1.0 / T[1, 0]], [1.0 / T[0, 1], -T[0, 0] / (T[0, 1] * T[1, 0])]])
-    deg = sys.degree
-    subs = [Jet(2, deg, {(1, 0): Tinv[i, 0], (0, 1): Tinv[i, 1]}) for i in (0, 1)]
-    fz1, fz2 = (jet_compose(Jet(2, deg, f), subs) for f in (sys.fx, sys.fy))
+    subs = [Jet(2, _DEGREE, {(1, 0): Tinv[i, 0], (0, 1): Tinv[i, 1]}) for i in (0, 1)]
+    fz1, fz2 = (jet_compose(Jet(2, _DEGREE, f), subs) for f in (sys.fx, sys.fy))
     return [jet_add(jet_scale(fz1, T[i, 0]), jet_scale(fz2, T[i, 1])) for i in (0, 1)]
 
 
@@ -743,25 +769,25 @@ def _assert_kernels_match(sys, eq):
     assert rotated.fy == want[1].coeffs
 
 
-def _random_planar_system(seed, degree):
-    """Two planar jets with uniform coefficients in a random insertion order,
-    zeros left out, a linear part with complex eigenvalues, and a random centre
-    that the constant terms put on the zero set of both components."""
+def _random_planar_system(seed):
+    """Two planar jets with every monomial up to _DEGREE populated by a uniform
+    coefficient, in a random insertion order, a linear part with complex
+    eigenvalues, and a random centre that the constant terms put on the zero
+    set of both components."""
     rng = np.random.default_rng(seed)
     x0, y0 = (float(v) for v in rng.uniform(-1.5, 1.5, 2))
     rot, diag = rng.uniform(0.5, 2.0, 2), rng.uniform(-0.4, 0.4, 2)
-    keys = [(i, n - i) for n in range(degree + 1) for i in range(n + 1) if n != 1]
+    keys = [(i, n - i) for n in range(_DEGREE + 1) for i in range(n + 1) if n != 1]
     tables = []
     for linear in ({(1, 0): diag[0], (0, 1): -rot[0]}, {(1, 0): rot[1], (0, 1): diag[1]}):
-        order = rng.permutation(len(keys))[:rng.integers(0, len(keys) + 1)]
-        items = [(keys[k], float(rng.uniform(-2.0, 2.0))) for k in order]
+        items = [(keys[k], float(rng.uniform(-2.0, 2.0))) for k in rng.permutation(len(keys))]
         at = int(rng.integers(0, len(items) + 1))
         items[at:at] = [(k, float(v)) for k, v in linear.items()]
         f = dict(items)
         f[(0, 0)] = 0.0
-        f[(0, 0)] = -jet_eval(Jet(2, degree, f), (x0, y0))
+        f[(0, 0)] = -jet_eval(Jet(2, _DEGREE, f), (x0, y0))
         tables.append(f)
-    return PlanarPolySystem(tables[0], tables[1], 0.1, degree=degree), (x0, y0)
+    return PlanarPolySystem(tables[0], tables[1]), (x0, y0)
 
 
 class TestFlatKernels:
@@ -774,45 +800,42 @@ class TestFlatKernels:
     def test_drawn_records(self, seed, constrained, r, offset):
         nf = _drawn_record(seed, constrained)
         sys = blow_up(nf, r, rho_coefficients(nf).rho1 * r + offset * r * r)
-        _assert_kernels_match(sys, find_equilibrium(sys))
+        _assert_kernels_match(sys, series_equilibrium(sys, r))
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(3, 6))
-    def test_random_jets_and_centres(self, seed, degree):
-        sys, centre = _random_planar_system(seed, degree)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_jets_and_centres(self, seed):
+        sys, centre = _random_planar_system(seed)
         _assert_kernels_match(sys, centre)
-        # the rotation on a system whose own linear part is the drawn one
-        centered = PlanarPolySystem(sys.fx, sys.fy, 0.1, degree=degree)
-        want = _reference_rotated(centered)
-        got = normalize_linear(centered)
+        # the rotation on the system itself, whose linear part is the drawn one
+        want = _reference_rotated(sys)
+        got = normalize_linear(sys)
         assert (got.fx, got.fy) == (want[0].coeffs, want[1].coeffs)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(3, 6))
-    def test_explicit_inverse_is_lapacks_to_rounding(self, seed, degree):
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_explicit_inverse_is_lapacks_to_rounding(self, seed):
         # normalize_linear writes T^-1 out; np.linalg.inv(T) differs from it
         # by rounding only
-        sys, _ = _random_planar_system(seed, degree)
-        centered = PlanarPolySystem(sys.fx, sys.fy, 0.1, degree=degree)
-        got = normalize_linear(centered)
-        want = _reference_rotated(centered, invert=np.linalg.inv)
+        sys, _ = _random_planar_system(seed)
+        got = normalize_linear(sys)
+        want = _reference_rotated(sys, invert=np.linalg.inv)
         for g, w in ((got.fx, want[0].coeffs), (got.fy, want[1].coeffs)):
             scale = max(abs(v) for v in w.values())
             assert g.keys() == w.keys()
             assert all(abs(g[k] - w[k]) <= 1e-13 * scale for k in w)
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), degree=st.integers(3, 6))
-    def test_substitution_kernel_with_two_full_forms(self, seed, degree):
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_substitution_kernel_with_two_full_forms(self, seed):
         # normalize_linear's T^-1 has a zero entry, so one of its linear forms
         # is a monomial; full forms show the summation order of jet_compose too
-        sys, _ = _random_planar_system(seed, degree)
+        sys, _ = _random_planar_system(seed)
         a, b, c, d = (float(v) for v in np.random.default_rng([seed, 1]).uniform(-2.0, 2.0, 4))
-        subs = [Jet(2, degree, {(1, 0): a, (0, 1): b}),
-                Jet(2, degree, {(1, 0): c, (0, 1): d})]
-        got = _substitute_linear(sys.fy, _linear_powers(a, b, degree),
-                                 _linear_powers(c, d, degree))
-        assert got == jet_compose(Jet(2, degree, sys.fy), subs).coeffs
+        subs = [Jet(2, _DEGREE, {(1, 0): a, (0, 1): b}),
+                Jet(2, _DEGREE, {(1, 0): c, (0, 1): d})]
+        got = _substitute_linear(sys.fy, _linear_powers(a, b), _linear_powers(c, d))
+        assert got == jet_compose(Jet(2, _DEGREE, sys.fy), subs).coeffs
 
     def test_recentering_overflow_raises(self):
         # the residual is exactly 0, but the (0, 1) term of the recentred fast
@@ -820,17 +843,24 @@ class TestFlatKernels:
         big = 2.0 ** 1023
         fx = {(0, 0): -1.5625 * big, (0, 2): big}
         fy = {(1, 0): 1.0}
-        sys = PlanarPolySystem(fx, fy, 0.1)
+        sys = PlanarPolySystem(fx, fy)
         with pytest.raises(DomainError, match="non-finite"):
             jet_recenter(Jet(2, 4, fx), (0.0, 1.25))
         with pytest.raises(DomainError, match="non-finite"):
             translate_to_equilibrium(sys, (0.0, 1.25))
 
+    def test_recentring_power_overflow_raises(self):
+        # the residual at (0, 1e100) is exactly 0, but the centre's fourth
+        # power, which the kernel tabulates for every table, overflows
+        sys = PlanarPolySystem({(1, 0): 1.0}, {(1, 0): 1.0})
+        with pytest.raises(DomainError, match="non-finite power of the centre"):
+            translate_to_equilibrium(sys, (0.0, 1e100))
+
     def test_rotation_overflow_raises(self):
         # small pivots make T^-1 large, and the cubic terms overflow under it
         fx = {(0, 1): -1e-3, (3, 0): 1e307, (1, 2): 1e307}
         fy = {(1, 0): 1e-3, (0, 3): 1e307}
-        sys = PlanarPolySystem(fx, fy, 0.1)
+        sys = PlanarPolySystem(fx, fy)
         with pytest.raises(DomainError, match="non-finite"):
             _reference_rotated(sys)
         with pytest.raises(DomainError, match="non-finite"):
