@@ -670,6 +670,7 @@ class TestModelL1:
         def l1_at(m):
             return model_l1(on_hopf_curve(dict(EX2, m=m, eps=eps), (0.135, 0.142)))
         lo, hi = m_star, m_star + 0.2 * eps
-        assert l1_at(lo) > 0.0 > l1_at(hi)
-        m_b = bisect(l1_at, lo, hi, l1_at(lo), lambda a, b: b - a <= 1e-7 * eps)
+        l1_lo = l1_at(lo)
+        assert l1_lo > 0.0 > l1_at(hi)
+        m_b = bisect(l1_at, lo, hi, l1_lo, lambda a, b: b - a <= 1e-7 * eps)
         assert abs((m_b - m_star) / eps - c) <= 5e-5
