@@ -12,8 +12,8 @@ optional section stop ends a run at the first crossing of a vertical
 line in a wanted direction, located exactly as
 dynamics.section_crossings locates it on the interpolant it asks for
 (store_dense).  bisect serves that location, the displacement root of
-dynamics.find_cycle and the trace root of dynamics.hopf_onset_scan, each
-with its own stop rule."""
+dynamics.find_cycle and the Hopf point of allee.hopf_onset, each with its
+own stop rule."""
 
 from __future__ import annotations
 

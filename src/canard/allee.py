@@ -36,6 +36,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ._kernels import bisect
 from .blowup import PlanarPolySystem, lyapunov_DF, normalize_linear, translate_to_equilibrium
 from .errors import DomainError, NumericsError
 from .normalform import (
@@ -266,9 +267,52 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
     return EquilibriaReport(E0, E1, E2, E3, E4, delta1, delta2, fold_point(p.m, p.n))
 
 
+@dataclass(frozen=True)
+class HopfOnset:
+    beta_onset: float
+    lambda_onset: float
+    beta_predicted: float
+    lambda_predicted: float
+
+
+def hopf_onset(p: AlleeParams) -> HopfOnset:
+    """The beta where the E4 trace vanishes, its template unfolding
+    parameter, and their leading-order predictions from lambda_H(c10, f00,
+    eps) of the normal-form record; the result does not depend on p.beta.
+
+    On the prey nullcline y = F(x) the trace is h(x) = x F'(x) - eps*gamma*F(x),
+    free of beta; beta = alpha*x - gamma*F(x) picks the x of E4.  h > 0 at the
+    left prey-only root x1 and h < 0 at the fold x_M; for eps*gamma < 1,
+    (m + x)^2 h has no other positive root, and it is E4 when its beta > 0.
+    DomainError for eps*gamma >= 1, y_M = 0 or a Hopf beta <= 0."""
+    m, n, gamma = p.m, p.n, p.gamma
+    eg = p.eps * gamma
+    if eg >= 1.0:
+        raise DomainError(f"requires eps*gamma < 1, got {eg}")
+
+    def h(x):
+        return x * critical_slope(x, m, n) - eg * critical_height(x, m, n)
+
+    xM, yM = fold_point(m, n)
+    delta1, x1, _ = boundary_roots(m, n)
+    # near y_M = 0 rounding can merge x1 into x_M or make the roots complex
+    if not (yM > 0.0 and delta1 > 0.0 and h(x1) > 0.0 > h(xM)):
+        raise DomainError(f"the E4 trace does not change sign on [x1, x_M] (y_M = {yM})")
+    x = bisect(h, x1, xM, h(x1), lambda lo, hi: hi - lo <= 1e-15 * max(1.0, abs(hi)))
+    beta = p.alpha * x - gamma * critical_height(x, m, n)
+    if not beta > 0.0:
+        raise DomainError(f"the Hopf point needs beta > 0, got {beta}")
+    beta_star, conversion = beta_star_conversion(p)
+    rec = normal_form_columns(m, n, p.alpha, gamma)
+    lambda_pred = float(lambda_H(rec.c10, rec.f00, p.eps))
+    return HopfOnset(beta_onset=beta, lambda_onset=(beta - beta_star) / conversion,
+                     beta_predicted=beta_star + lambda_pred * conversion,
+                     lambda_predicted=lambda_pred)
+
+
 def model_l1(p: AlleeParams) -> float:
     """First Lyapunov coefficient of the model at E4, for p on the Hopf
-    curve (beta from dynamics.hopf_onset_scan).
+    curve (beta from hopf_onset).
 
     The field times (m + x), a positive time rescaling on x > -m that keeps
     orbits, equilibria, the Hopf beta, and the sign and zero of L1, is the

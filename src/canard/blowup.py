@@ -302,10 +302,10 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
 def _recenter(coeffs: Terms, x0: float, y0: float) -> Terms:
     """Terms of sum c (x + x0)^i (y + y0)^j without the constant term: the float
     operations and the term order of jet_recenter, then (0, 0) dropped;
-    DomainError if a power of the centre passes the float range."""
+    DomainError if a power of the centre that a term needs passes the float range."""
     try:
-        hx = [x0 ** n for n in range(_DEGREE + 1)]
-        hy = [y0 ** n for n in range(_DEGREE + 1)]
+        hx = [x0 ** n for n in range(max((i for i, _ in coeffs), default=0) + 1)]
+        hy = [y0 ** n for n in range(max((j for _, j in coeffs), default=0) + 1)]
     except OverflowError:
         raise DomainError(f"non-finite power of the centre ({x0}, {y0})") from None
     out: Terms = {}

@@ -9,14 +9,15 @@ output, which only section_crossings keeps and a return map's run builds
 step by step, stopping at its first same-direction crossing.  Limit
 cycles are found by bisection on the displacement map, with unstable
 cycles handled in reversed time and their multiplier reported in the
-forward-time convention; that bisection, the crossing location and the
-Hopf onset scan all run _kernels.bisect."""
+forward-time convention; that bisection and the crossing location run
+_kernels.bisect.  e4_trace gives the Jacobian trace at the interior
+equilibrium E4."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
@@ -29,11 +30,9 @@ from ._kernels import (
     dopri5,
     section_crossing,
 )
-from .allee import (AlleeParams, _jacobian, beta_star_conversion, equilibria,
-                    normal_form_columns)
+from .allee import AlleeParams, _jacobian, equilibria
 from .allee import model_field as allee_field
 from .errors import DomainError, NumericsError
-from .normalform import lambda_H
 
 FORWARD = "Forward"
 REVERSED = "Reversed"
@@ -273,55 +272,6 @@ def e4_trace(p: AlleeParams) -> float:
         raise DomainError(f"E4 does not exist at beta={p.beta}")
     fx, _, _, gy = _jacobian(*rep.E4.point, p)
     return fx + gy
-
-
-@dataclass(frozen=True)
-class OnsetScan:
-    beta_onset: float
-    lambda_onset: float
-    beta_predicted: float
-    lambda_predicted: float
-
-
-def hopf_onset_scan(p: AlleeParams, beta_range: Tuple[float, float],
-                    steps: int) -> OnsetScan:
-    """Locate the beta where the E4 trace crosses zero by scanning and
-    bisection, and convert it to the template unfolding parameter.  The
-    predicted values come from the leading-order Hopf curve lambda_H of the
-    model's normal-form record, gamma*y_M*eps/(2 Q)."""
-    if steps < 2:
-        raise DomainError(f"requires steps >= 2, got {steps}")
-    b0, b1 = float(beta_range[0]), float(beta_range[1])
-    if not b0 < b1:
-        raise DomainError(f"invalid beta_range {beta_range}")
-
-    def trace_at(beta):
-        return e4_trace(replace(p, beta=beta))
-
-    betas = np.linspace(b0, b1, steps)
-    traces = [trace_at(b) for b in betas]
-    for i in range(steps - 1):
-        if traces[i] == 0.0:
-            beta_onset = betas[i]
-            break
-        if math.copysign(1.0, traces[i]) != math.copysign(1.0, traces[i + 1]):
-            beta_onset = bisect(trace_at, betas[i], betas[i + 1], traces[i],
-                                lambda lo, hi: hi - lo <= 1e-15 * max(1.0, abs(hi)),
-                                max_iter=200)
-            break
-    else:
-        raise DomainError(
-            f"E4 trace does not change sign over [{b0}, {b1}] with {steps} steps")
-
-    beta_star, conversion = beta_star_conversion(p)
-    rec = normal_form_columns(p.m, p.n, p.alpha, p.gamma)
-    lambda_pred = float(lambda_H(rec.c10, rec.f00, p.eps))
-    return OnsetScan(
-        beta_onset=beta_onset,
-        lambda_onset=(beta_onset - beta_star) / conversion,
-        beta_predicted=beta_star + lambda_pred * conversion,
-        lambda_predicted=lambda_pred,
-    )
 
 
 REGION_X = (0.0, 1.0)

@@ -114,20 +114,20 @@ def fit_rho(nf: NormalFormCoefficients, grid=RHO_GRID):
     return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
 
 
-def series_order_slope(nf: NormalFormCoefficients, lambda1: float = 0.1,
-                       grid=SERIES_GRID) -> float:
+def series_order_slope(nf: NormalFormCoefficients) -> float:
     """Log-log slope of the gap between the Newton equilibrium and the
-    cubic series prediction; the series is accurate to O(r^4)."""
+    cubic series prediction at lambda1 = 0.1 over SERIES_GRID; the series
+    is accurate to O(r^4)."""
     gaps = []
-    for r in grid:
-        sys = blow_up(nf, r, lambda1)
+    for r in SERIES_GRID:
+        sys = blow_up(nf, r, 0.1)
         px, py = equilibrium_series(sys, r).predict(r)
         ex, ey = find_equilibrium(sys, (px, py))
         gap = math.hypot(ex - px, ey - py)
         if gap == 0.0:
             raise NumericsError("zero series gap cannot be fitted on a log scale")
         gaps.append(gap)
-    logs_r = np.log(np.asarray(grid))
+    logs_r = np.log(np.asarray(SERIES_GRID))
     logs_g = np.log(np.asarray(gaps))
     slope, _ = np.polyfit(logs_r, logs_g, 1)
     return float(slope)

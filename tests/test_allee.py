@@ -20,6 +20,7 @@ from canard.allee import (
     equilibria,
     fold_point,
     gamma_star,
+    hopf_onset,
     model_bifurcation_curves,
     model_columns,
     model_field,
@@ -31,7 +32,6 @@ from canard.allee import (
     psi_columns,
     require_closed_forms,
 )
-from canard.dynamics import hopf_onset_scan
 from canard.errors import DomainError, NumericsError
 from canard.normalform import COEFF_NAMES, compute_A, lambda_c, lambda_H, omega_coefficients
 
@@ -640,10 +640,10 @@ class TestModelCurves:
         assert abs(c1.lambda_h - 2.0 * c2.lambda_h) < 1e-15
 
 
-def on_hopf_curve(params, beta_range):
-    """params with beta moved to the numeric Hopf onset of E4."""
+def on_hopf_curve(params):
+    """params with beta moved to the Hopf onset of E4."""
     p = AlleeParams(**params)
-    return replace(p, beta=hopf_onset_scan(p, beta_range, 8).beta_onset)
+    return replace(p, beta=hopf_onset(p).beta_onset)
 
 
 class TestModelL1:
@@ -651,10 +651,10 @@ class TestModelL1:
     on the Hopf curve; its zero in m is the model's criticality switch."""
 
     def test_signs_at_the_examples(self):
-        assert model_l1(on_hopf_curve(EX1, (0.195, 0.205))) < 0.0
-        assert model_l1(on_hopf_curve(EX2, (0.135, 0.142))) > 0.0
+        assert model_l1(on_hopf_curve(EX1)) < 0.0
+        assert model_l1(on_hopf_curve(EX2)) > 0.0
         # omega1 < 0 here, but the model is still subcritical
-        assert model_l1(on_hopf_curve(dict(EX2, m=0.263375), (0.135, 0.142))) > 0.0
+        assert model_l1(on_hopf_curve(dict(EX2, m=0.263375))) > 0.0
 
     def test_off_the_hopf_curve_rejected(self):
         # at the published beta of example 1 the E4 trace is -1.04e-4
@@ -668,7 +668,7 @@ class TestModelL1:
         m_star = psi_case_analysis(EX2["m"], EX2["n"], EX2["alpha"], EX2["gamma"]).m_star
 
         def l1_at(m):
-            return model_l1(on_hopf_curve(dict(EX2, m=m, eps=eps), (0.135, 0.142)))
+            return model_l1(on_hopf_curve(dict(EX2, m=m, eps=eps)))
         lo, hi = m_star, m_star + 0.2 * eps
         l1_lo = l1_at(lo)
         assert l1_lo > 0.0 > l1_at(hi)

@@ -28,6 +28,7 @@ from canard.blowup import (
     _lambda1_slopes,
     _linear_powers,
     _partials,
+    _recenter,
     _substitute_linear,
 )
 from canard.errors import DomainError, NumericsError
@@ -850,11 +851,15 @@ class TestFlatKernels:
             translate_to_equilibrium(sys, (0.0, 1.25))
 
     def test_recentring_power_overflow_raises(self):
-        # the residual at (0, 1e100) is exactly 0, but the centre's fourth
-        # power, which the kernel tabulates for every table, overflows
+        # the residual at (0, 1e100) is exactly 0; the centre's fourth power
+        # overflows, but no term needs it, so the kernel agrees with the jet op
         sys = PlanarPolySystem({(1, 0): 1.0}, {(1, 0): 1.0})
+        centered = translate_to_equilibrium(sys, (0.0, 1e100))
+        got = [list(f.items()) for f in (centered.fx, centered.fy)]
+        assert got == _reference_centered(sys, (0.0, 1e100))
+        # a power a term needs still overflows to a typed error
         with pytest.raises(DomainError, match="non-finite power of the centre"):
-            translate_to_equilibrium(sys, (0.0, 1e100))
+            _recenter({(0, 3): 1.0}, 0.0, 1e150)
 
     def test_rotation_overflow_raises(self):
         # small pivots make T^-1 large, and the cubic terms overflow under it

@@ -1,7 +1,7 @@
 import functools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from canard import dynamics
 from canard._kernels import (STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF,
                              STATUS_UNDERFLOW, bisect, dopri5)
-from canard.allee import AlleeParams, critical_slope, equilibria, fold_point
+from canard.allee import (AlleeParams, boundary_roots, critical_slope, equilibria, fold_point,
+                          hopf_onset)
 from canard.dynamics import (
     FORWARD,
     REVERSED,
@@ -25,7 +26,6 @@ from canard.dynamics import (
     bracket_from_crossings,
     e4_trace,
     find_cycle,
-    hopf_onset_scan,
     integrate,
     region_excursion,
     return_map,
@@ -348,9 +348,9 @@ class TestAlleeCycles:
 class TestHopfOnset:
     def test_onset_matches_prediction(self):
         p = AlleeParams(**EX1)
-        scan = hopf_onset_scan(p, (0.195, 0.205), 21)
-        assert abs(scan.beta_onset - scan.beta_predicted) < 1e-6
-        rel = abs(scan.lambda_onset - scan.lambda_predicted) / scan.lambda_predicted
+        onset = hopf_onset(p)
+        assert abs(onset.beta_onset - onset.beta_predicted) < 1e-6
+        rel = abs(onset.lambda_onset - onset.lambda_predicted) / onset.lambda_predicted
         assert rel < 1e-3
 
     def test_error_shrinks_with_eps(self):
@@ -358,17 +358,17 @@ class TestHopfOnset:
         for eps in (0.0099, 0.00495):
             p = AlleeParams(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1,
                             eps=eps)
-            s = hopf_onset_scan(p, (0.195, 0.205), 21)
-            errs.append(abs(s.lambda_onset - s.lambda_predicted))
+            onset = hopf_onset(p)
+            errs.append(abs(onset.lambda_onset - onset.lambda_predicted))
         assert errs[0] / errs[1] >= 2.5
 
     def test_trace_flips_across_onset(self):
         p = AlleeParams(**EX1)
-        scan = hopf_onset_scan(p, (0.195, 0.205), 21)
+        onset = hopf_onset(p)
         lo = AlleeParams(m=0.3, n=0.1, alpha=0.849561,
-                         beta=scan.beta_onset - 1e-4, gamma=0.1, eps=0.0099)
+                         beta=onset.beta_onset - 1e-4, gamma=0.1, eps=0.0099)
         hi = AlleeParams(m=0.3, n=0.1, alpha=0.849561,
-                         beta=scan.beta_onset + 1e-4, gamma=0.1, eps=0.0099)
+                         beta=onset.beta_onset + 1e-4, gamma=0.1, eps=0.0099)
         assert e4_trace(lo) > 0.0 > e4_trace(hi)
 
     @pytest.mark.parametrize("params", [EX1, EX2], ids=["EX1", "EX2"])
@@ -383,16 +383,44 @@ class TestHopfOnset:
         p = AlleeParams(**EX1)
         xM, yM = fold_point(p.m, p.n)
         Q = math.sqrt(p.alpha * xM * yM)
-        scan = hopf_onset_scan(p, (0.195, 0.205), 21)
-        assert scan.lambda_predicted == pytest.approx(p.gamma * yM * p.eps / (2.0 * Q),
+        onset = hopf_onset(p)
+        assert onset.lambda_predicted == pytest.approx(p.gamma * yM * p.eps / (2.0 * Q),
                                                       rel=1e-14)
 
-    def test_no_crossing_rejected(self):
-        p = AlleeParams(**EX1)
-        with pytest.raises(DomainError):
-            hopf_onset_scan(p, (0.203, 0.206), 5)
-        with pytest.raises(DomainError):
-            hopf_onset_scan(p, (0.195, 0.205), 1)
+    @pytest.mark.parametrize("params, beta_h", [(EX1, 0.19990270682271832),
+                                                (EX2, 0.13864499255002566)],
+                             ids=["EX1", "EX2"])
+    def test_beta_matches_the_trace_scan(self, params, beta_h):
+        # beta_h from bisecting the E4 trace in beta over a scanned range
+        p = AlleeParams(**params)
+        onset = hopf_onset(p)
+        assert abs(onset.beta_onset - beta_h) <= 1e-13 * beta_h
+        assert hopf_onset(replace(p, beta=0.5)) == onset
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(m=(1.0 - math.sqrt(0.1)) * (1.0 - math.sqrt(0.1))), "does not change sign"),
+        (dict(eps=0.1, gamma=10.0), r"eps\*gamma < 1"),
+        (dict(alpha=0.01), "beta > 0"),
+    ], ids=["fold-on-axis", "eps-gamma", "negative-beta"])
+    def test_rejected(self, change, match):
+        with pytest.raises(DomainError, match=match):
+            hopf_onset(AlleeParams(**{**EX1, **change}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.floats(0.01, 0.9), m_frac=st.floats(0.001, 0.999),
+           alpha=st.floats(0.2, 3.0), gamma=st.floats(0.01, 2.0), eps=st.floats(1e-4, 0.1))
+    def test_onset_is_the_hopf_point_of_e4(self, n, m_frac, alpha, gamma, eps):
+        bound = (1.0 - math.sqrt(n)) * (1.0 - math.sqrt(n))
+        p = AlleeParams(m=m_frac * bound, n=n, alpha=alpha, beta=0.1, gamma=gamma, eps=eps)
+        try:
+            beta_h = hopf_onset(p).beta_onset
+        except DomainError as exc:
+            assume("beta > 0" not in str(exc))
+            raise
+        q = replace(p, beta=beta_h)
+        x4 = equilibria(q).E4.point[0]
+        assert boundary_roots(q.m, q.n)[1] < x4 < fold_point(q.m, q.n)[0]
+        assert abs(e4_trace(q)) <= 1e-13
 
 
 class TestRegionExcursion:
