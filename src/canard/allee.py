@@ -237,17 +237,21 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
     """All equilibria of the model with Jacobian-based type tags.
 
     The extinction state E0 = (0, 0) always exists.  The prey-only pair
-    E1, E2 exists when the boundary quadratic has real roots; a double
+    E1, E2 exists when the fold is not below the axis, y_M >= 0; a double
     root is reported once, as E1 tagged degenerate.  The interior pair
     E3, E4 comes from the second quadratic, gated on x > 0, y >= 0."""
     E0 = _checked(0.0, 0.0, p, "stable node")
+    fold = fold_point(p.m, p.n)
     delta1, x1, x2 = boundary_roots(p.m, p.n)
     E1 = E2 = None
-    if x1 is not None and delta1 == 0.0:
-        E1 = Equilibrium((x1, 0.0), "degenerate (boundary collision)")
-    elif x1 is not None:
+    # delta1 and y_M vanish together at m = (1 - sqrt(n))^2 but round apart a
+    # few ulps below it, where delta1 can come out <= 0 while y_M > 0: there
+    # the two roots are one double root to rounding
+    if fold[1] >= 0.0 and delta1 > 0.0:
         E1 = _checked(x1, 0.0, p)
         E2 = _checked(x2, 0.0, p)
+    elif fold[1] >= 0.0:
+        E1 = Equilibrium(((1.0 - p.m - p.n) / 2.0, 0.0), "degenerate (boundary collision)")
 
     ag = p.alpha + p.gamma
     b = (p.alpha * p.m - p.beta + p.gamma * (p.m + p.n - 1.0)) / ag
@@ -264,7 +268,7 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
                     E3 = eq
                 else:
                     E4 = eq
-    return EquilibriaReport(E0, E1, E2, E3, E4, delta1, delta2, fold_point(p.m, p.n))
+    return EquilibriaReport(E0, E1, E2, E3, E4, delta1, delta2, fold)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,17 @@ blow_up_via_jets keeps to the generic jet ops as an independent
 cross-check of the closed-form tables and is the only place here that
 builds a Jet.
 
+The kernels skip work whose result is known: a contribution whose integer
+multiplier is 0 (the derivative sums of _partials and _gradient), a product
+with an exact 0.0 factor (the zero entries of _substitute_linear's powers and
+of normalize_linear's T), and sums no caller reads (_recenter's constant
+term; the second derivatives, where _gradient serves).  A skipped term is
++-0.0 when its other factors are finite, and it would be added to a sum that
+starts at +0.0 and so never holds -0.0 (a + (-a) is +0.0): adding it leaves
+the sum as it is, and every table and value is bit for bit what the full
+sums give.  A skipped 0 * inf would have been NaN, but then a value the
+caller checks is already non-finite, and the same error type is raised.
+
 A PlanarPolySystem is its two tables, cleaned at the one degree bound
 _DEGREE; it carries no blow-up radius (equilibrium_series takes r) and no
 stage tag: lyapunov_DF's |trace| < 1e-12 gate is the one check that a
@@ -63,6 +74,9 @@ _MU = {(1, 0): 1, (0, 1): 0, (2, 0): 0, (1, 1): 1, (0, 2): 2,
        (3, 0): 1, (2, 1): 2, (1, 2): 3, (0, 3): 4}
 _NU = {(0, 0): 0, (1, 0): 0, (0, 1): 1, (2, 0): 1, (1, 1): 2,
        (0, 2): 3, (3, 0): 2, (2, 1): 3, (1, 2): 4, (0, 3): 5}
+_MAX_GRADE = max(*_MU.values(), *_NU.values())
+# the record field that holds each lambda1 slope of the n-table
+_SLOPE_NAMES = {ij: f"e{ij[0]}{ij[1]}" for ij in _NU if any(ij)}
 
 
 # every (i, j) with i, j >= 0 and i + j <= _DEGREE, mapped to itself: a key
@@ -79,9 +93,9 @@ def _clean_terms(terms: Terms) -> Terms:
         clean = {_TERMS[k]: float(c) for k, c in terms.items() if c != 0.0}
     except KeyError as exc:
         raise DomainError(f"term {exc.args[0]} is not a monomial of degree <= {_DEGREE}") from None
-    for k, c in clean.items():
-        if not math.isfinite(c):
-            raise DomainError(f"non-finite coefficient at {k}")
+    if not all(map(math.isfinite, clean.values())):
+        bad = next(k for k, c in clean.items() if not math.isfinite(c))
+        raise DomainError(f"non-finite coefficient at {bad}")
     return clean
 
 
@@ -204,28 +218,60 @@ def blow_up_via_jets(nf: NormalFormCoefficients, r: float, lambda1: float) -> Pl
     return PlanarPolySystem(fx1.coeffs, fy1.coeffs)
 
 
+def _gradient(coeffs: Terms, x: float, y: float) -> Tuple[float, float, float]:
+    """(v, v_x, v_y) of sum c x^i y^j at (x, y): the first three sums of
+    _partials, by the same float operations."""
+    x2, y2 = x * x, y * y
+    px, py = (1.0, x, x2, x2 * x, x2 * x * x), (1.0, y, y2, y2 * y, y2 * y * y)
+    v = vx = vy = 0.0
+    for (i, j), c in coeffs.items():
+        xi, yj = px[i], py[j]
+        v += c * xi * yj
+        if i:
+            vx += i * c * px[i - 1] * yj
+        if j:
+            vy += j * c * xi * py[j - 1]
+    return v, vx, vy
+
+
 def _partials(coeffs: Terms, x: float, y: float
               ) -> Tuple[float, float, float, float, float, float]:
     """(v, v_x, v_y, v_xx, v_xy, v_yy) of sum c x^i y^j at (x, y), in one pass over
-    the flat terms.  The power tables lead with two zeros: px[i + 2 - k] = x^(i-k), 0 if i < k."""
-    px, py = [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]
-    for _ in range(_DEGREE):
-        px.append(px[-1] * x)
-        py.append(py[-1] * y)
+    the flat terms; px[e] = x^e, py[e] = y^e up to _DEGREE = 4, as the products
+    x*x, (x*x)*x, ((x*x)*x)*x.
+
+    A term adds to v_x and v_xy only if i >= 1 and to v_xx only if i >= 2, likewise
+    for j with v_y, v_yy: the contributions it skips, (integer 0) * c * (powers), are
+    +-0.0 for a finite product.  Each sum starts at +0.0, and a float sum that starts
+    at +0.0 never holds -0.0 (a + (-a) is +0.0), so adding +-0.0 leaves it as it
+    is: every sum equals, bit for bit, the one over every term and multiplier.
+    Where a power of the point overflows, the skipped 0 * inf would have been NaN;
+    the term's own part of v is then not finite, and so is v."""
+    x2, y2 = x * x, y * y
+    px, py = (1.0, x, x2, x2 * x, x2 * x * x), (1.0, y, y2, y2 * y, y2 * y * y)
     v = vx = vy = vxx = vxy = vyy = 0.0
     for (i, j), c in coeffs.items():
-        v += c * px[i + 2] * py[j + 2]
-        vx += i * c * px[i + 1] * py[j + 2]
-        vy += j * c * px[i + 2] * py[j + 1]
-        vxx += i * (i - 1) * c * px[i] * py[j + 2]
-        vxy += i * j * c * px[i + 1] * py[j + 1]
-        vyy += j * (j - 1) * c * px[i + 2] * py[j]
+        xi, yj = px[i], py[j]
+        v += c * xi * yj
+        if i:
+            xd = px[i - 1]
+            vx += i * c * xd * yj
+            if i > 1:
+                vxx += i * (i - 1) * c * px[i - 2] * yj
+            if j:
+                vxy += i * j * c * xd * py[j - 1]
+        if j:
+            yd = py[j - 1]
+            vy += j * c * xi * yd
+            if j > 1:
+                vyy += j * (j - 1) * c * xi * py[j - 2]
     return v, vx, vy, vxx, vxy, vyy
 
 
 def _hatted_tables(fx: Terms, fy: Terms, r: float) -> Tuple[Dict, Dict]:
-    m = {ij: fx.get(ij, 0.0) / r ** mu for ij, mu in _MU.items()}
-    n = {ij: fy.get(ij, 0.0) / r ** nu for ij, nu in _NU.items()}
+    rk = [r ** k for k in range(_MAX_GRADE + 1)]
+    m = {ij: fx.get(ij, 0.0) / rk[mu] for ij, mu in _MU.items()}
+    n = {ij: fy.get(ij, 0.0) / rk[nu] for ij, nu in _NU.items()}
     return m, n
 
 
@@ -284,8 +330,12 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
     with the equilibrium series head)."""
     x, y = float(guess[0]), float(guess[1])
     for _ in range(_MAX_ITER):
-        fx, j11, j12 = _partials(sys.fx, x, y)[:3]
-        fy, j21, j22 = _partials(sys.fy, x, y)[:3]
+        fx, j11, j12 = _gradient(sys.fx, x, y)
+        fy, j21, j22 = _gradient(sys.fy, x, y)
+        # a residual that is not finite leads to no finite root; the Jacobian
+        # need not be NaN there (_gradient skips the 0 * inf terms), so say so
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            raise NumericsError(f"non-finite residual in equilibrium refinement at ({x}, {y})")
         # one extra step after meeting _TOL polishes the root to the
         # floating-point floor (downstream trace gates need the margin)
         converged = max(abs(fx), abs(fy)) < _TOL
@@ -301,8 +351,9 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
 
 def _recenter(coeffs: Terms, x0: float, y0: float) -> Terms:
     """Terms of sum c (x + x0)^i (y + y0)^j without the constant term: the float
-    operations and the term order of jet_recenter, then (0, 0) dropped;
-    DomainError if a power of the centre that a term needs passes the float range."""
+    operations and the term order of jet_recenter, without the (0, 0) sum, which
+    no caller reads; DomainError if a power of the centre that a term needs
+    passes the float range."""
     try:
         hx = [x0 ** n for n in range(max((i for i, _ in coeffs), default=0) + 1)]
         hy = [y0 ** n for n in range(max((j for _, j in coeffs), default=0) + 1)]
@@ -313,9 +364,8 @@ def _recenter(coeffs: Terms, x0: float, y0: float) -> Terms:
         bi, bj = _BINOM[i], _BINOM[j]
         for k in range(i + 1):
             cx = c * (bi[k] * hx[i - k])
-            for l in range(j + 1):
+            for l in range(0 if k else 1, j + 1):
                 out[(k, l)] = out.get((k, l), 0.0) + cx * (bj[l] * hy[j - l])
-    out.pop((0, 0), None)
     return out
 
 
@@ -324,8 +374,8 @@ def translate_to_equilibrium(sys: PlanarPolySystem, eq: Tuple[float, float]) -> 
     if len(eq) != 2:
         raise DomainError(f"point length {len(eq)} != nvars 2")
     x0, y0 = float(eq[0]), float(eq[1])
-    f = abs(_partials(sys.fx, x0, y0)[0])
-    g = abs(_partials(sys.fy, x0, y0)[0])
+    f = abs(_gradient(sys.fx, x0, y0)[0])
+    g = abs(_gradient(sys.fy, x0, y0)[0])
     res = max(f, g) if g == g else g  # max() keeps a NaN only in first place
     if not res <= 1e-10:  # a NaN residual fails too
         raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
@@ -355,6 +405,10 @@ def _substitute_linear(coeffs: Terms, X: list, Y: list) -> Terms:
         t = [0.0] * (i + j + 1)
         for p in range(i, -1, -1):
             kx = k * xi[p]
+            if kx == 0.0:
+                # each kx * yj[q] is +-0.0 for finite yj[q], and t[s] (from +0.0)
+                # is never -0.0: the sums keep their bits
+                continue
             for q in range(j, -1, -1):
                 t[p + q] += kx * yj[q]
         n = i + j
@@ -384,22 +438,24 @@ def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:
         raise DomainError("the rotation frame requires m01 != 0")
     s = math.sqrt(disc)
     rt2 = math.sqrt(2.0)
-    (t00, t01), (t10, t11) = ((rt2 * (n01 - m10) / 2.0, -rt2 * m01),
-                              (rt2 / 2.0 * s, 0.0))
-    # T^-1 = [[0, 1/t10], [1/t01, -t00/(t01*t10)]]: det T = -t01*t10 = m01*s != 0
+    (t00, t01), t10 = (rt2 * (n01 - m10) / 2.0, -rt2 * m01), rt2 / 2.0 * s
+    # T = [[t00, t01], [t10, 0]], T^-1 = [[0, 1/t10], [1/t01, -t00/(t01*t10)]]:
+    # det T = -t01*t10 = m01*s != 0
     X = _linear_powers(0.0, 1.0 / t10)
     Y = _linear_powers(1.0 / t01, -t00 / (t01 * t10))
     z1 = _substitute_linear(sys.fx, X, Y)
     z2 = _substitute_linear(sys.fy, X, Y)
     keys = {**z1, **z2}  # z1's terms in order, then those only z2 has
     g1 = {k: t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys}
-    g2 = {k: t10 * z1.get(k, 0.0) + t11 * z2.get(k, 0.0) for k in keys}
+    # T's zero: 0 * z2 is +-0.0, which leaves a nonzero t10 * z1 as it is (zeros
+    # are dropped); a non-finite z2 fails the check of g1 first (t01 != 0)
+    g2 = {k: t10 * z1.get(k, 0.0) for k in keys}
     return PlanarPolySystem(g1, g2)
 
 
 def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:
     """dn_ij/dlambda1 of the n-table at radius r; it does not depend on lambda1."""
-    dn = {ij: -r ** (nu + 1) * getattr(nf, f"e{ij[0]}{ij[1]}") for ij, nu in _NU.items() if any(ij)}
+    dn = {ij: -r ** (_NU[ij] + 1) * getattr(nf, name) for ij, name in _SLOPE_NAMES.items()}
     dn[(0, 0)] = -1.0
     return dn
 
@@ -412,7 +468,7 @@ def _hopf_system(m: Terms, n: Terms, dn: Terms, x: float, y: float
     dF/dlambda1 = (0, p, p_y) with p = sum dn_ij x^i y^j."""
     fx, j11, j12, fxx, fxy, fyy = _partials(m, x, y)
     fy, j21, j22, gxx, gxy, gyy = _partials(n, x, y)
-    p, _, p_y = _partials(dn, x, y)[:3]
+    p, _, p_y = _gradient(dn, x, y)
     return ((fx, fy, j11 + j22),
             ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
 
@@ -546,8 +602,8 @@ def sample_record(rng: np.random.Generator,
             x, y = find_equilibrium(sys, equilibrium_series(sys, _R_CHECK).predict(_R_CHECK))
         except (DomainError, NumericsError):
             continue
-        m10, m01 = _partials(sys.fx, x, y)[1:3]
-        n10, n01 = _partials(sys.fy, x, y)[1:3]
+        m10, m01 = _gradient(sys.fx, x, y)[1:]
+        n10, n01 = _gradient(sys.fy, x, y)[1:]
         disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
         if _DISC_FLOOR < disc < math.inf:
             return nf

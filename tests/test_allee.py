@@ -217,6 +217,34 @@ class TestEquilibria:
         assert rep.E1 is not None and "degenerate" in rep.E1.kind
         assert rep.E2 is None
 
+    def test_pair_just_below_the_collision(self):
+        # delta1 rounds to -5.6e-17 while y_M = 1.1e-16: the fold is above the
+        # axis, so the pair exists, one double root to rounding
+        m, n = 0.13755691759530392, 0.39578358942744934
+        rep = equilibria(AlleeParams(m=m, n=n, alpha=1.0, beta=0.2, gamma=0.5, eps=0.01))
+        assert rep.delta1 < 0.0 < rep.fold[1]
+        assert rep.E1 is not None and "degenerate" in rep.E1.kind
+        assert rep.E2 is None
+        assert rep.E1.point == (pytest.approx(rep.fold[0], rel=1e-15), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.floats(0.01, 0.95), ulps=st.integers(0, 40))
+    def test_pair_exists_exactly_when_the_fold_is_not_below_the_axis(self, n, ulps):
+        gap = 1.0 - math.sqrt(n)
+        m = gap * gap
+        for _ in range(ulps):
+            m = math.nextafter(m, 0.0)
+        p = AlleeParams(m=m, n=n, alpha=1.0, beta=0.2, gamma=0.5, eps=0.01)
+        rep = equilibria(p)
+        assert (rep.E1 is not None) == (rep.fold[1] >= 0.0)
+        assert (rep.E2 is not None) == (rep.fold[1] >= 0.0 and rep.delta1 > 0.0)
+        for eq in (rep.E1, rep.E2):
+            if eq is not None:
+                # the roots lie sqrt(delta1)/2 ~ 1e-8 from the fold
+                assert abs(eq.point[0] - rep.fold[0]) < 1e-6
+                f, g = model_field(p)(*eq.point)
+                assert max(abs(f), abs(g)) < 1e-10
+
     def test_json_roundtrip(self):
         import json
 

@@ -22,6 +22,8 @@ from canard.blowup import (
     sample_record,
     translate_to_equilibrium,
     _DEGREE,
+    _TERMS,
+    _gradient,
     _hatted_tables,
     _hopf_point,
     _hopf_system,
@@ -205,8 +207,9 @@ class TestPlanarPolySystem:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_rejected(self, value):
-        with pytest.raises(DomainError, match="non-finite coefficient at"):
-            PlanarPolySystem({(0, 1): -1.0}, {(2, 1): value})
+        # the message names the first non-finite term in the table's order
+        with pytest.raises(DomainError, match=r"^non-finite coefficient at \(2, 1\)$"):
+            PlanarPolySystem({(0, 1): -1.0}, {(1, 0): 1.0, (2, 1): value, (0, 3): math.nan})
 
     @pytest.mark.parametrize("term", [(5, 0), (2, 3), (0, 5), (-1, 2), (2, -1)])
     def test_term_outside_degree_rejected(self, term):
@@ -830,13 +833,20 @@ class TestFlatKernels:
     @given(seed=st.integers(0, 2 ** 32 - 1))
     def test_substitution_kernel_with_two_full_forms(self, seed):
         # normalize_linear's T^-1 has a zero entry, so one of its linear forms
-        # is a monomial; full forms show the summation order of jet_compose too
+        # is a monomial; full forms show the summation order of jet_compose too.
+        # With the monomial form 0 u + b v each power has one nonzero entry and
+        # the kernel skips the products of the others
         sys, _ = _random_planar_system(seed)
         a, b, c, d = (float(v) for v in np.random.default_rng([seed, 1]).uniform(-2.0, 2.0, 4))
-        subs = [Jet(2, _DEGREE, {(1, 0): a, (0, 1): b}),
-                Jet(2, _DEGREE, {(1, 0): c, (0, 1): d})]
-        got = _substitute_linear(sys.fy, _linear_powers(a, b), _linear_powers(c, d))
-        assert got == jet_compose(Jet(2, _DEGREE, sys.fy), subs).coeffs
+        for first in ((a, b), (0.0, b)):
+            subs = [Jet(2, _DEGREE, {(1, 0): first[0], (0, 1): first[1]}),
+                    Jet(2, _DEGREE, {(1, 0): c, (0, 1): d})]
+            got = _substitute_linear(sys.fy, _linear_powers(*first), _linear_powers(c, d))
+            if first[0] == 0.0:
+                # the sums that got only skipped products stay +0.0; the jet drops them
+                assert all(math.copysign(1.0, v) == 1.0 for v in got.values() if v == 0.0)
+                got = {k: v for k, v in got.items() if v != 0.0}
+            assert got == jet_compose(Jet(2, _DEGREE, sys.fy), subs).coeffs
 
     def test_recentering_overflow_raises(self):
         # the residual is exactly 0, but the (0, 1) term of the recentred fast
@@ -877,3 +887,130 @@ class TestFlatKernels:
         sys = blow_up(_drawn_record(5, False), 0.1, 0.0)
         with pytest.raises(DomainError, match="residual at proposed equilibrium"):
             translate_to_equilibrium(sys, point)
+
+
+def _full_partials(coeffs, x, y):
+    """The six sums over every term with every multiplier, zero or not, from
+    power tables that lead with two zeros: px[i + 2 - k] = x^(i-k), 0 if i < k."""
+    px, py = [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]
+    for _ in range(_DEGREE):
+        px.append(px[-1] * x)
+        py.append(py[-1] * y)
+    v = vx = vy = vxx = vxy = vyy = 0.0
+    for (i, j), c in coeffs.items():
+        v += c * px[i + 2] * py[j + 2]
+        vx += i * c * px[i + 1] * py[j + 2]
+        vy += j * c * px[i + 2] * py[j + 1]
+        vxx += i * (i - 1) * c * px[i] * py[j + 2]
+        vxy += i * j * c * px[i + 1] * py[j + 1]
+        vyy += j * (j - 1) * c * px[i + 2] * py[j]
+    return v, vx, vy, vxx, vxy, vyy
+
+
+def _bits(values):
+    return [float.hex(v) for v in values]
+
+
+def _outcome(fn, *args):
+    """repr of what fn returns, or the type of the typed error it raises."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, NumericsError) as exc:
+        return type(exc)
+
+
+def _outcome_with_full_sums(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("canard.blowup._partials", _full_partials)
+        mp.setattr("canard.blowup._gradient", lambda c, x, y: _full_partials(c, x, y)[:3])
+        return _outcome(fn, *args)
+
+
+_POINT_COORD = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, -0.0)))
+_NON_FINITE_POINTS = [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
+                      (math.inf, 0.0), (0.0, -math.inf), (-math.inf, math.inf),
+                      (1e200, 0.5), (0.5, -1e200)]
+
+
+class TestSkippedSums:
+    """_partials and _gradient leave out the sums whose integer multiplier is 0;
+    their values must be those of the full sums bit for bit, and where a power
+    of the point is not finite the callers must fail with the same error type."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), x=_POINT_COORD, y=_POINT_COORD,
+           zeros=st.integers(0, 2 ** 15 - 1))
+    def test_kernels_equal_the_full_sums(self, seed, x, y, zeros):
+        sys, centre = _random_planar_system(seed)
+        # every monomial up to degree 4, with the terms picked by the bits of
+        # zeros set to +0.0 or -0.0 (a cleaned table has none; the kernels take any)
+        for table in (sys.fx, sys.fy):
+            raw = {k: (0.0 if n % 2 else -0.0) if zeros >> n & 1 else c
+                   for n, (k, c) in enumerate(table.items())}
+            for point in (centre, (x, y)):
+                want = _bits(_full_partials(raw, *point))
+                assert _bits(_partials(raw, *point)) == want
+                assert _bits(_gradient(raw, *point)) == want[:3]
+
+    @pytest.mark.parametrize("point", _NON_FINITE_POINTS)
+    def test_non_finite_points_fail_as_with_full_sums(self, point):
+        systems = [blow_up(_drawn_record(5, False), 0.1, 0.0),
+                   blow_up(_drawn_record(6, True), 0.05, 0.01),
+                   _random_planar_system(7)[0]]
+        for sys in systems:
+            for fn, error in ((find_equilibrium, NumericsError),
+                              (translate_to_equilibrium, DomainError)):
+                assert _outcome(fn, sys, point) is error
+                assert _outcome_with_full_sums(fn, sys, point) is error
+
+    @pytest.mark.parametrize("point", _NON_FINITE_POINTS)
+    def test_hopf_solve_seeded_at_a_non_finite_point(self, point, monkeypatch):
+        cases = ((_drawn_record(5, False), 0.1), (_drawn_record(6, True), 0.02),
+                 (NormalFormCoefficients(c20=-64.0), 0.125))
+        monkeypatch.setattr("canard.blowup.EquilibriumSeries.predict", lambda self, r: point)
+        for nf, r in cases:
+            assert _outcome(_hopf_point, nf, r) is NumericsError
+            assert _outcome_with_full_sums(_hopf_point, nf, r) is NumericsError
+
+    @settings(max_examples=100, deadline=None)
+    @given(fx=st.dictionaries(st.sampled_from(sorted(_TERMS)), st.floats(-2.0, 2.0), min_size=1),
+           fy=st.dictionaries(st.sampled_from(sorted(_TERMS)), st.floats(-2.0, 2.0), min_size=1),
+           point=st.sampled_from(_NON_FINITE_POINTS))
+    def test_sparse_tables_at_non_finite_points(self, fx, fy, point):
+        # few terms leave the full sums' Jacobian finite or NaN in ways the
+        # skipped sums need not follow; the typed error must
+        sys = PlanarPolySystem(fx, fy)
+        assert (_outcome(translate_to_equilibrium, sys, point)
+                == _outcome_with_full_sums(translate_to_equilibrium, sys, point))
+        got = _outcome(find_equilibrium, sys, point)
+        want = _outcome_with_full_sums(find_equilibrium, sys, point)
+        # the full sums can step to a NaN point and call it converged; the
+        # residual check of find_equilibrium refuses it
+        assert got == want or (got is NumericsError and ("nan" in want or "inf" in want))
+
+    @pytest.mark.parametrize("fx, fy, point", [
+        # the full sums' Jacobian is NaN here (0 * inf, 0 * NaN) and the skipped
+        # sums' is not: without the residual check the step would land on NaN
+        # and count as converged
+        ({(1, 0): 1e-300}, {(4, 0): 1.0, (0, 4): -1.0}, (1e100, 1e100)),
+        ({(1, 0): 1e-300}, {(1, 0): 1.0, (0, 1): 2.0}, (1e-200, math.nan)),
+    ])
+    def test_non_finite_residual_raises(self, fx, fy, point):
+        sys = PlanarPolySystem(fx, fy)
+        assert _outcome_with_full_sums(find_equilibrium, sys, point) is NumericsError
+        with pytest.raises(NumericsError, match="non-finite residual"):
+            find_equilibrium(sys, point)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=st.dictionaries(
+               st.sampled_from(COEFF_NAMES),
+               st.builds(lambda sign, e: sign * 10.0 ** e,
+                         st.sampled_from((-1.0, 1.0)), st.floats(-5.0, 300.0)),
+               min_size=1, max_size=3),
+           r=st.floats(0.0, 0.2, exclude_min=True))
+    def test_extreme_records_as_with_full_sums(self, coeffs, r):
+        # the Newton iterates of extreme records overflow; values and error
+        # types must be those of the full sums
+        nf = NormalFormCoefficients(**coeffs)
+        for oracle in (_hopf_point, l1_blowup):
+            assert _outcome(oracle, nf, r) == _outcome_with_full_sums(oracle, nf, r)
