@@ -19,6 +19,13 @@ changes after the Hopf location run on private kernels: _recenter
 op it stands for (jet_recenter, jet_compose with linear substitutions,
 jet_scale, jet_add) in the same order, so their tables equal the jet
 path's bit for bit; the tests check them against those ops.
+_recenter and _substitute_linear are straight-line functions that _kernel
+generates once per table layout, as dataclasses generates __init__, and keeps
+in a bounded cache: one local per output sum instead of dict lookups on tuple
+keys.  A layout is the table's keys in insertion order, not the key set: the
+order of the terms fixes the order in which each output sum adds them up, and
+so its rounding, and the order of the output keys.  The keys are checked
+against the monomials up to _DEGREE before any source is written.
 blow_up_via_jets keeps to the generic jet ops as an independent
 cross-check of the closed-form tables and is the only place here that
 builds a Jet.
@@ -45,6 +52,7 @@ one more system, at its final lam1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
@@ -85,6 +93,10 @@ _TERMS = {(i, n - i): (i, n - i) for n in range(_DEGREE + 1) for i in range(n + 
 _BINOM = [[float(math.comb(n, k)) for k in range(n + 1)] for n in range(_DEGREE + 1)]
 
 
+def _term_error(key) -> DomainError:
+    return DomainError(f"term {key} is not a monomial of degree <= {_DEGREE}")
+
+
 def _clean_terms(terms: Terms) -> Terms:
     """The nonzero terms as floats at int (i, j) keys, in insertion order;
     DomainError on a term beyond _DEGREE or a non-finite value (overflow never
@@ -92,7 +104,7 @@ def _clean_terms(terms: Terms) -> Terms:
     try:
         clean = {_TERMS[k]: float(c) for k, c in terms.items() if c != 0.0}
     except KeyError as exc:
-        raise DomainError(f"term {exc.args[0]} is not a monomial of degree <= {_DEGREE}") from None
+        raise _term_error(exc.args[0]) from None
     if not all(map(math.isfinite, clean.values())):
         bad = next(k for k, c in clean.items() if not math.isfinite(c))
         raise DomainError(f"non-finite coefficient at {bad}")
@@ -349,24 +361,96 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
     raise NumericsError(f"equilibrium refinement did not reach {_TOL} in {_MAX_ITER} iterations")
 
 
+# kernels kept per (coordinate change, table layout); the oracle meets three
+_KERNEL_CACHE = 64
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE)
+def _kernel(emit, layout: tuple):
+    """The function kernel(coeffs, ...) whose straight-line source emit writes
+    for a table whose keys are layout, in insertion order; DomainError naming a
+    key that is not a monomial of degree <= _DEGREE, so that only int exponents
+    reach the source."""
+    for k in layout:
+        if k not in _TERMS:
+            raise _term_error(k)
+    namespace: dict = {}
+    exec("\n".join(emit(tuple(_TERMS[k] for k in layout))), {"DomainError": DomainError},
+         namespace)
+    return namespace["kernel"]
+
+
+def _unpack(layout: tuple) -> list:
+    """The line binding c0, c1, ... to the values of a table with this layout."""
+    names = "".join(f"c{n}, " for n in range(len(layout)))
+    return [f"    {names}= coeffs.values()"] if layout else []
+
+
+def _accumulate(lines: list, sums: dict, key: tuple, value: str) -> None:
+    """out[key] = out.get(key, 0.0) + value, with out[key] held in a local."""
+    if key in sums:
+        lines.append(f"    {sums[key]} += {value}")
+    else:
+        sums[key] = f"o{len(sums)}"
+        lines.append(f"    {sums[key]} = 0.0 + {value}")
+
+
+def _returned(lines: list, sums: dict) -> list:
+    """lines, then the return of the output table, its keys in first-insertion
+    order."""
+    items = ", ".join(f"{k}: {v}" for k, v in sums.items())
+    return lines + [f"    return {{{items}}}"]
+
+
+def _recenter_source(layout: tuple) -> list:
+    """kernel(coeffs, x0, y0) of _recenter: the loop of jet_recenter over the
+    terms, k then l ascending, each contribution (c * (C(i, k) x0^(i-k))) *
+    (C(j, l) y0^(j-l)), with the powers x0 ** e and y0 ** e up to the highest
+    exponent of the layout."""
+    hx = [f"hx{e}" for e in range(max((i for i, _ in layout), default=0) + 1)]
+    hy = [f"hy{e}" for e in range(max((j for _, j in layout), default=0) + 1)]
+    lines = ["def kernel(coeffs, x0, y0):", *_unpack(layout), "    try:",
+             *(f"        {h} = x0 ** {e}" for e, h in enumerate(hx)),
+             *(f"        {h} = y0 ** {e}" for e, h in enumerate(hy)),
+             "    except OverflowError:",
+             '        raise DomainError(f"non-finite power of the centre ({x0}, {y0})") from None']
+    sums: dict = {}
+    for n, (i, j) in enumerate(layout):
+        for k in range(i + 1):
+            lines.append(f"    cx = c{n} * ({_BINOM[i][k]!r} * {hx[i - k]})")
+            for l in range(0 if k else 1, j + 1):
+                _accumulate(lines, sums, (k, l), f"cx * ({_BINOM[j][l]!r} * {hy[j - l]})")
+    return _returned(lines, sums)
+
+
+def _substitute_source(layout: tuple) -> list:
+    """kernel(coeffs, X, Y) of _substitute_linear: per term, the sums t[s] of the
+    products (k X^i[p]) Y^j[q], p then q descending, each row of products behind
+    a branch that skips it where k X^i[p] == 0.0, then t[s] added to the output
+    for s descending."""
+    rows = sorted({i for i, _ in layout}), sorted({j for _, j in layout})
+    lines = ["def kernel(coeffs, X, Y):", *_unpack(layout)]
+    for name, es in zip("XY", rows):
+        lines += [f"    {''.join(f'{name.lower()}{e}_{p}, ' for p in range(e + 1))}= {name}[{e}]"
+                  for e in es]
+    sums: dict = {}
+    for n, (i, j) in enumerate(layout):
+        lines.append(f"    {' = '.join(f't{s}' for s in range(i + j + 1))} = 0.0")
+        for p in range(i, -1, -1):
+            lines += [f"    kx = c{n} * x{i}_{p}", "    if kx != 0.0:"]
+            lines += [f"        t{p + q} += kx * y{j}_{q}" for q in range(j, -1, -1)]
+        for s in range(i + j, -1, -1):
+            _accumulate(lines, sums, (s, i + j - s), f"t{s}")
+    return _returned(lines, sums)
+
+
 def _recenter(coeffs: Terms, x0: float, y0: float) -> Terms:
     """Terms of sum c (x + x0)^i (y + y0)^j without the constant term: the float
     operations and the term order of jet_recenter, without the (0, 0) sum, which
-    no caller reads; DomainError if a power of the centre that a term needs
+    no caller reads; DomainError on a key that is not a monomial of degree <=
+    _DEGREE, or if a power of the centre up to the highest exponent in the table
     passes the float range."""
-    try:
-        hx = [x0 ** n for n in range(max((i for i, _ in coeffs), default=0) + 1)]
-        hy = [y0 ** n for n in range(max((j for _, j in coeffs), default=0) + 1)]
-    except OverflowError:
-        raise DomainError(f"non-finite power of the centre ({x0}, {y0})") from None
-    out: Terms = {}
-    for (i, j), c in coeffs.items():
-        bi, bj = _BINOM[i], _BINOM[j]
-        for k in range(i + 1):
-            cx = c * (bi[k] * hx[i - k])
-            for l in range(0 if k else 1, j + 1):
-                out[(k, l)] = out.get((k, l), 0.0) + cx * (bj[l] * hy[j - l])
-    return out
+    return _kernel(_recenter_source, tuple(coeffs))(coeffs, x0, y0)
 
 
 def translate_to_equilibrium(sys: PlanarPolySystem, eq: Tuple[float, float]) -> PlanarPolySystem:
@@ -398,23 +482,10 @@ def _substitute_linear(coeffs: Terms, X: list, Y: list) -> Terms:
     _linear_powers X, Y of the two forms, with the float operations and order of
     jet_compose: each term sums the products (k X^i[p]) Y^j[q], p and q
     descending, into its own u-exponents, and the terms are added in the order
-    of coeffs."""
-    out: Terms = {}
-    for (i, j), k in coeffs.items():
-        xi, yj = X[i], Y[j]
-        t = [0.0] * (i + j + 1)
-        for p in range(i, -1, -1):
-            kx = k * xi[p]
-            if kx == 0.0:
-                # each kx * yj[q] is +-0.0 for finite yj[q], and t[s] (from +0.0)
-                # is never -0.0: the sums keep their bits
-                continue
-            for q in range(j, -1, -1):
-                t[p + q] += kx * yj[q]
-        n = i + j
-        for s in range(n, -1, -1):
-            out[(s, n - s)] = out.get((s, n - s), 0.0) + t[s]
-    return out
+    of coeffs.  A product k X^i[p] == 0.0 is skipped: each of its products with
+    a finite Y^j[q] is +-0.0, added to a sum that is never -0.0.  DomainError on
+    a key that is not a monomial of degree <= _DEGREE."""
+    return _kernel(_substitute_source, tuple(coeffs))(coeffs, X, Y)
 
 
 def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:

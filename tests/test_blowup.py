@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -773,11 +774,11 @@ def _assert_kernels_match(sys, eq):
     assert rotated.fy == want[1].coeffs
 
 
-def _random_planar_system(seed):
+def _random_planar_system(seed, sparse=False):
     """Two planar jets with every monomial up to _DEGREE populated by a uniform
-    coefficient, in a random insertion order, a linear part with complex
-    eigenvalues, and a random centre that the constant terms put on the zero
-    set of both components."""
+    coefficient (with sparse, about a third of the nonlinear ones), in a random
+    insertion order, a linear part with complex eigenvalues, and a random centre
+    that the constant terms put on the zero set of both components."""
     rng = np.random.default_rng(seed)
     x0, y0 = (float(v) for v in rng.uniform(-1.5, 1.5, 2))
     rot, diag = rng.uniform(0.5, 2.0, 2), rng.uniform(-0.4, 0.4, 2)
@@ -785,6 +786,8 @@ def _random_planar_system(seed):
     tables = []
     for linear in ({(1, 0): diag[0], (0, 1): -rot[0]}, {(1, 0): rot[1], (0, 1): diag[1]}):
         items = [(keys[k], float(rng.uniform(-2.0, 2.0))) for k in rng.permutation(len(keys))]
+        if sparse:
+            items = [item for item, keep in zip(items, rng.random(len(items)) < 0.35) if keep]
         at = int(rng.integers(0, len(items) + 1))
         items[at:at] = [(k, float(v)) for k, v in linear.items()]
         f = dict(items)
@@ -815,6 +818,14 @@ class TestFlatKernels:
         want = _reference_rotated(sys)
         got = normalize_linear(sys)
         assert (got.fx, got.fy) == (want[0].coeffs, want[1].coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_sparse_jets_and_centres(self, seed):
+        # a sparse layout's first output keys can come from any term, not the
+        # linear ones
+        sys, centre = _random_planar_system(seed, sparse=True)
+        _assert_kernels_match(sys, centre)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -1014,3 +1025,116 @@ class TestSkippedSums:
         nf = NormalFormCoefficients(**coeffs)
         for oracle in (_hopf_point, l1_blowup):
             assert _outcome(oracle, nf, r) == _outcome_with_full_sums(oracle, nf, r)
+
+
+def _loop_recenter(coeffs, x0, y0):
+    """_recenter as the loop it was before its kernels were generated, the
+    reference the generated kernels must equal bit for bit."""
+    try:
+        hx = [x0 ** n for n in range(max((i for i, _ in coeffs), default=0) + 1)]
+        hy = [y0 ** n for n in range(max((j for _, j in coeffs), default=0) + 1)]
+    except OverflowError:
+        raise DomainError(f"non-finite power of the centre ({x0}, {y0})") from None
+    out = {}
+    for (i, j), c in coeffs.items():
+        bi = [float(math.comb(i, k)) for k in range(i + 1)]
+        bj = [float(math.comb(j, l)) for l in range(j + 1)]
+        for k in range(i + 1):
+            cx = c * (bi[k] * hx[i - k])
+            for l in range(0 if k else 1, j + 1):
+                out[(k, l)] = out.get((k, l), 0.0) + cx * (bj[l] * hy[j - l])
+    return out
+
+
+def _loop_substitute_linear(coeffs, X, Y):
+    """_substitute_linear as the loop it was before its kernels were generated."""
+    out = {}
+    for (i, j), k in coeffs.items():
+        xi, yj = X[i], Y[j]
+        t = [0.0] * (i + j + 1)
+        for p in range(i, -1, -1):
+            kx = k * xi[p]
+            if kx == 0.0:
+                continue
+            for q in range(j, -1, -1):
+                t[p + q] += kx * yj[q]
+        n = i + j
+        for s in range(n, -1, -1):
+            out[(s, n - s)] = out.get((s, n - s), 0.0) + t[s]
+    return out
+
+
+def _hex_items(fn, *args):
+    """fn's table as (key, float.hex) items in insertion order, or the type of
+    the typed error it raises."""
+    try:
+        return [(k, float.hex(v)) for k, v in fn(*args).items()]
+    except (DomainError, NumericsError) as exc:
+        return type(exc)
+
+
+_KEYS = sorted(_TERMS)
+# (key pool, range of the number of keys drawn from it; None: all of them)
+_LAYOUT_KINDS = {
+    "dense": (_KEYS, None),
+    "sparse": (_KEYS, (2, len(_KEYS) - 1)),
+    "no (1, 0)": ([k for k in _KEYS if k != (1, 0)], (1, len(_KEYS) - 1)),
+    "no (0, 1)": ([k for k in _KEYS if k != (0, 1)], (1, len(_KEYS) - 1)),
+    "one term": (_KEYS, (1, 1)),
+    "empty": ([], None),
+    "degree 4 only": ([k for k in _KEYS if sum(k) == _DEGREE], None),
+}
+_ENTRY = st.one_of(st.floats(-2.0, 2.0), st.sampled_from((0.0, -0.0)))
+# the last five overflow at some power up to the fourth, or are not finite
+_CENTRE = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(
+    (0.0, -0.0, 1e77, -1e100, 1e200, math.nan, math.inf, -math.inf)))
+_FORM = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    (0.0, -0.0, 1e100, -1e200, math.nan, math.inf)))
+
+
+class TestGeneratedKernels:
+    """_recenter and _substitute_linear run kernels generated per table layout;
+    they must equal the loops they replace by float.hex and in item order, or
+    raise the same error type."""
+
+    @pytest.mark.parametrize("kind", _LAYOUT_KINDS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_kernels_equal_the_loops(self, kind, data):
+        pool, size = _LAYOUT_KINDS[kind]
+        keys = data.draw(st.permutations(pool), label="keys")
+        if size is not None:
+            keys = keys[:data.draw(st.integers(*size), label="size")]
+        values = data.draw(st.lists(_ENTRY, min_size=len(keys), max_size=len(keys)))
+        table = dict(zip(keys, values))
+        # the same key set in a second order is a second layout and kernel
+        second = {k: table[k] for k in data.draw(st.permutations(keys), label="order")}
+        centre = data.draw(st.tuples(_CENTRE, _CENTRE), label="centre")
+        a, b, c, d = data.draw(st.tuples(_FORM, _FORM, _FORM, _FORM), label="forms")
+        Y = _linear_powers(c, d)
+        for coeffs in (table, second):
+            assert (_hex_items(_recenter, coeffs, *centre)
+                    == _hex_items(_loop_recenter, coeffs, *centre))
+            # the monomial form 0 u + b v that normalize_linear uses, and a full one
+            for X in (_linear_powers(0.0, b), _linear_powers(a, b)):
+                assert (_hex_items(_substitute_linear, coeffs, X, Y)
+                        == _hex_items(_loop_substitute_linear, coeffs, X, Y))
+
+    @pytest.mark.parametrize("key", [(5, 0), (0, 5), (2, 3), (-1, 0), (1.5, 0), (0, 0, 1), "x"])
+    def test_keys_beyond_the_degree_bound_raise(self, key):
+        coeffs = {(1, 0): 1.0, key: 2.0}
+        X = Y = _linear_powers(1.0, 2.0)
+        with pytest.raises(DomainError, match=re.escape(f"term {key} is not a monomial")):
+            _recenter(coeffs, 0.5, 0.25)
+        with pytest.raises(DomainError, match=re.escape(f"term {key} is not a monomial")):
+            _substitute_linear(coeffs, X, Y)
+
+    def test_keys_equal_to_int_pairs_are_those_pairs(self):
+        # (2.0, 1) is the key (2, 1): the kernel of the int layout serves it
+        X, Y = _linear_powers(0.0, 1.5), _linear_powers(0.5, -2.0)
+        coeffs = {(2, 1): 1.25, (0, 1): -0.5}
+        same = {(2.0, 1): 1.25, (0, True): -0.5}
+        assert _hex_items(_recenter, same, 0.5, 0.25) == _hex_items(_recenter, coeffs, 0.5, 0.25)
+        assert (_hex_items(_substitute_linear, same, X, Y)
+                == _hex_items(_substitute_linear, coeffs, X, Y))
+        assert all(type(e) is int for k in _recenter(same, 0.5, 0.25) for e in k)

@@ -1,6 +1,8 @@
 """Source hygiene: no module under src/canard/ or tests/ imports a name it
 never reads, cli is the one src/canard module that imports json, so
-file formats are decided in one place, no CSV field the CLI writes needs
+file formats are decided in one place, blowup's kernel generator is the one
+place in src/canard that runs generated code, and its cache is bounded, no CSV
+field the CLI writes needs
 quoting, README names exactly the options every subcommand takes, and
 its library imports run.  Uses the stdlib ast module, so no linter is
 needed."""
@@ -65,6 +67,48 @@ def test_only_cli_imports_json():
     users = [p.name for p in sorted((ROOT / "src" / "canard").glob("*.py"))
              if "json" in imported_modules(p.read_text(encoding="utf-8"))]
     assert users == ["cli.py"]
+
+
+def code_builtin_calls(source: str):
+    """(enclosing function or None, builtin) for each call of exec, eval or
+    compile, by name or through the builtins module."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = (f.id if isinstance(f, ast.Name)
+                        else f.attr if isinstance(f, ast.Attribute)
+                        and isinstance(f.value, ast.Name) and f.value.id == "builtins"
+                        else None)
+                if name in ("exec", "eval", "compile"):
+                    found.append((owner, name))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_kernel_generator_runs_code():
+    # generated source is confined to blowup's kernel generator, and what it
+    # caches is bounded
+    from canard.blowup import _kernel
+
+    users = [(p.name, *call) for p in sorted((ROOT / "src" / "canard").glob("*.py"))
+             for call in code_builtin_calls(p.read_text(encoding="utf-8"))]
+    assert users == [("blowup.py", "_kernel", "exec")]
+    maxsize = _kernel.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and 0 < maxsize <= 1024
+
+
+def test_code_call_detector():
+    src = ("import builtins, re\nexec('1')\ndef f():\n    def g():\n        eval('1')\n"
+           "    builtins.compile('1', '', 'eval')\n    re.compile('x')\n")
+    assert code_builtin_calls(src) == [(None, "exec"), ("g", "eval"), ("f", "compile")]
 
 
 def csv_header_literals(source: str):
