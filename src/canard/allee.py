@@ -11,6 +11,12 @@ y_M = 1 - n + m - 2*sqrt(m), which lies in the open first quadrant iff
 
     0 < n < 1   and   0 < m < (1 - sqrt(n))^2.
 
+Admissible means the fold is on or above the axis: 0 < m < 1 and the
+computed y_M >= 0, so delta1 = y_M (y_M + 4 sqrt(m)) and every preimage
+discriminant below the fold are >= 0 by construction.  Within ulps of the
+bound the sign of y_M decides, not the rounded (1 - sqrt(n))^2; a rejection
+shows y_M.
+
 model_field(p) is the model as a planar field (x, y) -> (f, eps*g), the
 one place f and g are written; _jacobian holds its derivatives.  This
 module computes equilibria, the critical branches, the reduction of
@@ -71,12 +77,12 @@ def _finite(name):
 
 
 _N = (lambda p: (0.0 < p.n) & (p.n < 1.0), DomainError, "requires 0 < n < 1, got n={n}")
-# AlleeParams and fold_point allow m = (1 - sqrt(n))^2: it is the collision
-# of the fold with the prey-only pair (y_M = 0, delta1 = 0)
-_M_CLOSED = (lambda p: (0.0 < p.m) & (p.m <= p.bound), DomainError,
-             "requires 0 < m <= (1 - sqrt(n))^2 = {bound:.6g}, got m={m}")
-_M_OPEN = (lambda p: (0.0 < p.m) & (p.m < p.bound), DomainError,
-           "requires 0 < m < (1 - sqrt(n))^2 = {bound:.6g}, got m={m}")
+# for 0 < m < 1 the bound on m is the sign of y_M; AlleeParams and fold_point
+# allow y_M = 0, the collision of the fold with the prey-only pair
+_M_CLOSED = (lambda p: (0.0 < p.m) & (p.m < 1.0) & (p.yM >= 0.0), DomainError,
+             "requires 0 < m <= (1 - sqrt(n))^2 = {bound:.6g}, got m={m}, y_M={yM}")
+_M_OPEN = (lambda p: (0.0 < p.m) & (p.m < 1.0) & (p.yM > 0.0), DomainError,
+           "requires 0 < m < (1 - sqrt(n))^2 = {bound:.6g}, got m={m}, y_M={yM}")
 _PARAM_RULES = ([_finite(k) for k in PARAM_NAMES]
                 + [(lambda p, k=k: getattr(p, k) > 0.0, DomainError,
                     f"requires {k} > 0, got {{{k}}}") for k in ("alpha", "beta", "gamma")]
@@ -92,7 +98,6 @@ _FOLD_RULES = [
 # the fold checks and Q^2 > 0, behind the closed forms' scale Q
 _SCALE_RULES = _FOLD_RULES + [(lambda p: p.q2 > 0.0, DomainError,
                                "requires alpha*x_M*y_M > 0, got {q2}")]
-_CLOSED_FORM_RULES = _SCALE_RULES + [_M_OPEN]
 _PSI_RULES = [_N, _M_OPEN, _finite("alpha"), _finite("gamma"),
               (lambda p: min(p.alpha, p.gamma) > 0.0, DomainError,
                "requires alpha > 0 and gamma > 0")]
@@ -117,7 +122,7 @@ def check_grid(m, n, alpha, beta, gamma, eps) -> None:
     point's values in its message: the error the scalar checks raise
     there."""
     values = dict(zip(PARAM_NAMES, np.broadcast_arrays(m, n, alpha, beta, gamma, eps)))
-    rules = _PARAM_RULES + _CLOSED_FORM_RULES
+    rules = _PARAM_RULES + _SCALE_RULES
     with np.errstate(all="ignore"):
         grid = _point(np, **values)
         held = np.array([holds(grid) for holds, _, _ in rules]).reshape(len(rules), -1)
@@ -158,18 +163,29 @@ def fold_point(m: float, n: float) -> Tuple[float, float]:
     return (p.xM, p.yM)
 
 
+def _preimages(y, m, n):
+    """(disc, sigma, x): the roots x_M + (d -+ sqrt(disc))/2 of x^2 + (y+n+m-1)x
+    + m(n+y) = 0, elementwise over arrays of y, with disc = d (d + 4 sqrt(m)) and
+    d = y_M - y: for y <= y_M, disc >= 0 and sigma <= x_M <= x, the preimages of y."""
+    with np.errstate(all="ignore"):
+        fold = _point(np, m=m, n=n)
+        d = fold.yM - y
+        disc = d * (d + 4.0 * fold.rm)
+        root = np.sqrt(disc)
+        return disc, fold.xM + 0.5 * (d - root), fold.xM + 0.5 * (d + root)
+
+
 def boundary_roots(m: float, n: float) -> Tuple[float, Optional[float], Optional[float]]:
-    """Roots of F(x) = 0, i.e. x^2 + (m+n-1)x + mn = 0.
+    """Roots of F(x) = 0, i.e. x^2 + (m+n-1)x + mn = 0: the preimages of y = 0,
+    with delta1 = y_M (y_M + 4 sqrt(m)), which has the sign of y_M for m > 0.
 
     Returns (delta1, x1, x2) with x1 <= x2; a double root is returned in
-    both slots, and (delta1, None, None) when the roots are complex."""
-    delta1 = (1.0 - m - n) ** 2 - 4.0 * m * n
-    if delta1 < 0.0:
-        return (delta1, None, None)
-    root = math.sqrt(delta1)
-    x1 = ((1.0 - m - n) - root) / 2.0
-    x2 = ((1.0 - m - n) + root) / 2.0
-    return (delta1, x1, x2)
+    both slots, and (delta1, None, None) when the roots are complex.
+    DomainError unless m >= 0 and delta1 is finite."""
+    delta1, x1, x2 = map(float, _preimages(0.0, m, n))
+    if not math.isfinite(delta1):
+        raise DomainError(f"requires m >= 0 and a finite delta1, got m={m}, n={n}")
+    return (delta1, x1, x2) if delta1 >= 0.0 else (delta1, None, None)
 
 
 @dataclass(frozen=True)
@@ -237,21 +253,16 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
     """All equilibria of the model with Jacobian-based type tags.
 
     The extinction state E0 = (0, 0) always exists.  The prey-only pair
-    E1, E2 exists when the fold is not below the axis, y_M >= 0; a double
-    root is reported once, as E1 tagged degenerate.  The interior pair
+    E1, E2 exists, as admissibility gives delta1 >= 0; at delta1 = 0 the
+    double root is reported once, as E1 tagged degenerate.  The interior pair
     E3, E4 comes from the second quadratic, gated on x > 0, y >= 0."""
     E0 = _checked(0.0, 0.0, p, "stable node")
     fold = fold_point(p.m, p.n)
     delta1, x1, x2 = boundary_roots(p.m, p.n)
-    E1 = E2 = None
-    # delta1 and y_M vanish together at m = (1 - sqrt(n))^2 but round apart a
-    # few ulps below it, where delta1 can come out <= 0 while y_M > 0: there
-    # the two roots are one double root to rounding
-    if fold[1] >= 0.0 and delta1 > 0.0:
-        E1 = _checked(x1, 0.0, p)
-        E2 = _checked(x2, 0.0, p)
-    elif fold[1] >= 0.0:
-        E1 = Equilibrium(((1.0 - p.m - p.n) / 2.0, 0.0), "degenerate (boundary collision)")
+    if delta1 > 0.0:
+        E1, E2 = _checked(x1, 0.0, p), _checked(x2, 0.0, p)
+    else:
+        E1, E2 = Equilibrium((x1, 0.0), "degenerate (boundary collision)"), None
 
     ag = p.alpha + p.gamma
     b = (p.alpha * p.m - p.beta + p.gamma * (p.m + p.n - 1.0)) / ag
@@ -298,9 +309,9 @@ def hopf_onset(p: AlleeParams) -> HopfOnset:
         return x * critical_slope(x, m, n) - eg * critical_height(x, m, n)
 
     xM, yM = fold_point(m, n)
-    delta1, x1, _ = boundary_roots(m, n)
-    # near y_M = 0 rounding can merge x1 into x_M or make the roots complex
-    if not (yM > 0.0 and delta1 > 0.0 and h(x1) > 0.0 > h(xM)):
+    _, x1, _ = boundary_roots(m, n)
+    # near y_M = 0 rounding can merge x1 into x_M
+    if not (yM > 0.0 and h(x1) > 0.0 > h(xM)):
         raise DomainError(f"the E4 trace does not change sign on [x1, x_M] (y_M = {yM})")
     x = bisect(h, x1, xM, h(x1), lambda lo, hi: hi - lo <= 1e-15 * max(1.0, abs(hi)))
     beta = p.alpha * x - gamma * critical_height(x, m, n)
@@ -347,16 +358,17 @@ def gamma_star(m: float, n: float, alpha: float, beta: float) -> float:
     return (alpha * xM - beta) / yM
 
 
+COINCIDENCE_TOL = 1e-6
+
+
 def require_coincidence(p: AlleeParams) -> None:
-    """The coincidence configuration: gamma = gamma_star within 1e-6,
-    delta1 > 0 and 1 - m - n > 0, checked in that order."""
+    """The coincidence configuration: gamma = gamma_star within
+    COINCIDENCE_TOL, then 1 - m - n > 0.  gamma_star requires y_M > 0,
+    which gives delta1 = y_M (y_M + 4 sqrt(m)) > 0."""
     gs = gamma_star(p.m, p.n, p.alpha, p.beta)
-    if abs(p.gamma - gs) > 1e-6:
-        raise DomainError(
-            f"requires gamma = gamma_star within 1e-6 (gamma={p.gamma}, gamma_star={gs:.8g})")
-    delta1, _, _ = boundary_roots(p.m, p.n)
-    if delta1 <= 0.0:
-        raise DomainError(f"requires delta1 > 0, got {delta1}")
+    if abs(p.gamma - gs) > COINCIDENCE_TOL:
+        raise DomainError(f"requires gamma = gamma_star within {COINCIDENCE_TOL:g} "
+                          f"(gamma={p.gamma}, gamma_star={gs:.8g})")
     if 1.0 - p.m - p.n <= 0.0:
         raise DomainError(f"requires 1 - m - n > 0, got {1.0 - p.m - p.n}")
 
@@ -371,10 +383,9 @@ def beta_star_conversion(p: AlleeParams) -> Tuple[float, float]:
 
 def require_closed_forms(p: AlleeParams) -> None:
     """The checks behind model_columns and psi_columns at one parameter
-    set, in the order normal_form_coeffs and psi_case_analysis make them:
-    the fold-point sanity checks, alpha*x_M*y_M > 0, then
-    0 < m < (1 - sqrt(n))^2."""
-    _check(_CLOSED_FORM_RULES, _point(math, **vars(p)))
+    set: the fold-point sanity checks, then alpha*x_M*y_M > 0, which
+    leaves y_M > 0, that is 0 < m < (1 - sqrt(n))^2."""
+    _check(_SCALE_RULES, _point(math, **vars(p)))
 
 
 def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:

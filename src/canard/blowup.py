@@ -16,9 +16,10 @@ coefficient of x^i y^j, absent terms meaning 0.  The two coordinate
 changes after the Hopf location run on private kernels: _recenter
 (translate_to_equilibrium) and _linear_powers plus _substitute_linear
 (normalize_linear).  Each repeats the float operations of the generic jet
-op it stands for (jet_recenter, jet_compose with linear substitutions,
-jet_scale, jet_add) in the same order, so their tables equal the jet
-path's bit for bit; the tests check them against those ops.
+op it stands for (jet_recenter, which lives with the tests as their
+reference, and jet_compose with linear substitutions, jet_scale, jet_add) in
+the same order, so their tables equal the jet path's bit for bit; the tests
+check them against those ops.
 _recenter and _substitute_linear are straight-line functions that _kernel
 generates once per table layout, as dataclasses generates __init__, and keeps
 in a bounded cache: one local per output sum instead of dict lookups on tuple

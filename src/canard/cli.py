@@ -35,6 +35,7 @@ import numpy as np
 
 from . import _svg
 from .allee import (
+    COINCIDENCE_TOL,
     PARAM_NAMES,
     PSI_TAGS,
     AlleeParams,
@@ -272,7 +273,7 @@ def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
     gs = gamma_star(p.m, p.n, p.alpha, p.beta)
     trace4 = None if eq.E4 is None else e4_trace(p)
     curves = None
-    if abs(p.gamma - gs) <= 1e-6:
+    if abs(p.gamma - gs) <= COINCIDENCE_TOL:
         mc = model_bifurcation_curves(p)
         curves = {
             "beta_star": mc.beta_star, "beta_h": mc.beta_h, "beta_c": mc.beta_c,

@@ -4,16 +4,14 @@ A Jet stores coefficients of a polynomial in up to 4 variables, truncated
 at a total-degree bound.  The blow-up oracle itself works on plain
 (i, j) -> c term tables; jets serve two purposes only: blow_up_via_jets
 builds the rescaled system by generic jet composition as an independent
-cross-check of the oracle's closed-form tables, and jet_recenter,
-jet_compose and jet_eval are the references the tests hold the oracle's
-flat kernels to.
+cross-check of the oracle's closed-form tables, and jet_compose is one of
+the references the tests hold the oracle's flat kernels to (evaluation and
+recentering, the others, live with the tests).
 
 Conventions:
   * absent multi-indices mean coefficient 0;
   * composition requires zero constant terms in the substituted jets,
-    because the tail of a truncated series is unknown; recentering,
-    which treats the stored coefficients as a complete polynomial, is
-    provided separately via jet_recenter;
+    because the tail of a truncated series is unknown;
   * the public Jet(...) constructor validates multi-indices and values;
     the ops below build results, whose multi-indices are valid by
     construction, through _make, which still drops zeros and raises
@@ -126,20 +124,12 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     return _make(a.nvars, degree, out)
 
 
-def jet_eval(a: Jet, point: Sequence[float]) -> float:
-    """Value of the truncated polynomial, summed term by term."""
-    if len(point) != a.nvars:
-        raise DomainError(f"point length {len(point)} != nvars {a.nvars}")
-    pt = tuple(float(v) for v in point)
-    return sum((c * math.prod(p ** e for p, e in zip(pt, mi)) for mi, c in a.coeffs.items()), 0.0)
-
-
 def jet_compose(target: Jet, subs: Sequence[Jet]) -> Jet:
     """Substitute subs[i] for variable i of target; exact up to truncation.
 
     Each substituted jet must have zero constant term (the tail of a
     truncated series is unknown, so constant offsets would silently
-    introduce truncation error; use jet_recenter for affine shifts).
+    introduce truncation error).
     """
     if len(subs) != target.nvars:
         raise DomainError(f"need {target.nvars} substitutions, got {len(subs)}")
@@ -164,30 +154,6 @@ def jet_compose(target: Jet, subs: Sequence[Jet]) -> Jet:
                 term = jet_mul(term, pows[i][e])
         out = jet_add(out, term)
     return out
-
-
-def jet_recenter(a: Jet, point: Sequence[float]) -> Jet:
-    """Coefficients of a(x + point), re-expanded exactly.
-
-    This treats the stored coefficients as a complete polynomial of its
-    true degree; for jets produced by truncating a longer series the
-    caller is accepting the same truncation order at the new center.
-    """
-    if len(point) != a.nvars:
-        raise DomainError(f"point length {len(point)} != nvars {a.nvars}")
-    pt = tuple(float(v) for v in point)
-    out: Dict[Multi, float] = {}
-    for mi, c in a.coeffs.items():
-        parts = []
-        for e, h in zip(mi, pt):
-            parts.append([(k, math.comb(e, k) * h ** (e - k)) for k in range(e + 1)])
-        for combo in itertools.product(*parts):
-            key = tuple(k for k, _ in combo)
-            w = c
-            for _, f in combo:
-                w *= f
-            out[key] = out.get(key, 0.0) + w
-    return _make(a.nvars, a.degree, out)
 
 
 def jet_truncate(a: Jet, degree: int) -> Jet:

@@ -27,6 +27,7 @@ import numpy as np
 from .allee import (
     AlleeParams,
     _jacobian,
+    _preimages,
     critical_height,
     critical_slope,
     equilibria,
@@ -45,22 +46,15 @@ def _first(values, flags) -> float:
 
 def branch_inverse(y: float, p: AlleeParams) -> Tuple[float, float]:
     """Preimages of height y under the critical curve: F(x) = F(sigma) = y
-    with sigma <= x_M <= x.  Solves x^2 + (y+n+m-1)x + m(n+y) = 0; the
-    discriminant is (1-m-n-y)^2 - 4m(n+y), nonnegative exactly for
-    y <= y_M.  Elementwise over an array of heights too."""
+    with sigma <= x_M <= x, the roots of x^2 + (y+n+m-1)x + m(n+y) = 0
+    (allee._preimages).  Their discriminant is d (d + 4 sqrt(m)) with
+    d = y_M - y, nonnegative for every 0 <= y <= y_M.  Elementwise over an
+    array of heights too."""
     _, yM = fold_point(p.m, p.n)
     bad = np.logical_not((0.0 <= y) & (y <= yM))
     if np.any(bad):
         raise DomainError(f"requires 0 <= y <= y_M = {yM:.8g}, got y={_first(y, bad)}")
-    t = 1.0 - p.m - p.n - y
-    disc = t * t - 4.0 * p.m * (p.n + y)
-    bad = disc < -1e-12 * np.maximum(1.0, t * t)
-    if np.any(bad):
-        raise DomainError(f"height y={_first(y, bad)} lies above the fold "
-                          "(negative discriminant)")
-    root = np.sqrt(np.maximum(disc, 0.0))
-    x = 0.5 * (t + root)
-    sigma = 0.5 * (t - root)
+    _, sigma, x = _preimages(y, p.m, p.n)
     for xi in (x, sigma):
         bad = np.abs(critical_height(xi, p.m, p.n) - y) > 1e-12
         if np.any(bad):
@@ -80,16 +74,6 @@ def h_slow(x: float, p: AlleeParams) -> float:
     return _jacobian(x, F, p)[0] / denom
 
 
-def psi_aux(x: float, p: AlleeParams) -> float:
-    """(x - x_M) / [(m+x)^2 (alpha x - beta - gamma F(x)) F(x)], the factor
-    through which h(sigma) - h(x) factorizes."""
-    F = critical_height(x, p.m, p.n)
-    denom = (p.m + x) ** 2 * (p.alpha * x - p.beta - p.gamma * F) * F
-    if denom == 0.0:
-        raise NumericsError(f"auxiliary factor singular at x={x}")
-    return (p.m - math.sqrt(p.m) + x) / denom
-
-
 def phi(y: float, p: AlleeParams) -> float:
     """Affine sign function of the integrand:
     (alpha+gamma) y + gamma + n (alpha+gamma) - sqrt(m) alpha - m (alpha+gamma)."""
@@ -101,20 +85,6 @@ def phi_root(p: AlleeParams) -> float:
     """The unique zero y0 of phi (phi is increasing with slope alpha+gamma)."""
     ag = p.alpha + p.gamma
     return (math.sqrt(p.m) * p.alpha + (p.m - p.n) * ag - p.gamma) / ag
-
-
-def factorization_gap(y: float, p: AlleeParams,
-                      exponent: float = 1.5) -> Tuple[float, float]:
-    """Both sides of the identity
-    h(sigma) - h(x) = psi(sigma) psi(x) (sigma - x) m^exponent F(x) phi(y)
-    at height y, for measuring the exponent.  The identity is exact (up
-    to rounding) with exponent 3/2 when the predator nullcline passes
-    through the fold (beta = alpha x_M - gamma y_M)."""
-    x, sigma = branch_inverse(y, p)
-    lhs = h_slow(sigma, p) - h_slow(x, p)
-    rhs = (psi_aux(sigma, p) * psi_aux(x, p) * (sigma - x)
-           * p.m ** exponent * critical_height(x, p.m, p.n) * phi(y, p))
-    return (lhs, rhs)
 
 
 def _depth_ceiling(p: AlleeParams) -> Tuple[float, float]:
@@ -244,8 +214,9 @@ def cyclicity_report(p: AlleeParams, grid_size: int) -> SdiProfile:
     """Profile of I(s) over a uniform depth grid, with the count of sign
     changes between its nonzero values and the case tag
     from the phi analysis.  Requires the coincidence configuration
-    gamma = gamma_star (within 1e-6) plus delta1 > 0 and 1 - m - n > 0
-    (allee.require_coincidence); under these the zero count is at most one."""
+    gamma = gamma_star (within allee.COINCIDENCE_TOL), delta1 > 0 and
+    1 - m - n > 0 (allee.require_coincidence); under these the zero count is
+    at most one."""
     if grid_size < 2:
         raise DomainError(f"requires grid_size >= 2, got {grid_size}")
     require_coincidence(p)

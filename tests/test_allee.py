@@ -1,10 +1,10 @@
 import math
-import re
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from model_oracle import jet_reduced_record
 
@@ -13,6 +13,7 @@ from canard.allee import (
     PSI_TAGS,
     AlleeParams,
     _jacobian,
+    _preimages,
     boundary_roots,
     check_grid,
     critical_height,
@@ -34,9 +35,15 @@ from canard.allee import (
 )
 from canard.errors import DomainError, NumericsError
 from canard.normalform import COEFF_NAMES, compute_A, lambda_c, lambda_H, omega_coefficients
+from canard.sdi import branch_inverse
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
 EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
+
+
+def fold_height(m, n):
+    """y_M as the model writes it, 1 - n + m - 2 sqrt(m), for any m >= 0."""
+    return 1.0 - n + m - 2.0 * math.sqrt(m)
 
 
 def random_admissible(rng, strict_margin=0.05):
@@ -136,6 +143,78 @@ class TestBoundaryRoots:
         d1, x1, x2 = boundary_roots(0.5, 0.5)
         assert d1 < 0.0 and x1 is None and x2 is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.floats(), n=st.floats())
+    def test_any_float_input(self, m, n):
+        # NaN, infinite and negative values included: a result or DomainError,
+        # never a bare ValueError from a square root, nor a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                d1, x1, x2 = boundary_roots(m, n)
+            except DomainError:
+                return
+        assert math.isfinite(d1)
+        assert (x1 is None) == (x2 is None) == (d1 < 0.0)
+        if x1 is not None:
+            assert x1 <= x2
+
+
+def near_bound(n, k):
+    """m = (1 - sqrt(n))^2 moved k ulps."""
+    gap = 1.0 - math.sqrt(n)
+    return ulps(gap * gap, k)
+
+
+class TestFoldSign:
+    """Admissibility is the sign of the computed y_M, and delta1 and the
+    preimage discriminant d (d + 4 sqrt(m)), d = y_M - y, follow it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.floats(0.01, 0.95), k=st.integers(-40, 40))
+    def test_near_the_bound(self, n, k):
+        m = near_bound(n, k)
+        yM = fold_height(m, n)
+        pt = dict(m=m, n=n, alpha=0.8, beta=0.1, gamma=0.4, eps=0.01)
+        accepted = verdict(AlleeParams, **pt) is None
+        assert accepted == (yM >= 0.0)
+        # the grid runs AlleeParams' rules, then the closed forms', which need y_M > 0
+        assert verdict(check_grid, **pt) == scalar_verdict(pt)
+        assert (verdict(check_grid, **pt) is None) == (yM > 0.0)
+        if accepted:
+            # TestEquilibria checks E1 and E2 over the same probes
+            d1 = boundary_roots(m, n)[0]
+            assert d1 >= 0.0 and (d1 == 0.0) == (yM == 0.0)
+
+    def test_far_side_of_the_fold_is_rejected(self):
+        # y_M = (1 - sqrt(m))^2 - n is positive again for m > (1 + sqrt(n))^2
+        pt = dict(m=4.0, n=0.1, alpha=0.8, beta=0.1, gamma=0.4, eps=0.01)
+        yM = fold_height(4.0, 0.1)
+        assert yM > 0.0
+        assert verdict(AlleeParams, **pt) == verdict(check_grid, **pt) == (
+            DomainError, f"requires 0 < m <= (1 - sqrt(n))^2 = 0.467544, got m=4.0, y_M={yM}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.floats(0.01, 0.95), frac=st.floats(1e-3, 1.0), k=st.integers(-40, 0),
+           depth=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.integers(0, 40)))
+    def test_preimages_straddle_the_fold(self, n, frac, k, depth):
+        # an admissible m at a fraction of the bound or up to 40 ulps below it, and
+        # a height y in [0, y_M]: a fraction of y_M below it, or y_M moved down
+        # by up to 40 ulps
+        m = frac * m_bound(n) if frac < 1.0 else near_bound(n, k)
+        yM = fold_height(m, n)
+        assume(yM >= 0.0)
+        p = AlleeParams(m=m, n=n, alpha=0.8, beta=0.1, gamma=0.4, eps=0.01)
+        xM, _ = fold_point(m, n)
+        y = max(ulps(yM, -depth), 0.0) if isinstance(depth, int) else yM - depth * yM
+        disc, sigma, x = _preimages(y, m, n)
+        assert disc >= 0.0
+        assert branch_inverse(y, p) == (x, sigma)
+        assert sigma <= xM <= x
+        d1, x1, x2 = boundary_roots(m, n)
+        assert (d1, x1, x2) == tuple(float(v) for v in _preimages(0.0, m, n))
+        assert d1 >= 0.0 and x1 <= xM <= x2
+
 
 class TestCriticalBranches:
     def test_graph_interpolates_roots_and_fold(self):
@@ -218,26 +297,30 @@ class TestEquilibria:
         assert rep.E2 is None
 
     def test_pair_just_below_the_collision(self):
-        # delta1 rounds to -5.6e-17 while y_M = 1.1e-16: the fold is above the
-        # axis, so the pair exists, one double root to rounding
+        # y_M = 1.1e-16 here; delta1 = y_M (y_M + 4 sqrt(m)) shares its sign, where
+        # the difference (1 - m - n)^2 - 4mn rounded to -5.6e-17: the pair is two
+        # roots either side of the fold, sqrt(delta1)/2 ~ 6e-9 from it
         m, n = 0.13755691759530392, 0.39578358942744934
         rep = equilibria(AlleeParams(m=m, n=n, alpha=1.0, beta=0.2, gamma=0.5, eps=0.01))
-        assert rep.delta1 < 0.0 < rep.fold[1]
-        assert rep.E1 is not None and "degenerate" in rep.E1.kind
-        assert rep.E2 is None
-        assert rep.E1.point == (pytest.approx(rep.fold[0], rel=1e-15), 0.0)
+        assert 0.0 < rep.fold[1] and 0.0 < rep.delta1
+        assert rep.E1.point[0] < rep.fold[0] < rep.E2.point[0]
+        for eq in (rep.E1, rep.E2):
+            assert "degenerate" not in eq.kind and abs(eq.point[0] - rep.fold[0]) < 1e-8
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.floats(0.01, 0.95), ulps=st.integers(0, 40))
-    def test_pair_exists_exactly_when_the_fold_is_not_below_the_axis(self, n, ulps):
-        gap = 1.0 - math.sqrt(n)
-        m = gap * gap
-        for _ in range(ulps):
-            m = math.nextafter(m, 0.0)
-        p = AlleeParams(m=m, n=n, alpha=1.0, beta=0.2, gamma=0.5, eps=0.01)
+    @given(n=st.floats(0.01, 0.95), k=st.integers(-40, 40))
+    def test_pair_exists_exactly_when_the_fold_is_not_below_the_axis(self, n, k):
+        m = near_bound(n, k)
+        pt = dict(m=m, n=n, alpha=1.0, beta=0.2, gamma=0.5, eps=0.01)
+        if fold_height(m, n) < 0.0:
+            with pytest.raises(DomainError):
+                AlleeParams(**pt)
+            return
+        p = AlleeParams(**pt)
         rep = equilibria(p)
-        assert (rep.E1 is not None) == (rep.fold[1] >= 0.0)
-        assert (rep.E2 is not None) == (rep.fold[1] >= 0.0 and rep.delta1 > 0.0)
+        assert rep.E1 is not None
+        assert (rep.E2 is not None) == (rep.fold[1] > 0.0) == (rep.delta1 > 0.0)
+        assert rep.E1.point[0] <= rep.fold[0]
         for eq in (rep.E1, rep.E2):
             if eq is not None:
                 # the roots lie sqrt(delta1)/2 ~ 1e-8 from the fold
@@ -516,19 +599,25 @@ class TestCheckGrid:
     def test_clears_interior_points(self, n, frac, alpha, beta, gamma, eps):
         assert check_grid(np.array(frac) * m_bound(n), n, alpha, beta, gamma, eps) is None
 
-    def test_bound_is_one_product_on_both_paths(self):
-        # the one verdict that moved when the bound became gap * gap on
-        # both paths: m = gap**2 lies one ulp below it and is admissible
+    def test_bound_is_the_sign_of_y_M_on_both_paths(self):
+        # m up to 16 ulps above gap * gap at N_POW_BELOW: the computed y_M is
+        # positive through 9 ulps, 0 at 10 and 11, and negative beyond.  AlleeParams
+        # takes y_M >= 0, the closed forms y_M > 0, and the grid agrees
         gap = 1.0 - math.sqrt(N_POW_BELOW)
-        assert gap ** 2 < gap * gap
         pt = dict(n=N_POW_BELOW, alpha=0.8, beta=0.1, gamma=0.4, eps=0.01)
-        require_closed_forms(AlleeParams(m=gap ** 2, **pt))
-        assert check_grid(m=gap ** 2, **pt) is None
-        # m = gap * gap is the bound: AlleeParams allows it, the closed forms do not
-        want = f"requires 0 < m < (1 - sqrt(n))^2 = {gap * gap:.6g}, got m={gap * gap}"
-        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
-            require_closed_forms(AlleeParams(m=gap * gap, **pt))
-        assert verdict(check_grid, m=gap * gap, **pt) == (DomainError, want)
+        signs = []
+        for m in [ulps(gap * gap, k) for k in range(-2, 17)]:
+            yM = fold_height(m, N_POW_BELOW)
+            signs.append(np.sign(yM))
+            want = None
+            if yM < 0.0:
+                want = (DomainError, "requires 0 < m <= (1 - sqrt(n))^2 = "
+                        f"{gap * gap:.6g}, got m={m}, y_M={yM}")
+            elif yM == 0.0:
+                want = (DomainError, "requires alpha*x_M*y_M > 0, got 0.0")
+            assert scalar_verdict(dict(pt, m=m)) == want
+            assert verdict(check_grid, m=m, **pt) == want
+        assert signs == [1] * 12 + [0] * 2 + [-1] * 5
 
     def test_elementwise_over_a_grid(self):
         m, beta = np.meshgrid([0.2, 0.25, 0.3], [-0.1, 0.1])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canard.blowup import (
@@ -39,10 +39,9 @@ from canard.jet import (
     Jet,
     jet_add,
     jet_compose,
-    jet_eval,
-    jet_recenter,
     jet_scale,
 )
+from jet_reference import jet_eval, jet_recenter
 from canard.normalform import (
     COEFF_NAMES,
     NormalFormCoefficients,
@@ -594,6 +593,8 @@ class TestNewtonProperties:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
            r=st.floats(0.005, 0.2), offset=st.floats(-1.0, 1.0))
+    # fxy + gyy cancels to -6.2e-8 from addends of 2.4e-3
+    @example(seed=325894, constrained=False, r=0.10841460844238206, offset=0.0)
     def test_joint_jacobian_matches_central_difference(self, seed, constrained,
                                                        r, offset):
         nf = _drawn_record(seed, constrained)
@@ -606,6 +607,11 @@ class TestNewtonProperties:
             at = blow_up(nf, r, lam)
             return _hopf_system(at.fx, at.fy, dn, x, y)[0]
         jac = _hopf_system(sys.fx, sys.fy, dn, *point[:2])[1]
+        # the trace row's x and y entries are sums, fxx + gxy and fxy + gyy, that
+        # can cancel; the central difference's error scales with their addends
+        _, _, _, fxx, fxy, _ = _partials(sys.fx, *point[:2])
+        _, _, _, _, gxy, gyy = _partials(sys.fy, *point[:2])
+        size = {(2, 0): abs(fxx) + abs(gxy), (2, 1): abs(fxy) + abs(gyy)}
         # F is affine in lambda1, the trace quadratic in (x, y) and the y^3 terms
         # of fx, fy O(r^4): the wider y and lambda1 steps add no truncation error
         # to speak of and keep rounding off the small entries, p_y = O(r^2)
@@ -616,7 +622,8 @@ class TestNewtonProperties:
             down[col] -= h
             for row, (fu, fd) in enumerate(zip(residual(*up), residual(*down))):
                 central = (fu - fd) / (2.0 * h)
-                assert abs(jac[row][col] - central) <= 1e-6 * abs(central)
+                allowed = 1e-6 * size.get((row, col), abs(central))
+                assert abs(jac[row][col] - central) <= allowed
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),

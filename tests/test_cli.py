@@ -19,7 +19,7 @@ from model_oracle import sweep_row_reference
 
 import canard.cli as cli
 from canard import _svg
-from canard.allee import PARAM_NAMES, PSI_TAGS, AlleeParams, check_grid
+from canard.allee import COINCIDENCE_TOL, PARAM_NAMES, PSI_TAGS, AlleeParams, check_grid, gamma_star
 from canard.cli import load_config, main, parse_grid, write_csv
 from canard.errors import DomainError
 
@@ -131,6 +131,17 @@ class TestGridParse:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("offset", [-2.0, -0.5, 0.5, 2.0])
+    def test_model_curves_exactly_where_sdi_accepts(self, tmp_path, offset):
+        # analyze's model_curves and sdi's coincidence check read one tolerance
+        base = dict(m=0.18, n=0.1, alpha=0.8, beta=0.15, eps=0.01)
+        base["gamma"] = gamma_star(0.18, 0.1, 0.8, 0.15) + offset * COINCIDENCE_TOL
+        cfg = write_cfg(tmp_path / "p.cfg", base)
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "a"]) == 0
+        curves = json.loads((tmp_path / "a" / "analyze.json").read_text())["model_curves"]
+        code = run(["sdi", "--config", cfg, "--out", tmp_path / "s", "--grid", "4"])
+        assert (curves is not None) == (code == 0) == (abs(offset) < 1.0)
+
     def test_example2_degenerate_subcritical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "p.cfg", EX2)
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 0
@@ -363,9 +374,11 @@ class TestVectorizedSweep:
         # n = 0.25 puts (1 - sqrt(n))^2 at 0.25 exactly: m = 0.25 fails a
         # closed-form check, m = 0.35 fails AlleeParams, which runs first
         ("m=0.15:0.35:3", "requires alpha*x_M*y_M > 0, got 0.0"),
-        ("m=0.35:0.15:3", "requires 0 < m <= (1 - sqrt(n))^2 = 0.25, got m=0.35"),
+        ("m=0.35:0.15:3",
+         "requires 0 < m <= (1 - sqrt(n))^2 = 0.25, got m=0.35, y_M=-0.08321595661992309"),
         # y is the outer loop: (0.5, 0.1) comes before (0.2, -0.1)
-        ("m=0.2:0.5:2,beta=0.1:-0.1:2", "requires 0 < m <= (1 - sqrt(n))^2 = 0.25, got m=0.5"),
+        ("m=0.2:0.5:2,beta=0.1:-0.1:2",
+         "requires 0 < m <= (1 - sqrt(n))^2 = 0.25, got m=0.5, y_M=-0.16421356237309515"),
         ("m=0.2:0.5:2,beta=-0.1:0.1:2", "requires beta > 0, got -0.1"),
         # (m + x_M)^3 underflows to 0 at m = 5e-324, the least positive float
         ("m=0.2:5e-324:2,beta=0.1:-0.1:2", f"m=5e-324 {TINY_M}"),

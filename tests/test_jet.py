@@ -10,12 +10,11 @@ from canard.jet import (
     Jet,
     jet_add,
     jet_compose,
-    jet_eval,
     jet_mul,
-    jet_recenter,
     jet_scale,
     jet_truncate,
 )
+from jet_reference import jet_eval, jet_recenter
 
 
 def j1(degree, **terms):

@@ -16,7 +16,6 @@ from canard.sdi import (
     SdiProfile,
     branch_inverse,
     cyclicity_report,
-    factorization_gap,
     h_slow,
     phi,
     phi_root,
@@ -52,6 +51,29 @@ def random_coincident(rng, **kw):
         if beta > 1e-3:
             return AlleeParams(m=m, n=n, alpha=alpha, beta=beta, gamma=gamma,
                                eps=0.01, **kw)
+
+
+def psi_aux(x, p):
+    """(x - x_M) / [(m+x)^2 (alpha x - beta - gamma F(x)) F(x)], the factor
+    through which h(sigma) - h(x) factorizes."""
+    F = critical_height(x, p.m, p.n)
+    denom = (p.m + x) ** 2 * (p.alpha * x - p.beta - p.gamma * F) * F
+    if denom == 0.0:
+        raise NumericsError(f"auxiliary factor singular at x={x}")
+    return (p.m - math.sqrt(p.m) + x) / denom
+
+
+def factorization_gap(y, p, exponent=1.5):
+    """Both sides of the identity
+    h(sigma) - h(x) = psi(sigma) psi(x) (sigma - x) m^exponent F(x) phi(y)
+    at height y, for measuring the exponent.  The identity is exact (up
+    to rounding) with exponent 3/2 when the predator nullcline passes
+    through the fold (beta = alpha x_M - gamma y_M)."""
+    x, sigma = branch_inverse(y, p)
+    lhs = h_slow(sigma, p) - h_slow(x, p)
+    rhs = (psi_aux(sigma, p) * psi_aux(x, p) * (sigma - x)
+           * p.m ** exponent * critical_height(x, p.m, p.n) * phi(y, p))
+    return lhs, rhs
 
 
 class TestBranchInverse:
