@@ -5,9 +5,17 @@ The stepper is a Dormand-Prince 5(4) embedded pair with the quartic
 dense-output interpolant and proportional-integral step control (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.5-6).  It is plain Python on
 scalar floats: a field is an autonomous function (x, y) -> (dx/dt,
-dy/dt) called with two floats, and the accepted steps are collected in
-lists and turned into arrays once, at the end.  Time only runs forward
-here; reversed time is one negated field, built in dynamics.  An
+dy/dt) on two floats, and the accepted steps are collected in lists and
+turned into arrays once, at the end.  A field may carry its source, as
+source_field's do: source = (names, f_src, g_src), two expressions in x,
+y and the parameter names, and params, the values of those names.  The
+stepper's body is one template, instantiated and cached per source by
+_stepper: for a field without one it calls the field at each stage, for
+one with a source it binds params to locals once per run and evaluates
+the expressions in place, with the floats the call gives.  Parameter
+values never enter the source, so one stepper serves every parameter
+set.  define is the package's one run of generated code.  Time only runs
+forward here; reversed time is one negated field, built in dynamics.  An
 optional section stop ends a run at the first crossing of a vertical
 line in a wanted direction, located exactly as
 dynamics.section_crossings locates it on the interpolant it asks for
@@ -17,11 +25,12 @@ own stop rule."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import DomainError, NumericsError
 
 # Dormand-Prince 5(4) tableau; the nodes c_i are not needed, fields being
 # autonomous
@@ -53,26 +62,18 @@ STATUS_BAD_FIELD = 3
 _MAX_REJECT_STREAK = 30
 
 
-def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
-    """Integrate (x, y)' = rhs(x, y) from u0 = (x, y) over [0, t_end].
-
-    Returns (status, ts, ys, rcont, counts, hit): the accepted mesh ts
-    (n+1,) and ys (n+1, 2); the per-step interpolant coefficients rcont
-    (n, 5, 2), or None without store_dense (the mesh is the same either
-    way); counts = (accepted steps, rejected steps, rhs evaluations); and
-    hit.  With stop = (x_sec, y_base, want) every accepted step is
-    searched for a crossing of x = x_sec as by section_crossing, and the
-    run ends at the first crossing whose x-direction is want, returned as
-    hit = (t, y, xdir); otherwise hit is None.  Finiteness is checked on
-    the start values and the starter probe, then on each step's new state
-    and last stage."""
+# The body of dopri5, the one Dormand-Prince core: each line "k?0, k?1 = FIELD"
+# becomes the field's pair (dx/dt, dy/dt) at the stage state (x, y), a call or
+# the field's own expressions (_stepper_source).  It returns lists, which
+# dopri5 turns into arrays.
+_DOPRI5_BODY = """
     t = 0.0
     y0, y1 = float(u0[0]), float(u0[1])
-    k10, k11 = rhs(y0, y1)
+    x, y = y0, y1
+    k10, k11 = FIELD
     if not (math.isfinite(y0) and math.isfinite(y1)
             and math.isfinite(k10) and math.isfinite(k11)):
-        return (STATUS_BAD_FIELD, np.array([t]), np.array([[y0, y1]]),
-                np.empty((0, 5, 2)) if store_dense else None, (0, 0, 1), None)
+        return STATUS_BAD_FIELD, [t], [y0, y1], [], (0, 0, 1), None
 
     # starter step: scipy-style two-probe estimate
     sc0 = atol + rtol * abs(y0)
@@ -84,10 +85,10 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, t_end)
-    f0, f1 = rhs(y0 + h0 * k10, y1 + h0 * k11)
+    x, y = y0 + h0 * k10, y1 + h0 * k11
+    f0, f1 = FIELD
     if not (math.isfinite(f0) and math.isfinite(f1)):
-        return (STATUS_BAD_FIELD, np.array([t]), np.array([[y0, y1]]),
-                np.empty((0, 5, 2)) if store_dense else None, (0, 0, 2), None)
+        return STATUS_BAD_FIELD, [t], [y0, y1], [], (0, 0, 2), None
     d2 = math.sqrt(0.5 * (((f0 - k10) / sc0) ** 2
                           + ((f1 - k11) / sc1) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
@@ -100,7 +101,7 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
     ts = [t]
     ys = [y0, y1]
     rc = []
-    n = 0
+    steps = 0
     rejected = 0
     streak = 0
     errold = 1e-4
@@ -116,22 +117,26 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
             break
         h = t_end - t if t_end - t < h else h
 
-        k20, k21 = rhs(y0 + h * (A21 * k10), y1 + h * (A21 * k11))
-        k30, k31 = rhs(y0 + h * (A31 * k10 + A32 * k20),
-                       y1 + h * (A31 * k11 + A32 * k21))
-        k40, k41 = rhs(y0 + h * (A41 * k10 + A42 * k20 + A43 * k30),
-                       y1 + h * (A41 * k11 + A42 * k21 + A43 * k31))
-        k50, k51 = rhs(
-            y0 + h * (A51 * k10 + A52 * k20 + A53 * k30 + A54 * k40),
-            y1 + h * (A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41))
-        k60, k61 = rhs(
-            y0 + h * (A61 * k10 + A62 * k20 + A63 * k30 + A64 * k40
-                      + A65 * k50),
-            y1 + h * (A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41
-                      + A65 * k51))
+        x, y = y0 + h * (A21 * k10), y1 + h * (A21 * k11)
+        k20, k21 = FIELD
+        x, y = (y0 + h * (A31 * k10 + A32 * k20),
+                y1 + h * (A31 * k11 + A32 * k21))
+        k30, k31 = FIELD
+        x, y = (y0 + h * (A41 * k10 + A42 * k20 + A43 * k30),
+                y1 + h * (A41 * k11 + A42 * k21 + A43 * k31))
+        k40, k41 = FIELD
+        x, y = (y0 + h * (A51 * k10 + A52 * k20 + A53 * k30 + A54 * k40),
+                y1 + h * (A51 * k11 + A52 * k21 + A53 * k31 + A54 * k41))
+        k50, k51 = FIELD
+        x, y = (y0 + h * (A61 * k10 + A62 * k20 + A63 * k30 + A64 * k40
+                          + A65 * k50),
+                y1 + h * (A61 * k11 + A62 * k21 + A63 * k31 + A64 * k41
+                          + A65 * k51))
+        k60, k61 = FIELD
         yn0 = y0 + h * (B1 * k10 + B3 * k30 + B4 * k40 + B5 * k50 + B6 * k60)
         yn1 = y1 + h * (B1 * k11 + B3 * k31 + B4 * k41 + B5 * k51 + B6 * k61)
-        k70, k71 = rhs(yn0, yn1)
+        x, y = yn0, yn1
+        k70, k71 = FIELD
         nfev += 6
         if not (math.isfinite(yn0) and math.isfinite(yn1)
                 and math.isfinite(k70) and math.isfinite(k71)):
@@ -152,7 +157,7 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
             if stop is not None:
                 # the test and step order of dynamics.section_crossings
                 a = y0 - stop[0]
-                cross = (a == 0.0 and n > 0) or a * (yn0 - stop[0]) < 0.0
+                cross = (a == 0.0 and steps > 0) or a * (yn0 - stop[0]) < 0.0
             if store_dense or cross:
                 q0, q1 = yn0 - y0, yn1 - y1
                 b0, b1 = h * k10 - q0, h * k11 - q1
@@ -168,7 +173,7 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
             y0, y1 = yn0, yn1
             a0, a1 = an0, an1
             k10, k11 = k70, k71
-            n += 1
+            steps += 1
             ts.append(t)
             ys.append(y0)
             ys.append(y1)
@@ -194,9 +199,81 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
                 status = STATUS_STIFF
                 break
 
+    return status, ts, ys, rc, (steps, rejected, nfev), hit
+"""
+
+# steppers kept per field source: two per model, one per direction, and one
+# that every field without a source shares
+_STEPPER_CACHE = 16
+
+
+def define(source: str, name: str, env: dict):
+    """The object that Python source binds to name when run with globals env:
+    the package's one run of generated code, for its generated kernels."""
+    namespace: dict = {}
+    exec(source, env, namespace)
+    return namespace[name]
+
+
+def _stepper_source(source) -> str:
+    """The source of the stepper dopri5(rhs, u0, t_end, rtol, atol,
+    store_dense, stop) for a field source: for None, one that calls rhs at
+    each stage; for (names, f_src, g_src), one that binds names to
+    rhs.params once and evaluates the two expressions in place.  DomainError
+    on a name that the body uses itself."""
+    head = "def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop):"
+    if source is None:
+        return head + _DOPRI5_BODY.replace(" = FIELD\n", " = rhs(x, y)\n")
+    names, f_src, g_src = source
+    code = _stepper(None).__code__
+    for name in names:
+        if name in code.co_varnames or name in code.co_names:
+            raise DomainError(f"field parameter name {name!r} is not free in the stepper")
+    bind = f"\n    {''.join(f'{name}, ' for name in names)}= rhs.params"
+    return head + bind + _DOPRI5_BODY.replace(" = FIELD\n", f" = ({f_src}), ({g_src})\n")
+
+
+@functools.lru_cache(maxsize=_STEPPER_CACHE)
+def _stepper(source):
+    """The stepper of _stepper_source(source), generated once per source."""
+    return define(_stepper_source(source), "dopri5", globals())
+
+
+def source_field(name: str, names: tuple, f_src: str, g_src: str):
+    """The maker of the field name(x, y) = (f_src, g_src) over the parameters
+    names, compiled from that text: maker(values) is the field closed over
+    the values, carrying source = (names, f_src, g_src) and params = values
+    for dopri5 to evaluate in place."""
+    make = define(f"def make({', '.join(names)}):\n"
+                  f"    def {name}(x, y):\n"
+                  f"        return ({f_src}), ({g_src})\n"
+                  f"    return {name}", "make", {})
+
+    def maker(values):
+        field = make(*values)
+        field.source, field.params = (names, f_src, g_src), tuple(values)
+        return field
+    return maker
+
+
+def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
+    """Integrate (x, y)' = rhs(x, y) from u0 = (x, y) over [0, t_end].
+
+    Returns (status, ts, ys, rcont, counts, hit): the accepted mesh ts
+    (n+1,) and ys (n+1, 2); the per-step interpolant coefficients rcont
+    (n, 5, 2), or None without store_dense (the mesh is the same either
+    way); counts = (accepted steps, rejected steps, rhs evaluations); and
+    hit.  With stop = (x_sec, y_base, want) every accepted step is
+    searched for a crossing of x = x_sec as by section_crossing, and the
+    run ends at the first crossing whose x-direction is want, returned as
+    hit = (t, y, xdir); otherwise hit is None.  Finiteness is checked on
+    the start values and the starter probe, then on each step's new state
+    and last stage.  A field carrying a source is evaluated from it in
+    place, with the floats its call gives; rhs evaluations count those."""
+    status, ts, ys, rc, counts, hit = _stepper(getattr(rhs, "source", None))(
+        rhs, u0, t_end, rtol, atol, store_dense, stop)
     return (status, np.array(ts), np.array(ys).reshape(-1, 2),
-            np.array(rc).reshape(-1, 5, 2) if store_dense else None,
-            (n, rejected, nfev), hit)
+            np.array(rc).reshape(-1, 5, 2) if store_dense else None, counts, hit)
 
 
 def bisect(g, lo, hi, g_lo, narrow, max_iter=None):

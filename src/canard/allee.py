@@ -17,8 +17,10 @@ discriminant below the fold are >= 0 by construction.  Within ulps of the
 bound the sign of y_M decides, not the rounded (1 - sqrt(n))^2; a rejection
 shows y_M.
 
-model_field(p) is the model as a planar field (x, y) -> (f, eps*g), the
-one place f and g are written; _jacobian holds its derivatives.  This
+model_field(p) is the model as a planar field (x, y) -> (f, eps*g),
+compiled from MODEL_SOURCE, the one place f and g are written, and
+carrying that source for the integrator to evaluate in place; _jacobian
+holds its derivatives.  This
 module computes equilibria, the critical branches, the reduction of
 the model to the canonical slow-fast normal form near M in closed form,
 the criticality case analysis in m, and the Hopf/canard bifurcation
@@ -42,7 +44,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import bisect
+from ._kernels import bisect, source_field
 from .blowup import PlanarPolySystem, lyapunov_DF, normalize_linear, translate_to_equilibrium
 from .errors import DomainError, NumericsError
 from .normalform import (
@@ -206,17 +208,19 @@ class EquilibriaReport:
     fold: Tuple[float, float]
 
 
+# the model in fast time, f and eps*g over (x, y) and PARAM_NAMES: the one place
+# they are written
+MODEL_SOURCE = ("x * (x / (m + x) - n - x - y)",
+                "eps * (y * (alpha * x - beta - gamma * y))")
+_model = source_field("allee", PARAM_NAMES, *MODEL_SOURCE)
+
+
 def model_field(p: AlleeParams):
-    """The model in fast time as a planar field: a function (x, y) ->
-    (f, eps*g) closed over the parameters, the one place f and g are
-    written."""
-    m, n, alpha, beta, gamma, eps = (float(getattr(p, k)) for k in PARAM_NAMES)
-
-    def allee(x, y):
-        return (x * (x / (m + x) - n - x - y),
-                eps * (y * (alpha * x - beta - gamma * y)))
-
-    return allee
+    """The model in fast time as a planar field: the function allee(x, y) ->
+    (f, eps*g) compiled from MODEL_SOURCE, closed over the parameters.  It
+    carries that source and the parameter tuple, so dopri5 evaluates the
+    model in place; one compiled stepper serves every parameter set."""
+    return _model(tuple(float(getattr(p, k)) for k in PARAM_NAMES))
 
 
 def _jacobian(x: float, y: float, p: AlleeParams):

@@ -21,9 +21,9 @@ reference, and jet_compose with linear substitutions, jet_scale, jet_add) in
 the same order, so their tables equal the jet path's bit for bit; the tests
 check them against those ops.
 _recenter and _substitute_linear are straight-line functions that _kernel
-generates once per table layout, as dataclasses generates __init__, and keeps
-in a bounded cache: one local per output sum instead of dict lookups on tuple
-keys.  A layout is the table's keys in insertion order, not the key set: the
+generates once per table layout through _kernels.define, as dataclasses
+generates __init__, and keeps in a bounded cache: one local per output sum
+instead of dict lookups on tuple keys.  A layout is the table's keys in insertion order, not the key set: the
 order of the terms fixes the order in which each output sum adds them up, and
 so its rounding, and the order of the output keys.  The keys are checked
 against the monomials up to _DEGREE before any source is written.
@@ -60,6 +60,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from ._kernels import define
 from .errors import DomainError, NumericsError
 from .jet import Jet, jet_add, jet_compose, jet_mul, jet_scale
 from .normalform import COEFF_NAMES, NormalFormCoefficients, rho_coefficients
@@ -375,10 +376,8 @@ def _kernel(emit, layout: tuple):
     for k in layout:
         if k not in _TERMS:
             raise _term_error(k)
-    namespace: dict = {}
-    exec("\n".join(emit(tuple(_TERMS[k] for k in layout))), {"DomainError": DomainError},
-         namespace)
-    return namespace["kernel"]
+    return define("\n".join(emit(tuple(_TERMS[k] for k in layout))), "kernel",
+                  {"DomainError": DomainError})
 
 
 def _unpack(layout: tuple) -> list:

@@ -1,9 +1,11 @@
 """Trajectory integration, Poincaré return maps, and cycle detection.
 
-A field is an autonomous function (x, y) -> (dx/dt, dy/dt) on floats;
-allee_field(p) is the model's.  Every run goes through _run into the
-scalar Dormand-Prince 5(4) core in _kernels, which runs time forward;
-for Reversed runs _oriented negates the field, once per run.  integrate
+A field is an autonomous function (x, y) -> (dx/dt, dy/dt) on floats,
+optionally carrying its source (see _kernels); allee_field(p) is the
+model's, and carries it.  Every run goes through _run into the scalar
+Dormand-Prince 5(4) core in _kernels, which runs time forward and
+evaluates a field that carries its source in place; for Reversed runs
+_oriented negates the field, and its source, once per run.  integrate
 keeps the accepted mesh only; section crossings are located on the dense
 output, which only section_crossings keeps and a return map's run builds
 step by step, stopping at its first same-direction crossing.  Limit
@@ -72,13 +74,19 @@ class Trajectory:
 
 
 def _oriented(field: Callable, direction: str) -> Callable:
-    """field, or for REVERSED its negation: the floats -1.0 * field gives."""
+    """field, or for REVERSED its negation: the floats -1.0 * field gives.
+    The negation of a field carrying its source carries the negated source,
+    -(f_src) and -(g_src), which gives the same floats."""
     if direction != REVERSED:
         return field
 
     def negated(x, y):
         u, v = field(x, y)
         return -u, -v
+    source = getattr(field, "source", None)
+    if source is not None:
+        names, f_src, g_src = source
+        negated.source, negated.params = (names, f"-({f_src})", f"-({g_src})"), field.params
     return negated
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import re
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -595,6 +596,8 @@ class TestNewtonProperties:
            r=st.floats(0.005, 0.2), offset=st.floats(-1.0, 1.0))
     # fxy + gyy cancels to -6.2e-8 from addends of 2.4e-3
     @example(seed=325894, constrained=False, r=0.10841460844238206, offset=0.0)
+    # fx's x-partial cancels to -2.4e-8 from addends of 0.14
+    @example(seed=3051, constrained=False, r=0.07983811675154238, offset=-1.0)
     def test_joint_jacobian_matches_central_difference(self, seed, constrained,
                                                        r, offset):
         nf = _drawn_record(seed, constrained)
@@ -607,11 +610,24 @@ class TestNewtonProperties:
             at = blow_up(nf, r, lam)
             return _hopf_system(at.fx, at.fy, dn, x, y)[0]
         jac = _hopf_system(sys.fx, sys.fy, dn, *point[:2])[1]
-        # the trace row's x and y entries are sums, fxx + gxy and fxy + gyy, that
-        # can cancel; the central difference's error scales with their addends
+        # the x and y entries are sums that can cancel: those of rows 0 and 1
+        # over the table's terms, the trace row's fxx + gxy and fxy + gyy; the
+        # central difference's error scales with their addends, for rows 0 and
+        # 1 the partials of the |coefficient| table at (|x|, |y|)
         _, _, _, fxx, fxy, _ = _partials(sys.fx, *point[:2])
         _, _, _, _, gxy, gyy = _partials(sys.fy, *point[:2])
         size = {(2, 0): abs(fxx) + abs(gxy), (2, 1): abs(fxy) + abs(gyy)}
+        for row, table in enumerate((sys.fx, sys.fy)):
+            addends = _partials({k: abs(c) for k, c in table.items()},
+                                abs(point[0]), abs(point[1]))
+            size[row, 0], size[row, 1] = addends[1:3]
+        if (seed, r) == (3051, 0.07983811675154238):
+            # the wider allowance must not hide a wrong entry: the cancelling
+            # entry is the exact partial to a few ulps of its addend sum
+            x, y = (Fraction(v) for v in point[:2])
+            exact = sum(i * Fraction(c) * x ** (i - 1) * y ** j
+                        for (i, j), c in sys.fx.items() if i)
+            assert abs(Fraction(jac[0][0]) - exact) <= 4 * Fraction(math.ulp(size[0, 0]))
         # F is affine in lambda1, the trace quadratic in (x, y) and the y^3 terms
         # of fx, fy O(r^4): the wider y and lambda1 steps add no truncation error
         # to speak of and keep rounding off the small entries, p_y = O(r^2)

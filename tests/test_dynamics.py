@@ -6,12 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from canard import dynamics
 from canard._kernels import (STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF,
-                             STATUS_UNDERFLOW, bisect, dopri5)
+                             STATUS_UNDERFLOW, _stepper, _stepper_source, bisect,
+                             dopri5, source_field)
 from canard.allee import (AlleeParams, boundary_roots, critical_slope, equilibria, fold_point,
                           hopf_onset)
 from canard.dynamics import (
@@ -32,6 +33,7 @@ from canard.dynamics import (
     section_crossings,
 )
 from canard.errors import DomainError, NumericsError
+from dopri5_reference import dopri5 as reference_dopri5
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
 EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
@@ -545,6 +547,120 @@ class TestDenseOutputMode:
         np.testing.assert_array_equal(mesh[1], dense[1])
         np.testing.assert_array_equal(mesh[2], dense[2])
         assert mesh[3] is None and len(dense[3]) == len(dense[1]) - 1
+
+
+def _hexed(run):
+    """The result of run(), a dopri5 call, with each array as its shape and
+    the float.hex of its entries, or the type and message of what it raised."""
+    try:
+        status, ts, ys, rc, counts, hit = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+    def hexed(a):
+        return None if a is None else (a.shape, [float.hex(float(v)) for v in a.ravel()])
+    return (status, hexed(ts), hexed(ys), hexed(rc), counts,
+            None if hit is None else [float.hex(v) for v in hit])
+
+
+def _opaque(field):
+    """field as a plain callable, without the source dopri5 would inline."""
+    return lambda x, y: field(x, y)
+
+
+# a field from (0, 0.5) toward +x, with the value v in place of s at the start
+# point ("start"), everywhere else ("probe") or from x = 0.5 on ("steps"), as
+# _non_finite_field, but carrying its source
+_bad_source = source_field(
+    "bad", ("s", "v", "where"),
+    "v if (where == 'start' or (where == 'probe' and (x, y) != (0.0, 0.5))"
+    " or (where == 'steps' and x >= 0.5)) else s", "0.0")
+
+
+class TestInlinedField:
+    """dopri5 evaluates a field that carries its source in place: the same
+    floats, counts and failures as calling it, and as the hand-written body
+    the template replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(model=st.sampled_from(["EX1", "EX2"]), reversed_time=st.booleans(),
+           dense=st.booleans(), want=st.sampled_from([None, -1.0, 1.0]),
+           dx=st.floats(-0.02, 0.02), dy=st.floats(-0.02, 0.02),
+           t_max=st.floats(1.0, 300.0), tol=st.sampled_from([(1e-8, 1e-10), (1e-10, 1e-12)]))
+    # stops at a crossing after 52 steps
+    @example(model="EX2", reversed_time=False, dense=True, want=-1.0, dx=0.0, dy=-0.01,
+             t_max=300.0, tol=(1e-8, 1e-10))
+    def test_both_instantiations_equal_the_reference(self, model, reversed_time, dense,
+                                                     want, dx, dy, t_max, tol):
+        p = AlleeParams(**{"EX1": EX1, "EX2": EX2}[model])
+        x4, y4 = equilibria(p).E4.point
+        f = _oriented(allee_field(p), REVERSED if reversed_time else FORWARD)
+        assert f.source is not None
+        # the base below the orbit: a crossing in either direction may stop it
+        stop = None if want is None else (x4, y4 - 1.0, want)
+        args = ((x4 + dx, y4 + dy), t_max, *tol, dense, stop)
+        expect = _hexed(lambda: reference_dopri5(f, *args))
+        assert _hexed(lambda: dopri5(f, *args)) == expect
+        assert _hexed(lambda: dopri5(_opaque(f), *args)) == expect
+        if isinstance(expect[0], int):
+            # 2 starter evaluations, then 6 per attempted step, in place too
+            accepted, rejected, nfev = expect[4]
+            assert nfev == 2 + 6 * (accepted + rejected)
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    def test_pole_at_minus_m_fails_alike(self, direction):
+        # x / (m + x) divides by zero at x = -m, called or in place
+        p = AlleeParams(**EX1)
+        f = _oriented(allee_field(p), direction)
+        args = ((-p.m, 0.1), 1.0, 1e-8, 1e-10, False)
+        expect = _hexed(lambda: reference_dopri5(f, *args))
+        assert expect == (ZeroDivisionError, "float division by zero")
+        assert _hexed(lambda: dopri5(f, *args)) == expect
+        assert _hexed(lambda: dopri5(_opaque(f), *args)) == expect
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    @pytest.mark.parametrize("where", ["start", "probe", "steps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_source_is_a_bad_field(self, where, value, direction):
+        s = -1.0 if direction == REVERSED else 1.0
+        f = _oriented(_bad_source((s, value, where)), direction)
+        for dense in (False, True):
+            args = ((0.0, 0.5), 2.0, 1e-8, 1e-10, dense)
+            got = dopri5(f, *args)
+            assert got[0] == STATUS_BAD_FIELD and got[1][-1] < 0.5
+            assert (got[4][0] > 0) == (where == "steps")
+            expect = _hexed(lambda: reference_dopri5(f, *args))
+            assert _hexed(lambda: dopri5(f, *args)) == expect
+            assert _hexed(lambda: dopri5(_opaque(f), *args)) == expect
+
+    def test_one_stepper_per_source_and_direction(self):
+        fields = [allee_field(AlleeParams(**ex)) for ex in (EX1, EX2)]
+        fields.append(allee_field(AlleeParams(**dict(EX1, beta=0.21, eps=0.005))))
+        for direction in (FORWARD, REVERSED):
+            integrate(fields[0], (0.2, 0.3), tight(1.0, direction))
+        misses = _stepper.cache_info().misses
+        for f in fields:
+            for direction in (FORWARD, REVERSED):
+                integrate(f, (0.2, 0.3), tight(1.0, direction))
+        assert _stepper.cache_info().misses == misses
+        assert len({_oriented(f, d).source for f in fields for d in (FORWARD, REVERSED)}) == 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(beta=st.floats(0.01, 1.0), eps=st.floats(1e-4, 0.1),
+           reversed_time=st.booleans())
+    def test_parameter_values_stay_out_of_the_source(self, beta, eps, reversed_time):
+        direction = REVERSED if reversed_time else FORWARD
+        p = AlleeParams(**dict(EX1, beta=beta, eps=eps))
+        text = _stepper_source(_oriented(allee_field(p), direction).source)
+        assert text == _stepper_source(_oriented(allee_field(AlleeParams(**EX2)),
+                                                 direction).source)
+        assert not any(repr(v) in text for v in (0.849561, 0.263075, 0.138485, 0.4424))
+
+    @pytest.mark.parametrize("name", ["h", "steps", "math", "x"])
+    def test_parameter_name_must_be_free_in_the_stepper(self, name):
+        f = source_field("f", (name,), "1.0", "0.0")((1.0,))
+        with pytest.raises(DomainError, match="is not free in the stepper"):
+            dopri5(f, (0.0, 0.0), 1.0, 1e-8, 1e-10, False)
 
 
 class TestCounters:

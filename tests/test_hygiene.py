@@ -1,8 +1,8 @@
 """Source hygiene: no module under src/canard/ or tests/ imports a name it
 never reads, cli is the one src/canard module that imports json, so
-file formats are decided in one place, blowup's kernel generator is the one
-place in src/canard that runs generated code, and its cache is bounded, no CSV
-field the CLI writes needs
+file formats are decided in one place, _kernels.define is the one place in
+src/canard that runs generated code, the caches of the kernel and stepper
+generators that call it are bounded, no CSV field the CLI writes needs
 quoting, README names exactly the options every subcommand takes, and
 its library imports run.  Uses the stdlib ast module, so no linter is
 needed."""
@@ -94,15 +94,17 @@ def code_builtin_calls(source: str):
 
 
 def test_only_the_kernel_generator_runs_code():
-    # generated source is confined to blowup's kernel generator, and what it
-    # caches is bounded
+    # generated source runs in one helper, which blowup's kernel generator and
+    # the stepper generator call, and what either caches is bounded
+    from canard._kernels import _stepper
     from canard.blowup import _kernel
 
     users = [(p.name, *call) for p in sorted((ROOT / "src" / "canard").glob("*.py"))
              for call in code_builtin_calls(p.read_text(encoding="utf-8"))]
-    assert users == [("blowup.py", "_kernel", "exec")]
-    maxsize = _kernel.cache_parameters()["maxsize"]
-    assert isinstance(maxsize, int) and 0 < maxsize <= 1024
+    assert users == [("_kernels.py", "define", "exec")]
+    for cached in (_kernel, _stepper):
+        maxsize = cached.cache_parameters()["maxsize"]
+        assert isinstance(maxsize, int) and 0 < maxsize <= 1024
 
 
 def test_code_call_detector():
