@@ -32,15 +32,15 @@ cross-check of the closed-form tables and is the only place here that
 builds a Jet.
 
 The kernels skip work whose result is known: a contribution whose integer
-multiplier is 0 (the derivative sums of _partials and _gradient), a product
-with an exact 0.0 factor (the zero entries of _substitute_linear's powers and
-of normalize_linear's T), and sums no caller reads (_recenter's constant
-term; the second derivatives, where _gradient serves).  A skipped term is
-+-0.0 when its other factors are finite, and it would be added to a sum that
-starts at +0.0 and so never holds -0.0 (a + (-a) is +0.0): adding it leaves
-the sum as it is, and every table and value is bit for bit what the full
-sums give.  A skipped 0 * inf would have been NaN, but then a value the
-caller checks is already non-finite, and the same error type is raised.
+multiplier is 0 (the derivative sums of _partials), a product with an exact
+0.0 factor (the zero entries of _substitute_linear's powers and of
+normalize_linear's T), and the one sum no caller reads (_recenter's constant
+term).  A skipped term is +-0.0 when its other factors are finite, and it
+would be added to a sum that starts at +0.0 and so never holds -0.0
+(a + (-a) is +0.0): adding it leaves the sum as it is, and every table and
+value is bit for bit what the full sums give.  A skipped 0 * inf would have
+been NaN, but then a value the caller checks is already non-finite, and the
+same error type is raised.
 
 A PlanarPolySystem is its two tables, cleaned at the one degree bound
 _DEGREE; it carries no blow-up radius (equilibrium_series takes r) and no
@@ -232,35 +232,13 @@ def blow_up_via_jets(nf: NormalFormCoefficients, r: float, lambda1: float) -> Pl
     return PlanarPolySystem(fx1.coeffs, fy1.coeffs)
 
 
-def _gradient(coeffs: Terms, x: float, y: float) -> Tuple[float, float, float]:
-    """(v, v_x, v_y) of sum c x^i y^j at (x, y): the first three sums of
-    _partials, by the same float operations."""
-    x2, y2 = x * x, y * y
-    px, py = (1.0, x, x2, x2 * x, x2 * x * x), (1.0, y, y2, y2 * y, y2 * y * y)
-    v = vx = vy = 0.0
-    for (i, j), c in coeffs.items():
-        xi, yj = px[i], py[j]
-        v += c * xi * yj
-        if i:
-            vx += i * c * px[i - 1] * yj
-        if j:
-            vy += j * c * xi * py[j - 1]
-    return v, vx, vy
-
-
 def _partials(coeffs: Terms, x: float, y: float
               ) -> Tuple[float, float, float, float, float, float]:
     """(v, v_x, v_y, v_xx, v_xy, v_yy) of sum c x^i y^j at (x, y), in one pass over
     the flat terms; px[e] = x^e, py[e] = y^e up to _DEGREE = 4, as the products
-    x*x, (x*x)*x, ((x*x)*x)*x.
-
-    A term adds to v_x and v_xy only if i >= 1 and to v_xx only if i >= 2, likewise
-    for j with v_y, v_yy: the contributions it skips, (integer 0) * c * (powers), are
-    +-0.0 for a finite product.  Each sum starts at +0.0, and a float sum that starts
-    at +0.0 never holds -0.0 (a + (-a) is +0.0), so adding +-0.0 leaves it as it
-    is: every sum equals, bit for bit, the one over every term and multiplier.
-    Where a power of the point overflows, the skipped 0 * inf would have been NaN;
-    the term's own part of v is then not finite, and so is v."""
+    x*x, (x*x)*x, ((x*x)*x)*x.  A term adds to v_x and v_xy only if i >= 1 and to
+    v_xx only if i >= 2, likewise for j with v_y, v_yy; the sums skip only
+    contributions with an integer multiplier 0 (see the module docstring)."""
     x2, y2 = x * x, y * y
     px, py = (1.0, x, x2, x2 * x, x2 * x * x), (1.0, y, y2, y2 * y, y2 * y * y)
     v = vx = vy = vxx = vxy = vyy = 0.0
@@ -340,14 +318,14 @@ def equilibrium_series(sys: PlanarPolySystem, r: float) -> EquilibriumSeries:
 
 
 def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple[float, float]:
-    """Newton refinement of the equilibrium from guess (the oracle seeds it
-    with the equilibrium series head)."""
+    """Newton refinement of the equilibrium from guess (verify's series-order
+    stage seeds it with the equilibrium series head)."""
     x, y = float(guess[0]), float(guess[1])
     for _ in range(_MAX_ITER):
-        fx, j11, j12 = _gradient(sys.fx, x, y)
-        fy, j21, j22 = _gradient(sys.fy, x, y)
+        fx, j11, j12 = _partials(sys.fx, x, y)[:3]
+        fy, j21, j22 = _partials(sys.fy, x, y)[:3]
         # a residual that is not finite leads to no finite root; the Jacobian
-        # need not be NaN there (_gradient skips the 0 * inf terms), so say so
+        # need not be NaN there (_partials skips the 0 * inf terms), so say so
         if not (math.isfinite(fx) and math.isfinite(fy)):
             raise NumericsError(f"non-finite residual in equilibrium refinement at ({x}, {y})")
         # one extra step after meeting _TOL polishes the root to the
@@ -458,8 +436,8 @@ def translate_to_equilibrium(sys: PlanarPolySystem, eq: Tuple[float, float]) -> 
     if len(eq) != 2:
         raise DomainError(f"point length {len(eq)} != nvars 2")
     x0, y0 = float(eq[0]), float(eq[1])
-    f = abs(_gradient(sys.fx, x0, y0)[0])
-    g = abs(_gradient(sys.fy, x0, y0)[0])
+    f = abs(_partials(sys.fx, x0, y0)[0])
+    g = abs(_partials(sys.fy, x0, y0)[0])
     res = max(f, g) if g == g else g  # max() keeps a NaN only in first place
     if not res <= 1e-10:  # a NaN residual fails too
         raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
@@ -539,7 +517,7 @@ def _hopf_system(m: Terms, n: Terms, dn: Terms, x: float, y: float
     dF/dlambda1 = (0, p, p_y) with p = sum dn_ij x^i y^j."""
     fx, j11, j12, fxx, fxy, fyy = _partials(m, x, y)
     fy, j21, j22, gxx, gxy, gyy = _partials(n, x, y)
-    p, _, p_y = _gradient(dn, x, y)
+    p, _, p_y = _partials(dn, x, y)[:3]
     return ((fx, fy, j11 + j22),
             ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
 
@@ -581,9 +559,7 @@ def _hopf_point(nf: NormalFormCoefficients, r: float
 
 def hopf_lambda1(nf: NormalFormCoefficients, r: float) -> float:
     """The value of lambda1 putting the blown-up equilibrium on the Hopf
-    curve (zero linear trace) at radius r: one joint Newton iteration on
-    (equilibrium, zero trace) in (x, y, lambda1), seeded by the series head
-    rho1*r, stopped once the residual is below _TOL and one more step taken."""
+    curve (zero linear trace) at radius r, solved by _hopf_point."""
     return _hopf_point(nf, r)[0]
 
 
@@ -661,20 +637,18 @@ def sample_record(rng: np.random.Generator,
     unless the rotation stays well-defined (4N - M^2 > _DISC_FLOOR) at the
     Hopf point for r = _R_CHECK.  With constrain_omega1 the a10 entry is
     overwritten to force omega1 = 0 (the degenerate stratum).  The linear
-    part at the equilibrium is the gradient of each component there."""
+    part is read at the equilibrium and on the system of that Hopf solve."""
     for _ in range(_MAX_TRIES):
         vals = dict(zip(COEFF_NAMES, rng.uniform(-1.0, 1.0, len(COEFF_NAMES)).tolist()))
         if constrain_omega1:
             vals["a10"] = 3.0 * vals["b10"] - 2.0 * vals["d10"] - 2.0 * vals["f00"]
         nf = NormalFormCoefficients(**vals)
         try:
-            lam = hopf_lambda1(nf, _R_CHECK)
-            sys = blow_up(nf, _R_CHECK, lam)
-            x, y = find_equilibrium(sys, equilibrium_series(sys, _R_CHECK).predict(_R_CHECK))
+            _, (x, y), sys = _hopf_point(nf, _R_CHECK)
         except (DomainError, NumericsError):
             continue
-        m10, m01 = _gradient(sys.fx, x, y)[1:]
-        n10, n01 = _gradient(sys.fy, x, y)[1:]
+        m10, m01 = _partials(sys.fx, x, y)[1:3]
+        n10, n01 = _partials(sys.fy, x, y)[1:3]
         disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
         if _DISC_FLOOR < disc < math.inf:
             return nf

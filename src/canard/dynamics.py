@@ -17,6 +17,7 @@ equilibrium E4."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -90,6 +91,18 @@ def _oriented(field: Callable, direction: str) -> Callable:
     return negated
 
 
+@contextlib.contextmanager
+def _typed_arithmetic(field: Callable):
+    """A ZeroDivisionError or OverflowError raised in the block by field or by
+    the stepper's arithmetic on its values (x / (m + x) at x = -m, the step-size
+    norm of a value near the float limit), as a NumericsError naming field."""
+    try:
+        yield
+    except (ZeroDivisionError, OverflowError) as exc:
+        name = getattr(field, "__name__", field)
+        raise NumericsError(f"field '{name}' failed in float arithmetic: {exc}") from None
+
+
 def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
          stop=None):
     """Integrate with one stiffness retry at 100x tighter tolerances.
@@ -104,8 +117,9 @@ def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
     work = (0, 0, 0)
     name = getattr(field, "__name__", field)
     for attempt in range(2):
-        status, ts, ys, rc, counts, hit = dopri5(
-            rhs, u0, opts.t_max, rtol, atol, store_dense, stop)
+        with _typed_arithmetic(field):
+            status, ts, ys, rc, counts, hit = dopri5(
+                rhs, u0, opts.t_max, rtol, atol, store_dense, stop)
         work = tuple(a + b for a, b in zip(work, counts))
         if status == STATUS_STIFF and attempt == 0:
             warnings.warn(
@@ -157,9 +171,10 @@ def section_crossings(field: Callable, start, section: Section,
     for i in range(len(traj.t) - 1):
         a = g[i]
         if (a == 0.0 and i > 0) or a * g[i + 1] < 0.0:
-            hit = section_crossing(rhs, traj.t[i], traj.t[i + 1],
-                                   rcont[i].ravel().tolist(),
-                                   section.x, section.y_base, a)
+            with _typed_arithmetic(field):
+                hit = section_crossing(rhs, traj.t[i], traj.t[i + 1],
+                                       rcont[i].ravel().tolist(),
+                                       section.x, section.y_base, a)
             if hit is not None:
                 hits.append(hit)
                 if len(hits) >= limit:
@@ -190,7 +205,8 @@ def _first_return(field: Callable, section: Section, y0: float,
                   opts: IntegratorOptions) -> Tuple[float, float]:
     """(height, time) of the first same-direction crossing; the
     integration stops there instead of running on to t_max."""
-    v0, v1 = _oriented(field, opts.direction)(section.x, y0)
+    with _typed_arithmetic(field):
+        v0, v1 = _oriented(field, opts.direction)(section.x, y0)
     if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
         raise NumericsError("section crossing is tangential at the start point")
     stop = (section.x, section.y_base, math.copysign(1.0, v0))

@@ -91,6 +91,8 @@ class NormalFormCoefficients:
                 vals[k] = float(v)
             except (TypeError, ValueError):
                 raise DomainError(f"coefficient {k} is not a number: {v!r}") from None
+            except OverflowError:  # an int beyond the float range
+                vals[k] = math.inf
         return cls(**vals)
 
 

@@ -25,7 +25,6 @@ from canard.blowup import (
     translate_to_equilibrium,
     _DEGREE,
     _TERMS,
-    _gradient,
     _hatted_tables,
     _hopf_point,
     _hopf_system,
@@ -486,8 +485,10 @@ class TestSampleRecord:
 
     @staticmethod
     def _per_coefficient_draws(rng, constrain_omega1):
-        """sample_record as it was written with one generator call per
-        coefficient: the reference for its single vector draw."""
+        """sample_record as it was written, with one generator call per
+        coefficient and a second solve for its acceptance test (hopf_lambda1,
+        blow_up, find_equilibrium): the reference for its single vector draw
+        and for its reading of the linear part off the Hopf solve itself."""
         for _ in range(200):
             vals = {name: float(rng.uniform(-1.0, 1.0)) for name in COEFF_NAMES}
             if constrain_omega1:
@@ -513,6 +514,48 @@ class TestSampleRecord:
         nf = sample_record(rng, constrain_omega1=constrained)
         assert asdict(nf) == asdict(self._per_coefficient_draws(ref_rng, constrained))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_hopf_solve_per_attempt(self, monkeypatch):
+        # a draw the Hopf solve refuses, one whose 4N - M^2 is below the floor
+        # (m01 = -0.01 at r = 0.1), then the generator's first draw
+        refused = np.full(len(COEFF_NAMES), 1e300)
+        flat = np.zeros(len(COEFF_NAMES))
+        flat[COEFF_NAMES.index("c01")] = 99.0
+        rng = _ScriptedDraws([refused, flat], np.random.default_rng(3))
+        count = {"solves": 0, "inside": False, "own": 0}
+
+        def solve(nf, r):
+            count["solves"] += 1
+            count["inside"] = True
+            try:
+                return _hopf_point(nf, r)
+            finally:
+                count["inside"] = False
+
+        def counted(fn):
+            def call(*args):
+                count["own"] += not count["inside"]
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr("canard.blowup._hopf_point", solve)
+        for fn in (find_equilibrium, equilibrium_series, hopf_lambda1, blow_up):
+            monkeypatch.setattr(f"canard.blowup.{fn.__name__}", counted(fn))
+        nf = sample_record(rng)
+        assert rng.draws == 3 and count["solves"] == 3 and count["own"] == 0
+        assert nf == sample_record(np.random.default_rng(3))
+
+
+class _ScriptedDraws:
+    """A generator whose uniform() gives the scripted draws, then those of rng;
+    draws counts the calls."""
+
+    def __init__(self, script, rng):
+        self.script, self.rng, self.draws = list(script), rng, 0
+
+    def uniform(self, low, high, size):
+        self.draws += 1
+        return self.script.pop(0) if self.script else self.rng.uniform(low, high, size)
 
 
 with open(Path(__file__).parent / "data" / "golden_oracle.json", "r",
@@ -956,7 +999,6 @@ def _outcome(fn, *args):
 def _outcome_with_full_sums(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("canard.blowup._partials", _full_partials)
-        mp.setattr("canard.blowup._gradient", lambda c, x, y: _full_partials(c, x, y)[:3])
         return _outcome(fn, *args)
 
 
@@ -967,9 +1009,9 @@ _NON_FINITE_POINTS = [(math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan),
 
 
 class TestSkippedSums:
-    """_partials and _gradient leave out the sums whose integer multiplier is 0;
-    their values must be those of the full sums bit for bit, and where a power
-    of the point is not finite the callers must fail with the same error type."""
+    """_partials leaves out the sums whose integer multiplier is 0; its values
+    must be those of the full sums bit for bit, and where a power of the point
+    is not finite the callers must fail with the same error type."""
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), x=_POINT_COORD, y=_POINT_COORD,
@@ -982,9 +1024,7 @@ class TestSkippedSums:
             raw = {k: (0.0 if n % 2 else -0.0) if zeros >> n & 1 else c
                    for n, (k, c) in enumerate(table.items())}
             for point in (centre, (x, y)):
-                want = _bits(_full_partials(raw, *point))
-                assert _bits(_partials(raw, *point)) == want
-                assert _bits(_gradient(raw, *point)) == want[:3]
+                assert _bits(_partials(raw, *point)) == _bits(_full_partials(raw, *point))
 
     @pytest.mark.parametrize("point", _NON_FINITE_POINTS)
     def test_non_finite_points_fail_as_with_full_sums(self, point):

@@ -107,6 +107,16 @@ class TestConfig:
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "setting 't_max' is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reversed_time", [False, True])
+    def test_start_on_the_pole_is_a_numerics_error(self, tmp_path, capsys, reversed_time):
+        # x / (m + x) divides by zero at start_x = -m
+        cfg = write_cfg(tmp_path / "p.cfg", dict(EX1, start_x=-EX1["m"], start_y=0.1,
+                                                 reversed=reversed_time))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "error: field 'allee' failed in float arithmetic: float division by zero\n")
+        assert not (tmp_path / "o" / "simulate.json").exists()
+
     def test_json_boolean_is_not_a_number(self, tmp_path, capsys):
         js = tmp_path / "p.json"
         js.write_text(json.dumps(dict(EX1, start_x=0.2644, start_y=True)))
@@ -209,6 +219,8 @@ class TestAnalyze:
         ("a10 = 0.25", "is not valid JSON"),
         ('{"a10": 0.25, "z99": 1.0}', "unknown coefficient keys: z99"),
         ('{"a10": true}', "coefficient a10 is not a number: True"),
+        pytest.param('{"a10": 1' + "0" * 400 + "}", "coefficient a10 is not finite",
+                     id="int-beyond-float-range"),
     ])
     def test_coefficient_file_rejected(self, tmp_path, capsys, text, problem):
         rec = tmp_path / "record.json"

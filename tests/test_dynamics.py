@@ -214,6 +214,57 @@ class TestNonFiniteField:
             f"field '{name}' evaluation produced non-finite values")
 
 
+class TestArithmeticFailures:
+    """A division by zero or an overflow, in the field or in the stepper's
+    arithmetic on its values, is a NumericsError naming the field from every
+    entry point; dopri5 itself lets both through (see
+    test_pole_at_minus_m_fails_alike)."""
+
+    @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
+    def test_pole_at_minus_m(self, direction):
+        # x / (m + x) divides by zero at the start point, and in return_map
+        # already in the start-velocity check
+        p = AlleeParams(**EX1)
+        field, opts = allee_field(p), tight(1.0, direction)
+        for call in (lambda: integrate(field, (-p.m, 0.1), opts),
+                     lambda: return_map(field, Section(-p.m, 0.0), 0.1, opts)):
+            with pytest.raises(NumericsError) as info:
+                call()
+            assert str(info.value) == (
+                "field 'allee' failed in float arithmetic: float division by zero")
+
+    def test_field_value_near_the_float_limit(self):
+        # finite, but its square in the step-size norm overflows
+        def huge(x, y):
+            return (1e200, 0.0)
+
+        with pytest.raises(NumericsError, match="field 'huge' failed in float arithmetic"):
+            integrate(huge, (0.0, 0.0))
+
+    @pytest.mark.parametrize("entry", ["integrate", "return_map"])
+    def test_pole_reached_after_steps(self, entry):
+        # fine at the start and short of x = 0.1, a division by zero beyond it
+        def pole(x, y):
+            return (1.0, 1.0 / (x < 0.1))
+
+        with pytest.raises(NumericsError, match="field 'pole' failed in float arithmetic"):
+            if entry == "integrate":
+                integrate(pole, (0.0, 0.5), tight(2.0))
+            else:
+                return_map(pole, Section(0.0, 0.0), 0.5, tight(2.0))
+
+    def test_pole_at_a_located_crossing(self):
+        # the mesh misses the seam at x = 0.5; the crossing point found on the
+        # interpolant is within 1e-9 of it
+        def seam(x, y):
+            return (1.0, 1.0 / (abs(x - 0.5) > 1e-9))
+
+        opts = IntegratorOptions(t_max=2.0)
+        assert integrate(seam, (0.0, 0.5), opts).t[-1] == 2.0
+        with pytest.raises(NumericsError, match="field 'seam' failed in float arithmetic"):
+            section_crossings(seam, (0.0, 0.5), Section(0.5, 0.0), opts)
+
+
 class TestReturnMap:
     def test_center_is_identity(self):
         y1 = return_map(center, Section(0.0, 0.0), 1.0, tight(10.0))

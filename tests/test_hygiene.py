@@ -3,12 +3,13 @@ never reads, cli is the one src/canard module that imports json, so
 file formats are decided in one place, _kernels.define is the one place in
 src/canard that runs generated code, the caches of the kernel and stepper
 generators that call it are bounded, no CSV field the CLI writes needs
-quoting, README names exactly the options every subcommand takes, and
-its library imports run.  Uses the stdlib ast module, so no linter is
-needed."""
+quoting, README names exactly the options every subcommand takes, its
+library imports run, and every code name it mentions exists.  Uses the
+stdlib ast module, so no linter is needed."""
 
 import argparse
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -167,3 +168,46 @@ def test_readme_entry_points_import():
     assert len(lines) >= 5
     for line in lines:
         exec(line, {})
+
+
+def code_names(text: str):
+    """The backticked private names (`_name`, `_name.attr`; not dunders) and
+    the canard.<module>.<name> paths of a text."""
+    private = re.findall(r"`(_(?!_)\w+(?:\.\w+)*)`", text)
+    return sorted(set(private)), sorted(set(re.findall(r"\bcanard(?:\.\w+)+", text)))
+
+
+def resolve(path: str, scopes) -> bool:
+    """Whether the dotted path names an object: its head an attribute of one
+    of scopes, each further part an attribute of the one before."""
+    head, *rest = path.split(".")
+    found = [getattr(s, head) for s in scopes if hasattr(s, head)]
+    for obj in found:
+        for part in rest:
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_code_names_resolve():
+    # a deleted or renamed function cannot stay named in the docs
+    import canard
+
+    modules = [importlib.import_module(f"canard.{p.stem}")
+               for p in sorted((ROOT / "src" / "canard").glob("*.py")) if p.stem != "__init__"]
+    private, dotted = code_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert private and dotted
+    assert [n for n in private if not resolve(n, [canard, *modules])] == []
+    assert [n for n in dotted if not resolve(n.partition(".")[2], [canard])] == []
+
+
+def test_code_name_detector():
+    text = "`_a`, `__name__`, `_b.c` and canard.x.y. in `canard.z` `not_private`"
+    assert code_names(text) == (["_a", "_b.c"], ["canard.x.y", "canard.z"])
+    import canard.blowup
+
+    assert resolve("blowup._partials", [canard])
+    assert resolve("_partials", [canard.blowup])
+    assert not resolve("blowup._gone", [canard])
+    assert not resolve("_gone", [canard, canard.blowup])

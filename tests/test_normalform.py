@@ -245,8 +245,10 @@ class TestSerialization:
             NormalFormCoefficients(a10=float("inf"))
 
     def test_non_number_rejected(self):
-        with pytest.raises(DomainError):
-            NormalFormCoefficients.from_dict({"a10": "abc"})
+        # an int beyond the float range is not finite, as cli._as_float reads it
+        for value, problem in (("abc", "a10 is not a number"), (10 ** 400, "a10 is not finite")):
+            with pytest.raises(DomainError, match=problem):
+                NormalFormCoefficients.from_dict({"a10": value})
 
     @pytest.mark.parametrize("value", [True, False])
     def test_boolean_rejected(self, value):
