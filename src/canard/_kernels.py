@@ -14,19 +14,26 @@ _stepper: for a field without one it calls the field at each stage, for
 one with a source it binds params to locals once per run and evaluates
 the expressions in place, with the floats the call gives.  Parameter
 values never enter the source, so one stepper serves every parameter
-set.  define is the package's one run of generated code.  Time only runs
-forward here; reversed time is one negated field, built in dynamics.  An
-optional section stop ends a run at the first crossing of a vertical
+set.  The template is written with the tableau's names, and the
+generated source holds their values as literals, which the compiler
+makes constants; it binds math.isfinite, math.sqrt and the appends of
+the mesh lists to locals once per run, so a step reads none of these
+through a global or attribute lookup, and it counts accepted steps and
+field evaluations once, at the end, from the mesh and the rejections.
+define is the package's one run of generated code.  Time only runs
+forward here; reversed time is one negated field, built in dynamics.
+An optional section stop ends a run at the first crossing of a vertical
 line in a wanted direction, located exactly as
 dynamics.section_crossings locates it on the interpolant it asks for
 (store_dense).  bisect serves that location, the displacement root of
-dynamics.find_cycle and the Hopf point of allee.hopf_onset, each with its
-own stop rule."""
+dynamics.find_cycle and the Hopf point of allee.hopf_onset, each with
+its own stop rule."""
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 
 import numpy as np
 
@@ -68,18 +75,18 @@ _MAX_REJECT_STREAK = 30
 # dopri5 turns into arrays.
 _DOPRI5_BODY = """
     t = 0.0
+    isfinite, sqrt = math.isfinite, math.sqrt
     y0, y1 = float(u0[0]), float(u0[1])
     x, y = y0, y1
     k10, k11 = FIELD
-    if not (math.isfinite(y0) and math.isfinite(y1)
-            and math.isfinite(k10) and math.isfinite(k11)):
+    if not (isfinite(y0) and isfinite(y1) and isfinite(k10) and isfinite(k11)):
         return STATUS_BAD_FIELD, [t], [y0, y1], [], (0, 0, 1), None
 
     # starter step: scipy-style two-probe estimate
     sc0 = atol + rtol * abs(y0)
     sc1 = atol + rtol * abs(y1)
-    d0 = math.sqrt(0.5 * ((y0 / sc0) ** 2 + (y1 / sc1) ** 2))
-    d1 = math.sqrt(0.5 * ((k10 / sc0) ** 2 + (k11 / sc1) ** 2))
+    d0 = sqrt(0.5 * ((y0 / sc0) ** 2 + (y1 / sc1) ** 2))
+    d1 = sqrt(0.5 * ((k10 / sc0) ** 2 + (k11 / sc1) ** 2))
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -87,21 +94,20 @@ _DOPRI5_BODY = """
     h0 = min(h0, t_end)
     x, y = y0 + h0 * k10, y1 + h0 * k11
     f0, f1 = FIELD
-    if not (math.isfinite(f0) and math.isfinite(f1)):
+    if not (isfinite(f0) and isfinite(f1)):
         return STATUS_BAD_FIELD, [t], [y0, y1], [], (0, 0, 2), None
-    d2 = math.sqrt(0.5 * (((f0 - k10) / sc0) ** 2
-                          + ((f1 - k11) / sc1) ** 2)) / h0
+    d2 = sqrt(0.5 * (((f0 - k10) / sc0) ** 2
+                     + ((f1 - k11) / sc1) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     h = min(100.0 * h0, h1, t_end)
-    nfev = 2
 
     ts = [t]
     ys = [y0, y1]
+    ts_append, ys_append = ts.append, ys.append
     rc = []
-    steps = 0
     rejected = 0
     streak = 0
     errold = 1e-4
@@ -137,9 +143,7 @@ _DOPRI5_BODY = """
         yn1 = y1 + h * (B1 * k11 + B3 * k31 + B4 * k41 + B5 * k51 + B6 * k61)
         x, y = yn0, yn1
         k70, k71 = FIELD
-        nfev += 6
-        if not (math.isfinite(yn0) and math.isfinite(yn1)
-                and math.isfinite(k70) and math.isfinite(k71)):
+        if not (isfinite(yn0) and isfinite(yn1) and isfinite(k70) and isfinite(k71)):
             status = STATUS_BAD_FIELD
             break
 
@@ -151,13 +155,14 @@ _DOPRI5_BODY = """
         an1 = -yn1 if yn1 < 0.0 else yn1
         s0 = atol + rtol * (an0 if an0 > a0 else a0)
         s1 = atol + rtol * (an1 if an1 > a1 else a1)
-        err = math.sqrt(0.5 * ((e0 / s0) ** 2 + (e1 / s1) ** 2))
+        err = sqrt(0.5 * ((e0 / s0) ** 2 + (e1 / s1) ** 2))
 
         if err <= 1.0:
             if stop is not None:
-                # the test and step order of dynamics.section_crossings
+                # the test and step order of dynamics.section_crossings: t > 0
+                # from the first accepted step on
                 a = y0 - stop[0]
-                cross = (a == 0.0 and steps > 0) or a * (yn0 - stop[0]) < 0.0
+                cross = (a == 0.0 and t > 0.0) or a * (yn0 - stop[0]) < 0.0
             if store_dense or cross:
                 q0, q1 = yn0 - y0, yn1 - y1
                 b0, b1 = h * k10 - q0, h * k11 - q1
@@ -173,10 +178,9 @@ _DOPRI5_BODY = """
             y0, y1 = yn0, yn1
             a0, a1 = an0, an1
             k10, k11 = k70, k71
-            steps += 1
-            ts.append(t)
-            ys.append(y0)
-            ys.append(y1)
+            ts_append(t)
+            ys_append(y0)
+            ys_append(y1)
             if err == 0.0:
                 fac = 10.0
             else:
@@ -199,8 +203,22 @@ _DOPRI5_BODY = """
                 status = STATUS_STIFF
                 break
 
+    # 2 starter evaluations, then 6 per attempted step: accepted, rejected or
+    # stopped at its non-finite state
+    steps = len(ts) - 1
+    nfev = 2 + 6 * (steps + rejected + (status == STATUS_BAD_FIELD))
     return status, ts, ys, rc, (steps, rejected, nfev), hit
 """
+
+# The tableau names of _DOPRI5_BODY.  Each is written into the generated
+# source as its repr in parentheses: repr reads back to the same double, and
+# the compiler folds "(-3.7...)" into one constant, where a name would be a
+# global lookup at each use.
+_TABLEAU = ("A21", "A31", "A32", "A41", "A42", "A43", "A51", "A52", "A53", "A54",
+            "A61", "A62", "A63", "A64", "A65", "B1", "B3", "B4", "B5", "B6",
+            "E1", "E3", "E4", "E5", "E6", "E7", "D1", "D3", "D4", "D5", "D6", "D7")
+_FOLDED_BODY = re.sub(r"\b(%s)\b" % "|".join(_TABLEAU),
+                      lambda name: f"({globals()[name[1]]!r})", _DOPRI5_BODY)
 
 # steppers kept per field source: two per model, one per direction, and one
 # that every field without a source shares
@@ -219,18 +237,19 @@ def _stepper_source(source) -> str:
     """The source of the stepper dopri5(rhs, u0, t_end, rtol, atol,
     store_dense, stop) for a field source: for None, one that calls rhs at
     each stage; for (names, f_src, g_src), one that binds names to
-    rhs.params once and evaluates the two expressions in place.  DomainError
-    on a name that the body uses itself."""
+    rhs.params once and evaluates the two expressions in place.  Either way
+    the tableau enters as literals (_TABLEAU).  DomainError on a name that
+    the body uses itself."""
     head = "def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop):"
     if source is None:
-        return head + _DOPRI5_BODY.replace(" = FIELD\n", " = rhs(x, y)\n")
+        return head + _FOLDED_BODY.replace(" = FIELD\n", " = rhs(x, y)\n")
     names, f_src, g_src = source
     code = _stepper(None).__code__
     for name in names:
         if name in code.co_varnames or name in code.co_names:
             raise DomainError(f"field parameter name {name!r} is not free in the stepper")
     bind = f"\n    {''.join(f'{name}, ' for name in names)}= rhs.params"
-    return head + bind + _DOPRI5_BODY.replace(" = FIELD\n", f" = ({f_src}), ({g_src})\n")
+    return head + bind + _FOLDED_BODY.replace(" = FIELD\n", f" = ({f_src}), ({g_src})\n")
 
 
 @functools.lru_cache(maxsize=_STEPPER_CACHE)

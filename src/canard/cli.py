@@ -202,14 +202,15 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
 
 
 def write_csv(out_dir: str, name: str, header: Sequence[str],
-              rows: Iterable[Sequence[object]]) -> str:
-    """The header and rows of floats, ints and strs as one string, each
-    field as its str: for a Python or numpy float, the shortest string
-    that reads back to the same value.  No field is quoted, so no field
-    may hold ',', '"', '\\r' or '\\n'; the CLI writes only numbers and
-    fixed identifiers, which makes these the bytes of csv.writer."""
-    lines = (",".join(map(str, row)) + "\n" for row in (header, *rows))
-    return _write_text(out_dir, name, "".join(lines))
+              columns: Sequence[Iterable[str]]) -> str:
+    """The header and the rows that columns of field text make, as one
+    string: the callers format each value, a float as its str, the
+    shortest string that reads back to the same value.  No field is
+    quoted, so no field may hold ',', '"', '\\r' or '\\n'; the CLI writes
+    only numbers and fixed identifiers, which makes these the bytes of
+    csv.writer."""
+    rows = map(",".join, zip(*columns))
+    return _write_text(out_dir, name, "\n".join((",".join(header), *rows)) + "\n")
 
 
 def _fields(record) -> dict:
@@ -381,8 +382,8 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
                np.array(PSI_TAGS, dtype=object)[case]]
 
     header = names + list(SWEEP_COLUMNS) + ["case"]
-    rows = zip(*(_cell_text(column, shape) for column in columns))
-    csv_path = write_csv(rc.output_dir, "sweep.csv", header, rows)
+    csv_path = write_csv(rc.output_dir, "sweep.csv", header,
+                         [_cell_text(column, shape) for column in columns])
     svg = _svg.heatmap(
         x_values, [0.0] if not y_name else y_values,
         cols["A"],
@@ -409,8 +410,9 @@ def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
     )
     field = allee_field(p)
     traj = integrate(field, start, opts)
-    rows = np.column_stack((traj.t, traj.y)).tolist()
-    csv_path = write_csv(rc.output_dir, "trajectory.csv", ["t", "x", "y"], rows)
+    t, x, y = traj.t.tolist(), *traj.y.T.tolist()
+    csv_path = write_csv(rc.output_dir, "trajectory.csv", ["t", "x", "y"],
+                         [map(str, t), map(str, x), map(str, y)])
     end = traj.end_state
     summary = {
         "params": p,
@@ -418,12 +420,15 @@ def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
         "direction": opts.direction,
         "t_final": float(traj.t[-1]),
         "steps": int(len(traj.t)),
+        "n_accepted": traj.n_accepted,
+        "n_rejected": traj.n_rejected,
+        "nfev": traj.nfev,
         "end_state": [float(end[0]), float(end[1])],
         "stiffness_suspected": bool(traj.stiffness_suspected),
     }
     paths = [csv_path]
     svg = _svg.polyline(
-        [r[1] for r in rows], [r[2] for r in rows],
+        x, y,
         title=f"trajectory ({opts.direction.lower()} time)",
         x_label="x", y_label="y", marker=(float(end[0]), float(end[1])))
     paths.append(_write_text(rc.output_dir, "trajectory.svg", svg))
@@ -462,7 +467,7 @@ def cmd_sdi(rc: RunConfig) -> Tuple[List[str], int]:
     json_path = _write_json(rc.output_dir, "sdi.json",
                             dict(_fields(profile), params=p))
     csv_path = write_csv(rc.output_dir, "sdi.csv", ["s", "integral"],
-                         [[s, v] for s, v in zip(profile.s_grid, profile.values)])
+                         [map(str, profile.s_grid), map(str, profile.values)])
     svg = _svg.polyline(profile.s_grid, profile.values,
                         title="slow divergence integral profile",
                         x_label="depth s", y_label="I(s)")

@@ -308,7 +308,11 @@ def region_excursion(p: AlleeParams, n_starts: int = 100, seed: int = 0,
     seeded uniform starts integrated to t_max at rel_tol 1e-9 and abs_tol
     1e-12.  The box is forward invariant for admissible parameters with
     (alpha-beta)/gamma <= 2, so the result should be at the
-    integration-noise level."""
+    integration-noise level.  DomainError unless n_starts >= 1 and seed
+    >= 0 are integers: no start would pass the check vacuously."""
+    for name, value, least in (("n_starts", n_starts, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise DomainError(f"requires an integer {name} >= {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     field = allee_field(p)
     opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, t_max=t_max)

@@ -428,8 +428,9 @@ class TestVectorizedSweep:
         assert all(seen[0][k] == () for k in PARAM_NAMES if k not in names)
 
     def test_numpy_scalar_cells(self, tmp_path):
+        cells = [np.float64(0.1), np.float32(0.5), np.int64(7), 0.1, 3, "x"]
         path = write_csv(str(tmp_path), "cells.csv", ["a", "b", "c", "d", "e", "f"],
-                         [[np.float64(0.1), np.float32(0.5), np.int64(7), 0.1, 3, "x"]])
+                         [[str(v)] for v in cells])
         assert Path(path).read_text(encoding="utf-8") == "a,b,c,d,e,f\n0.1,0.5,7,0.1,3,x\n"
 
 
@@ -536,7 +537,8 @@ class TestOutputBytes:
             assert digest == case[name], name
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(st.lists(CSV_FIELDS, min_size=1, max_size=8), max_size=6),
+    @given(rows=st.integers(1, 8).flatmap(lambda width: st.lists(
+               st.lists(CSV_FIELDS, min_size=width, max_size=width), max_size=6)),
            header=st.lists(CSV_FIELDS, min_size=1, max_size=8))
     def test_write_csv_equals_csv_writer(self, tmp_path_factory, header, rows):
         out = tmp_path_factory.mktemp("csv")
@@ -544,7 +546,9 @@ class TestOutputBytes:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        path = write_csv(str(out), "rows.csv", header, rows)
+        # write_csv takes the columns' text: each value as its str
+        columns = [map(str, column) for column in zip(*rows)]
+        path = write_csv(str(out), "rows.csv", list(map(str, header)), columns)
         assert Path(path).read_bytes() == buffer.getvalue().encode("utf-8")
 
     @settings(max_examples=80, deadline=None)
@@ -599,9 +603,9 @@ class TestOutputBytes:
             seen["traj"] = real_integrate(*args)
             return seen["traj"]
 
-        def recording_write_csv(out_dir, name, header, rows):
-            seen[name] = rows
-            return real_write_csv(out_dir, name, header, rows)
+        def recording_write_csv(out_dir, name, header, columns):
+            seen[name] = [list(column) for column in columns]
+            return real_write_csv(out_dir, name, header, seen[name])
         monkeypatch.setattr(cli, "integrate", recording_integrate)
         monkeypatch.setattr(cli, "write_csv", recording_write_csv)
         cfg = write_cfg(tmp_path / "p.cfg",
@@ -609,9 +613,10 @@ class TestOutputBytes:
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
         traj = seen["traj"]
         want = [[float(t), float(x), float(y)] for t, (x, y) in zip(traj.t, traj.y)]
-        rows = seen["trajectory.csv"]
-        assert rows == want and all(type(v) is float for row in rows for v in row)
-        ref = real_write_csv(str(tmp_path), "ref.csv", ["t", "x", "y"], want)
+        # each field is the str of the mesh value as a Python float
+        assert seen["trajectory.csv"] == [list(map(str, column)) for column in zip(*want)]
+        ref = real_write_csv(str(tmp_path), "ref.csv", ["t", "x", "y"],
+                             [map(str, column) for column in zip(*want)])
         assert (tmp_path / "o" / "trajectory.csv").read_bytes() == Path(ref).read_bytes()
 
 
@@ -647,6 +652,9 @@ class TestSimulate:
         assert [float(v) for v in rows[0]] == [0.0, 0.2644, 0.0961]
         summary = json.loads((tmp_path / "o" / "simulate.json").read_text())
         assert summary["steps"] == len(rows)
+        # the run's integrator work: 2 starter evaluations, then 6 per attempted step
+        assert summary["n_accepted"] == len(rows) - 1 and summary["n_rejected"] >= 0
+        assert summary["nfev"] == 2 + 6 * (summary["n_accepted"] + summary["n_rejected"])
         assert summary["t_final"] == pytest.approx(50.0)
         assert summary["direction"] == "Forward"
         assert [float(v) for v in rows[-1][1:]] == summary["end_state"]
@@ -832,6 +840,7 @@ class TestJsonLayout:
         assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 0
         data = self.read(tmp_path, "simulate.json")
         assert list(data) == ["params", "start", "direction", "t_final", "steps",
+                              "n_accepted", "n_rejected", "nfev",
                               "end_state", "stiffness_suspected", "cycle"]
         assert list(data["params"]) == self.PARAMS
         assert list(data["cycle"]) == ["section_point", "period", "multiplier",

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from canard import dynamics
+from canard import _kernels, dynamics
 from canard._kernels import (STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF,
                              STATUS_UNDERFLOW, _stepper, _stepper_source, bisect,
                              dopri5, source_field)
@@ -488,6 +489,22 @@ class TestRegionExcursion:
         b = region_excursion(p, n_starts=3, seed=11, t_max=200.0)
         assert a == b
 
+    @pytest.mark.parametrize("n_starts", [0, -1, 2.0, True])
+    def test_no_starts_is_a_domain_error(self, n_starts):
+        # zero starts would report no excursion, a vacuous pass of the invariance check
+        with pytest.raises(DomainError, match="requires an integer n_starts >= 1"):
+            region_excursion(AlleeParams(**EX2), n_starts=n_starts, seed=0, t_max=10.0)
+
+    @pytest.mark.parametrize("seed", [-1, -2 ** 70, 1.0, "3", None, False])
+    def test_bad_seed_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError, match="requires an integer seed >= 0"):
+            region_excursion(AlleeParams(**EX2), n_starts=1, seed=seed, t_max=10.0)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        p = AlleeParams(**EX2)
+        assert (region_excursion(p, n_starts=np.int64(2), seed=np.int64(5), t_max=50.0)
+                == region_excursion(p, n_starts=2, seed=5, t_max=50.0))
+
     def test_non_finite_field_raises_typed_error(self, monkeypatch):
         def allee(x, y):
             return (math.nan, 0.0)
@@ -707,11 +724,30 @@ class TestInlinedField:
                                                  direction).source)
         assert not any(repr(v) in text for v in (0.849561, 0.263075, 0.138485, 0.4424))
 
-    @pytest.mark.parametrize("name", ["h", "steps", "math", "x"])
+    @pytest.mark.parametrize("name", ["h", "steps", "math", "x", "sqrt", "isfinite"])
     def test_parameter_name_must_be_free_in_the_stepper(self, name):
         f = source_field("f", (name,), "1.0", "0.0")((1.0,))
         with pytest.raises(DomainError, match="is not free in the stepper"):
             dopri5(f, (0.0, 0.0), 1.0, 1e-8, 1e-10, False)
+
+    def test_tableau_is_folded_into_constants(self):
+        # the floats of _kernels are the tableau: no generated stepper looks
+        # one up by name, and each stepper holds every one bit for bit
+        tableau = {k: v for k, v in vars(_kernels).items() if type(v) is float}
+        assert len(tableau) == 32
+        for source in (None, allee_field(AlleeParams(**EX1)).source):
+            assert not re.search(r"\bFIELD\b", _stepper_source(source))
+            code = _stepper(source).__code__
+            assert not set(tableau) & set(code.co_names)
+            consts = {c.hex() for c in code.co_consts if type(c) is float}
+            assert {v.hex() for v in tableau.values()} <= consts
+
+    def test_field_source_keeps_a_tableau_name(self):
+        # the tableau is folded into the template only, never into a field's text
+        args = ((0.0, 0.0), 1.0, 1e-8, 1e-10, False)
+        named = dopri5(source_field("f", ("A21",), "A21", "0.0")((3.0,)), *args)
+        plain = dopri5(source_field("f", ("w",), "w", "0.0")((3.0,)), *args)
+        assert _hexed(lambda: named) == _hexed(lambda: plain)
 
 
 class TestCounters:
