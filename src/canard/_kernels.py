@@ -6,7 +6,7 @@ dense-output interpolant and proportional-integral step control (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.5-6).  It is plain Python on
 scalar floats: a field is an autonomous function (x, y) -> (dx/dt,
 dy/dt) on two floats, and the accepted steps are collected in lists and
-turned into arrays once, at the end.  A field may carry its source, as
+turned into float arrays once, at the end.  A field may carry its source, as
 source_field's do: source = (names, f_src, g_src), two expressions in x,
 y and the parameter names, and params, the values of those names.  The
 stepper's body is one template, instantiated and cached per source by
@@ -291,8 +291,8 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
     place, with the floats its call gives; rhs evaluations count those."""
     status, ts, ys, rc, counts, hit = _stepper(getattr(rhs, "source", None))(
         rhs, u0, t_end, rtol, atol, store_dense, stop)
-    return (status, np.array(ts), np.array(ys).reshape(-1, 2),
-            np.array(rc).reshape(-1, 5, 2) if store_dense else None, counts, hit)
+    return (status, np.array(ts, dtype=float), np.array(ys, dtype=float).reshape(-1, 2),
+            np.array(rc, dtype=float).reshape(-1, 5, 2) if store_dense else None, counts, hit)
 
 
 def bisect(g, lo, hi, g_lo, narrow, max_iter=None):

@@ -12,43 +12,47 @@ Everything here is independent of the omega/rho polynomials, so a fit of
 l1_blowup over an r-grid is an end-to-end check of those polynomials.
 
 Every stage reads and writes plain (i, j) -> c term tables: the
-coefficient of x^i y^j, absent terms meaning 0.  The two coordinate
-changes after the Hopf location run on private kernels: _recenter
-(translate_to_equilibrium) and _linear_powers plus _substitute_linear
-(normalize_linear).  Each repeats the float operations of the generic jet
-op it stands for (jet_recenter, which lives with the tests as their
-reference, and jet_compose with linear substitutions, jet_scale, jet_add) in
-the same order, so their tables equal the jet path's bit for bit; the tests
-check them against those ops.
-_recenter and _substitute_linear are straight-line functions that _kernel
-generates once per table layout through _kernels.define, as dataclasses
-generates __init__, and keeps in a bounded cache: one local per output sum
-instead of dict lookups on tuple keys.  A layout is the table's keys in insertion order, not the key set: the
-order of the terms fixes the order in which each output sum adds them up, and
-so its rounding, and the order of the output keys.  The keys are checked
-against the monomials up to _DEGREE before any source is written.
-blow_up_via_jets keeps to the generic jet ops as an independent
-cross-check of the closed-form tables and is the only place here that
-builds a Jet.
+coefficient of x^i y^j, absent terms meaning 0.  Three kernels do the
+arithmetic on them: _partials (a table's value and derivatives at a point),
+_recenter (translate_to_equilibrium) and _substitute_linear
+(normalize_linear).  _kernel generates each as a straight-line function
+through _kernels.define, as dataclasses generates __init__, once per table
+layout (and set of sums), and keeps it in a bounded cache: one local per
+sum instead of dict lookups on tuple keys.  A layout is the table's keys in
+insertion order: the order of the terms fixes the order in which each sum
+adds them up, and so its rounding.  The keys are checked against the
+monomials up to _DEGREE before any source is written.  The kernels repeat
+the float operations of the loops and jet ops they stand for (jet_recenter,
+which lives with the tests as their reference, jet_compose, jet_scale,
+jet_add), so their values are those bit for bit; the tests check them.
+blow_up_via_jets keeps to the generic jet ops as an independent cross-check
+of the closed-form tables and is the only place here that builds a Jet.
 
 The kernels skip work whose result is known: a contribution whose integer
 multiplier is 0 (the derivative sums of _partials), a product with an exact
 0.0 factor (the zero entries of _substitute_linear's powers and of
-normalize_linear's T), and the one sum no caller reads (_recenter's constant
-term).  A skipped term is +-0.0 when its other factors are finite, and it
-would be added to a sum that starts at +0.0 and so never holds -0.0
-(a + (-a) is +0.0): adding it leaves the sum as it is, and every table and
-value is bit for bit what the full sums give.  A skipped 0 * inf would have
-been NaN, but then a value the caller checks is already non-finite, and the
-same error type is raised.
+normalize_linear's T), and the sums no caller reads (_recenter's constant
+term, the two second derivatives _hopf_system does not use).  A skipped term
+is +-0.0 when its other factors are finite, and it would be added to a sum
+that starts at +0.0 and so never holds -0.0 (a + (-a) is +0.0): adding it
+leaves the sum as it is.  A skipped 0 * inf would have been NaN, but then a
+value the caller checks is already non-finite, and the same error is raised.
 
 A PlanarPolySystem is its two tables, cleaned at the one degree bound
-_DEGREE; it carries no blow-up radius (equilibrium_series takes r) and no
-stage tag: lyapunov_DF's |trace| < 1e-12 gate is the one check that a
-system sits on the Hopf curve, so allee.model_l1 runs the same stages on the
-model.  A Hopf solve builds its starting system once, rebuilds only the slow
-table per Newton iterate (the fast one does not depend on lam1), and builds
-one more system, at its final lam1.
+_DEGREE (int keys, floats, no zeros, all finite); lyapunov_DF's
+|trace| < 1e-12 gate is the one check that a system sits on the Hopf curve.
+The stages after the Hopf location wrap one helper each (_centred, _rotated,
+_first_lyapunov); l1_blowup and allee.model_l1 chain the helpers in one pass,
+_lyapunov_at, that builds no system in between.  It makes every check of
+the stages, finiteness included, but keeps the exact zeros the cleaning
+drops, and its value is the same bit for bit: no table of the pass holds
+-0.0 (the kernels' sums and _rotated's g1 start at +0.0, and g2 is a
+positive multiple), so a kept zero reads as the 0.0 of an absent term, and
+as a term of a kernel its products are +-0.0, or NaN where a power of the
+substitution is not finite, and then the table's term of highest x-degree,
+which the cleaning keeps, has a non-finite product too.  A Hopf solve builds
+its starting system once, then only the slow table per Newton iterate (the
+fast one does not depend on lam1), and returns those two tables.
 """
 
 from __future__ import annotations
@@ -99,18 +103,22 @@ def _term_error(key) -> DomainError:
     return DomainError(f"term {key} is not a monomial of degree <= {_DEGREE}")
 
 
+def _finite(terms: Terms) -> Terms:
+    """terms, after a DomainError at its first non-finite value (overflow)."""
+    if not all(map(math.isfinite, terms.values())):
+        bad = next(k for k, c in terms.items() if not math.isfinite(c))
+        raise DomainError(f"non-finite coefficient at {bad}")
+    return terms
+
+
 def _clean_terms(terms: Terms) -> Terms:
     """The nonzero terms as floats at int (i, j) keys, in insertion order;
-    DomainError on a term beyond _DEGREE or a non-finite value (overflow never
-    passes)."""
+    DomainError on a term beyond _DEGREE or a non-finite value."""
     try:
         clean = {_TERMS[k]: float(c) for k, c in terms.items() if c != 0.0}
     except KeyError as exc:
         raise _term_error(exc.args[0]) from None
-    if not all(map(math.isfinite, clean.values())):
-        bad = next(k for k, c in clean.items() if not math.isfinite(c))
-        raise DomainError(f"non-finite coefficient at {bad}")
-    return clean
+    return _finite(clean)
 
 
 @dataclass(frozen=True)
@@ -232,32 +240,17 @@ def blow_up_via_jets(nf: NormalFormCoefficients, r: float, lambda1: float) -> Pl
     return PlanarPolySystem(fx1.coeffs, fy1.coeffs)
 
 
-def _partials(coeffs: Terms, x: float, y: float
-              ) -> Tuple[float, float, float, float, float, float]:
-    """(v, v_x, v_y, v_xx, v_xy, v_yy) of sum c x^i y^j at (x, y), in one pass over
-    the flat terms; px[e] = x^e, py[e] = y^e up to _DEGREE = 4, as the products
-    x*x, (x*x)*x, ((x*x)*x)*x.  A term adds to v_x and v_xy only if i >= 1 and to
-    v_xx only if i >= 2, likewise for j with v_y, v_yy; the sums skip only
-    contributions with an integer multiplier 0 (see the module docstring)."""
-    x2, y2 = x * x, y * y
-    px, py = (1.0, x, x2, x2 * x, x2 * x * x), (1.0, y, y2, y2 * y, y2 * y * y)
-    v = vx = vy = vxx = vxy = vyy = 0.0
-    for (i, j), c in coeffs.items():
-        xi, yj = px[i], py[j]
-        v += c * xi * yj
-        if i:
-            xd = px[i - 1]
-            vx += i * c * xd * yj
-            if i > 1:
-                vxx += i * (i - 1) * c * px[i - 2] * yj
-            if j:
-                vxy += i * j * c * xd * py[j - 1]
-        if j:
-            yd = py[j - 1]
-            vy += j * c * xi * yd
-            if j > 1:
-                vyy += j * (j - 1) * c * xi * py[j - 2]
-    return v, vx, vy, vxx, vxy, vyy
+# derivatives (a, b) for _partials: (v, v_x, v_y), then v_xx, v_xy, v_yy
+_ORDER1 = ((0, 0), (1, 0), (0, 1))
+_ORDER2 = _ORDER1 + ((2, 0), (1, 1), (0, 2))
+_HOPF_SUMS = (_ORDER2[:5], _ORDER1 + _ORDER2[4:])  # those _hopf_system reads of m, n
+
+
+def _partials(coeffs: Terms, x: float, y: float, sums: tuple = _ORDER2) -> Tuple[float, ...]:
+    """The derivatives sums of sum c x^i y^j at (x, y), by the kernel
+    _partials_source generates for the table's layout and those sums;
+    DomainError on a key that is not a monomial of degree <= _DEGREE."""
+    return _kernel(_partials_source, tuple(coeffs), sums)(coeffs, x, y)
 
 
 def _hatted_tables(fx: Terms, fy: Terms, r: float) -> Tuple[Dict, Dict]:
@@ -322,8 +315,8 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
     stage seeds it with the equilibrium series head)."""
     x, y = float(guess[0]), float(guess[1])
     for _ in range(_MAX_ITER):
-        fx, j11, j12 = _partials(sys.fx, x, y)[:3]
-        fy, j21, j22 = _partials(sys.fy, x, y)[:3]
+        fx, j11, j12 = _partials(sys.fx, x, y, _ORDER1)
+        fy, j21, j22 = _partials(sys.fy, x, y, _ORDER1)
         # a residual that is not finite leads to no finite root; the Jacobian
         # need not be NaN there (_partials skips the 0 * inf terms), so say so
         if not (math.isfinite(fx) and math.isfinite(fy)):
@@ -341,20 +334,20 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
     raise NumericsError(f"equilibrium refinement did not reach {_TOL} in {_MAX_ITER} iterations")
 
 
-# kernels kept per (coordinate change, table layout); the oracle meets three
+# kernels kept per (kernel, table layout, sums); ten verify runs meet 16
 _KERNEL_CACHE = 64
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE)
-def _kernel(emit, layout: tuple):
-    """The function kernel(coeffs, ...) whose straight-line source emit writes
-    for a table whose keys are layout, in insertion order; DomainError naming a
-    key that is not a monomial of degree <= _DEGREE, so that only int exponents
-    reach the source."""
+def _kernel(emit, layout: tuple, *args):
+    """The function kernel(coeffs, ...) whose straight-line source emit(layout,
+    *args) writes for a table whose keys are layout, in insertion order;
+    DomainError naming a key that is not a monomial of degree <= _DEGREE, so
+    that only int exponents reach the source."""
     for k in layout:
         if k not in _TERMS:
             raise _term_error(k)
-    return define("\n".join(emit(tuple(_TERMS[k] for k in layout))), "kernel",
+    return define("\n".join(emit(tuple(_TERMS[k] for k in layout), *args)), "kernel",
                   {"DomainError": DomainError})
 
 
@@ -378,6 +371,27 @@ def _returned(lines: list, sums: dict) -> list:
     order."""
     items = ", ".join(f"{k}: {v}" for k, v in sums.items())
     return lines + [f"    return {{{items}}}"]
+
+
+def _partials_source(layout: tuple, sums: tuple) -> list:
+    """kernel(coeffs, x, y) of _partials: the sum of each derivative (a, b) in
+    sums adds, from 0.0 and in the order of the terms, ((k * c) * x^(i-a)) * y^(j-b)
+    with the integer k = i!/(i-a)! j!/(j-b)! and the powers x*x, (x*x)*x,
+    ((x*x)*x)*x.  A term whose k is 0 is left out (see the module docstring),
+    and a factor k = 1 or x^0 = 1.0 is not written: multiplying by it is exact."""
+    def term(n, i, j, a, b):
+        k = math.perm(i, a) * math.perm(j, b)
+        return "".join([f"{k} * " if k != 1 else "", f"c{n}", *(
+            f" * {v}{e if e > 1 else ''}" for v, e in (("x", i - a), ("y", j - b)) if e)])
+
+    lines = ["def kernel(coeffs, x, y):", *_unpack(layout)]
+    for name, top in (("x", max((i for i, _ in layout), default=0)),
+                      ("y", max((j for _, j in layout), default=0))):
+        lines += [f"    {name}{e} = {name}{e - 1 if e > 2 else ''} * {name}"
+                  for e in range(2, top + 1)]
+    values = [" + ".join(["0.0", *(term(n, i, j, a, b) for n, (i, j) in enumerate(layout)
+                                   if i >= a and j >= b)]) for a, b in sums]
+    return lines + [f"    return ({', '.join(values)},)"]
 
 
 def _recenter_source(layout: tuple) -> list:
@@ -423,61 +437,52 @@ def _substitute_source(layout: tuple) -> list:
 
 
 def _recenter(coeffs: Terms, x0: float, y0: float) -> Terms:
-    """Terms of sum c (x + x0)^i (y + y0)^j without the constant term: the float
-    operations and the term order of jet_recenter, without the (0, 0) sum, which
-    no caller reads; DomainError on a key that is not a monomial of degree <=
-    _DEGREE, or if a power of the centre up to the highest exponent in the table
-    passes the float range."""
+    """Terms of sum c (x + x0)^i (y + y0)^j but the constant, as jet_recenter
+    gives them; DomainError on a key that is not a monomial of degree <= _DEGREE
+    or a power of the centre that the table needs beyond the float range."""
     return _kernel(_recenter_source, tuple(coeffs))(coeffs, x0, y0)
+
+
+def _centred(fx: Terms, fy: Terms, eq) -> Tuple[Terms, Terms]:
+    """The two tables recentred at eq, an equilibrium (residual <= 1e-10)."""
+    if len(eq) != 2:
+        raise DomainError(f"point length {len(eq)} != nvars 2")
+    x0, y0 = float(eq[0]), float(eq[1])
+    f = abs(_partials(fx, x0, y0, _ORDER1)[0])
+    g = abs(_partials(fy, x0, y0, _ORDER1)[0])
+    res = max(f, g) if g == g else g  # max() keeps a NaN only in first place
+    if not res <= 1e-10:  # a NaN residual fails too
+        raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
+    return _recenter(fx, x0, y0), _recenter(fy, x0, y0)
 
 
 def translate_to_equilibrium(sys: PlanarPolySystem, eq: Tuple[float, float]) -> PlanarPolySystem:
     """Recenter the system at eq; requires eq to be an equilibrium."""
-    if len(eq) != 2:
-        raise DomainError(f"point length {len(eq)} != nvars 2")
-    x0, y0 = float(eq[0]), float(eq[1])
-    f = abs(_partials(sys.fx, x0, y0)[0])
-    g = abs(_partials(sys.fy, x0, y0)[0])
-    res = max(f, g) if g == g else g  # max() keeps a NaN only in first place
-    if not res <= 1e-10:  # a NaN residual fails too
-        raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
-    return PlanarPolySystem(_recenter(sys.fx, x0, y0), _recenter(sys.fy, x0, y0))
+    return PlanarPolySystem(*_centred(sys.fx, sys.fy, eq))
 
 
 def _linear_powers(a: float, b: float) -> list:
-    """X[e][p], the u^p v^(e-p) coefficient of (a u + b v)^e for e <= _DEGREE, by
-    jet_mul's recurrence X^e[p] = X^(e-1)[p] b + X^(e-1)[p-1] a."""
-    X = [[1.0]]
-    for e in range(1, _DEGREE + 1):
-        prev = X[-1]
-        X.append([prev[0] * b] + [prev[p] * b + prev[p - 1] * a for p in range(1, e)]
-                 + [prev[e - 1] * a])
-    return X
+    """X[e][p], the u^p v^(e-p) coefficient of (a u + b v)^e for e <= _DEGREE = 4,
+    by jet_mul's recurrence X^e[p] = X^(e-1)[p] b + X^(e-1)[p-1] a, unrolled
+    (X^1 = [1.0 b, 1.0 a] is [b, a] exactly)."""
+    x20, x21, x22 = b * b, a * b + b * a, a * a
+    x30, x31, x32, x33 = x20 * b, x21 * b + x20 * a, x22 * b + x21 * a, x22 * a
+    return [[1.0], [b, a], [x20, x21, x22], [x30, x31, x32, x33],
+            [x30 * b, x31 * b + x30 * a, x32 * b + x31 * a, x33 * b + x32 * a, x33 * a]]
 
 
 def _substitute_linear(coeffs: Terms, X: list, Y: list) -> Terms:
     """Terms of sum k x^i y^j at x = a u + b v, y = c u + d v, given the
-    _linear_powers X, Y of the two forms, with the float operations and order of
-    jet_compose: each term sums the products (k X^i[p]) Y^j[q], p and q
-    descending, into its own u-exponents, and the terms are added in the order
-    of coeffs.  A product k X^i[p] == 0.0 is skipped: each of its products with
-    a finite Y^j[q] is +-0.0, added to a sum that is never -0.0.  DomainError on
-    a key that is not a monomial of degree <= _DEGREE."""
+    _linear_powers X, Y of the two forms, as jet_compose gives them, skipping a
+    product k X^i[p] == 0.0 (_substitute_source); DomainError on a key that is
+    not a monomial of degree <= _DEGREE."""
     return _kernel(_substitute_source, tuple(coeffs))(coeffs, X, Y)
 
 
-def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:
-    """Linear change of variables making the linear part a scaled rotation.
-
-    After the transform the linear part is a*I + b*R with
-    R = [[0, -1], [1, 0]], where a = trace/2 and b is read off the
-    x-coefficient of the second component; eigenvalues are a +/- i*b.
-    The transform pivots on m01, the frame the closed-form series are
-    stated in; requires complex eigenvalues and m01 != 0."""
-    m10 = sys.fx.get((1, 0), 0.0)
-    m01 = sys.fx.get((0, 1), 0.0)
-    n10 = sys.fy.get((1, 0), 0.0)
-    n01 = sys.fy.get((0, 1), 0.0)
+def _rotated(fx: Terms, fy: Terms) -> Tuple[Terms, Terms]:
+    """The two tables in normalize_linear's frame, from its checks and T."""
+    m10, m01 = fx.get((1, 0), 0.0), fx.get((0, 1), 0.0)
+    n10, n01 = fy.get((1, 0), 0.0), fy.get((0, 1), 0.0)
     M = -(m10 + n01)
     N = m10 * n01 - m01 * n10
     disc = 4.0 * N - M * M
@@ -492,14 +497,27 @@ def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:
     # det T = -t01*t10 = m01*s != 0
     X = _linear_powers(0.0, 1.0 / t10)
     Y = _linear_powers(1.0 / t01, -t00 / (t01 * t10))
-    z1 = _substitute_linear(sys.fx, X, Y)
-    z2 = _substitute_linear(sys.fy, X, Y)
+    z1 = _substitute_linear(fx, X, Y)
+    z2 = _substitute_linear(fy, X, Y)
     keys = {**z1, **z2}  # z1's terms in order, then those only z2 has
-    g1 = {k: t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys}
-    # T's zero: 0 * z2 is +-0.0, which leaves a nonzero t10 * z1 as it is (zeros
-    # are dropped); a non-finite z2 fails the check of g1 first (t01 != 0)
+    # the sum starts at +0.0 like the kernels' sums, so that it is never -0.0
+    g1 = {k: 0.0 + t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys}
+    # T's zero: 0 * z2 is +-0.0, which would leave a nonzero t10 * z1 as it is,
+    # and t10 > 0 keeps g2 off -0.0; a non-finite z2 fails the check of g1
+    # first (t01 != 0)
     g2 = {k: t10 * z1.get(k, 0.0) for k in keys}
-    return PlanarPolySystem(g1, g2)
+    return g1, g2
+
+
+def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:
+    """Linear change of variables making the linear part a scaled rotation.
+
+    After the transform the linear part is a*I + b*R with
+    R = [[0, -1], [1, 0]], where a = trace/2 and b is read off the
+    x-coefficient of the second component; eigenvalues are a +/- i*b.
+    The transform pivots on m01, the frame the closed-form series are
+    stated in; requires complex eigenvalues and m01 != 0."""
+    return PlanarPolySystem(*_rotated(sys.fx, sys.fy))
 
 
 def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:
@@ -514,24 +532,24 @@ def _hopf_system(m: Terms, n: Terms, dn: Terms, x: float, y: float
     """The Hopf defining system F = (fx, fy, trace) at (x, y) of the tables
     m, n (fast and slow component), and its Jacobian rows in (x, y, lambda1).
     The n-table is affine in lambda1 with slopes dn (_lambda1_slopes), so
-    dF/dlambda1 = (0, p, p_y) with p = sum dn_ij x^i y^j."""
-    fx, j11, j12, fxx, fxy, fyy = _partials(m, x, y)
-    fy, j21, j22, gxx, gxy, gyy = _partials(n, x, y)
-    p, _, p_y = _partials(dn, x, y)[:3]
+    dF/dlambda1 = (0, p, p_y) with p = sum dn_ij x^i y^j.  The trace row reads
+    neither m's v_yy nor n's v_xx, and their kernels leave those sums out."""
+    fx, j11, j12, fxx, fxy = _partials(m, x, y, _HOPF_SUMS[0])
+    fy, j21, j22, gxy, gyy = _partials(n, x, y, _HOPF_SUMS[1])
+    p, _, p_y = _partials(dn, x, y, _ORDER1)
     return ((fx, fy, j11 + j22),
             ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
 
 
 def _hopf_point(nf: NormalFormCoefficients, r: float
-                ) -> Tuple[float, Tuple[float, float], PlanarPolySystem]:
-    """(lambda1, equilibrium, blown-up system) at the Hopf point for radius r.
-
-    Newton iteration on the defining system (fx, fy, trace) = 0 in
-    (x, y, lambda1), the bordered 3x3 Jacobian solved by Cramer's rule, seeded
-    by lambda1 = rho1*r and the equilibrium series head of the starting
-    system, built once.  Its fast table does not depend on lambda1; only the
-    slow table is rebuilt per iterate, through the same checks as a system's.
-    One more system is built, by blow_up at the final lambda1, on return."""
+                ) -> Tuple[float, Tuple[float, float], Tuple[Terms, Terms]]:
+    """(lambda1, equilibrium, blow_up(nf, r, lambda1)'s two tables) at the Hopf
+    point for radius r: Newton iteration on the defining system (fx, fy,
+    trace) = 0 in (x, y, lambda1), the bordered 3x3 Jacobian solved by Cramer's
+    rule, seeded by lambda1 = rho1*r and the equilibrium series head of the
+    starting system, built once.  Its fast table does not depend on lambda1;
+    only the slow table is rebuilt per iterate, with a system's checks but the
+    key remap, which its int keys do not need."""
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
@@ -551,9 +569,9 @@ def _hopf_point(nf: NormalFormCoefficients, r: float
         x -= (f * minor - b * (g * k - p * t)) / det
         y -= (a * (g * k - p * t) - f * (c * k - p * e)) / det
         lam -= (a * (d * t - g * h) - b * (c * t - g * e) + f * (c * h - d * e)) / det
+        n = _finite({k: float(c) for k, c in _n_table(nf, r, lam).items() if c != 0.0})
         if converged:
-            return lam, (x, y), blow_up(nf, r, lam)
-        n = _clean_terms(_n_table(nf, r, lam))
+            return lam, (x, y), (m, n)
     raise NumericsError(f"Hopf location did not reach residual {_TOL} in {_MAX_ITER} iterations")
 
 
@@ -563,12 +581,9 @@ def hopf_lambda1(nf: NormalFormCoefficients, r: float) -> float:
     return _hopf_point(nf, r)[0]
 
 
-def lyapunov_DF(sys: PlanarPolySystem) -> float:
-    """First Lyapunov coefficient of a system whose linear part is a
-    scaled rotation (zero trace).  Uses the classical planar formula on
-    the stored coefficients; beta0 is the rotation speed, read off
-    the x-coefficient of the second component."""
-    g1, g2 = sys.fx.get, sys.fy.get
+def _first_lyapunov(g1: Terms, g2: Terms) -> float:
+    """lyapunov_DF on the tables g1, g2 of a system's two components."""
+    g1, g2 = g1.get, g2.get
     trace = g1((1, 0), 0.0) + g2((0, 1), 0.0)
     if abs(trace) >= 1e-12:
         raise DomainError(f"|linear trace| = {abs(trace):.3e} must be < 1e-12")
@@ -593,15 +608,34 @@ def lyapunov_DF(sys: PlanarPolySystem) -> float:
     return l1
 
 
+def lyapunov_DF(sys: PlanarPolySystem) -> float:
+    """First Lyapunov coefficient of a system whose linear part is a
+    scaled rotation (zero trace).  Uses the classical planar formula on
+    the stored coefficients; beta0 is the rotation speed, read off
+    the x-coefficient of the second component."""
+    return _first_lyapunov(sys.fx, sys.fy)
+
+
+def _lyapunov_at(fx: Terms, fy: Terms, eq: Tuple[float, float]) -> float:
+    """lyapunov_DF(normalize_linear(translate_to_equilibrium(sys, eq))) of the
+    system sys of the clean tables fx, fy, in one pass (module docstring)."""
+    fx, fy = _centred(fx, fy, eq)
+    _finite(fx), _finite(fy)
+    g1, g2 = _rotated(fx, fy)
+    _finite(g1), _finite(g2)
+    return _first_lyapunov(g1, g2)
+
+
 def l1_blowup(nf: NormalFormCoefficients, r: float) -> float:
-    """Blown-up first Lyapunov coefficient at radius r, on the Hopf curve.
+    """Blown-up first Lyapunov coefficient at radius r, on the Hopf curve, by
+    the one pass _lyapunov_at over the Hopf solve's tables and equilibrium.
 
     Normalized in normalize_linear's m01-pivot frame, the frame of the
     closed-form series L1(r) = (omega1/16) r + (omega2/32) r^3.  A frame
     pivoting on n10 instead rescales L1 by the positive factor
     |m01_bar / n10_bar| = 1 + O(r), which would contaminate the fits."""
-    _, eq, sys = _hopf_point(nf, r)
-    return lyapunov_DF(normalize_linear(translate_to_equilibrium(sys, eq)))
+    _, eq, (fx, fy) = _hopf_point(nf, r)
+    return _lyapunov_at(fx, fy, eq)
 
 
 def fit_odd_series(samples: Sequence[Tuple[float, float]],
@@ -644,11 +678,11 @@ def sample_record(rng: np.random.Generator,
             vals["a10"] = 3.0 * vals["b10"] - 2.0 * vals["d10"] - 2.0 * vals["f00"]
         nf = NormalFormCoefficients(**vals)
         try:
-            _, (x, y), sys = _hopf_point(nf, _R_CHECK)
+            _, (x, y), (fx, fy) = _hopf_point(nf, _R_CHECK)
         except (DomainError, NumericsError):
             continue
-        m10, m01 = _partials(sys.fx, x, y)[1:3]
-        n10, n01 = _partials(sys.fy, x, y)[1:3]
+        m10, m01 = _partials(fx, x, y, _ORDER1)[1:]
+        n10, n01 = _partials(fy, x, y, _ORDER1)[1:]
         disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
         if _DISC_FLOOR < disc < math.inf:
             return nf

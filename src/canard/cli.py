@@ -39,7 +39,6 @@ from .allee import (
     PARAM_NAMES,
     PSI_TAGS,
     AlleeParams,
-    boundary_roots,
     check_grid,
     equilibria,
     fold_point,
@@ -245,6 +244,12 @@ def _load_record(path: str) -> NormalFormCoefficients:
     return NormalFormCoefficients.from_dict(data)
 
 
+def _boundary_block(eq) -> dict:
+    """boundary_roots' (delta1, x1, x2), read off the equilibria report: x1 and
+    x2 are E1's and E2's x, and a double root (delta1 = 0), E1 alone, fills both."""
+    return {"delta1": eq.delta1, "x1": eq.E1.point[0], "x2": (eq.E2 or eq.E1).point[0]}
+
+
 def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
     tol = _as_float(rc.settings, "classify_tol", DEFAULT_CLASSIFY_TOL)
     if tol <= 0.0:
@@ -264,7 +269,6 @@ def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
 
     p = _model_params(rc.settings)
     xm, ym = fold_point(p.m, p.n)
-    delta1, x1, x2 = boundary_roots(p.m, p.n)
     eq = equilibria(p)
     nf = normal_form_coeffs(p)
     ana = analyze_record(nf, tol)
@@ -285,7 +289,7 @@ def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
         "params": p,
         "classify_tol": tol,
         "fold": [xm, ym],
-        "boundary": {"delta1": delta1, "x1": x1, "x2": x2},
+        "boundary": _boundary_block(eq),
         "equilibria": eq,
         "e4_trace": trace4,
         "record": nf,

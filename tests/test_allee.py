@@ -773,6 +773,11 @@ class TestModelL1:
         # omega1 < 0 here, but the model is still subcritical
         assert model_l1(on_hopf_curve(dict(EX2, m=0.263375))) > 0.0
 
+    def test_bits_at_the_examples(self):
+        # float.hex pins recorded when model_l1 ran the three staged systems
+        assert float.hex(model_l1(on_hopf_curve(EX1))) == "-0x1.00af2c35d5014p+9"
+        assert float.hex(model_l1(on_hopf_curve(EX2))) == "0x1.1d85f6ec5c400p+1"
+
     def test_off_the_hopf_curve_rejected(self):
         # at the published beta of example 1 the E4 trace is -1.04e-4
         with pytest.raises(DomainError, match="linear trace"):

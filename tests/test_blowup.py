@@ -24,12 +24,18 @@ from canard.blowup import (
     sample_record,
     translate_to_equilibrium,
     _DEGREE,
+    _HOPF_SUMS,
+    _KERNEL_CACHE,
+    _ORDER1,
+    _ORDER2,
     _TERMS,
     _hatted_tables,
     _hopf_point,
     _hopf_system,
+    _kernel,
     _lambda1_slopes,
     _linear_powers,
+    _lyapunov_at,
     _partials,
     _recenter,
     _substitute_linear,
@@ -48,7 +54,7 @@ from canard.normalform import (
     omega_coefficients,
     rho_coefficients,
 )
-from canard.verify import fit_l1_omega1, fit_l1_omega2, fit_rho
+from canard.verify import fit_l1_omega1, fit_l1_omega2, fit_rho, run_all
 
 CANONICAL = NormalFormCoefficients()
 
@@ -703,8 +709,9 @@ class TestNewtonProperties:
         # l1_blowup reuses the solver's (x, y) and table: they must be the root
         # find_equilibrium gives at the returned lambda1, not some other root
         nf = _drawn_record(seed, constrained)
-        lam, (x, y), sys = _hopf_point(nf, r)
-        assert sys == blow_up(nf, r, lam)
+        lam, (x, y), tables = _hopf_point(nf, r)
+        sys = blow_up(nf, r, lam)
+        assert [list(t.items()) for t in tables] == [list(sys.fx.items()), list(sys.fy.items())]
         ex, ey = series_equilibrium(sys, r)
         assert abs(x - ex) < 1e-12 and abs(y - ey) < 1e-12
         fx, fy = Jet(2, _DEGREE, sys.fx), Jet(2, _DEGREE, sys.fy)
@@ -786,11 +793,11 @@ class TestNewtonProperties:
         seed = equilibrium_series(sys0, r).predict(r)
         f0, jac = _hopf_system(sys0.fx, sys0.fy, dn, *seed)
         step = np.linalg.solve(np.array(jac), np.array(f0))
-        lam, (x, y), sys = _hopf_point(nf, r)
+        lam, (x, y), (fx, fy) = _hopf_point(nf, r)
         assert hopf_lambda1(nf, r) == lam
         assert [x, y, lam] == pytest.approx([seed[0] - step[0], seed[1] - step[1],
                                              lam0 - step[2]], rel=1e-12, abs=0.0)
-        f1 = _hopf_system(sys.fx, sys.fy, dn, x, y)[0]
+        f1 = _hopf_system(fx, fy, dn, x, y)[0]
         assert max(map(abs, f1)) < 1e-3 * max(map(abs, f0))
 
 
@@ -966,9 +973,10 @@ class TestFlatKernels:
             translate_to_equilibrium(sys, point)
 
 
-def _full_partials(coeffs, x, y):
-    """The six sums over every term with every multiplier, zero or not, from
-    power tables that lead with two zeros: px[i + 2 - k] = x^(i-k), 0 if i < k."""
+def _full_partials(coeffs, x, y, sums=_ORDER2):
+    """The sums of _partials, picked from all six, over every term with every
+    multiplier, zero or not, from power tables that lead with two zeros:
+    px[i + 2 - k] = x^(i-k), 0 if i < k."""
     px, py = [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]
     for _ in range(_DEGREE):
         px.append(px[-1] * x)
@@ -981,7 +989,8 @@ def _full_partials(coeffs, x, y):
         vxx += i * (i - 1) * c * px[i] * py[j + 2]
         vxy += i * j * c * px[i + 1] * py[j + 1]
         vyy += j * (j - 1) * c * px[i + 2] * py[j]
-    return v, vx, vy, vxx, vxy, vyy
+    full = dict(zip(_ORDER2, (v, vx, vy, vxx, vxy, vyy)))
+    return tuple(full[d] for d in sums)
 
 
 def _bits(values):
@@ -1201,3 +1210,144 @@ class TestGeneratedKernels:
         assert (_hex_items(_substitute_linear, same, X, Y)
                 == _hex_items(_substitute_linear, coeffs, X, Y))
         assert all(type(e) is int for k in _recenter(same, 0.5, 0.25) for e in k)
+
+
+def _loop_linear_powers(a, b):
+    """_linear_powers as the loop it was before it was unrolled."""
+    X = [[1.0]]
+    for e in range(1, _DEGREE + 1):
+        prev = X[-1]
+        X.append([prev[0] * b] + [prev[p] * b + prev[p - 1] * a for p in range(1, e)]
+                 + [prev[e - 1] * a])
+    return X
+
+
+class TestGeneratedPartials:
+    """_partials runs a kernel generated per layout and set of sums (the first
+    and second order, and the five sums of each table that _hopf_system reads);
+    it must equal the full sums bit for bit, and the verify runs must fit in
+    the kernel cache."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), x=_POINT_COORD, y=_POINT_COORD)
+    def test_orders_equal_the_full_sums(self, data, x, y):
+        keys = data.draw(st.permutations(_KEYS), label="keys")
+        keys = keys[:data.draw(st.integers(0, len(keys)), label="size")]
+        values = data.draw(st.lists(_ENTRY, min_size=len(keys), max_size=len(keys)))
+        # some keys as the float pairs equal to them, such as (1.0, 0)
+        floats = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+        table = {((float(i), j) if f else (i, j)): c for (i, j), f, c in zip(keys, floats, values)}
+        for sums in (_ORDER1, _ORDER2, *_HOPF_SUMS):
+            got = _partials(table, x, y, sums)
+            assert _bits(got) == _bits(_full_partials(dict(zip(keys, values)), x, y, sums))
+            assert len(got) == len(sums)
+
+    def test_keys_beyond_the_degree_bound_raise(self):
+        for key in [(5, 0), (2, 3), (1.5, 0)]:
+            with pytest.raises(DomainError, match="not a monomial"):
+                _partials({(1, 0): 1.0, key: 2.0}, 0.5, 0.25, _ORDER1)
+
+    def test_verify_runs_fit_in_the_kernel_cache(self):
+        # every layout and order the oracle meets in ten verify runs is compiled
+        # once: no kernel is evicted and built again
+        _kernel.cache_clear()
+        for seed in range(10):
+            run_all(seed)
+        assert _kernel.cache_info().misses <= _KERNEL_CACHE
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_FORM, b=_FORM)
+    def test_unrolled_linear_powers_are_the_loop(self, a, b):
+        assert ([_bits(row) for row in _linear_powers(a, b)]
+                == [_bits(row) for row in _loop_linear_powers(a, b)])
+
+
+def _staged(sys, eq):
+    return lyapunov_DF(normalize_linear(translate_to_equilibrium(sys, eq)))
+
+
+def _one_pass(sys, eq):
+    return _lyapunov_at(sys.fx, sys.fy, eq)
+
+
+def _hex_or_error(fn, *args):
+    """float.hex of what fn returns, or the type and message of its typed error."""
+    try:
+        return float.hex(fn(*args))
+    except (DomainError, NumericsError) as exc:
+        return type(exc), str(exc)
+
+
+_NONLINEAR = [k for k in _KEYS if sum(k) >= 2]
+
+
+class TestOnePass:
+    """_lyapunov_at, the one pass of l1_blowup and model_l1, keeps the exact
+    zeros that the systems of the staged path drop; its value must be the
+    staged path's bit for bit, and each failure the same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), w=st.tuples(st.floats(0.25, 2.0), st.floats(0.25, 2.0)),
+           centre=st.tuples(_POINT_COORD, _POINT_COORD))
+    def test_pass_is_the_stages_on_tables_with_zeros(self, data, w, centre):
+        # a zero-trace rotation plus nonlinear terms, some of them +-0.0, moved
+        # to centre: recentring there gives the system back to rounding, and
+        # a centre coordinate 0.0 leaves exact-zero sums in the recentred tables
+        tables = []
+        for linear in ({(0, 1): -w[0]}, {(1, 0): w[1]}):
+            keys = data.draw(st.lists(st.sampled_from(_NONLINEAR), unique=True))
+            values = data.draw(st.lists(_ENTRY, min_size=len(keys), max_size=len(keys)))
+            g = Jet(2, _DEGREE, {**linear, **dict(zip(keys, values))})
+            tables.append(jet_recenter(g, (-centre[0], -centre[1])).coeffs)
+        sys = PlanarPolySystem(*tables)
+        assert _hex_or_error(_one_pass, sys, centre) == _hex_or_error(_staged, sys, centre)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), zeros=st.integers(0, 2 ** 15 - 1),
+           centre=st.tuples(_POINT_COORD, _POINT_COORD))
+    def test_pass_is_the_stages_off_the_hopf_curve(self, seed, zeros, centre):
+        # dense random tables with some terms zeroed, at their own centre and at
+        # a point that is no equilibrium: mostly the trace and residual gates
+        sys, own = _random_planar_system(seed)
+        sys = PlanarPolySystem(*({k: 0.0 if zeros >> n & 1 else c
+                                  for n, (k, c) in enumerate(t.items())}
+                                 for t in (sys.fx, sys.fy)))
+        for eq in (own, centre):
+            assert _hex_or_error(_one_pass, sys, eq) == _hex_or_error(_staged, sys, eq)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
+           r=st.floats(0.005, 0.2))
+    def test_pass_is_the_stages_at_hopf_points(self, seed, constrained, r):
+        _, eq, tables = _hopf_point(_drawn_record(seed, constrained), r)
+        sys = PlanarPolySystem(*tables)
+        assert _hex_or_error(_one_pass, sys, eq) == _hex_or_error(_staged, sys, eq)
+
+    @pytest.mark.parametrize("fx, fy, centre, error", [
+        # the centre's cube passes the float range; the residual gate, which
+        # takes the power as products, sees it first as an inf residual
+        ({(0, 1): -1.0, (0, 3): 1.0}, {(1, 0): 1.0}, (0.0, 1e103), DomainError),
+        # residual > 1e-10
+        ({(0, 0): 1e-9, (0, 1): -1.0}, {(1, 0): 1.0}, (0.0, 0.0), DomainError),
+        # 4N - M^2 <= 0
+        ({(1, 0): 1.0}, {(0, 1): 1.0}, (0.0, 0.0), DomainError),
+        # m01 = 0, the discriminant positive by rounding
+        ({(1, 0): 1.6510223091108869}, {(1, 0): 1.0, (0, 1): 1.651022309110887},
+         (0.0, 0.0), DomainError),
+        # |trace| >= 1e-12
+        ({(1, 0): 1e-6, (0, 1): -1.0}, {(1, 0): 1.0}, (0.0, 0.0), DomainError),
+        # L1 overflows from finite coefficients
+        ({(0, 1): -1.0, (2, 0): 1e300, (1, 1): 1e300}, {(1, 0): 1.0}, (0.0, 0.0),
+         NumericsError),
+        # a recentred coefficient overflows (the residual is exactly 0)
+        ({(0, 0): -1.5625 * 2.0 ** 1023, (0, 2): 2.0 ** 1023, (1, 0): 1.0}, {(1, 0): 1.0},
+         (0.0, 1.25), DomainError),
+        # a rotated coefficient overflows
+        ({(0, 1): -1e-3, (3, 0): 1e307, (1, 2): 1e307}, {(1, 0): 1e-3, (0, 3): 1e307},
+         (0.0, 0.0), DomainError),
+    ])
+    def test_each_failure_is_the_stages_error(self, fx, fy, centre, error):
+        sys = PlanarPolySystem(fx, fy)
+        got = _hex_or_error(_one_pass, sys, centre)
+        assert got == _hex_or_error(_staged, sys, centre)
+        assert got[0] is error

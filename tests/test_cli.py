@@ -19,7 +19,8 @@ from model_oracle import sweep_row_reference
 
 import canard.cli as cli
 from canard import _svg
-from canard.allee import COINCIDENCE_TOL, PARAM_NAMES, PSI_TAGS, AlleeParams, check_grid, gamma_star
+from canard.allee import (COINCIDENCE_TOL, PARAM_NAMES, PSI_TAGS, AlleeParams, boundary_roots,
+                          check_grid, equilibria, gamma_star)
 from canard.cli import load_config, main, parse_grid, write_csv
 from canard.errors import DomainError
 
@@ -159,6 +160,23 @@ class TestAnalyze:
         assert data["analysis"]["classification"] == "DegenerateSubcritical"
         assert abs(data["analysis"]["A"]) < 5e-6
         assert "DegenerateSubcritical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("point", [EX1, EX2])
+    def test_boundary_block_is_the_boundary_roots(self, tmp_path, point):
+        cfg = write_cfg(tmp_path / "p.cfg", point)
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        block = json.loads((tmp_path / "o" / "analyze.json").read_text())["boundary"]
+        delta1, x1, x2 = boundary_roots(point["m"], point["n"])
+        assert block == {"delta1": delta1, "x1": x1, "x2": x2}
+
+    @pytest.mark.parametrize("point", [EX1, EX2, dict(EX1, m=0.25, n=0.25)])
+    def test_boundary_block_from_the_equilibria(self, point):
+        # at m = n = 0.25 delta1 = 0: the report has no E2, and the double root
+        # fills both slots (analyze itself refuses the point, as y_M = 0)
+        eq = equilibria(AlleeParams(**point))
+        delta1, x1, x2 = boundary_roots(point["m"], point["n"])
+        assert cli._boundary_block(eq) == {"delta1": delta1, "x1": x1, "x2": x2}
+        assert (delta1 == 0.0) == (eq.E2 is None) == (point["m"] == 0.25)
 
     def test_example1_supercritical_psi_case(self, tmp_path):
         cfg = write_cfg(tmp_path / "p.cfg", EX1)
