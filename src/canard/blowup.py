@@ -43,11 +43,11 @@ _DEGREE (int keys, floats, no zeros, all finite); lyapunov_DF's
 |trace| < 1e-12 gate is the one check that a system sits on the Hopf curve.
 The stages after the Hopf location wrap one helper each (_centred, _rotated,
 _first_lyapunov); l1_blowup and allee.model_l1 chain the helpers in one pass,
-_lyapunov_at, that builds no system in between.  It makes every check of
-the stages, finiteness included, but keeps the exact zeros the cleaning
-drops, and its value is the same bit for bit: no table of the pass holds
--0.0 (the kernels' sums and _rotated's g1 start at +0.0, and g2 is a
-positive multiple), so a kept zero reads as the 0.0 of an absent term, and
+_lyapunov_at, that skips the cleaning of the two systems in between (key
+remap, float(), zero drop) but makes every check of the stages, finiteness
+included.  Its value is the same bit for bit: no table of the pass holds
+-0.0 (the kernels' sums and _rotated's g1 start at +0.0, and g2 is z1 times
+t10 > 0), so a kept zero reads as the 0.0 of an absent term, and
 as a term of a kernel its products are +-0.0, or NaN where a power of the
 substitution is not finite, and then the table's term of highest x-degree,
 which the cleaning keeps, has a non-finite product too.  A Hopf solve builds
