@@ -13,7 +13,8 @@ l1_blowup over an r-grid is an end-to-end check of those polynomials.
 
 Every stage reads and writes plain (i, j) -> c term tables: the
 coefficient of x^i y^j, absent terms meaning 0.  Three kernels do the
-arithmetic on them: _partials (a table's value and derivatives at a point),
+arithmetic on them: _partials (the values and derivatives of one table at a
+point, or of the Hopf solve's three tables in one step, _hopf_system),
 _recenter (translate_to_equilibrium) and _substitute_linear
 (normalize_linear).  _kernel generates each as a straight-line function
 through _kernels.define, as dataclasses generates __init__, once per table
@@ -32,7 +33,7 @@ The kernels skip work whose result is known: a contribution whose integer
 multiplier is 0 (the derivative sums of _partials), a product with an exact
 0.0 factor (the zero entries of _substitute_linear's powers and of
 normalize_linear's T), and the sums no caller reads (_recenter's constant
-term, the two second derivatives _hopf_system does not use).  A skipped term
+term, the derivatives _centred and _hopf_system do not use).  A skipped term
 is +-0.0 when its other factors are finite, and it would be added to a sum
 that starts at +0.0 and so never holds -0.0 (a + (-a) is +0.0): adding it
 leaves the sum as it is.  A skipped 0 * inf would have been NaN, but then a
@@ -51,8 +52,9 @@ t10 > 0), so a kept zero reads as the 0.0 of an absent term, and
 as a term of a kernel its products are +-0.0, or NaN where a power of the
 substitution is not finite, and then the table's term of highest x-degree,
 which the cleaning keeps, has a non-finite product too.  A Hopf solve builds
-its starting system once, then only the slow table per Newton iterate (the
-fast one does not depend on lam1), and returns those two tables.
+no system: it cleans its starting tables as a system's (their keys are int
+pairs already), then only the slow table per Newton iterate (the fast one
+does not depend on lam1), and returns those two tables.
 """
 
 from __future__ import annotations
@@ -80,17 +82,6 @@ _DISC_FLOOR = 0.05
 _MAX_TRIES = 200
 
 Terms = Dict[Tuple[int, int], float]
-
-# r-grading of the blown-up coefficients: m_ij = r^mu_ij * O(1),
-# n_ij = r^nu_ij * O(1).  Dividing by these powers gives the hatted
-# values the equilibrium series is written in.
-_MU = {(1, 0): 1, (0, 1): 0, (2, 0): 0, (1, 1): 1, (0, 2): 2,
-       (3, 0): 1, (2, 1): 2, (1, 2): 3, (0, 3): 4}
-_NU = {(0, 0): 0, (1, 0): 0, (0, 1): 1, (2, 0): 1, (1, 1): 2,
-       (0, 2): 3, (3, 0): 2, (2, 1): 3, (1, 2): 4, (0, 3): 5}
-_MAX_GRADE = max(*_MU.values(), *_NU.values())
-# the record field that holds each lambda1 slope of the n-table
-_SLOPE_NAMES = {ij: f"e{ij[0]}{ij[1]}" for ij in _NU if any(ij)}
 
 
 # every (i, j) with i, j >= 0 and i + j <= _DEGREE, mapped to itself: a key
@@ -243,7 +234,9 @@ def blow_up_via_jets(nf: NormalFormCoefficients, r: float, lambda1: float) -> Pl
 # derivatives (a, b) for _partials: (v, v_x, v_y), then v_xx, v_xy, v_yy
 _ORDER1 = ((0, 0), (1, 0), (0, 1))
 _ORDER2 = _ORDER1 + ((2, 0), (1, 1), (0, 2))
-_HOPF_SUMS = (_ORDER2[:5], _ORDER1 + _ORDER2[4:])  # those _hopf_system reads of m, n
+_VALUE = _ORDER1[:1]
+# the sums _hopf_system reads of m, n and dn
+_HOPF_SUMS = (_ORDER2[:5], _ORDER1 + _ORDER2[4:], _VALUE + _ORDER1[2:])
 
 
 def _partials(coeffs: Terms, x: float, y: float, sums: tuple = _ORDER2) -> Tuple[float, ...]:
@@ -253,23 +246,27 @@ def _partials(coeffs: Terms, x: float, y: float, sums: tuple = _ORDER2) -> Tuple
     return _kernel(_partials_source, tuple(coeffs), sums)(coeffs, x, y)
 
 
-def _hatted_tables(fx: Terms, fy: Terms, r: float) -> Tuple[Dict, Dict]:
-    rk = [r ** k for k in range(_MAX_GRADE + 1)]
-    m = {ij: fx.get(ij, 0.0) / rk[mu] for ij, mu in _MU.items()}
-    n = {ij: fy.get(ij, 0.0) / rk[nu] for ij, nu in _NU.items()}
-    return m, n
-
-
 def equilibrium_series(sys: PlanarPolySystem, r: float) -> EquilibriumSeries:
     """Series coefficients of the equilibrium near the origin of a system
     blown up at radius r; NumericsError if a coefficient overflows."""
+    return _series(sys.fx, sys.fy, r)
+
+
+def _series(fx: Terms, fy: Terms, r: float) -> EquilibriumSeries:
+    """equilibrium_series of the tables fx, fy.  It reads the hatted values:
+    by the r-grading m_ij = r^mu_ij O(1), n_ij = r^nu_ij O(1), each entry over
+    its power of r (c / r ** 0 is c), those no formula reads too, so that a
+    power underflowing to 0 fails wherever it stands."""
+    m, n = fx.get, fy.get
     try:
-        m, n = _hatted_tables(sys.fx, sys.fy, r)
-        m10, m01, m20, m11, m02 = m[(1, 0)], m[(0, 1)], m[(2, 0)], m[(1, 1)], m[(0, 2)]
-        m30, m21, m12 = m[(3, 0)], m[(2, 1)], m[(1, 2)]
-        n00, n10, n01, n20, n11, n02 = (n[(0, 0)], n[(1, 0)], n[(0, 1)],
-                                        n[(2, 0)], n[(1, 1)], n[(0, 2)])
-        n30, n21 = n[(3, 0)], n[(2, 1)]
+        r1, r2, r3, r4, r5 = r ** 1, r ** 2, r ** 3, r ** 4, r ** 5
+        m01, m20, n00, n10 = m((0, 1), 0.0), m((2, 0), 0.0), n((0, 0), 0.0), n((1, 0), 0.0)
+        m10, m11, m30 = m((1, 0), 0.0) / r1, m((1, 1), 0.0) / r1, m((3, 0), 0.0) / r1
+        m02, m21, m12 = m((0, 2), 0.0) / r2, m((2, 1), 0.0) / r2, m((1, 2), 0.0) / r3
+        n01, n20, n11, n30 = (n((0, 1), 0.0) / r1, n((2, 0), 0.0) / r1,
+                              n((1, 1), 0.0) / r2, n((3, 0), 0.0) / r2)
+        n02, n21 = n((0, 2), 0.0) / r3, n((2, 1), 0.0) / r3
+        m((0, 3), 0.0) / r4, n((1, 2), 0.0) / r4, n((0, 3), 0.0) / r5  # read by none
         if n10 == 0.0:
             raise DomainError("slow linear coefficient n10 must be nonzero")
         if m01 == 0.0:
@@ -334,16 +331,17 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
     raise NumericsError(f"equilibrium refinement did not reach {_TOL} in {_MAX_ITER} iterations")
 
 
-# kernels kept per (kernel, table layout, sums); ten verify runs meet 16
+# kernels kept per (kernel, table layout, sums); ten verify runs meet 15
 _KERNEL_CACHE = 64
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE)
 def _kernel(emit, layout: tuple, *args):
     """The function kernel(coeffs, ...) whose straight-line source emit(layout,
-    *args) writes for a table whose keys are layout, in insertion order;
-    DomainError naming a key that is not a monomial of degree <= _DEGREE, so
-    that only int exponents reach the source."""
+    *args) writes for a table whose keys are layout, in insertion order (or
+    for tables whose layouts are its parts); DomainError naming a key that is
+    not a monomial of degree <= _DEGREE, so that only int exponents reach the
+    source."""
     for k in layout:
         if k not in _TERMS:
             raise _term_error(k)
@@ -351,10 +349,11 @@ def _kernel(emit, layout: tuple, *args):
                   {"DomainError": DomainError})
 
 
-def _unpack(layout: tuple) -> list:
-    """The line binding c0, c1, ... to the values of a table with this layout."""
-    names = "".join(f"c{n}, " for n in range(len(layout)))
-    return [f"    {names}= coeffs.values()"] if layout else []
+def _unpack(layout: tuple, table: str = "coeffs", c: str = "c") -> list:
+    """The line binding c0, c1, ... (for another c, c + "0", ...) to the values
+    of a table with this layout."""
+    names = "".join(f"{c}{n}, " for n in range(len(layout)))
+    return [f"    {names}= {table}.values()"] if layout else []
 
 
 def _accumulate(lines: list, sums: dict, key: tuple, value: str) -> None:
@@ -373,24 +372,32 @@ def _returned(lines: list, sums: dict) -> list:
     return lines + [f"    return {{{items}}}"]
 
 
-def _partials_source(layout: tuple, sums: tuple) -> list:
-    """kernel(coeffs, x, y) of _partials: the sum of each derivative (a, b) in
-    sums adds, from 0.0 and in the order of the terms, ((k * c) * x^(i-a)) * y^(j-b)
+def _partials_source(layout: tuple, sums: tuple, *sizes: int) -> list:
+    """kernel(t0, x, y) of _partials, or with sizes, kernel(t0, t1, ..., x, y)
+    of _hopf_system: table ti has the next sizes[i] keys of layout, and its
+    sums are sums[i].  The sum of each derivative (a, b) of a table adds, from
+    0.0 and in the order of the table's terms, ((k * c) * x^(i-a)) * y^(j-b)
     with the integer k = i!/(i-a)! j!/(j-b)! and the powers x*x, (x*x)*x,
     ((x*x)*x)*x.  A term whose k is 0 is left out (see the module docstring),
     and a factor k = 1 or x^0 = 1.0 is not written: multiplying by it is exact."""
-    def term(n, i, j, a, b):
+    def term(c, i, j, a, b):
         k = math.perm(i, a) * math.perm(j, b)
-        return "".join([f"{k} * " if k != 1 else "", f"c{n}", *(
+        return "".join([f"{k} * " if k != 1 else "", c, *(
             f" * {v}{e if e > 1 else ''}" for v, e in (("x", i - a), ("y", j - b)) if e)])
 
-    lines = ["def kernel(coeffs, x, y):", *_unpack(layout)]
+    blocks = tuple(zip(sizes, sums)) if sizes else ((len(layout), sums),)
+    lines = [f"def kernel({''.join(f't{t}, ' for t in range(len(blocks)))}x, y):"]
+    values, start = [], 0
+    for t, (size, table_sums) in enumerate(blocks):
+        part, start = layout[start:start + size], start + size
+        lines += _unpack(part, f"t{t}", f"c{t}_")
+        values += [" + ".join(["0.0", *(term(f"c{t}_{n}", i, j, a, b)
+                                        for n, (i, j) in enumerate(part) if i >= a and j >= b)])
+                   for a, b in table_sums]
     for name, top in (("x", max((i for i, _ in layout), default=0)),
                       ("y", max((j for _, j in layout), default=0))):
         lines += [f"    {name}{e} = {name}{e - 1 if e > 2 else ''} * {name}"
                   for e in range(2, top + 1)]
-    values = [" + ".join(["0.0", *(term(n, i, j, a, b) for n, (i, j) in enumerate(layout)
-                                   if i >= a and j >= b)]) for a, b in sums]
     return lines + [f"    return ({', '.join(values)},)"]
 
 
@@ -448,8 +455,8 @@ def _centred(fx: Terms, fy: Terms, eq) -> Tuple[Terms, Terms]:
     if len(eq) != 2:
         raise DomainError(f"point length {len(eq)} != nvars 2")
     x0, y0 = float(eq[0]), float(eq[1])
-    f = abs(_partials(fx, x0, y0, _ORDER1)[0])
-    g = abs(_partials(fy, x0, y0, _ORDER1)[0])
+    f = abs(_partials(fx, x0, y0, _VALUE)[0])
+    g = abs(_partials(fy, x0, y0, _VALUE)[0])
     res = max(f, g) if g == g else g  # max() keeps a NaN only in first place
     if not res <= 1e-10:  # a NaN residual fails too
         raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
@@ -521,10 +528,19 @@ def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:
 
 
 def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:
-    """dn_ij/dlambda1 of the n-table at radius r; it does not depend on lambda1."""
-    dn = {ij: -r ** (_NU[ij] + 1) * getattr(nf, name) for ij, name in _SLOPE_NAMES.items()}
-    dn[(0, 0)] = -1.0
-    return dn
+    """dn_ij/dlambda1 = -r^(nu_ij + 1) e_ij of the n-table at radius r, in the
+    order of its keys but (0, 0), whose slope -1.0 comes last; it does not
+    depend on lambda1."""
+    r2, r3, r4, r5, r6 = r ** 2, r ** 3, r ** 4, r ** 5, r ** 6
+    return {(1, 0): -r ** 1 * nf.e10, (0, 1): -r2 * nf.e01, (2, 0): -r2 * nf.e20,
+            (1, 1): -r3 * nf.e11, (0, 2): -r4 * nf.e02, (3, 0): -r3 * nf.e30,
+            (2, 1): -r4 * nf.e21, (1, 2): -r5 * nf.e12, (0, 3): -r6 * nf.e03,
+            (0, 0): -1.0}
+
+
+def _hopf_kernel(m: Terms, n: Terms, dn: Terms):
+    """The _partials_source kernel of the _HOPF_SUMS of m, n and dn."""
+    return _kernel(_partials_source, (*m, *n, *dn), _HOPF_SUMS, len(m), len(n), len(dn))
 
 
 def _hopf_system(m: Terms, n: Terms, dn: Terms, x: float, y: float
@@ -533,12 +549,16 @@ def _hopf_system(m: Terms, n: Terms, dn: Terms, x: float, y: float
     m, n (fast and slow component), and its Jacobian rows in (x, y, lambda1).
     The n-table is affine in lambda1 with slopes dn (_lambda1_slopes), so
     dF/dlambda1 = (0, p, p_y) with p = sum dn_ij x^i y^j.  The trace row reads
-    neither m's v_yy nor n's v_xx, and their kernels leave those sums out."""
-    fx, j11, j12, fxx, fxy = _partials(m, x, y, _HOPF_SUMS[0])
-    fy, j21, j22, gxy, gyy = _partials(n, x, y, _HOPF_SUMS[1])
-    p, _, p_y = _partials(dn, x, y, _ORDER1)
+    neither m's v_yy nor n's v_xx, nor p_x, and the kernel leaves those sums out."""
+    fx, j11, j12, fxx, fxy, fy, j21, j22, gxy, gyy, p, p_y = (
+        _hopf_kernel(m, n, dn)(m, n, dn, x, y))
     return ((fx, fy, j11 + j22),
             ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
+
+
+def _cleaned(terms: Terms) -> Terms:
+    """A table with int keys cleaned as a system's (floats, no zeros, finite)."""
+    return _finite({k: float(c) for k, c in terms.items() if c != 0.0})
 
 
 def _hopf_point(nf: NormalFormCoefficients, r: float
@@ -547,18 +567,21 @@ def _hopf_point(nf: NormalFormCoefficients, r: float
     point for radius r: Newton iteration on the defining system (fx, fy,
     trace) = 0 in (x, y, lambda1), the bordered 3x3 Jacobian solved by Cramer's
     rule, seeded by lambda1 = rho1*r and the equilibrium series head of the
-    starting system, built once.  Its fast table does not depend on lambda1;
-    only the slow table is rebuilt per iterate, with a system's checks but the
-    key remap, which its int keys do not need."""
+    starting tables.  Those are cleaned once, as a system's, and no system is
+    built; the fast table does not depend on lambda1, and only the slow table
+    is rebuilt and cleaned per iterate.  Each iterate is one call of the
+    _hopf_system kernel, looked up again only when a coefficient of the slow
+    table becomes exactly 0 and is dropped, which changes its layout."""
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
     dn = _lambda1_slopes(nf, r)
-    start = PlanarPolySystem(_m_table(nf, r), _n_table(nf, r, lam))
-    m, n = start.fx, start.fy
-    x, y = equilibrium_series(start, r).predict(r)
+    m, n = _cleaned(_m_table(nf, r)), _cleaned(_n_table(nf, r, lam))
+    x, y = _series(m, n, r).predict(r)
+    step, layout = _hopf_kernel(m, n, dn), tuple(n)
     for _ in range(_MAX_ITER):
-        (f, g, t), ((a, b, _), (c, d, p), (e, h, k)) = _hopf_system(m, n, dn, x, y)
+        f, a, b, fxx, fxy, g, c, d, gxy, gyy, p, k = step(m, n, dn, x, y)
+        t, e, h = a + d, fxx + gxy, fxy + gyy
         # one extra step after meeting _TOL polishes the residual to the
         # floating-point floor (the Lyapunov gate needs the margin)
         converged = max(abs(f), abs(g), abs(t)) < _TOL
@@ -569,9 +592,11 @@ def _hopf_point(nf: NormalFormCoefficients, r: float
         x -= (f * minor - b * (g * k - p * t)) / det
         y -= (a * (g * k - p * t) - f * (c * k - p * e)) / det
         lam -= (a * (d * t - g * h) - b * (c * t - g * e) + f * (c * h - d * e)) / det
-        n = _finite({k: float(c) for k, c in _n_table(nf, r, lam).items() if c != 0.0})
+        n = _cleaned(_n_table(nf, r, lam))
         if converged:
             return lam, (x, y), (m, n)
+        if tuple(n) != layout:
+            step, layout = _hopf_kernel(m, n, dn), tuple(n)
     raise NumericsError(f"Hopf location did not reach residual {_TOL} in {_MAX_ITER} iterations")
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from canard import blowup
 from canard.blowup import (
     PlanarPolySystem,
     blow_up,
@@ -29,7 +30,6 @@ from canard.blowup import (
     _ORDER1,
     _ORDER2,
     _TERMS,
-    _hatted_tables,
     _hopf_point,
     _hopf_system,
     _kernel,
@@ -47,6 +47,8 @@ from canard.jet import (
     jet_compose,
     jet_scale,
 )
+import hopf_reference
+from hopf_reference import hatted_tables
 from jet_reference import jet_eval, jet_recenter
 from canard.normalform import (
     COEFF_NAMES,
@@ -125,7 +127,7 @@ def centered_table_error(nf, r):
     sys = blow_up(nf, r, 0.1)
     eq = series_equilibrium(sys, r)
     centered = translate_to_equilibrium(sys, eq)
-    m, n = _hatted_tables(sys.fx, sys.fy, r)
+    m, n = hatted_tables(sys.fx, sys.fy, r)
     es = equilibrium_series(sys, r)
     mbar, nbar = centered_series_tables(m, n, es, r)
     err = 0.0
@@ -249,6 +251,23 @@ class TestEquilibriumSeries:
 
         ratio = gap(0.05) / gap(0.025)
         assert 10.0 < ratio < 24.0  # 2^4 = 16 up to higher-order drift
+
+    @pytest.mark.parametrize("r", [1e-70, 1e-90])
+    def test_underflowing_power_of_r_fails(self, r):
+        # r^5 (and at 1e-90 r^4) underflows to 0: the hatting of n03 (and of
+        # m03, n12) divides by zero, though the series reads none of them
+        nf = _drawn_record(4, False)
+        message = "^equilibrium series coefficient overflowed$"
+        with pytest.raises(NumericsError, match=message):
+            equilibrium_series(blow_up(nf, r, 0.1), r)
+        with pytest.raises(NumericsError, match=message):
+            hopf_lambda1(nf, r)
+
+    def test_overflowing_power_of_r_fails(self):
+        # r^4 is past the float range, and ** raises where * would give inf
+        sys = blow_up(_drawn_record(4, False), 0.1, 0.1)
+        with pytest.raises(NumericsError, match="^equilibrium series coefficient overflowed$"):
+            equilibrium_series(sys, 1e100)
 
     def test_vanishing_denominator(self):
         fx = {(0, 1): -1.0, (2, 0): 1.0}
@@ -1005,9 +1024,18 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _full_hopf_kernel(m, n, dn):
+    """The Hopf solve's step kernel from _full_partials."""
+    def kernel(m, n, dn, x, y):
+        return tuple(v for table, sums in zip((m, n, dn), _HOPF_SUMS)
+                     for v in _full_partials(table, x, y, sums))
+    return kernel
+
+
 def _outcome_with_full_sums(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("canard.blowup._partials", _full_partials)
+        mp.setattr("canard.blowup._hopf_kernel", _full_hopf_kernel)
         return _outcome(fn, *args)
 
 
@@ -1242,10 +1270,36 @@ class TestGeneratedPartials:
             assert _bits(got) == _bits(_full_partials(dict(zip(keys, values)), x, y, sums))
             assert len(got) == len(sums)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), x=_POINT_COORD, y=_POINT_COORD)
+    def test_hopf_system_is_the_full_sums(self, data, x, y):
+        # one kernel for the three tables: each block is the full sums of its
+        # table, whatever the other two tables' layouts
+        tables = []
+        for label in ("m", "n", "dn"):
+            keys = data.draw(st.permutations(_KEYS), label=label)
+            keys = keys[:data.draw(st.integers(0, len(keys)), label=f"{label} size")]
+            values = data.draw(st.lists(_ENTRY, min_size=len(keys), max_size=len(keys)))
+            tables.append(dict(zip(keys, values)))
+        m, n, dn = tables
+        fx, j11, j12, fxx, fxy = _full_partials(m, x, y, _HOPF_SUMS[0])
+        fy, j21, j22, gxy, gyy = _full_partials(n, x, y, _HOPF_SUMS[1])
+        p, p_y = _full_partials(dn, x, y, _HOPF_SUMS[2])
+        want = ((fx, fy, j11 + j22),
+                ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
+        got = _hopf_system(m, n, dn, x, y)
+        assert [_bits(row) for row in (got[0], *got[1])] == [_bits(row) for row in
+                                                             (want[0], *want[1])]
+
     def test_keys_beyond_the_degree_bound_raise(self):
         for key in [(5, 0), (2, 3), (1.5, 0)]:
             with pytest.raises(DomainError, match="not a monomial"):
                 _partials({(1, 0): 1.0, key: 2.0}, 0.5, 0.25, _ORDER1)
+            for at in range(3):
+                tables = [{(1, 0): 1.0}, {(0, 1): 1.0}, {(0, 0): -1.0}]
+                tables[at] = {**tables[at], key: 2.0}
+                with pytest.raises(DomainError, match="not a monomial"):
+                    _hopf_system(*tables, 0.5, 0.25)
 
     def test_verify_runs_fit_in_the_kernel_cache(self):
         # every layout and order the oracle meets in ten verify runs is compiled
@@ -1351,3 +1405,89 @@ class TestOnePass:
         got = _hex_or_error(_one_pass, sys, centre)
         assert got == _hex_or_error(_staged, sys, centre)
         assert got[0] is error
+
+
+def _solve_bits(nf, r, solve=_hopf_point):
+    """float.hex of a Hopf solve's lambda1 and equilibrium, and its two tables
+    item by item in order, or the type and message of its typed error."""
+    try:
+        lam, (x, y), tables = solve(nf, r)
+    except (DomainError, NumericsError) as exc:
+        return type(exc), str(exc)
+    return _bits((lam, x, y)), [[(k, float.hex(c)) for k, c in t.items()] for t in tables]
+
+
+def _reference_l1(nf, r):
+    _, eq, (fx, fy) = hopf_reference.hopf_point(nf, r)
+    return _lyapunov_at(fx, fy, eq)
+
+
+def _assert_solve_is_the_reference(nf, r):
+    assert _solve_bits(nf, r) == _solve_bits(nf, r, hopf_reference.hopf_point)
+    assert _hex_or_error(l1_blowup, nf, r) == _hex_or_error(_reference_l1, nf, r)
+
+
+_RADIUS = st.one_of(st.floats(0.0, 0.2, exclude_min=True),
+                    st.sampled_from((1e-70, 1e-90, 1e-300, 5e-324, 0.2)))
+
+
+class TestHopfReference:
+    """The Hopf solve runs one generated kernel per Newton iterate and builds
+    no system; it must be hopf_reference.hopf_point, the solve with a starting
+    system, the hatted series and three _partials calls per iterate, bit for
+    bit, and fail where that fails with the same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), constrained=st.booleans(),
+           zeros=st.integers(0, 2 ** len(COEFF_NAMES) - 1), r=_RADIUS)
+    def test_drawn_records_with_zeroed_fields(self, seed, constrained, zeros, r):
+        nf = replace(_drawn_record(seed, constrained),
+                     **{name: 0.0 for n, name in enumerate(COEFF_NAMES) if zeros >> n & 1})
+        _assert_solve_is_the_reference(nf, r)
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-300, 1e-90, 1e-70, 1e-8, 0.05, 0.2])
+    def test_zero_record(self, r):
+        assert set(asdict(CANONICAL).values()) == {0.0}
+        _assert_solve_is_the_reference(CANONICAL, r)
+
+    @pytest.mark.parametrize("seed, r", [(0, 0.2), (3, 0.1), (4, 1e-3)])
+    def test_slow_table_changing_layout(self, seed, r, monkeypatch):
+        # d10 = lambda1 r e20 at the seed lambda1 = rho1 r: the starting slow
+        # table has no (2, 0) term, every iterate's has one, and the solve
+        # looks its kernel up again for that layout
+        nf = _drawn_record(seed, False)
+        lam0 = rho_coefficients(nf).rho1 * r
+        nf = replace(nf, e20=0.5, d10=lam0 * r * 0.5)
+        assert (2, 0) not in blow_up(nf, r, lam0).fy
+        layouts = []
+
+        def kernel(m, n, dn):
+            layouts.append(tuple(n))
+            return hopf_kernel(m, n, dn)
+        hopf_kernel = blowup._hopf_kernel
+        monkeypatch.setattr("canard.blowup._hopf_kernel", kernel)
+        _assert_solve_is_the_reference(nf, r)
+        layouts.clear()
+        assert (2, 0) in _hopf_point(nf, r)[2][1]
+        assert [(2, 0) in layout for layout in layouts] == [False, True]
+
+    @pytest.mark.parametrize("nf, r", [
+        (CANONICAL, 0.0), (CANONICAL, 0.25), (CANONICAL, -0.1), (CANONICAL, math.nan),
+        (NormalFormCoefficients(c01=64.0), 0.125),  # m01 = -1 + r^2 c01 = 0
+        (NormalFormCoefficients(c10=-2.0, e10=64.0), 0.125),  # n10 = 1 - rho1 r^2 e10 = 0
+        (NormalFormCoefficients(c20=-64.0), 0.125),  # singular Jacobian
+        (replace(_drawn_record(3, False), f02=1e300), 0.05),  # non-finite iterate
+        (NormalFormCoefficients(c10=1e300), 0.005),  # series overflow
+        (NormalFormCoefficients(a10=-1.79e308, c11=1.79e308), 0.2),  # fast table at (1, 1)
+        (NormalFormCoefficients(c10=1e308, f00=1e308), 0.2),  # slow table: lambda1 = -inf
+    ])
+    def test_each_failure(self, nf, r):
+        want = _solve_bits(nf, r, hopf_reference.hopf_point)
+        assert want[0] in (DomainError, NumericsError)
+        _assert_solve_is_the_reference(nf, r)
+
+    def test_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr("canard.blowup._MAX_ITER", 2)
+        want = (NumericsError, "Hopf location did not reach residual 1e-12 in 2 iterations")
+        assert _solve_bits(_drawn_record(5, False), 0.2) == want
+        _assert_solve_is_the_reference(_drawn_record(5, False), 0.2)

@@ -398,6 +398,34 @@ class TestAlleeCycles:
         with pytest.raises(DomainError):
             find_cycle(f, (y4 + 2e-4, y4 + 9e-4), Section(x4, y4), tight(1500.0))
 
+    def test_model1_cycle_just_below_the_hopf_point(self):
+        # 5e-5 below beta_H, inside the window of stable cycles, a real cycle
+        # surrounds E4: bisection on the ray above E4 lands 6.5e-4 above it,
+        # not on the focus (whose linear period here is 425.9 and multiplier
+        # exp(trace/2 * T) = 1.0114, an unstable focus)
+        p = AlleeParams(**EX1)
+        p = replace(p, beta=hopf_onset(p).beta_onset - 5e-5)
+        f = allee_field(p)
+        x4, y4 = equilibria(p).E4.point
+        sec = Section(x4, y4)
+        opts = IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13, t_max=1500.0)
+        res = find_cycle(f, (y4 + 3e-4, y4 + 9e-4), sec, opts)
+        assert res.converged and res.stability == "Stable"
+        height = res.section_point[1] - y4
+        assert height > 1e-4
+        # the values of the first run, to the digits it was recorded with; the
+        # multiplier's allowance is above the finite difference's own error,
+        # which a ten times wider step bounds
+        assert abs(res.period - 442.186) < 1e-3
+        assert abs(res.multiplier - 0.973728) < 1e-6
+        d = 1e-5 * 6e-4 * 10.0
+        wide = (return_map(f, sec, res.section_point[1] + d, opts)
+                - return_map(f, sec, res.section_point[1] - d, opts)) / (2.0 * d)
+        assert abs(wide - res.multiplier) < 1e-6
+        tr = integrate(f, res.section_point, IntegratorOptions(rel_tol=1e-11, abs_tol=1e-13,
+                                                               t_max=res.period))
+        assert np.abs(tr.end_state - np.asarray(res.section_point)).max() < 1e-9
+
 
 class TestHopfOnset:
     def test_onset_matches_prediction(self):
