@@ -18,8 +18,9 @@ point, or of the Hopf solve's three tables in one step, _hopf_system),
 _recenter (translate_to_equilibrium) and _substitute_linear
 (normalize_linear).  _kernel generates each as a straight-line function
 through _kernels.define, as dataclasses generates __init__, once per table
-layout (and set of sums), and keeps it in a bounded cache: one local per
-sum instead of dict lookups on tuple keys.  A layout is the table's keys in
+layout (and set of sums; the Hopf step once per triple of layouts), and
+keeps it in a bounded cache: one local per sum instead of dict lookups on
+tuple keys.  A layout is the table's keys in
 insertion order: the order of the terms fixes the order in which each sum
 adds them up, and so its rounding.  The keys are checked against the
 monomials up to _DEGREE before any source is written.  The kernels repeat

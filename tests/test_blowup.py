@@ -1252,9 +1252,9 @@ def _loop_linear_powers(a, b):
 
 class TestGeneratedPartials:
     """_partials runs a kernel generated per layout and set of sums (the first
-    and second order, and the five sums of each table that _hopf_system reads);
-    it must equal the full sums bit for bit, and the verify runs must fit in
-    the kernel cache."""
+    and second order, and the sums _hopf_system reads of each table, which one
+    kernel gives it for all three); it must equal the full sums bit for bit,
+    and the verify runs must fit in the kernel cache."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), x=_POINT_COORD, y=_POINT_COORD)
