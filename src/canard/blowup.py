@@ -579,8 +579,10 @@ def _hopf_point(nf: NormalFormCoefficients, r: float
     dn = _lambda1_slopes(nf, r)
     m, n = _cleaned(_m_table(nf, r)), _cleaned(_n_table(nf, r, lam))
     x, y = _series(m, n, r).predict(r)
-    step, layout = _hopf_kernel(m, n, dn), tuple(n)
+    layout = None
     for _ in range(_MAX_ITER):
+        if tuple(n) != layout:
+            step, layout = _hopf_kernel(m, n, dn), tuple(n)
         f, a, b, fxx, fxy, g, c, d, gxy, gyy, p, k = step(m, n, dn, x, y)
         t, e, h = a + d, fxx + gxy, fxy + gyy
         # one extra step after meeting _TOL polishes the residual to the
@@ -596,8 +598,6 @@ def _hopf_point(nf: NormalFormCoefficients, r: float
         n = _cleaned(_n_table(nf, r, lam))
         if converged:
             return lam, (x, y), (m, n)
-        if tuple(n) != layout:
-            step, layout = _hopf_kernel(m, n, dn), tuple(n)
     raise NumericsError(f"Hopf location did not reach residual {_TOL} in {_MAX_ITER} iterations")
 
 
