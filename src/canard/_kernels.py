@@ -22,12 +22,13 @@ through a global or attribute lookup, and it counts accepted steps and
 field evaluations once, at the end, from the mesh and the rejections.
 define is the package's one run of generated code.  Time only runs
 forward here; reversed time is one negated field, built in dynamics.
-An optional section stop ends a run at the first crossing of a vertical
-line in a wanted direction, located exactly as
-dynamics.section_crossings locates it on the interpolant it asks for
-(store_dense).  bisect serves that location, the displacement root of
-dynamics.find_cycle and the Hopf point of allee.hopf_onset, each with
-its own stop rule."""
+The stepper is also the package's one section-crossing locator: an
+optional section stop searches each accepted step for a crossing of a
+vertical line, builds that step's interpolant row only where one is
+found, keeps the crossings in a wanted direction and ends the run at the
+limit-th; no run keeps the interpolant of its whole mesh.  bisect serves
+that location, the displacement root of dynamics.find_cycle and the Hopf
+point of allee.hopf_onset, each with its own stop rule."""
 
 from __future__ import annotations
 
@@ -80,7 +81,7 @@ _DOPRI5_BODY = """
     x, y = y0, y1
     k10, k11 = FIELD
     if not (isfinite(y0) and isfinite(y1) and isfinite(k10) and isfinite(k11)):
-        return STATUS_BAD_FIELD, [t], [y0, y1], [], (0, 0, 1), None
+        return STATUS_BAD_FIELD, [t], [y0, y1], (0, 0, 1), []
 
     # starter step: scipy-style two-probe estimate
     sc0 = atol + rtol * abs(y0)
@@ -95,7 +96,7 @@ _DOPRI5_BODY = """
     x, y = y0 + h0 * k10, y1 + h0 * k11
     f0, f1 = FIELD
     if not (isfinite(f0) and isfinite(f1)):
-        return STATUS_BAD_FIELD, [t], [y0, y1], [], (0, 0, 2), None
+        return STATUS_BAD_FIELD, [t], [y0, y1], (0, 0, 2), []
     d2 = sqrt(0.5 * (((f0 - k10) / sc0) ** 2
                      + ((f1 - k11) / sc1) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
@@ -107,13 +108,12 @@ _DOPRI5_BODY = """
     ts = [t]
     ys = [y0, y1]
     ts_append, ys_append = ts.append, ys.append
-    rc = []
     rejected = 0
     streak = 0
     errold = 1e-4
     status = STATUS_OK
     cross = False
-    hit = None
+    hits = []
     a0, a1 = abs(y0), abs(y1)   # |y| at the last accepted state
 
     # comparisons stand in for min, max and abs calls, same floats (t >= 0)
@@ -159,11 +159,11 @@ _DOPRI5_BODY = """
 
         if err <= 1.0:
             if stop is not None:
-                # the test and step order of dynamics.section_crossings: t > 0
-                # from the first accepted step on
+                # a sign change of x - x_sec over the step, or x on the line at
+                # its start from the first accepted step on (t > 0)
                 a = y0 - stop[0]
                 cross = (a == 0.0 and t > 0.0) or a * (yn0 - stop[0]) < 0.0
-            if store_dense or cross:
+            if cross:
                 q0, q1 = yn0 - y0, yn1 - y1
                 b0, b1 = h * k10 - q0, h * k11 - q1
                 row = (y0, y1, q0, q1, b0, b1,
@@ -172,8 +172,6 @@ _DOPRI5_BODY = """
                             + D6 * k60 + D7 * k70),
                        h * (D1 * k11 + D3 * k31 + D4 * k41 + D5 * k51
                             + D6 * k61 + D7 * k71))
-                if store_dense:
-                    rc.extend(row)
             t_old, t = t, t + h
             y0, y1 = yn0, yn1
             a0, a1 = an0, an1
@@ -192,9 +190,10 @@ _DOPRI5_BODY = """
             if cross:
                 hit = section_crossing(rhs, t_old, t, row,
                                        stop[0], stop[1], a)
-                if hit is not None and hit[2] == stop[2]:
-                    break
-                hit = None
+                if hit is not None and stop[2] in (0.0, hit[2]):
+                    hits.append(hit)
+                    if len(hits) >= stop[3]:
+                        break
         else:
             h = h * min(0.9, max(0.1, 0.9 * err ** (-0.2)))
             rejected += 1
@@ -207,7 +206,7 @@ _DOPRI5_BODY = """
     # stopped at its non-finite state
     steps = len(ts) - 1
     nfev = 2 + 6 * (steps + rejected + (status == STATUS_BAD_FIELD))
-    return status, ts, ys, rc, (steps, rejected, nfev), hit
+    return status, ts, ys, (steps, rejected, nfev), hits
 """
 
 # The tableau names of _DOPRI5_BODY.  Each is written into the generated
@@ -234,13 +233,13 @@ def define(source: str, name: str, env: dict):
 
 
 def _stepper_source(source) -> str:
-    """The source of the stepper dopri5(rhs, u0, t_end, rtol, atol,
-    store_dense, stop) for a field source: for None, one that calls rhs at
-    each stage; for (names, f_src, g_src), one that binds names to
-    rhs.params once and evaluates the two expressions in place.  Either way
-    the tableau enters as literals (_TABLEAU).  DomainError on a name that
-    the body uses itself."""
-    head = "def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop):"
+    """The source of the stepper dopri5(rhs, u0, t_end, rtol, atol, stop)
+    for a field source: for None, one that calls rhs at each stage; for
+    (names, f_src, g_src), one that binds names to rhs.params once and
+    evaluates the two expressions in place.  Either way the tableau enters
+    as literals (_TABLEAU).  DomainError on a name that the body uses
+    itself."""
+    head = "def dopri5(rhs, u0, t_end, rtol, atol, stop):"
     if source is None:
         return head + _FOLDED_BODY.replace(" = FIELD\n", " = rhs(x, y)\n")
     names, f_src, g_src = source
@@ -275,24 +274,23 @@ def source_field(name: str, names: tuple, f_src: str, g_src: str):
     return maker
 
 
-def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
+def dopri5(rhs, u0, t_end, rtol, atol, stop=None):
     """Integrate (x, y)' = rhs(x, y) from u0 = (x, y) over [0, t_end].
 
-    Returns (status, ts, ys, rcont, counts, hit): the accepted mesh ts
-    (n+1,) and ys (n+1, 2); the per-step interpolant coefficients rcont
-    (n, 5, 2), or None without store_dense (the mesh is the same either
-    way); counts = (accepted steps, rejected steps, rhs evaluations); and
-    hit.  With stop = (x_sec, y_base, want) every accepted step is
-    searched for a crossing of x = x_sec as by section_crossing, and the
-    run ends at the first crossing whose x-direction is want, returned as
-    hit = (t, y, xdir); otherwise hit is None.  Finiteness is checked on
-    the start values and the starter probe, then on each step's new state
-    and last stage.  A field carrying a source is evaluated from it in
-    place, with the floats its call gives; rhs evaluations count those."""
-    status, ts, ys, rc, counts, hit = _stepper(getattr(rhs, "source", None))(
-        rhs, u0, t_end, rtol, atol, store_dense, stop)
+    Returns (status, ts, ys, counts, hits): the accepted mesh ts (n+1,)
+    and ys (n+1, 2); counts = (accepted steps, rejected steps, rhs
+    evaluations); and hits.  With stop = (x_sec, y_base, want, limit)
+    every accepted step is searched for a crossing of x = x_sec as by
+    section_crossing, each crossing (t, y, xdir) whose x-direction is
+    want (either for want = 0.0) is appended to hits, and the run ends
+    at the limit-th; without a stop hits is empty.  Finiteness is checked
+    on the start values and the starter probe, then on each step's new
+    state and last stage.  A field carrying a source is evaluated from it
+    in place, with the floats its call gives; rhs evaluations count those."""
+    status, ts, ys, counts, hits = _stepper(getattr(rhs, "source", None))(
+        rhs, u0, t_end, rtol, atol, stop)
     return (status, np.array(ts, dtype=float), np.array(ys, dtype=float).reshape(-1, 2),
-            np.array(rc, dtype=float).reshape(-1, 5, 2) if store_dense else None, counts, hit)
+            counts, hits)
 
 
 def bisect(g, lo, hi, g_lo, narrow, max_iter=None):

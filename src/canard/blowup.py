@@ -14,7 +14,7 @@ l1_blowup over an r-grid is an end-to-end check of those polynomials.
 Every stage reads and writes plain (i, j) -> c term tables: the
 coefficient of x^i y^j, absent terms meaning 0.  Three kernels do the
 arithmetic on them: _partials (the values and derivatives of one table at a
-point, or of the Hopf solve's three tables in one step, _hopf_system),
+point, or of the Hopf solve's three tables in one step, _hopf_kernel),
 _recenter (translate_to_equilibrium) and _substitute_linear
 (normalize_linear).  _kernel generates each as a straight-line function
 through _kernels.define, as dataclasses generates __init__, once per table
@@ -34,7 +34,7 @@ The kernels skip work whose result is known: a contribution whose integer
 multiplier is 0 (the derivative sums of _partials), a product with an exact
 0.0 factor (the zero entries of _substitute_linear's powers and of
 normalize_linear's T), and the sums no caller reads (_recenter's constant
-term, the derivatives _centred and _hopf_system do not use).  A skipped term
+term, the derivatives _centred and the Hopf step do not use).  A skipped term
 is +-0.0 when its other factors are finite, and it would be added to a sum
 that starts at +0.0 and so never holds -0.0 (a + (-a) is +0.0): adding it
 leaves the sum as it is.  A skipped 0 * inf would have been NaN, but then a
@@ -236,7 +236,7 @@ def blow_up_via_jets(nf: NormalFormCoefficients, r: float, lambda1: float) -> Pl
 _ORDER1 = ((0, 0), (1, 0), (0, 1))
 _ORDER2 = _ORDER1 + ((2, 0), (1, 1), (0, 2))
 _VALUE = _ORDER1[:1]
-# the sums _hopf_system reads of m, n and dn
+# the sums the Hopf step reads of m, n and dn
 _HOPF_SUMS = (_ORDER2[:5], _ORDER1 + _ORDER2[4:], _VALUE + _ORDER1[2:])
 
 
@@ -249,7 +249,10 @@ def _partials(coeffs: Terms, x: float, y: float, sums: tuple = _ORDER2) -> Tuple
 
 def equilibrium_series(sys: PlanarPolySystem, r: float) -> EquilibriumSeries:
     """Series coefficients of the equilibrium near the origin of a system
-    blown up at radius r; NumericsError if a coefficient overflows."""
+    blown up at radius r; DomainError unless 0 < r < inf, NumericsError if
+    a coefficient overflows."""
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"r must be positive and finite, got {r}")
     return _series(sys.fx, sys.fy, r)
 
 
@@ -375,7 +378,7 @@ def _returned(lines: list, sums: dict) -> list:
 
 def _partials_source(layout: tuple, sums: tuple, *sizes: int) -> list:
     """kernel(t0, x, y) of _partials, or with sizes, kernel(t0, t1, ..., x, y)
-    of _hopf_system: table ti has the next sizes[i] keys of layout, and its
+    of _hopf_kernel: table ti has the next sizes[i] keys of layout, and its
     sums are sums[i].  The sum of each derivative (a, b) of a table adds, from
     0.0 and in the order of the table's terms, ((k * c) * x^(i-a)) * y^(j-b)
     with the integer k = i!/(i-a)! j!/(j-b)! and the powers x*x, (x*x)*x,
@@ -540,21 +543,10 @@ def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:
 
 
 def _hopf_kernel(m: Terms, n: Terms, dn: Terms):
-    """The _partials_source kernel of the _HOPF_SUMS of m, n and dn."""
+    """The _partials_source kernel of the _HOPF_SUMS of m, n and dn: at (x, y)
+    the Hopf step's values of m, m_x, m_y, m_xx, m_xy, then n, n_x, n_y, n_xy,
+    n_yy, then p, p_y of the lambda1-slopes p = sum dn_ij x^i y^j."""
     return _kernel(_partials_source, (*m, *n, *dn), _HOPF_SUMS, len(m), len(n), len(dn))
-
-
-def _hopf_system(m: Terms, n: Terms, dn: Terms, x: float, y: float
-                 ) -> Tuple[Tuple[float, float, float], Tuple[Tuple[float, float, float], ...]]:
-    """The Hopf defining system F = (fx, fy, trace) at (x, y) of the tables
-    m, n (fast and slow component), and its Jacobian rows in (x, y, lambda1).
-    The n-table is affine in lambda1 with slopes dn (_lambda1_slopes), so
-    dF/dlambda1 = (0, p, p_y) with p = sum dn_ij x^i y^j.  The trace row reads
-    neither m's v_yy nor n's v_xx, nor p_x, and the kernel leaves those sums out."""
-    fx, j11, j12, fxx, fxy, fy, j21, j22, gxy, gyy, p, p_y = (
-        _hopf_kernel(m, n, dn)(m, n, dn, x, y))
-    return ((fx, fy, j11 + j22),
-            ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
 
 
 def _cleaned(terms: Terms) -> Terms:
@@ -571,7 +563,7 @@ def _hopf_point(nf: NormalFormCoefficients, r: float
     starting tables.  Those are cleaned once, as a system's, and no system is
     built; the fast table does not depend on lambda1, and only the slow table
     is rebuilt and cleaned per iterate.  Each iterate is one call of the
-    _hopf_system kernel, looked up again only when a coefficient of the slow
+    _hopf_kernel's kernel, looked up again only when a coefficient of the slow
     table becomes exactly 0 and is dropped, which changes its layout."""
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")

@@ -6,9 +6,11 @@ model's, and carries it.  Every run goes through _run into the scalar
 Dormand-Prince 5(4) core in _kernels, which runs time forward and
 evaluates a field that carries its source in place; for Reversed runs
 _oriented negates the field, and its source, once per run.  integrate
-keeps the accepted mesh only; section crossings are located on the dense
-output, which only section_crossings keeps and a return map's run builds
-step by step, stopping at its first same-direction crossing.  Limit
+keeps the accepted mesh only.  Section crossings have one locator, the
+core's section stop: section_crossings and a return map's run each
+give it the section, a direction and a count, and the run ends at that
+crossing, the limit-th of section_crossings (either direction) or a
+return map's first in the start's direction.  Limit
 cycles are found by bisection on the displacement map, with unstable
 cycles handled in reversed time and their multiplier reported in the
 forward-time convention; that bisection and the crossing location run
@@ -31,7 +33,6 @@ from ._kernels import (
     STATUS_UNDERFLOW,
     bisect,
     dopri5,
-    section_crossing,
 )
 from .allee import AlleeParams, _jacobian, equilibria
 from .allee import model_field as allee_field
@@ -103,11 +104,9 @@ def _typed_arithmetic(field: Callable):
         raise NumericsError(f"field '{name}' failed in float arithmetic: {exc}") from None
 
 
-def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
-         stop=None):
+def _run(field: Callable, x0, opts: IntegratorOptions, stop=None):
     """Integrate with one stiffness retry at 100x tighter tolerances.
-    Returns (trajectory, rcont, hit), rcont and hit as from dopri5 with
-    the given store_dense and stop."""
+    Returns (trajectory, hits), hits as from dopri5 with the given stop."""
     u0 = np.asarray(x0, dtype=float)
     if u0.shape != (2,) or not np.all(np.isfinite(u0)):
         raise DomainError(f"initial state must be a finite point, got {x0}")
@@ -118,8 +117,8 @@ def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
     name = getattr(field, "__name__", field)
     for attempt in range(2):
         with _typed_arithmetic(field):
-            status, ts, ys, rc, counts, hit = dopri5(
-                rhs, u0, opts.t_max, rtol, atol, store_dense, stop)
+            status, ts, ys, counts, hits = dopri5(
+                rhs, u0, opts.t_max, rtol, atol, stop)
         work = tuple(a + b for a, b in zip(work, counts))
         if status == STATUS_STIFF and attempt == 0:
             warnings.warn(
@@ -137,7 +136,7 @@ def _run(field: Callable, x0, opts: IntegratorOptions, store_dense: bool,
             f"field '{name}' evaluation produced non-finite values")
     if status == STATUS_STIFF:
         raise NumericsError("persistent step rejection even after tightening")
-    return Trajectory(ts, ys, stiff, *work), rc, hit
+    return Trajectory(ts, ys, stiff, *work), hits
 
 
 def integrate(field: Callable, x0, opts: IntegratorOptions = IntegratorOptions()
@@ -145,7 +144,7 @@ def integrate(field: Callable, x0, opts: IntegratorOptions = IntegratorOptions()
     """Integrate field from x0 to opts.t_max, keeping the accepted mesh.
     The Reversed direction negates the field; the trajectory parameter
     still runs forward over [0, t_max]."""
-    return _run(field, x0, opts, store_dense=False)[0]
+    return _run(field, x0, opts)[0]
 
 
 @dataclass(frozen=True)
@@ -161,25 +160,13 @@ def section_crossings(field: Callable, start, section: Section,
                       opts: IntegratorOptions = IntegratorOptions(),
                       limit: int = 64):
     """The first limit crossings of the section ray by the orbit of start,
-    as (t, y, xdot_sign) tuples, located on the dense output to a time
-    width of 1e-10.  Used to seed displacement-map brackets from
-    published initial values."""
-    traj, rcont, _ = _run(field, start, opts, store_dense=True)
-    rhs = _oriented(field, opts.direction)
-    g = traj.y[:, 0] - section.x
-    hits = []
-    for i in range(len(traj.t) - 1):
-        a = g[i]
-        if (a == 0.0 and i > 0) or a * g[i + 1] < 0.0:
-            with _typed_arithmetic(field):
-                hit = section_crossing(rhs, traj.t[i], traj.t[i + 1],
-                                       rcont[i].ravel().tolist(),
-                                       section.x, section.y_base, a)
-            if hit is not None:
-                hits.append(hit)
-                if len(hits) >= limit:
-                    break
-    return hits
+    in either direction, as (t, y, xdot_sign) tuples, located on the step's
+    interpolant to a time width of 1e-10.  The run ends at the limit-th
+    crossing, so a failure of the orbit after it (step underflow, a
+    non-finite field) is not reached; it runs to opts.t_max when there are
+    fewer.  Used to seed displacement-map brackets from published initial
+    values."""
+    return _run(field, start, opts, (section.x, section.y_base, 0.0, limit))[1]
 
 
 def bracket_from_crossings(field: Callable, starts, section: Section,
@@ -209,12 +196,12 @@ def _first_return(field: Callable, section: Section, y0: float,
         v0, v1 = _oriented(field, opts.direction)(section.x, y0)
     if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
         raise NumericsError("section crossing is tangential at the start point")
-    stop = (section.x, section.y_base, math.copysign(1.0, v0))
-    hit = _run(field, (section.x, y0), opts, False, stop)[2]
-    if hit is None:
+    stop = (section.x, section.y_base, math.copysign(1.0, v0), 1)
+    hits = _run(field, (section.x, y0), opts, stop)[1]
+    if not hits:
         raise NumericsError(
             f"no same-direction return to x={section.x} within t_max={opts.t_max}")
-    return hit[1], hit[0]
+    return hits[0][1], hits[0][0]
 
 
 def return_map(field: Callable, section: Section, y0: float,

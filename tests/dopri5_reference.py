@@ -1,9 +1,14 @@
 """The hand-written Dormand-Prince 5(4) body that canard._kernels.dopri5
 replaced with a template instantiated per field source: the bit-for-bit
 reference the generated steppers are held to, on opaque callables and on
-inlined field sources alike."""
+inlined field sources alike.  It keeps the dense-output mode (store_dense)
+and the stop at the first crossing in one direction that the generated
+stepper had then, and section_crossings is canard.dynamics.section_crossings
+as it was on that mode: the orbit integrated to t_max, then its mesh scanned
+for crossings."""
 
 import math
+import warnings
 
 import numpy as np
 
@@ -12,6 +17,8 @@ from canard._kernels import (
     B1, B3, B4, B5, B6, D1, D3, D4, D5, D6, D7, E1, E3, E4, E5, E6, E7,
     STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF, STATUS_UNDERFLOW,
     _MAX_REJECT_STREAK, section_crossing)
+from canard.dynamics import _oriented, _typed_arithmetic
+from canard.errors import NumericsError
 
 
 def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
@@ -158,3 +165,44 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
     return (status, np.array(ts), np.array(ys).reshape(-1, 2),
             np.array(rc).reshape(-1, 5, 2) if store_dense else None,
             (n, rejected, nfev), hit)
+
+
+def section_crossings(field, start, section, opts, limit=64):
+    """The first limit crossings of the section ray by the orbit of start, in
+    either direction, as (t, y, xdot_sign): the whole orbit to opts.t_max
+    with dense output, with canard.dynamics._run's stiffness retry and
+    errors, then each step whose x - section.x changes sign (or is 0 at its
+    start, after the first) located by section_crossing on its row."""
+    rhs = _oriented(field, opts.direction)
+    rtol, atol = opts.rel_tol, opts.abs_tol
+    name = getattr(field, "__name__", field)
+    for attempt in range(2):
+        with _typed_arithmetic(field):
+            status, ts, ys, rcont, _, _ = dopri5(rhs, start, opts.t_max, rtol, atol, True)
+        if status == STATUS_STIFF and attempt == 0:
+            warnings.warn(
+                f"step-rejection streak on field '{name}': suspected "
+                "stiffness, retrying with 100x tighter tolerances",
+                RuntimeWarning, stacklevel=2)
+            rtol, atol = rtol * 1e-2, atol * 1e-2
+            continue
+        break
+    if status == STATUS_UNDERFLOW:
+        raise NumericsError("step size underflow (stiff or singular field)")
+    if status == STATUS_BAD_FIELD:
+        raise NumericsError(f"field '{name}' evaluation produced non-finite values")
+    if status == STATUS_STIFF:
+        raise NumericsError("persistent step rejection even after tightening")
+    g = ys[:, 0] - section.x
+    hits = []
+    for i in range(len(ts) - 1):
+        a = g[i]
+        if (a == 0.0 and i > 0) or a * g[i + 1] < 0.0:
+            with _typed_arithmetic(field):
+                hit = section_crossing(rhs, ts[i], ts[i + 1], rcont[i].ravel().tolist(),
+                                       section.x, section.y_base, a)
+            if hit is not None:
+                hits.append(hit)
+                if len(hits) >= limit:
+                    break
+    return hits

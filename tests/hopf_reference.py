@@ -1,8 +1,9 @@
 """The Hopf solve of canard.blowup as it was before one generated kernel took a
 whole Newton iterate: a PlanarPolySystem built for the start, the equilibrium
 series read off the hatted tables, and three _partials calls per iterate.  It
-is the bit-for-bit reference the solve is held to, and _hatted_tables serves
-the tests of the series."""
+is the bit-for-bit reference the solve is held to; hatted_tables serves the
+tests of the series, and hopf_system, whose rows the solve matches bit for
+bit, the tests of the Jacobian and of one Newton step."""
 
 import math
 

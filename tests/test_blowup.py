@@ -30,8 +30,8 @@ from canard.blowup import (
     _ORDER1,
     _ORDER2,
     _TERMS,
+    _hopf_kernel,
     _hopf_point,
-    _hopf_system,
     _kernel,
     _lambda1_slopes,
     _linear_powers,
@@ -48,7 +48,7 @@ from canard.jet import (
     jet_scale,
 )
 import hopf_reference
-from hopf_reference import hatted_tables
+from hopf_reference import hatted_tables, hopf_system
 from jet_reference import jet_eval, jet_recenter
 from canard.normalform import (
     COEFF_NAMES,
@@ -268,6 +268,14 @@ class TestEquilibriumSeries:
         sys = blow_up(_drawn_record(4, False), 0.1, 0.1)
         with pytest.raises(NumericsError, match="^equilibrium series coefficient overflowed$"):
             equilibrium_series(sys, 1e100)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, math.nan, math.inf])
+    def test_radius_must_be_positive_and_finite(self, r):
+        # r = 0 and NaN used to fail as a NumericsError in the hatting, and
+        # r = -0.1 and r = inf to return a finite series
+        sys = blow_up(_drawn_record(4, False), 0.1, 0.1)
+        with pytest.raises(DomainError, match=r"^r must be positive and finite, got "):
+            equilibrium_series(sys, r)
 
     def test_vanishing_denominator(self):
         fx = {(0, 1): -1.0, (2, 0): 1.0}
@@ -676,8 +684,8 @@ class TestNewtonProperties:
 
         def residual(x, y, lam):
             at = blow_up(nf, r, lam)
-            return _hopf_system(at.fx, at.fy, dn, x, y)[0]
-        jac = _hopf_system(sys.fx, sys.fy, dn, *point[:2])[1]
+            return hopf_system(at.fx, at.fy, dn, x, y)[0]
+        jac = hopf_system(sys.fx, sys.fy, dn, *point[:2])[1]
         # the x and y entries are sums that can cancel: those of rows 0 and 1
         # over the table's terms, the trace row's fxx + gxy and fxy + gyy; the
         # central difference's error scales with their addends, for rows 0 and
@@ -810,13 +818,13 @@ class TestNewtonProperties:
         lam0 = rho_coefficients(nf).rho1 * r
         sys0 = blow_up(nf, r, lam0)
         seed = equilibrium_series(sys0, r).predict(r)
-        f0, jac = _hopf_system(sys0.fx, sys0.fy, dn, *seed)
+        f0, jac = hopf_system(sys0.fx, sys0.fy, dn, *seed)
         step = np.linalg.solve(np.array(jac), np.array(f0))
         lam, (x, y), (fx, fy) = _hopf_point(nf, r)
         assert hopf_lambda1(nf, r) == lam
         assert [x, y, lam] == pytest.approx([seed[0] - step[0], seed[1] - step[1],
                                              lam0 - step[2]], rel=1e-12, abs=0.0)
-        f1 = _hopf_system(fx, fy, dn, x, y)[0]
+        f1 = hopf_system(fx, fy, dn, x, y)[0]
         assert max(map(abs, f1)) < 1e-3 * max(map(abs, f0))
 
 
@@ -1252,8 +1260,8 @@ def _loop_linear_powers(a, b):
 
 class TestGeneratedPartials:
     """_partials runs a kernel generated per layout and set of sums (the first
-    and second order, and the sums _hopf_system reads of each table, which one
-    kernel gives it for all three); it must equal the full sums bit for bit,
+    and second order, and the sums the Hopf step reads of each table, which one
+    kernel, _hopf_kernel's, gives it for all three); it must equal the full sums bit for bit,
     and the verify runs must fit in the kernel cache."""
 
     @settings(max_examples=100, deadline=None)
@@ -1281,15 +1289,9 @@ class TestGeneratedPartials:
             keys = keys[:data.draw(st.integers(0, len(keys)), label=f"{label} size")]
             values = data.draw(st.lists(_ENTRY, min_size=len(keys), max_size=len(keys)))
             tables.append(dict(zip(keys, values)))
-        m, n, dn = tables
-        fx, j11, j12, fxx, fxy = _full_partials(m, x, y, _HOPF_SUMS[0])
-        fy, j21, j22, gxy, gyy = _full_partials(n, x, y, _HOPF_SUMS[1])
-        p, p_y = _full_partials(dn, x, y, _HOPF_SUMS[2])
-        want = ((fx, fy, j11 + j22),
-                ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
-        got = _hopf_system(m, n, dn, x, y)
-        assert [_bits(row) for row in (got[0], *got[1])] == [_bits(row) for row in
-                                                             (want[0], *want[1])]
+        want = [v for table, sums in zip(tables, _HOPF_SUMS)
+                for v in _full_partials(table, x, y, sums)]
+        assert _bits(_hopf_kernel(*tables)(*tables, x, y)) == _bits(want)
 
     def test_keys_beyond_the_degree_bound_raise(self):
         for key in [(5, 0), (2, 3), (1.5, 0)]:
@@ -1299,7 +1301,7 @@ class TestGeneratedPartials:
                 tables = [{(1, 0): 1.0}, {(0, 1): 1.0}, {(0, 0): -1.0}]
                 tables[at] = {**tables[at], key: 2.0}
                 with pytest.raises(DomainError, match="not a monomial"):
-                    _hopf_system(*tables, 0.5, 0.25)
+                    _hopf_kernel(*tables)(*tables, 0.5, 0.25)
 
     def test_verify_runs_fit_in_the_kernel_cache(self):
         # every layout and order the oracle meets in ten verify runs is compiled

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from canard.dynamics import (
 )
 from canard.errors import DomainError, NumericsError
 from dopri5_reference import dopri5 as reference_dopri5
+from dopri5_reference import section_crossings as reference_section_crossings
 
 EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
 EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
@@ -128,8 +130,7 @@ class TestIntegrate:
         def edge(x, y):
             return (1.0, 0.0) if x < 0.5 else (np.nan, 0.0)
 
-        status, ts, _, _, counts, _ = dopri5(edge, (0.0, 0.0), 2.0, 1e-8, 1e-10,
-                                             False)
+        status, ts, _, counts, _ = dopri5(edge, (0.0, 0.0), 2.0, 1e-8, 1e-10)
         assert status == STATUS_BAD_FIELD and counts[0] > 0 and ts[-1] < 0.5
         with pytest.raises(NumericsError, match="field 'edge' evaluation"):
             integrate(edge, (0.0, 0.0), tight(2.0))
@@ -184,15 +185,15 @@ class TestNonFiniteField:
         ("steps", np.inf, STATUS_BAD_FIELD, True)])
     def test_core_status(self, where, value, status, stepped, direction):
         f = _oriented(_non_finite_field(where, direction, value), direction)
-        got, ts, _, _, counts, _ = dopri5(f, (0.0, 0.5), 2.0, 1e-8, 1e-10, False)
+        got, ts, _, counts, _ = dopri5(f, (0.0, 0.5), 2.0, 1e-8, 1e-10)
         assert got == status and ts[-1] < 0.5
         assert (counts[0] > 0) == stepped
 
     def test_finite_singular_field_underflows(self):
         # x' = 1/(1 - x) is finite short of x = 1, reached at t = 1/2 with
         # an unbounded slope: the step size, not the field, gives out
-        got, ts, _, _, _, _ = dopri5(lambda x, y: (1.0 / (1.0 - x), 0.0), (0.0, 0.0),
-                                     2.0, 1e-8, 1e-10, False)
+        got, ts, _, _, _ = dopri5(lambda x, y: (1.0 / (1.0 - x), 0.0), (0.0, 0.0),
+                                  2.0, 1e-8, 1e-10)
         assert got == STATUS_UNDERFLOW and abs(ts[-1] - 0.5) < 1e-6
 
     @pytest.mark.parametrize("named", [True, False])
@@ -564,8 +565,9 @@ with open(Path(__file__).parent / "data" / "golden_dopri5.json", "r",
 
 class TestGoldenTrajectories:
     """The scalar core against trajectories recorded with the ndarray core
-    it replaced: same steps, and the same mesh and interpolant bit for
-    bit."""
+    it replaced: same steps, and the same mesh bit for bit.  The interpolant
+    rows recorded for the dense cases are those of the reference stepper,
+    which keeps the dense-output mode, on that same mesh."""
 
     @pytest.mark.parametrize(
         "case", GOLDEN["cases"],
@@ -574,10 +576,9 @@ class TestGoldenTrajectories:
     def test_matches_recorded_trajectory(self, case):
         p = AlleeParams(**{"EX1": EX1, "EX2": EX2}[case["example"]])
         f = _oriented(allee_field(p), case["direction"])
-        status, ts, ys, rc, counts, hit = dopri5(
-            f, case["start"], case["t_max"], GOLDEN["rel_tol"],
-            GOLDEN["abs_tol"], case["dense"])
-        assert status == STATUS_OK and hit is None
+        args = (case["start"], case["t_max"], GOLDEN["rel_tol"], GOLDEN["abs_tol"])
+        status, ts, ys, counts, hits = dopri5(f, *args)
+        assert status == STATUS_OK and hits == []
         assert len(ts) - 1 == case["steps"] == counts[0]
         rows = case["rows"]
 
@@ -587,10 +588,11 @@ class TestGoldenTrajectories:
         same(np.abs(ts).sum(), case["abs_sum_t"])
         same(np.abs(ys).sum(axis=0), case["abs_sum_y"])
         if case["dense"]:
+            _, ref_ts, ref_ys, rc, _, _ = reference_dopri5(f, *args, True)
+            same(ref_ts, ts)
+            same(ref_ys, ys)
             same(rc[case["rcont_rows"]], case["rcont"])
             same(np.abs(rc).sum(axis=0), case["abs_sum_rcont"])
-        else:
-            assert rc is None
 
 
 with open(Path(__file__).parent / "data" / "golden_orbits.json", "r",
@@ -625,38 +627,114 @@ class TestGoldenOrbits:
         assert got == case["region_excursion"]
 
 
-class TestDenseOutputMode:
+class TestSectionStop:
+    """The stepper's section stop is the one crossing locator: a run with a
+    stop walks integrate's mesh up to where it stops, and section_crossings
+    on it gives what the old post-hoc scan of the whole orbit gave, bit for
+    bit, up to its limit-th crossing."""
+
     @settings(max_examples=30, deadline=None)
     @given(example=st.sampled_from(["EX1", "EX2"]), reversed_time=st.booleans(),
-           dx=st.floats(-0.02, 0.02), dy=st.floats(-0.02, 0.02),
-           t_max=st.floats(1.0, 300.0))
-    def test_dense_output_leaves_the_mesh(self, example, reversed_time, dx, dy, t_max):
-        # integrate runs without dense output and section_crossings with it:
-        # both must step through the same mesh
+           dx=st.floats(0.002, 0.02), left=st.booleans(), dy=st.floats(-0.02, 0.02),
+           t_max=st.floats(1.0, 300.0), want=st.sampled_from([-1.0, 0.0, 1.0]),
+           limit=st.sampled_from([1, 2, 8]))
+    def test_stop_walks_the_integrate_mesh(self, example, reversed_time, dx, left, dy,
+                                           t_max, want, limit):
         p = AlleeParams(**{"EX1": EX1, "EX2": EX2}[example])
         x4, y4 = equilibria(p).E4.point
         f = _oriented(allee_field(p), REVERSED if reversed_time else FORWARD)
+        # off the section: orbits meet x = x4 tangentially only at E4
+        start = (x4 - dx if left else x4 + dx, y4 + dy)
+        full = dopri5(f, start, t_max, 1e-10, 1e-12)
+        status, ts, ys, counts, hits = dopri5(f, start, t_max, 1e-10, 1e-12,
+                                              (x4, y4 - 1.0, want, limit))
+        assert full[4] == [] and len(hits) <= limit
+        assert all(want in (0.0, d) for _, _, d in hits)
+        np.testing.assert_array_equal(ts, full[1][:len(ts)])
+        np.testing.assert_array_equal(ys, full[2][:len(ts)])
+        if len(hits) == limit:
+            # ended in the step that holds the limit-th crossing
+            assert status == STATUS_OK and ts[-2] <= hits[-1][0] <= ts[-1]
+            assert counts[0] == len(ts) - 1 <= full[3][0]
+        else:
+            assert (status, counts, len(ts)) == (full[0], full[3], len(full[1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(example=st.sampled_from(["EX1", "EX2"]), reversed_time=st.booleans(),
+           dx=st.floats(-0.02, 0.02), dy=st.floats(-0.02, 0.02),
+           lowered=st.booleans(), limit=st.sampled_from([1, 2, 8, 64]),
+           t_max=st.floats(50.0, 1500.0))
+    # the one changed outcome: in reversed time this orbit crosses once and
+    # then underflows; the run now ends at that crossing and returns it
+    @example(example="EX1", reversed_time=True, dx=0.0, dy=-0.01, lowered=True, limit=1,
+             t_max=600.0)
+    def test_section_crossings_equal_the_post_hoc_scan(self, example, reversed_time, dx,
+                                                       dy, lowered, limit, t_max):
+        p = AlleeParams(**{"EX1": EX1, "EX2": EX2}[example])
+        x4, y4 = equilibria(p).E4.point
+        field = allee_field(p)
+        section = Section(x4, y4 - 1.0 if lowered else y4)
+        opts = IntegratorOptions(t_max=t_max, direction=REVERSED if reversed_time else FORWARD)
         start = (x4 + dx, y4 + dy)
-        mesh = dopri5(f, start, t_max, 1e-10, 1e-12, False)
-        dense = dopri5(f, start, t_max, 1e-10, 1e-12, True)
-        assert mesh[0] == dense[0] and mesh[4] == dense[4]
-        np.testing.assert_array_equal(mesh[1], dense[1])
-        np.testing.assert_array_equal(mesh[2], dense[2])
-        assert mesh[3] is None and len(dense[3]) == len(dense[1]) - 1
+
+        def outcome(locate, f=field):
+            """(the hexed crossings or the NumericsError, whether it warned)"""
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    hits = locate(f, start, section, opts, limit)
+                except NumericsError as exc:
+                    return exc, bool(caught)
+            return [[float.hex(v) for v in hit] for hit in hits], bool(caught)
+
+        expect, retried = outcome(reference_section_crossings)
+        got = outcome(section_crossings)[0]
+        if isinstance(expect, list):
+            # unless the scanned run was retried for a stiffness that only
+            # its part after the limit-th crossing showed
+            assert got == expect or retried
+            return
+        if isinstance(got, list):
+            # the run ended at the limit-th crossing, short of the failure
+            # the reference ran on into
+            assert len(got) == limit
+
+            def field_calls(locate):
+                calls = [0]
+
+                def counted(x, y):
+                    calls[0] += 1
+                    return field(x, y)
+                return outcome(locate, counted)[0], calls[0]
+            stopped, n_stopped = field_calls(section_crossings)
+            failed, n_full = field_calls(reference_section_crossings)
+            assert stopped == got and isinstance(failed, NumericsError)
+            assert n_stopped < n_full
 
 
 def _hexed(run):
     """The result of run(), a dopri5 call, with each array as its shape and
     the float.hex of its entries, or the type and message of what it raised."""
     try:
-        status, ts, ys, rc, counts, hit = run()
+        status, ts, ys, counts, hits = run()
     except Exception as exc:
         return type(exc), str(exc)
 
     def hexed(a):
-        return None if a is None else (a.shape, [float.hex(float(v)) for v in a.ravel()])
-    return (status, hexed(ts), hexed(ys), hexed(rc), counts,
-            None if hit is None else [float.hex(v) for v in hit])
+        return a.shape, [float.hex(float(v)) for v in a.ravel()]
+    return (status, hexed(ts), hexed(ys), counts,
+            [[float.hex(v) for v in hit] for hit in hits])
+
+
+def _reference(rhs, u0, t_end, rtol, atol, stop=None):
+    """The reference stepper's run, without dense output, as dopri5 returns
+    it: its stop (x_sec, y_base, want) is dopri5's (x_sec, y_base, want, 1)
+    for want = +-1, and its hit, or None, is hits = [hit] or []."""
+    if stop is not None:
+        assert stop[2] != 0.0 and stop[3] == 1
+        stop = stop[:3]
+    status, ts, ys, _, counts, hit = reference_dopri5(rhs, u0, t_end, rtol, atol, False, stop)
+    return status, ts, ys, counts, [] if hit is None else [hit]
 
 
 def _opaque(field):
@@ -680,27 +758,29 @@ class TestInlinedField:
 
     @settings(max_examples=30, deadline=None)
     @given(model=st.sampled_from(["EX1", "EX2"]), reversed_time=st.booleans(),
-           dense=st.booleans(), want=st.sampled_from([None, -1.0, 1.0]),
+           stop=st.sampled_from([None, (-1.0, 1), (1.0, 1), (0.0, 1), (0.0, 3), (1.0, 2)]),
            dx=st.floats(-0.02, 0.02), dy=st.floats(-0.02, 0.02),
            t_max=st.floats(1.0, 300.0), tol=st.sampled_from([(1e-8, 1e-10), (1e-10, 1e-12)]))
     # stops at a crossing after 52 steps
-    @example(model="EX2", reversed_time=False, dense=True, want=-1.0, dx=0.0, dy=-0.01,
+    @example(model="EX2", reversed_time=False, stop=(-1.0, 1), dx=0.0, dy=-0.01,
              t_max=300.0, tol=(1e-8, 1e-10))
-    def test_both_instantiations_equal_the_reference(self, model, reversed_time, dense,
-                                                     want, dx, dy, t_max, tol):
+    def test_both_instantiations_equal_the_reference(self, model, reversed_time, stop,
+                                                     dx, dy, t_max, tol):
         p = AlleeParams(**{"EX1": EX1, "EX2": EX2}[model])
         x4, y4 = equilibria(p).E4.point
         f = _oriented(allee_field(p), REVERSED if reversed_time else FORWARD)
         assert f.source is not None
         # the base below the orbit: a crossing in either direction may stop it
-        stop = None if want is None else (x4, y4 - 1.0, want)
-        args = ((x4 + dx, y4 + dy), t_max, *tol, dense, stop)
-        expect = _hexed(lambda: reference_dopri5(f, *args))
+        stop = None if stop is None else (x4, y4 - 1.0, *stop)
+        args = ((x4 + dx, y4 + dy), t_max, *tol, stop)
+        expect = _hexed(lambda: dopri5(_opaque(f), *args))
         assert _hexed(lambda: dopri5(f, *args)) == expect
-        assert _hexed(lambda: dopri5(_opaque(f), *args)) == expect
+        if stop is None or (stop[2] != 0.0 and stop[3] == 1):
+            # the stops the reference stepper has
+            assert _hexed(lambda: _reference(f, *args)) == expect
         if isinstance(expect[0], int):
             # 2 starter evaluations, then 6 per attempted step, in place too
-            accepted, rejected, nfev = expect[4]
+            accepted, rejected, nfev = expect[3]
             assert nfev == 2 + 6 * (accepted + rejected)
 
     @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
@@ -708,8 +788,8 @@ class TestInlinedField:
         # x / (m + x) divides by zero at x = -m, called or in place
         p = AlleeParams(**EX1)
         f = _oriented(allee_field(p), direction)
-        args = ((-p.m, 0.1), 1.0, 1e-8, 1e-10, False)
-        expect = _hexed(lambda: reference_dopri5(f, *args))
+        args = ((-p.m, 0.1), 1.0, 1e-8, 1e-10)
+        expect = _hexed(lambda: _reference(f, *args))
         assert expect == (ZeroDivisionError, "float division by zero")
         assert _hexed(lambda: dopri5(f, *args)) == expect
         assert _hexed(lambda: dopri5(_opaque(f), *args)) == expect
@@ -720,14 +800,17 @@ class TestInlinedField:
     def test_non_finite_source_is_a_bad_field(self, where, value, direction):
         s = -1.0 if direction == REVERSED else 1.0
         f = _oriented(_bad_source((s, value, where)), direction)
-        for dense in (False, True):
-            args = ((0.0, 0.5), 2.0, 1e-8, 1e-10, dense)
-            got = dopri5(f, *args)
+        args = ((0.0, 0.5), 2.0, 1e-8, 1e-10)
+        assert _hexed(lambda: dopri5(f, *args)) == _hexed(lambda: _reference(f, *args))
+        # without a stop, and with one that records the crossing of x = 0.25
+        # and runs on to the failure
+        for stop in (None, (0.25, 0.0, 0.0, 2)):
+            got = dopri5(f, *args, stop)
             assert got[0] == STATUS_BAD_FIELD and got[1][-1] < 0.5
-            assert (got[4][0] > 0) == (where == "steps")
-            expect = _hexed(lambda: reference_dopri5(f, *args))
-            assert _hexed(lambda: dopri5(f, *args)) == expect
-            assert _hexed(lambda: dopri5(_opaque(f), *args)) == expect
+            assert (got[3][0] > 0) == (where == "steps")
+            assert len(got[4]) == (stop is not None and where == "steps")
+            expect = _hexed(lambda: dopri5(_opaque(f), *args, stop))
+            assert _hexed(lambda: dopri5(f, *args, stop)) == expect
 
     def test_one_stepper_per_source_and_direction(self):
         fields = [allee_field(AlleeParams(**ex)) for ex in (EX1, EX2)]
@@ -756,7 +839,7 @@ class TestInlinedField:
     def test_parameter_name_must_be_free_in_the_stepper(self, name):
         f = source_field("f", (name,), "1.0", "0.0")((1.0,))
         with pytest.raises(DomainError, match="is not free in the stepper"):
-            dopri5(f, (0.0, 0.0), 1.0, 1e-8, 1e-10, False)
+            dopri5(f, (0.0, 0.0), 1.0, 1e-8, 1e-10)
 
     def test_tableau_is_folded_into_constants(self):
         # the floats of _kernels are the tableau: no generated stepper looks
@@ -772,7 +855,7 @@ class TestInlinedField:
 
     def test_field_source_keeps_a_tableau_name(self):
         # the tableau is folded into the template only, never into a field's text
-        args = ((0.0, 0.0), 1.0, 1e-8, 1e-10, False)
+        args = ((0.0, 0.0), 1.0, 1e-8, 1e-10)
         named = dopri5(source_field("f", ("A21",), "A21", "0.0")((3.0,)), *args)
         plain = dopri5(source_field("f", ("w",), "w", "0.0")((3.0,)), *args)
         assert _hexed(lambda: named) == _hexed(lambda: plain)
@@ -805,12 +888,13 @@ class TestStiffnessRetry:
     def _core(monkeypatch, stiff_calls):
         calls = []
 
-        def core(field, u0, t_end, rtol, atol, store_dense, stop=None):
+        def core(field, u0, t_end, rtol, atol, stop=None):
             calls.append((rtol, atol))
             if len(calls) <= stiff_calls:
-                return (STATUS_STIFF, np.array([0.0]), np.array([list(u0)]), None,
-                        (3, 30, 200), None)
-            return dopri5(field, u0, t_end, rtol, atol, store_dense, stop)
+                # a streak after one located crossing
+                return (STATUS_STIFF, np.array([0.0]), np.array([list(u0)]),
+                        (3, 30, 200), [(0.5, 0.5, 1.0)])
+            return dopri5(field, u0, t_end, rtol, atol, stop)
 
         monkeypatch.setattr(dynamics, "dopri5", core)
         return calls
@@ -820,11 +904,18 @@ class TestStiffnessRetry:
         with pytest.warns(RuntimeWarning, match="field 'soft_cycle': suspected stiffness"):
             tr = integrate(soft_cycle, (0.3, 0.1), tight(5.0))
         assert calls == [(1e-10, 1e-12), (1e-10 * 1e-2, 1e-12 * 1e-2)]
-        ref = dopri5(soft_cycle, (0.3, 0.1), 5.0, 1e-12, 1e-14, True)
+        ref = dopri5(soft_cycle, (0.3, 0.1), 5.0, 1e-12, 1e-14)
         assert tr.stiffness_suspected
         assert (tr.n_accepted, tr.n_rejected, tr.nfev) == tuple(
-            a + b for a, b in zip((3, 30, 200), ref[4]))
+            a + b for a, b in zip((3, 30, 200), ref[3]))
         np.testing.assert_array_equal(tr.y, ref[2])
+
+    def test_retry_keeps_only_its_own_crossings(self, monkeypatch):
+        self._core(monkeypatch, 1)
+        with pytest.warns(RuntimeWarning, match="suspected stiffness"):
+            got = section_crossings(soft_cycle, (0.3, 0.1), Section(0.0, -2.0), tight(20.0))
+        ref = dopri5(soft_cycle, (0.3, 0.1), 20.0, 1e-12, 1e-14, (0.0, -2.0, 0.0, 64))
+        assert got == ref[4] and len(got) == 6
 
     def test_persistent_stiffness_raises(self, monkeypatch):
         calls = self._core(monkeypatch, 2)
@@ -875,11 +966,12 @@ class TestBisect:
 
 def _first_same_direction(field, section, y0, opts):
     """(height, time) of the first same-direction return, scanned on the
-    orbit integrated all the way to t_max; None when there is none."""
+    orbit integrated all the way to t_max by the reference stepper; None
+    when there is none."""
     sign = -1.0 if opts.direction == REVERSED else 1.0
     want = math.copysign(1.0, sign * field(section.x, y0)[0])
-    for t, y, d in section_crossings(field, (section.x, y0), section, opts,
-                                     limit=10 ** 6):
+    for t, y, d in reference_section_crossings(field, (section.x, y0), section, opts,
+                                               limit=10 ** 6):
         if d == want:
             return y, t
     return None

@@ -1,5 +1,6 @@
 """Source hygiene: no module under src/canard/ or tests/ imports a name it
-never reads, cli is the one src/canard module that imports json, so
+never reads, every module-level private function or class of src/canard is
+used in src/canard outside its own definition, cli is the one src/canard module that imports json, so
 file formats are decided in one place, _kernels.define is the one place in
 src/canard that runs generated code, the caches of the kernel and stepper
 generators that call it are bounded, no CSV field the CLI writes needs
@@ -9,6 +10,7 @@ stdlib ast module, so no linter is needed."""
 
 import argparse
 import ast
+import collections
 import importlib
 import re
 from pathlib import Path
@@ -18,6 +20,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "canard").glob("*.py")) + sorted(
     (ROOT / "tests").glob("*.py"))
+
+
+def names_read(tree):
+    """The names a tree reads as a variable."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def unused_imports(source: str):
@@ -33,8 +41,7 @@ def unused_imports(source: str):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported.setdefault(name, node.lineno)
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read = names_read(tree)
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
@@ -51,6 +58,36 @@ def test_detector():
     src = ("from __future__ import annotations\nimport os, sys\n"
            "from a import b as c, d\nimport x.y\n__all__ = ['d']\nprint(sys, x)\n")
     assert unused_imports(src) == [(2, "os"), (3, "c")]
+
+
+def orphaned_private_code(sources):
+    """(module, name) of each module-level private function or class (not a
+    dunder) of the named sources that none of them reads, as a variable or an
+    attribute, outside the statement that defines it."""
+    statements = [(module, stmt) for module, source in sources.items()
+                  for stmt in ast.parse(source).body]
+    reads = [names_read(stmt) | {a.attr for a in ast.walk(stmt) if isinstance(a, ast.Attribute)}
+             for _, stmt in statements]
+    # the number of top-level statements that read each name
+    readers = collections.Counter(name for read in reads for name in read)
+    return [(module, stmt.name) for (module, stmt), read in zip(statements, reads)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and readers[stmt.name] == (stmt.name in read)]
+
+
+def test_no_orphaned_private_code():
+    # a private helper that only tests call is dead code in the package
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "canard").glob("*.py"))}
+    assert orphaned_private_code(sources) == []
+
+
+def test_orphan_detector():
+    a = ("def _used():\n    pass\ndef _self(n):\n    return _self(n - 1)\n"
+         "class _Gone:\n    pass\ndef __dunder__():\n    pass\nvalue = _used()\n")
+    b = "import a\ndef _attr():\n    pass\na._attr\n"
+    assert orphaned_private_code({"a.py": a, "b.py": b}) == [("a.py", "_self"), ("a.py", "_Gone")]
 
 
 def imported_modules(source: str):
