@@ -45,7 +45,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ._kernels import bisect, source_field
-from .blowup import PlanarPolySystem, _lyapunov_at
+from .blowup import _lyapunov_at
 from .errors import DomainError, NumericsError
 from .normalform import (
     COEFF_NAMES,
@@ -338,11 +338,11 @@ def model_l1(p: AlleeParams) -> float:
     exact cubic
         f~ = -nm x + (1-n-m) x^2 - x^3 - m xy - x^2 y,
         g~ = eps (-m beta y + (m alpha - beta) xy - m gamma y^2 + alpha x^2 y - gamma xy^2),
-    run through blowup's translate_to_equilibrium -> normalize_linear ->
-    lyapunov_DF, bit for bit, in the one pass blowup._lyapunov_at.  Only the
-    sign and the zero are frame-free: the magnitude depends on the time
-    rescaling and on normalize_linear's m01-pivot frame.  DomainError without
-    E4, or off the Hopf curve (lyapunov_DF's trace gate)."""
+    passed as written (zeros kept) to blowup._lyapunov_at, the one pass of
+    translate_to_equilibrium -> normalize_linear -> lyapunov_DF, bit for bit.
+    Only the sign and the zero are frame-free: the magnitude depends on the
+    time rescaling and on normalize_linear's m01-pivot frame.  DomainError
+    without E4, or off the Hopf curve (lyapunov_DF's trace gate)."""
     E4 = equilibria(p).E4
     if E4 is None:
         raise DomainError(f"E4 does not exist at beta={p.beta}")
@@ -350,8 +350,7 @@ def model_l1(p: AlleeParams) -> float:
     fx = {(1, 0): -n * m, (2, 0): 1.0 - n - m, (3, 0): -1.0, (1, 1): -m, (2, 1): -1.0}
     fy = {(0, 1): -eps * m * beta, (1, 1): eps * (m * alpha - beta), (0, 2): -eps * m * gamma,
           (2, 1): eps * alpha, (1, 2): -eps * gamma}
-    sys = PlanarPolySystem(fx, fy)
-    return _lyapunov_at(sys.fx, sys.fy, E4.point)
+    return _lyapunov_at(fx, fy, E4.point)
 
 
 def gamma_star(m: float, n: float, alpha: float, beta: float) -> float:

@@ -53,9 +53,9 @@ t10 > 0), so a kept zero reads as the 0.0 of an absent term, and
 as a term of a kernel its products are +-0.0, or NaN where a power of the
 substitution is not finite, and then the table's term of highest x-degree,
 which the cleaning keeps, has a non-finite product too.  A Hopf solve builds
-no system: it cleans its starting tables as a system's (their keys are int
-pairs already), then only the slow table per Newton iterate (the fast one
-does not depend on lam1), and returns those two tables.
+no system: it cleans the fast table (free of lam1) once, iterates on the slow
+table as _n_table writes it, zeros kept by the same argument and checked only
+for finiteness, and cleans it when it returns the two tables.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
     raise NumericsError(f"equilibrium refinement did not reach {_TOL} in {_MAX_ITER} iterations")
 
 
-# kernels kept per (kernel, table layout, sums); ten verify runs meet 15
+# kernels kept per (kernel, table layout, sums); ten verify runs compile 15
 _KERNEL_CACHE = 64
 
 
@@ -549,32 +549,24 @@ def _hopf_kernel(m: Terms, n: Terms, dn: Terms):
     return _kernel(_partials_source, (*m, *n, *dn), _HOPF_SUMS, len(m), len(n), len(dn))
 
 
-def _cleaned(terms: Terms) -> Terms:
-    """A table with int keys cleaned as a system's (floats, no zeros, finite)."""
-    return _finite({k: float(c) for k, c in terms.items() if c != 0.0})
-
-
 def _hopf_point(nf: NormalFormCoefficients, r: float
                 ) -> Tuple[float, Tuple[float, float], Tuple[Terms, Terms]]:
     """(lambda1, equilibrium, blow_up(nf, r, lambda1)'s two tables) at the Hopf
     point for radius r: Newton iteration on the defining system (fx, fy,
     trace) = 0 in (x, y, lambda1), the bordered 3x3 Jacobian solved by Cramer's
     rule, seeded by lambda1 = rho1*r and the equilibrium series head of the
-    starting tables.  Those are cleaned once, as a system's, and no system is
-    built; the fast table does not depend on lambda1, and only the slow table
-    is rebuilt and cleaned per iterate.  Each iterate is one call of the
-    _hopf_kernel's kernel, looked up again only when a coefficient of the slow
-    table becomes exactly 0 and is dropped, which changes its layout."""
+    cleaned starting tables (the raw n00 is -0.0 at lambda1 = 0).  The fast
+    table does not depend on lambda1; the slow table is rebuilt per iterate as
+    _n_table writes it, zeros kept and checked only for finiteness, and is
+    cleaned when returned.  One _hopf_kernel serves every iterate."""
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
     dn = _lambda1_slopes(nf, r)
-    m, n = _cleaned(_m_table(nf, r)), _cleaned(_n_table(nf, r, lam))
-    x, y = _series(m, n, r).predict(r)
-    layout = None
+    m, n = _clean_terms(_m_table(nf, r)), _n_table(nf, r, lam)
+    x, y = _series(m, _clean_terms(n), r).predict(r)
+    step = _hopf_kernel(m, n, dn)
     for _ in range(_MAX_ITER):
-        if tuple(n) != layout:
-            step, layout = _hopf_kernel(m, n, dn), tuple(n)
         f, a, b, fxx, fxy, g, c, d, gxy, gyy, p, k = step(m, n, dn, x, y)
         t, e, h = a + d, fxx + gxy, fxy + gyy
         # one extra step after meeting _TOL polishes the residual to the
@@ -587,9 +579,9 @@ def _hopf_point(nf: NormalFormCoefficients, r: float
         x -= (f * minor - b * (g * k - p * t)) / det
         y -= (a * (g * k - p * t) - f * (c * k - p * e)) / det
         lam -= (a * (d * t - g * h) - b * (c * t - g * e) + f * (c * h - d * e)) / det
-        n = _cleaned(_n_table(nf, r, lam))
+        n = _finite(_n_table(nf, r, lam))
         if converged:
-            return lam, (x, y), (m, n)
+            return lam, (x, y), (m, _clean_terms(n))
     raise NumericsError(f"Hopf location did not reach residual {_TOL} in {_MAX_ITER} iterations")
 
 
@@ -636,7 +628,7 @@ def lyapunov_DF(sys: PlanarPolySystem) -> float:
 
 def _lyapunov_at(fx: Terms, fy: Terms, eq: Tuple[float, float]) -> float:
     """lyapunov_DF(normalize_linear(translate_to_equilibrium(sys, eq))) of the
-    system sys of the clean tables fx, fy, in one pass (module docstring)."""
+    system sys of the finite tables fx, fy in one pass (module docstring)."""
     fx, fy = _centred(fx, fy, eq)
     _finite(fx), _finite(fy)
     g1, g2 = _rotated(fx, fy)

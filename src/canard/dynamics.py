@@ -36,7 +36,7 @@ from ._kernels import (
 )
 from .allee import AlleeParams, _jacobian, equilibria
 from .allee import model_field as allee_field
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, require_count
 
 FORWARD = "Forward"
 REVERSED = "Reversed"
@@ -165,7 +165,8 @@ def section_crossings(field: Callable, start, section: Section,
     crossing, so a failure of the orbit after it (step underflow, a
     non-finite field) is not reached; it runs to opts.t_max when there are
     fewer.  Used to seed displacement-map brackets from published initial
-    values."""
+    values.  DomainError unless limit >= 1 is an integer."""
+    require_count("limit", limit, 1)
     return _run(field, start, opts, (section.x, section.y_base, 0.0, limit))[1]
 
 
@@ -297,9 +298,8 @@ def region_excursion(p: AlleeParams, n_starts: int = 100, seed: int = 0,
     (alpha-beta)/gamma <= 2, so the result should be at the
     integration-noise level.  DomainError unless n_starts >= 1 and seed
     >= 0 are integers: no start would pass the check vacuously."""
-    for name, value, least in (("n_starts", n_starts, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise DomainError(f"requires an integer {name} >= {least}, got {value!r}")
+    require_count("n_starts", n_starts, 1)
+    require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     field = allee_field(p)
     opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, t_max=t_max)

@@ -34,7 +34,7 @@ from .allee import (
     fold_point,
     require_coincidence,
 )
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, require_count
 
 
 def _first(values, flags) -> float:
@@ -216,9 +216,8 @@ def cyclicity_report(p: AlleeParams, grid_size: int) -> SdiProfile:
     from the phi analysis.  Requires the coincidence configuration
     gamma = gamma_star (within allee.COINCIDENCE_TOL), delta1 > 0 and
     1 - m - n > 0 (allee.require_coincidence); under these the zero count is
-    at most one."""
-    if grid_size < 2:
-        raise DomainError(f"requires grid_size >= 2, got {grid_size}")
+    at most one.  DomainError unless grid_size >= 2 is an integer."""
+    require_count("grid_size", grid_size, 2)
     require_coincidence(p)
 
     _, yM = fold_point(p.m, p.n)

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from model_oracle import jet_reduced_record
 
 from canard._kernels import bisect
 from canard.allee import (
+    MODEL_SOURCE,
+    PARAM_NAMES,
     PSI_TAGS,
     AlleeParams,
     _jacobian,
@@ -796,3 +799,68 @@ class TestModelL1:
         assert l1_lo > 0.0 > l1_at(hi)
         m_b = bisect(l1_at, lo, hi, l1_lo, lambda a, b: b - a <= 1e-7 * eps)
         assert abs((m_b - m_star) / eps - c) <= 5e-5
+
+
+@pytest.fixture
+def model_source():
+    """sympy, the symbols x, y and the parameters, and (f, eps*g) parsed from
+    MODEL_SOURCE."""
+    sympy = pytest.importorskip("sympy")
+    names = {k: sympy.Symbol(k) for k in ("x", "y", *PARAM_NAMES)}
+    f, g = (sympy.parse_expr(src, local_dict=names) for src in MODEL_SOURCE)
+    return sympy, names, f, g
+
+
+class TestModelSource:
+    """The hand-written derivatives of the model against MODEL_SOURCE, the one
+    place f and g are written, by sympy."""
+
+    @staticmethod
+    def _zero(sympy, expr):
+        return sympy.simplify(sympy.nsimplify(expr, rational=True)) == 0
+
+    def test_jacobian_is_the_source_derivative(self, model_source):
+        sympy, s, f, g = model_source
+        x, y = s["x"], s["y"]
+        got = _jacobian(x, y, SimpleNamespace(**s))
+        want = (sympy.diff(f, x), sympy.diff(f, y), sympy.diff(g, x), sympy.diff(g, y))
+        assert all(self._zero(sympy, a - b) for a, b in zip(got, want))
+
+    def test_f_x_on_the_critical_curve_is_x_F_prime(self, model_source):
+        # the identity behind sdi.h_slow: f_x(x, F(x)) = x F'(x)
+        sympy, s, f, _ = model_source
+        x, y, m, n = s["x"], s["y"], s["m"], s["n"]
+        F = critical_height(x, m, n)
+        assert self._zero(sympy, sympy.cancel(f / x).subs(y, F))
+        assert self._zero(sympy, critical_slope(x, m, n) - sympy.diff(F, x))
+        p = SimpleNamespace(**s)
+        assert self._zero(sympy, _jacobian(x, F, p)[0] - x * sympy.diff(F, x))
+
+    def test_trace_on_the_critical_curve_is_the_hopf_function(self, model_source):
+        # hopf_onset's h(x) = x F'(x) - eps gamma F(x) is the trace at
+        # (x, F(x)) with the beta = alpha x - gamma F(x) that puts E4 there
+        sympy, s, _, _ = model_source
+        x, m, n = s["x"], s["m"], s["n"]
+        F = critical_height(x, m, n)
+        p = SimpleNamespace(**{**s, "beta": s["alpha"] * x - s["gamma"] * F})
+        fx, _, _, gy = _jacobian(x, F, p)
+        h = x * critical_slope(x, m, n) - s["eps"] * s["gamma"] * F
+        assert self._zero(sympy, fx + gy - h)
+
+    def test_model_l1_tables_are_the_rescaled_source(self, model_source, monkeypatch):
+        # the cubic tables model_l1 passes on are (m + x) f and (m + x) eps g
+        sympy, s, f, g = model_source
+        seen = []
+        monkeypatch.setattr("canard.allee._lyapunov_at",
+                            lambda fx, fy, eq: seen.append((fx, fy)) or 0.0)
+        p = on_hopf_curve(EX1)
+        model_l1(p)
+        # the parameters' exact binary values, so that only model_l1 rounds
+        values = {s[k]: sympy.Rational(getattr(p, k)) for k in PARAM_NAMES}
+        for table, field in zip(seen[0], (f, g)):
+            poly = sympy.Poly(sympy.cancel((s["m"] + s["x"]) * field).subs(values),
+                              s["x"], s["y"])
+            want = {k: float(c) for k, c in zip(poly.monoms(), poly.coeffs())}
+            assert set(table) == set(want)
+            for k, c in table.items():
+                assert abs(c - want[k]) <= 1e-15 * abs(want[k]), k

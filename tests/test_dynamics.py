@@ -297,6 +297,18 @@ class TestReturnMap:
         times = [t for t, _, _ in crossings]
         assert np.allclose(np.diff(times), math.pi, atol=1e-6)
 
+    @pytest.mark.parametrize("limit", [0, -1, True, 2.5])
+    def test_section_crossings_limit_is_a_positive_integer(self, limit):
+        # the stepper compares the limit only after appending a crossing, so
+        # unchecked, 0, -1 and True would return one crossing and 2.5 three
+        with pytest.raises(DomainError, match="requires an integer limit >= 1"):
+            section_crossings(center, (1.0, 0.0), Section(0.0, -2.0), tight(20.0), limit)
+
+    def test_section_crossings_take_a_numpy_integer_limit(self):
+        crossings = section_crossings(center, (1.0, 0.0), Section(0.0, -2.0), tight(20.0),
+                                      np.int64(3))
+        assert len(crossings) == 3
+
     def test_section_crossings_skip_the_line_below_the_base(self):
         crossings = section_crossings(center, (1.0, 0.0), Section(0.0, 0.0),
                                       tight(4 * TWO_PI))

@@ -5,7 +5,8 @@ file formats are decided in one place, _kernels.define is the one place in
 src/canard that runs generated code, the caches of the kernel and stepper
 generators that call it are bounded, no CSV field the CLI writes needs
 quoting, README names exactly the options every subcommand takes, its
-library imports run, and every code name it mentions exists.  Uses the
+library imports run and every code name it mentions exists, and every
+third-party module a test imports is declared in pyproject.toml.  Uses the
 stdlib ast module, so no linter is needed."""
 
 import argparse
@@ -13,6 +14,7 @@ import ast
 import collections
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +179,46 @@ def test_csv_fields_need_no_quoting():
 def test_import_detector():
     src = "import json.decoder\nfrom json import dumps\nfrom . import json_like\n"
     assert imported_modules(src) == {"json"}
+
+
+def undeclared_imports(source: str, declared, local):
+    """The top-level modules a source imports, by an import statement or by
+    pytest.importorskip, that are neither standard library, declared nor
+    local, sorted."""
+    found = imported_modules(source)
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "importorskip" and node.args
+                and isinstance(node.args[0], ast.Constant)):
+            found.add(node.args[0].value.split(".")[0])
+    return sorted(found - set(sys.stdlib_module_names) - set(declared) - set(local))
+
+
+def declared_modules():
+    """The import names of pyproject.toml's dependencies and extras."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    requirements = project["dependencies"] + [
+        r for extra in project.get("optional-dependencies", {}).values() for r in extra]
+    return {re.match(r"[\w.-]+", r).group().lower().replace("-", "_") for r in requirements}
+
+
+def test_test_imports_are_declared():
+    # a test that needs a package pyproject.toml does not name fails or
+    # skips on a clean install of the test extra
+    declared = declared_modules()
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    local = {"canard", *(p.stem for p in tests)}
+    assert {p.name: undeclared_imports(p.read_text(encoding="utf-8"), declared, local)
+            for p in tests} == {p.name: [] for p in tests}
+
+
+def test_undeclared_import_detector():
+    src = ("import os, numpy\nimport scipy.linalg\nfrom sympy import Symbol\n"
+           "import hopf_reference\nfrom canard import blowup\nfrom . import near\n"
+           "sp = pytest.importorskip('numba.core')\nre.compile('x')\n")
+    assert undeclared_imports(src, {"numpy", "sympy"}, {"canard", "hopf_reference"}) == [
+        "numba", "scipy"]
 
 
 def readme_common_options():

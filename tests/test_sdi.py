@@ -289,6 +289,12 @@ class TestCyclicityReport:
         with pytest.raises(DomainError):
             cyclicity_report(off, 8)
 
+    @pytest.mark.parametrize("grid_size", [1, 0, True, 2.0, 3.5, "3"])
+    def test_grid_size_is_an_integer_of_at_least_two(self, grid_size):
+        # unchecked, a float grid_size reaches range() as a bare TypeError
+        with pytest.raises(DomainError, match="requires an integer grid_size >= 2"):
+            cyclicity_report(P_CHANGE, grid_size)
+
     def test_profile_validation(self):
         with pytest.raises(DomainError):
             SdiProfile((0.1, 0.05), (1.0, 2.0), 0, "phi-positive")
