@@ -13,7 +13,11 @@ Subcommands:
   verify    the seeded oracle suite from the verify module
 
 Configuration comes from --config (flat key=value lines or a JSON
-object); flags override file values.  Exit codes: 0 success, 1 invalid
+object); flags override file values, each flag's dest being its setting
+key.  A command reads the settings it needs and ignores the rest (seed is
+read by verify alone).  A config file and a coefficient record are read
+by one JSON-object reader, and a number setting by
+errors.require_number.  Exit codes: 0 success, 1 invalid
 input (DomainError), 2 numerical failure (NumericsError or failing
 verify stages).  CSV output uses '.' as the decimal separator, always
 carries a header row and quotes no field: every field is a number or a
@@ -28,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +45,6 @@ from .allee import (
     AlleeParams,
     check_grid,
     equilibria,
-    fold_point,
     gamma_star,
     model_bifurcation_curves,
     model_columns,
@@ -59,7 +62,7 @@ from .dynamics import (
     find_cycle,
     integrate,
 )
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, require_number
 from .normalform import NormalFormCoefficients, analyze_record, lambda_star_series
 from .sdi import cyclicity_report
 from .verify import run_all
@@ -68,16 +71,6 @@ from .verify import run_all
 # parameter sets carry about six decimals, which propagates to errors of
 # this size in A.  Override with the classify_tol config key.
 DEFAULT_CLASSIFY_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: merged settings plus output plumbing."""
-
-    command: str
-    settings: Dict[str, object]
-    output_dir: str
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -99,22 +92,31 @@ def _parse_scalar(text: str):
         return raw
 
 
-def load_config(path: str) -> Dict[str, object]:
-    """Flat key=value lines ('#' comments) or a single JSON object."""
+def _read_text(path: str, what: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise DomainError(f"cannot read config file {path}: {exc}") from None
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"config file {path} is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise DomainError(f"config file {path} must hold a JSON object")
-        return dict(data)
+        raise DomainError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _json_object(text: str, path: str, what: str) -> dict:
+    """The JSON object text holds; what names the file in the errors."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise DomainError(f"{what} {path} must hold a flat object, "
+                          f"got {type(data).__name__}")
+    return data
+
+
+def load_config(path: str) -> Dict[str, object]:
+    """Flat key=value lines ('#' comments) or a single JSON object."""
+    text = _read_text(path, "config file")
+    if text.lstrip().startswith("{"):
+        return _json_object(text, path, "config file")
     out: Dict[str, object] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -134,14 +136,7 @@ def _as_float(settings: Dict[str, object], key: str,
             raise DomainError(f"missing required setting {key!r}")
         return default
     value = settings[key]
-    try:
-        if isinstance(value, bool):  # float(True) would read as 1.0
-            raise TypeError
-        number = float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise DomainError(f"setting {key!r} is not a number: {value!r}") from None
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
+    number = require_number(f"setting {key!r}", value)
     if not math.isfinite(number):
         raise DomainError(f"setting {key!r} is not finite: {value!r}")
     return number
@@ -229,19 +224,8 @@ def _write_json(out_dir: str, name: str, payload: dict) -> str:
 def _load_record(path: str) -> NormalFormCoefficients:
     """A coefficient file: one flat JSON object of numbers keyed by
     normalform.COEFF_NAMES, absent keys read as 0."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read coefficient file {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"coefficient file {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise DomainError(f"coefficient file {path} must hold a flat object, "
-                          f"got {type(data).__name__}")
-    return NormalFormCoefficients.from_dict(data)
+    what = "coefficient file"
+    return NormalFormCoefficients.from_dict(_json_object(_read_text(path, what), path, what))
 
 
 def _boundary_block(eq) -> dict:
@@ -250,26 +234,26 @@ def _boundary_block(eq) -> dict:
     return {"delta1": eq.delta1, "x1": eq.E1.point[0], "x2": (eq.E2 or eq.E1).point[0]}
 
 
-def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
-    tol = _as_float(rc.settings, "classify_tol", DEFAULT_CLASSIFY_TOL)
+def cmd_analyze(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    tol = _as_float(settings, "classify_tol", DEFAULT_CLASSIFY_TOL)
     if tol <= 0.0:
         raise DomainError(f"requires classify_tol > 0, got {tol}")
-    if "coefficients" in rc.settings:
-        nf = _load_record(str(rc.settings["coefficients"]))
+    if "coefficients" in settings:
+        nf = _load_record(str(settings["coefficients"]))
         ana = analyze_record(nf, tol)
         report = {"input": "coefficients", "classify_tol": tol,
                   "record": nf, "analysis": ana}
-        if "eps" in rc.settings:
-            eps = _as_float(rc.settings, "eps")
+        if "eps" in settings:
+            eps = _as_float(settings, "eps")
             report["lambda_star"] = lambda_star_series(ana.rho1, ana.rho3, eps)
             report["eps"] = eps
-        path = _write_json(rc.output_dir, "analyze.json", report)
+        path = _write_json(out_dir, "analyze.json", report)
         print(f"record classification: {ana.classification.value} (A = {ana.A:.6g})")
         return [path], 0
 
-    p = _model_params(rc.settings)
-    xm, ym = fold_point(p.m, p.n)
+    p = _model_params(settings)
     eq = equilibria(p)
+    xm, ym = eq.fold
     nf = normal_form_coeffs(p)
     ana = analyze_record(nf, tol)
     cols = model_columns(p.m, p.n, p.alpha, p.beta, p.gamma, p.eps)
@@ -300,7 +284,7 @@ def cmd_analyze(rc: RunConfig) -> Tuple[List[str], int]:
         "gamma_star": gs,
         "model_curves": curves,
     }
-    path = _write_json(rc.output_dir, "analyze.json", report)
+    path = _write_json(out_dir, "analyze.json", report)
     print(f"fold at ({xm:.6g}, {ym:.6g}); "
           f"E4 {'absent' if eq.E4 is None else 'at (%.6g, %.6g)' % eq.E4.point}")
     print(f"A = {ana.A:.6g}, omega1 = {ana.omega1:.6g}, "
@@ -362,8 +346,8 @@ def _cell_text(column, shape) -> List[str]:
                            shape).ravel().tolist()
 
 
-def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
-    descriptor = rc.settings.get("grid")
+def cmd_sweep(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    descriptor = settings.get("grid")
     if descriptor is None:
         raise DomainError("sweep requires a grid descriptor (--grid or the grid config key)")
     axes = parse_grid(str(descriptor))
@@ -374,7 +358,7 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
 
     # the first inadmissible point in grid order stops the run with its own
     # error before the closed forms run over the grid
-    values = _model_values(dict(rc.settings, **dict(zip(names, (x_values[0], y_values[0])))))
+    values = _model_values(dict(settings, **dict(zip(names, (x_values[0], y_values[0])))))
     # the open grid: each column comes back at its own broadcast shape, so a
     # value that does not depend on an axis is computed and formatted once
     axis = (np.array(x_values)[None, :], np.array(y_values)[:, None])
@@ -386,14 +370,14 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
                np.array(PSI_TAGS, dtype=object)[case]]
 
     header = names + list(SWEEP_COLUMNS) + ["case"]
-    csv_path = write_csv(rc.output_dir, "sweep.csv", header,
+    csv_path = write_csv(out_dir, "sweep.csv", header,
                          [_cell_text(column, shape) for column in columns])
     svg = _svg.heatmap(
         x_values, [0.0] if not y_name else y_values,
         cols["A"],
         title="sign(A) over the sweep grid",
         x_label=x_name, y_label=y_name or "")
-    svg_path = _write_text(rc.output_dir, "sweep.svg", svg)
+    svg_path = _write_text(out_dir, "sweep.svg", svg)
     print(f"swept {shape[0] * shape[1]} grid points over "
           f"{x_name}{' x ' + y_name if y_name else ''}")
     return [csv_path, svg_path], 0
@@ -403,19 +387,19 @@ def cmd_sweep(rc: RunConfig) -> Tuple[List[str], int]:
 # simulate
 
 
-def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
-    p = _model_params(rc.settings)
-    start = (_as_float(rc.settings, "start_x"), _as_float(rc.settings, "start_y"))
+def cmd_simulate(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    p = _model_params(settings)
+    start = (_as_float(settings, "start_x"), _as_float(settings, "start_y"))
     opts = IntegratorOptions(
-        rel_tol=_as_float(rc.settings, "rel_tol", 1e-8),
-        abs_tol=_as_float(rc.settings, "abs_tol", 1e-10),
-        t_max=_as_float(rc.settings, "t_max", 100.0),
-        direction=_direction(rc.settings),
+        rel_tol=_as_float(settings, "rel_tol", 1e-8),
+        abs_tol=_as_float(settings, "abs_tol", 1e-10),
+        t_max=_as_float(settings, "t_max", 100.0),
+        direction=_direction(settings),
     )
     field = allee_field(p)
     traj = integrate(field, start, opts)
     t, x, y = traj.t.tolist(), *traj.y.T.tolist()
-    csv_path = write_csv(rc.output_dir, "trajectory.csv", ["t", "x", "y"],
+    csv_path = write_csv(out_dir, "trajectory.csv", ["t", "x", "y"],
                          [map(str, t), map(str, x), map(str, y)])
     end = traj.end_state
     summary = {
@@ -435,13 +419,13 @@ def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
         x, y,
         title=f"trajectory ({opts.direction.lower()} time)",
         x_label="x", y_label="y", marker=(float(end[0]), float(end[1])))
-    paths.append(_write_text(rc.output_dir, "trajectory.svg", svg))
+    paths.append(_write_text(out_dir, "trajectory.svg", svg))
 
-    if "bracket_lo" in rc.settings or "bracket_hi" in rc.settings:
-        lo = _as_float(rc.settings, "bracket_lo")
-        hi = _as_float(rc.settings, "bracket_hi")
-        if "section_x" in rc.settings:
-            section_x = _as_float(rc.settings, "section_x")
+    if "bracket_lo" in settings or "bracket_hi" in settings:
+        lo = _as_float(settings, "bracket_lo")
+        hi = _as_float(settings, "bracket_hi")
+        if "section_x" in settings:
+            section_x = _as_float(settings, "section_x")
         else:
             report = equilibria(p)
             if report.E4 is None:
@@ -454,7 +438,7 @@ def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
         print(f"cycle: section point ({cyc.section_point[0]:.9g}, "
               f"{cyc.section_point[1]:.9g}), period = {cyc.period:.6g}, "
               f"multiplier = {cyc.multiplier:.6g} ({cyc.stability})")
-    json_path = _write_json(rc.output_dir, "simulate.json", summary)
+    json_path = _write_json(out_dir, "simulate.json", summary)
     paths.append(json_path)
     print(f"integrated {summary['steps']} steps to t = {summary['t_final']:.6g}; "
           f"end state ({end[0]:.6g}, {end[1]:.6g})")
@@ -465,17 +449,17 @@ def cmd_simulate(rc: RunConfig) -> Tuple[List[str], int]:
 # sdi
 
 
-def cmd_sdi(rc: RunConfig) -> Tuple[List[str], int]:
-    p = _model_params(rc.settings)
-    profile = cyclicity_report(p, _as_int(rc.settings, "grid", 24))
-    json_path = _write_json(rc.output_dir, "sdi.json",
+def cmd_sdi(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    p = _model_params(settings)
+    profile = cyclicity_report(p, _as_int(settings, "grid", 24))
+    json_path = _write_json(out_dir, "sdi.json",
                             dict(_fields(profile), params=p))
-    csv_path = write_csv(rc.output_dir, "sdi.csv", ["s", "integral"],
+    csv_path = write_csv(out_dir, "sdi.csv", ["s", "integral"],
                          [map(str, profile.s_grid), map(str, profile.values)])
     svg = _svg.polyline(profile.s_grid, profile.values,
                         title="slow divergence integral profile",
                         x_label="depth s", y_label="I(s)")
-    svg_path = _write_text(rc.output_dir, "sdi.svg", svg)
+    svg_path = _write_text(out_dir, "sdi.svg", svg)
     print(f"I(s) over {len(profile.s_grid)} depths: zero_count = "
           f"{profile.zero_count}, case = {profile.case}")
     return [json_path, csv_path, svg_path], 0
@@ -485,10 +469,11 @@ def cmd_sdi(rc: RunConfig) -> Tuple[List[str], int]:
 # verify
 
 
-def cmd_verify(rc: RunConfig) -> Tuple[List[str], int]:
-    offset = _as_float(rc.settings, "omega2_offset", 0.0)
-    report = run_all(seed=rc.seed, omega2_offset=offset)
-    path = _write_json(rc.output_dir, "verify.json", report)
+def cmd_verify(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    seed = _as_int(settings, "seed", 2025)
+    offset = _as_float(settings, "omega2_offset", 0.0)
+    report = run_all(seed=seed, omega2_offset=offset)
+    path = _write_json(out_dir, "verify.json", report)
     for line in report.lines():
         print(line)
     return [path], 0 if report.all_passed else 2
@@ -532,21 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def assemble(args: argparse.Namespace) -> RunConfig:
-    settings: Dict[str, object] = {}
-    if args.config:
-        settings.update(load_config(args.config))
-    for key in ("eps", "grid", "reversed"):
-        value = getattr(args, key, None)
-        if value is not None:
+def assemble(args: argparse.Namespace) -> Tuple[Dict[str, object], str]:
+    """(settings, output directory): the config file's settings, each given
+    flag over them (a flag's dest is its setting key), and the created
+    output directory."""
+    settings = load_config(args.config) if args.config else {}
+    for key, value in vars(args).items():
+        if value is not None and key not in ("command", "config", "out"):
             settings[key] = value
-    if getattr(args, "omega2_offset", None) is not None:
-        settings["omega2_offset"] = args.omega2_offset
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    seed = _as_int(settings, "seed", 2025)
-    if seed < 0:  # numpy's generators take only non-negative seeds
-        raise DomainError(f"requires seed >= 0, got {seed}")
     out_dir = args.out
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -554,8 +532,7 @@ def assemble(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"cannot create output directory {out_dir}: {exc}") from None
     if not os.access(out_dir, os.W_OK):
         raise DomainError(f"output directory {out_dir} is not writable")
-    return RunConfig(command=args.command, settings=settings,
-                     output_dir=out_dir, seed=seed)
+    return settings, out_dir
 
 
 _COMMANDS = {
@@ -571,8 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        rc = assemble(args)
-        paths, code = _COMMANDS[rc.command](rc)
+        paths, code = _COMMANDS[args.command](*assemble(args))
         for path in paths:
             print(f"wrote {path}")
         return code

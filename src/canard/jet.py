@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, require_count
 
 Multi = Tuple[int, ...]
 
@@ -52,10 +52,10 @@ class Jet:
     coeffs: Dict[Multi, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 1 <= self.nvars <= 4:
+        require_count("nvars", self.nvars, 1)
+        if self.nvars > 4:
             raise DomainError(f"nvars must be in 1..4, got {self.nvars}")
-        if self.degree < 0:
-            raise DomainError(f"degree bound must be >= 0, got {self.degree}")
+        require_count("degree", self.degree, 0)
         clean = {}
         for mi, c in self.coeffs.items():
             mi = _multi_index(mi)
@@ -157,8 +157,7 @@ def jet_compose(target: Jet, subs: Sequence[Jet]) -> Jet:
 
 
 def jet_truncate(a: Jet, degree: int) -> Jet:
-    if degree < 0:
-        raise DomainError(f"degree bound must be >= 0, got {degree}")
+    require_count("degree", degree, 0)
     if degree >= a.degree:
         return _make(a.nvars, degree, a.coeffs)
     return _make(a.nvars, degree, {mi: c for mi, c in a.coeffs.items() if sum(mi) <= degree})

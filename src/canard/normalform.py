@@ -34,7 +34,7 @@ from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_number
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,17 +83,7 @@ class NormalFormCoefficients:
         unknown = sorted(set(data) - set(COEFF_NAMES))
         if unknown:
             raise DomainError(f"unknown coefficient keys: {', '.join(unknown)}")
-        vals = {}
-        for k, v in data.items():
-            try:
-                if isinstance(v, bool):  # float(True) would read as 1.0
-                    raise TypeError
-                vals[k] = float(v)
-            except (TypeError, ValueError):
-                raise DomainError(f"coefficient {k} is not a number: {v!r}") from None
-            except OverflowError:  # an int beyond the float range
-                vals[k] = math.inf
-        return cls(**vals)
+        return cls(**{k: require_number(f"coefficient {k}", v) for k, v in data.items()})
 
 
 COEFF_NAMES = tuple(f.name for f in fields(NormalFormCoefficients))

@@ -31,7 +31,7 @@ from .blowup import (
     l1_blowup,
     sample_record,
 )
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, require_count
 from .normalform import (
     Criticality,
     NormalFormCoefficients,
@@ -234,7 +234,9 @@ def _stage_degeneracy():
 
 def run_all(seed: int = 2025, omega2_offset: float = 0.0) -> VerifyReport:
     """Run every stage with one seeded generator; deterministic in
-    (seed, offset).  A stage returns (passed, message, details)."""
+    (seed, offset).  A stage returns (passed, message, details).
+    DomainError unless seed is an integer >= 0."""
+    require_count("seed", seed, 0)
     stages: List[StageResult] = []
     rng = np.random.default_rng(seed)
     plan = [

@@ -92,8 +92,18 @@ class TestConfig:
             (tmp_path / "s.cfg").write_text("seed = -1\n")
             args = ["--config", tmp_path / "s.cfg"]
         assert run(["verify", "--out", tmp_path / "o"] + args) == 1
-        assert capsys.readouterr().err == "error: requires seed >= 0, got -1\n"
+        assert capsys.readouterr().err == "error: requires an integer seed >= 0, got -1\n"
         assert not (tmp_path / "o" / "verify.json").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_seed_is_read_by_verify_alone(self, tmp_path, source):
+        # analyze reads no seed, so it no more checks one than any other unread setting
+        if source == "flag":
+            cfg, args = write_cfg(tmp_path / "p.cfg", EX1), ["--seed", "-1"]
+        else:
+            cfg, args = write_cfg(tmp_path / "p.cfg", dict(EX1, seed=-1)), []
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"] + args) == 0
+        assert (tmp_path / "o" / "analyze.json").exists()
 
     def test_integral_float_beyond_2_53_is_not_an_integer(self, tmp_path, capsys):
         # 2^53 + 2 as a float: every integer near it no longer has a float of its own
@@ -540,6 +550,8 @@ CSV_FIELDS = st.one_of(
 
 with open(Path(__file__).parent / "data" / "golden_sweep.json", "r", encoding="utf-8") as fh:
     GOLDEN_SWEEP = json.load(fh)
+with open(Path(__file__).parent / "data" / "golden_cli.json", "r", encoding="utf-8") as fh:
+    GOLDEN_CLI = json.load(fh)
 
 
 class TestOutputBytes:
@@ -553,6 +565,21 @@ class TestOutputBytes:
         for name in ("sweep.csv", "sweep.svg"):
             digest = hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
             assert digest == case[name], name
+
+    @pytest.mark.parametrize("case", GOLDEN_CLI["runs"], ids=lambda c: c["name"])
+    def test_analyze_and_simulate_bytes_match_the_recorded_digests(self, tmp_path, case):
+        # sdi and verify are held to tolerances instead: the last bits of their
+        # numbers come from LAPACK (leggauss, lstsq), whose builds may differ
+        config = dict(case["config"])
+        if "record" in case:
+            config["coefficients"] = tmp_path / "record.json"
+            config["coefficients"].write_text(json.dumps(case["record"]))
+        cfg = write_cfg(tmp_path / "p.cfg", config)
+        out = tmp_path / "o"
+        assert run(case["args"] + ["--config", cfg, "--out", out]) == 0
+        assert sorted(os.listdir(out)) == sorted(case["files"])
+        for name, digest in case["files"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.integers(1, 8).flatmap(lambda width: st.lists(

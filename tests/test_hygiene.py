@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/canard/ or tests/ imports a name it
 never reads, every module-level private function or class of src/canard is
 used in src/canard outside its own definition, cli is the one src/canard module that imports json, so
-file formats are decided in one place, _kernels.define is the one place in
+file formats are decided in one place, errors is the one src/canard module
+that holds the number and count messages, _kernels.define is the one place in
 src/canard that runs generated code, the caches of the kernel and stepper
 generators that call it are bounded, no CSV field the CLI writes needs
 quoting, README names exactly the options every subcommand takes, its
@@ -107,6 +108,31 @@ def test_only_cli_imports_json():
     users = [p.name for p in sorted((ROOT / "src" / "canard").glob("*.py"))
              if "json" in imported_modules(p.read_text(encoding="utf-8"))]
     assert users == ["cli.py"]
+
+
+RULE_MESSAGES = ("is not a number", "requires an integer")
+
+
+def rule_message_homes(sources):
+    """The modules, errors.py aside, whose text holds a message of the
+    number rule or the count rule."""
+    return [name for name, text in sources.items()
+            if name != "errors.py" and any(m in text for m in RULE_MESSAGES)]
+
+
+def test_number_and_count_messages_live_in_errors():
+    # require_number and require_count are the one home of these messages
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / "canard").glob("*.py"))}
+    assert rule_message_homes(sources) == []
+
+
+def test_rule_message_detector():
+    sources = {"errors.py": 'raise E(f"{what} is not a number: {value!r}")',
+               "cli.py": 'raise E(f"setting {key!r} is not a number: {value!r}")',
+               "jet.py": 'raise E(f"requires an integer degree >= 0, got {d}")',
+               "sdi.py": 'require_count("grid_size", grid_size, 2)'}
+    assert rule_message_homes(sources) == ["cli.py", "jet.py"]
 
 
 def code_builtin_calls(source: str):

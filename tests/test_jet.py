@@ -261,6 +261,17 @@ class TestPublicConstructor:
         with pytest.raises(DomainError):
             Jet(2, -1, {})
 
+    @pytest.mark.parametrize("nvars, degree, name", [
+        (True, 3, "nvars"), (2.5, 3, "nvars"), (0, 3, "nvars"),
+        (2, 2.5, "degree"), (2, True, "degree")])
+    def test_counts_are_integers(self, nvars, degree, name):
+        with pytest.raises(DomainError, match=f"requires an integer {name} >= "):
+            Jet(nvars, degree, {})
+
+    def test_numpy_integer_counts_accepted(self):
+        j = Jet(np.int64(2), np.int64(3), {(1, 0): 1.0})
+        assert j.coeff((1, 0)) == 1.0
+
 
 class TestOpGuards:
     def test_mul_overflow_raises(self):
@@ -278,6 +289,12 @@ class TestOpGuards:
     def test_truncate_rejects_negative_degree(self):
         with pytest.raises(DomainError):
             jet_truncate(Jet(2, 3), -1)
+
+    @pytest.mark.parametrize("degree", [2.5, True])
+    def test_truncate_degree_is_an_integer(self, degree):
+        j = Jet(2, 3, {(1, 0): 1.0, (2, 1): 2.0})
+        with pytest.raises(DomainError, match="requires an integer degree >= 0"):
+            jet_truncate(j, degree)
 
 
 @st.composite

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from canard.blowup import sample_record
+from canard.errors import DomainError
 from canard.normalform import omega_coefficients, rho_coefficients
 from canard.verify import (
     StageResult,
@@ -54,6 +55,12 @@ class TestFitHelpers:
 
 
 class TestRunAll:
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_seed_is_a_count(self, seed):
+        # numpy alone would raise a bare ValueError, a bare TypeError, or run True as 1
+        with pytest.raises(DomainError, match=f"requires an integer seed >= 0, got {seed!r}$"):
+            run_all(seed)
+
     def test_default_seed_all_pass(self):
         report = run_all(seed=2025)
         assert report.all_passed
