@@ -28,7 +28,8 @@ vertical line, builds that step's interpolant row only where one is
 found, keeps the crossings in a wanted direction and ends the run at the
 limit-th; no run keeps the interpolant of its whole mesh.  bisect serves
 that location, the displacement root of dynamics.find_cycle and the Hopf
-point of allee.hopf_onset, each with its own stop rule."""
+point of allee.hopf_onset, each with its own stop rule; tangential is
+the one tangency rule of a crossing."""
 
 from __future__ import annotations
 
@@ -257,19 +258,20 @@ def _stepper(source):
     return define(_stepper_source(source), "dopri5", globals())
 
 
-def source_field(name: str, names: tuple, f_src: str, g_src: str):
-    """The maker of the field name(x, y) = (f_src, g_src) over the parameters
-    names, compiled from that text: maker(values) is the field closed over
-    the values, carrying source = (names, f_src, g_src) and params = values
-    for dopri5 to evaluate in place."""
+def source_field(name: str, names: tuple, *srcs: str):
+    """The maker of the function name(x, y) = (srcs[0], srcs[1], ...) over the
+    parameters names, compiled from that text: maker(values) is the function
+    closed over the values, carrying source = (names, *srcs) and params =
+    values.  A field's srcs are (f_src, g_src), which dopri5 evaluates in
+    place."""
     make = define(f"def make({', '.join(names)}):\n"
                   f"    def {name}(x, y):\n"
-                  f"        return ({f_src}), ({g_src})\n"
+                  f"        return {', '.join(f'({src})' for src in srcs)}\n"
                   f"    return {name}", "make", {})
 
     def maker(values):
         field = make(*values)
-        field.source, field.params = (names, f_src, g_src), tuple(values)
+        field.source, field.params = (names, *srcs), tuple(values)
         return field
     return maker
 
@@ -321,6 +323,11 @@ def interpolate(row, j, theta):
         row[4 + j] + theta * (row[6 + j] + t1 * row[8 + j])))
 
 
+def tangential(v0, v1):
+    """The one tangency rule: the velocity (v0, v1) runs along a vertical line."""
+    return abs(v0) <= 1e-12 * (abs(v1) + 1.0)
+
+
 def section_crossing(rhs, t0, t1, row, x_sec, y_base, a):
     """The crossing of the line x = x_sec within the step [t0, t1] with
     interpolant coefficients row, where a = x(t0) - x_sec: at t0 itself
@@ -339,6 +346,6 @@ def section_crossing(rhs, t0, t1, row, x_sec, y_base, a):
     if y_hit <= y_base:
         return None
     v0, v1 = rhs(interpolate(row, 0, theta), y_hit)
-    if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
+    if tangential(v0, v1):
         raise NumericsError(f"tangential section crossing at t={t_hit}")
     return float(t_hit), float(y_hit), math.copysign(1.0, v0)

@@ -19,14 +19,14 @@ shows y_M.
 
 model_field(p) is the model as a planar field (x, y) -> (f, eps*g),
 compiled from MODEL_SOURCE, the one place f and g are written, and
-carrying that source for the integrator to evaluate in place; _jacobian
-holds its derivatives.  This
-module computes equilibria, the critical branches, the reduction of
-the model to the canonical slow-fast normal form near M in closed form,
-the criticality case analysis in m, and the Hopf/canard bifurcation
-curves.  The *_columns functions evaluate the closed forms elementwise
-over parameter arrays (a sweep grid); their scalar counterparts check
-one point and call them.
+carrying that source for the integrator to evaluate in place;
+model_jacobian(p) is its Jacobian, compiled from JACOBIAN_SOURCE beside
+it.  This module computes equilibria, the critical branches, the
+reduction of the model to the canonical slow-fast normal form near M in
+closed form, the criticality case analysis in m, and the Hopf/canard
+bifurcation curves.  The *_columns functions evaluate the closed forms
+elementwise over parameter arrays (a sweep grid); their scalar
+counterparts check one point and call them.
 
 Each parameter check is written once, as a rule (holds, error class,
 message naming the values it shows).  Each scalar entry point runs its
@@ -208,11 +208,16 @@ class EquilibriaReport:
     fold: Tuple[float, float]
 
 
-# the model in fast time, f and eps*g over (x, y) and PARAM_NAMES: the one place
-# they are written
+# the model in fast time, f and eps*g over (x, y) and PARAM_NAMES, and its
+# Jacobian entries fx, fy, gx, gy: the one place each is written
 MODEL_SOURCE = ("x * (x / (m + x) - n - x - y)",
                 "eps * (y * (alpha * x - beta - gamma * y))")
+JACOBIAN_SOURCE = ("(2.0 * x * m + x * x) / (m + x) ** 2 - n - 2.0 * x - y",
+                   "-x",
+                   "eps * alpha * y",
+                   "eps * (alpha * x - beta - 2.0 * gamma * y)")
 _model = source_field("allee", PARAM_NAMES, *MODEL_SOURCE)
+_jacobian = source_field("jacobian", PARAM_NAMES, *JACOBIAN_SOURCE)
 
 
 def model_field(p: AlleeParams):
@@ -223,16 +228,14 @@ def model_field(p: AlleeParams):
     return _model(tuple(float(getattr(p, k)) for k in PARAM_NAMES))
 
 
-def _jacobian(x: float, y: float, p: AlleeParams):
-    fx = (2.0 * x * p.m + x * x) / (p.m + x) ** 2 - p.n - 2.0 * x - y
-    fy = -x
-    gx = p.eps * p.alpha * y
-    gy = p.eps * (p.alpha * x - p.beta - 2.0 * p.gamma * y)
-    return fx, fy, gx, gy
+def model_jacobian(p: AlleeParams):
+    """The Jacobian of model_field(p), jacobian(x, y) -> (fx, fy, gx, gy),
+    compiled from JACOBIAN_SOURCE; elementwise over arrays x, y too."""
+    return _jacobian(tuple(float(getattr(p, k)) for k in PARAM_NAMES))
 
 
 def _classify_point(x: float, y: float, p: AlleeParams) -> str:
-    fx, fy, gx, gy = _jacobian(x, y, p)
+    fx, fy, gx, gy = model_jacobian(p)(x, y)
     tr = fx + gy
     det = fx * gy - fy * gx
     if det < 0.0:
@@ -272,18 +275,24 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
     b = (p.alpha * p.m - p.beta + p.gamma * (p.m + p.n - 1.0)) / ag
     c = p.m * (p.gamma * p.n - p.beta) / ag
     delta2 = b * b - 4.0 * c
-    E3 = E4 = None
+    interior = {}
     if delta2 >= 0.0:
         root = math.sqrt(delta2)
         for slot, xr in (("E3", (-b - root) / 2.0), ("E4", (-b + root) / 2.0)):
             yr = (p.alpha * xr - p.beta) / p.gamma
             if xr > 0.0 and yr >= 0.0:
-                eq = _checked(xr, yr, p)
-                if slot == "E3":
-                    E3 = eq
-                else:
-                    E4 = eq
-    return EquilibriaReport(E0, E1, E2, E3, E4, delta1, delta2, fold)
+                interior[slot] = _checked(xr, yr, p)
+    return EquilibriaReport(E0, E1, E2, interior.get("E3"), interior.get("E4"),
+                            delta1, delta2, fold)
+
+
+def e4_trace(p: AlleeParams) -> float:
+    """Jacobian trace fx + gy at the interior equilibrium E4."""
+    E4 = equilibria(p).E4
+    if E4 is None:
+        raise DomainError(f"E4 does not exist at beta={p.beta}")
+    fx, _, _, gy = model_jacobian(p)(*E4.point)
+    return fx + gy
 
 
 @dataclass(frozen=True)
@@ -495,37 +504,3 @@ def omega2_at_degeneracy(alpha: float, gamma: float, yM: float) -> float:
     t = alpha + 2.0 * gamma
     return (gamma * s * s * math.sqrt(2.0 * t * yM) * (9.0 * s * yM + 4.0 * alpha)
             / (8.0 * alpha * alpha * t))
-
-
-@dataclass(frozen=True)
-class ModelCurves:
-    """Hopf and canard-explosion curves of the model near the fold.
-
-    lambda_h, lambda_c are in template units; beta_h, beta_c are their
-    model-space equivalents via beta = beta* + lambda * conversion, with
-    conversion = alpha*Q/(sqrt(m)-1) (negative for m < 1: increasing
-    lambda moves beta below beta*)."""
-
-    lambda_h: float
-    lambda_c: float
-    beta_star: float
-    beta_h: float
-    beta_c: float
-    conversion: float
-    A: float
-
-
-def model_bifurcation_curves(p: AlleeParams) -> ModelCurves:
-    require_coincidence(p)
-    beta_star, conversion = beta_star_conversion(p)
-    cols = model_columns(p.m, p.n, p.alpha, p.beta, p.gamma, p.eps)
-    lam_h, lam_c, A = (float(cols[k]) for k in ("lambda_h", "lambda_c", "A"))
-    return ModelCurves(
-        lambda_h=lam_h,
-        lambda_c=lam_c,
-        beta_star=beta_star,
-        beta_h=beta_star + lam_h * conversion,
-        beta_c=beta_star + lam_c * conversion,
-        conversion=conversion,
-        A=A,
-    )

@@ -43,14 +43,16 @@ from .allee import (
     PARAM_NAMES,
     PSI_TAGS,
     AlleeParams,
+    beta_star_conversion,
     check_grid,
+    e4_trace,
     equilibria,
     gamma_star,
-    model_bifurcation_curves,
     model_columns,
     normal_form_coeffs,
     psi_case_analysis,
     psi_columns,
+    require_coincidence,
 )
 from .dynamics import (
     FORWARD,
@@ -58,7 +60,6 @@ from .dynamics import (
     IntegratorOptions,
     Section,
     allee_field,
-    e4_trace,
     find_cycle,
     integrate,
 )
@@ -113,9 +114,10 @@ def _json_object(text: str, path: str, what: str) -> dict:
 
 
 def load_config(path: str) -> Dict[str, object]:
-    """Flat key=value lines ('#' comments) or a single JSON object."""
+    """Flat key=value lines ('#' comments) or a single JSON object: text
+    whose first non-blank character is '{' or '[' is read as JSON."""
     text = _read_text(path, "config file")
-    if text.lstrip().startswith("{"):
+    if text.lstrip()[:1] in ("[", "{"):
         return _json_object(text, path, "config file")
     out: Dict[str, object] = {}
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -263,11 +265,10 @@ def cmd_analyze(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], i
     trace4 = None if eq.E4 is None else e4_trace(p)
     curves = None
     if abs(p.gamma - gs) <= COINCIDENCE_TOL:
-        mc = model_bifurcation_curves(p)
-        curves = {
-            "beta_star": mc.beta_star, "beta_h": mc.beta_h, "beta_c": mc.beta_c,
-            "conversion": mc.conversion,
-        }
+        require_coincidence(p)
+        beta_star, conversion = beta_star_conversion(p)
+        curves = {"beta_star": beta_star, "beta_h": beta_star + lam_h * conversion,
+                  "beta_c": beta_star + lam_c * conversion, "conversion": conversion}
     report = {
         "input": "model",
         "params": p,
@@ -552,12 +553,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for path in paths:
             print(f"wrote {path}")
         return code
-    except DomainError as exc:
+    except (DomainError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, DomainError) else 2
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ return map's first in the start's direction.  Limit
 cycles are found by bisection on the displacement map, with unstable
 cycles handled in reversed time and their multiplier reported in the
 forward-time convention; that bisection and the crossing location run
-_kernels.bisect.  e4_trace gives the Jacobian trace at the interior
-equilibrium E4."""
+_kernels.bisect; a return map's start and each located crossing are
+tested for tangency by the one rule, _kernels.tangential."""
 
 from __future__ import annotations
 
@@ -33,8 +33,9 @@ from ._kernels import (
     STATUS_UNDERFLOW,
     bisect,
     dopri5,
+    tangential,
 )
-from .allee import AlleeParams, _jacobian, equilibria
+from .allee import AlleeParams
 from .allee import model_field as allee_field
 from .errors import DomainError, NumericsError, require_count
 
@@ -195,7 +196,7 @@ def _first_return(field: Callable, section: Section, y0: float,
     integration stops there instead of running on to t_max."""
     with _typed_arithmetic(field):
         v0, v1 = _oriented(field, opts.direction)(section.x, y0)
-    if abs(v0) <= 1e-12 * (abs(v1) + 1.0):
+    if tangential(v0, v1):
         raise NumericsError("section crossing is tangential at the start point")
     stop = (section.x, section.y_base, math.copysign(1.0, v0), 1)
     hits = _run(field, (section.x, y0), opts, stop)[1]
@@ -275,15 +276,6 @@ def find_cycle(field: Callable, bracket: Tuple[float, float],
     else:
         stability = "Neutral"
     return CycleResult((section.x, y_star), period, mult, stability, converged)
-
-
-def e4_trace(p: AlleeParams) -> float:
-    """Jacobian trace fx + gy at the interior equilibrium E4."""
-    rep = equilibria(p)
-    if rep.E4 is None:
-        raise DomainError(f"E4 does not exist at beta={p.beta}")
-    fx, _, _, gy = _jacobian(*rep.E4.point, p)
-    return fx + gy
 
 
 REGION_X = (0.0, 1.0)

@@ -157,7 +157,8 @@ def jet_compose(target: Jet, subs: Sequence[Jet]) -> Jet:
 
 
 def jet_truncate(a: Jet, degree: int) -> Jet:
+    """a truncated at total degree min(degree, a.degree): truncating never
+    raises the degree bound, as the terms past it are unknown."""
     require_count("degree", degree, 0)
-    if degree >= a.degree:
-        return _make(a.nvars, degree, a.coeffs)
+    degree = min(degree, a.degree)
     return _make(a.nvars, degree, {mi: c for mi, c in a.coeffs.items() if sum(mi) <= degree})

@@ -26,12 +26,12 @@ import numpy as np
 
 from .allee import (
     AlleeParams,
-    _jacobian,
     _preimages,
     critical_height,
     critical_slope,
     equilibria,
     fold_point,
+    model_jacobian,
     require_coincidence,
 )
 from .errors import DomainError, NumericsError, require_count
@@ -64,14 +64,15 @@ def branch_inverse(y: float, p: AlleeParams) -> Tuple[float, float]:
 
 def h_slow(x: float, p: AlleeParams) -> float:
     """Fast divergence per unit slow height on the critical curve:
-    f_x(x, F(x)) / [F(x) (alpha x - beta - gamma F(x))], where the model's
-    f_x equals x F'(x).  Elementwise over an array of x too."""
+    f_x(x, F(x)) / [F(x) (alpha x - beta - gamma F(x))], with f_x from
+    allee.model_jacobian, equal to x F'(x) there.  Elementwise over an
+    array of x too."""
     F = critical_height(x, p.m, p.n)
     denom = F * (p.alpha * x - p.beta - p.gamma * F)
     if np.any(denom == 0.0):
         raise NumericsError(f"slow flow vanishes at x={_first(x, denom == 0.0)}: "
                             "h is singular there")
-    return _jacobian(x, F, p)[0] / denom
+    return model_jacobian(p)(x, F)[0] / denom
 
 
 def phi(y: float, p: AlleeParams) -> float:

@@ -6,11 +6,14 @@ X = (x - x_M)/s_x, Y = (y - y_M)/s_y, tau = Q*t with
 Q = sqrt(alpha*x_M*y_M), s_x = Q/(sqrt(m)-1), s_y = alpha*y_M/(sqrt(m)-1),
 and read the record off the transformed jets.  sweep_row_reference
 evaluates one sweep row from that record with the scalar functions.
+hand_jacobian is the model's Jacobian as it was written by hand before
+allee compiled it from JACOBIAN_SOURCE, frozen as the compiled one's bit
+oracle.
 """
 
 import math
 
-from canard.allee import AlleeParams, _jacobian, fold_point, psi_case_analysis
+from canard.allee import AlleeParams, fold_point, psi_case_analysis
 from canard.errors import NumericsError
 from canard.jet import Jet, jet_mul
 from canard.normalform import (
@@ -19,6 +22,15 @@ from canard.normalform import (
     omega2_term_groups,
     omega_coefficients,
 )
+
+
+def hand_jacobian(x, y, p: AlleeParams):
+    """(fx, fy, gx, gy) of the model, elementwise over arrays x, y too."""
+    fx = (2.0 * x * p.m + x * x) / (p.m + x) ** 2 - p.n - 2.0 * x - y
+    fy = -x
+    gx = p.eps * p.alpha * y
+    gy = p.eps * (p.alpha * x - p.beta - 2.0 * p.gamma * y)
+    return fx, fy, gx, gy
 
 
 def F_derivative(x: float, m: float, k: int) -> float:
@@ -93,7 +105,7 @@ def sweep_row_reference(p: AlleeParams) -> dict:
     om = omega_coefficients(nf)
     # the slow damping from the model Jacobian at the fold: g_y / (eps Q)
     xM, yM = fold_point(p.m, p.n)
-    a5 = _jacobian(xM, yM, p)[3] / (p.eps * math.sqrt(p.alpha * xM * yM))
+    a5 = hand_jacobian(xM, yM, p)[3] / (p.eps * math.sqrt(p.alpha * xM * yM))
     A = compute_A(nf)
     scale_A = abs(nf.a10) + 3.0 * abs(nf.b10) + 2.0 * abs(nf.d10) + 2.0 * abs(nf.f00)
     half = abs(a5 / 2.0) + scale_A / 8.0

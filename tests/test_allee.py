@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from model_oracle import jet_reduced_record
+from model_oracle import hand_jacobian, jet_reduced_record
 
 from canard._kernels import bisect
 from canard.allee import (
+    JACOBIAN_SOURCE,
     MODEL_SOURCE,
     PARAM_NAMES,
     PSI_TAGS,
     AlleeParams,
-    _jacobian,
     _preimages,
+    beta_star_conversion,
     boundary_roots,
     check_grid,
     critical_height,
@@ -25,9 +26,9 @@ from canard.allee import (
     fold_point,
     gamma_star,
     hopf_onset,
-    model_bifurcation_curves,
     model_columns,
     model_field,
+    model_jacobian,
     model_l1,
     normal_form_coeffs,
     normal_form_columns,
@@ -35,6 +36,7 @@ from canard.allee import (
     psi_case_analysis,
     psi_columns,
     require_closed_forms,
+    require_coincidence,
 )
 from canard.errors import DomainError, NumericsError
 from canard.normalform import COEFF_NAMES, compute_A, lambda_c, lambda_H, omega_coefficients
@@ -235,13 +237,14 @@ class TestCriticalBranches:
         p = AlleeParams(**EX1)
         _, x1, x2 = boundary_roots(p.m, p.n)
         xM, _ = fold_point(p.m, p.n)
+        jac = model_jacobian(p)
         for t in (0.1, 0.5, 0.9):
             xr = x1 + t * (xM - x1)
-            assert _jacobian(xr, critical_height(xr, p.m, p.n), p)[0] > 0.0
+            assert jac(xr, critical_height(xr, p.m, p.n))[0] > 0.0
             xa = xM + t * (x2 - xM)
-            assert _jacobian(xa, critical_height(xa, p.m, p.n), p)[0] < 0.0
+            assert jac(xa, critical_height(xa, p.m, p.n))[0] < 0.0
         for y in (0.0, 0.3, 1.5):
-            assert _jacobian(0.0, y, p)[0] < 0.0
+            assert jac(0.0, y)[0] < 0.0
 
     def test_eigenvalue_matches_finite_difference(self):
         # all four Jacobian entries, the fast eigenvalue f_x among them,
@@ -253,7 +256,7 @@ class TestCriticalBranches:
                      (0.4, 0.3), (0.0, 0.7)):
             fd = [(f(x + h, y)[k] - f(x - h, y)[k]) / (2 * h) for k in (0, 1)]
             fd += [(f(x, y + h)[k] - f(x, y - h)[k]) / (2 * h) for k in (0, 1)]
-            fx, fy, gx, gy = _jacobian(x, y, p)
+            fx, fy, gx, gy = model_jacobian(p)(x, y)
             for got, want in zip((fx, gx, fy, gy), fd):
                 assert abs(got - want) < 1e-9
 
@@ -718,6 +721,11 @@ class TestOmega2Degeneracy:
 
 
 class TestModelCurves:
+    """The Hopf and canard curves lambda_h, lambda_c of model_columns and
+    their beta-space images beta* + lambda * conversion under
+    beta_star_conversion, as canard analyze writes them on the coincidence
+    set."""
+
     def coincident_params(self, eps=0.01):
         # m = m*(alpha, gamma) and beta = beta* so that both the
         # degeneracy A = 0 and the gate gamma = gamma_star hold at once
@@ -727,13 +735,23 @@ class TestModelCurves:
         beta = alpha * xM - gamma * yM
         return AlleeParams(m=m, n=n, alpha=alpha, beta=beta, gamma=gamma, eps=eps)
 
+    @staticmethod
+    def curves(p):
+        require_coincidence(p)
+        cols = model_columns(p.m, p.n, p.alpha, p.beta, p.gamma, p.eps)
+        lam_h, lam_c, A = (float(cols[k]) for k in ("lambda_h", "lambda_c", "A"))
+        beta_star, conversion = beta_star_conversion(p)
+        return SimpleNamespace(lambda_h=lam_h, lambda_c=lam_c, A=A, beta_star=beta_star,
+                               beta_h=beta_star + lam_h * conversion,
+                               beta_c=beta_star + lam_c * conversion)
+
     def test_gate_on_gamma(self):
         with pytest.raises(DomainError):
-            model_bifurcation_curves(AlleeParams(**EX2))
+            require_coincidence(AlleeParams(**EX2))
 
     def test_curves_collapse_at_degeneracy(self):
         p = self.coincident_params()
-        cur = model_bifurcation_curves(p)
+        cur = self.curves(p)
         assert abs(cur.A) < 1e-12
         assert abs(cur.lambda_c - cur.lambda_h) < 1e-7 * p.eps
         assert abs(cur.beta_c - cur.beta_h) < 1e-7 * p.eps
@@ -744,7 +762,7 @@ class TestModelCurves:
         beta = 0.2
         gamma = gamma_star(m, n, alpha, beta)
         p = AlleeParams(m=m, n=n, alpha=alpha, beta=beta, gamma=gamma, eps=0.0099)
-        cur = model_bifurcation_curves(p)
+        cur = self.curves(p)
         assert abs((cur.lambda_c - cur.lambda_h) - (-cur.A * p.eps / 8.0)) < 1e-15
         # model-space onset offset: beta_h - beta* = alpha*gamma*y_M*eps/(2*(sqrt(m)-1))
         want = alpha * gamma * yM * p.eps / (2.0 * (math.sqrt(m) - 1.0))
@@ -755,8 +773,8 @@ class TestModelCurves:
     def test_scales_linearly_with_eps(self):
         p1 = self.coincident_params(eps=0.01)
         p2 = self.coincident_params(eps=0.005)
-        c1 = model_bifurcation_curves(p1)
-        c2 = model_bifurcation_curves(p2)
+        c1 = self.curves(p1)
+        c2 = self.curves(p2)
         assert abs(c1.lambda_h - 2.0 * c2.lambda_h) < 1e-15
 
 
@@ -801,6 +819,39 @@ class TestModelL1:
         assert abs((m_b - m_star) / eps - c) <= 5e-5
 
 
+ADMISSIBLE = st.builds(
+    lambda n, frac, alpha, beta, gamma, eps: AlleeParams(
+        m=frac * (1.0 - math.sqrt(n)) ** 2, n=n, alpha=alpha, beta=beta, gamma=gamma, eps=eps),
+    n=st.floats(0.01, 0.95), frac=st.floats(0.01, 0.99), alpha=st.floats(1e-3, 10.0),
+    beta=st.floats(1e-3, 10.0), gamma=st.floats(1e-3, 10.0), eps=st.floats(1e-6, 0.1))
+
+
+class TestCompiledJacobian:
+    """model_jacobian, compiled from JACOBIAN_SOURCE, against the hand-written
+    entries it replaced (model_oracle.hand_jacobian), bit for bit."""
+
+    @staticmethod
+    def _hex(entries):
+        return [[float.hex(float(v)) for v in np.ravel(e)] for e in entries]
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=ADMISSIBLE, x=st.floats(0.0, 2.0), y=st.floats(0.0, 2.0))
+    def test_scalar_bits(self, p, x, y):
+        got = model_jacobian(p)(x, y)
+        assert all(type(v) is float for v in got)
+        assert self._hex(got) == self._hex(hand_jacobian(x, y, p))
+
+    @settings(max_examples=50, deadline=None)
+    @given(p=ADMISSIBLE, xy=st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+                                     min_size=1, max_size=8))
+    def test_array_bits(self, p, xy):
+        # the arrays sdi.h_slow passes: x and F(x) over quadrature nodes
+        x, y = (np.array(v) for v in zip(*xy))
+        got = model_jacobian(p)(x, y)
+        assert all(isinstance(v, np.ndarray) and v.shape == x.shape for v in got)
+        assert self._hex(got) == self._hex(hand_jacobian(x, y, p))
+
+
 @pytest.fixture
 def model_source():
     """sympy, the symbols x, y and the parameters, and (f, eps*g) parsed from
@@ -811,41 +862,47 @@ def model_source():
     return sympy, names, f, g
 
 
+@pytest.fixture
+def jacobian_source(model_source):
+    """(fx, fy, gx, gy) parsed from JACOBIAN_SOURCE."""
+    sympy, names, _, _ = model_source
+    return tuple(sympy.parse_expr(src, local_dict=names) for src in JACOBIAN_SOURCE)
+
+
 class TestModelSource:
-    """The hand-written derivatives of the model against MODEL_SOURCE, the one
-    place f and g are written, by sympy."""
+    """The Jacobian text and model_l1's cubic tables against MODEL_SOURCE, the
+    one place f and g are written, by sympy."""
 
     @staticmethod
     def _zero(sympy, expr):
         return sympy.simplify(sympy.nsimplify(expr, rational=True)) == 0
 
-    def test_jacobian_is_the_source_derivative(self, model_source):
+    def test_jacobian_is_the_source_derivative(self, model_source, jacobian_source):
         sympy, s, f, g = model_source
         x, y = s["x"], s["y"]
-        got = _jacobian(x, y, SimpleNamespace(**s))
         want = (sympy.diff(f, x), sympy.diff(f, y), sympy.diff(g, x), sympy.diff(g, y))
-        assert all(self._zero(sympy, a - b) for a, b in zip(got, want))
+        assert all(self._zero(sympy, a - b) for a, b in zip(jacobian_source, want))
 
-    def test_f_x_on_the_critical_curve_is_x_F_prime(self, model_source):
+    def test_f_x_on_the_critical_curve_is_x_F_prime(self, model_source, jacobian_source):
         # the identity behind sdi.h_slow: f_x(x, F(x)) = x F'(x)
         sympy, s, f, _ = model_source
         x, y, m, n = s["x"], s["y"], s["m"], s["n"]
         F = critical_height(x, m, n)
         assert self._zero(sympy, sympy.cancel(f / x).subs(y, F))
         assert self._zero(sympy, critical_slope(x, m, n) - sympy.diff(F, x))
-        p = SimpleNamespace(**s)
-        assert self._zero(sympy, _jacobian(x, F, p)[0] - x * sympy.diff(F, x))
+        assert self._zero(sympy, jacobian_source[0].subs(y, F) - x * sympy.diff(F, x))
 
-    def test_trace_on_the_critical_curve_is_the_hopf_function(self, model_source):
+    def test_trace_on_the_critical_curve_is_the_hopf_function(self, model_source,
+                                                               jacobian_source):
         # hopf_onset's h(x) = x F'(x) - eps gamma F(x) is the trace at
         # (x, F(x)) with the beta = alpha x - gamma F(x) that puts E4 there
         sympy, s, _, _ = model_source
         x, m, n = s["x"], s["m"], s["n"]
         F = critical_height(x, m, n)
-        p = SimpleNamespace(**{**s, "beta": s["alpha"] * x - s["gamma"] * F})
-        fx, _, _, gy = _jacobian(x, F, p)
+        on_e4 = {s["y"]: F, s["beta"]: s["alpha"] * x - s["gamma"] * F}
+        trace = (jacobian_source[0] + jacobian_source[3]).subs(on_e4, simultaneous=True)
         h = x * critical_slope(x, m, n) - s["eps"] * s["gamma"] * F
-        assert self._zero(sympy, fx + gy - h)
+        assert self._zero(sympy, trace - h)
 
     def test_model_l1_tables_are_the_rescaled_source(self, model_source, monkeypatch):
         # the cubic tables model_l1 passes on are (m + x) f and (m + x) eps g

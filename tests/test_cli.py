@@ -69,6 +69,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             load_config(str(js))
 
+    @pytest.mark.parametrize("text", ["[1, 2]", "  \n[]\n"])
+    def test_json_array_is_reported_as_json(self, tmp_path, capsys, text):
+        # an array is JSON, not a key=value line
+        js = tmp_path / "c.json"
+        js.write_text(text)
+        with pytest.raises(DomainError, match=r"^config file .* must hold a flat object, got list$"):
+            load_config(str(js))
+        assert run(["analyze", "--config", js, "--out", tmp_path / "o"]) == 1
+        assert "must hold a flat object, got list" in capsys.readouterr().err
+
     def test_flat_boolean_is_not_a_number(self, tmp_path, capsys):
         # float(True) is 1.0: 'alpha = true' must not run as alpha = 1
         cfg = write_cfg(tmp_path / "p.cfg", dict(EX1, alpha="true"))

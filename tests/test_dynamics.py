@@ -15,8 +15,8 @@ from canard import _kernels, dynamics
 from canard._kernels import (STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF,
                              STATUS_UNDERFLOW, _stepper, _stepper_source, bisect,
                              dopri5, source_field)
-from canard.allee import (AlleeParams, boundary_roots, critical_slope, equilibria, fold_point,
-                          hopf_onset)
+from canard.allee import (AlleeParams, boundary_roots, critical_slope, e4_trace, equilibria,
+                          fold_point, hopf_onset)
 from canard.dynamics import (
     FORWARD,
     REVERSED,
@@ -27,7 +27,6 @@ from canard.dynamics import (
     _oriented,
     allee_field,
     bracket_from_crossings,
-    e4_trace,
     find_cycle,
     integrate,
     region_excursion,

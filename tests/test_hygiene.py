@@ -3,7 +3,8 @@ never reads, every module-level private function or class of src/canard is
 used in src/canard outside its own definition, cli is the one src/canard module that imports json, so
 file formats are decided in one place, errors is the one src/canard module
 that holds the number and count messages, _kernels.define is the one place in
-src/canard that runs generated code, the caches of the kernel and stepper
+src/canard that runs generated code, the model's field and Jacobian text read
+exactly x, y and the parameter names, the caches of the kernel and stepper
 generators that call it are bounded, no CSV field the CLI writes needs
 quoting, README names exactly the options every subcommand takes, its
 library imports run and every code name it mentions exists, and every
@@ -177,6 +178,25 @@ def test_code_call_detector():
     src = ("import builtins, re\nexec('1')\ndef f():\n    def g():\n        eval('1')\n"
            "    builtins.compile('1', '', 'eval')\n    re.compile('x')\n")
     assert code_builtin_calls(src) == [(None, "exec"), ("g", "eval"), ("f", "compile")]
+
+
+def free_names(sources):
+    """The names a tuple of Python expressions reads, together."""
+    return set().union(*(names_read(ast.parse(src, mode="eval")) for src in sources))
+
+
+def test_model_text_reads_the_model_names():
+    # the field and Jacobian text read exactly x, y and the parameters, so a
+    # misspelt parameter fails here and not at the first call of what
+    # _kernels compiles from it
+    from canard.allee import JACOBIAN_SOURCE, MODEL_SOURCE, PARAM_NAMES
+
+    for sources in (MODEL_SOURCE, JACOBIAN_SOURCE):
+        assert free_names(sources) == {"x", "y", *PARAM_NAMES}
+
+
+def test_free_name_detector():
+    assert free_names(("x * (alpah - y)", "-x", "eps * m")) == {"x", "y", "alpah", "eps", "m"}
 
 
 def csv_header_literals(source: str):

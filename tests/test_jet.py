@@ -290,6 +290,13 @@ class TestOpGuards:
         with pytest.raises(DomainError):
             jet_truncate(Jet(2, 3), -1)
 
+    def test_truncate_keeps_a_lower_degree_bound(self):
+        # the terms past a jet's degree are unknown: truncating above it
+        # keeps its bound and its terms
+        j = Jet(2, 2, {(1, 0): 1.0})
+        assert jet_truncate(j, 5) == j
+        assert jet_truncate(j, 5).degree == 2
+
     @pytest.mark.parametrize("degree", [2.5, True])
     def test_truncate_degree_is_an_integer(self, degree):
         j = Jet(2, 3, {(1, 0): 1.0, (2, 1): 2.0})
@@ -328,3 +335,5 @@ class TestOpsBuildNormalizedJets:
         for out in outs:
             assert_normalized(out)
         assert outs[1].coeffs == {}
+        assert outs[7].degree == min(db, da)
+        assert outs[8].degree == da
