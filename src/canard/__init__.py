@@ -15,23 +15,14 @@ Submodules:
   dynamics    explicit Runge-Kutta integration, return maps, limit cycle
               location
   cli         command line entry points
+
+Each submodule loads on first use: importing the package, or one of its
+modules, loads errors and only the modules that module imports.  The
+normalform names of __all__ are read from normalform when first asked
+for (PEP 562), so `import canard.cli` loads neither normalform nor numpy.
 """
 
 from .errors import DomainError, NumericsError
-from .normalform import (
-    COEFF_NAMES,
-    Criticality,
-    HopfAnalysis,
-    NormalFormCoefficients,
-    analyze_record,
-    classify_hopf,
-    compute_A,
-    l1_series,
-    lambda_H,
-    lambda_c,
-    omega_coefficients,
-    rho_coefficients,
-)
 
 __version__ = "0.1.0"
 
@@ -52,3 +43,12 @@ __all__ = [
     "rho_coefficients",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # the names of __all__ not bound above are normalform's
+    if name in __all__:
+        from . import normalform
+
+        return getattr(normalform, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

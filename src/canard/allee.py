@@ -45,7 +45,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ._kernels import bisect, source_field
-from .blowup import _lyapunov_at
 from .errors import DomainError, NumericsError
 from .normalform import (
     COEFF_NAMES,
@@ -234,8 +233,8 @@ def model_jacobian(p: AlleeParams):
     return _jacobian(tuple(float(getattr(p, k)) for k in PARAM_NAMES))
 
 
-def _classify_point(x: float, y: float, p: AlleeParams) -> str:
-    fx, fy, gx, gy = model_jacobian(p)(x, y)
+def _classify_point(x: float, y: float, jacobian) -> str:
+    fx, fy, gx, gy = jacobian(x, y)
     tr = fx + gy
     det = fx * gy - fy * gx
     if det < 0.0:
@@ -249,11 +248,13 @@ def _classify_point(x: float, y: float, p: AlleeParams) -> str:
     return f"neutral {shape}"
 
 
-def _checked(x: float, y: float, p: AlleeParams, kind: Optional[str] = None) -> Equilibrium:
-    f, g = model_field(p)(x, y)
+def _checked(x: float, y: float, field, jacobian, kind: Optional[str] = None) -> Equilibrium:
+    """The candidate (x, y) as an Equilibrium of field, its kind read off
+    jacobian unless given."""
+    f, g = field(x, y)
     if max(abs(f), abs(g)) > 1e-10:
         raise NumericsError(f"equilibrium candidate ({x}, {y}) has residual > 1e-10")
-    return Equilibrium((x, y), kind if kind is not None else _classify_point(x, y, p))
+    return Equilibrium((x, y), kind if kind is not None else _classify_point(x, y, jacobian))
 
 
 def equilibria(p: AlleeParams) -> EquilibriaReport:
@@ -263,11 +264,12 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
     E1, E2 exists, as admissibility gives delta1 >= 0; at delta1 = 0 the
     double root is reported once, as E1 tagged degenerate.  The interior pair
     E3, E4 comes from the second quadratic, gated on x > 0, y >= 0."""
-    E0 = _checked(0.0, 0.0, p, "stable node")
+    field, jacobian = model_field(p), model_jacobian(p)
+    E0 = _checked(0.0, 0.0, field, jacobian, "stable node")
     fold = fold_point(p.m, p.n)
     delta1, x1, x2 = boundary_roots(p.m, p.n)
     if delta1 > 0.0:
-        E1, E2 = _checked(x1, 0.0, p), _checked(x2, 0.0, p)
+        E1, E2 = _checked(x1, 0.0, field, jacobian), _checked(x2, 0.0, field, jacobian)
     else:
         E1, E2 = Equilibrium((x1, 0.0), "degenerate (boundary collision)"), None
 
@@ -281,7 +283,7 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
         for slot, xr in (("E3", (-b - root) / 2.0), ("E4", (-b + root) / 2.0)):
             yr = (p.alpha * xr - p.beta) / p.gamma
             if xr > 0.0 and yr >= 0.0:
-                interior[slot] = _checked(xr, yr, p)
+                interior[slot] = _checked(xr, yr, field, jacobian)
     return EquilibriaReport(E0, E1, E2, interior.get("E3"), interior.get("E4"),
                             delta1, delta2, fold)
 
@@ -352,6 +354,9 @@ def model_l1(p: AlleeParams) -> float:
     Only the sign and the zero are frame-free: the magnitude depends on the
     time rescaling and on normalize_linear's m01-pivot frame.  DomainError
     without E4, or off the Hopf curve (lyapunov_DF's trace gate)."""
+    # imported here, so that importing allee loads neither blowup nor jet
+    from .blowup import _lyapunov_at
+
     E4 = equilibria(p).E4
     if E4 is None:
         raise DomainError(f"E4 does not exist at beta={p.beta}")

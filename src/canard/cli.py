@@ -22,6 +22,19 @@ input (DomainError), 2 numerical failure (NumericsError or failing
 verify stages).  CSV output uses '.' as the decimal separator, always
 carries a header row and quotes no field: every field is a number or a
 fixed identifier (see write_csv).
+
+A process loads only what it runs.  At module level this module imports
+the standard library and errors alone, so `import canard.cli`, --help and
+a usage error load no other canard module and no numpy.  Each cmd_*
+imports the names it calls at its head (analyze its model names after
+the coefficient-record branch, which needs normalform alone), and so do
+the sweep's parse_grid and _cell_text for numpy.  The canard modules a
+command adds to the package and errors:
+  analyze   allee, _kernels, normalform
+  sweep     allee, _kernels, normalform, _svg
+  simulate  allee, _kernels, normalform, dynamics, _svg
+  sdi       allee, _kernels, normalform, sdi, _svg
+  verify    allee, _kernels, normalform, blowup, jet, verify
 """
 
 from __future__ import annotations
@@ -35,38 +48,7 @@ import sys
 from dataclasses import fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import _svg
-from .allee import (
-    COINCIDENCE_TOL,
-    PARAM_NAMES,
-    PSI_TAGS,
-    AlleeParams,
-    beta_star_conversion,
-    check_grid,
-    e4_trace,
-    equilibria,
-    gamma_star,
-    model_columns,
-    normal_form_coeffs,
-    psi_case_analysis,
-    psi_columns,
-    require_coincidence,
-)
-from .dynamics import (
-    FORWARD,
-    REVERSED,
-    IntegratorOptions,
-    Section,
-    allee_field,
-    find_cycle,
-    integrate,
-)
 from .errors import DomainError, NumericsError, require_number
-from .normalform import NormalFormCoefficients, analyze_record, lambda_star_series
-from .sdi import cyclicity_report
-from .verify import run_all
 
 # |omega1| below this is treated as zero by the analyze verdict: published
 # parameter sets carry about six decimals, which propagates to errors of
@@ -169,17 +151,24 @@ def _as_int(settings: Dict[str, object], key: str,
 
 
 def _model_values(settings: Dict[str, object]) -> Dict[str, float]:
+    from .allee import PARAM_NAMES
+
     missing = [k for k in PARAM_NAMES if k not in settings]
     if missing:
         raise DomainError(f"missing parameter keys: {', '.join(missing)}")
     return {k: _as_float(settings, k) for k in PARAM_NAMES}
 
 
-def _model_params(settings: Dict[str, object]) -> AlleeParams:
+def _model_params(settings: Dict[str, object]):
+    """The AlleeParams of the model values in settings."""
+    from .allee import AlleeParams
+
     return AlleeParams(**_model_values(settings))
 
 
 def _direction(settings: Dict[str, object]) -> str:
+    from .dynamics import FORWARD, REVERSED
+
     value = settings.get("reversed", False)
     if not isinstance(value, bool):
         raise DomainError(f"setting 'reversed' must be true or false, got {value!r}")
@@ -223,9 +212,12 @@ def _write_json(out_dir: str, name: str, payload: dict) -> str:
 # analyze
 
 
-def _load_record(path: str) -> NormalFormCoefficients:
-    """A coefficient file: one flat JSON object of numbers keyed by
-    normalform.COEFF_NAMES, absent keys read as 0."""
+def _load_record(path: str):
+    """The NormalFormCoefficients of a coefficient file: one flat JSON
+    object of numbers keyed by normalform.COEFF_NAMES, absent keys read
+    as 0."""
+    from .normalform import NormalFormCoefficients
+
     what = "coefficient file"
     return NormalFormCoefficients.from_dict(_json_object(_read_text(path, what), path, what))
 
@@ -237,6 +229,8 @@ def _boundary_block(eq) -> dict:
 
 
 def cmd_analyze(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    from .normalform import analyze_record, lambda_star_series
+
     tol = _as_float(settings, "classify_tol", DEFAULT_CLASSIFY_TOL)
     if tol <= 0.0:
         raise DomainError(f"requires classify_tol > 0, got {tol}")
@@ -252,6 +246,18 @@ def cmd_analyze(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], i
         path = _write_json(out_dir, "analyze.json", report)
         print(f"record classification: {ana.classification.value} (A = {ana.A:.6g})")
         return [path], 0
+
+    from .allee import (
+        COINCIDENCE_TOL,
+        beta_star_conversion,
+        e4_trace,
+        equilibria,
+        gamma_star,
+        model_columns,
+        normal_form_coeffs,
+        psi_case_analysis,
+        require_coincidence,
+    )
 
     p = _model_params(settings)
     eq = equilibria(p)
@@ -302,6 +308,10 @@ def cmd_analyze(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], i
 def parse_grid(descriptor: str) -> List[Tuple[str, List[float]]]:
     """Axis descriptors 'name=lo:hi:count' or 'name=value', comma separated;
     one or two axes drawn from the model parameter names."""
+    import numpy as np
+
+    from .allee import PARAM_NAMES
+
     if descriptor is None or not str(descriptor).strip():
         raise DomainError("empty grid: the grid descriptor has no axes")
     axes: List[Tuple[str, List[float]]] = []
@@ -342,12 +352,19 @@ SWEEP_COLUMNS = ("A", "omega1", "omega2", "lambda_h", "lambda_c")
 def _cell_text(column, shape) -> List[str]:
     """A column that broadcasts to shape as the strs of its cells in C
     order: each value at the column's own shape is formatted once."""
+    import numpy as np
+
     text = [str(v) for v in np.ravel(column).tolist()]
     return np.broadcast_to(np.array(text, dtype=object).reshape(np.shape(column)),
                            shape).ravel().tolist()
 
 
 def cmd_sweep(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    import numpy as np
+
+    from . import _svg
+    from .allee import PSI_TAGS, check_grid, model_columns, psi_columns
+
     descriptor = settings.get("grid")
     if descriptor is None:
         raise DomainError("sweep requires a grid descriptor (--grid or the grid config key)")
@@ -389,6 +406,10 @@ def cmd_sweep(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int
 
 
 def cmd_simulate(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    from . import _svg
+    from .allee import equilibria
+    from .dynamics import IntegratorOptions, Section, allee_field, find_cycle, integrate
+
     p = _model_params(settings)
     start = (_as_float(settings, "start_x"), _as_float(settings, "start_y"))
     opts = IntegratorOptions(
@@ -451,6 +472,9 @@ def cmd_simulate(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], 
 
 
 def cmd_sdi(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    from . import _svg
+    from .sdi import cyclicity_report
+
     p = _model_params(settings)
     profile = cyclicity_report(p, _as_int(settings, "grid", 24))
     json_path = _write_json(out_dir, "sdi.json",
@@ -471,6 +495,8 @@ def cmd_sdi(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
 
 
 def cmd_verify(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
+    from .verify import run_all
+
     seed = _as_int(settings, "seed", 2025)
     offset = _as_float(settings, "omega2_offset", 0.0)
     report = run_all(seed=seed, omega2_offset=offset)

@@ -908,7 +908,7 @@ class TestModelSource:
         # the cubic tables model_l1 passes on are (m + x) f and (m + x) eps g
         sympy, s, f, g = model_source
         seen = []
-        monkeypatch.setattr("canard.allee._lyapunov_at",
+        monkeypatch.setattr("canard.blowup._lyapunov_at",
                             lambda fx, fy, eq: seen.append((fx, fy)) or 0.0)
         p = on_hopf_curve(EX1)
         model_l1(p)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from model_oracle import sweep_row_reference
 
 import canard.cli as cli
-from canard import _svg
+from canard import _svg, allee, dynamics, verify
 from canard.allee import (COINCIDENCE_TOL, PARAM_NAMES, PSI_TAGS, AlleeParams, boundary_roots,
                           check_grid, equilibria, gamma_star)
 from canard.cli import load_config, main, parse_grid, write_csv
@@ -455,7 +455,7 @@ class TestVectorizedSweep:
         def recording_check(**columns):
             seen.append({k: np.shape(v) for k, v in columns.items()})
             return check_grid(**columns)
-        monkeypatch.setattr(cli, "check_grid", recording_check)
+        monkeypatch.setattr(allee, "check_grid", recording_check)
         fails = checked == (1, 3)
         cfg = write_cfg(tmp_path / "p.cfg", dict(EX2, n=0.25) if fails else EX2)
         code = run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--grid", grid])
@@ -652,7 +652,7 @@ class TestOutputBytes:
 
     def test_trajectory_rows_are_the_mesh_as_floats(self, tmp_path, monkeypatch):
         seen = {}
-        real_integrate, real_write_csv = cli.integrate, cli.write_csv
+        real_integrate, real_write_csv = dynamics.integrate, cli.write_csv
 
         def recording_integrate(*args):
             seen["traj"] = real_integrate(*args)
@@ -661,7 +661,7 @@ class TestOutputBytes:
         def recording_write_csv(out_dir, name, header, columns):
             seen[name] = [list(column) for column in columns]
             return real_write_csv(out_dir, name, header, seen[name])
-        monkeypatch.setattr(cli, "integrate", recording_integrate)
+        monkeypatch.setattr(dynamics, "integrate", recording_integrate)
         monkeypatch.setattr(cli, "write_csv", recording_write_csv)
         cfg = write_cfg(tmp_path / "p.cfg",
                         dict(EX1, start_x=0.2644, start_y=0.0961, t_max=50))
@@ -675,6 +675,35 @@ class TestOutputBytes:
         assert (tmp_path / "o" / "trajectory.csv").read_bytes() == Path(ref).read_bytes()
 
 
+def fresh_run(*args):
+    """A fresh interpreter run with args, src first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+
+
+def fresh_imports(*args):
+    """The names of the modules a fresh interpreter run with args imports,
+    read off its -X importtime report."""
+    err = fresh_run("-X", "importtime", *args).stderr
+    return {line.rpartition("|")[2].strip() for line in err.splitlines()
+            if line.startswith("import time:")}
+
+
+def canard_modules(names):
+    return {name for name in names if name.split(".")[0] == "canard"}
+
+
+# the canard modules each subcommand adds to the package and errors
+COMMAND_MODULES = {
+    "analyze": {"allee", "_kernels", "normalform"},
+    "sweep": {"allee", "_kernels", "normalform", "_svg"},
+    "simulate": {"allee", "_kernels", "normalform", "dynamics", "_svg"},
+    "sdi": {"allee", "_kernels", "normalform", "sdi", "_svg"},
+}
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -684,6 +713,48 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120).stdout
         assert out.strip() == "[]"
+
+    def test_cli_import_loads_the_parser_alone(self):
+        # --help and a usage error need no numpy and no model code
+        names = fresh_imports("-c", "import canard.cli")
+        assert canard_modules(names) == {"canard", "canard.cli", "canard.errors"}
+        assert not {"numpy", "scipy"} & {name.split(".")[0] for name in names}
+
+    def test_dynamics_import_leaves_the_oracle_out(self):
+        loaded = canard_modules(fresh_imports("-c", "import canard.dynamics"))
+        assert "canard.dynamics" in loaded
+        assert not loaded & {f"canard.{m}" for m in ("blowup", "jet", "verify", "sdi", "cli")}
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+    def test_each_command_loads_what_it_runs(self, tmp_path, command):
+        coincident = dict(m=0.18, n=0.1, alpha=0.8, beta=0.15, eps=0.01,
+                          gamma=gamma_star(0.18, 0.1, 0.8, 0.15))
+        settings, extra = {
+            "analyze": (EX1, []),
+            "sweep": (EX2, ["--grid", "m=0.24:0.28:3"]),
+            "simulate": (dict(EX1, start_x=0.2644, start_y=0.0961, t_max=5), []),
+            "sdi": (coincident, ["--grid", "4"]),
+        }[command]
+        cfg = write_cfg(tmp_path / "p.cfg", settings)
+        names = fresh_imports("-m", "canard.cli", command, "--config", cfg,
+                              "--out", tmp_path / "o", *extra)
+        assert canard_modules(names) == {"canard", "canard.errors", *(
+            f"canard.{m}" for m in COMMAND_MODULES[command])}
+
+    def test_star_import_gives_normalform_names(self):
+        # the package reads normalform's names from it on first use
+        code = ("import sys, canard\n"
+                "print('canard.normalform' in sys.modules)\n"
+                "from canard import *\n"
+                "import canard.normalform as nf\n"
+                "names = set(canard.__all__) - {'DomainError', 'NumericsError', '__version__'}\n"
+                "print(len(names), all(globals()[n] is getattr(nf, n) for n in names))\n"
+                "try:\n"
+                "    canard.nowhere\n"
+                "except AttributeError as exc:\n"
+                "    print(exc)\n")
+        out = fresh_run("-c", code).stdout
+        assert out.splitlines() == ["False", "12 True", "module 'canard' has no attribute 'nowhere'"]
 
 
 def reversed_cfg(tmp_path, source, value):
@@ -816,12 +887,12 @@ class TestSdi:
 class TestVerify:
     def test_seeds_above_2_53_stay_distinct(self, tmp_path, monkeypatch):
         seen = []
-        real_run_all = cli.run_all
+        real_run_all = verify.run_all
 
         def recording_run_all(seed, omega2_offset):
             seen.append(seed)
             return real_run_all(seed=seed, omega2_offset=omega2_offset)
-        monkeypatch.setattr(cli, "run_all", recording_run_all)
+        monkeypatch.setattr(verify, "run_all", recording_run_all)
         for seed in ("9007199254740993", "9007199254740992"):
             assert run(["verify", "--out", tmp_path / seed, "--seed", seed]) in (0, 2)
         assert seen == [9007199254740993, 9007199254740992]
@@ -963,12 +1034,12 @@ class TestParserReuse:
 
     def test_seed_and_offset_do_not_stick(self, tmp_path, monkeypatch):
         seen = []
-        real_run_all = cli.run_all
+        real_run_all = verify.run_all
 
         def recording_run_all(seed, omega2_offset):
             seen.append((seed, omega2_offset))
             return real_run_all(seed=seed, omega2_offset=omega2_offset)
-        monkeypatch.setattr(cli, "run_all", recording_run_all)
+        monkeypatch.setattr(verify, "run_all", recording_run_all)
         codes = [run(["verify", "--out", tmp_path / "a", "--seed", "7"]),
                  run(["verify", "--out", tmp_path / "b"]),
                  run(["verify", "--out", tmp_path / "c", "--omega2-offset", "1"]),

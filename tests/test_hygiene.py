@@ -1,5 +1,5 @@
-"""Source hygiene: no module under src/canard/ or tests/ imports a name it
-never reads, every module-level private function or class of src/canard is
+"""Source hygiene: no module under src/canard/ or tests/ imports a name that
+the importing scope never reads, every module-level private function or class of src/canard is
 used in src/canard outside its own definition, cli is the one src/canard module that imports json, so
 file formats are decided in one place, errors is the one src/canard module
 that holds the number and count messages, _kernels.define is the one place in
@@ -32,25 +32,57 @@ def names_read(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def scoped_nodes(tree):
+    """(node, scopes) for each node of tree, scopes being the module and the
+    function, lambda and class nodes whose namespace the node is evaluated
+    in, outermost first.  A def's decorators, defaults and annotations and
+    a class's bases belong to the enclosing scope, its body to its own."""
+    out = []
+
+    def visit(node, scopes):
+        out.append((node, scopes))
+        inner = scopes + (node,) if isinstance(node, SCOPES) else scopes
+        for name, value in ast.iter_fields(node):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child, inner if name == "body" else scopes)
+
+    visit(tree, (tree,))
+    return out
+
+
 def unused_imports(source: str):
-    """Names bound by an import statement and never read in the module.
+    """(line, name) of each name an import statement binds and its scope
+    never reads.  A read belongs to the innermost enclosing scope that
+    imports the name, a class body being seen from itself alone, so a
+    function's own import is unused when only other scopes read its name.
     `from __future__` imports are exempt, and names listed in a
     module-level __all__ count as read."""
     tree = ast.parse(source)
+    nodes = scoped_nodes(tree)
     imported = {}
-    for node in ast.walk(tree):
+    for node, scopes in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
-                imported.setdefault(name, node.lineno)
-    read = names_read(tree)
+                imported.setdefault((scopes[-1], name), node.lineno)
+    read = set()
+    for node, scopes in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            visible = [s for s in scopes[:-1] if not isinstance(s, ast.ClassDef)] + [scopes[-1]]
+            owner = next((s for s in reversed(visible) if (s, node.id) in imported), None)
+            read.add((owner, node.id))
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            read.update(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in imported.items() if name not in read)
+            read.update((tree, name) for name in ast.literal_eval(node.value))
+    return sorted((line, name) for (scope, name), line in imported.items()
+                  if (scope, name) not in read)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -62,6 +94,28 @@ def test_detector():
     src = ("from __future__ import annotations\nimport os, sys\n"
            "from a import b as c, d\nimport x.y\n__all__ = ['d']\nprint(sys, x)\n")
     assert unused_imports(src) == [(2, "os"), (3, "c")]
+
+
+@pytest.mark.parametrize("src, unused", [
+    # a function's unused import is not hidden by the name read elsewhere
+    ("import os\ndef f():\n    import os\n    return 1\nprint(os)\n", [(3, "os")]),
+    ("def f():\n    from a import b\ndef g():\n    from a import b\n    return b\n",
+     [(2, "b")]),
+    # nor a module import by a function that reads its own import
+    ("import os\ndef f():\n    import os\n    return os\n", [(1, "os")]),
+    # a nested function reads its enclosing function's import
+    ("def f():\n    import os\n    def g():\n        return os\n    return g\n", []),
+    # decorators, defaults and annotations read the enclosing scope's names
+    ("import a, b, c\ndef f():\n    import a, b, c\n    @a.d\n"
+     "    def g(x: b = c):\n        pass\n    return g\n", [(1, "a"), (1, "b"), (1, "c")]),
+    # a method does not see its class body's import; the class body does
+    ("import os\nclass K:\n    import os\n    def f(self):\n        return os\n",
+     [(3, "os")]),
+    ("class K:\n    import os\n    here = os\n", []),
+    ("def f():\n    import os\n    return lambda: os\n", []),
+])
+def test_detector_scopes(src, unused):
+    assert unused_imports(src) == unused
 
 
 def orphaned_private_code(sources):
