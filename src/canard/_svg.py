@@ -16,6 +16,8 @@ from .errors import DomainError
 _WIDTH = 640
 _HEIGHT = 480
 _ML, _MR, _MT, _MB = 70, 24, 34, 48
+# the plot frame: left and right x, bottom and top y, in pixels
+_X0, _X1, _Y0, _Y1 = _ML, _WIDTH - _MR, _HEIGHT - _MB, _MT
 
 COLOR_POS = "#c24a3d"
 COLOR_NEG = "#3d62c2"
@@ -45,28 +47,26 @@ def sign_color(value: float) -> str:
 def _frame(title: str, x_label: str, y_label: str,
            x_ticks: Sequence[tuple], y_ticks: Sequence[tuple]) -> list:
     """Axis frame, tick marks and labels; ticks are (pixel, text) pairs."""
-    x0, x1 = _ML, _WIDTH - _MR
-    y0, y1 = _HEIGHT - _MB, _MT
     parts = [
-        f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
+        f'<rect x="{_X0}" y="{_Y1}" width="{_X1 - _X0}" height="{_Y0 - _Y1}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{_MT - 12}" text-anchor="middle" '
+        f'<text x="{(_X0 + _X1) / 2:.1f}" y="{_Y1 - 12}" text-anchor="middle" '
         f'font-size="14" font-family="sans-serif">{_esc(title)}</text>',
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
+        f'<text x="{(_X0 + _X1) / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
         f'font-size="12" font-family="sans-serif">{_esc(x_label)}</text>',
-        f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
+        f'<text x="16" y="{(_Y0 + _Y1) / 2:.1f}" text-anchor="middle" '
         f'font-size="12" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{_esc(y_label)}</text>',
+        f'transform="rotate(-90 16 {(_Y0 + _Y1) / 2:.1f})">{_esc(y_label)}</text>',
     ]
     for px, text in x_ticks:
-        parts.append(f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" '
-                     f'y2="{y0 + 5}" stroke="#333"/>')
-        parts.append(f'<text x="{_fmt(px)}" y="{y0 + 18}" text-anchor="middle" '
+        parts.append(f'<line x1="{_fmt(px)}" y1="{_Y0}" x2="{_fmt(px)}" '
+                     f'y2="{_Y0 + 5}" stroke="#333"/>')
+        parts.append(f'<text x="{_fmt(px)}" y="{_Y0 + 18}" text-anchor="middle" '
                      f'font-size="10" font-family="sans-serif">{_esc(text)}</text>')
     for py, text in y_ticks:
-        parts.append(f'<line x1="{x0 - 5}" y1="{_fmt(py)}" x2="{x0}" '
+        parts.append(f'<line x1="{_X0 - 5}" y1="{_fmt(py)}" x2="{_X0}" '
                      f'y2="{_fmt(py)}" stroke="#333"/>')
-        parts.append(f'<text x="{x0 - 8}" y="{_fmt(py + 3)}" text-anchor="end" '
+        parts.append(f'<text x="{_X0 - 8}" y="{_fmt(py + 3)}" text-anchor="end" '
                      f'font-size="10" font-family="sans-serif">{_esc(text)}</text>')
     return parts
 
@@ -100,21 +100,19 @@ def heatmap(x_values: Sequence[float], y_values: Sequence[float],
         rows = np.broadcast_to(colors.reshape(cells.shape), (ny, nx)).tolist()
     except ValueError:
         raise DomainError("cell_values must broadcast to (len(y_values), len(x_values))") from None
-    x0, x1 = _ML, _WIDTH - _MR
-    y0, y1 = _HEIGHT - _MB, _MT
-    cw = (x1 - x0) / nx
-    ch = (y0 - y1) / ny
+    cw = (_X1 - _X0) / nx
+    ch = (_Y0 - _Y1) / ny
     # each column's x and each row's y are formatted once
-    columns = [f'<rect x="{_fmt(x0 + i * cw)}" y="' for i in range(nx)]
+    columns = [f'<rect x="{_fmt(_X0 + i * cw)}" y="' for i in range(nx)]
     size = f'" width="{_fmt(cw)}" height="{_fmt(ch)}" fill="'
     parts = []
     for j, row in enumerate(rows):
         # larger y sits higher on the canvas
-        tail = _fmt(y0 - (j + 1) * ch) + size
+        tail = _fmt(_Y0 - (j + 1) * ch) + size
         parts.extend(f'{column}{tail}{color}" stroke="#ffffff" stroke-width="0.5"/>'
                      for column, color in zip(columns, row))
-    x_ticks = _tick_subset(list(x_values), [x0 + (i + 0.5) * cw for i in range(nx)])
-    y_ticks = _tick_subset(list(y_values), [y0 - (j + 0.5) * ch for j in range(ny)])
+    x_ticks = _tick_subset(list(x_values), [_X0 + (i + 0.5) * cw for i in range(nx)])
+    y_ticks = _tick_subset(list(y_values), [_Y0 - (j + 0.5) * ch for j in range(ny)])
     parts.extend(_frame(title, x_label, y_label, x_ticks, y_ticks))
     return _document(parts)
 
@@ -135,15 +133,13 @@ def polyline(xs: Sequence[float], ys: Sequence[float], *, title: str,
     pad_y = 0.05 * (hi_y - lo_y) or max(abs(lo_y), 1.0) * 1e-3
     lo_x, hi_x = lo_x - pad_x, hi_x + pad_x
     lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
-    x0, x1 = _ML, _WIDTH - _MR
-    y0, y1 = _HEIGHT - _MB, _MT
 
     # pixels of a float or, elementwise with the same rounding, of an array
     def sx(v):
-        return x0 + (v - lo_x) / (hi_x - lo_x) * (x1 - x0)
+        return _X0 + (v - lo_x) / (hi_x - lo_x) * (_X1 - _X0)
 
     def sy(v):
-        return y0 - (v - lo_y) / (hi_y - lo_y) * (y0 - y1)
+        return _Y0 - (v - lo_y) / (hi_y - lo_y) * (_Y0 - _Y1)
 
     pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(sx(xs).tolist(), sy(ys).tolist()))
     parts = [f'<polyline points="{pts}" fill="none" stroke="{COLOR_NEG}" '

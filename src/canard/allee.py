@@ -381,14 +381,13 @@ COINCIDENCE_TOL = 1e-6
 
 def require_coincidence(p: AlleeParams) -> None:
     """The coincidence configuration: gamma = gamma_star within
-    COINCIDENCE_TOL, then 1 - m - n > 0.  gamma_star requires y_M > 0,
-    which gives delta1 = y_M (y_M + 4 sqrt(m)) > 0."""
+    COINCIDENCE_TOL.  gamma_star requires y_M > 0, which gives delta1 =
+    y_M (y_M + 4 sqrt(m)) > 0; 1 - m - n = y_M + 2 x_M > 0 holds at every
+    admissible point, since 0 < m < 1 makes x_M = sqrt(m) - m > 0."""
     gs = gamma_star(p.m, p.n, p.alpha, p.beta)
     if abs(p.gamma - gs) > COINCIDENCE_TOL:
         raise DomainError(f"requires gamma = gamma_star within {COINCIDENCE_TOL:g} "
                           f"(gamma={p.gamma}, gamma_star={gs:.8g})")
-    if 1.0 - p.m - p.n <= 0.0:
-        raise DomainError(f"requires 1 - m - n > 0, got {1.0 - p.m - p.n}")
 
 
 def beta_star_conversion(p: AlleeParams) -> Tuple[float, float]:
@@ -435,7 +434,8 @@ def normal_form_coeffs(p: AlleeParams) -> NormalFormCoefficients:
     """Coefficient record of the model near the fold (normal_form_columns
     at one checked point)."""
     _check(_SCALE_RULES, _point(math, **vars(p)))
-    return NormalFormCoefficients.from_dict(vars(normal_form_columns(p.m, p.n, p.alpha, p.gamma)))
+    rec = normal_form_columns(p.m, p.n, p.alpha, p.gamma)
+    return NormalFormCoefficients(**{k: float(v) for k, v in vars(rec).items()})
 
 
 def model_columns(m, n, alpha, beta, gamma, eps) -> Dict[str, object]:

@@ -68,7 +68,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from ._kernels import define
-from .errors import DomainError, NumericsError
+from .errors import DomainError, NumericsError, require_number
 from .jet import Jet, jet_add, jet_compose, jet_mul, jet_scale
 from .normalform import COEFF_NAMES, NormalFormCoefficients, rho_coefficients
 
@@ -122,8 +122,10 @@ class PlanarPolySystem:
     fy: Terms
 
     def __post_init__(self):
-        object.__setattr__(self, "fx", _clean_terms(self.fx))
-        object.__setattr__(self, "fy", _clean_terms(self.fy))
+        for name in ("fx", "fy"):
+            terms = getattr(self, name).items()
+            object.__setattr__(self, name, _clean_terms(
+                {k: require_number(f"coefficient at {k}", c) for k, c in terms}))
 
 
 @dataclass(frozen=True)
@@ -300,14 +302,12 @@ def _series(fx: Terms, fy: Terms, r: float) -> EquilibriumSeries:
                       + q0 ** 2 * (2 * m20 * n02 - m12 * n10))
               - n10 * (p1 * q1 * m11 + q0 * (p2 * m11 + 2 * q1 * m02)
                        + p2 * (2 * p1 * m20 + m10))) / (m01 * n10)
+        if not all(map(math.isfinite, (p0, p1, p2, p3, q0, q1, q2, q3))):
+            raise OverflowError
     except (OverflowError, ZeroDivisionError):
-        # a float power past the range, or a division by an r-power or a
-        # product of coefficients that underflowed to 0
+        # a float power or a coefficient past the range, or a division by an
+        # r-power or a product of coefficients that underflowed to 0
         raise NumericsError("equilibrium series coefficient overflowed") from None
-
-    for v in (p0, p1, p2, p3, q0, q1, q2, q3):
-        if not math.isfinite(v):
-            raise NumericsError("equilibrium series coefficient overflowed")
     return EquilibriumSeries((p0, p1, p2, p3), (q0, q1, q2, q3))
 
 

@@ -45,7 +45,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, NumericsError, require_number
@@ -126,11 +125,8 @@ def _as_float(settings: Dict[str, object], key: str,
     return number
 
 
-def _as_int(settings: Dict[str, object], key: str,
-            default: Optional[int] = None) -> int:
+def _as_int(settings: Dict[str, object], key: str, default: int) -> int:
     if key not in settings:
-        if default is None:
-            raise DomainError(f"missing required setting {key!r}")
         return default
     value = settings[key]
     if isinstance(value, int) and not isinstance(value, bool):
@@ -201,7 +197,7 @@ def write_csv(out_dir: str, name: str, header: Sequence[str],
 def _fields(record) -> dict:
     """A record's JSON object: its dataclass fields in declaration order,
     values as they are (json encodes nested records through this hook)."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
+    return {name: getattr(record, name) for name in record.__dataclass_fields__}
 
 
 def _write_json(out_dir: str, name: str, payload: dict) -> str:
@@ -256,7 +252,6 @@ def cmd_analyze(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], i
         model_columns,
         normal_form_coeffs,
         psi_case_analysis,
-        require_coincidence,
     )
 
     p = _model_params(settings)
@@ -271,7 +266,6 @@ def cmd_analyze(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], i
     trace4 = None if eq.E4 is None else e4_trace(p)
     curves = None
     if abs(p.gamma - gs) <= COINCIDENCE_TOL:
-        require_coincidence(p)
         beta_star, conversion = beta_star_conversion(p)
         curves = {"beta_star": beta_star, "beta_h": beta_star + lam_h * conversion,
                   "beta_c": beta_star + lam_c * conversion, "conversion": conversion}
@@ -510,6 +504,16 @@ def cmd_verify(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], in
 # argument plumbing
 
 
+# each subcommand's handler and help line, in the order --help lists them
+_COMMANDS = {
+    "analyze": (cmd_analyze, "classify one parameter set or coefficient record"),
+    "sweep": (cmd_sweep, "grid sweep with CSV rows and a sign(A) heatmap"),
+    "simulate": (cmd_simulate, "integrate a trajectory; optionally locate a cycle"),
+    "sdi": (cmd_sdi, "slow divergence integral profile"),
+    "verify": (cmd_verify, "run the seeded oracle suite"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse usage errors are validation errors
         raise DomainError(message)
@@ -523,12 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Singular Hopf and canard analysis for planar "
                                  "slow-fast systems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("analyze", "classify one parameter set or coefficient record"),
-            ("sweep", "grid sweep with CSV rows and a sign(A) heatmap"),
-            ("simulate", "integrate a trajectory; optionally locate a cycle"),
-            ("sdi", "slow divergence integral profile"),
-            ("verify", "run the seeded oracle suite")):
+    for name, (_, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text, description=help_text)
         sp.add_argument("--config", help="flat key=value or JSON config file")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
@@ -562,20 +561,11 @@ def assemble(args: argparse.Namespace) -> Tuple[Dict[str, object], str]:
     return settings, out_dir
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-    "sdi": cmd_sdi,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        paths, code = _COMMANDS[args.command](*assemble(args))
+        paths, code = _COMMANDS[args.command][0](*assemble(args))
         for path in paths:
             print(f"wrote {path}")
         return code

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .errors import DomainError, require_count
+from .errors import DomainError, require_count, require_number
 
 Multi = Tuple[int, ...]
 
@@ -63,7 +63,7 @@ class Jet:
                 raise DomainError(f"bad multi-index {mi} for nvars={self.nvars}")
             if sum(mi) > self.degree:
                 raise DomainError(f"multi-index {mi} exceeds degree bound {self.degree}")
-            c = float(c)
+            c = require_number(f"coefficient at {mi}", c)
             if not math.isfinite(c):
                 raise DomainError(f"non-finite coefficient at {mi}")
             if c != 0.0:

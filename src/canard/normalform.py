@@ -230,10 +230,9 @@ def lambda_star_series(rho1: float, rho3: float, eps: float) -> float:
 
 
 def analyze_record(nf: NormalFormCoefficients, tol: Optional[float] = None) -> HopfAnalysis:
-    """Bundle A, rho, omega and the classification for one record."""
-    A = compute_A(nf)
+    """Bundle A (= omega1), rho, omega and the classification for one record."""
     rho = rho_coefficients(nf)
     om = omega_coefficients(nf)
     cls = classify_hopf(om.omega1, om.omega2, tol)
-    return HopfAnalysis(A=A, rho1=rho.rho1, rho3=rho.rho3,
+    return HopfAnalysis(A=om.omega1, rho1=rho.rho1, rho3=rho.rho3,
                         omega1=om.omega1, omega2=om.omega2, classification=cls)

@@ -214,10 +214,10 @@ def _count_sign_changes(values) -> int:
 def cyclicity_report(p: AlleeParams, grid_size: int) -> SdiProfile:
     """Profile of I(s) over a uniform depth grid, with the count of sign
     changes between its nonzero values and the case tag
-    from the phi analysis.  Requires the coincidence configuration
-    gamma = gamma_star (within allee.COINCIDENCE_TOL), delta1 > 0 and
-    1 - m - n > 0 (allee.require_coincidence); under these the zero count is
-    at most one.  DomainError unless grid_size >= 2 is an integer."""
+    from the phi analysis.  Requires gamma = gamma_star within
+    allee.COINCIDENCE_TOL (allee.require_coincidence, which needs y_M > 0,
+    so delta1 > 0); 1 - m - n > 0 follows from admissibility, and the zero
+    count is at most one.  DomainError unless grid_size >= 2 is an integer."""
     require_count("grid_size", grid_size, 2)
     require_coincidence(p)
 

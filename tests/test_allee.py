@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from model_oracle import hand_jacobian, jet_reduced_record
 
@@ -22,6 +22,7 @@ from canard.allee import (
     check_grid,
     critical_height,
     critical_slope,
+    e4_trace,
     equilibria,
     fold_point,
     gamma_star,
@@ -190,6 +191,21 @@ class TestFoldSign:
             # TestEquilibria checks E1 and E2 over the same probes
             d1 = boundary_roots(m, n)[0]
             assert d1 >= 0.0 and (d1 == 0.0) == (yM == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.floats(-300.0, 0.0).map(lambda e: 10.0 ** e)),
+           frac=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+           k=st.integers(-40, 0))
+    @example(n=1e-300, frac=1.0, k=-1)  # m one ulp below 1
+    @example(n=math.nextafter(1.0, 0.0), frac=0.5, k=0)  # m tiny
+    def test_one_minus_m_minus_n_is_positive(self, n, frac, k):
+        # 1 - m - n = y_M + 2 x_M, with y_M >= 0 and x_M = sqrt(m) - m > 0 for
+        # 0 < m < 1: every admissible point has it, at the y_M = 0 bound (m up
+        # to 40 ulps below it) and with m near 1 (n tiny) alike
+        m = frac * m_bound(n) if frac < 1.0 else near_bound(n, k)
+        assume(verdict(AlleeParams, m=m, n=n, alpha=0.8, beta=0.1, gamma=0.4, eps=0.01) is None)
+        assert 1.0 - m - n > 0.0
 
     def test_far_side_of_the_fold_is_rejected(self):
         # y_M = (1 - sqrt(m))^2 - n is positive again for m > (1 + sqrt(n))^2
@@ -798,6 +814,13 @@ class TestModelL1:
         # float.hex pins recorded when model_l1 ran the three staged systems
         assert float.hex(model_l1(on_hopf_curve(EX1))) == "-0x1.00af2c35d5014p+9"
         assert float.hex(model_l1(on_hopf_curve(EX2))) == "0x1.1d85f6ec5c400p+1"
+
+    @pytest.mark.parametrize("fn", [e4_trace, model_l1])
+    def test_without_e4_rejected(self, fn):
+        p = AlleeParams(**dict(EX1, beta=0.5))
+        assert equilibria(p).E4 is None
+        with pytest.raises(DomainError, match=r"^E4 does not exist at beta=0\.5$"):
+            fn(p)
 
     def test_off_the_hopf_curve_rejected(self):
         # at the published beta of example 1 the E4 trace is -1.04e-4

@@ -27,6 +27,7 @@ from canard.blowup import (
     _DEGREE,
     _HOPF_SUMS,
     _KERNEL_CACHE,
+    _MAX_TRIES,
     _ORDER1,
     _ORDER2,
     _TERMS,
@@ -219,6 +220,16 @@ class TestPlanarPolySystem:
         with pytest.raises(DomainError, match=r"^non-finite coefficient at \(2, 1\)$"):
             PlanarPolySystem({(0, 1): -1.0}, {(1, 0): 1.0, (2, 1): value, (0, 3): math.nan})
 
+    @pytest.mark.parametrize("value", [True, False, "x", None])
+    def test_value_must_be_a_number(self, value):
+        # float(True) would store the bool as 1.0
+        with pytest.raises(DomainError, match=rf"^coefficient at \(0, 0\) is not a number: {value!r}$"):
+            PlanarPolySystem({(0, 0): value}, {})
+
+    def test_integer_past_the_float_range_is_not_finite(self):
+        with pytest.raises(DomainError, match=r"^non-finite coefficient at \(0, 0\)$"):
+            PlanarPolySystem({(0, 1): -1.0}, {(0, 0): 10 ** 400})
+
     @pytest.mark.parametrize("term", [(5, 0), (2, 3), (0, 5), (-1, 2), (2, -1)])
     def test_term_outside_degree_rejected(self, term):
         with pytest.raises(DomainError, match="not a monomial"):
@@ -269,6 +280,13 @@ class TestEquilibriumSeries:
         with pytest.raises(NumericsError, match="^equilibrium series coefficient overflowed$"):
             equilibrium_series(sys, 1e100)
 
+    def test_coefficient_past_the_range_fails(self):
+        # p0 = -n00/n10 = -1e310 is past the float range: / gives -inf where a
+        # power would raise, so only the finiteness test sees it
+        sys = PlanarPolySystem({(0, 1): -1.0, (2, 0): 1.0}, {(0, 0): 1e150, (1, 0): 1e-160})
+        with pytest.raises(NumericsError, match="^equilibrium series coefficient overflowed$"):
+            equilibrium_series(sys, 0.1)
+
     @pytest.mark.parametrize("r", [0.0, -0.1, math.nan, math.inf])
     def test_radius_must_be_positive_and_finite(self, r):
         # r = 0 and NaN used to fail as a NumericsError in the hatting, and
@@ -302,6 +320,11 @@ class TestTranslate:
         sys = blow_up(CANONICAL, 0.1, 0.2)
         with pytest.raises(DomainError):
             translate_to_equilibrium(sys, (0.21, 0.04))
+
+    def test_point_must_have_two_entries(self):
+        sys = blow_up(CANONICAL, 0.1, 0.2)
+        with pytest.raises(DomainError, match=r"^point length 3 != nvars 2$"):
+            translate_to_equilibrium(sys, (0.2, 0.04, 0.0))
 
     def test_centered_tables_order_r4(self):
         rng = np.random.default_rng(31337)
@@ -499,6 +522,12 @@ class TestFitOddSeries:
         with pytest.raises(NumericsError):
             fit_odd_series(samples, [1, 1])
 
+    def test_underflowing_column(self):
+        # r^3 of radii near 1e-200 underflows to 0: no scale can restore that column
+        samples = [(k * 1e-200, k * 1e-200) for k in (1.0, 2.0, 3.0, 4.0)]
+        with pytest.raises(NumericsError, match=r"^design matrix has a zero column"):
+            fit_odd_series(samples, [1, 3])
+
 
 class TestSampleRecord:
     def test_deterministic_and_well_conditioned(self):
@@ -577,6 +606,14 @@ class TestSampleRecord:
         nf = sample_record(rng)
         assert rng.draws == 3 and count["solves"] == 3 and count["own"] == 0
         assert nf == sample_record(np.random.default_rng(3))
+
+    def test_gives_up_after_its_draws(self):
+        # every draw is refused by the Hopf solve; no draw past the last is made
+        refused = np.full(len(COEFF_NAMES), 1e300)
+        rng = _ScriptedDraws([refused] * _MAX_TRIES, None)
+        with pytest.raises(NumericsError, match=f"^no acceptable record in {_MAX_TRIES} draws$"):
+            sample_record(rng)
+        assert rng.draws == _MAX_TRIES
 
 
 class _ScriptedDraws:

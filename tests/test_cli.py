@@ -173,6 +173,13 @@ class TestAnalyze:
         code = run(["sdi", "--config", cfg, "--out", tmp_path / "s", "--grid", "4"])
         assert (curves is not None) == (code == 0) == (abs(offset) < 1.0)
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-5"])
+    def test_classify_tol_must_be_positive(self, tmp_path, capsys, tol):
+        cfg = write_cfg(tmp_path / "p.cfg", dict(EX1, classify_tol=tol))
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == f"error: requires classify_tol > 0, got {float(tol)}\n"
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_example2_degenerate_subcritical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "p.cfg", EX2)
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 0
@@ -296,6 +303,16 @@ class TestAnalyze:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("grid, message", [
+        ("m=", "grid axis 'm=' must look like name=lo:hi:count or name=value"),
+        ("m=a:b:3", "grid axis 'm=a:b:3' has non-numeric fields"),
+        ("m=abc", "grid axis 'm=abc' has a non-numeric value")])
+    def test_malformed_axis(self, tmp_path, capsys, grid, message):
+        cfg = write_cfg(tmp_path / "p.cfg", EX2)
+        assert run(["sweep", "--config", cfg, "--out", tmp_path / "o", "--grid", grid]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_sign_change_within_one_cell_of_mstar(self, tmp_path):
         from canard.allee import psi_case_analysis
 
@@ -615,6 +632,16 @@ class TestOutputBytes:
         assert _svg.polyline(xs, ys, **labels) == want
         assert _svg.polyline(np.array(xs), np.array(ys), **labels) == want
 
+    @pytest.mark.parametrize("xs, ys", [([0.5], [0.5]), ([0.0, 1.0], [0.0])])
+    def test_polyline_needs_two_points_per_axis(self, xs, ys):
+        with pytest.raises(DomainError, match="^requires two equal-length arrays of at least 2 points$"):
+            _svg.polyline(xs, ys, title="t", x_label="x", y_label="y")
+
+    @pytest.mark.parametrize("xs, ys", [([], [0.0]), ([0.0], [])])
+    def test_heatmap_rejects_an_empty_axis(self, xs, ys):
+        with pytest.raises(DomainError, match="^requires a nonempty grid on both axes$"):
+            _svg.heatmap(xs, ys, 1.0, title="t", x_label="x", y_label="y")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_polyline_rejects_non_finite(self, bad):
         with pytest.raises(DomainError, match="requires finite coordinates"):
@@ -719,6 +746,8 @@ class TestImport:
         names = fresh_imports("-c", "import canard.cli")
         assert canard_modules(names) == {"canard", "canard.cli", "canard.errors"}
         assert not {"numpy", "scipy"} & {name.split(".")[0] for name in names}
+        # the JSON hook reads a record's __dataclass_fields__, not dataclasses.fields
+        assert not {"dataclasses", "inspect"} & names
 
     def test_dynamics_import_leaves_the_oracle_out(self):
         loaded = canard_modules(fresh_imports("-c", "import canard.dynamics"))
@@ -816,6 +845,28 @@ class TestSimulate:
         cfg = write_cfg(tmp_path / "p.cfg", EX1)
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "start_x" in capsys.readouterr().err
+
+    def test_section_x_places_the_section(self, tmp_path):
+        # one ulp off E4's x, the x the section takes when section_x is not set
+        e4_x = equilibria(AlleeParams(**EX1)).E4.point[0]
+        section_x = math.nextafter(e4_x, 1.0)
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        dict(EX1, start_x=0.2644, start_y=0.0961, t_max=1500,
+                             bracket_lo=0.10120444, bracket_hi=0.10549957,
+                             section_x=repr(section_x)))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        cyc = json.loads((tmp_path / "o" / "simulate.json").read_text())["cycle"]
+        assert cyc["section_point"][0] == section_x != e4_x
+
+    def test_bracket_without_e4_is_validation_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        dict(EX1, beta=0.5, start_x=0.2644, start_y=0.0961, t_max=5,
+                             bracket_lo=0.1, bracket_hi=0.11))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cycle location requires the interior equilibrium to exist "
+            "(set section_x explicitly otherwise)\n")
+        assert not (tmp_path / "o" / "simulate.json").exists()
 
     def test_cycle_block(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "p.cfg",
@@ -993,6 +1044,14 @@ class TestArgumentErrors:
 
     def test_no_command(self, capsys):
         assert run([]) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_out_below_a_file(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+        cfg = write_cfg(tmp_path / "p.cfg", EX1)
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}: ")
 
 
 class TestParserReuse:

@@ -333,6 +333,25 @@ class TestFindCycle:
         assert abs(rev.section_point[1] - 1.0) < 1e-6
         assert abs(rev.multiplier - fwd.multiplier) < 1e-3
 
+    def test_faint_cycle_is_neutral(self):
+        # radial rate 2e-6*(1-r^2): the unit cycle's multiplier e^{-8e-6 pi}
+        # lies within _NEUTRAL_BAND of 1
+        def faint_cycle(x, y):
+            g = 2e-6 * (1.0 - x * x - y * y)
+            return (g * x - y, g * y + x)
+        res = find_cycle(faint_cycle, (0.5, 1.5), Section(0.0, 0.0), tight(10.0))
+        assert res.stability == "Neutral"
+        assert abs(res.multiplier - math.exp(-8e-6 * math.pi)) < 1e-6
+        assert abs(res.section_point[1] - 1.0) < 1e-3
+
+    def test_bracket_needs_crossings_in_both_directions(self):
+        # a uniform drift crosses the section once, left to right
+        def drift(x, y):
+            return (1.0, 0.0)
+        with pytest.raises(DomainError, match="^seed orbits cross the section in one direction only$"):
+            bracket_from_crossings(drift, [(-1.0, 0.5), (-1.0, 0.7)], Section(0.0, 0.0),
+                                   tight(5.0))
+
     def test_no_sign_change_is_precondition_failure(self):
         # damped focus with no cycle: displacement is negative on the whole ray
         with pytest.raises(DomainError):

@@ -255,6 +255,20 @@ class TestPublicConstructor:
         with pytest.raises(DomainError):
             Jet(2, 3, {(1, 0): value})
 
+    @pytest.mark.parametrize("value", [True, False, "x", None])
+    def test_value_must_be_a_number(self, value):
+        # float(True) would store the bool as 1.0
+        with pytest.raises(DomainError, match=rf"^coefficient at \(0, 0\) is not a number: {value!r}$"):
+            Jet(2, 2, {(0, 0): value})
+
+    def test_integer_past_the_float_range_is_not_finite(self):
+        with pytest.raises(DomainError, match=r"^non-finite coefficient at \(0, 0\)$"):
+            Jet(2, 2, {(0, 0): 10 ** 400})
+
+    def test_coeff_rejects_index_of_wrong_length(self):
+        with pytest.raises(DomainError, match=r"^multi-index length 3 != nvars 2$"):
+            Jet(2, 3, {(1, 0): 1.0}).coeff((1, 0, 0))
+
     def test_bad_shape(self):
         with pytest.raises(DomainError):
             Jet(5, 3, {})
@@ -285,6 +299,11 @@ class TestOpGuards:
             jet_add(big, big)
         with pytest.raises(DomainError):
             jet_scale(big, 10.0)
+
+    def test_compose_rejects_substitutions_of_mixed_nvars(self):
+        target = Jet(2, 3, {(1, 1): 1.0})
+        with pytest.raises(DomainError, match="^substituted jets disagree on nvars$"):
+            jet_compose(target, [Jet(2, 3, {(1, 0): 1.0}), Jet(3, 3, {(0, 0, 1): 1.0})])
 
     def test_truncate_rejects_negative_degree(self):
         with pytest.raises(DomainError):

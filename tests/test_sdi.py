@@ -242,6 +242,10 @@ class TestIntegral:
             slow_divergence_integral(P_CHANGE, 0.0)
         with pytest.raises(DomainError):
             slow_divergence_integral(P_CHANGE, yM * 1.01)
+        smax = sdi._depth_ceiling(P_CHANGE)[1]
+        for s in (0.0, smax, yM * 1.01):
+            with pytest.raises(DomainError, match=r"^requires 0 < s < .*, got s="):
+                slow_divergence_integral_x(P_CHANGE, s)
 
 
 class TestCyclicityReport:

@@ -4,8 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from canard import verify
 from canard.blowup import sample_record
-from canard.errors import DomainError
+from canard.errors import DomainError, NumericsError
 from canard.normalform import omega_coefficients, rho_coefficients
 from canard.verify import (
     StageResult,
@@ -74,6 +75,17 @@ class TestRunAll:
         for name in STAGE_NAMES:
             if name != "omega2-cubic-fit":
                 assert by_name[name] is True
+
+    @pytest.mark.parametrize("error", [DomainError, NumericsError])
+    def test_raising_stage_is_recorded_as_failed(self, monkeypatch, error):
+        # the run records the stage's error and goes on to the next stage
+        def broken():
+            raise error("no record")
+        monkeypatch.setattr(verify, "_stage_canonical", broken)
+        report = run_all(seed=2025)
+        assert report.stages[0] == StageResult("canonical-smoke", False, "stage error: no record")
+        assert tuple(s.name for s in report.stages) == STAGE_NAMES
+        assert all(s.passed for s in report.stages[1:]) and not report.all_passed
 
     def test_deterministic_in_seed(self):
         a = run_all(seed=5)
