@@ -91,11 +91,9 @@ _PARAM_RULES = ([_finite(k) for k in PARAM_NAMES]
                     "requires 0 < eps <= 0.1, got eps={eps}"), _N, _M_CLOSED])
 _FOLD_RULES = [
     _N, _M_CLOSED,
-    (lambda p: p.cube != 0.0, DomainError, "m={m} is too small: (m + x_M)^3 underflows to 0"),
-    (lambda p: abs(p.m / (p.s * p.s) - 1.0) <= 1e-10, NumericsError,
-     "fold point fails the F'(x_M) = 0 check"),
-    (lambda p: -2.0 * p.m / p.cube < 0.0, NumericsError,
-     "fold point fails the F''(x_M) < 0 check")]
+    (lambda p: p.cube != 0.0, DomainError, "m={m} is too small: (m + x_M)^3 underflows to 0")]
+# past these, F'(x_M) = m/s^2 - 1 = 0 to 1e-10 and F''(x_M) = -2m/s^3 < 0 hold
+# at every float (m, n), so neither is checked
 # the fold checks and Q^2 > 0, behind the closed forms' scale Q
 _SCALE_RULES = _FOLD_RULES + [(lambda p: p.q2 > 0.0, DomainError,
                                "requires alpha*x_M*y_M > 0, got {q2}")]

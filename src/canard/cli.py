@@ -414,29 +414,7 @@ def cmd_simulate(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], 
     )
     field = allee_field(p)
     traj = integrate(field, start, opts)
-    t, x, y = traj.t.tolist(), *traj.y.T.tolist()
-    csv_path = write_csv(out_dir, "trajectory.csv", ["t", "x", "y"],
-                         [map(str, t), map(str, x), map(str, y)])
-    end = traj.end_state
-    summary = {
-        "params": p,
-        "start": [start[0], start[1]],
-        "direction": opts.direction,
-        "t_final": float(traj.t[-1]),
-        "steps": int(len(traj.t)),
-        "n_accepted": traj.n_accepted,
-        "n_rejected": traj.n_rejected,
-        "nfev": traj.nfev,
-        "end_state": [float(end[0]), float(end[1])],
-        "stiffness_suspected": bool(traj.stiffness_suspected),
-    }
-    paths = [csv_path]
-    svg = _svg.polyline(
-        x, y,
-        title=f"trajectory ({opts.direction.lower()} time)",
-        x_label="x", y_label="y", marker=(float(end[0]), float(end[1])))
-    paths.append(_write_text(out_dir, "trajectory.svg", svg))
-
+    cyc = None
     if "bracket_lo" in settings or "bracket_hi" in settings:
         lo = _as_float(settings, "bracket_lo")
         hi = _as_float(settings, "bracket_hi")
@@ -448,17 +426,39 @@ def cmd_simulate(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], 
                 raise DomainError("cycle location requires the interior equilibrium "
                                   "to exist (set section_x explicitly otherwise)")
             section_x = report.E4.point[0]
-        section = Section(section_x, 0.0)
-        cyc = find_cycle(field, (lo, hi), section, opts)
-        summary["cycle"] = cyc
+        cyc = find_cycle(field, (lo, hi), Section(section_x, 0.0), opts)
         print(f"cycle: section point ({cyc.section_point[0]:.9g}, "
               f"{cyc.section_point[1]:.9g}), period = {cyc.period:.6g}, "
               f"multiplier = {cyc.multiplier:.6g} ({cyc.stability})")
+
+    # every file is written after the integration and the cycle location
+    # succeed, so a failed run leaves none behind
+    t, x, y = traj.t.tolist(), *traj.y.T.tolist()
+    end = traj.end_state
+    summary = {
+        "params": p,
+        "start": [start[0], start[1]],
+        "direction": opts.direction,
+        "t_final": float(traj.t[-1]),
+        "steps": int(len(traj.t)),
+        "n_accepted": traj.n_accepted,
+        "n_rejected": traj.n_rejected,
+        "nfev": traj.nfev,
+        "end_state": [float(end[0]), float(end[1])],
+    }
+    if cyc is not None:
+        summary["cycle"] = cyc
+    csv_path = write_csv(out_dir, "trajectory.csv", ["t", "x", "y"],
+                         [map(str, t), map(str, x), map(str, y)])
+    svg = _svg.polyline(
+        x, y,
+        title=f"trajectory ({opts.direction.lower()} time)",
+        x_label="x", y_label="y", marker=(float(end[0]), float(end[1])))
+    svg_path = _write_text(out_dir, "trajectory.svg", svg)
     json_path = _write_json(out_dir, "simulate.json", summary)
-    paths.append(json_path)
     print(f"integrated {summary['steps']} steps to t = {summary['t_final']:.6g}; "
           f"end state ({end[0]:.6g}, {end[1]:.6g})")
-    return paths, 0
+    return [csv_path, svg_path, json_path], 0
 
 
 # ---------------------------------------------------------------------------

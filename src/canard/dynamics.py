@@ -2,8 +2,9 @@
 
 A field is an autonomous function (x, y) -> (dx/dt, dy/dt) on floats,
 optionally carrying its source (see _kernels); allee_field(p) is the
-model's, and carries it.  Every run goes through _run into the scalar
-Dormand-Prince 5(4) core in _kernels, which runs time forward and
+model's, and carries it.  Every run goes through _run into one call of the
+scalar Dormand-Prince 5(4) core in _kernels, at the tolerances asked
+for; each failure of it is a NumericsError.  The core runs time forward and
 evaluates a field that carries its source in place; for Reversed runs
 _oriented negates the field, and its source, once per run.  integrate
 keeps the accepted mesh only.  Section crossings have one locator, the
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -63,13 +63,14 @@ class IntegratorOptions:
 
 @dataclass(eq=False)
 class Trajectory:
+    """The accepted mesh t and states y of one run, and the core's work on
+    it: accepted and rejected steps and field evaluations."""
+
     t: np.ndarray
     y: np.ndarray
-    stiffness_suspected: bool = False
-    # integrator work, summed over the stiffness retry when there was one
-    n_accepted: int = 0
-    n_rejected: int = 0
-    nfev: int = 0
+    n_accepted: int
+    n_rejected: int
+    nfev: int
 
     @property
     def end_state(self) -> np.ndarray:
@@ -106,38 +107,25 @@ def _typed_arithmetic(field: Callable):
 
 
 def _run(field: Callable, x0, opts: IntegratorOptions, stop=None):
-    """Integrate with one stiffness retry at 100x tighter tolerances.
-    Returns (trajectory, hits), hits as from dopri5 with the given stop."""
+    """One run of the core at opts.rel_tol and opts.abs_tol, each failure
+    status raised as its NumericsError.  Returns (trajectory, hits), hits
+    as from dopri5 with the given stop."""
     u0 = np.asarray(x0, dtype=float)
     if u0.shape != (2,) or not np.all(np.isfinite(u0)):
         raise DomainError(f"initial state must be a finite point, got {x0}")
-    rhs = _oriented(field, opts.direction)
-    stiff = False
-    rtol, atol = opts.rel_tol, opts.abs_tol
-    work = (0, 0, 0)
-    name = getattr(field, "__name__", field)
-    for attempt in range(2):
-        with _typed_arithmetic(field):
-            status, ts, ys, counts, hits = dopri5(
-                rhs, u0, opts.t_max, rtol, atol, stop)
-        work = tuple(a + b for a, b in zip(work, counts))
-        if status == STATUS_STIFF and attempt == 0:
-            warnings.warn(
-                f"step-rejection streak on field '{name}': suspected "
-                "stiffness, retrying with 100x tighter tolerances",
-                RuntimeWarning, stacklevel=3)
-            stiff = True
-            rtol, atol = rtol * 1e-2, atol * 1e-2
-            continue
-        break
+    with _typed_arithmetic(field):
+        status, ts, ys, counts, hits = dopri5(
+            _oriented(field, opts.direction), u0, opts.t_max,
+            opts.rel_tol, opts.abs_tol, stop)
     if status == STATUS_UNDERFLOW:
         raise NumericsError("step size underflow (stiff or singular field)")
     if status == STATUS_BAD_FIELD:
+        name = getattr(field, "__name__", field)
         raise NumericsError(
             f"field '{name}' evaluation produced non-finite values")
     if status == STATUS_STIFF:
-        raise NumericsError("persistent step rejection even after tightening")
-    return Trajectory(ts, ys, stiff, *work), hits
+        raise NumericsError("persistent step rejection")
+    return Trajectory(ts, ys, *counts), hits
 
 
 def integrate(field: Callable, x0, opts: IntegratorOptions = IntegratorOptions()
@@ -162,7 +150,8 @@ def section_crossings(field: Callable, start, section: Section,
                       limit: int = 64):
     """The first limit crossings of the section ray by the orbit of start,
     in either direction, as (t, y, xdot_sign) tuples, located on the step's
-    interpolant to a time width of 1e-10.  The run ends at the limit-th
+    interpolant to a time width of 1e-10; a crossing located at t <= 1e-12
+    is the start's own and is dropped.  The run ends at the limit-th
     crossing, so a failure of the orbit after it (step underflow, a
     non-finite field) is not reached; it runs to opts.t_max when there are
     fewer.  Used to seed displacement-map brackets from published initial

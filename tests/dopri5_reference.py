@@ -8,7 +8,6 @@ as it was on that mode: the orbit integrated to t_max, then its mesh scanned
 for crossings."""
 
 import math
-import warnings
 
 import numpy as np
 
@@ -170,29 +169,21 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
 def section_crossings(field, start, section, opts, limit=64):
     """The first limit crossings of the section ray by the orbit of start, in
     either direction, as (t, y, xdot_sign): the whole orbit to opts.t_max
-    with dense output, with canard.dynamics._run's stiffness retry and
-    errors, then each step whose x - section.x changes sign (or is 0 at its
-    start, after the first) located by section_crossing on its row."""
+    with dense output in one run at opts.rel_tol and opts.abs_tol, with
+    canard.dynamics._run's errors, then each step whose x - section.x
+    changes sign (or is 0 at its start, after the first) located by
+    section_crossing on its row."""
     rhs = _oriented(field, opts.direction)
-    rtol, atol = opts.rel_tol, opts.abs_tol
-    name = getattr(field, "__name__", field)
-    for attempt in range(2):
-        with _typed_arithmetic(field):
-            status, ts, ys, rcont, _, _ = dopri5(rhs, start, opts.t_max, rtol, atol, True)
-        if status == STATUS_STIFF and attempt == 0:
-            warnings.warn(
-                f"step-rejection streak on field '{name}': suspected "
-                "stiffness, retrying with 100x tighter tolerances",
-                RuntimeWarning, stacklevel=2)
-            rtol, atol = rtol * 1e-2, atol * 1e-2
-            continue
-        break
+    with _typed_arithmetic(field):
+        status, ts, ys, rcont, _, _ = dopri5(rhs, start, opts.t_max, opts.rel_tol,
+                                             opts.abs_tol, True)
     if status == STATUS_UNDERFLOW:
         raise NumericsError("step size underflow (stiff or singular field)")
     if status == STATUS_BAD_FIELD:
+        name = getattr(field, "__name__", field)
         raise NumericsError(f"field '{name}' evaluation produced non-finite values")
     if status == STATUS_STIFF:
-        raise NumericsError("persistent step rejection even after tightening")
+        raise NumericsError("persistent step rejection")
     g = ys[:, 0] - section.x
     hits = []
     for i in range(len(ts) - 1):

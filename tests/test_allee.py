@@ -16,6 +16,8 @@ from canard.allee import (
     PARAM_NAMES,
     PSI_TAGS,
     AlleeParams,
+    _checked,
+    _classify_point,
     _preimages,
     beta_star_conversion,
     boundary_roots,
@@ -113,6 +115,24 @@ class TestFold:
         # F''(x_M) divides by (m + x_M)^3 = m^1.5, which is 0 below m ~ 2e-216
         with pytest.raises(DomainError, match=f"^m={m} is too small"):
             fold_point(m, 0.1)
+
+    @settings(max_examples=500, deadline=None)
+    @given(mn=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).flatmap(
+        lambda n: st.tuples(st.floats(1.83e-216, (1.0 - math.sqrt(n)) ** 2), st.just(n))))
+    @example(mn=(1.83e-216, 0.1))
+    @example(mn=((1.0 - math.sqrt(0.25)) ** 2, 0.25))
+    def test_fold_is_a_maximum_over_the_domain(self, mn):
+        # from the cube threshold up to the bound, the fold is where
+        # F'(x_M) = m/(m + x_M)^2 - 1 vanishes and F''(x_M) = -2m/(m + x_M)^3 < 0
+        m, n = mn
+        try:
+            xM, _ = fold_point(m, n)
+        except DomainError:
+            # y_M rounded below 0 at the bound
+            assume(False)
+        s = m + xM
+        assert abs(m / (s * s) - 1.0) <= 1e-10
+        assert -2.0 * m / (s * s * s) < 0.0
 
     def test_smallest_m_above_the_underflow(self):
         xM, yM = fold_point(1e-215, 0.1)
@@ -349,6 +369,18 @@ class TestEquilibria:
                 assert abs(eq.point[0] - rep.fold[0]) < 1e-6
                 f, g = model_field(p)(*eq.point)
                 assert max(abs(f), abs(g)) < 1e-10
+
+    def test_zero_trace_is_neutral(self):
+        # (fx, fy, gx, gy): a centre, and a degenerate node with det = 0
+        assert _classify_point(0.0, 0.0, lambda x, y: (0.0, -1.0, 1.0, 0.0)) == "neutral focus"
+        assert _classify_point(0.0, 0.0, lambda x, y: (0.0, 0.0, 0.0, 0.0)) == "neutral node"
+
+    def test_candidate_with_a_residual_is_refused(self):
+        def field(x, y):
+            return 2e-10, 0.0
+        with pytest.raises(NumericsError, match=r"^equilibrium candidate \(0.5, 0.25\) has residual > 1e-10$"):
+            _checked(0.5, 0.25, field, None, "stable node")
+        assert _checked(0.5, 0.25, lambda x, y: (1e-10, -1e-10), None, "stable node").kind == "stable node"
 
     def test_json_roundtrip(self):
         import json

@@ -230,6 +230,12 @@ class TestPlanarPolySystem:
         with pytest.raises(DomainError, match=r"^non-finite coefficient at \(0, 0\)$"):
             PlanarPolySystem({(0, 1): -1.0}, {(0, 0): 10 ** 400})
 
+    def test_cycling_newton_is_refused(self):
+        # Newton on x^3 - 2x + 2 from 0 goes 0 -> 1 -> 0 -> ...; y' = y sits at 0
+        sys = PlanarPolySystem({(3, 0): 1.0, (1, 0): -2.0, (0, 0): 2.0}, {(0, 1): 1.0})
+        with pytest.raises(NumericsError, match="^equilibrium refinement did not reach"):
+            find_equilibrium(sys, (0.0, 0.0))
+
     @pytest.mark.parametrize("term", [(5, 0), (2, 3), (0, 5), (-1, 2), (2, -1)])
     def test_term_outside_degree_rejected(self, term):
         with pytest.raises(DomainError, match="not a monomial"):

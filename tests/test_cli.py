@@ -866,7 +866,17 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "error: cycle location requires the interior equilibrium to exist "
             "(set section_x explicitly otherwise)\n")
-        assert not (tmp_path / "o" / "simulate.json").exists()
+        # the trajectory it integrated is not written either
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_cycle_without_a_return_writes_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        dict(EX1, start_x=0.2644, start_y=0.0961, t_max=5,
+                             bracket_lo=0.10120444, bracket_hi=0.10549957))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: no same-direction return")
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_cycle_block(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "p.cfg",
@@ -1018,7 +1028,7 @@ class TestJsonLayout:
         data = self.read(tmp_path, "simulate.json")
         assert list(data) == ["params", "start", "direction", "t_final", "steps",
                               "n_accepted", "n_rejected", "nfev",
-                              "end_state", "stiffness_suspected", "cycle"]
+                              "end_state", "cycle"]
         assert list(data["params"]) == self.PARAMS
         assert list(data["cycle"]) == ["section_point", "period", "multiplier",
                                        "stability", "converged"]

@@ -151,7 +151,6 @@ class TestIntegrate:
         tr = integrate(center, (1.0, 0.0), tight(3.0))
         assert tr.t[0] == 0.0 and tr.t[-1] == pytest.approx(3.0)
         assert np.all(np.diff(tr.t) > 0)
-        assert tr.stiffness_suspected is False
 
 
 def _non_finite_field(where, direction, value):
@@ -313,6 +312,19 @@ class TestReturnMap:
                                       tight(4 * TWO_PI))
         assert len(crossings) == 4
         assert all(d == -1.0 and abs(y - 1.0) < 1e-6 for _, y, d in crossings)
+
+    def test_section_crossings_drop_a_crossing_at_the_start(self):
+        # a crossing is located to a time width of 1e-10, so one in a first
+        # step as short as [0, 1e-12] lands at t <= 1e-12 and counts as the
+        # start's own; a step of 3e-12 puts it past
+        def drift(x, y):
+            return (1.0, 0.0)
+
+        def crossings(t_max):
+            return section_crossings(drift, (-5e-13, 1.0), Section(0.0, 0.0),
+                                     IntegratorOptions(t_max=t_max))
+        assert crossings(1e-12) == []
+        assert crossings(3e-12) == [(1.5e-12, 1.0, 1.0)]
 
 
 class TestFindCycle:
@@ -708,21 +720,17 @@ class TestSectionStop:
         start = (x4 + dx, y4 + dy)
 
         def outcome(locate, f=field):
-            """(the hexed crossings or the NumericsError, whether it warned)"""
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    hits = locate(f, start, section, opts, limit)
-                except NumericsError as exc:
-                    return exc, bool(caught)
-            return [[float.hex(v) for v in hit] for hit in hits], bool(caught)
+            """the hexed crossings or the NumericsError"""
+            try:
+                hits = locate(f, start, section, opts, limit)
+            except NumericsError as exc:
+                return exc
+            return [[float.hex(v) for v in hit] for hit in hits]
 
-        expect, retried = outcome(reference_section_crossings)
-        got = outcome(section_crossings)[0]
+        expect = outcome(reference_section_crossings)
+        got = outcome(section_crossings)
         if isinstance(expect, list):
-            # unless the scanned run was retried for a stiffness that only
-            # its part after the limit-th crossing showed
-            assert got == expect or retried
+            assert got == expect
             return
         if isinstance(got, list):
             # the run ended at the limit-th crossing, short of the failure
@@ -735,7 +743,7 @@ class TestSectionStop:
                 def counted(x, y):
                     calls[0] += 1
                     return field(x, y)
-                return outcome(locate, counted)[0], calls[0]
+                return outcome(locate, counted), calls[0]
             stopped, n_stopped = field_calls(section_crossings)
             failed, n_full = field_calls(reference_section_crossings)
             assert stopped == got and isinstance(failed, NumericsError)
@@ -912,47 +920,24 @@ class TestCounters:
 
 class TestStiffnessRetry:
     """_run's reaction to a step-rejection streak, through a substituted
-    core that reports one."""
+    core that reports one: a typed failure from the one run, no retry."""
 
-    @staticmethod
-    def _core(monkeypatch, stiff_calls):
+    def test_persistent_stiffness_raises(self, monkeypatch):
+        # at once, after the one core call, and with no warning
         calls = []
 
         def core(field, u0, t_end, rtol, atol, stop=None):
             calls.append((rtol, atol))
-            if len(calls) <= stiff_calls:
-                # a streak after one located crossing
-                return (STATUS_STIFF, np.array([0.0]), np.array([list(u0)]),
-                        (3, 30, 200), [(0.5, 0.5, 1.0)])
-            return dopri5(field, u0, t_end, rtol, atol, stop)
+            # a streak after one located crossing
+            return (STATUS_STIFF, np.array([0.0]), np.array([list(u0)]),
+                    (3, 30, 200), [(0.5, 0.5, 1.0)])
 
         monkeypatch.setattr(dynamics, "dopri5", core)
-        return calls
-
-    def test_retry_tightens_and_sums_work(self, monkeypatch):
-        calls = self._core(monkeypatch, 1)
-        with pytest.warns(RuntimeWarning, match="field 'soft_cycle': suspected stiffness"):
-            tr = integrate(soft_cycle, (0.3, 0.1), tight(5.0))
-        assert calls == [(1e-10, 1e-12), (1e-10 * 1e-2, 1e-12 * 1e-2)]
-        ref = dopri5(soft_cycle, (0.3, 0.1), 5.0, 1e-12, 1e-14)
-        assert tr.stiffness_suspected
-        assert (tr.n_accepted, tr.n_rejected, tr.nfev) == tuple(
-            a + b for a, b in zip((3, 30, 200), ref[3]))
-        np.testing.assert_array_equal(tr.y, ref[2])
-
-    def test_retry_keeps_only_its_own_crossings(self, monkeypatch):
-        self._core(monkeypatch, 1)
-        with pytest.warns(RuntimeWarning, match="suspected stiffness"):
-            got = section_crossings(soft_cycle, (0.3, 0.1), Section(0.0, -2.0), tight(20.0))
-        ref = dopri5(soft_cycle, (0.3, 0.1), 20.0, 1e-12, 1e-14, (0.0, -2.0, 0.0, 64))
-        assert got == ref[4] and len(got) == 6
-
-    def test_persistent_stiffness_raises(self, monkeypatch):
-        calls = self._core(monkeypatch, 2)
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(NumericsError, match="persistent step rejection"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="^persistent step rejection$"):
                 integrate(soft_cycle, (0.3, 0.1), tight(5.0))
-        assert len(calls) == 2
+        assert calls == [(1e-10, 1e-12)]
 
 
 class TestBisect:

@@ -1,7 +1,8 @@
 """Source hygiene: no module under src/canard/ or tests/ imports a name that
 the importing scope never reads, every module-level private function or class of src/canard is
 used in src/canard outside its own definition, cli is the one src/canard module that imports json, so
-file formats are decided in one place, errors is the one src/canard module
+file formats are decided in one place, no src/canard module imports warnings,
+so typed errors are the one failure channel, errors is the one src/canard module
 that holds the number and count messages, _kernels.define is the one place in
 src/canard that runs generated code, the model's field and Jacobian text read
 exactly x, y and the parameter names, the caches of the kernel and stepper
@@ -163,6 +164,13 @@ def test_only_cli_imports_json():
     users = [p.name for p in sorted((ROOT / "src" / "canard").glob("*.py"))
              if "json" in imported_modules(p.read_text(encoding="utf-8"))]
     assert users == ["cli.py"]
+
+
+def test_no_module_warns():
+    # a failure is a DomainError or NumericsError, never a warning beside a result
+    users = [p.name for p in sorted((ROOT / "src" / "canard").glob("*.py"))
+             if "warnings" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert users == []
 
 
 RULE_MESSAGES = ("is not a number", "requires an integer")

@@ -169,6 +169,13 @@ class TestFactorization:
             diff = h_slow(sigma, P_CHANGE) - h_slow(x, P_CHANGE)
             assert math.copysign(1.0, diff) == -math.copysign(1.0, phi(y, P_CHANGE))
 
+    @pytest.mark.parametrize("x", [0.0, np.array([0.2, 0.0, 0.1])])
+    def test_vanishing_slow_flow_is_refused(self, x):
+        # at x = 0, alpha x - beta - gamma F = -0.05 + 0.5 * 0.1 is exactly 0
+        p = AlleeParams(m=0.3, n=0.1, alpha=0.8, beta=0.05, gamma=0.5, eps=0.01)
+        with pytest.raises(NumericsError, match="^slow flow vanishes at x=0.0: h is singular there$"):
+            h_slow(x, p)
+
 
 class TestIntegral:
     def test_vanishes_with_depth(self):
