@@ -20,6 +20,10 @@ Each submodule loads on first use: importing the package, or one of its
 modules, loads errors and only the modules that module imports.  The
 normalform names of __all__ are read from normalform when first asked
 for (PEP 562), so `import canard.cli` loads neither normalform nor numpy.
+numpy is loaded only where there are arrays: sdi and verify import it,
+and allee, normalform, _svg and dynamics import it inside their grid,
+heatmap and seeded-generator paths; _kernels never does.  A closed form
+given floats runs on math, and integrate returns lists.
 """
 
 from .errors import DomainError, NumericsError

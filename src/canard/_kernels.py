@@ -5,10 +5,11 @@ The stepper is a Dormand-Prince 5(4) embedded pair with the quartic
 dense-output interpolant and proportional-integral step control (Hairer,
 Nørsett & Wanner, Solving ODEs I, §II.5-6).  It is plain Python on
 scalar floats: a field is an autonomous function (x, y) -> (dx/dt,
-dy/dt) on two floats, and the accepted steps are collected in lists and
-turned into float arrays once, at the end.  A field may carry its source, as
-source_field's do: source = (names, f_src, g_src), two expressions in x,
-y and the parameter names, and params, the values of those names.  The
+dy/dt) on two floats, and a run hands back the lists it grew: the accepted
+times, and one (x, y) pair per accepted state.  A field may carry its
+source, as source_field's do: source = (names, f_src, g_src), two
+expressions in x, y and the parameter names, and params, the values of
+those names.  The
 stepper's body is one template, instantiated and cached per source by
 _stepper: for a field without one it calls the field at each stage, for
 one with a source it binds params to locals once per run and evaluates
@@ -36,8 +37,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-
-import numpy as np
 
 from .errors import DomainError, NumericsError
 
@@ -73,8 +72,8 @@ _MAX_REJECT_STREAK = 30
 
 # The body of dopri5, the one Dormand-Prince core: each line "k?0, k?1 = FIELD"
 # becomes the field's pair (dx/dt, dy/dt) at the stage state (x, y), a call or
-# the field's own expressions (_stepper_source).  It returns lists, which
-# dopri5 turns into arrays.
+# the field's own expressions (_stepper_source).  It returns the mesh as lists:
+# the times, and the states as (x, y) pairs.
 _DOPRI5_BODY = """
     t = 0.0
     isfinite, sqrt = math.isfinite, math.sqrt
@@ -82,7 +81,7 @@ _DOPRI5_BODY = """
     x, y = y0, y1
     k10, k11 = FIELD
     if not (isfinite(y0) and isfinite(y1) and isfinite(k10) and isfinite(k11)):
-        return STATUS_BAD_FIELD, [t], [y0, y1], (0, 0, 1), []
+        return STATUS_BAD_FIELD, [t], [(y0, y1)], (0, 0, 1), []
 
     # starter step: scipy-style two-probe estimate
     sc0 = atol + rtol * abs(y0)
@@ -97,7 +96,7 @@ _DOPRI5_BODY = """
     x, y = y0 + h0 * k10, y1 + h0 * k11
     f0, f1 = FIELD
     if not (isfinite(f0) and isfinite(f1)):
-        return STATUS_BAD_FIELD, [t], [y0, y1], (0, 0, 2), []
+        return STATUS_BAD_FIELD, [t], [(y0, y1)], (0, 0, 2), []
     d2 = sqrt(0.5 * (((f0 - k10) / sc0) ** 2
                      + ((f1 - k11) / sc1) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
@@ -107,7 +106,7 @@ _DOPRI5_BODY = """
     h = min(100.0 * h0, h1, t_end)
 
     ts = [t]
-    ys = [y0, y1]
+    ys = [(y0, y1)]
     ts_append, ys_append = ts.append, ys.append
     rejected = 0
     streak = 0
@@ -178,8 +177,7 @@ _DOPRI5_BODY = """
             a0, a1 = an0, an1
             k10, k11 = k70, k71
             ts_append(t)
-            ys_append(y0)
-            ys_append(y1)
+            ys_append((y0, y1))
             if err == 0.0:
                 fac = 10.0
             else:
@@ -279,9 +277,10 @@ def source_field(name: str, names: tuple, *srcs: str):
 def dopri5(rhs, u0, t_end, rtol, atol, stop=None):
     """Integrate (x, y)' = rhs(x, y) from u0 = (x, y) over [0, t_end].
 
-    Returns (status, ts, ys, counts, hits): the accepted mesh ts (n+1,)
-    and ys (n+1, 2); counts = (accepted steps, rejected steps, rhs
-    evaluations); and hits.  With stop = (x_sec, y_base, want, limit)
+    Returns (status, ts, ys, counts, hits): the accepted mesh as the
+    stepper's lists, the n+1 times ts and the n+1 states ys as (x, y) pairs
+    of floats; counts = (accepted steps, rejected steps, rhs evaluations);
+    and hits.  With stop = (x_sec, y_base, want, limit)
     every accepted step is searched for a crossing of x = x_sec as by
     section_crossing, each crossing (t, y, xdir) whose x-direction is
     want (either for want = 0.0) is appended to hits, and the run ends
@@ -289,10 +288,7 @@ def dopri5(rhs, u0, t_end, rtol, atol, stop=None):
     on the start values and the starter probe, then on each step's new
     state and last stage.  A field carrying a source is evaluated from it
     in place, with the floats its call gives; rhs evaluations count those."""
-    status, ts, ys, counts, hits = _stepper(getattr(rhs, "source", None))(
-        rhs, u0, t_end, rtol, atol, stop)
-    return (status, np.array(ts, dtype=float), np.array(ys, dtype=float).reshape(-1, 2),
-            counts, hits)
+    return _stepper(getattr(rhs, "source", None))(rhs, u0, t_end, rtol, atol, stop)
 
 
 def bisect(g, lo, hi, g_lo, narrow, max_iter=None):

@@ -1,15 +1,14 @@
 """Minimal SVG emission: axis-framed heatmaps and polylines.
 
 No plotting library, and deterministic (no timestamps, no randomness)
-so that emitted figures are byte-stable for a given input.
+so that emitted figures are byte-stable for a given input.  polyline runs
+on floats; heatmap, which takes a grid, imports numpy where it runs.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -91,6 +90,8 @@ def heatmap(x_values: Sequence[float], y_values: Sequence[float],
     (len(y_values), len(x_values)), and its [j][i] cell belongs to
     (x_values[i], y_values[j]).  Each value at cell_values' own shape is
     colored once.  Axis ticks sit at cell centers."""
+    import numpy as np
+
     nx, ny = len(x_values), len(y_values)
     if nx == 0 or ny == 0:
         raise DomainError("requires a nonempty grid on both axes")
@@ -124,33 +125,37 @@ def polyline(xs: Sequence[float], ys: Sequence[float], *, title: str,
     (x, y) pair drawn as a filled dot."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise DomainError("requires two equal-length arrays of at least 2 points")
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+    xs, ys = list(map(float, xs)), list(map(float, ys))
+    if not all(map(math.isfinite, xs + ys)):
         raise DomainError("requires finite coordinates")
-    lo_x, hi_x = float(xs.min()), float(xs.max())
-    lo_y, hi_y = float(ys.min()), float(ys.max())
+    lo_x, hi_x = min(xs), max(xs)
+    lo_y, hi_y = min(ys), max(ys)
     pad_x = 0.05 * (hi_x - lo_x) or max(abs(lo_x), 1.0) * 1e-3
     pad_y = 0.05 * (hi_y - lo_y) or max(abs(lo_y), 1.0) * 1e-3
     lo_x, hi_x = lo_x - pad_x, hi_x + pad_x
     lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
 
-    # pixels of a float or, elementwise with the same rounding, of an array
-    def sx(v):
-        return _X0 + (v - lo_x) / (hi_x - lo_x) * (_X1 - _X0)
+    span_x, span_y = hi_x - lo_x, hi_y - lo_y
+    # the frame's pixels as the floats an int operand would become, which
+    # keeps the mixed int-float arithmetic out of the per-point expressions
+    x0, y0, width, height = float(_X0), float(_Y0), float(_X1 - _X0), float(_Y0 - _Y1)
 
-    def sy(v):
-        return _Y0 - (v - lo_y) / (hi_y - lo_y) * (_Y0 - _Y1)
+    def sx(vs):
+        return [x0 + (v - lo_x) / span_x * width for v in vs]
 
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(sx(xs).tolist(), sy(ys).tolist()))
+    def sy(vs):
+        return [y0 - (v - lo_y) / span_y * height for v in vs]
+
+    pts = " ".join(map(",".join, zip(map(_fmt, sx(xs)), map(_fmt, sy(ys)))))
     parts = [f'<polyline points="{pts}" fill="none" stroke="{COLOR_NEG}" '
              'stroke-width="1.2"/>']
     if marker is not None:
-        parts.append(f'<circle cx="{_fmt(sx(marker[0]))}" cy="{_fmt(sy(marker[1]))}" '
-                     f'r="3" fill="{COLOR_POS}"/>')
+        (cx,), (cy,) = sx([marker[0]]), sy([marker[1]])
+        parts.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" fill="{COLOR_POS}"/>')
     ticks = 5
-    x_ticks = [(sx(lo_x + k * (hi_x - lo_x) / (ticks - 1)),
-                _label(lo_x + k * (hi_x - lo_x) / (ticks - 1))) for k in range(ticks)]
-    y_ticks = [(sy(lo_y + k * (hi_y - lo_y) / (ticks - 1)),
-                _label(lo_y + k * (hi_y - lo_y) / (ticks - 1))) for k in range(ticks)]
+    x_at = [lo_x + k * span_x / (ticks - 1) for k in range(ticks)]
+    y_at = [lo_y + k * span_y / (ticks - 1) for k in range(ticks)]
+    x_ticks = list(zip(sx(x_at), map(_label, x_at)))
+    y_ticks = list(zip(sy(y_at), map(_label, y_at)))
     parts.extend(_frame(title, x_label, y_label, x_ticks, y_ticks))
     return _document(parts)

@@ -26,7 +26,9 @@ reduction of the model to the canonical slow-fast normal form near M in
 closed form, the criticality case analysis in m, and the Hopf/canard
 bifurcation curves.  The *_columns functions evaluate the closed forms
 elementwise over parameter arrays (a sweep grid); their scalar
-counterparts check one point and call them.
+counterparts check one point and call them.  Given floats they run on
+math (normalform.xp_of), so a scalar path loads no numpy: this module
+imports it only where it checks a grid.
 
 Each parameter check is written once, as a rule (holds, error class,
 message naming the values it shows).  Each scalar entry point runs its
@@ -42,8 +44,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from ._kernels import bisect, source_field
 from .errors import DomainError, NumericsError
 from .normalform import (
@@ -52,6 +52,7 @@ from .normalform import (
     lambda_c,
     lambda_H,
     omega_coefficients,
+    xp_of,
 )
 
 PARAM_NAMES = ("m", "n", "alpha", "beta", "gamma", "eps")
@@ -60,16 +61,16 @@ PARAM_NAMES = ("m", "n", "alpha", "beta", "gamma", "eps")
 def _point(xp, m=math.nan, n=math.nan, alpha=math.nan, **values) -> SimpleNamespace:
     """The values the rules read: the given ones (floats with xp = math,
     arrays that broadcast together with xp = numpy) and those derived
-    from them, each written once for a point and a grid.  A derived value
-    is NaN where it is undefined; a rule before every rule that reads it
-    fails there."""
-    sqrt = np.sqrt if xp is np else (lambda x: math.sqrt(x) if x >= 0.0 else math.nan)
+    from them, each written once for a point and a grid, and the sqrt
+    that derives them.  A derived value is NaN where it is undefined; a
+    rule before every rule that reads it fails there."""
+    sqrt = (lambda x: math.sqrt(x) if x >= 0.0 else math.nan) if xp is math else xp.sqrt
     gap, rm = 1.0 - sqrt(n), sqrt(m)
     xM, yM = rm - m, 1.0 - n + m - 2.0 * rm
     s = m + xM
     q2 = alpha * xM * yM
-    return SimpleNamespace(xp=xp, m=m, n=n, alpha=alpha, **values, bound=gap * gap, rm=rm,
-                           xM=xM, yM=yM, s=s, cube=s * s * s, q2=q2, Q=sqrt(q2))
+    return SimpleNamespace(xp=xp, sqrt=sqrt, m=m, n=n, alpha=alpha, **values, bound=gap * gap,
+                           rm=rm, xM=xM, yM=yM, s=s, cube=s * s * s, q2=q2, Q=sqrt(q2))
 
 
 def _finite(name):
@@ -120,6 +121,8 @@ def check_grid(m, n, alpha, beta, gamma, eps) -> None:
     first failing rule at the first failing point in C order, with that
     point's values in its message: the error the scalar checks raise
     there."""
+    import numpy as np
+
     values = dict(zip(PARAM_NAMES, np.broadcast_arrays(m, n, alpha, beta, gamma, eps)))
     rules = _PARAM_RULES + _SCALE_RULES
     with np.errstate(all="ignore"):
@@ -164,14 +167,14 @@ def fold_point(m: float, n: float) -> Tuple[float, float]:
 
 def _preimages(y, m, n):
     """(disc, sigma, x): the roots x_M + (d -+ sqrt(disc))/2 of x^2 + (y+n+m-1)x
-    + m(n+y) = 0, elementwise over arrays of y, with disc = d (d + 4 sqrt(m)) and
-    d = y_M - y: for y <= y_M, disc >= 0 and sigma <= x_M <= x, the preimages of y."""
-    with np.errstate(all="ignore"):
-        fold = _point(np, m=m, n=n)
-        d = fold.yM - y
-        disc = d * (d + 4.0 * fold.rm)
-        root = np.sqrt(disc)
-        return disc, fold.xM + 0.5 * (d - root), fold.xM + 0.5 * (d + root)
+    + m(n+y) = 0, elementwise over arrays of y too, with disc = d (d + 4 sqrt(m))
+    and d = y_M - y: for y <= y_M, disc >= 0 and sigma <= x_M <= x, the
+    preimages of y; a negative disc gives NaN roots."""
+    fold = _point(xp_of(y, m, n), m=m, n=n)
+    d = fold.yM - y
+    disc = d * (d + 4.0 * fold.rm)
+    root = fold.sqrt(disc)
+    return disc, fold.xM + 0.5 * (d - root), fold.xM + 0.5 * (d + root)
 
 
 def boundary_roots(m: float, n: float) -> Tuple[float, Optional[float], Optional[float]]:
@@ -286,13 +289,18 @@ def equilibria(p: AlleeParams) -> EquilibriaReport:
                             delta1, delta2, fold)
 
 
+def trace_at(p: AlleeParams, point: Tuple[float, float]) -> float:
+    """Jacobian trace fx + gy of the model at point."""
+    fx, _, _, gy = model_jacobian(p)(*point)
+    return fx + gy
+
+
 def e4_trace(p: AlleeParams) -> float:
     """Jacobian trace fx + gy at the interior equilibrium E4."""
     E4 = equilibria(p).E4
     if E4 is None:
         raise DomainError(f"E4 does not exist at beta={p.beta}")
-    fx, _, _, gy = model_jacobian(p)(*E4.point)
-    return fx + gy
+    return trace_at(p, E4.point)
 
 
 @dataclass(frozen=True)
@@ -416,7 +424,7 @@ def normal_form_columns(m, n, alpha, gamma) -> SimpleNamespace:
     depend on beta.  With F''(x_M)/2 = -1/sqrt(m) and F'''(x_M)/6 = 1/m,
     six entries are nonzero; the template structure makes every other
     entry 0 (the fast field has no eps block, so every c entry is 0)."""
-    fold = _point(np, m=m, n=n, alpha=alpha)
+    fold = _point(xp_of(m, n, alpha), m=m, n=n, alpha=alpha)
     yM, Q, s = fold.yM, fold.Q, fold.rm - 1.0
     rec = SimpleNamespace(**dict.fromkeys(COEFF_NAMES, 0.0))
     rec.a10 = alpha * yM / (Q * s)
@@ -443,7 +451,7 @@ def model_columns(m, n, alpha, beta, gamma, eps) -> Dict[str, object]:
     AlleeParams and require_closed_forms first, or a grid with check_grid."""
     rec = normal_form_columns(m, n, alpha, gamma)
     om = omega_coefficients(rec)
-    fold = _point(np, m=m, n=n, alpha=alpha)
+    fold = _point(xp_of(m, n, alpha), m=m, n=n, alpha=alpha)
     a5 = (alpha * fold.xM - beta - 2.0 * gamma * fold.yM) / fold.Q
     return {"A": om.omega1, "omega1": om.omega1, "omega2": om.omega2, "a5": a5,
             "lambda_h": lambda_H(rec.c10, a5, eps),
@@ -471,11 +479,11 @@ PSI_TAGS = ("mstar-outside-range", "m-at-mstar", "m-below-mstar", "m-above-mstar
 _PSI_SIGNS = (1, 0, 1, -1)
 
 
-def psi_columns(m, n, alpha, gamma, xp=np):
+def psi_columns(m, n, alpha, gamma):
     """(psi, m_star, n_threshold, case) elementwise over floats or arrays
-    that broadcast together (xp = math runs on floats alone), where case
-    indexes PSI_TAGS: the one home of the case rule.  Unchecked
-    (psi_case_analysis checks one point)."""
+    that broadcast together, where case indexes PSI_TAGS: the one home of
+    the case rule.  Unchecked (psi_case_analysis checks one point)."""
+    xp = xp_of(m, n, alpha, gamma)
     p = _point(xp, m=m, n=n)
     psi = 2.0 * gamma * (1.0 - p.rm) + alpha - 3.0 * alpha * p.rm
     ratio = (alpha + 2.0 * gamma) / (3.0 * alpha + 2.0 * gamma)
@@ -485,13 +493,13 @@ def psi_columns(m, n, alpha, gamma, xp=np):
     tol = 1e-12 * (alpha + gamma)
     # the index of the first condition that holds, 3 if none does
     holds = [(n > n_threshold) | (m_star >= p.bound), abs(psi) <= tol, m < m_star]
-    case = np.select(holds, [0, 1, 2], 3) if xp is np else [*holds, True].index(True)
+    case = [*holds, True].index(True) if xp is math else xp.select(holds, [0, 1, 2], 3)
     return psi, m_star, n_threshold, case
 
 
 def psi_case_analysis(m: float, n: float, alpha: float, gamma: float) -> PsiCaseReport:
     _check(_PSI_RULES, _point(math, m=m, n=n, alpha=alpha, gamma=gamma))
-    psi, m_star, n_threshold, case = psi_columns(m, n, alpha, gamma, math)
+    psi, m_star, n_threshold, case = psi_columns(m, n, alpha, gamma)
     return PsiCaseReport(float(psi), float(m_star), float(n_threshold),
                          PSI_TAGS[case], _PSI_SIGNS[case])
 

@@ -29,12 +29,16 @@ a usage error load no other canard module and no numpy.  Each cmd_*
 imports the names it calls at its head (analyze its model names after
 the coefficient-record branch, which needs normalform alone), and so do
 the sweep's parse_grid and _cell_text for numpy.  The canard modules a
-command adds to the package and errors:
-  analyze   allee, _kernels, normalform
-  sweep     allee, _kernels, normalform, _svg
-  simulate  allee, _kernels, normalform, dynamics, _svg
-  sdi       allee, _kernels, normalform, sdi, _svg
-  verify    allee, _kernels, normalform, blowup, jet, verify
+command adds to the package and errors, and whether it loads numpy, which
+only the array paths import (a grid, a quadrature, a fit, a heatmap):
+  analyze   allee, _kernels, normalform                  no numpy
+  sweep     allee, _kernels, normalform, _svg            numpy
+  simulate  allee, _kernels, normalform, dynamics, _svg  no numpy
+  sdi       allee, _kernels, normalform, sdi, _svg       numpy
+  verify    allee, _kernels, normalform, blowup, jet,    numpy
+            verify
+A run that stops at a missing parameter key has loaded allee, _kernels
+and normalform, and no numpy.
 """
 
 from __future__ import annotations
@@ -246,12 +250,12 @@ def cmd_analyze(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], i
     from .allee import (
         COINCIDENCE_TOL,
         beta_star_conversion,
-        e4_trace,
         equilibria,
         gamma_star,
         model_columns,
         normal_form_coeffs,
         psi_case_analysis,
+        trace_at,
     )
 
     p = _model_params(settings)
@@ -263,7 +267,7 @@ def cmd_analyze(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], i
     a5, lam_h, lam_c = (float(cols[k]) for k in ("a5", "lambda_h", "lambda_c"))
     psi = psi_case_analysis(p.m, p.n, p.alpha, p.gamma)
     gs = gamma_star(p.m, p.n, p.alpha, p.beta)
-    trace4 = None if eq.E4 is None else e4_trace(p)
+    trace4 = None if eq.E4 is None else trace_at(p, eq.E4.point)
     curves = None
     if abs(p.gamma - gs) <= COINCIDENCE_TOL:
         beta_star, conversion = beta_star_conversion(p)
@@ -433,27 +437,27 @@ def cmd_simulate(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], 
 
     # every file is written after the integration and the cycle location
     # succeed, so a failed run leaves none behind
-    t, x, y = traj.t.tolist(), *traj.y.T.tolist()
+    x, y = zip(*traj.y)
     end = traj.end_state
     summary = {
         "params": p,
         "start": [start[0], start[1]],
         "direction": opts.direction,
-        "t_final": float(traj.t[-1]),
-        "steps": int(len(traj.t)),
+        "t_final": traj.t[-1],
+        "steps": len(traj.t),
         "n_accepted": traj.n_accepted,
         "n_rejected": traj.n_rejected,
         "nfev": traj.nfev,
-        "end_state": [float(end[0]), float(end[1])],
+        "end_state": list(end),
     }
     if cyc is not None:
         summary["cycle"] = cyc
     csv_path = write_csv(out_dir, "trajectory.csv", ["t", "x", "y"],
-                         [map(str, t), map(str, x), map(str, y)])
+                         [map(str, traj.t), map(str, x), map(str, y)])
     svg = _svg.polyline(
         x, y,
         title=f"trajectory ({opts.direction.lower()} time)",
-        x_label="x", y_label="y", marker=(float(end[0]), float(end[1])))
+        x_label="x", y_label="y", marker=end)
     svg_path = _write_text(out_dir, "trajectory.svg", svg)
     json_path = _write_json(out_dir, "simulate.json", summary)
     print(f"integrated {summary['steps']} steps to t = {summary['t_final']:.6g}; "

@@ -7,11 +7,14 @@ scalar Dormand-Prince 5(4) core in _kernels, at the tolerances asked
 for; each failure of it is a NumericsError.  The core runs time forward and
 evaluates a field that carries its source in place; for Reversed runs
 _oriented negates the field, and its source, once per run.  integrate
-keeps the accepted mesh only.  Section crossings have one locator, the
+keeps the accepted mesh only, as the core's own lists: the times, and
+the states as (x, y) pairs.  Section crossings have one locator, the
 core's section stop: section_crossings and a return map's run each
 give it the section, a direction and a count, and the run ends at that
 crossing, the limit-th of section_crossings (either direction) or a
-return map's first in the start's direction.  Limit
+return map's first in the start's direction; neither builds a
+Trajectory.  Only region_excursion's seeded generator needs numpy, and
+imports it where it runs.  Limit
 cycles are found by bisection on the displacement map, with unstable
 cycles handled in reversed time and their multiplier reported in the
 forward-time convention; that bisection and the crossing location run
@@ -23,9 +26,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
-
-import numpy as np
+from typing import Callable, List, Tuple
 
 from ._kernels import (
     STATUS_BAD_FIELD,
@@ -63,18 +64,19 @@ class IntegratorOptions:
 
 @dataclass(eq=False)
 class Trajectory:
-    """The accepted mesh t and states y of one run, and the core's work on
-    it: accepted and rejected steps and field evaluations."""
+    """The accepted mesh of one run, as the core's lists: the times t and
+    the states y, one (x, y) pair of floats per time; and the core's work
+    on it: accepted and rejected steps and field evaluations."""
 
-    t: np.ndarray
-    y: np.ndarray
+    t: List[float]
+    y: List[Tuple[float, float]]
     n_accepted: int
     n_rejected: int
     nfev: int
 
     @property
-    def end_state(self) -> np.ndarray:
-        return self.y[-1].copy()
+    def end_state(self) -> Tuple[float, float]:
+        return self.y[-1]
 
 
 def _oriented(field: Callable, direction: str) -> Callable:
@@ -108,10 +110,14 @@ def _typed_arithmetic(field: Callable):
 
 def _run(field: Callable, x0, opts: IntegratorOptions, stop=None):
     """One run of the core at opts.rel_tol and opts.abs_tol, each failure
-    status raised as its NumericsError.  Returns (trajectory, hits), hits
-    as from dopri5 with the given stop."""
-    u0 = np.asarray(x0, dtype=float)
-    if u0.shape != (2,) or not np.all(np.isfinite(u0)):
+    status raised as its NumericsError.  Returns (ts, ys, counts, hits) as
+    from dopri5 with the given stop."""
+    try:
+        # a string is one value, not a pair of digits
+        u0 = () if isinstance(x0, str) else tuple(map(float, x0))
+    except (TypeError, ValueError):
+        u0 = ()
+    if len(u0) != 2 or not all(map(math.isfinite, u0)):
         raise DomainError(f"initial state must be a finite point, got {x0}")
     with _typed_arithmetic(field):
         status, ts, ys, counts, hits = dopri5(
@@ -125,7 +131,7 @@ def _run(field: Callable, x0, opts: IntegratorOptions, stop=None):
             f"field '{name}' evaluation produced non-finite values")
     if status == STATUS_STIFF:
         raise NumericsError("persistent step rejection")
-    return Trajectory(ts, ys, *counts), hits
+    return ts, ys, counts, hits
 
 
 def integrate(field: Callable, x0, opts: IntegratorOptions = IntegratorOptions()
@@ -133,7 +139,8 @@ def integrate(field: Callable, x0, opts: IntegratorOptions = IntegratorOptions()
     """Integrate field from x0 to opts.t_max, keeping the accepted mesh.
     The Reversed direction negates the field; the trajectory parameter
     still runs forward over [0, t_max]."""
-    return _run(field, x0, opts)[0]
+    ts, ys, counts, _ = _run(field, x0, opts)
+    return Trajectory(ts, ys, *counts)
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,7 @@ def section_crossings(field: Callable, start, section: Section,
     fewer.  Used to seed displacement-map brackets from published initial
     values.  DomainError unless limit >= 1 is an integer."""
     require_count("limit", limit, 1)
-    return _run(field, start, opts, (section.x, section.y_base, 0.0, limit))[1]
+    return _run(field, start, opts, (section.x, section.y_base, 0.0, limit))[3]
 
 
 def bracket_from_crossings(field: Callable, starts, section: Section,
@@ -188,7 +195,7 @@ def _first_return(field: Callable, section: Section, y0: float,
     if tangential(v0, v1):
         raise NumericsError("section crossing is tangential at the start point")
     stop = (section.x, section.y_base, math.copysign(1.0, v0), 1)
-    hits = _run(field, (section.x, y0), opts, stop)[1]
+    hits = _run(field, (section.x, y0), opts, stop)[3]
     if not hits:
         raise NumericsError(
             f"no same-direction return to x={section.x} within t_max={opts.t_max}")
@@ -281,16 +288,16 @@ def region_excursion(p: AlleeParams, n_starts: int = 100, seed: int = 0,
     >= 0 are integers: no start would pass the check vacuously."""
     require_count("n_starts", n_starts, 1)
     require_count("seed", seed, 0)
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     field = allee_field(p)
     opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, t_max=t_max)
     worst = 0.0
     for _ in range(n_starts):
         u0 = (rng.uniform(*REGION_X), rng.uniform(*REGION_Y))
-        ys = integrate(field, u0, opts).y
-        xs, yv = ys[:, 0], ys[:, 1]
-        exc = max(0.0,
-                  float((-xs).max()), float((xs - REGION_X[1]).max()),
-                  float((-yv).max()), float((yv - REGION_Y[1]).max()))
+        xs, yv = zip(*integrate(field, u0, opts).y)
+        # rounding is monotone, so max(v) - c is the max of v - c, bit for bit
+        exc = max(0.0, -min(xs), max(xs) - REGION_X[1], -min(yv), max(yv) - REGION_Y[1])
         worst = max(worst, exc)
     return worst

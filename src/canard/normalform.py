@@ -32,8 +32,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, NamedTuple, Optional
 
-import numpy as np
-
 from .errors import DomainError, require_number
 
 
@@ -124,8 +122,21 @@ def compute_A(nf: NormalFormCoefficients) -> float:
     return -nf.a10 + 3.0 * nf.b10 - 2.0 * nf.d10 - 2.0 * nf.f00
 
 
+def xp_of(*values):
+    """The module that evaluates a closed form over values: math when each
+    is a float or an int (a numpy float is a float), else numpy, imported
+    here, so that no scalar path loads it."""
+    if all(isinstance(v, (float, int)) for v in values):
+        return math
+    import numpy
+
+    return numpy
+
+
 def _require_positive_eps(eps) -> None:
-    if not np.all(np.isfinite(eps) & np.greater(eps, 0.0)):
+    xp = xp_of(eps)
+    if not (math.isfinite(eps) and eps > 0.0 if xp is math
+            else xp.all(xp.isfinite(eps) & xp.greater(eps, 0.0))):
         raise DomainError(f"eps must be finite and positive, got {eps}")
 
 

@@ -702,24 +702,32 @@ class TestOutputBytes:
         assert (tmp_path / "o" / "trajectory.csv").read_bytes() == Path(ref).read_bytes()
 
 
-def fresh_run(*args):
+def fresh_run(*args, check=True):
     """A fresh interpreter run with args, src first on its path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
+                          text=True, check=check, timeout=120)
+
+
+def imported_names(err):
+    """The names of the modules an -X importtime report on stderr lists."""
+    return {line.rpartition("|")[2].strip() for line in err.splitlines()
+            if line.startswith("import time:")}
 
 
 def fresh_imports(*args):
     """The names of the modules a fresh interpreter run with args imports,
     read off its -X importtime report."""
-    err = fresh_run("-X", "importtime", *args).stderr
-    return {line.rpartition("|")[2].strip() for line in err.splitlines()
-            if line.startswith("import time:")}
+    return imported_names(fresh_run("-X", "importtime", *args).stderr)
 
 
 def canard_modules(names):
     return {name for name in names if name.split(".")[0] == "canard"}
+
+
+def top_level(names):
+    return {name.split(".")[0] for name in names}
 
 
 # the canard modules each subcommand adds to the package and errors
@@ -729,6 +737,8 @@ COMMAND_MODULES = {
     "simulate": {"allee", "_kernels", "normalform", "dynamics", "_svg"},
     "sdi": {"allee", "_kernels", "normalform", "sdi", "_svg"},
 }
+# the subcommands that run on arrays, and so load numpy
+NUMPY_COMMANDS = {"sweep", "sdi"}
 
 
 class TestImport:
@@ -769,6 +779,27 @@ class TestImport:
                               "--out", tmp_path / "o", *extra)
         assert canard_modules(names) == {"canard", "canard.errors", *(
             f"canard.{m}" for m in COMMAND_MODULES[command])}
+        assert ("numpy" in top_level(names)) == (command in NUMPY_COMMANDS)
+
+    def test_cycle_location_loads_no_numpy(self, tmp_path):
+        # simulate with a bracket: return maps, bisection and the cycle block
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        dict(EX1, start_x=0.2644, start_y=0.0961, t_max=1500,
+                             bracket_lo=0.10120444, bracket_hi=0.10549957))
+        names = fresh_imports("-m", "canard.cli", "simulate", "--config", cfg,
+                              "--out", tmp_path / "o")
+        assert json.loads((tmp_path / "o" / "simulate.json").read_text())["cycle"]
+        assert "numpy" not in top_level(names)
+
+    def test_missing_key_loads_no_numpy(self, tmp_path):
+        # the parameter names come from allee, which a scalar run loads without numpy
+        cfg = write_cfg(tmp_path / "p.cfg", {k: v for k, v in EX1.items() if k != "alpha"})
+        proc = fresh_run("-X", "importtime", "-m", "canard.cli", "analyze", "--config", cfg,
+                         "--out", tmp_path / "o", check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        report = [line for line in proc.stderr.splitlines() if not line.startswith("import time:")]
+        assert report == ["error: missing parameter keys: alpha"]
+        assert "numpy" not in top_level(imported_names(proc.stderr))
 
     def test_star_import_gives_normalform_names(self):
         # the package reads normalform's names from it on first use
@@ -1062,6 +1093,15 @@ class TestArgumentErrors:
         cfg = write_cfg(tmp_path / "p.cfg", EX1)
         assert run([command, "--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}: ")
+
+    def test_out_not_writable(self, tmp_path, capsys, monkeypatch):
+        # root is granted every write, so the access check is made to refuse
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path / "p.cfg", EX1)
+        assert run(["analyze", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: output directory {out} is not writable\n"
+        assert list(out.iterdir()) == []
 
 
 class TestParserReuse:

@@ -92,8 +92,8 @@ class TestIntegrate:
 
     def test_energy_drift_100_periods(self):
         opts = IntegratorOptions(rel_tol=1e-9, abs_tol=1e-12, t_max=100 * TWO_PI)
-        tr = integrate(center, (1.0, 0.0), opts)
-        r2 = tr.y[:, 0] ** 2 + tr.y[:, 1] ** 2
+        ys = np.asarray(integrate(center, (1.0, 0.0), opts).y)
+        r2 = ys[:, 0] ** 2 + ys[:, 1] ** 2
         assert np.abs(r2 - 1.0).max() < 1e-4
 
     def test_damped_focus_matches_closed_form(self):
@@ -146,6 +146,19 @@ class TestIntegrate:
     def test_rejects_bad_start(self):
         with pytest.raises(DomainError):
             integrate(center, (math.nan, 0.0), tight(1.0))
+
+    @pytest.mark.parametrize("start", [(0.0, math.inf), (1.0,), (1.0, 0.0, 0.0), "12", None,
+                                       ("a", 0.0), [[1.0, 0.0]], 1.0])
+    def test_start_is_a_finite_pair_of_floats(self, start):
+        # checked on floats, as the array check it replaced: a pair, each
+        # value float-convertible and finite
+        with pytest.raises(DomainError, match="^initial state must be a finite point, got "):
+            integrate(center, start, tight(1.0))
+
+    @pytest.mark.parametrize("start", [(1, 0), [1.0, 0.0], np.array([1.0, 0.0])])
+    def test_start_pair_may_be_any_sequence(self, start):
+        tr = integrate(center, start, tight(1.0))
+        assert tr.y[0] == (1.0, 0.0) and all(type(v) is float for v in tr.y[0])
 
     def test_trajectory_monotone_time(self):
         tr = integrate(center, (1.0, 0.0), tight(3.0))
@@ -381,6 +394,43 @@ class TestFindCycle:
         res = CycleResult((0.0, 1.0), 6.28, 0.5, "Stable", True)
         d = json.loads(json.dumps(asdict(res)))
         assert d["stability"] == "Stable" and d["period"] == 6.28
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_exact_zero_displacement_at_a_bracket_end(self, monkeypatch, end):
+        # a return map that fixes a bracket end exactly: that end is the cycle,
+        # found with no bisection, so the heights asked for are the two ends,
+        # the first return at the root and its two finite-difference neighbours
+        bracket = (0.25, 0.75)
+        fixed = bracket[end]
+        asked = _stub_first_return(monkeypatch, lambda y: fixed + 0.5 * (y - fixed))
+        res = find_cycle(center, bracket, Section(0.0, 0.0), tight(5.0))
+        delta = 1e-5 * 0.5
+        assert res.section_point == (0.0, fixed) and res.converged
+        assert asked == [0.25, 0.75, fixed, fixed + delta, fixed - delta]
+        assert abs(res.multiplier - 0.5) < 1e-9 and res.stability == "Stable"
+
+    def test_zero_reversed_time_multiplier(self, monkeypatch):
+        # a constant return map has multiplier 0, which in reversed time has no
+        # forward-time reciprocal; forward, it is a stable cycle
+        _stub_first_return(monkeypatch, lambda y: 0.5)
+        res = find_cycle(center, (0.25, 0.75), Section(0.0, 0.0), tight(5.0))
+        assert res.section_point == (0.0, 0.5) and res.multiplier == 0.0
+        with pytest.raises(NumericsError,
+                           match="^zero reversed-time multiplier cannot be inverted$"):
+            find_cycle(center, (0.25, 0.75), Section(0.0, 0.0), tight(5.0, REVERSED))
+
+
+def _stub_first_return(monkeypatch, height):
+    """Replace dynamics._first_return, the one return behind find_cycle and
+    return_map, by (height(y0), 1.0); returns the list of the start heights
+    it is asked for, in call order."""
+    asked = []
+
+    def first_return(field, section, y0, opts):
+        asked.append(y0)
+        return height(y0), 1.0
+    monkeypatch.setattr(dynamics, "_first_return", first_return)
+    return asked
 
 
 
@@ -622,6 +672,8 @@ class TestGoldenTrajectories:
         status, ts, ys, counts, hits = dopri5(f, *args)
         assert status == STATUS_OK and hits == []
         assert len(ts) - 1 == case["steps"] == counts[0]
+        # the core's lists: the times, and the states as (x, y) pairs
+        ts, ys = np.asarray(ts), np.asarray(ys)
         rows = case["rows"]
 
         same = np.testing.assert_array_equal
@@ -751,14 +803,17 @@ class TestSectionStop:
 
 
 def _hexed(run):
-    """The result of run(), a dopri5 call, with each array as its shape and
-    the float.hex of its entries, or the type and message of what it raised."""
+    """The result of run(), a dopri5 call, with its mesh ts and ys (lists
+    from the core, arrays from the reference) as arrays, each as its shape
+    and the float.hex of its entries, or the type and message of what it
+    raised."""
     try:
         status, ts, ys, counts, hits = run()
     except Exception as exc:
         return type(exc), str(exc)
 
     def hexed(a):
+        a = np.asarray(a)
         return a.shape, [float.hex(float(v)) for v in a.ravel()]
     return (status, hexed(ts), hexed(ys), counts,
             [[float.hex(v) for v in hit] for hit in hits])

@@ -6,7 +6,8 @@ so typed errors are the one failure channel, errors is the one src/canard module
 that holds the number and count messages, _kernels.define is the one place in
 src/canard that runs generated code, the model's field and Jacobian text read
 exactly x, y and the parameter names, the caches of the kernel and stepper
-generators that call it are bounded, no CSV field the CLI writes needs
+generators that call it are bounded, the modules that serve floats import
+numpy only inside their array paths, no CSV field the CLI writes needs
 quoting, README names exactly the options every subcommand takes, its
 library imports run and every code name it mentions exists, and every
 third-party module a test imports is declared in pyproject.toml.  Uses the
@@ -282,6 +283,37 @@ def test_csv_fields_need_no_quoting():
     assert {"t", "x", "y", "s", "integral"} <= set(headers)
     for text in headers + list(PARAM_NAMES + SWEEP_COLUMNS + PSI_TAGS) + ["case"]:
         assert not set(text) & set(',"\r\n'), text
+
+
+def module_level_imports(source: str):
+    """Top-level names of the modules imported outside every function and
+    class body: those that importing the module loads."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, SCOPES):
+                continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.update(imported_modules(ast.unparse(child)))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_scalar_modules_leave_numpy_to_their_array_paths():
+    # these modules serve floats, so importing one loads no numpy: each
+    # imports it inside the functions that take arrays
+    for name in ("_kernels", "dynamics", "allee", "normalform", "_svg"):
+        source = (ROOT / "src" / "canard" / f"{name}.py").read_text(encoding="utf-8")
+        assert "numpy" not in module_level_imports(source), name
+
+
+def test_module_level_import_detector():
+    src = ("import os\nif True:\n    import numpy as np\ndef f():\n    import sys\n"
+           "class K:\n    import json\nfrom re import compile\n")
+    assert module_level_imports(src) == {"os", "numpy", "re"}
 
 
 def test_import_detector():

@@ -109,6 +109,14 @@ class TestBranchInverse:
         with pytest.raises(DomainError):
             branch_inverse(np.append(ys, -0.01), P_CHANGE)
 
+    def test_inaccurate_preimage_fails_the_check(self):
+        # at m = 1e-8 the left root sigma of F = 0 sits where F' is about 1e8,
+        # so the rounding of sigma shows in F(sigma) above the 1e-12 allowance
+        p = AlleeParams(m=1e-8, n=0.1, alpha=0.8, beta=0.15, gamma=0.5, eps=0.01)
+        with pytest.raises(NumericsError,
+                           match=r"^branch inverse at y=0.0 fails the F\(x\) = y check$"):
+            branch_inverse(0.0, p)
+
     def test_above_fold_rejected(self):
         _, yM = fold_point(P_CHANGE.m, P_CHANGE.n)
         with pytest.raises(DomainError):

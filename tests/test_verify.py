@@ -7,7 +7,7 @@ import pytest
 from canard import verify
 from canard.blowup import sample_record
 from canard.errors import DomainError, NumericsError
-from canard.normalform import omega_coefficients, rho_coefficients
+from canard.normalform import NormalFormCoefficients, omega_coefficients, rho_coefficients
 from canard.verify import (
     StageResult,
     VerifyReport,
@@ -53,6 +53,13 @@ class TestFitHelpers:
     def test_series_order_slope_near_four(self):
         nf = sample_record(np.random.default_rng(407))
         assert abs(series_order_slope(nf) - 4.0) < 0.3
+
+    def test_zero_series_gap_is_a_numerics_error(self):
+        # on the plain template the series predicts the equilibrium exactly,
+        # and a zero gap has no logarithm to fit
+        with pytest.raises(NumericsError,
+                           match="^zero series gap cannot be fitted on a log scale$"):
+            series_order_slope(NormalFormCoefficients())
 
 
 class TestRunAll:
