@@ -27,8 +27,10 @@ The stepper is also the package's one section-crossing locator: an
 optional section stop searches each accepted step for a crossing of a
 vertical line, builds that step's interpolant row only where one is
 found, keeps the crossings in a wanted direction and ends the run at the
-limit-th; no run keeps the interpolant of its whole mesh.  bisect serves
-that location, the displacement root of dynamics.find_cycle and the Hopf
+limit-th; no run keeps the interpolant of its whole mesh.  A run raises
+each of its failures as a NumericsError itself (see dopri5), so it
+returns only when it reaches t_end or its stop.  bisect serves that
+location, the displacement root of dynamics.find_cycle and the Hopf
 point of allee.hopf_onset, each with its own stop rule; tangential is
 the one tangency rule of a crossing."""
 
@@ -62,18 +64,15 @@ D5 = 701980252875.0 / 199316789632.0
 D6 = -1453857185.0 / 822651844.0
 D7 = 69997945.0 / 29380423.0
 
-STATUS_OK = 0
-STATUS_UNDERFLOW = 1
-STATUS_STIFF = 2
-STATUS_BAD_FIELD = 3
-
-_MAX_REJECT_STREAK = 30
+_MAX_REJECT_STREAK = 30  # rejected steps in a row that end a run
+_BAD_FIELD = "field '{}' evaluation produced non-finite values"
 
 
 # The body of dopri5, the one Dormand-Prince core: each line "k?0, k?1 = FIELD"
 # becomes the field's pair (dx/dt, dy/dt) at the stage state (x, y), a call or
 # the field's own expressions (_stepper_source).  It returns the mesh as lists:
-# the times, and the states as (x, y) pairs.
+# the times, and the states as (x, y) pairs, and raises each failure where it
+# first sees it, naming the field it was given.
 _DOPRI5_BODY = """
     t = 0.0
     isfinite, sqrt = math.isfinite, math.sqrt
@@ -81,7 +80,7 @@ _DOPRI5_BODY = """
     x, y = y0, y1
     k10, k11 = FIELD
     if not (isfinite(y0) and isfinite(y1) and isfinite(k10) and isfinite(k11)):
-        return STATUS_BAD_FIELD, [t], [(y0, y1)], (0, 0, 1), []
+        raise NumericsError(_BAD_FIELD.format(getattr(rhs, "__name__", rhs)))
 
     # starter step: scipy-style two-probe estimate
     sc0 = atol + rtol * abs(y0)
@@ -96,7 +95,7 @@ _DOPRI5_BODY = """
     x, y = y0 + h0 * k10, y1 + h0 * k11
     f0, f1 = FIELD
     if not (isfinite(f0) and isfinite(f1)):
-        return STATUS_BAD_FIELD, [t], [(y0, y1)], (0, 0, 2), []
+        raise NumericsError(_BAD_FIELD.format(getattr(rhs, "__name__", rhs)))
     d2 = sqrt(0.5 * (((f0 - k10) / sc0) ** 2
                      + ((f1 - k11) / sc1) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
@@ -111,7 +110,6 @@ _DOPRI5_BODY = """
     rejected = 0
     streak = 0
     errold = 1e-4
-    status = STATUS_OK
     cross = False
     hits = []
     a0, a1 = abs(y0), abs(y1)   # |y| at the last accepted state
@@ -119,8 +117,7 @@ _DOPRI5_BODY = """
     # comparisons stand in for min, max and abs calls, same floats (t >= 0)
     while t < t_end:
         if h < 1e-14 * (t if t > 1.0 else 1.0):
-            status = STATUS_UNDERFLOW
-            break
+            raise NumericsError("step size underflow (stiff or singular field)")
         h = t_end - t if t_end - t < h else h
 
         x, y = y0 + h * (A21 * k10), y1 + h * (A21 * k11)
@@ -144,8 +141,7 @@ _DOPRI5_BODY = """
         x, y = yn0, yn1
         k70, k71 = FIELD
         if not (isfinite(yn0) and isfinite(yn1) and isfinite(k70) and isfinite(k71)):
-            status = STATUS_BAD_FIELD
-            break
+            raise NumericsError(_BAD_FIELD.format(getattr(rhs, "__name__", rhs)))
 
         e0 = h * (E1 * k10 + E3 * k30 + E4 * k40 + E5 * k50 + E6 * k60
                   + E7 * k70)
@@ -198,14 +194,11 @@ _DOPRI5_BODY = """
             rejected += 1
             streak += 1
             if streak >= _MAX_REJECT_STREAK:
-                status = STATUS_STIFF
-                break
+                raise NumericsError("persistent step rejection")
 
-    # 2 starter evaluations, then 6 per attempted step: accepted, rejected or
-    # stopped at its non-finite state
+    # 2 starter evaluations, then 6 per attempted step, accepted or rejected
     steps = len(ts) - 1
-    nfev = 2 + 6 * (steps + rejected + (status == STATUS_BAD_FIELD))
-    return status, ts, ys, (steps, rejected, nfev), hits
+    return ts, ys, (steps, rejected, 2 + 6 * (steps + rejected)), hits
 """
 
 # The tableau names of _DOPRI5_BODY.  Each is written into the generated
@@ -277,17 +270,25 @@ def source_field(name: str, names: tuple, *srcs: str):
 def dopri5(rhs, u0, t_end, rtol, atol, stop=None):
     """Integrate (x, y)' = rhs(x, y) from u0 = (x, y) over [0, t_end].
 
-    Returns (status, ts, ys, counts, hits): the accepted mesh as the
-    stepper's lists, the n+1 times ts and the n+1 states ys as (x, y) pairs
-    of floats; counts = (accepted steps, rejected steps, rhs evaluations);
+    Returns (ts, ys, counts, hits): the accepted mesh as the stepper's
+    lists, the n+1 times ts and the n+1 states ys as (x, y) pairs of
+    floats; counts = (accepted steps, rejected steps, rhs evaluations);
     and hits.  With stop = (x_sec, y_base, want, limit)
     every accepted step is searched for a crossing of x = x_sec as by
     section_crossing, each crossing (t, y, xdir) whose x-direction is
     want (either for want = 0.0) is appended to hits, and the run ends
-    at the limit-th; without a stop hits is empty.  Finiteness is checked
-    on the start values and the starter probe, then on each step's new
-    state and last stage.  A field carrying a source is evaluated from it
-    in place, with the floats its call gives; rhs evaluations count those."""
+    at the limit-th; without a stop hits is empty.  A field carrying a
+    source is evaluated from it in place, with the floats its call gives;
+    rhs evaluations count those.
+
+    Each failure is a NumericsError raised where the run first meets it:
+    a non-finite value, checked on the start values and the starter probe,
+    then on each step's new state and last stage, names rhs by its
+    __name__; a step size below 1e-14 of max(t, 1) is an underflow;
+    _MAX_REJECT_STREAK rejected steps in a row are a persistent rejection;
+    and a crossing that runs along the section is tangential.  A
+    ZeroDivisionError or OverflowError in the field or in the stepper's
+    arithmetic on its values passes through."""
     return _stepper(getattr(rhs, "source", None))(rhs, u0, t_end, rtol, atol, stop)
 
 

@@ -295,14 +295,6 @@ def trace_at(p: AlleeParams, point: Tuple[float, float]) -> float:
     return fx + gy
 
 
-def e4_trace(p: AlleeParams) -> float:
-    """Jacobian trace fx + gy at the interior equilibrium E4."""
-    E4 = equilibria(p).E4
-    if E4 is None:
-        raise DomainError(f"E4 does not exist at beta={p.beta}")
-    return trace_at(p, E4.point)
-
-
 @dataclass(frozen=True)
 class HopfOnset:
     beta_onset: float

@@ -20,7 +20,8 @@ _recenter (translate_to_equilibrium) and _substitute_linear
 through _kernels.define, as dataclasses generates __init__, once per table
 layout (and set of sums; the Hopf step once per triple of layouts), and
 keeps it in a bounded cache: one local per sum instead of dict lookups on
-tuple keys.  A layout is the table's keys in
+tuple keys.  A kernel is arithmetic on its arguments alone, with no branch
+on an error: the checks are its callers'.  A layout is the table's keys in
 insertion order: the order of the terms fixes the order in which each sum
 adds them up, and so its rounding.  The keys are checked against the
 monomials up to _DEGREE before any source is written.  The kernels repeat
@@ -56,6 +57,11 @@ which the cleaning keeps, has a non-finite product too.  A Hopf solve builds
 no system: it cleans the fast table (free of lam1) once, iterates on the slow
 table as _n_table writes it, zeros kept by the same argument and checked only
 for finiteness, and cleans it when it returns the two tables.
+
+sample_record, the draw of verify's records, is one generator call and the
+record constructor: over the whole draw box, corners and the omega1 = 0
+stratum included, the r = 0.1 Hopf solve succeeds with complex eigenvalues,
+so no draw needs a test or a retry (the tests check the box).
 """
 
 from __future__ import annotations
@@ -75,12 +81,6 @@ from .normalform import COEFF_NAMES, NormalFormCoefficients, rho_coefficients
 _DEGREE = 4  # cubic stages plus one guard order
 _MAX_ITER = 50  # Newton steps allowed to the equilibrium and to the Hopf point
 _TOL = 1e-12  # residual both Newton loops must get below (then take one more step)
-
-# sample_record's acceptance test: 4N - M^2 > _DISC_FLOOR at the Hopf point
-# for r = _R_CHECK, within _MAX_TRIES draws
-_R_CHECK = 0.1
-_DISC_FLOOR = 0.05
-_MAX_TRIES = 200
 
 Terms = Dict[Tuple[int, int], float]
 
@@ -343,14 +343,14 @@ _KERNEL_CACHE = 64
 def _kernel(emit, layout: tuple, *args):
     """The function kernel(coeffs, ...) whose straight-line source emit(layout,
     *args) writes for a table whose keys are layout, in insertion order (or
-    for tables whose layouts are its parts); DomainError naming a key that is
-    not a monomial of degree <= _DEGREE, so that only int exponents reach the
-    source."""
+    for tables whose layouts are its parts), run in an empty namespace: a
+    kernel is straight-line arithmetic on its arguments.  DomainError naming a
+    key that is not a monomial of degree <= _DEGREE, so that only int
+    exponents reach the source."""
     for k in layout:
         if k not in _TERMS:
             raise _term_error(k)
-    return define("\n".join(emit(tuple(_TERMS[k] for k in layout), *args)), "kernel",
-                  {"DomainError": DomainError})
+    return define("\n".join(emit(tuple(_TERMS[k] for k in layout), *args)), "kernel", {})
 
 
 def _unpack(layout: tuple, table: str = "coeffs", c: str = "c") -> list:
@@ -412,11 +412,9 @@ def _recenter_source(layout: tuple) -> list:
     exponent of the layout."""
     hx = [f"hx{e}" for e in range(max((i for i, _ in layout), default=0) + 1)]
     hy = [f"hy{e}" for e in range(max((j for _, j in layout), default=0) + 1)]
-    lines = ["def kernel(coeffs, x0, y0):", *_unpack(layout), "    try:",
-             *(f"        {h} = x0 ** {e}" for e, h in enumerate(hx)),
-             *(f"        {h} = y0 ** {e}" for e, h in enumerate(hy)),
-             "    except OverflowError:",
-             '        raise DomainError(f"non-finite power of the centre ({x0}, {y0})") from None']
+    lines = ["def kernel(coeffs, x0, y0):", *_unpack(layout),
+             *(f"    {h} = x0 ** {e}" for e, h in enumerate(hx)),
+             *(f"    {h} = y0 ** {e}" for e, h in enumerate(hy))]
     sums: dict = {}
     for n, (i, j) in enumerate(layout):
         for k in range(i + 1):
@@ -449,8 +447,10 @@ def _substitute_source(layout: tuple) -> list:
 
 def _recenter(coeffs: Terms, x0: float, y0: float) -> Terms:
     """Terms of sum c (x + x0)^i (y + y0)^j but the constant, as jet_recenter
-    gives them; DomainError on a key that is not a monomial of degree <= _DEGREE
-    or a power of the centre that the table needs beyond the float range."""
+    gives them; DomainError on a key that is not a monomial of degree <= _DEGREE.
+    A power of the centre beyond the float range raises OverflowError, which
+    no public path reaches: _centred's residual gate takes the same powers as
+    products, which overflow to inf there, and fails first."""
     return _kernel(_recenter_source, tuple(coeffs))(coeffs, x0, y0)
 
 
@@ -677,23 +677,13 @@ def fit_odd_series(samples: Sequence[Tuple[float, float]],
 
 def sample_record(rng: np.random.Generator,
                   constrain_omega1: bool = False) -> NormalFormCoefficients:
-    """Random coefficient record, uniform on [-1, 1] per entry, rejected
-    unless the rotation stays well-defined (4N - M^2 > _DISC_FLOOR) at the
-    Hopf point for r = _R_CHECK.  With constrain_omega1 the a10 entry is
-    overwritten to force omega1 = 0 (the degenerate stratum).  The linear
-    part is read at the equilibrium and on the system of that Hopf solve."""
-    for _ in range(_MAX_TRIES):
-        vals = dict(zip(COEFF_NAMES, rng.uniform(-1.0, 1.0, len(COEFF_NAMES)).tolist()))
-        if constrain_omega1:
-            vals["a10"] = 3.0 * vals["b10"] - 2.0 * vals["d10"] - 2.0 * vals["f00"]
-        nf = NormalFormCoefficients(**vals)
-        try:
-            _, (x, y), (fx, fy) = _hopf_point(nf, _R_CHECK)
-        except (DomainError, NumericsError):
-            continue
-        m10, m01 = _partials(fx, x, y, _ORDER1)[1:]
-        n10, n01 = _partials(fy, x, y, _ORDER1)[1:]
-        disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
-        if _DISC_FLOOR < disc < math.inf:
-            return nf
-    raise NumericsError(f"no acceptable record in {_MAX_TRIES} draws")
+    """Random coefficient record, uniform on [-1, 1] per entry, from one
+    generator call.  With constrain_omega1 the a10 entry is overwritten to
+    force omega1 = 0 (the degenerate stratum).  Every record of either
+    stratum has a Hopf point at r = 0.1 with complex eigenvalues well clear
+    of a double root (4N - M^2 near 4), which the tests check over the
+    whole box, so no draw is refused."""
+    vals = dict(zip(COEFF_NAMES, rng.uniform(-1.0, 1.0, len(COEFF_NAMES)).tolist()))
+    if constrain_omega1:
+        vals["a10"] = 3.0 * vals["b10"] - 2.0 * vals["d10"] - 2.0 * vals["f00"]
+    return NormalFormCoefficients(**vals)

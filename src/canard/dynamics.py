@@ -4,7 +4,9 @@ A field is an autonomous function (x, y) -> (dx/dt, dy/dt) on floats,
 optionally carrying its source (see _kernels); allee_field(p) is the
 model's, and carries it.  Every run goes through _run into one call of the
 scalar Dormand-Prince 5(4) core in _kernels, at the tolerances asked
-for; each failure of it is a NumericsError.  The core runs time forward and
+for; the core raises each of its failures as a NumericsError itself, and
+_run types a division by zero or an overflow of the field's arithmetic as
+one.  The core runs time forward and
 evaluates a field that carries its source in place; for Reversed runs
 _oriented negates the field, and its source, once per run.  integrate
 keeps the accepted mesh only, as the core's own lists: the times, and
@@ -28,14 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from ._kernels import (
-    STATUS_BAD_FIELD,
-    STATUS_STIFF,
-    STATUS_UNDERFLOW,
-    bisect,
-    dopri5,
-    tangential,
-)
+from ._kernels import bisect, dopri5, tangential
 from .allee import AlleeParams
 from .allee import model_field as allee_field
 from .errors import DomainError, NumericsError, require_count
@@ -81,14 +76,16 @@ class Trajectory:
 
 def _oriented(field: Callable, direction: str) -> Callable:
     """field, or for REVERSED its negation: the floats -1.0 * field gives.
-    The negation of a field carrying its source carries the negated source,
-    -(f_src) and -(g_src), which gives the same floats."""
+    The negation carries field's name, which the core's failures give, and
+    for a field carrying its source the negated source, -(f_src) and
+    -(g_src), which gives the same floats."""
     if direction != REVERSED:
         return field
 
     def negated(x, y):
         u, v = field(x, y)
         return -u, -v
+    negated.__name__ = str(getattr(field, "__name__", field))
     source = getattr(field, "source", None)
     if source is not None:
         names, f_src, g_src = source
@@ -109,9 +106,9 @@ def _typed_arithmetic(field: Callable):
 
 
 def _run(field: Callable, x0, opts: IntegratorOptions, stop=None):
-    """One run of the core at opts.rel_tol and opts.abs_tol, each failure
-    status raised as its NumericsError.  Returns (ts, ys, counts, hits) as
-    from dopri5 with the given stop."""
+    """One run of the core at opts.rel_tol and opts.abs_tol from the finite
+    start x0.  Returns (ts, ys, counts, hits) as from dopri5 with the given
+    stop; its failures are the core's."""
     try:
         # a string is one value, not a pair of digits
         u0 = () if isinstance(x0, str) else tuple(map(float, x0))
@@ -120,18 +117,8 @@ def _run(field: Callable, x0, opts: IntegratorOptions, stop=None):
     if len(u0) != 2 or not all(map(math.isfinite, u0)):
         raise DomainError(f"initial state must be a finite point, got {x0}")
     with _typed_arithmetic(field):
-        status, ts, ys, counts, hits = dopri5(
-            _oriented(field, opts.direction), u0, opts.t_max,
-            opts.rel_tol, opts.abs_tol, stop)
-    if status == STATUS_UNDERFLOW:
-        raise NumericsError("step size underflow (stiff or singular field)")
-    if status == STATUS_BAD_FIELD:
-        name = getattr(field, "__name__", field)
-        raise NumericsError(
-            f"field '{name}' evaluation produced non-finite values")
-    if status == STATUS_STIFF:
-        raise NumericsError("persistent step rejection")
-    return ts, ys, counts, hits
+        return dopri5(_oriented(field, opts.direction), u0, opts.t_max,
+                      opts.rel_tol, opts.abs_tol, stop)
 
 
 def integrate(field: Callable, x0, opts: IntegratorOptions = IntegratorOptions()

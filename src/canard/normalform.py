@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, NamedTuple, Optional
 
-from .errors import DomainError, require_number
+from .errors import DomainError, NumericsError, require_number
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,6 +209,11 @@ def omega_coefficients(nf: NormalFormCoefficients) -> OmegaCoefficients:
 
 
 def classify_hopf(omega1: float, omega2: float, tol: Optional[float] = None) -> Criticality:
+    """The verdict of the signs of omega1, then omega2, outside +-tol;
+    DomainError on a non-finite omega, which has no sign to read."""
+    for name, value in (("omega1", omega1), ("omega2", omega2)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if tol is None:
         # noise floor for sign decisions in a double-precision pipeline
         tol = 1e-9 * max(1.0, abs(omega1) + abs(omega2))
@@ -241,9 +246,15 @@ def lambda_star_series(rho1: float, rho3: float, eps: float) -> float:
 
 
 def analyze_record(nf: NormalFormCoefficients, tol: Optional[float] = None) -> HopfAnalysis:
-    """Bundle A (= omega1), rho, omega and the classification for one record."""
+    """Bundle A (= omega1), rho, omega and the classification for one record;
+    NumericsError naming the first of A, omega2, rho1 and rho3 whose closed
+    form overflows on the (finite) record."""
     rho = rho_coefficients(nf)
     om = omega_coefficients(nf)
+    for name, value in (("A", om.omega1), ("omega2", om.omega2),
+                        ("rho1", rho.rho1), ("rho3", rho.rho3)):
+        if not math.isfinite(value):
+            raise NumericsError(f"closed form {name} is not finite ({value}) for this record")
     cls = classify_hopf(om.omega1, om.omega2, tol)
     return HopfAnalysis(A=om.omega1, rho1=rho.rho1, rho3=rho.rho3,
                         omega1=om.omega1, omega2=om.omega2, classification=cls)

@@ -11,20 +11,38 @@ import math
 
 import numpy as np
 
+from canard import _kernels
 from canard._kernels import (
     A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65,
     B1, B3, B4, B5, B6, D1, D3, D4, D5, D6, D7, E1, E3, E4, E5, E6, E7,
-    STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF, STATUS_UNDERFLOW,
-    _MAX_REJECT_STREAK, section_crossing)
+    section_crossing)
 from canard.dynamics import _oriented, _typed_arithmetic
 from canard.errors import NumericsError
+
+# how a run of the reference ends; where it is not STATUS_OK the core raises
+# failure(status, field) instead
+STATUS_OK = 0
+STATUS_UNDERFLOW = 1
+STATUS_STIFF = 2
+STATUS_BAD_FIELD = 3
+
+
+def failure(status, field):
+    """The NumericsError the core raises where the reference ends with
+    status (not STATUS_OK), for the field the caller gave."""
+    if status == STATUS_BAD_FIELD:
+        name = getattr(field, "__name__", field)
+        return NumericsError(f"field '{name}' evaluation produced non-finite values")
+    return NumericsError({STATUS_UNDERFLOW: "step size underflow (stiff or singular field)",
+                          STATUS_STIFF: "persistent step rejection"}[status])
 
 
 def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
     """Integrate (x, y)' = rhs(x, y) from u0 = (x, y) over [0, t_end].
 
-    Returns (status, ts, ys, rcont, counts, hit): the accepted mesh ts
-    (n+1,) and ys (n+1, 2); the per-step interpolant coefficients rcont
+    Returns (status, ts, ys, rcont, counts, hit): how the run ended, a
+    STATUS_* code; the accepted mesh ts (n+1,) and ys (n+1, 2), up to a
+    failure; the per-step interpolant coefficients rcont
     (n, 5, 2), or None without store_dense (the mesh is the same either
     way); counts = (accepted steps, rejected steps, rhs evaluations); and
     hit.  With stop = (x_sec, y_base, want) every accepted step is
@@ -157,7 +175,7 @@ def dopri5(rhs, u0, t_end, rtol, atol, store_dense, stop=None):
             h = h * min(0.9, max(0.1, 0.9 * err ** (-0.2)))
             rejected += 1
             streak += 1
-            if streak >= _MAX_REJECT_STREAK:
+            if streak >= _kernels._MAX_REJECT_STREAK:
                 status = STATUS_STIFF
                 break
 
@@ -177,13 +195,8 @@ def section_crossings(field, start, section, opts, limit=64):
     with _typed_arithmetic(field):
         status, ts, ys, rcont, _, _ = dopri5(rhs, start, opts.t_max, opts.rel_tol,
                                              opts.abs_tol, True)
-    if status == STATUS_UNDERFLOW:
-        raise NumericsError("step size underflow (stiff or singular field)")
-    if status == STATUS_BAD_FIELD:
-        name = getattr(field, "__name__", field)
-        raise NumericsError(f"field '{name}' evaluation produced non-finite values")
-    if status == STATUS_STIFF:
-        raise NumericsError("persistent step rejection")
+    if status != STATUS_OK:
+        raise failure(status, field)
     g = ys[:, 0] - section.x
     hits = []
     for i in range(len(ts) - 1):

@@ -33,9 +33,7 @@ from canard.verify import (
     _stage_rho,
     _stage_series_order,
 )
-
-EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
-EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
+from examples import EX1, EX2
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:

@@ -24,7 +24,6 @@ from canard.allee import (
     check_grid,
     critical_height,
     critical_slope,
-    e4_trace,
     equilibria,
     fold_point,
     gamma_star,
@@ -40,13 +39,12 @@ from canard.allee import (
     psi_columns,
     require_closed_forms,
     require_coincidence,
+    trace_at,
 )
 from canard.errors import DomainError, NumericsError
 from canard.normalform import COEFF_NAMES, compute_A, lambda_c, lambda_H, omega_coefficients
 from canard.sdi import branch_inverse
-
-EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
-EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
+from examples import EX1, EX2
 
 
 def fold_height(m, n):
@@ -847,7 +845,7 @@ class TestModelL1:
         assert float.hex(model_l1(on_hopf_curve(EX1))) == "-0x1.00af2c35d5014p+9"
         assert float.hex(model_l1(on_hopf_curve(EX2))) == "0x1.1d85f6ec5c400p+1"
 
-    @pytest.mark.parametrize("fn", [e4_trace, model_l1])
+    @pytest.mark.parametrize("fn", [model_l1])
     def test_without_e4_rejected(self, fn):
         p = AlleeParams(**dict(EX1, beta=0.5))
         assert equilibria(p).E4 is None
@@ -905,6 +903,17 @@ class TestCompiledJacobian:
         got = model_jacobian(p)(x, y)
         assert all(isinstance(v, np.ndarray) and v.shape == x.shape for v in got)
         assert self._hex(got) == self._hex(hand_jacobian(x, y, p))
+
+
+class TestTraceAt:
+    @pytest.mark.parametrize("params", [EX1, EX2], ids=["EX1", "EX2"])
+    def test_is_the_jacobian_trace_at_e4(self, params):
+        # fx + gy of the compiled Jacobian, bit for bit (analyze reports it as
+        # e4_trace; test_cli checks that value)
+        p = AlleeParams(**params)
+        point = equilibria(p).E4.point
+        fx, _, _, gy = model_jacobian(p)(*point)
+        assert float.hex(trace_at(p, point)) == float.hex(fx + gy)
 
 
 @pytest.fixture

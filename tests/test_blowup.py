@@ -27,7 +27,6 @@ from canard.blowup import (
     _DEGREE,
     _HOPF_SUMS,
     _KERNEL_CACHE,
-    _MAX_TRIES,
     _ORDER1,
     _ORDER2,
     _TERMS,
@@ -60,6 +59,7 @@ from canard.normalform import (
 from canard.verify import fit_l1_omega1, fit_l1_omega2, fit_rho, run_all
 
 CANONICAL = NormalFormCoefficients()
+_FLOAT_MAX = float.fromhex("0x1.fffffffffffffp+1023")
 
 
 def _linear_part(sys):
@@ -583,43 +583,44 @@ class TestSampleRecord:
         assert asdict(nf) == asdict(self._per_coefficient_draws(ref_rng, constrained))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_one_hopf_solve_per_attempt(self, monkeypatch):
-        # a draw the Hopf solve refuses, one whose 4N - M^2 is below the floor
-        # (m01 = -0.01 at r = 0.1), then the generator's first draw
-        refused = np.full(len(COEFF_NAMES), 1e300)
-        flat = np.zeros(len(COEFF_NAMES))
-        flat[COEFF_NAMES.index("c01")] = 99.0
-        rng = _ScriptedDraws([refused, flat], np.random.default_rng(3))
-        count = {"solves": 0, "inside": False, "own": 0}
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_one_draw_and_no_hopf_solve(self, constrained, monkeypatch):
+        # a record is one generator call and the constructor: no solve or
+        # other stage runs, and a draw whose Hopf solve would fail is the
+        # record all the same; the next record is the generator's next draw
+        def stage(*args):
+            raise AssertionError("sample_record ran a stage")
 
-        def solve(nf, r):
-            count["solves"] += 1
-            count["inside"] = True
-            try:
-                return _hopf_point(nf, r)
-            finally:
-                count["inside"] = False
+        for name in ("_hopf_point", "_partials", "find_equilibrium", "equilibrium_series",
+                     "hopf_lambda1", "blow_up"):
+            monkeypatch.setattr(f"canard.blowup.{name}", stage)
+        huge = np.full(len(COEFF_NAMES), 1e300)
+        rng = _ScriptedDraws([huge], np.random.default_rng(3))
+        nf = sample_record(rng, constrained)
+        a10 = 3.0 * 1e300 - 2.0 * 1e300 - 2.0 * 1e300 if constrained else 1e300
+        assert asdict(nf) == dict(zip(COEFF_NAMES, huge.tolist()), a10=a10)
+        assert _outcome(_hopf_point, nf, 0.1) in (DomainError, NumericsError)
+        assert sample_record(rng, constrained) == _drawn_record(3, constrained)
+        assert rng.draws == 2
 
-        def counted(fn):
-            def call(*args):
-                count["own"] += not count["inside"]
-                return fn(*args)
-            return call
-
-        monkeypatch.setattr("canard.blowup._hopf_point", solve)
-        for fn in (find_equilibrium, equilibrium_series, hopf_lambda1, blow_up):
-            monkeypatch.setattr(f"canard.blowup.{fn.__name__}", counted(fn))
-        nf = sample_record(rng)
-        assert rng.draws == 3 and count["solves"] == 3 and count["own"] == 0
-        assert nf == sample_record(np.random.default_rng(3))
-
-    def test_gives_up_after_its_draws(self):
-        # every draw is refused by the Hopf solve; no draw past the last is made
-        refused = np.full(len(COEFF_NAMES), 1e300)
-        rng = _ScriptedDraws([refused] * _MAX_TRIES, None)
-        with pytest.raises(NumericsError, match=f"^no acceptable record in {_MAX_TRIES} draws$"):
-            sample_record(rng)
-        assert rng.draws == _MAX_TRIES
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from((-1.0, 1.0))),
+                           min_size=len(COEFF_NAMES), max_size=len(COEFF_NAMES)),
+           constrained=st.booleans())
+    # the corners of both strata, and the corner of smallest 4N - M^2 (3.753)
+    # that a local search over the corners found
+    @example(values=[1.0] * len(COEFF_NAMES), constrained=False)
+    @example(values=[-1.0] * len(COEFF_NAMES), constrained=True)
+    @example(values=[1.0 if name[0] == "e" or name in ("c01", "c11", "c02", "c21", "c12", "c03")
+                     else -1.0 for name in COEFF_NAMES], constrained=False)
+    def test_every_draw_of_the_box_has_a_well_posed_hopf_point(self, values, constrained):
+        # what sample_record's acceptance test checked: the r = 0.1 Hopf solve
+        # succeeds, with complex eigenvalues clear of a double root
+        nf = sample_record(_ScriptedDraws([np.array(values)], None), constrained)
+        _, (x, y), (fx, fy) = _hopf_point(nf, 0.1)
+        m10, m01 = _partials(fx, x, y, _ORDER1)[1:]
+        n10, n01 = _partials(fy, x, y, _ORDER1)[1:]
+        assert 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2 > 0.05
 
 
 class _ScriptedDraws:
@@ -1021,9 +1022,43 @@ class TestFlatKernels:
         centered = translate_to_equilibrium(sys, (0.0, 1e100))
         got = [list(f.items()) for f in (centered.fx, centered.fy)]
         assert got == _reference_centered(sys, (0.0, 1e100))
-        # a power a term needs still overflows to a typed error
-        with pytest.raises(DomainError, match="non-finite power of the centre"):
-            _recenter({(0, 3): 1.0}, 0.0, 1e150)
+        # a power a term needs overflows in the kernel's float pow, but the
+        # public paths never get there: the residual gate takes the power as
+        # a product, which is inf, and fails first
+        sys = PlanarPolySystem({(0, 3): 1.0}, {(1, 0): 1.0})
+        with pytest.raises(OverflowError):
+            _recenter(sys.fx, 0.0, 1e150)
+        for path in (translate_to_equilibrium, _one_pass):
+            with pytest.raises(DomainError,
+                               match=r"^residual at proposed equilibrium is inf > 1e-10$"):
+                path(sys, (0.0, 1e150))
+
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_residual_gate_meets_every_overflowing_power_first(self, e, axis, sign):
+        # every centre within 256 ulps of where the e-th power leaves the float
+        # range, in a table whose constant cancels the power's product form so
+        # that the residual is 0 wherever that product is finite: the centre's
+        # pow overflows only where the product does, so the public path
+        # recentres or fails its residual gate, and never meets the overflow
+        v = sign * _FLOAT_MAX ** (1.0 / e)
+        for _ in range(256):
+            v = math.nextafter(v, 0.0)
+        for _ in range(512):
+            p = v * v if e == 2 else v * v * v if e == 3 else v * v * v * v
+            term = (e, 0) if axis == 0 else (0, e)
+            centre = (v, 0.0) if axis == 0 else (0.0, v)
+            fx = {(0, 0): -0.5 * p, term: 0.5} if math.isfinite(p) else {term: 0.5}
+            sys = PlanarPolySystem(fx, {(1, 0): 1.0})
+            try:
+                v ** e
+            except OverflowError:
+                with pytest.raises(DomainError, match="^residual at proposed equilibrium"):
+                    translate_to_equilibrium(sys, centre)
+            else:  # recentred, or a typed error
+                _outcome(translate_to_equilibrium, sys, centre)
+            v = math.nextafter(v, math.copysign(math.inf, v))
 
     def test_rotation_overflow_raises(self):
         # small pivots make T^-1 large, and the cubic terms overflow under it
@@ -1180,12 +1215,10 @@ class TestSkippedSums:
 
 def _loop_recenter(coeffs, x0, y0):
     """_recenter as the loop it was before its kernels were generated, the
-    reference the generated kernels must equal bit for bit."""
-    try:
-        hx = [x0 ** n for n in range(max((i for i, _ in coeffs), default=0) + 1)]
-        hy = [y0 ** n for n in range(max((j for _, j in coeffs), default=0) + 1)]
-    except OverflowError:
-        raise DomainError(f"non-finite power of the centre ({x0}, {y0})") from None
+    reference the generated kernels must equal bit for bit; a power of the
+    centre past the float range raises OverflowError, as in the kernel."""
+    hx = [x0 ** n for n in range(max((i for i, _ in coeffs), default=0) + 1)]
+    hy = [y0 ** n for n in range(max((j for _, j in coeffs), default=0) + 1)]
     out = {}
     for (i, j), c in coeffs.items():
         bi = [float(math.comb(i, k)) for k in range(i + 1)]
@@ -1217,10 +1250,10 @@ def _loop_substitute_linear(coeffs, X, Y):
 
 def _hex_items(fn, *args):
     """fn's table as (key, float.hex) items in insertion order, or the type of
-    the typed error it raises."""
+    the typed error or float overflow it raises."""
     try:
         return [(k, float.hex(v)) for k, v in fn(*args).items()]
-    except (DomainError, NumericsError) as exc:
+    except (DomainError, NumericsError, OverflowError) as exc:
         return type(exc)
 
 
@@ -1246,7 +1279,8 @@ _FORM = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
 class TestGeneratedKernels:
     """_recenter and _substitute_linear run kernels generated per table layout;
     they must equal the loops they replace by float.hex and in item order, or
-    raise the same error type."""
+    raise the same error type (for _recenter at a centre whose needed power
+    leaves the float range, the OverflowError of float pow)."""
 
     @pytest.mark.parametrize("kind", _LAYOUT_KINDS)
     @settings(max_examples=30, deadline=None)

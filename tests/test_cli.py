@@ -23,9 +23,8 @@ from canard.allee import (COINCIDENCE_TOL, PARAM_NAMES, PSI_TAGS, AlleeParams, b
                           check_grid, equilibria, gamma_star)
 from canard.cli import load_config, main, parse_grid, write_csv
 from canard.errors import DomainError
+from examples import EX1, EX2
 
-EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
-EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
 TINY_M = "is too small: (m + x_M)^3 underflows to 0"
 
 
@@ -293,6 +292,41 @@ class TestAnalyze:
         assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 1
         assert "setting 'eps' is not finite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "analyze.json").exists()
+
+    @pytest.mark.parametrize("kind", ["record", "model"])
+    def test_overflowing_closed_form_is_a_numerics_error(self, tmp_path, capsys, kind):
+        # finite inputs whose omega2 leaves the float range (and rho3 with it)
+        # once wrote NaN or Infinity into analyze.json and exited 0
+        if kind == "record":
+            rec = tmp_path / "record.json"
+            rec.write_text('{"a10": 1e300, "b10": 1e300, "f00": 1e300, "c10": -1e300}')
+            cfg = tmp_path / "p.cfg"
+            cfg.write_text(f"coefficients = {rec}\n")
+            value = "nan"
+        else:
+            cfg = write_cfg(tmp_path / "p.cfg", dict(EX1, alpha=1e-300, beta=1e-301))
+            value = "inf"
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: closed form omega2 is not finite ({value}) for this record\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
+    @pytest.mark.parametrize("point", [EX1, EX2], ids=["EX1", "EX2"])
+    def test_output_is_strict_json(self, tmp_path, point):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        cfg = write_cfg(tmp_path / "p.cfg", point)
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        json.loads((tmp_path / "o" / "analyze.json").read_text(), parse_constant=refuse)
+
+    @pytest.mark.parametrize("point", [EX1, EX2], ids=["EX1", "EX2"])
+    def test_e4_trace_is_trace_at_e4(self, tmp_path, point):
+        cfg = write_cfg(tmp_path / "p.cfg", point)
+        assert run(["analyze", "--config", cfg, "--out", tmp_path / "o"]) == 0
+        data = json.loads((tmp_path / "o" / "analyze.json").read_text())
+        p = AlleeParams(**point)
+        assert data["e4_trace"] == allee.trace_at(p, equilibria(p).E4.point)
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path / "p.cfg", EX1)

@@ -12,11 +12,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from canard import _kernels, dynamics
-from canard._kernels import (STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF,
-                             STATUS_UNDERFLOW, _stepper, _stepper_source, bisect,
-                             dopri5, source_field)
-from canard.allee import (AlleeParams, boundary_roots, critical_slope, e4_trace, equilibria,
-                          fold_point, hopf_onset)
+from canard._kernels import _stepper, _stepper_source, bisect, dopri5, source_field
+from canard.allee import (AlleeParams, boundary_roots, critical_slope, equilibria, fold_point,
+                          hopf_onset, trace_at)
 from canard.dynamics import (
     FORWARD,
     REVERSED,
@@ -34,11 +32,11 @@ from canard.dynamics import (
     section_crossings,
 )
 from canard.errors import DomainError, NumericsError
+from dopri5_reference import (STATUS_BAD_FIELD, STATUS_OK, STATUS_STIFF, STATUS_UNDERFLOW,
+                              failure)
 from dopri5_reference import dopri5 as reference_dopri5
 from dopri5_reference import section_crossings as reference_section_crossings
-
-EX1 = dict(m=0.3, n=0.1, alpha=0.849561, beta=0.2, gamma=0.1, eps=0.0099)
-EX2 = dict(m=0.263075, n=0.1, alpha=0.8, beta=0.138485, gamma=0.4424, eps=0.01)
+from examples import EX1, EX2
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,11 +124,16 @@ class TestIntegrate:
                       IntegratorOptions(t_max=1.0))
 
     def test_field_turning_non_finite_after_steps(self):
+        calls = [0]
+
         def edge(x, y):
+            calls[0] += 1
             return (1.0, 0.0) if x < 0.5 else (np.nan, 0.0)
 
-        status, ts, _, counts, _ = dopri5(edge, (0.0, 0.0), 2.0, 1e-8, 1e-10)
-        assert status == STATUS_BAD_FIELD and counts[0] > 0 and ts[-1] < 0.5
+        with pytest.raises(NumericsError,
+                           match="^field 'edge' evaluation produced non-finite values$"):
+            dopri5(edge, (0.0, 0.0), 2.0, 1e-8, 1e-10)
+        assert calls[0] > 2  # past the starter's two evaluations
         with pytest.raises(NumericsError, match="field 'edge' evaluation"):
             integrate(edge, (0.0, 0.0), tight(2.0))
 
@@ -182,6 +185,16 @@ def _non_finite_field(where, direction, value):
     return bad
 
 
+def _counted(field):
+    """field(x, y) under the name "counted", with the count of its calls in
+    counted.calls."""
+    def counted(x, y):
+        counted.calls += 1
+        return field(x, y)
+    counted.calls = 0
+    return counted
+
+
 class TestNonFiniteField:
     """A non-finite field value is a typed failure wherever it shows up,
     in both directions, and the message names the caller's field."""
@@ -195,17 +208,46 @@ class TestNonFiniteField:
         ("steps", np.nan, STATUS_BAD_FIELD, True),
         ("steps", np.inf, STATUS_BAD_FIELD, True)])
     def test_core_status(self, where, value, status, stepped, direction):
-        f = _oriented(_non_finite_field(where, direction, value), direction)
-        got, ts, _, counts, _ = dopri5(f, (0.0, 0.5), 2.0, 1e-8, 1e-10)
+        # the core raises where the reference stepper ends with status, after
+        # the field evaluations of the reference's run: none after the check
+        # that saw the value
+        field = _counted(_non_finite_field(where, direction, value))
+        f = _oriented(field, direction)
+        got, ts, _, _, counts, _ = reference_dopri5(f, (0.0, 0.5), 2.0, 1e-8, 1e-10, False)
         assert got == status and ts[-1] < 0.5
         assert (counts[0] > 0) == stepped
+        field.calls = 0
+        with pytest.raises(NumericsError) as info:
+            dopri5(f, (0.0, 0.5), 2.0, 1e-8, 1e-10)
+        assert str(info.value) == "field 'counted' evaluation produced non-finite values"
+        assert field.calls == counts[2]
+
+    @pytest.mark.parametrize("bad_call, last_call", [
+        (1, 1), (2, 2),  # the start value and the starter probe
+        (8, 8), (62, 62),  # the last stage of the first and the tenth step
+        (5, 8), (60, 62)])  # a stage within a step, checked at the step's end
+    def test_raises_at_the_first_checked_non_finite_value(self, bad_call, last_call):
+        # the field is NaN at its bad_call-th evaluation only; the core checks
+        # the start value, the probe and each step's new state and last stage
+        # (a step's other stages reach those through the state), and raises at
+        # the first check that meets a NaN, with no evaluation after it
+        field = _counted(lambda x, y: (math.nan if field.calls == bad_call else -y, x))
+        with pytest.raises(NumericsError, match="^field 'counted' evaluation"):
+            dopri5(field, (1.0, 0.0), 50.0, 1e-10, 1e-12)
+        assert field.calls == last_call
 
     def test_finite_singular_field_underflows(self):
         # x' = 1/(1 - x) is finite short of x = 1, reached at t = 1/2 with
-        # an unbounded slope: the step size, not the field, gives out
-        got, ts, _, _, _ = dopri5(lambda x, y: (1.0 / (1.0 - x), 0.0), (0.0, 0.0),
-                                  2.0, 1e-8, 1e-10)
+        # an unbounded slope: the step size, not the field, gives out, and
+        # the core raises where the reference stepper stops
+        field = _counted(lambda x, y: (1.0 / (1.0 - x), 0.0))
+        got, ts, _, _, counts, _ = reference_dopri5(field, (0.0, 0.0), 2.0, 1e-8, 1e-10, False)
         assert got == STATUS_UNDERFLOW and abs(ts[-1] - 0.5) < 1e-6
+        field.calls = 0
+        with pytest.raises(NumericsError,
+                           match=r"^step size underflow \(stiff or singular field\)$"):
+            dopri5(field, (0.0, 0.0), 2.0, 1e-8, 1e-10)
+        assert field.calls == counts[2]
 
     @pytest.mark.parametrize("named", [True, False])
     @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
@@ -451,7 +493,7 @@ class TestAlleeCycles:
         # the displacement fixed point here is the zero-amplitude orbit at
         # the focus; its multiplier is exp(trace/2 * T)
         assert abs(res.section_point[1] - y4) < 1e-6
-        predicted = math.exp(0.5 * e4_trace(p) * res.period)
+        predicted = math.exp(0.5 * trace_at(p, (x4, y4)) * res.period)
         assert abs(res.multiplier - predicted) < 1e-3
 
     def test_model1_one_period_return(self):
@@ -479,7 +521,7 @@ class TestAlleeCycles:
         assert res.multiplier > 1.0
         assert abs(res.section_point[1] - y4) < 1e-6
         assert 300.0 < res.period < 500.0
-        predicted = 1.0 / math.exp(-0.5 * e4_trace(p) * res.period)
+        predicted = 1.0 / math.exp(-0.5 * trace_at(p, (x4, y4)) * res.period)
         assert abs(res.multiplier - predicted) < 1e-3
 
     def test_model1_upper_ray_has_no_cycle(self):
@@ -544,7 +586,8 @@ class TestHopfOnset:
                          beta=onset.beta_onset - 1e-4, gamma=0.1, eps=0.0099)
         hi = AlleeParams(m=0.3, n=0.1, alpha=0.849561,
                          beta=onset.beta_onset + 1e-4, gamma=0.1, eps=0.0099)
-        assert e4_trace(lo) > 0.0 > e4_trace(hi)
+        assert (trace_at(lo, equilibria(lo).E4.point) > 0.0
+                > trace_at(hi, equilibria(hi).E4.point))
 
     @pytest.mark.parametrize("params", [EX1, EX2], ids=["EX1", "EX2"])
     def test_e4_trace_matches_reduced_form(self, params):
@@ -552,7 +595,7 @@ class TestHopfOnset:
         p = AlleeParams(**params)
         x4, y4 = equilibria(p).E4.point
         reduced = x4 * critical_slope(x4, p.m, p.n) - p.eps * p.gamma * y4
-        assert abs(e4_trace(p) - reduced) < 1e-14
+        assert abs(trace_at(p, (x4, y4)) - reduced) < 1e-14
 
     def test_predicted_lambda_is_the_leading_hopf_curve(self):
         p = AlleeParams(**EX1)
@@ -595,7 +638,7 @@ class TestHopfOnset:
         q = replace(p, beta=beta_h)
         x4 = equilibria(q).E4.point[0]
         assert boundary_roots(q.m, q.n)[1] < x4 < fold_point(q.m, q.n)[0]
-        assert abs(e4_trace(q)) <= 1e-13
+        assert abs(trace_at(q, equilibria(q).E4.point)) <= 1e-13
 
 
 class TestRegionExcursion:
@@ -669,8 +712,8 @@ class TestGoldenTrajectories:
         p = AlleeParams(**{"EX1": EX1, "EX2": EX2}[case["example"]])
         f = _oriented(allee_field(p), case["direction"])
         args = (case["start"], case["t_max"], GOLDEN["rel_tol"], GOLDEN["abs_tol"])
-        status, ts, ys, counts, hits = dopri5(f, *args)
-        assert status == STATUS_OK and hits == []
+        ts, ys, counts, hits = dopri5(f, *args)
+        assert hits == []
         assert len(ts) - 1 == case["steps"] == counts[0]
         # the core's lists: the times, and the states as (x, y) pairs
         ts, ys = np.asarray(ts), np.asarray(ys)
@@ -739,19 +782,27 @@ class TestSectionStop:
         f = _oriented(allee_field(p), REVERSED if reversed_time else FORWARD)
         # off the section: orbits meet x = x4 tangentially only at E4
         start = (x4 - dx if left else x4 + dx, y4 + dy)
-        full = dopri5(f, start, t_max, 1e-10, 1e-12)
-        status, ts, ys, counts, hits = dopri5(f, start, t_max, 1e-10, 1e-12,
-                                              (x4, y4 - 1.0, want, limit))
-        assert full[4] == [] and len(hits) <= limit
+        # the run without a stop, as the reference stepper gives it (the core's
+        # bit for bit, TestInlinedField), with its mesh up to a failure
+        status, full_ts, full_ys, _, full_counts, _ = reference_dopri5(
+            f, start, t_max, 1e-10, 1e-12, False)
+        try:
+            ts, ys, counts, hits = dopri5(f, start, t_max, 1e-10, 1e-12,
+                                          (x4, y4 - 1.0, want, limit))
+        except NumericsError as exc:
+            # the orbit fails short of its limit-th crossing, as without a stop
+            assert status != STATUS_OK and str(exc) == str(failure(status, f))
+            return
+        assert len(hits) <= limit
         assert all(want in (0.0, d) for _, _, d in hits)
-        np.testing.assert_array_equal(ts, full[1][:len(ts)])
-        np.testing.assert_array_equal(ys, full[2][:len(ts)])
+        np.testing.assert_array_equal(ts, full_ts[:len(ts)])
+        np.testing.assert_array_equal(ys, full_ys[:len(ts)])
         if len(hits) == limit:
             # ended in the step that holds the limit-th crossing
-            assert status == STATUS_OK and ts[-2] <= hits[-1][0] <= ts[-1]
-            assert counts[0] == len(ts) - 1 <= full[3][0]
+            assert ts[-2] <= hits[-1][0] <= ts[-1]
+            assert counts[0] == len(ts) - 1 <= full_counts[0]
         else:
-            assert (status, counts, len(ts)) == (full[0], full[3], len(full[1]))
+            assert status == STATUS_OK and (counts, len(ts)) == (full_counts, len(full_ts))
 
     @settings(max_examples=40, deadline=None)
     @given(example=st.sampled_from(["EX1", "EX2"]), reversed_time=st.booleans(),
@@ -808,31 +859,37 @@ def _hexed(run):
     and the float.hex of its entries, or the type and message of what it
     raised."""
     try:
-        status, ts, ys, counts, hits = run()
+        ts, ys, counts, hits = run()
     except Exception as exc:
         return type(exc), str(exc)
 
     def hexed(a):
         a = np.asarray(a)
         return a.shape, [float.hex(float(v)) for v in a.ravel()]
-    return (status, hexed(ts), hexed(ys), counts,
-            [[float.hex(v) for v in hit] for hit in hits])
+    return (hexed(ts), hexed(ys), counts, [[float.hex(v) for v in hit] for hit in hits])
 
 
 def _reference(rhs, u0, t_end, rtol, atol, stop=None):
     """The reference stepper's run, without dense output, as dopri5 returns
     it: its stop (x_sec, y_base, want) is dopri5's (x_sec, y_base, want, 1)
-    for want = +-1, and its hit, or None, is hits = [hit] or []."""
+    for want = +-1, its hit, or None, is hits = [hit] or [], and a status
+    other than STATUS_OK is raised as the core raises it."""
     if stop is not None:
         assert stop[2] != 0.0 and stop[3] == 1
         stop = stop[:3]
     status, ts, ys, _, counts, hit = reference_dopri5(rhs, u0, t_end, rtol, atol, False, stop)
-    return status, ts, ys, counts, [] if hit is None else [hit]
+    if status != STATUS_OK:
+        raise failure(status, rhs)
+    return ts, ys, counts, [] if hit is None else [hit]
 
 
 def _opaque(field):
-    """field as a plain callable, without the source dopri5 would inline."""
-    return lambda x, y: field(x, y)
+    """field as a plain callable under its name, without the source dopri5
+    would inline."""
+    def opaque(x, y):
+        return field(x, y)
+    opaque.__name__ = field.__name__
+    return opaque
 
 
 # a field from (0, 0.5) toward +x, with the value v in place of s at the start
@@ -871,9 +928,9 @@ class TestInlinedField:
         if stop is None or (stop[2] != 0.0 and stop[3] == 1):
             # the stops the reference stepper has
             assert _hexed(lambda: _reference(f, *args)) == expect
-        if isinstance(expect[0], int):
+        if not isinstance(expect[0], type):
             # 2 starter evaluations, then 6 per attempted step, in place too
-            accepted, rejected, nfev = expect[3]
+            accepted, rejected, nfev = expect[2]
             assert nfev == 2 + 6 * (accepted + rejected)
 
     @pytest.mark.parametrize("direction", [FORWARD, REVERSED])
@@ -894,16 +951,19 @@ class TestInlinedField:
         s = -1.0 if direction == REVERSED else 1.0
         f = _oriented(_bad_source((s, value, where)), direction)
         args = ((0.0, 0.5), 2.0, 1e-8, 1e-10)
-        assert _hexed(lambda: dopri5(f, *args)) == _hexed(lambda: _reference(f, *args))
+        expect = (NumericsError, "field 'bad' evaluation produced non-finite values")
+        assert _hexed(lambda: _reference(f, *args)) == expect
+        counts = reference_dopri5(f, *args, False)[4]
         # without a stop, and with one that records the crossing of x = 0.25
-        # and runs on to the failure
+        # and runs on to the failure: in place and called alike, the call
+        # count that of the reference's run, plus one for the located crossing
         for stop in (None, (0.25, 0.0, 0.0, 2)):
-            got = dopri5(f, *args, stop)
-            assert got[0] == STATUS_BAD_FIELD and got[1][-1] < 0.5
-            assert (got[3][0] > 0) == (where == "steps")
-            assert len(got[4]) == (stop is not None and where == "steps")
-            expect = _hexed(lambda: dopri5(_opaque(f), *args, stop))
             assert _hexed(lambda: dopri5(f, *args, stop)) == expect
+            assert _hexed(lambda: dopri5(_opaque(f), *args, stop)) == expect
+            field = _counted(f)
+            with pytest.raises(NumericsError, match="^field 'counted' evaluation"):
+                dopri5(field, *args, stop)
+            assert field.calls == counts[2] + (stop is not None and where == "steps")
 
     def test_one_stepper_per_source_and_direction(self):
         fields = [allee_field(AlleeParams(**ex)) for ex in (EX1, EX2)]
@@ -974,25 +1034,23 @@ class TestCounters:
 
 
 class TestStiffnessRetry:
-    """_run's reaction to a step-rejection streak, through a substituted
-    core that reports one: a typed failure from the one run, no retry."""
+    """A streak of rejected steps ends the one run with the core's typed
+    failure: no retry and no warning."""
 
     def test_persistent_stiffness_raises(self, monkeypatch):
-        # at once, after the one core call, and with no warning
-        calls = []
-
-        def core(field, u0, t_end, rtol, atol, stop=None):
-            calls.append((rtol, atol))
-            # a streak after one located crossing
-            return (STATUS_STIFF, np.array([0.0]), np.array([list(u0)]),
-                    (3, 30, 200), [(0.5, 0.5, 1.0)])
-
-        monkeypatch.setattr(dynamics, "dopri5", core)
+        # with a streak limit of 1 the first rejected step of this orbit (after
+        # 763 accepted ones) ends the run, where the reference stepper stops,
+        # after its field evaluations: one run, at the tolerances asked
+        monkeypatch.setattr(_kernels, "_MAX_REJECT_STREAK", 1)
+        field = _counted(soft_cycle)
+        got, *_, counts, _ = reference_dopri5(field, (0.3, 0.1), 30.0, 1e-10, 1e-12, False)
+        assert got == STATUS_STIFF and counts[:2] == (763, 1)
+        field.calls = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericsError, match="^persistent step rejection$"):
-                integrate(soft_cycle, (0.3, 0.1), tight(5.0))
-        assert calls == [(1e-10, 1e-12)]
+                integrate(field, (0.3, 0.1), tight(30.0))
+        assert field.calls == counts[2]
 
 
 class TestBisect:

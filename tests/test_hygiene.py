@@ -4,7 +4,9 @@ used in src/canard outside its own definition, cli is the one src/canard module 
 file formats are decided in one place, no src/canard module imports warnings,
 so typed errors are the one failure channel, errors is the one src/canard module
 that holds the number and count messages, _kernels.define is the one place in
-src/canard that runs generated code, the model's field and Jacobian text read
+src/canard that runs generated code, the blow-up kernels it runs are plain
+arithmetic in an empty namespace, no src/canard module hands back a status
+code, the model's field and Jacobian text read
 exactly x, y and the parameter names, the caches of the kernel and stepper
 generators that call it are bounded, the modules that serve floats import
 numpy only inside their array paths, no CSV field the CLI writes needs
@@ -241,6 +243,52 @@ def test_code_call_detector():
     src = ("import builtins, re\nexec('1')\ndef f():\n    def g():\n        eval('1')\n"
            "    builtins.compile('1', '', 'eval')\n    re.compile('x')\n")
     assert code_builtin_calls(src) == [(None, "exec"), ("g", "eval"), ("f", "compile")]
+
+
+def error_statements(source: str):
+    """The names of the try, except and raise nodes of a source, in walk order."""
+    kinds = (ast.Try, ast.TryStar, ast.ExceptHandler, ast.Raise)
+    return [type(node).__name__ for node in ast.walk(ast.parse(source))
+            if isinstance(node, kinds)]
+
+
+def test_blowup_kernels_are_plain_arithmetic(monkeypatch):
+    # every kernel a verify run generates has no error branch of its own and
+    # runs in an empty namespace, so it reads its arguments alone: the checks
+    # are its callers'
+    from canard import blowup
+    from canard.verify import run_all
+
+    define, generated = blowup.define, []
+
+    def recording(source, name, env):
+        generated.append((source, dict(env)))
+        return define(source, name, env)
+
+    monkeypatch.setattr(blowup, "define", recording)
+    blowup._kernel.cache_clear()
+    try:
+        run_all()
+    finally:
+        blowup._kernel.cache_clear()
+    assert len(generated) >= 5
+    assert [(error_statements(source), env) for source, env in generated] == [
+        ([], {})] * len(generated)
+
+
+def test_error_statement_detector():
+    src = ("def k(a):\n    try:\n        b = a ** 2\n    except OverflowError:\n"
+           "        raise ValueError(a) from None\n    return b\n")
+    assert error_statements(src) == ["Try", "ExceptHandler", "Raise"]
+    assert error_statements("def k(a, b):\n    c = a * b\n    return c + 0.0\n") == []
+
+
+def test_no_status_codes():
+    # the integrator core raises its own failures; no module returns a status
+    # code for a caller to turn into an error
+    users = [p.name for p in sorted((ROOT / "src" / "canard").glob("*.py"))
+             if "STATUS_" in p.read_text(encoding="utf-8")]
+    assert users == []
 
 
 def free_names(sources):

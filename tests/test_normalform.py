@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from canard.errors import DomainError
+from canard.errors import DomainError, NumericsError
 from canard.normalform import (
     COEFF_NAMES,
     Criticality,
@@ -210,6 +210,15 @@ class TestClassify:
         with pytest.raises(DomainError, match="finite and positive"):
             classify_hopf(0.0, 0.0, tol=tol)
 
+    @pytest.mark.parametrize("tol", [None, 1e-5])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_has_no_sign(self, value, tol):
+        # a NaN compares false both ways and would read as Undetermined
+        with pytest.raises(DomainError, match=f"^omega1 must be finite, got {value}$"):
+            classify_hopf(value, 0.0, tol)
+        with pytest.raises(DomainError, match=f"^omega2 must be finite, got {value}$"):
+            classify_hopf(0.0, value, tol)
+
 
 class TestL1Series:
     def test_values(self):
@@ -262,6 +271,18 @@ class TestSerialization:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("coeffs, name, value", [
+        (dict(a10=-1e308, b10=1e308), "A", "inf"),
+        (dict(a10=1e300, b10=1e300, f00=1e300, c10=-1e300), "omega2", "nan"),
+        (dict(c10=1e200, e10=1.0), "rho3", "-inf"),
+    ], ids=["A", "omega2", "rho3"])
+    def test_overflowing_closed_form_is_named(self, coeffs, name, value):
+        # a finite record whose closed forms leave the float range: the first
+        # non-finite value of A, omega2, rho1, rho3 is named
+        with pytest.raises(NumericsError,
+                           match=f"^closed form {name} is not finite \\({value}\\) for this record$"):
+            analyze_record(NormalFormCoefficients(**coeffs))
+
     def test_bundle_consistency(self):
         res = analyze_record(REF_RECORD)
         assert res.A == compute_A(REF_RECORD)
