@@ -12,34 +12,40 @@ Everything here is independent of the omega/rho polynomials, so a fit of
 l1_blowup over an r-grid is an end-to-end check of those polynomials.
 
 Every stage reads and writes plain (i, j) -> c term tables: the
-coefficient of x^i y^j, absent terms meaning 0.  Three kernels do the
-arithmetic on them: _partials (the values and derivatives of one table at a
-point, or of the Hopf solve's three tables in one step, _hopf_kernel),
-_recenter (translate_to_equilibrium) and _substitute_linear
-(normalize_linear).  _kernel generates each as a straight-line function
-through _kernels.define, as dataclasses generates __init__, once per table
-layout (and set of sums; the Hopf step once per triple of layouts), and
-keeps it in a bounded cache: one local per sum instead of dict lookups on
-tuple keys.  A kernel is arithmetic on its arguments alone, with no branch
-on an error: the checks are its callers'.  A layout is the table's keys in
+coefficient of x^i y^j, absent terms meaning 0.  Generated kernels do the
+arithmetic on them, one call per stage for every table the stage reads:
+the Hopf solve's three tables per Newton step (_hopf_kernel), both tables'
+values and derivatives at a point (_partials), their recentring (_centred)
+and their substitution into the rotation frame, which forms the rotated
+tables in the same kernel (_rotated).  The generators _partials_source,
+_recenter_source and _substitute_source share one form: the tables'
+layouts in turn, split by their sizes.  _kernel generates each kernel as a
+straight-line function through _kernels.define, as dataclasses generates
+__init__, once per set of layouts (and sums; the Hopf step once per
+fast-table layout, the slow and slope tables having fixed keys), and keeps
+it in a bounded cache: one local per sum instead of dict lookups on tuple
+keys.  A kernel is arithmetic on its arguments alone, with no branch on an
+error: the checks are its callers'.  A layout is the table's keys in
 insertion order: the order of the terms fixes the order in which each sum
 adds them up, and so its rounding.  The keys are checked against the
-monomials up to _DEGREE before any source is written.  The kernels repeat
-the float operations of the loops and jet ops they stand for (jet_recenter,
-which lives with the tests as their reference, jet_compose, jet_scale,
-jet_add), so their values are those bit for bit; the tests check them.
-blow_up_via_jets keeps to the generic jet ops as an independent cross-check
-of the closed-form tables and is the only place here that builds a Jet.
+monomials up to _DEGREE before any source is written.  The kernels repeat,
+table by table, the float operations of the loops and jet ops they stand
+for (jet_recenter, which lives with the tests as their reference,
+jet_compose, jet_scale, jet_add), so their values are those bit for bit;
+the tests check them.  blow_up_via_jets keeps to the generic jet ops as an
+independent cross-check of the closed-form tables and is the only place
+here that builds a Jet.
 
 The kernels skip work whose result is known: a contribution whose integer
-multiplier is 0 (the derivative sums of _partials), a product with an exact
-0.0 factor (the zero entries of _substitute_linear's powers and of
-normalize_linear's T), and the sums no caller reads (_recenter's constant
-term, the derivatives _centred and the Hopf step do not use).  A skipped term
-is +-0.0 when its other factors are finite, and it would be added to a sum
-that starts at +0.0 and so never holds -0.0 (a + (-a) is +0.0): adding it
-leaves the sum as it is.  A skipped 0 * inf would have been NaN, but then a
-value the caller checks is already non-finite, and the same error is raised.
+multiplier is 0 (the derivative sums of _partials_source), a product with
+an exact 0.0 factor (the zero entries of the substitution's powers and of
+normalize_linear's T), and the sums no caller reads (the recentred
+constant, the derivatives _centred and the Hopf step do not use).  A
+skipped term is +-0.0 when its other factors are finite, and it would be
+added to a sum that starts at +0.0 and so never holds -0.0 (a + (-a) is
++0.0): adding it leaves the sum as it is.  A skipped 0 * inf would have
+been NaN, but then a value the caller checks is already non-finite, and
+the same error is raised.
 
 A PlanarPolySystem is its two tables, cleaned at the one degree bound
 _DEGREE (int keys, floats, no zeros, all finite); lyapunov_DF's
@@ -242,11 +248,11 @@ _VALUE = _ORDER1[:1]
 _HOPF_SUMS = (_ORDER2[:5], _ORDER1 + _ORDER2[4:], _VALUE + _ORDER1[2:])
 
 
-def _partials(coeffs: Terms, x: float, y: float, sums: tuple = _ORDER2) -> Tuple[float, ...]:
-    """The derivatives sums of sum c x^i y^j at (x, y), by the kernel
-    _partials_source generates for the table's layout and those sums;
-    DomainError on a key that is not a monomial of degree <= _DEGREE."""
-    return _kernel(_partials_source, tuple(coeffs), sums)(coeffs, x, y)
+def _partials(fx: Terms, fy: Terms, x: float, y: float, sums: tuple) -> Tuple[float, ...]:
+    """The derivatives sums of sum c x^i y^j at (x, y), fx's then fy's, by
+    the one kernel _partials_source generates for the two layouts and those
+    sums; DomainError on a key that is not a monomial of degree <= _DEGREE."""
+    return _pair_kernel(_partials_source, fx, fy, (sums, sums))(fx, fy, x, y)
 
 
 def equilibrium_series(sys: PlanarPolySystem, r: float) -> EquilibriumSeries:
@@ -316,8 +322,7 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
     stage seeds it with the equilibrium series head)."""
     x, y = float(guess[0]), float(guess[1])
     for _ in range(_MAX_ITER):
-        fx, j11, j12 = _partials(sys.fx, x, y, _ORDER1)
-        fy, j21, j22 = _partials(sys.fy, x, y, _ORDER1)
+        fx, j11, j12, fy, j21, j22 = _partials(sys.fx, sys.fy, x, y, _ORDER1)
         # a residual that is not finite leads to no finite root; the Jacobian
         # need not be NaN there (_partials skips the 0 * inf terms), so say so
         if not (math.isfinite(fx) and math.isfinite(fy)):
@@ -335,69 +340,79 @@ def find_equilibrium(sys: PlanarPolySystem, guess: Tuple[float, float]) -> Tuple
     raise NumericsError(f"equilibrium refinement did not reach {_TOL} in {_MAX_ITER} iterations")
 
 
-# kernels kept per (kernel, table layout, sums); ten verify runs compile 15
+# kernels kept per (kernel, table layouts, sums); ten verify runs compile 9
 _KERNEL_CACHE = 64
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE)
 def _kernel(emit, layout: tuple, *args):
-    """The function kernel(coeffs, ...) whose straight-line source emit(layout,
-    *args) writes for a table whose keys are layout, in insertion order (or
-    for tables whose layouts are its parts), run in an empty namespace: a
-    kernel is straight-line arithmetic on its arguments.  DomainError naming a
-    key that is not a monomial of degree <= _DEGREE, so that only int
-    exponents reach the source."""
+    """The function kernel(t0, t1, ...) whose straight-line source
+    emit(layout, *args) writes for the tables t0, t1, ... whose keys, in
+    insertion order, make up layout (the emitter splits it by the table sizes
+    it is given), run in an empty namespace: a kernel is straight-line
+    arithmetic on its arguments.  DomainError naming a key that is not a
+    monomial of degree <= _DEGREE, so that only int exponents reach the
+    source."""
     for k in layout:
         if k not in _TERMS:
             raise _term_error(k)
     return define("\n".join(emit(tuple(_TERMS[k] for k in layout), *args)), "kernel", {})
 
 
-def _unpack(layout: tuple, table: str = "coeffs", c: str = "c") -> list:
-    """The line binding c0, c1, ... (for another c, c + "0", ...) to the values
-    of a table with this layout."""
-    names = "".join(f"{c}{n}, " for n in range(len(layout)))
-    return [f"    {names}= {table}.values()"] if layout else []
+def _pair_kernel(emit, fx: Terms, fy: Terms, *args):
+    """The one kernel that emit writes for the two tables fx and fy: their
+    layouts in turn, args, then their sizes."""
+    return _kernel(emit, (*fx, *fy), *args, len(fx), len(fy))
 
 
-def _accumulate(lines: list, sums: dict, key: tuple, value: str) -> None:
-    """out[key] = out.get(key, 0.0) + value, with out[key] held in a local."""
+def _tables(layout: tuple, sizes: tuple, *args: str) -> Tuple[list, list]:
+    """The layouts of the tables t0, t1, ... (table ti has the next sizes[i]
+    keys of layout), and the first lines of kernel(t0, t1, ..., *args): the
+    def and the lines binding ci_0, ci_1, ... to the values of table ti."""
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(layout[start:start + size])
+        start += size
+    lines = [f"def kernel({''.join(f't{t}, ' for t in range(len(parts)))}{', '.join(args)}):"]
+    lines += [f"    {''.join(f'c{t}_{n}, ' for n in range(len(part)))}= t{t}.values()"
+              for t, part in enumerate(parts) if part]
+    return parts, lines
+
+
+def _accumulate(lines: list, sums: dict, key: tuple, value: str, prefix: str) -> None:
+    """out[key] = out.get(key, 0.0) + value, with out[key] held in a local
+    whose name starts with prefix."""
     if key in sums:
         lines.append(f"    {sums[key]} += {value}")
     else:
-        sums[key] = f"o{len(sums)}"
+        sums[key] = f"{prefix}{len(sums)}"
         lines.append(f"    {sums[key]} = 0.0 + {value}")
 
 
-def _returned(lines: list, sums: dict) -> list:
-    """lines, then the return of the output table, its keys in first-insertion
-    order."""
-    items = ", ".join(f"{k}: {v}" for k, v in sums.items())
-    return lines + [f"    return {{{items}}}"]
+def _returned(lines: list, tables: Sequence[dict]) -> list:
+    """lines, then the return of the output tables, each one's keys in
+    first-insertion order."""
+    items = ("{" + ", ".join(f"{k}: {v}" for k, v in sums.items()) + "}" for sums in tables)
+    return lines + [f"    return ({''.join(f'{table}, ' for table in items)})"]
 
 
 def _partials_source(layout: tuple, sums: tuple, *sizes: int) -> list:
-    """kernel(t0, x, y) of _partials, or with sizes, kernel(t0, t1, ..., x, y)
-    of _hopf_kernel: table ti has the next sizes[i] keys of layout, and its
-    sums are sums[i].  The sum of each derivative (a, b) of a table adds, from
-    0.0 and in the order of the table's terms, ((k * c) * x^(i-a)) * y^(j-b)
-    with the integer k = i!/(i-a)! j!/(j-b)! and the powers x*x, (x*x)*x,
-    ((x*x)*x)*x.  A term whose k is 0 is left out (see the module docstring),
-    and a factor k = 1 or x^0 = 1.0 is not written: multiplying by it is exact."""
+    """kernel(t0, t1, ..., x, y) of _partials and _hopf_kernel: table ti has
+    the next sizes[i] keys of layout, and its sums are sums[i].  The sum of
+    each derivative (a, b) of a table adds, from 0.0 and in the order of the
+    table's terms, ((k * c) * x^(i-a)) * y^(j-b) with the integer
+    k = i!/(i-a)! j!/(j-b)! and the powers x*x, (x*x)*x, ((x*x)*x)*x.  A term
+    whose k is 0 is left out (see the module docstring), and a factor k = 1 or
+    x^0 = 1.0 is not written: multiplying by it is exact."""
     def term(c, i, j, a, b):
         k = math.perm(i, a) * math.perm(j, b)
         return "".join([f"{k} * " if k != 1 else "", c, *(
             f" * {v}{e if e > 1 else ''}" for v, e in (("x", i - a), ("y", j - b)) if e)])
 
-    blocks = tuple(zip(sizes, sums)) if sizes else ((len(layout), sums),)
-    lines = [f"def kernel({''.join(f't{t}, ' for t in range(len(blocks)))}x, y):"]
-    values, start = [], 0
-    for t, (size, table_sums) in enumerate(blocks):
-        part, start = layout[start:start + size], start + size
-        lines += _unpack(part, f"t{t}", f"c{t}_")
-        values += [" + ".join(["0.0", *(term(f"c{t}_{n}", i, j, a, b)
-                                        for n, (i, j) in enumerate(part) if i >= a and j >= b)])
-                   for a, b in table_sums]
+    parts, lines = _tables(layout, sizes, "x", "y")
+    values = [" + ".join(["0.0", *(term(f"c{t}_{n}", i, j, a, b)
+                                   for n, (i, j) in enumerate(part) if i >= a and j >= b)])
+              for t, (part, table_sums) in enumerate(zip(parts, sums)) for a, b in table_sums]
     for name, top in (("x", max((i for i, _ in layout), default=0)),
                       ("y", max((j for _, j in layout), default=0))):
         lines += [f"    {name}{e} = {name}{e - 1 if e > 2 else ''} * {name}"
@@ -405,66 +420,74 @@ def _partials_source(layout: tuple, sums: tuple, *sizes: int) -> list:
     return lines + [f"    return ({', '.join(values)},)"]
 
 
-def _recenter_source(layout: tuple) -> list:
-    """kernel(coeffs, x0, y0) of _recenter: the loop of jet_recenter over the
-    terms, k then l ascending, each contribution (c * (C(i, k) x0^(i-k))) *
-    (C(j, l) y0^(j-l)), with the powers x0 ** e and y0 ** e up to the highest
-    exponent of the layout."""
+def _recenter_source(layout: tuple, *sizes: int) -> list:
+    """kernel(t0, t1, ..., x0, y0) of _centred (table ti has the next sizes[i]
+    keys of layout): per table, the terms of sum c (x + x0)^i (y + y0)^j but
+    the constant, by the loop of jet_recenter over its terms, k then l
+    ascending, each contribution (c * (C(i, k) x0^(i-k))) * (C(j, l) y0^(j-l)),
+    with the powers x0 ** e and y0 ** e up to the highest exponent of the
+    layout."""
     hx = [f"hx{e}" for e in range(max((i for i, _ in layout), default=0) + 1)]
     hy = [f"hy{e}" for e in range(max((j for _, j in layout), default=0) + 1)]
-    lines = ["def kernel(coeffs, x0, y0):", *_unpack(layout),
-             *(f"    {h} = x0 ** {e}" for e, h in enumerate(hx)),
-             *(f"    {h} = y0 ** {e}" for e, h in enumerate(hy))]
-    sums: dict = {}
-    for n, (i, j) in enumerate(layout):
-        for k in range(i + 1):
-            lines.append(f"    cx = c{n} * ({_BINOM[i][k]!r} * {hx[i - k]})")
-            for l in range(0 if k else 1, j + 1):
-                _accumulate(lines, sums, (k, l), f"cx * ({_BINOM[j][l]!r} * {hy[j - l]})")
-    return _returned(lines, sums)
+    parts, lines = _tables(layout, sizes, "x0", "y0")
+    lines += [*(f"    {h} = x0 ** {e}" for e, h in enumerate(hx)),
+              *(f"    {h} = y0 ** {e}" for e, h in enumerate(hy))]
+    tables = []
+    for t, part in enumerate(parts):
+        sums: dict = {}
+        for n, (i, j) in enumerate(part):
+            for k in range(i + 1):
+                lines.append(f"    cx = c{t}_{n} * ({_BINOM[i][k]!r} * {hx[i - k]})")
+                for l in range(0 if k else 1, j + 1):
+                    _accumulate(lines, sums, (k, l),
+                                f"cx * ({_BINOM[j][l]!r} * {hy[j - l]})", f"o{t}_")
+        tables.append(sums)
+    return _returned(lines, tables)
 
 
-def _substitute_source(layout: tuple) -> list:
-    """kernel(coeffs, X, Y) of _substitute_linear: per term, the sums t[s] of the
-    products (k X^i[p]) Y^j[q], p then q descending, each row of products behind
-    a branch that skips it where k X^i[p] == 0.0, then t[s] added to the output
-    for s descending."""
+def _substitute_source(layout: tuple, *sizes: int) -> list:
+    """kernel(t0, t1, X, Y, t00, t01, t10) of _rotated (tables t0, t1 of the
+    sizes[0] and sizes[1] keys of layout).  It substitutes x = a u + b v,
+    y = c u + d v in each table as jet_compose does, given the _linear_powers
+    X, Y of the two forms: per term, the sums w[s] of the products
+    (k X^i[p]) Y^j[q], p then q descending, each row of products behind a
+    branch that skips it where k X^i[p] == 0.0, then w[s] added to the table's
+    output z for s descending.  It returns g1 = 0.0 + t00 z1 + t01 z2 and
+    g2 = t10 z1, keyed as z1, then the keys only z2 has, a missing entry
+    written as 0.0: the float operations of z1.get(k, 0.0) and z2.get(k, 0.0)."""
     rows = sorted({i for i, _ in layout}), sorted({j for _, j in layout})
-    lines = ["def kernel(coeffs, X, Y):", *_unpack(layout)]
+    parts, lines = _tables(layout, sizes, "X", "Y", "t00", "t01", "t10")
     for name, es in zip("XY", rows):
         lines += [f"    {''.join(f'{name.lower()}{e}_{p}, ' for p in range(e + 1))}= {name}[{e}]"
                   for e in es]
-    sums: dict = {}
-    for n, (i, j) in enumerate(layout):
-        lines.append(f"    {' = '.join(f't{s}' for s in range(i + j + 1))} = 0.0")
-        for p in range(i, -1, -1):
-            lines += [f"    kx = c{n} * x{i}_{p}", "    if kx != 0.0:"]
-            lines += [f"        t{p + q} += kx * y{j}_{q}" for q in range(j, -1, -1)]
-        for s in range(i + j, -1, -1):
-            _accumulate(lines, sums, (s, i + j - s), f"t{s}")
-    return _returned(lines, sums)
-
-
-def _recenter(coeffs: Terms, x0: float, y0: float) -> Terms:
-    """Terms of sum c (x + x0)^i (y + y0)^j but the constant, as jet_recenter
-    gives them; DomainError on a key that is not a monomial of degree <= _DEGREE.
-    A power of the centre beyond the float range raises OverflowError, which
-    no public path reaches: _centred's residual gate takes the same powers as
-    products, which overflow to inf there, and fails first."""
-    return _kernel(_recenter_source, tuple(coeffs))(coeffs, x0, y0)
+    z1, z2 = tables = ({}, {})
+    for t, (part, sums) in enumerate(zip(parts, tables)):
+        for n, (i, j) in enumerate(part):
+            lines.append(f"    {' = '.join(f'w{s}' for s in range(i + j + 1))} = 0.0")
+            for p in range(i, -1, -1):
+                lines += [f"    kx = c{t}_{n} * x{i}_{p}", "    if kx != 0.0:"]
+                lines += [f"        w{p + q} += kx * y{j}_{q}" for q in range(j, -1, -1)]
+            for s in range(i + j, -1, -1):
+                _accumulate(lines, sums, (s, i + j - s), f"w{s}", f"z{t}_")
+    keys = {**z1, **z2}
+    return _returned(lines, (
+        {k: f"0.0 + t00 * {z1.get(k, '0.0')} + t01 * {z2.get(k, '0.0')}" for k in keys},
+        {k: f"t10 * {z1.get(k, '0.0')}" for k in keys}))
 
 
 def _centred(fx: Terms, fy: Terms, eq) -> Tuple[Terms, Terms]:
-    """The two tables recentred at eq, an equilibrium (residual <= 1e-10)."""
+    """The two tables recentred at eq, an equilibrium (residual <= 1e-10).
+    A power of the centre beyond the float range raises OverflowError in the
+    recentring kernel, which this never reaches: the residual gate takes the
+    same powers as products, which overflow to inf there, and fails first."""
     if len(eq) != 2:
         raise DomainError(f"point length {len(eq)} != nvars 2")
     x0, y0 = float(eq[0]), float(eq[1])
-    f = abs(_partials(fx, x0, y0, _VALUE)[0])
-    g = abs(_partials(fy, x0, y0, _VALUE)[0])
+    f, g = map(abs, _partials(fx, fy, x0, y0, _VALUE))
     res = max(f, g) if g == g else g  # max() keeps a NaN only in first place
     if not res <= 1e-10:  # a NaN residual fails too
         raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
-    return _recenter(fx, x0, y0), _recenter(fy, x0, y0)
+    return _pair_kernel(_recenter_source, fx, fy)(fx, fy, x0, y0)
 
 
 def translate_to_equilibrium(sys: PlanarPolySystem, eq: Tuple[float, float]) -> PlanarPolySystem:
@@ -482,16 +505,9 @@ def _linear_powers(a: float, b: float) -> list:
             [x30 * b, x31 * b + x30 * a, x32 * b + x31 * a, x33 * b + x32 * a, x33 * a]]
 
 
-def _substitute_linear(coeffs: Terms, X: list, Y: list) -> Terms:
-    """Terms of sum k x^i y^j at x = a u + b v, y = c u + d v, given the
-    _linear_powers X, Y of the two forms, as jet_compose gives them, skipping a
-    product k X^i[p] == 0.0 (_substitute_source); DomainError on a key that is
-    not a monomial of degree <= _DEGREE."""
-    return _kernel(_substitute_source, tuple(coeffs))(coeffs, X, Y)
-
-
 def _rotated(fx: Terms, fy: Terms) -> Tuple[Terms, Terms]:
-    """The two tables in normalize_linear's frame, from its checks and T."""
+    """The two tables in normalize_linear's frame, from its checks and T, by
+    one _substitute_source kernel."""
     m10, m01 = fx.get((1, 0), 0.0), fx.get((0, 1), 0.0)
     n10, n01 = fy.get((1, 0), 0.0), fy.get((0, 1), 0.0)
     M = -(m10 + n01)
@@ -505,19 +521,13 @@ def _rotated(fx: Terms, fy: Terms) -> Tuple[Terms, Terms]:
     rt2 = math.sqrt(2.0)
     (t00, t01), t10 = (rt2 * (n01 - m10) / 2.0, -rt2 * m01), rt2 / 2.0 * s
     # T = [[t00, t01], [t10, 0]], T^-1 = [[0, 1/t10], [1/t01, -t00/(t01*t10)]]:
-    # det T = -t01*t10 = m01*s != 0
+    # det T = -t01*t10 = m01*s != 0.  The rotated tables start at +0.0 like
+    # the kernels' sums, so that g1 is never -0.0; T's zero: 0 * z2 is +-0.0,
+    # which would leave a nonzero t10 * z1 as it is, and t10 > 0 keeps g2 off
+    # -0.0; a non-finite z2 fails the check of g1 first (t01 != 0)
     X = _linear_powers(0.0, 1.0 / t10)
     Y = _linear_powers(1.0 / t01, -t00 / (t01 * t10))
-    z1 = _substitute_linear(fx, X, Y)
-    z2 = _substitute_linear(fy, X, Y)
-    keys = {**z1, **z2}  # z1's terms in order, then those only z2 has
-    # the sum starts at +0.0 like the kernels' sums, so that it is never -0.0
-    g1 = {k: 0.0 + t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys}
-    # T's zero: 0 * z2 is +-0.0, which would leave a nonzero t10 * z1 as it is,
-    # and t10 > 0 keeps g2 off -0.0; a non-finite z2 fails the check of g1
-    # first (t01 != 0)
-    g2 = {k: t10 * z1.get(k, 0.0) for k in keys}
-    return g1, g2
+    return _pair_kernel(_substitute_source, fx, fy)(fx, fy, X, Y, t00, t01, t10)
 
 
 def normalize_linear(sys: PlanarPolySystem) -> PlanarPolySystem:
@@ -542,11 +552,25 @@ def _lambda1_slopes(nf: NormalFormCoefficients, r: float) -> Terms:
             (0, 0): -1.0}
 
 
+# the layouts of every slow table and slope table a Hopf solve reads
+_N_LAYOUT = tuple(_n_table(NormalFormCoefficients(), 1.0, 0.0))
+_DN_LAYOUT = tuple(_lambda1_slopes(NormalFormCoefficients(), 1.0))
+
+
+def _hopf_source(layout: tuple) -> list:
+    """kernel(t0, t1, t2, x, y) of _hopf_kernel: the _partials_source kernel of
+    the _HOPF_SUMS of a fast table with this layout and of a slow and a slope
+    table with the layouts _N_LAYOUT and _DN_LAYOUT."""
+    return _partials_source((*layout, *_N_LAYOUT, *_DN_LAYOUT), _HOPF_SUMS,
+                            len(layout), len(_N_LAYOUT), len(_DN_LAYOUT))
+
+
 def _hopf_kernel(m: Terms, n: Terms, dn: Terms):
-    """The _partials_source kernel of the _HOPF_SUMS of m, n and dn: at (x, y)
-    the Hopf step's values of m, m_x, m_y, m_xx, m_xy, then n, n_x, n_y, n_xy,
-    n_yy, then p, p_y of the lambda1-slopes p = sum dn_ij x^i y^j."""
-    return _kernel(_partials_source, (*m, *n, *dn), _HOPF_SUMS, len(m), len(n), len(dn))
+    """The kernel of the Hopf step: at (x, y) the values of m, m_x, m_y, m_xx,
+    m_xy, then n, n_x, n_y, n_xy, n_yy, then p, p_y of the lambda1-slopes
+    p = sum dn_ij x^i y^j.  It is looked up by m's layout alone: n and dn are
+    the tables _n_table and _lambda1_slopes write, whose layouts are fixed."""
+    return _kernel(_hopf_source, tuple(m))
 
 
 def _hopf_point(nf: NormalFormCoefficients, r: float
@@ -649,12 +673,12 @@ def l1_blowup(nf: NormalFormCoefficients, r: float) -> float:
 
 
 def fit_odd_series(samples: Sequence[Tuple[float, float]],
-                   powers: Sequence[int]) -> Tuple[np.ndarray, float]:
+                   powers: Sequence[int]) -> np.ndarray:
     """Least-squares fit of v(r) = sum_k c_k r^(powers[k]).
 
-    Returns (coefficients aligned with powers, max abs residual).
-    Columns are scaled to unit infinity-norm before solving, since the
-    plain Vandermonde in r << 1 is badly conditioned."""
+    Returns the coefficients aligned with powers.  Columns are scaled to
+    unit infinity-norm before solving, since the plain Vandermonde in r << 1
+    is badly conditioned."""
     powers = list(powers)
     if len(samples) < 2 * len(powers):
         raise DomainError(
@@ -670,9 +694,7 @@ def fit_odd_series(samples: Sequence[Tuple[float, float]],
     sol, _, rank, _ = np.linalg.lstsq(A / scale, vs, rcond=None)
     if rank < len(powers):
         raise NumericsError("rank-deficient design matrix in series fit")
-    coeffs = sol / scale
-    residual = float(np.max(np.abs(A @ coeffs - vs)))
-    return coeffs, residual
+    return sol / scale
 
 
 def sample_record(rng: np.random.Generator,

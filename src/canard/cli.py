@@ -357,6 +357,22 @@ def _cell_text(column, shape) -> List[str]:
                            shape).ravel().tolist()
 
 
+def _require_finite(cols: dict, shape, names: List[str], values) -> None:
+    """NumericsError naming the first grid point in C order where a
+    SWEEP_COLUMNS closed form is not finite, and the first such column there."""
+    import numpy as np
+
+    finite = np.array([np.broadcast_to(np.isfinite(cols[k]), shape).ravel()
+                       for k in SWEEP_COLUMNS])
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=0)))
+        name = SWEEP_COLUMNS[int(np.argmin(finite[:, i]))]
+        iy, ix = divmod(i, shape[1])
+        point = ", ".join(f"{n}={v}" for n, v in zip(names, (values[0][ix], values[1][iy])))
+        raise NumericsError(f"closed form {name} is not finite "
+                            f"({float(np.broadcast_to(cols[name], shape).flat[i])}) at {point}")
+
+
 def cmd_sweep(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int]:
     import numpy as np
 
@@ -380,7 +396,9 @@ def cmd_sweep(settings: Dict[str, object], out_dir: str) -> Tuple[List[str], int
     axis = (np.array(x_values)[None, :], np.array(y_values)[:, None])
     grid = dict(values, **dict(zip(names, axis)))
     check_grid(**grid)
-    cols = model_columns(**grid)
+    with np.errstate(all="ignore"):
+        cols = model_columns(**grid)
+    _require_finite(cols, shape, names, (x_values, y_values))
     case = psi_columns(grid["m"], grid["n"], grid["alpha"], grid["gamma"])[3]
     columns = [*axis[:len(names)], *(cols[k] for k in SWEEP_COLUMNS),
                np.array(PSI_TAGS, dtype=object)[case]]

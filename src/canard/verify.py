@@ -87,7 +87,7 @@ def fit_l1_omega1(nf: NormalFormCoefficients, grid=OMEGA1_GRID):
     closed form predicts omega1/16.  The r^5 column absorbs series
     content beyond the two closed-form terms."""
     samples = [(r, l1_blowup(nf, r)) for r in grid]
-    coeffs, _ = fit_odd_series(samples, (1, 3, 5))
+    coeffs = fit_odd_series(samples, (1, 3, 5))
     return float(coeffs[0])
 
 
@@ -97,11 +97,11 @@ def fit_l1_omega2(nf: NormalFormCoefficients, grid=OMEGA2_GRID):
     model leaves behind.  On the omega1 = 0 stratum the closed form
     predicts c3 = omega2/32 and no even content."""
     samples = [(r, l1_blowup(nf, r)) for r in grid]
-    coeffs, _ = fit_odd_series(samples, (1, 3, 5, 7))
+    coeffs = fit_odd_series(samples, (1, 3, 5, 7))
     rs = np.array([r for r, _ in samples])
     vals = np.array([v for _, v in samples])
     model = sum(c * rs ** p for c, p in zip(coeffs, (1, 3, 5, 7)))
-    even, _ = fit_odd_series(list(zip(rs, vals - model)), (0, 2))
+    even = fit_odd_series(list(zip(rs, vals - model)), (0, 2))
     return float(coeffs[1]), float(even[0]), float(even[1])
 
 
@@ -110,7 +110,7 @@ def fit_rho(nf: NormalFormCoefficients, grid=RHO_GRID):
     closed forms predict (rho1, 0, rho3).  The r^4 and r^6 columns
     absorb higher even content so it cannot leak into the low ones."""
     samples = [(r, hopf_lambda1(nf, r) / r) for r in grid]
-    coeffs, _ = fit_odd_series(samples, (0, 1, 2, 4, 6))
+    coeffs = fit_odd_series(samples, (0, 1, 2, 4, 6))
     return float(coeffs[0]), float(coeffs[1]), float(coeffs[2])
 
 

@@ -1,9 +1,10 @@
 """The Hopf solve of canard.blowup as it was before one generated kernel took a
 whole Newton iterate: a PlanarPolySystem built for the start, the equilibrium
-series read off the hatted tables, and three _partials calls per iterate.  It
-is the bit-for-bit reference the solve is held to; hatted_tables serves the
-tests of the series, and hopf_system, whose rows the solve matches bit for
-bit, the tests of the Jacobian and of one Newton step."""
+series read off the hatted tables, and three one-table partials kernels per
+iterate (table_partials).  It is the bit-for-bit reference the solve is held
+to; hatted_tables serves the tests of the series, and hopf_system, whose rows
+the solve matches bit for bit, the tests of the Jacobian and of one Newton
+step."""
 
 import math
 
@@ -15,8 +16,9 @@ from canard.blowup import (
     _ORDER2,
     _finite,
     _m_table,
+    _kernel,
     _n_table,
-    _partials,
+    _partials_source,
 )
 from canard.errors import DomainError, NumericsError
 from canard.normalform import rho_coefficients
@@ -97,12 +99,18 @@ def lambda1_slopes(nf, r):
     return dn
 
 
+def table_partials(coeffs, x, y, sums=_ORDER2):
+    """The derivatives sums of one table at (x, y): the partials kernel
+    generated for that table alone."""
+    return _kernel(_partials_source, tuple(coeffs), (sums,), len(coeffs))(coeffs, x, y)
+
+
 def hopf_system(m, n, dn, x, y):
     """The Hopf defining system F = (fx, fy, trace) at (x, y) and its Jacobian
-    rows in (x, y, lambda1), from three _partials calls."""
-    fx, j11, j12, fxx, fxy = _partials(m, x, y, _HOPF_SUMS[0])
-    fy, j21, j22, gxy, gyy = _partials(n, x, y, _HOPF_SUMS[1])
-    p, _, p_y = _partials(dn, x, y, _ORDER1)
+    rows in (x, y, lambda1), from three table_partials calls."""
+    fx, j11, j12, fxx, fxy = table_partials(m, x, y, _HOPF_SUMS[0])
+    fy, j21, j22, gxy, gyy = table_partials(n, x, y, _HOPF_SUMS[1])
+    p, _, p_y = table_partials(dn, x, y, _ORDER1)
     return ((fx, fy, j11 + j22),
             ((j11, j12, 0.0), (j21, j22, p), (fxx + gxy, fxy + gyy, p_y)))
 

@@ -25,20 +25,28 @@ from canard.blowup import (
     sample_record,
     translate_to_equilibrium,
     _DEGREE,
+    _DN_LAYOUT,
     _HOPF_SUMS,
     _KERNEL_CACHE,
+    _N_LAYOUT,
     _ORDER1,
     _ORDER2,
     _TERMS,
+    _VALUE,
+    _centred,
+    _finite,
+    _first_lyapunov,
     _hopf_kernel,
     _hopf_point,
     _kernel,
     _lambda1_slopes,
     _linear_powers,
     _lyapunov_at,
+    _pair_kernel,
     _partials,
-    _recenter,
-    _substitute_linear,
+    _recenter_source,
+    _rotated,
+    _substitute_source,
 )
 from canard.errors import DomainError, NumericsError
 from canard.jet import (
@@ -48,7 +56,7 @@ from canard.jet import (
     jet_scale,
 )
 import hopf_reference
-from hopf_reference import hatted_tables, hopf_system
+from hopf_reference import hatted_tables, hopf_system, table_partials
 from jet_reference import jet_eval, jet_recenter
 from canard.normalform import (
     COEFF_NAMES,
@@ -409,7 +417,7 @@ class TestHopfLambda1:
         nf = random_record(rng)
         rs = [0.02 + 0.01 * k for k in range(9)]
         samples = [(r, hopf_lambda1(nf, r)) for r in rs]
-        coeffs, _ = fit_odd_series(samples, [1, 2, 3, 5])
+        coeffs = fit_odd_series(samples, [1, 2, 3, 5])
         assert abs(coeffs[1]) < 1e-6 * max(1.0, abs(coeffs[0]))
         rho = rho_coefficients(nf)
         assert coeffs[0] == pytest.approx(rho.rho1, rel=1e-6)
@@ -462,7 +470,7 @@ class TestL1Blowup:
         nf = NormalFormCoefficients(b10=1.0)
         grid = (0.02, 0.04, 0.06, 0.08, 0.10)
         samples = [(r, l1_blowup(nf, r)) for r in grid]
-        coeffs, _ = fit_odd_series(samples, [1, 3])
+        coeffs = fit_odd_series(samples, [1, 3])
         assert coeffs[0] == pytest.approx(3.0 / 16.0, rel=1e-3)
 
     def test_branch_ratio_identity(self):
@@ -488,21 +496,22 @@ class TestL1Blowup:
         assert abs(om.omega1) < 1e-15
         grid = [0.02 * k for k in range(1, 9)]
         samples = [(r, l1_blowup(nf, r)) for r in grid]
-        coeffs, _ = fit_odd_series(samples, [1, 3, 5, 7])
+        coeffs = fit_odd_series(samples, [1, 3, 5, 7])
         assert coeffs[1] == pytest.approx(om.omega2 / 32.0, rel=1e-2)
 
 
 class TestFitOddSeries:
     def test_exact_linear(self):
         samples = [(r, 2.0 * r) for r in (0.1, 0.2, 0.3, 0.4)]
-        coeffs, residual = fit_odd_series(samples, [1, 3])
+        coeffs = fit_odd_series(samples, [1, 3])
         assert coeffs[0] == pytest.approx(2.0, rel=1e-13)
         assert abs(coeffs[1]) < 1e-12
+        residual = max(abs(coeffs[0] * r + coeffs[1] * r ** 3 - v) for r, v in samples)
         assert residual < 1e-14
 
     def test_exact_cubic(self):
         samples = [(r, r + 0.5 * r ** 3) for r in (0.05, 0.1, 0.15, 0.2, 0.25)]
-        coeffs, _ = fit_odd_series(samples, [1, 3])
+        coeffs = fit_odd_series(samples, [1, 3])
         assert coeffs[0] == pytest.approx(1.0, rel=1e-12)
         assert coeffs[1] == pytest.approx(0.5, rel=1e-10)
 
@@ -511,7 +520,7 @@ class TestFitOddSeries:
         rs = np.linspace(0.05, 0.4, 12)
         samples = [(float(r), float(0.7 * r - 0.3 * r ** 3 + rng.normal(0.0, 1e-10)))
                    for r in rs]
-        coeffs, _ = fit_odd_series(samples, [1, 3])
+        coeffs = fit_odd_series(samples, [1, 3])
         assert coeffs[0] == pytest.approx(0.7, abs=1e-8)
         assert coeffs[1] == pytest.approx(-0.3, abs=1e-7)
 
@@ -568,8 +577,8 @@ class TestSampleRecord:
                 x, y = series_equilibrium(sys, 0.1)
             except (DomainError, NumericsError):
                 continue
-            m10, m01 = _partials(sys.fx, x, y)[1:3]
-            n10, n01 = _partials(sys.fy, x, y)[1:3]
+            m10, m01 = table_partials(sys.fx, x, y)[1:3]
+            n10, n01 = table_partials(sys.fy, x, y)[1:3]
             disc = 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2
             if 0.05 < disc < math.inf:
                 return nf
@@ -618,8 +627,8 @@ class TestSampleRecord:
         # succeeds, with complex eigenvalues clear of a double root
         nf = sample_record(_ScriptedDraws([np.array(values)], None), constrained)
         _, (x, y), (fx, fy) = _hopf_point(nf, 0.1)
-        m10, m01 = _partials(fx, x, y, _ORDER1)[1:]
-        n10, n01 = _partials(fy, x, y, _ORDER1)[1:]
+        m10, m01 = table_partials(fx, x, y, _ORDER1)[1:]
+        n10, n01 = table_partials(fy, x, y, _ORDER1)[1:]
         assert 4.0 * (m10 * n01 - m01 * n10) - (m10 + n01) ** 2 > 0.05
 
 
@@ -734,12 +743,12 @@ class TestNewtonProperties:
         # over the table's terms, the trace row's fxx + gxy and fxy + gyy; the
         # central difference's error scales with their addends, for rows 0 and
         # 1 the partials of the |coefficient| table at (|x|, |y|)
-        _, _, _, fxx, fxy, _ = _partials(sys.fx, *point[:2])
-        _, _, _, _, gxy, gyy = _partials(sys.fy, *point[:2])
+        _, _, _, fxx, fxy, _ = table_partials(sys.fx, *point[:2])
+        _, _, _, _, gxy, gyy = table_partials(sys.fy, *point[:2])
         size = {(2, 0): abs(fxx) + abs(gxy), (2, 1): abs(fxy) + abs(gyy)}
         for row, table in enumerate((sys.fx, sys.fy)):
-            addends = _partials({k: abs(c) for k, c in table.items()},
-                                abs(point[0]), abs(point[1]))
+            addends = table_partials({k: abs(c) for k, c in table.items()},
+                                     abs(point[0]), abs(point[1]))
             size[row, 0], size[row, 1] = addends[1:3]
         if (seed, r) == (3051, 0.07983811675154238):
             # the wider allowance must not hide a wrong entry: the cancelling
@@ -1110,6 +1119,11 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _full_pair_partials(fx, fy, x, y, sums):
+    """blowup._partials from _full_partials."""
+    return (*_full_partials(fx, x, y, sums), *_full_partials(fy, x, y, sums))
+
+
 def _full_hopf_kernel(m, n, dn):
     """The Hopf solve's step kernel from _full_partials."""
     def kernel(m, n, dn, x, y):
@@ -1120,7 +1134,7 @@ def _full_hopf_kernel(m, n, dn):
 
 def _outcome_with_full_sums(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("canard.blowup._partials", _full_partials)
+        mp.setattr("canard.blowup._partials", _full_pair_partials)
         mp.setattr("canard.blowup._hopf_kernel", _full_hopf_kernel)
         return _outcome(fn, *args)
 
@@ -1147,7 +1161,7 @@ class TestSkippedSums:
             raw = {k: (0.0 if n % 2 else -0.0) if zeros >> n & 1 else c
                    for n, (k, c) in enumerate(table.items())}
             for point in (centre, (x, y)):
-                assert _bits(_partials(raw, *point)) == _bits(_full_partials(raw, *point))
+                assert _bits(table_partials(raw, *point)) == _bits(_full_partials(raw, *point))
 
     @pytest.mark.parametrize("point", _NON_FINITE_POINTS)
     def test_non_finite_points_fail_as_with_full_sums(self, point):
@@ -1211,6 +1225,19 @@ class TestSkippedSums:
         nf = NormalFormCoefficients(**coeffs)
         for oracle in (_hopf_point, l1_blowup):
             assert _outcome(oracle, nf, r) == _outcome_with_full_sums(oracle, nf, r)
+
+
+def _recenter(coeffs, x0, y0):
+    """The recentring kernel generated for one table: the table recentred."""
+    return _kernel(_recenter_source, tuple(coeffs), len(coeffs))(coeffs, x0, y0)[0]
+
+
+def _substitute_linear(coeffs, X, Y):
+    """The rotation kernel generated for one table and an empty second one, at
+    t10 = 1.0: its g2 = t10 z1 is then the substituted table z1 itself, since a
+    product by 1.0 is exact."""
+    kernel = _kernel(_substitute_source, tuple(coeffs), len(coeffs), 0)
+    return kernel(coeffs, {}, X, Y, 0.0, 0.0, 1.0)[1]
 
 
 def _loop_recenter(coeffs, x0, y0):
@@ -1277,8 +1304,9 @@ _FORM = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
 
 
 class TestGeneratedKernels:
-    """_recenter and _substitute_linear run kernels generated per table layout;
-    they must equal the loops they replace by float.hex and in item order, or
+    """_recenter and _substitute_linear run the recentring and rotation kernels
+    generated for one table's layout; they must equal the loops those kernels
+    replace by float.hex and in item order, or
     raise the same error type (for _recenter at a centre whose needed power
     leaves the float range, the OverflowError of float pow)."""
 
@@ -1351,7 +1379,7 @@ class TestGeneratedPartials:
         floats = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
         table = {((float(i), j) if f else (i, j)): c for (i, j), f, c in zip(keys, floats, values)}
         for sums in (_ORDER1, _ORDER2, *_HOPF_SUMS):
-            got = _partials(table, x, y, sums)
+            got = table_partials(table, x, y, sums)
             assert _bits(got) == _bits(_full_partials(dict(zip(keys, values)), x, y, sums))
             assert len(got) == len(sums)
 
@@ -1359,26 +1387,29 @@ class TestGeneratedPartials:
     @given(data=st.data(), x=_POINT_COORD, y=_POINT_COORD)
     def test_hopf_system_is_the_full_sums(self, data, x, y):
         # one kernel for the three tables: each block is the full sums of its
-        # table, whatever the other two tables' layouts
-        tables = []
-        for label in ("m", "n", "dn"):
-            keys = data.draw(st.permutations(_KEYS), label=label)
-            keys = keys[:data.draw(st.integers(0, len(keys)), label=f"{label} size")]
+        # table, whatever the fast table's layout; the slow and slope tables
+        # have the layouts _n_table and _lambda1_slopes write
+        keys = data.draw(st.permutations(_KEYS), label="m")
+        tables = [keys[:data.draw(st.integers(0, len(keys)), label="m size")],
+                  _N_LAYOUT, _DN_LAYOUT]
+        for at, keys in enumerate(tables):
             values = data.draw(st.lists(_ENTRY, min_size=len(keys), max_size=len(keys)))
-            tables.append(dict(zip(keys, values)))
+            tables[at] = dict(zip(keys, values))
         want = [v for table, sums in zip(tables, _HOPF_SUMS)
                 for v in _full_partials(table, x, y, sums)]
         assert _bits(_hopf_kernel(*tables)(*tables, x, y)) == _bits(want)
 
     def test_keys_beyond_the_degree_bound_raise(self):
+        # the slow and slope tables of a Hopf step have fixed layouts: only
+        # the fast table's keys reach the Hopf kernel's check
+        n, dn = dict.fromkeys(_N_LAYOUT, 1.0), dict.fromkeys(_DN_LAYOUT, 1.0)
         for key in [(5, 0), (2, 3), (1.5, 0)]:
-            with pytest.raises(DomainError, match="not a monomial"):
-                _partials({(1, 0): 1.0, key: 2.0}, 0.5, 0.25, _ORDER1)
-            for at in range(3):
-                tables = [{(1, 0): 1.0}, {(0, 1): 1.0}, {(0, 0): -1.0}]
-                tables[at] = {**tables[at], key: 2.0}
+            bad = {(1, 0): 1.0, key: 2.0}
+            for tables in ((bad, {(0, 1): 1.0}), ({(0, 1): 1.0}, bad)):
                 with pytest.raises(DomainError, match="not a monomial"):
-                    _hopf_kernel(*tables)(*tables, 0.5, 0.25)
+                    _partials(*tables, 0.5, 0.25, _ORDER1)
+            with pytest.raises(DomainError, match="not a monomial"):
+                _hopf_kernel(bad, n, dn)(bad, n, dn, 0.5, 0.25)
 
     def test_verify_runs_fit_in_the_kernel_cache(self):
         # every layout and order the oracle meets in ten verify runs is compiled
@@ -1393,6 +1424,194 @@ class TestGeneratedPartials:
     def test_unrolled_linear_powers_are_the_loop(self, a, b):
         assert ([_bits(row) for row in _linear_powers(a, b)]
                 == [_bits(row) for row in _loop_linear_powers(a, b)])
+
+
+def _todays_centred(fx, fy, eq):
+    """_centred as it was with one kernel per table and stage: the residual
+    from two partials kernels, then two recentring kernels."""
+    if len(eq) != 2:
+        raise DomainError(f"point length {len(eq)} != nvars 2")
+    x0, y0 = float(eq[0]), float(eq[1])
+    f = abs(table_partials(fx, x0, y0, _VALUE)[0])
+    g = abs(table_partials(fy, x0, y0, _VALUE)[0])
+    res = max(f, g) if g == g else g
+    if not res <= 1e-10:
+        raise DomainError(f"residual at proposed equilibrium is {res:.3e} > 1e-10")
+    return _recenter(fx, x0, y0), _recenter(fy, x0, y0)
+
+
+def _todays_combination(z1, z2, t00, t01, t10):
+    """The rotated tables as _rotated formed them from the two substituted
+    tables in Python."""
+    keys = {**z1, **z2}
+    g1 = {k: 0.0 + t00 * z1.get(k, 0.0) + t01 * z2.get(k, 0.0) for k in keys}
+    g2 = {k: t10 * z1.get(k, 0.0) for k in keys}
+    return g1, g2
+
+
+def _todays_rotated(fx, fy):
+    """_rotated as it was: its checks and T, one substitution kernel per table
+    and the combination in Python."""
+    m10, m01 = fx.get((1, 0), 0.0), fx.get((0, 1), 0.0)
+    n10, n01 = fy.get((1, 0), 0.0), fy.get((0, 1), 0.0)
+    M = -(m10 + n01)
+    disc = 4.0 * (m10 * n01 - m01 * n10) - M * M
+    if disc <= 0.0:
+        raise DomainError(f"4*N - M^2 = {disc:.3e} must be positive (complex eigenvalues)")
+    if m01 == 0.0:
+        raise DomainError("the rotation frame requires m01 != 0")
+    s = math.sqrt(disc)
+    rt2 = math.sqrt(2.0)
+    (t00, t01), t10 = (rt2 * (n01 - m10) / 2.0, -rt2 * m01), rt2 / 2.0 * s
+    X = _linear_powers(0.0, 1.0 / t10)
+    Y = _linear_powers(1.0 / t01, -t00 / (t01 * t10))
+    return _todays_combination(_substitute_linear(fx, X, Y), _substitute_linear(fy, X, Y),
+                               t00, t01, t10)
+
+
+def _todays_pass(fx, fy, eq):
+    """_lyapunov_at on the per-table stages."""
+    fx, fy = _todays_centred(fx, fy, eq)
+    _finite(fx), _finite(fy)
+    g1, g2 = _todays_rotated(fx, fy)
+    _finite(g1), _finite(g2)
+    return _first_lyapunov(g1, g2)
+
+
+def _hex_tables(fn, *args):
+    """The tables fn returns as (key, float.hex) items in insertion order, or
+    the type and message of the typed error or float overflow it raises."""
+    try:
+        return [[(k, float.hex(v)) for k, v in table.items()] for table in fn(*args)]
+    except (DomainError, NumericsError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# entries that overflow the stages, or whose products underflow
+_WIDE_ENTRY = st.one_of(_ENTRY, st.sampled_from((1e300, -1e300, 1e-300)))
+
+
+def _drawn_table(data, label, entry=_ENTRY):
+    """A table of one of the _LAYOUT_KINDS: a full or sparse layout over the
+    monomials up to _DEGREE in a drawn order, entries from entry."""
+    pool, size = _LAYOUT_KINDS[data.draw(st.sampled_from(sorted(_LAYOUT_KINDS)),
+                                          label=f"{label} kind")]
+    keys = data.draw(st.permutations(pool), label=f"{label} keys")
+    if size is not None:
+        keys = keys[:data.draw(st.integers(*size), label=f"{label} size")]
+    values = data.draw(st.lists(entry, min_size=len(keys), max_size=len(keys)),
+                       label=f"{label} values")
+    return dict(zip(keys, values))
+
+
+class TestFusedKernels:
+    """Each stage of the pass that reads both tables runs one kernel for the
+    two: its values must be those of the kernels generated for one table each
+    (and, for the rotation, of the combination _rotated made of them) by
+    float.hex and in item order, and each stage must fail where the per-table
+    stages fail, with the same error and message."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), point=st.tuples(_CENTRE, _CENTRE))
+    def test_partials_are_the_one_table_kernels(self, data, point):
+        fx, fy = _drawn_table(data, "fx"), _drawn_table(data, "fy")
+        for sums in (_VALUE, _ORDER1, _ORDER2):
+            want = (*table_partials(fx, *point, sums), *table_partials(fy, *point, sums))
+            assert _bits(_partials(fx, fy, *point, sums)) == _bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), centre=st.tuples(_CENTRE, _CENTRE))
+    def test_recentring_is_the_one_table_kernels(self, data, centre):
+        # the centres with powers past the float range raise OverflowError in
+        # the kernel, as in the loop it stands for
+        fx, fy = _drawn_table(data, "fx"), _drawn_table(data, "fy")
+        assert (_hex_tables(_pair_kernel(_recenter_source, fx, fy), fx, fy, *centre)
+                == _hex_tables(lambda *c: (_recenter(fx, *c), _recenter(fy, *c)), *centre))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), forms=st.tuples(_FORM, _FORM, _FORM, _FORM),
+           T=st.tuples(_FORM, _FORM, _FORM))
+    def test_rotation_is_the_one_table_kernels_and_the_combination(self, data, forms, T):
+        fx, fy = _drawn_table(data, "fx"), _drawn_table(data, "fy")
+        a, b, c, d = forms
+        Y = _linear_powers(c, d)
+        # the monomial form 0 u + b v that _rotated uses, and a full one
+        for X in (_linear_powers(0.0, b), _linear_powers(a, b)):
+            want = _todays_combination(_substitute_linear(fx, X, Y),
+                                       _substitute_linear(fy, X, Y), *T)
+            kernel = _pair_kernel(_substitute_source, fx, fy)
+            assert _hex_tables(kernel, fx, fy, X, Y, *T) == _hex_tables(lambda: want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), centre=st.tuples(_CENTRE, _CENTRE),
+           setup=st.sampled_from(("drawn", "own centre", "rotation")),
+           w=st.tuples(st.floats(0.25, 2.0), st.floats(0.25, 2.0)))
+    def test_stages_are_the_per_table_stages(self, data, centre, setup, w):
+        # "own centre": the constant terms put the centre on the zero set of
+        # both tables where their values there are finite, so that the
+        # residual gate passes; "rotation": a zero-trace rotation plus drawn
+        # nonlinear terms moved to a finite centre, so that every stage runs
+        if setup == "rotation":
+            centre = data.draw(st.tuples(_POINT_COORD, _POINT_COORD), label="finite centre")
+            tables = []
+            for linear in ({(0, 1): -w[0]}, {(1, 0): w[1]}):
+                keys = data.draw(st.lists(st.sampled_from(_NONLINEAR), unique=True))
+                values = data.draw(st.lists(_ENTRY, min_size=len(keys), max_size=len(keys)))
+                g = Jet(2, _DEGREE, {**linear, **dict(zip(keys, values))})
+                tables.append(jet_recenter(g, (-centre[0], -centre[1])).coeffs)
+            fx, fy = tables
+        else:
+            fx, fy = (_drawn_table(data, label, _WIDE_ENTRY) for label in ("fx", "fy"))
+        if setup == "own centre":
+            for table in (fx, fy):
+                value = table_partials({**table, (0, 0): 0.0}, *centre, _VALUE)[0]
+                table[(0, 0)] = -value if math.isfinite(value) else 0.0
+        assert _hex_tables(_centred, fx, fy, centre) == _hex_tables(_todays_centred, fx, fy, centre)
+        assert _hex_tables(_rotated, fx, fy) == _hex_tables(_todays_rotated, fx, fy)
+        assert (_hex_or_error(_lyapunov_at, fx, fy, centre)
+                == _hex_or_error(_todays_pass, fx, fy, centre))
+
+    @pytest.mark.parametrize("fx, fy, key", [
+        # cubic terms overflow under the small pivots: the first non-finite
+        # key of the rotated fast table, in its order
+        ({(0, 1): -1e-3, (3, 0): 1e307, (1, 2): 1e307}, {(1, 0): 1e-3, (0, 3): 1e307}, (3, 0)),
+        # the only cubic terms are the slow table's: the rotated tables list
+        # their keys after the fast table's, (3, 0) finite and (2, 1) not
+        ({(0, 1): -1e-3, (2, 0): 1.0}, {(1, 0): 1e-3, (1, 2): 1e307}, (2, 1)),
+    ])
+    def test_first_non_finite_key_is_named(self, fx, fy, key):
+        got = _hex_or_error(_lyapunov_at, fx, fy, (0.0, 0.0))
+        assert got == _hex_or_error(_todays_pass, fx, fy, (0.0, 0.0))
+        assert got == (DomainError, f"non-finite coefficient at {key}")
+
+    @pytest.mark.parametrize("seed, constrained, r", [
+        (0, False, 0.1), (3, True, 0.02), (4, False, 0.2), (7, True, 1e-3)])
+    def test_one_kernel_call_per_stage(self, seed, constrained, r, monkeypatch):
+        # one generated-kernel call per Hopf Newton iterate, then one each for
+        # the residual, the recentring and the rotation of both tables
+        nf = _drawn_record(seed, constrained)
+        want = float.hex(l1_blowup(nf, r))
+        kernel, n_table, calls, slow_tables = blowup._kernel, blowup._n_table, [], []
+
+        def counted(emit, *key):
+            run = kernel(emit, *key)
+
+            def call(*args):
+                calls.append(emit.__name__)
+                return run(*args)
+            return call
+
+        def counted_slow_table(*args):
+            slow_tables.append(args)
+            return n_table(*args)
+        monkeypatch.setattr(blowup, "_kernel", counted)
+        monkeypatch.setattr(blowup, "_n_table", counted_slow_table)
+        assert float.hex(l1_blowup(nf, r)) == want
+        # the solve writes the starting slow table, then one per iterate
+        iterates = len(slow_tables) - 1
+        assert iterates >= 2
+        assert calls == (["_hopf_source"] * iterates
+                         + ["_partials_source", "_recenter_source", "_substitute_source"])
 
 
 def _staged(sys, eq):

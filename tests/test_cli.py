@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
 from pathlib import Path
@@ -337,6 +338,24 @@ class TestAnalyze:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("params, grid, point", [
+        # omega2 overflows on both rows and once wrote inf into sweep.csv
+        (dict(EX1, alpha=1e-300, beta=1e-301), "m=0.2:0.25:2", "m=0.2"),
+        # the first point in grid (C) order whose closed form overflows
+        (EX1, "m=0.2:0.25:2,alpha=0.849561:1e-300:2", "m=0.2, alpha=1e-300"),
+        (EX1, "alpha=0.849561:1e-300:2,m=0.2:0.25:2", "alpha=1e-300, m=0.2"),
+    ])
+    def test_overflowing_closed_form_is_a_numerics_error(self, tmp_path, capsys,
+                                                         params, grid, point):
+        cfg = write_cfg(tmp_path / "p.cfg", params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["sweep", "--config", cfg, "--grid", grid, "--out", tmp_path / "o"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: closed form omega2 is not finite (inf) at {point}\n")
+        assert list((tmp_path / "o").iterdir()) == []
+
     @pytest.mark.parametrize("grid, message", [
         ("m=", "grid axis 'm=' must look like name=lo:hi:count or name=value"),
         ("m=a:b:3", "grid axis 'm=a:b:3' has non-numeric fields"),
