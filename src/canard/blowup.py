@@ -45,11 +45,19 @@ skipped term is +-0.0 when its other factors are finite, and it would be
 added to a sum that starts at +0.0 and so never holds -0.0 (a + (-a) is
 +0.0): adding it leaves the sum as it is.  A skipped 0 * inf would have
 been NaN, but then a value the caller checks is already non-finite, and
-the same error is raised.
+the same error is raised.  Nor do they write a product with an exact 1.0
+factor (an integer multiplier or a binomial 1, a power x^0, the
+X^0 = Y^0 = [1.0] of the substitution): x * 1.0 is x for every float,
++-0.0, +-inf and NaN included.
 
-A PlanarPolySystem is its two tables, cleaned at the one degree bound
-_DEGREE (int keys, floats, no zeros, all finite); lyapunov_DF's
+A PlanarPolySystem is its two tables, cleaned by _clean_terms at the one
+degree bound _DEGREE (int keys, floats, no zeros, all finite); lyapunov_DF's
 |trace| < 1e-12 gate is the one check that a system sits on the Hopf curve.
+A table written here from literal keys (_m_table's, and the slow tables of
+the Hopf solve) is cleaned by _nonzero instead: the same floats, zero drop
+and finiteness check, without the key remap.  The finiteness check,
+_finite, scans a table for its first non-finite value only when the sum of
+its values is not finite.
 The stages after the Hopf location wrap one helper each (_centred, _rotated,
 _first_lyapunov); l1_blowup and allee.model_l1 chain the helpers in one pass,
 _lyapunov_at, that skips the cleaning of the two systems in between (key
@@ -62,7 +70,8 @@ substitution is not finite, and then the table's term of highest x-degree,
 which the cleaning keeps, has a non-finite product too.  A Hopf solve builds
 no system: it cleans the fast table (free of lam1) once, iterates on the slow
 table as _n_table writes it, zeros kept by the same argument and checked only
-for finiteness, and cleans it when it returns the two tables.
+for finiteness, and returns it so; l1_blowup, the one caller that reads it,
+cleans it.
 
 sample_record, the draw of verify's records, is one generator call and the
 record constructor: over the whole draw box, corners and the omega1 = 0
@@ -102,11 +111,21 @@ def _term_error(key) -> DomainError:
 
 
 def _finite(terms: Terms) -> Terms:
-    """terms, after a DomainError at its first non-finite value (overflow)."""
-    if not all(map(math.isfinite, terms.values())):
-        bad = next(k for k, c in terms.items() if not math.isfinite(c))
-        raise DomainError(f"non-finite coefficient at {bad}")
+    """terms, after a DomainError at its first non-finite value (overflow).
+    A NaN or an inf among the values makes their sum NaN or inf, so a finite
+    sum clears them all; only a table whose sum is not finite is scanned, and
+    the scan passes one whose finite values overflowed the sum."""
+    if not math.isfinite(sum(terms.values())):
+        bad = next((k for k, c in terms.items() if not math.isfinite(c)), None)
+        if bad is not None:
+            raise DomainError(f"non-finite coefficient at {bad}")
     return terms
+
+
+def _nonzero(terms: Terms) -> Terms:
+    """The nonzero terms of a table written here, at its own int (i, j) keys,
+    as floats, in insertion order; DomainError on a non-finite value."""
+    return _finite({k: float(c) for k, c in terms.items() if c != 0.0})
 
 
 def _clean_terms(terms: Terms) -> Terms:
@@ -284,30 +303,35 @@ def _series(fx: Terms, fy: Terms, r: float) -> EquilibriumSeries:
         if m01 == 0.0:
             raise DomainError("fast linear coefficient m01 must be nonzero")
 
+        # each subtree used more than once is computed once, as the same
+        # operands in the same order, so that every value keeps its rounding
+        mn, m20x2 = m01 * n10, 2 * m20
+        b20 = 4 * m20 * n20 - 3 * m30 * n10
+        b11, b01 = m20x2 * n11 - m21 * n10, m20x2 * n01 - m11 * n10
         p0 = -n00 / n10
         q0 = -m20 * n00 ** 2 / (m01 * n10 ** 2)
-        p1 = -(p0 ** 2 * n20 + q0 * n01) / n10
-        q1 = -p0 * (p0 ** 2 * (m30 * n10 - 2 * m20 * n20)
-                    + q0 * (m11 * n10 - 2 * m20 * n01)
-                    + m10 * n10) / (m01 * n10)
-        p2 = -(p0 * (p0 ** 2 * n30 + 2 * p1 * n20 + q0 * n11) + q1 * n01) / n10
-        q2 = (p0 ** 2 * (p1 * (4 * m20 * n20 - 3 * m30 * n10)
-                         + q0 * (2 * m20 * n11 - m21 * n10))
-              + p0 * q1 * (2 * m20 * n01 - m11 * n10)
-              - n10 * (p1 * q0 * m11 + p1 * (p1 * m20 + m10) + q0 ** 2 * m02)
-              + 2 * p0 ** 4 * m20 * n30) / (m01 * n10)
-        p3 = -(p0 * q1 * n11 + q0 * (p0 ** 2 * n21 + p1 * n11)
-               + 3 * p1 * p0 ** 2 * n30 + 2 * p2 * p0 * n20 + p1 ** 2 * n20
-               + q2 * n01 + q0 ** 2 * n02) / n10
+        p0p2, q0p2 = p0 ** 2, q0 ** 2
+        p1 = -(p0p2 * n20 + q0 * n01) / n10
+        p1p2 = p1 ** 2
+        q1 = -p0 * (p0p2 * (m30 * n10 - m20x2 * n20)
+                    + q0 * (m11 * n10 - m20x2 * n01)
+                    + m10 * n10) / mn
+        p2 = -(p0 * (p0p2 * n30 + 2 * p1 * n20 + q0 * n11) + q1 * n01) / n10
+        q2 = (p0p2 * (p1 * b20 + q0 * b11)
+              + p0 * q1 * b01
+              - n10 * (p1 * q0 * m11 + p1 * (p1 * m20 + m10) + q0p2 * m02)
+              + 2 * p0 ** 4 * m20 * n30) / mn
+        p3 = -(p0 * q1 * n11 + q0 * (p0p2 * n21 + p1 * n11)
+               + 3 * p1 * p0p2 * n30 + 2 * p2 * p0 * n20 + p1p2 * n20
+               + q2 * n01 + q0p2 * n02) / n10
         q3 = (2 * p0 ** 3 * m20 * (3 * p1 * n30 + q0 * n21)
-              + p0 ** 2 * (p2 * (4 * m20 * n20 - 3 * m30 * n10)
-                           + q1 * (2 * m20 * n11 - m21 * n10))
+              + p0p2 * (p2 * b20 + q1 * b11)
               + p0 * (2 * p1 * q0 * (m20 * n11 - m21 * n10)
-                      + p1 ** 2 * (2 * m20 * n20 - 3 * m30 * n10)
-                      + q2 * (2 * m20 * n01 - m11 * n10)
-                      + q0 ** 2 * (2 * m20 * n02 - m12 * n10))
+                      + p1p2 * (m20x2 * n20 - 3 * m30 * n10)
+                      + q2 * b01
+                      + q0p2 * (m20x2 * n02 - m12 * n10))
               - n10 * (p1 * q1 * m11 + q0 * (p2 * m11 + 2 * q1 * m02)
-                       + p2 * (2 * p1 * m20 + m10))) / (m01 * n10)
+                       + p2 * (2 * p1 * m20 + m10))) / mn
         if not all(map(math.isfinite, (p0, p1, p2, p3, q0, q1, q2, q3))):
             raise OverflowError
     except (OverflowError, ZeroDivisionError):
@@ -420,27 +444,36 @@ def _partials_source(layout: tuple, sums: tuple, *sizes: int) -> list:
     return lines + [f"    return ({', '.join(values)},)"]
 
 
+def _scaled(c: str, n: int, k: int, h: str) -> str:
+    """c * (C(n, k) * h^(n-k)), the power held in the local h{n-k}, with a
+    factor 1.0 (C(n, 0) = C(n, n), or h^0) left out: x * 1.0 is x for every
+    float, +-0.0, +-inf and NaN included."""
+    b, e = _BINOM[n][k], n - k
+    if b != 1.0:
+        return f"{c} * ({b!r} * {h}{e})" if e else f"{c} * {b!r}"
+    return f"{c} * {h}{e}" if e else c
+
+
 def _recenter_source(layout: tuple, *sizes: int) -> list:
     """kernel(t0, t1, ..., x0, y0) of _centred (table ti has the next sizes[i]
     keys of layout): per table, the terms of sum c (x + x0)^i (y + y0)^j but
     the constant, by the loop of jet_recenter over its terms, k then l
     ascending, each contribution (c * (C(i, k) x0^(i-k))) * (C(j, l) y0^(j-l)),
-    with the powers x0 ** e and y0 ** e up to the highest exponent of the
-    layout."""
-    hx = [f"hx{e}" for e in range(max((i for i, _ in layout), default=0) + 1)]
-    hy = [f"hy{e}" for e in range(max((j for _, j in layout), default=0) + 1)]
+    a factor 1.0 not written (_scaled), with the powers x0 ** e and y0 ** e,
+    e >= 1, up to the highest exponent of the layout."""
     parts, lines = _tables(layout, sizes, "x0", "y0")
-    lines += [*(f"    {h} = x0 ** {e}" for e, h in enumerate(hx)),
-              *(f"    {h} = y0 ** {e}" for e, h in enumerate(hy))]
+    for h, top in (("x", max((i for i, _ in layout), default=0)),
+                   ("y", max((j for _, j in layout), default=0))):
+        lines += [f"    h{h}{e} = {h}0 ** {e}" for e in range(1, top + 1)]
     tables = []
     for t, part in enumerate(parts):
         sums: dict = {}
         for n, (i, j) in enumerate(part):
-            for k in range(i + 1):
-                lines.append(f"    cx = c{t}_{n} * ({_BINOM[i][k]!r} * {hx[i - k]})")
+            # k = 0 of a term with j = 0 adds to the constant, which is not summed
+            for k in range(0 if j else 1, i + 1):
+                lines.append(f"    cx = {_scaled(f'c{t}_{n}', i, k, 'hx')}")
                 for l in range(0 if k else 1, j + 1):
-                    _accumulate(lines, sums, (k, l),
-                                f"cx * ({_BINOM[j][l]!r} * {hy[j - l]})", f"o{t}_")
+                    _accumulate(lines, sums, (k, l), _scaled("cx", j, l, "hy"), f"o{t}_")
         tables.append(sums)
     return _returned(lines, tables)
 
@@ -452,10 +485,12 @@ def _substitute_source(layout: tuple, *sizes: int) -> list:
     X, Y of the two forms: per term, the sums w[s] of the products
     (k X^i[p]) Y^j[q], p then q descending, each row of products behind a
     branch that skips it where k X^i[p] == 0.0, then w[s] added to the table's
-    output z for s descending.  It returns g1 = 0.0 + t00 z1 + t01 z2 and
-    g2 = t10 z1, keyed as z1, then the keys only z2 has, a missing entry
-    written as 0.0: the float operations of z1.get(k, 0.0) and z2.get(k, 0.0)."""
-    rows = sorted({i for i, _ in layout}), sorted({j for _, j in layout})
+    output z for s descending.  X^0 = Y^0 = [1.0], so a product by their
+    entry is not written: x * 1.0 is x for every float.  It returns
+    g1 = 0.0 + t00 z1 + t01 z2 and g2 = t10 z1, keyed as z1, then the keys
+    only z2 has, a missing entry written as 0.0: the float operations of
+    z1.get(k, 0.0) and z2.get(k, 0.0)."""
+    rows = sorted({i for i, _ in layout} - {0}), sorted({j for _, j in layout} - {0})
     parts, lines = _tables(layout, sizes, "X", "Y", "t00", "t01", "t10")
     for name, es in zip("XY", rows):
         lines += [f"    {''.join(f'{name.lower()}{e}_{p}, ' for p in range(e + 1))}= {name}[{e}]"
@@ -465,8 +500,9 @@ def _substitute_source(layout: tuple, *sizes: int) -> list:
         for n, (i, j) in enumerate(part):
             lines.append(f"    {' = '.join(f'w{s}' for s in range(i + j + 1))} = 0.0")
             for p in range(i, -1, -1):
-                lines += [f"    kx = c{t}_{n} * x{i}_{p}", "    if kx != 0.0:"]
-                lines += [f"        w{p + q} += kx * y{j}_{q}" for q in range(j, -1, -1)]
+                lines += [f"    kx = c{t}_{n}{f' * x{i}_{p}' if i else ''}", "    if kx != 0.0:"]
+                lines += [f"        w{p + q} += kx{f' * y{j}_{q}' if j else ''}"
+                          for q in range(j, -1, -1)]
             for s in range(i + j, -1, -1):
                 _accumulate(lines, sums, (s, i + j - s), f"w{s}", f"z{t}_")
     keys = {**z1, **z2}
@@ -575,20 +611,21 @@ def _hopf_kernel(m: Terms, n: Terms, dn: Terms):
 
 def _hopf_point(nf: NormalFormCoefficients, r: float
                 ) -> Tuple[float, Tuple[float, float], Tuple[Terms, Terms]]:
-    """(lambda1, equilibrium, blow_up(nf, r, lambda1)'s two tables) at the Hopf
-    point for radius r: Newton iteration on the defining system (fx, fy,
+    """(lambda1, equilibrium, blow_up(nf, r, lambda1)'s two tables, the slow one
+    with its zeros) at the Hopf point for radius r: Newton iteration on the defining system (fx, fy,
     trace) = 0 in (x, y, lambda1), the bordered 3x3 Jacobian solved by Cramer's
     rule, seeded by lambda1 = rho1*r and the equilibrium series head of the
     cleaned starting tables (the raw n00 is -0.0 at lambda1 = 0).  The fast
     table does not depend on lambda1; the slow table is rebuilt per iterate as
     _n_table writes it, zeros kept and checked only for finiteness, and is
-    cleaned when returned.  One _hopf_kernel serves every iterate."""
+    returned so: a caller that reads it cleans it.  One _hopf_kernel serves
+    every iterate."""
     if not 0.0 < r <= 0.2:
         raise DomainError(f"r must lie in (0, 0.2], got {r}")
     lam = rho_coefficients(nf).rho1 * r
     dn = _lambda1_slopes(nf, r)
-    m, n = _clean_terms(_m_table(nf, r)), _n_table(nf, r, lam)
-    x, y = _series(m, _clean_terms(n), r).predict(r)
+    m, n = _nonzero(_m_table(nf, r)), _n_table(nf, r, lam)
+    x, y = _series(m, _nonzero(n), r).predict(r)
     step = _hopf_kernel(m, n, dn)
     for _ in range(_MAX_ITER):
         f, a, b, fxx, fxy, g, c, d, gxy, gyy, p, k = step(m, n, dn, x, y)
@@ -605,7 +642,7 @@ def _hopf_point(nf: NormalFormCoefficients, r: float
         lam -= (a * (d * t - g * h) - b * (c * t - g * e) + f * (c * h - d * e)) / det
         n = _finite(_n_table(nf, r, lam))
         if converged:
-            return lam, (x, y), (m, _clean_terms(n))
+            return lam, (x, y), (m, n)
     raise NumericsError(f"Hopf location did not reach residual {_TOL} in {_MAX_ITER} iterations")
 
 
@@ -669,7 +706,7 @@ def l1_blowup(nf: NormalFormCoefficients, r: float) -> float:
     pivoting on n10 instead rescales L1 by the positive factor
     |m01_bar / n10_bar| = 1 + O(r), which would contaminate the fits."""
     _, eq, (fx, fy) = _hopf_point(nf, r)
-    return _lyapunov_at(fx, fy, eq)
+    return _lyapunov_at(fx, _nonzero(fy), eq)
 
 
 def fit_odd_series(samples: Sequence[Tuple[float, float]],
@@ -678,15 +715,20 @@ def fit_odd_series(samples: Sequence[Tuple[float, float]],
 
     Returns the coefficients aligned with powers.  Columns are scaled to
     unit infinity-norm before solving, since the plain Vandermonde in r << 1
-    is badly conditioned."""
+    is badly conditioned.  DomainError naming the first radius or value that
+    is not finite, before any array is built."""
     powers = list(powers)
     if len(samples) < 2 * len(powers):
         raise DomainError(
             f"need >= {2 * len(powers)} samples for {len(powers)} powers, got {len(samples)}")
-    rs = np.array([float(r) for r, _ in samples])
-    vs = np.array([float(v) for _, v in samples])
-    if len(set(rs.tolist())) != len(rs):
+    pairs = [(float(r), float(v)) for r, v in samples]
+    for n, pair in enumerate(pairs):
+        for name, x in zip(("radius", "value"), pair):
+            if not math.isfinite(x):
+                raise DomainError(f"sample {n} has a non-finite {name} ({x})")
+    if len({r for r, _ in pairs}) != len(pairs):
         raise DomainError("sample radii must be distinct")
+    rs, vs = np.array([r for r, _ in pairs]), np.array([v for _, v in pairs])
     A = np.column_stack([rs ** p for p in powers])
     scale = np.max(np.abs(A), axis=0)
     if np.any(scale == 0.0):

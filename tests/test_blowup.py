@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import asdict, replace
 from fractions import Fraction
 from pathlib import Path
@@ -542,6 +543,99 @@ class TestFitOddSeries:
         samples = [(k * 1e-200, k * 1e-200) for k in (1.0, 2.0, 3.0, 4.0)]
         with pytest.raises(NumericsError, match=r"^design matrix has a zero column"):
             fit_odd_series(samples, [1, 3])
+
+    @pytest.mark.parametrize("samples, message", [
+        ([(0.1, 0.1), (0.2, math.nan), (0.3, 0.3), (0.4, 0.4)],
+         "sample 1 has a non-finite value (nan)"),
+        ([(0.1, 0.1), (0.2, 0.2), (0.3, -math.inf), (0.4, 0.4)],
+         "sample 2 has a non-finite value (-inf)"),
+        ([(0.1, 0.1), (math.inf, 0.2), (0.3, 0.3), (0.4, 0.4)],
+         "sample 1 has a non-finite radius (inf)"),
+        # the first non-finite entry in sample order, a radius before its value
+        ([(0.1, 0.1), (0.2, 0.2), (math.nan, math.inf), (0.4, math.nan)],
+         "sample 2 has a non-finite radius (nan)"),
+    ])
+    def test_non_finite_sample_is_a_domain_error(self, samples, message, capfd):
+        # a NaN value gave NaN coefficients with no error; an inf value gave
+        # numpy's LinAlgError after a LAPACK message on stderr, an inf radius
+        # a RuntimeWarning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as info:
+                fit_odd_series(samples, [1, 3])
+        assert str(info.value) == message
+        assert capfd.readouterr() == ("", "")
+
+
+def _scanned(terms):
+    """_finite as a per-value scan, without the sum first: terms, after a
+    DomainError at its first non-finite value in the table's order."""
+    for k, c in terms.items():
+        if not math.isfinite(c):
+            raise DomainError(f"non-finite coefficient at {k}")
+    return terms
+
+
+def _check_outcome(check, terms):
+    """Whether check hands terms back, or the type and message of its error."""
+    try:
+        return check(terms) is terms
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+class TestFiniteCheck:
+    """_finite adds a table up before it scans it: it must raise exactly where
+    the per-value scan raises, naming the same first key, and pass the rest,
+    a table of finite values whose sum overflows included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=st.permutations(sorted(_TERMS)), values=st.lists(st.one_of(
+        st.floats(), st.sampled_from((math.inf, -math.inf, math.nan, 1.7e308, -1.7e308))),
+        max_size=len(_TERMS)))
+    def test_sum_first_is_the_scan(self, keys, values):
+        terms = dict(zip(keys, values))
+        assert _check_outcome(_finite, terms) == _check_outcome(_scanned, terms)
+
+    @pytest.mark.parametrize("values, bad", [
+        ([], None),
+        ([1e308, 1e308], None),
+        ([1.7e308, -1.7e308, 1e308], None),
+        ([1.7e308, 1e308, -1.7e308], None),
+        ([1e308, 1e308, -math.inf], 2),
+        ([-1.7e308, -1e308, 0.5, math.nan], 3),
+    ])
+    def test_overflowing_sums(self, values, bad):
+        # finite values whose sum overflows pass, after the scan; a non-finite
+        # value among them is named by the scan
+        terms = dict(zip(sorted(_TERMS), values))
+        want = True if bad is None else (
+            DomainError, f"non-finite coefficient at {sorted(_TERMS)[bad]}")
+        assert _check_outcome(_scanned, terms) == want
+        assert _check_outcome(_finite, terms) == want
+
+
+class TestRecordFieldTypes:
+    """The tables the oracle writes are cleaned to floats: a record whose
+    fields are numpy.float64 or int gives the bits of the same record with
+    float fields, and l1_blowup gives a float."""
+
+    @pytest.mark.parametrize("field", [np.float64, int])
+    @pytest.mark.parametrize("seed, constrained", [(0, False), (1, True)])
+    def test_fields_of_other_number_types(self, field, seed, constrained):
+        # twice a drawn record, rounded, so that int fields hold the same
+        # numbers; c10 + f00 != 0 keeps rho1 = -(c10 + f00) / 2.0 off zero,
+        # where int fields would give +0.0 and float fields -0.0
+        values = {k: round(2.0 * v) for k, v in asdict(_drawn_record(seed, constrained)).items()}
+        assert values["c10"] + values["f00"] != 0
+        nf = NormalFormCoefficients(**{k: field(v) for k, v in values.items()})
+        ref = NormalFormCoefficients(**{k: float(v) for k, v in values.items()})
+        for r in (0.01, 0.1, 0.2):
+            assert float.hex(hopf_lambda1(nf, r)) == float.hex(hopf_lambda1(ref, r))
+            assert type(l1_blowup(nf, r)) is float
+            assert float.hex(l1_blowup(nf, r)) == float.hex(l1_blowup(ref, r))
+        for fit in (lambda rec: [fit_l1_omega1(rec)], fit_l1_omega2, fit_rho):
+            assert _bits(fit(nf)) == _bits(fit(ref))
 
 
 class TestSampleRecord:
@@ -1707,11 +1801,14 @@ class TestOnePass:
 
 def _solve_bits(nf, r, solve=_hopf_point):
     """float.hex of a Hopf solve's lambda1 and equilibrium, and its two tables
-    item by item in order, or the type and message of its typed error."""
+    item by item in order, or the type and message of its typed error.  The
+    slow table is cleaned here, as l1_blowup cleans it: _hopf_point returns it
+    as its last iterate wrote it, zeros kept."""
     try:
-        lam, (x, y), tables = solve(nf, r)
+        lam, (x, y), (fx, fy) = solve(nf, r)
     except (DomainError, NumericsError) as exc:
         return type(exc), str(exc)
+    tables = fx, {k: float(c) for k, c in fy.items() if c != 0.0}
     return _bits((lam, x, y)), [[(k, float.hex(c)) for k, c in t.items()] for t in tables]
 
 

@@ -5,7 +5,9 @@ file formats are decided in one place, no src/canard module imports warnings,
 so typed errors are the one failure channel, errors is the one src/canard module
 that holds the number and count messages, _kernels.define is the one place in
 src/canard that runs generated code, the blow-up kernels it runs are plain
-arithmetic in an empty namespace, no src/canard module hands back a status
+arithmetic in an empty namespace, the recentring and substitution kernels
+hold no product by 1.0 and no store overwritten before it is read, no
+src/canard module hands back a status
 code, the model's field and Jacobian text read
 exactly x, y and the parameter names, the caches of the kernel and stepper
 generators that call it are bounded, the modules that serve floats import
@@ -24,6 +26,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "canard").glob("*.py")) + sorted(
@@ -274,6 +278,65 @@ def test_blowup_kernels_are_plain_arithmetic(monkeypatch):
     assert len(generated) >= 5
     assert [(error_statements(source), env) for source, env in generated] == [
         ([], {})] * len(generated)
+
+
+def unit_work(source: str):
+    """The products by the literal 1 (1.0) and powers to the literal 0 in the
+    functions of source, and the names they store again before the store was
+    read.  The statements are taken in order, an if's test and then its body
+    in line, and a statement reads its value (an augmented one its target
+    too) before it stores."""
+    tree = ast.parse(source)
+    units = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.BinOp) and (
+        isinstance(node.op, ast.Mult) and any(
+            isinstance(side, ast.Constant) and side.value == 1 for side in (node.left, node.right))
+        or isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.Constant) and node.right.value == 0)]
+    unread, overwritten = set(), []
+
+    def run(statements):
+        for stmt in statements:
+            if isinstance(stmt, ast.If):
+                unread.difference_update(names_read(stmt.test))
+                run(stmt.body + stmt.orelse)
+                continue
+            unread.difference_update(names_read(stmt))
+            if isinstance(stmt, ast.AugAssign):
+                unread.discard(stmt.target.id)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    if node.id in unread:
+                        overwritten.append(node.id)
+                    unread.add(node.id)
+
+    for function in tree.body:
+        run(function.body)
+    return units, overwritten
+
+
+_KERNEL_KEYS = [(i, n - i) for n in range(5) for i in range(n + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(fx=st.lists(st.sampled_from(_KERNEL_KEYS), unique=True),
+       fy=st.lists(st.sampled_from(_KERNEL_KEYS), unique=True))
+def test_blowup_kernels_write_no_unit_work(fx, fy):
+    # the recentring and substitution kernels leave out every product by an
+    # exact 1.0 and every store that is overwritten before it is read
+    from canard.blowup import _recenter_source, _substitute_source
+
+    for emit in (_recenter_source, _substitute_source):
+        source = "\n".join(emit((*fx, *fy), len(fx), len(fy)))
+        assert unit_work(source) == ([], [])
+
+
+def test_unit_work_detector():
+    src = ("def k(a, t):\n    b = a * 1.0\n    c = 1 * a\n    d = a ** 0\n"
+           "    e = a\n    e = b\n    if e != 0.0:\n        f = e\n        f += c\n"
+           "    f = d\n    e = f\n    return e\n")
+    assert unit_work(src) == (["a * 1.0", "1 * a", "a ** 0"], ["e", "f"])
+    src = "def k(a):\n    b = a * 2.0\n    b += b\n    c = b\n    b = c ** 2\n    return b\n"
+    assert unit_work(src) == ([], [])
 
 
 def test_error_statement_detector():
